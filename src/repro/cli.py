@@ -190,9 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fr_p.add_argument("--backend", default=None, choices=backend_names(),
                       help="execution backend (default: $REPRO_BACKEND, "
                            "else serial/process by --workers)")
-    fr_p.add_argument("--figure-jobs", type=int, default=1,
-                      help="campaign mode: figures run concurrently "
-                           "(each with its own --workers pool)")
     fr_p.add_argument("--results-dir",
                       default=os.path.join("benchmarks", "results",
                                            "sweeps"),
@@ -609,11 +606,9 @@ def _cmd_figures_campaign(args: argparse.Namespace, workers: int) -> int:
         except ValueError as exc:
             raise SystemExit(f"repro: {exc}")
     print(f"campaign: {len(specs)} figure(s), workers={workers}, "
-          f"figure-jobs={args.figure_jobs}, "
           f"store={store.root if store is not None else 'none'}")
     campaign = run_campaign(
-        specs, workers=workers, figure_jobs=args.figure_jobs,
-        store=store, check=not args.no_check,
+        specs, workers=workers, store=store, check=not args.no_check,
         prune_stale=args.prune_stale, progress=True,
         backend=args.backend)
     if len(specs) < len(figure_ids()) and \
@@ -628,7 +623,10 @@ def _cmd_figures_campaign(args: argparse.Namespace, workers: int) -> int:
     print(f"campaign done in {campaign.wall_s:.1f}s: "
           + ", ".join(f"{counts[s]} {s}" for s in STATUSES)
           + f"; {campaign.tasks} tasks ({campaign.executed} executed, "
-            f"{campaign.cached} cached)")
+            f"{campaign.cached} cached); {campaign.task_wall_s:.1f}s "
+            f"task wall on {campaign.workers} worker(s) = parallel "
+            f"efficiency {campaign.parallel_efficiency:.2f}, "
+            f"{campaign.store_write_s:.1f}s writing the store")
     print(f"report: {report_path}; record: {json_path}")
     return 0 if campaign.ok(strict=args.strict) else 1
 
@@ -693,7 +691,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     ignored = [flag for flag, is_set in (
         ("--report", args.report != "REPRODUCTION.md"),
         ("--json", args.json_path != "campaign.json"),
-        ("--figure-jobs", args.figure_jobs != 1),
         ("--prune-stale", args.prune_stale),
         ("--strict", args.strict),
         ("--policies", args.policies is not None),
@@ -742,10 +739,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    from .harness.backends import plan_manifests, write_shard_plan
+    from .harness.backends import (
+        expand_specs,
+        plan_manifests,
+        write_shard_plan,
+    )
     from .harness.backends.worker import scoped_env
     from .harness.scale import current_scale
-    from .harness.sweep import task_key
 
     if args.shards < 1:
         raise SystemExit("repro shard plan: --shards must be >= 1")
@@ -756,20 +756,8 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
                                 only=_split_csv(args.only),
                                 skip=_split_csv(args.skip),
                                 tags=_split_csv(args.tag))
-        figures, by_key = [], {}
-        for spec in specs:
-            # mirror the campaign's fail-soft behaviour: a figure whose
-            # matrix cannot build contributes no tasks on any host, so
-            # skipping it keeps shards equal to a single-host run
-            try:
-                tasks = spec.build()
-            except Exception as exc:
-                print(f"warning: skipping {spec.fig_id}: matrix failed "
-                      f"to build ({exc})")
-                continue
-            figures.append(spec.fig_id)
-            for task in tasks.values():
-                by_key.setdefault(task_key(task), task)
+        figures, by_key = expand_specs(
+            specs, warn=lambda msg: print(f"warning: {msg}"))
         manifests = plan_manifests(figures, list(by_key), args.shards,
                                    current_scale().name)
         paths = write_shard_plan(args.out, manifests)
@@ -783,53 +771,14 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
-    from .harness.backends import (
-        expand_figures,
-        load_shard_manifest,
-        shard_origin,
-        tasks_for_manifest,
-    )
-    from .harness.backends.worker import scoped_env
-    from .harness.sweep import simulator_version
+    from .harness.backends.worker import ShardFatal, run_shard
 
     _check_backend_env()
     try:
-        manifest = load_shard_manifest(args.manifest)
-    except ValueError as exc:
+        run_shard(args.manifest, args.store, workers=args.workers,
+                  backend=args.backend)
+    except ShardFatal as exc:
         raise SystemExit(f"repro shard run: {exc}")
-    # the scale and shard identity are the *manifest's*, exported only
-    # for the duration of this run: matrices resolve REPRO_BENCH_SCALE
-    # lazily and provenance reads REPRO_SHARD, but a later in-process
-    # run (tests, an orchestrator driving shards) must not inherit a
-    # stale shard identity in its provenance header
-    with scoped_env(REPRO_BENCH_SCALE=str(manifest["scale"]),
-                    REPRO_SHARD=(f"{manifest['shard']}/"
-                                 f"{manifest['n_shards']}")):
-        if simulator_version() != manifest["sim"]:
-            raise SystemExit(
-                f"repro shard run: simulator {simulator_version()} "
-                f"does not match the plan's {manifest['sim']}; shards "
-                f"from different source revisions can never merge — "
-                f"check out the planning commit or re-plan")
-        try:
-            tasks = tasks_for_manifest(
-                manifest, expand_figures(manifest["figures"]))
-        except (KeyError, ValueError) as exc:
-            raise SystemExit(f"repro shard run: {exc}")
-        store = _open_store(args.store, origin=shard_origin(manifest))
-        if not tasks:
-            # still materialize the (empty) store: scripts merge every
-            # planned shard, and `shard merge` rejects missing
-            # directories
-            os.makedirs(store.root, exist_ok=True)
-            print(f"{shard_origin(manifest)}: empty shard, nothing "
-                  f"to run")
-            return 0
-        results = run_sweep(tasks, workers=args.workers, store=store,
-                            progress=True, backend=args.backend)
-        print(f"{shard_origin(manifest)}: {len(results)} task(s) "
-              f"({results.executed} executed, {results.cached} cached) "
-              f"-> {store.root}")
     return 0
 
 

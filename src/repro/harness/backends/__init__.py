@@ -6,11 +6,10 @@ benchmarks) selects *how* pending tasks execute by backend name —
 :class:`~.base.Backend` instance through the library API:
 
 - ``serial``  — in-process, in order; the debuggable reference.
-- ``process`` — one ``multiprocessing`` dispatch per task (the
-  historical ``workers=N`` pool).
-- ``batched`` — interleaved task batches per worker with batched
-  artifact-store writes; amortizes dispatch and manifest I/O on
-  matrices of short tasks.
+- ``process`` — one work-stealing ``multiprocessing`` dispatch per
+  task (the ``workers=N`` default).
+- ``batched`` — interleaved task batches per worker dispatch;
+  amortizes pickling on matrices of very short tasks.
 - ``shard``   — partition / run-per-shard / merge, in-process; the
   continuously-tested rehearsal of the ``repro shard`` multi-host
   flow.
@@ -22,18 +21,16 @@ so backend choice never invalidates a store.
 
 from __future__ import annotations
 
-import copy
 import os
-from typing import Optional, Union
+from typing import Union
 
 from .base import Backend, ProgressCb
-from .batched import BatchedBackend
-from .process import ProcessBackend
+from .process import BatchedBackend, ProcessBackend
 from .serial import SerialBackend
 from .shard import (
     SHARD_SCHEMA,
     ShardBackend,
-    expand_figures,
+    expand_specs,
     load_shard_manifest,
     plan_manifests,
     shard_origin,
@@ -53,17 +50,13 @@ BACKENDS = {
     ShardBackend.name: ShardBackend,
 }
 
-#: what ``resolve_backend(None)`` falls back to, by worker count
-_DEFAULTS = {False: SerialBackend.name, True: ProcessBackend.name}
-
 
 def backend_names() -> list:
     """Registered backend names, stable order for CLI choices."""
     return sorted(BACKENDS)
 
 
-def make_backend(name: str, *, workers: int = 1,
-                 mp_context: Optional[str] = None, **kwargs) -> Backend:
+def make_backend(name: str, *, workers: int = 1, **kwargs) -> Backend:
     """Instantiate a backend by registry name."""
     try:
         cls = BACKENDS[name]
@@ -73,33 +66,24 @@ def make_backend(name: str, *, workers: int = 1,
         ) from None
     if cls is SerialBackend:
         return cls(**kwargs)
-    return cls(workers=workers, mp_context=mp_context, **kwargs)
+    return cls(workers=workers, **kwargs)
 
 
 def resolve_backend(spec: Union[Backend, str, None] = None, *,
-                    workers: int = 1,
-                    mp_context: Optional[str] = None) -> Backend:
+                    workers: int = 1) -> Backend:
     """The backend a caller asked for, however they asked.
 
-    ``spec`` may be a ready :class:`Backend`, a registry name, or
-    ``None`` — which consults ``$REPRO_BACKEND`` and finally defaults
-    to ``serial`` (``workers <= 1``) or ``process`` (``workers > 1``),
-    preserving the harness's historical behaviour when nobody opts in.
-
-    A ready instance is returned as-is — except that a caller-required
-    ``mp_context`` (the threaded campaign runner forces ``"spawn"``
-    for fork safety) is applied to a pool-owning instance that never
-    chose one, via a shallow copy so the caller's object stays
-    untouched.
+    ``spec`` may be a ready :class:`Backend` (returned as-is), a
+    registry name, or ``None`` — which consults ``$REPRO_BACKEND`` and
+    finally defaults to ``serial`` (``workers <= 1``) or ``process``
+    (``workers > 1``), preserving the harness's historical behaviour
+    when nobody opts in.
     """
     if isinstance(spec, Backend):
-        if mp_context is not None and \
-                getattr(spec, "mp_context", mp_context) is None:
-            spec = copy.copy(spec)
-            spec.mp_context = mp_context
         return spec
-    name = spec or os.environ.get(BACKEND_ENV) or _DEFAULTS[workers > 1]
-    return make_backend(name, workers=workers, mp_context=mp_context)
+    name = spec or os.environ.get(BACKEND_ENV) or \
+        (ProcessBackend.name if workers > 1 else SerialBackend.name)
+    return make_backend(name, workers=workers)
 
 
 __all__ = [
@@ -113,7 +97,7 @@ __all__ = [
     "SerialBackend",
     "ShardBackend",
     "backend_names",
-    "expand_figures",
+    "expand_specs",
     "load_shard_manifest",
     "make_backend",
     "plan_manifests",

@@ -1,35 +1,31 @@
-"""Process-pool backend: one task per worker dispatch.
+"""Pool backends: ``process`` (one task per worker dispatch) and
+``batched`` (interleaved chunks per dispatch).
 
-The historical ``run_sweep(workers=N)`` behaviour, extracted from
-``sweep.py``: a ``multiprocessing`` pool, ``imap_unordered`` with
-``chunksize=1`` so a free worker always steals the next pending task
-(no pre-assigned chunks to convoy behind), and a store write per
-finished task.  Pending tasks are submitted **longest-expected-first**
-(:func:`~repro.harness.backends.schedule.longest_first`) using the
-wall times recorded in the store's manifest, so a straggler label
-starts early instead of serializing the tail of the sweep — pure
-reordering, payloads stay byte-identical.  ``mp_context`` selects
-the start method — callers that create pools from a multithreaded
-process (the campaign runner's figure threads) must pass ``"spawn"``.
+A ``multiprocessing`` pool fed through ``imap_unordered`` one dispatch
+at a time, so a free worker always steals the next pending one.
+Dispatch order is **longest-expected-first**
+(:func:`~repro.harness.backends.schedule.longest_first`, from the wall
+times recorded in the store's manifest) — pure reordering, payloads
+stay byte-identical.  The parent only collects
+(:meth:`~.base.Backend.drain`), and a task that raises comes back as a
+failure value instead of terminating the pool under the others.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..sweep import SweepTask, execute_task
-from .base import Backend, Pending, ProgressCb, emit, task_stats
+from ..sweep import SweepTask
+from .base import Backend, Outcome, Pending, ProgressCb, timed_tasks
 from .schedule import longest_first
 
+Batch = List[Tuple[str, SweepTask]]
 
-def _pool_entry(item: Tuple[str, SweepTask]
-                ) -> Tuple[str, Dict[str, object], float]:
-    key, task = item
-    t0 = time.perf_counter()
-    payload = execute_task(task)
-    return key, payload, time.perf_counter() - t0
+#: batches per worker when no explicit batch size is given — finer
+#: than one batch per worker so an unlucky batch of slow tasks cannot
+#: serialize the whole sweep, coarse enough to amortize dispatch
+_BATCHES_PER_WORKER = 4
 
 
 class ProcessBackend(Backend):
@@ -37,32 +33,45 @@ class ProcessBackend(Backend):
 
     name = "process"
 
-    def __init__(self, workers: int = 1,
-                 mp_context: Optional[str] = None) -> None:
+    def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
-        self.mp_context = mp_context
+
+    def _batches(self, pending: Batch) -> List[Batch]:
+        """What each worker dispatch carries: here, one task."""
+        return [[item] for item in pending]
 
     def run(self, pending: Pending, store=None,
             progress_cb: Optional[ProgressCb] = None
-            ) -> Dict[str, Dict[str, object]]:
-        pending = list(pending)
-        payloads: Dict[str, Dict[str, object]] = {}
-        if self.workers <= 1 or len(pending) <= 1:
-            for key, task in pending:
-                t0 = time.perf_counter()
-                payload = execute_task(task)
-                wall = time.perf_counter() - t0
-                payloads[key] = payload
-                emit(store, key, payload, progress_cb,
-                     stats=task_stats(payload, wall))
-            return payloads
-        ordered = longest_first(pending, store)
-        ctx = multiprocessing.get_context(self.mp_context)
-        n = min(self.workers, len(ordered))
-        with ctx.Pool(processes=n) as pool:
-            done = pool.imap_unordered(_pool_entry, ordered, chunksize=1)
-            for key, payload, wall in done:
-                payloads[key] = payload
-                emit(store, key, payload, progress_cb,
-                     stats=task_stats(payload, wall))
-        return payloads
+            ) -> Dict[str, Outcome]:
+        batches = self._batches(longest_first(pending, store))
+        n = min(self.workers, len(batches))
+        if n <= 1:
+            return self.drain(map(timed_tasks, batches), store,
+                              progress_cb)
+        with multiprocessing.Pool(processes=n) as pool:
+            return self.drain(
+                pool.imap_unordered(timed_tasks, batches, chunksize=1),
+                store, progress_cb)
+
+
+class BatchedBackend(ProcessBackend):
+    """The same pool with a coarser dispatch unit, for matrices of
+    very short tasks where a pickle round-trip per task dominates: the
+    longest-first list is dealt round robin into interleaved batches
+    (expensive labels spread out, each batch fronts its slowest), one
+    dispatch — and one ``put_many`` — per batch."""
+
+    name = "batched"
+
+    def __init__(self, workers: int = 1,
+                 batch_size: Optional[int] = None) -> None:
+        super().__init__(workers)
+        self.batch_size = batch_size
+
+    def _batches(self, pending: Batch) -> List[Batch]:
+        if self.batch_size is not None:
+            n = max(1, -(-len(pending) // max(1, int(self.batch_size))))
+        else:
+            n = self.workers * _BATCHES_PER_WORKER
+        n = min(n, len(pending))
+        return [pending[i::n] for i in range(n)]

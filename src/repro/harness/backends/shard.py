@@ -29,7 +29,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sweep import (
     SCHEMA_VERSION,
@@ -38,7 +39,8 @@ from ..sweep import (
     simulator_version,
     task_key,
 )
-from .base import Backend, Pending, ProgressCb
+from .base import Backend, Outcome, Pending, ProgressCb
+from .process import ProcessBackend
 from .schedule import longest_first
 
 #: bump when the shard manifest layout changes
@@ -134,26 +136,19 @@ class ShardBackend(Backend):
 
     name = "shard"
 
-    def __init__(self, workers: int = 1, mp_context: Optional[str] = None,
-                 n_shards: int = 2) -> None:
+    def __init__(self, workers: int = 1, n_shards: int = 2) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.workers = max(1, int(workers))
-        self.mp_context = mp_context
         self.n_shards = n_shards
 
     def run(self, pending: Pending, store=None,
             progress_cb: Optional[ProgressCb] = None
-            ) -> Dict[str, Dict[str, object]]:
-        from .process import ProcessBackend
-        from .serial import SerialBackend
-
-        inner = SerialBackend() if self.workers <= 1 else \
-            ProcessBackend(workers=self.workers,
-                           mp_context=self.mp_context)
+            ) -> Dict[str, Outcome]:
+        inner = ProcessBackend(workers=self.workers)  # 1 = in-process
         by_key: Dict[str, SweepTask] = dict(pending)
         parts = shard_partition(list(by_key), self.n_shards)
-        payloads: Dict[str, Dict[str, object]] = {}
+        payloads: Dict[str, Outcome] = {}
         # when the caller's store already carries an identity (e.g.
         # `repro shard run --backend shard`), the internal sub-shards
         # must not overwrite it — manifest origins would otherwise
@@ -180,7 +175,9 @@ class ShardBackend(Backend):
                                   store),
                     scratch, progress_cb))
                 if store is not None:
+                    t0 = time.perf_counter()
                     store.merge_from(scratch)
+                    self.store_write_s += time.perf_counter() - t0
         return payloads
 
 
@@ -201,13 +198,26 @@ def tasks_for_manifest(manifest: Dict[str, object],
     return [by_key[key] for key in manifest["keys"]]
 
 
-def expand_figures(figures: Sequence[str]) -> Dict[str, SweepTask]:
-    """``key -> task`` for a figure-id selection (deduplicated)."""
-    from ...scenarios import get_figure
+def expand_specs(specs, warn: Optional[Callable[[str], None]] = None
+                 ) -> Tuple[List[str], Dict[str, SweepTask]]:
+    """The planner's expansion of a figure selection: the ids whose
+    matrix built, and ``key -> task`` over them (deduplicated).
 
+    Fail-soft like the campaign runner: a figure whose matrix cannot
+    build contributes no tasks on any host (``warn`` is told), so
+    shards stay equal to a single-host run.
+    """
+    figures: List[str] = []
     by_key: Dict[str, SweepTask] = {}
-    for fig_id in figures:
-        spec = get_figure(fig_id)
-        for task in spec.build().values():
+    for spec in specs:
+        try:
+            tasks = spec.build()
+        except Exception as exc:
+            if warn is not None:
+                warn(f"skipping {spec.fig_id}: matrix failed to build "
+                     f"({exc})")
+            continue
+        figures.append(spec.fig_id)
+        for task in tasks.values():
             by_key.setdefault(task_key(task), task)
-    return by_key
+    return figures, by_key

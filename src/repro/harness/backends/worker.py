@@ -3,12 +3,13 @@
 The execution leaf of ``repro orchestrate``: the orchestrator plans
 shard manifests and fans them out to worker processes, each of which
 runs this module (``python -m repro.harness.backends.worker``) against
-one manifest.  A worker
+one manifest.  A worker (:func:`run_shard`, which is also all that
+``repro shard run`` does)
 
-1. validates the manifest exactly as ``repro shard run`` does
-   (simulator-version match, grid re-expansion at the recorded scale),
-2. executes the shard's pending tasks through a normal execution
-   backend into a local store tagged with the shard's identity, and
+1. validates the manifest (simulator-version match, grid re-expansion
+   at the recorded scale),
+2. sweeps the shard's tasks into a local store tagged with the
+   shard's identity, and
 3. writes a small JSON *heartbeat* file on an interval **and** on
    every task completion, so the orchestrator can tell a slow worker
    from a dead one and render live progress without touching the
@@ -156,77 +157,57 @@ def read_heartbeat(path: str) -> Optional[Dict[str, object]]:
     return doc if isinstance(doc, dict) else None
 
 
-def run_shard_worker(manifest_path: str, store_dir: str, *,
-                     workers: int = 1, backend: Optional[str] = None,
-                     heartbeat_path: Optional[str] = None,
-                     heartbeat_interval_s: float = 1.0,
-                     out=None) -> int:
-    """Execute one shard manifest; returns the process exit code.
+class ShardFatal(ValueError):
+    """A shard no retry can fix (see the module docstring)."""
 
-    The library form of the ``__main__`` entrypoint so the orchestrator
-    (and tests) can run a shard in-process.  Environment exports
-    (``REPRO_BENCH_SCALE``, ``REPRO_SHARD``) are scoped to this call.
+
+def run_shard(manifest_path: str, store_dir: str, *,
+              workers: int = 1, backend: Optional[str] = None,
+              heartbeat_path: Optional[str] = None,
+              heartbeat_interval_s: float = 1.0, say=print) -> None:
+    """Execute one shard manifest into ``store_dir`` — what ``repro
+    shard run`` and the orchestrator's workers both do.
+
+    Raises :class:`ShardFatal` before anything runs when the manifest
+    cannot be honoured here; any other exception is a retryable crash.
+    ``REPRO_BENCH_SCALE`` / ``REPRO_SHARD`` are exported for this call only.
     """
     from ..store import open_store
-    from ..sweep import simulator_version, task_key
+    from ..sweep import run_sweep, simulator_version
+    from ...scenarios import get_figure
     from . import (
-        expand_figures,
+        expand_specs,
         load_shard_manifest,
-        resolve_backend,
         shard_origin,
         tasks_for_manifest,
     )
 
-    out = out if out is not None else sys.stdout
-
-    def say(message: str) -> None:
-        print(message, file=out, flush=True)
-
     try:
         manifest = load_shard_manifest(manifest_path)
     except ValueError as exc:
-        say(f"worker: {exc}")
-        return EXIT_FATAL
-
+        raise ShardFatal(str(exc)) from None
     with scoped_env(REPRO_BENCH_SCALE=str(manifest["scale"]),
                     REPRO_SHARD=(f"{manifest['shard']}/"
                                  f"{manifest['n_shards']}")):
         if simulator_version() != manifest["sim"]:
-            say(f"worker: simulator {simulator_version()} does not "
-                f"match the plan's {manifest['sim']}; re-plan")
-            return EXIT_FATAL
+            raise ShardFatal(
+                f"simulator {simulator_version()} does not match the "
+                f"plan's {manifest['sim']}; shards from different source "
+                f"revisions can never merge — check out the planning "
+                f"commit or re-plan")
         try:
-            tasks = tasks_for_manifest(
-                manifest, expand_figures(manifest["figures"]))
+            tasks = tasks_for_manifest(manifest, expand_specs(
+                [get_figure(f) for f in manifest["figures"]])[1])
+            store = open_store(store_dir, origin=shard_origin(manifest))
         except (KeyError, ValueError) as exc:
-            say(f"worker: {exc}")
-            return EXIT_FATAL
-        try:
-            store = open_store(store_dir,
-                               origin=shard_origin(manifest))
-        except ValueError as exc:
-            say(f"worker: {exc}")
-            return EXIT_FATAL
+            raise ShardFatal(str(exc)) from None
+        # an empty shard still materializes its store: scripts merge
+        # every planned shard, and `shard merge` rejects missing dirs
         os.makedirs(store.root, exist_ok=True)
 
-        # the cache check mirrors run_sweep: a retried shard re-opens
-        # the same store, so tasks the killed attempt already finished
-        # are served from disk and a worker death costs only the
-        # unfinished remainder of its shard
-        pending: List = []
-        cached = 0
-        for task in tasks:
-            key = task_key(task)
-            if store.get(key) is not None:
-                cached += 1
-            else:
-                pending.append((key, task))
         beat = Heartbeat(heartbeat_path, int(manifest["shard"]),
                          int(manifest["n_shards"]), len(tasks),
                          interval_s=heartbeat_interval_s).start()
-        if cached:
-            beat.bump(cached)
-
         throttle = 0.0
         raw = os.environ.get(THROTTLE_ENV, "")
         if raw:
@@ -235,26 +216,48 @@ def run_shard_worker(manifest_path: str, store_dir: str, *,
             except ValueError:
                 throttle = 0.0
 
-        def on_task(_key: str, _payload: Dict[str, object]) -> None:
-            beat.bump()
-            if throttle:
-                time.sleep(throttle)
+        def on_result(_index: int, result) -> None:
+            if not result.error:
+                beat.bump()
+                if throttle and not result.cached:
+                    time.sleep(throttle)
 
+        # a retried shard re-opens the same store, so run_sweep serves
+        # what the killed attempt already persisted from disk: a worker
+        # death costs the unfinished remainder plus at most the one
+        # write-behind window that was still unflushed
         try:
-            executor = resolve_backend(backend, workers=workers)
-            if pending:
-                executor.run(pending, store, progress_cb=on_task)
-        except Exception as exc:
-            say(f"worker: shard {shard_origin(manifest)} crashed: "
-                f"{type(exc).__name__}: {exc}")
-            import traceback
-            traceback.print_exc(file=out)
-            return 1
+            results = run_sweep(tasks, workers=workers, store=store,
+                                backend=backend, on_result=on_result)
         finally:
             beat.close()
-        say(f"worker: {shard_origin(manifest)} done — {len(tasks)} "
-            f"task(s) ({len(pending)} executed, {cached} cached) -> "
-            f"{store.root}")
+        say(f"{shard_origin(manifest)}: {len(tasks)} task(s) "
+            f"({results.executed} executed, {results.cached} cached) "
+            f"-> {store.root}")
+
+
+def run_shard_worker(manifest_path: str, store_dir: str, *,
+                     out=None, **kwargs) -> int:
+    """:func:`run_shard` with the worker protocol's exit codes (the
+    library form of the ``__main__`` entrypoint, so the orchestrator
+    and tests can run a shard in-process)."""
+    out = out if out is not None else sys.stdout
+
+    def say(message: str) -> None:
+        print(f"worker: {message}", file=out, flush=True)
+
+    try:
+        run_shard(manifest_path, store_dir, say=say, **kwargs)
+    except ShardFatal as exc:
+        say(str(exc))
+        return EXIT_FATAL
+    except Exception as exc:
+        # a task that raised included: everything that did finish is in
+        # the store, the retry this exit code asks for recomputes the rest
+        say(f"shard crashed: {type(exc).__name__}: {exc}")
+        import traceback
+        traceback.print_exc(file=out)
+        return 1
     return 0
 
 

@@ -5,21 +5,19 @@ This module is the engine behind it:
 
 1. :func:`select_figures` filters the registry catalogue
    (``--only/--skip/--tag``) into an ordered campaign plan.
-2. :func:`run_campaign` executes each :class:`FigureSpec` through the
-   existing sweep harness against **one shared cross-figure**
-   :class:`~repro.harness.sweep.ResultStore`.  Task artifacts are
-   content-keyed, so figures that share scenarios (e.g. a common
-   baseline sweep) simulate once and hit the cache everywhere else —
-   and an interrupted campaign resumes where it stopped.
-3. Figure-level parallelism (``figure_jobs`` threads) layers over the
-   per-figure ``multiprocessing`` pool (``workers``): total worker
-   processes approach ``figure_jobs * workers``, so keep the product
-   near the core count.  Threaded campaigns start their per-figure
-   pools with the ``spawn`` method — forking from a multithreaded
-   process can inherit held locks into the children.
+2. :func:`run_campaign` runs the whole plan as **one** sweep
+   (:func:`~repro.scenarios.registry.run_figures`) against **one
+   shared cross-figure** :class:`~repro.harness.sweep.ResultStore`:
+   every matrix is expanded once, content keys are deduplicated across
+   figures (a shared baseline simulates once), and all cache misses
+   share one worker pool — the campaign, not the figure, is the unit
+   of execution, so no figure boundary idles a worker.  An interrupted
+   campaign resumes where it stopped.
+3. Each figure is judged and reported the moment its last task lands.
 4. Execution is **fail-soft**: a figure whose matrix fails to build or
-   whose simulation crashes becomes an ``error`` outcome with the
-   traceback captured; the campaign always runs every selected figure.
+   that owns a task that raised becomes an ``error`` outcome with the
+   traceback captured; every other figure still runs, and everything
+   that finished is persisted.
 
 Each outcome carries a fidelity *status* derived from the spec's
 paper-shape checks:
@@ -37,15 +35,14 @@ paper-shape checks:
 from __future__ import annotations
 
 import os
-import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..scenarios import FigureResult, FigureSpec, figure_ids, get_figure
-from ..scenarios.registry import run_figure
+# run_figure is re-exported: the perf ledger wraps it by this name
+from ..scenarios.registry import FigureRun, run_figure, run_figures  # noqa: F401,E501
 from .backends import resolve_backend
 from .store import open_store
 from .sweep import ResultStore
@@ -132,7 +129,8 @@ class CampaignResult:
     def __init__(self, outcomes: Sequence[FigureOutcome], *,
                  wall_s: float, store: Optional[ResultStore] = None,
                  pruned: Sequence[str] = (),
-                 backend: str = "serial") -> None:
+                 backend: str = "serial", workers: int = 1,
+                 store_write_s: float = 0.0) -> None:
         self.outcomes = list(outcomes)
         self.wall_s = wall_s
         self.store = store
@@ -140,6 +138,20 @@ class CampaignResult:
         #: resolved execution-backend name, recorded in the report's
         #: provenance header
         self.backend = backend
+        self.workers = max(1, workers)
+        #: seconds the parent spent appending results to the store
+        self.store_write_s = store_write_s
+
+    @property
+    def task_wall_s(self) -> float:
+        """Seconds of ``execute_task`` this campaign paid for."""
+        return sum(o.wall_s for o in self.outcomes)
+
+    @property
+    def parallel_efficiency(self) -> float:
+        """Task wall over the worker-seconds the campaign held."""
+        held = self.wall_s * self.workers
+        return self.task_wall_s / held if held > 0 else 0.0
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -179,48 +191,38 @@ class CampaignResult:
         return not (strict and counts["fail"])
 
 
-def _run_one(spec: FigureSpec, *, workers: int,
-             store: Optional[ResultStore], check: bool,
-             mp_context: Optional[str] = None,
-             backend=None) -> FigureOutcome:
-    """Execute one figure fail-soft and judge its fidelity."""
-    start = time.monotonic()
-    try:
-        result = run_figure(spec, workers=workers, store=store,
-                            mp_context=mp_context, backend=backend)
-    except Exception:
-        return FigureOutcome(spec, "error",
-                             error=traceback.format_exc(limit=8),
-                             wall_s=time.monotonic() - start)
-    wall_s = time.monotonic() - start
+def _judge(spec: FigureSpec, ran: FigureRun, check: bool) -> FigureOutcome:
+    """One executed (or failed) figure's fidelity verdict."""
+    if isinstance(ran, Exception):
+        return FigureOutcome(spec, "error", error="".join(
+            traceback.format_exception(type(ran), ran, ran.__traceback__,
+                                       limit=8)))
+    # a figure's wall is the task wall of the keys it executed itself
+    wall_s = sum(r.wall_s for r in ran.sweep)
     if not check or spec.check is None:
-        return FigureOutcome(spec, "warn", result=result, wall_s=wall_s)
+        return FigureOutcome(spec, "warn", result=ran, wall_s=wall_s)
     try:
-        result.check()
+        ran.check()
     except AssertionError as exc:
         detail = str(exc) or "shape assertion failed"
-        return FigureOutcome(spec, "fail", result=result, error=detail,
+        return FigureOutcome(spec, "fail", result=ran, error=detail,
                              wall_s=wall_s)
     except Exception:
-        return FigureOutcome(spec, "error", result=result,
+        return FigureOutcome(spec, "error", result=ran,
                              error=traceback.format_exc(limit=8),
                              wall_s=wall_s)
-    return FigureOutcome(spec, "pass", result=result, wall_s=wall_s)
+    return FigureOutcome(spec, "pass", result=ran, wall_s=wall_s)
 
 
 def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
-                 figure_jobs: int = 1,
                  store: Optional[ResultStore] = None, check: bool = True,
                  prune_stale: bool = False,
                  progress: bool = False,
                  backend=None) -> CampaignResult:
-    """Run ``specs`` through the sweep harness, fail-soft, and return
-    every outcome.
+    """Run ``specs`` as one sweep, fail-soft, and return every outcome.
 
-    ``store`` is shared across figures (see :func:`shared_store`);
-    ``figure_jobs > 1`` runs that many figures concurrently in threads,
-    each with its own ``workers``-process sweep pool.  ``backend``
-    selects the per-figure execution backend (name, instance, or
+    ``store`` is shared across figures (see :func:`shared_store`).
+    ``backend`` selects the execution backend (name, instance, or
     ``None`` for ``$REPRO_BACKEND`` / worker-count default) and is
     recorded on the result for report provenance.  With
     ``prune_stale`` the store drops artifacts whose recorded simulator
@@ -231,37 +233,22 @@ def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
     if not specs:
         raise ValueError("empty campaign: no figures selected")
     start = time.monotonic()
-    print_lock = threading.Lock()
-    done = [0]
-    # forking a process pool from a multithreaded parent can inherit
-    # held locks into the children (and is deprecated on 3.12+), so
-    # figure-level threads force the spawn start method for the
-    # per-figure pools
-    threaded = figure_jobs > 1 and len(specs) > 1
-    mp_context = "spawn" if threaded and workers > 1 else None
-    backend_name = resolve_backend(backend, workers=workers,
-                                   mp_context=mp_context).name
+    executor = resolve_backend(backend, workers=workers)
+    write_s_before = executor.store_write_s
+    outcomes: List[Optional[FigureOutcome]] = [None] * len(specs)
 
-    def job(spec: FigureSpec) -> FigureOutcome:
-        outcome = _run_one(spec, workers=workers, store=store,
-                           check=check, mp_context=mp_context,
-                           backend=backend)
+    def on_figure(index: int, ran: FigureRun) -> None:
+        outcomes[index] = outcome = _judge(specs[index], ran, check)
         if progress:
-            with print_lock:
-                done[0] += 1
-                print(f"[{done[0]}/{len(specs)}] {outcome.badge():7s} "
-                      f"{spec.fig_id}: {outcome.n_tasks} tasks "
-                      f"({outcome.executed} executed, {outcome.cached} "
-                      f"cached) in {outcome.wall_s:.1f}s")
-        return outcome
+            done = sum(o is not None for o in outcomes)
+            print(f"[{done}/{len(specs)}] {outcome.badge():7s} "
+                  f"{outcome.fig_id}: {outcome.n_tasks} tasks "
+                  f"({outcome.executed} executed, {outcome.cached} "
+                  f"cached), {outcome.wall_s:.1f}s task wall",
+                  flush=True)
 
-    # pool.map keeps outcomes in plan order regardless of completion
-    if threaded:
-        with ThreadPoolExecutor(max_workers=figure_jobs) as pool:
-            outcomes = list(pool.map(job, specs))
-    else:
-        outcomes = [job(spec) for spec in specs]
-
+    run_figures(specs, workers=workers, store=store, backend=executor,
+                on_figure=on_figure)
     pruned: List[str] = []
     if store is not None:
         if prune_stale:
@@ -270,17 +257,11 @@ def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
                 print(f"pruned {len(pruned)} stale artifact(s) from "
                       f"{store.root}")
         # read-repair pass: reconcile the manifest with the artifacts
-        # the (possibly concurrent) figure runs just wrote, and persist
+        # this (and any concurrent) campaign just wrote, and persist
         # the repaired index
         store.repair_manifest()
-        if progress:
-            from ..report.provenance import store_throughput
-            thr = store_throughput(store)
-            if thr["tasks_timed"]:
-                print(f"store accounting: {thr['tasks_timed']} timed "
-                      f"task(s), {thr['task_wall_s']:.1f}s task wall "
-                      f"({thr['tasks_per_s']:.1f} tasks/s), "
-                      f"{thr['task_bytes']:,} payload bytes")
-    return CampaignResult(outcomes, wall_s=time.monotonic() - start,
-                          store=store, pruned=pruned,
-                          backend=backend_name)
+    return CampaignResult(
+        outcomes, wall_s=time.monotonic() - start, store=store,
+        pruned=pruned, backend=executor.name,
+        workers=getattr(executor, "workers", 1),
+        store_write_s=executor.store_write_s - write_s_before)

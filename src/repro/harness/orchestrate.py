@@ -65,12 +65,13 @@ from .backends.schedule import (
 from .backends.shard import (
     SHARD_KIND,
     SHARD_SCHEMA,
+    expand_specs,
     shard_origin,
     write_shard_plan,
 )
 from .backends.worker import EXIT_FATAL, read_heartbeat
 from .scale import current_scale
-from .sweep import SCHEMA_VERSION, SweepTask, simulator_version, task_key
+from .sweep import SCHEMA_VERSION, SweepTask, simulator_version
 
 #: shard lifecycle states, in display order
 SHARD_STATES = ("pending", "running", "merged", "failed", "aborted")
@@ -112,26 +113,13 @@ def plan_campaign_shards(specs: Sequence, n_shards: int, *,
                          ) -> Tuple[List[Dict[str, object]], float]:
     """Balanced shard manifests for a figure selection.
 
-    Expands every spec's matrix (fail-soft, mirroring the campaign
-    runner: a figure whose matrix cannot build contributes no tasks on
-    any host), weighs each task by its label's recorded mean wall time
-    from ``history_store`` (unseen labels get the observation-weighted
+    Expands every spec's matrix (fail-soft: ``shard.expand_specs``),
+    weighs each task by its label's recorded mean wall time from
+    ``history_store`` (unseen labels get the observation-weighted
     default), and LPT-bins the keys.  Returns the manifests (empty
     bins dropped) and the total expected seconds.
     """
-    figures: List[str] = []
-    by_key: Dict[str, SweepTask] = {}
-    for spec in specs:
-        try:
-            tasks = spec.build()
-        except Exception as exc:
-            if warn is not None:
-                warn(f"skipping {spec.fig_id}: matrix failed to build "
-                     f"({exc})")
-            continue
-        figures.append(spec.fig_id)
-        for task in tasks.values():
-            by_key.setdefault(task_key(task), task)
+    figures, by_key = expand_specs(specs, warn)
     history = wall_time_history(history_store)
     default = default_expectation(history)
 

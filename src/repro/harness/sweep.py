@@ -11,8 +11,8 @@ campaign:
    pickle cleanly and hash stably.
 2. :func:`run_sweep` executes the tasks through a pluggable
    *execution backend* (:mod:`repro.harness.backends`): ``serial``,
-   ``process`` (pool), ``batched`` (chunked pool with batched store
-   writes) or ``shard`` (partition / merge).  Each task carries its
+   ``process`` (pool), ``batched`` (chunked pool dispatch) or
+   ``shard`` (partition / merge).  Each task carries its
    own seed (listed explicitly or spawned deterministically from a
    root seed via :func:`spawn_seeds`), and the simulator is
    deterministic given a seed, so every backend produces
@@ -75,6 +75,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -485,9 +486,8 @@ class ResultStore:
         return None if self.fresh else self._read(key)
 
     def _write_json(self, path: str, doc: dict) -> None:
-        # per-process *and* per-thread temp name: concurrent campaigns
-        # (and the campaign runner's figure threads) sharing a store
-        # must not interleave writes before the atomic rename
+        # per-process *and* per-thread temp name: concurrent writers
+        # sharing a store must not interleave before the atomic rename
         tmp = path + f".{os.getpid()}.{threading.get_ident()}.tmp"
         with open(tmp, "w") as fh:
             json.dump(doc, fh, sort_keys=True)
@@ -817,6 +817,13 @@ class SweepGrid:
         return out
 
 
+class TaskFailed(RuntimeError):
+    """A task raised while executing; the message is the traceback
+    from the process that ran it.  Backends hand one back *as the
+    task's result* instead of letting it propagate, so one bad task
+    never costs the results of the others."""
+
+
 @dataclass
 class TaskResult:
     """One task's stored payload, plus whether the store supplied it."""
@@ -829,6 +836,11 @@ class TaskResult:
     #: windowed time-series probe outputs (name -> samples); empty for
     #: tasks without series probes
     series: Dict[str, List[float]] = field(default_factory=dict)
+    #: seconds ``execute_task`` took (0 for results served from cache)
+    wall_s: float = 0.0
+    #: the executing process's traceback when the task raised (such a
+    #: result has no metrics and was never persisted)
+    error: str = ""
 
     def value(self, metric: str) -> float:
         if metric in self.metrics:
@@ -893,62 +905,71 @@ class SweepResults:
 
 def run_sweep(grid: Union[SweepGrid, Iterable[SweepTask]], *,
               workers: int = 1, store: Optional[ResultStore] = None,
-              progress: bool = False,
-              mp_context: Optional[str] = None,
-              backend=None) -> SweepResults:
+              progress: bool = False, backend=None,
+              on_result: Optional[Callable[[int, TaskResult], None]] = None
+              ) -> SweepResults:
     """Execute a campaign and return its (possibly cached) results.
 
-    ``backend`` selects the execution backend — a registry name from
-    :mod:`repro.harness.backends`, a ready ``Backend`` instance, or
-    ``None`` to consult ``$REPRO_BACKEND`` and fall back to ``serial``
-    / ``process`` by worker count.  Results are identical across
-    backends because each task's RNG state depends only on the task
-    itself.  With a ``store``, finished tasks are skipped on re-runs
-    and new results are persisted as they arrive.  ``mp_context``
-    selects the pool start method (e.g. ``"spawn"``); callers that
-    create pools from a multithreaded process (the campaign runner's
-    figure-level threads) must not fork.
+    Every task is keyed once, distinct keys are looked up in ``store``
+    once, and all cache misses go to **one** ``Backend.run``.
+    ``backend`` is a registry name from :mod:`repro.harness.backends`,
+    a ready ``Backend``, or ``None`` to consult ``$REPRO_BACKEND`` and
+    fall back to ``serial`` / ``process`` by worker count.  Results are
+    identical across backends because each task's RNG state depends
+    only on the task itself.  With a ``store``, finished tasks are
+    skipped on re-runs and new results are persisted as they arrive.
+
+    ``on_result(index, result)`` fires once per input task — during
+    the lookups for cache hits, as the payload lands for the rest — so
+    a caller running several task groups through one sweep (the
+    campaign) can finish a group the moment its last task is in.  A
+    task that raised is a result with ``error`` set; once the sweep is
+    over (everything that finished is persisted) the first such
+    traceback is raised as :class:`TaskFailed`.
     """
     # lazy: backends import execute_task and ResultStore from here
     from .backends import resolve_backend
 
     tasks = grid.tasks() if isinstance(grid, SweepGrid) else list(grid)
-    payloads: Dict[str, Dict[str, object]] = {}
-    cached_keys = set()
+    slots: Dict[str, List[int]] = {}
+    for index, task in enumerate(tasks):
+        slots.setdefault(task_key(task), []).append(index)
+    results: List[Optional[TaskResult]] = [None] * len(tasks)
+
+    def land(key: str, outcome, wall_s: float = 0.0,
+             cached: bool = False) -> None:
+        failed = isinstance(outcome, TaskFailed)
+        payload = {} if failed else outcome
+        for nth, index in enumerate(slots[key]):
+            # duplicate tasks execute once; only the first occurrence
+            # (the first figure in plan order that needs the key)
+            # counts as freshly executed
+            fresh = not cached and nth == 0
+            results[index] = result = TaskResult(
+                task=tasks[index], key=key,
+                metrics=payload.get("metrics", {}),
+                extra=payload.get("extra", {}), cached=not fresh,
+                series=payload.get("series", {}),
+                wall_s=wall_s if fresh else 0.0,
+                error=str(outcome) if failed else "")
+            if on_result is not None:
+                on_result(index, result)
+
     pending: List[Tuple[str, SweepTask]] = []
-    seen = set()
-    for task in tasks:
-        key = task_key(task)
-        if key in seen:
-            continue
-        seen.add(key)
+    for key, indexes in slots.items():
         hit = store.get(key) if store is not None else None
         if hit is not None:
-            payloads[key] = hit
-            cached_keys.add(key)
+            land(key, hit, cached=True)
         else:
-            pending.append((key, task))
-    executor = resolve_backend(backend, workers=workers,
-                               mp_context=mp_context)
+            pending.append((key, tasks[indexes[0]]))
+    executor = resolve_backend(backend, workers=workers)
     if progress:
-        print(f"sweep: {len(tasks)} tasks, {len(cached_keys)} cached, "
-              f"{len(pending)} to run on {max(1, workers)} worker(s) "
-              f"[{executor.name} backend]")
-
+        print(f"sweep: {len(tasks)} tasks, {len(slots) - len(pending)} "
+              f"cached, {len(pending)} to run on {max(1, workers)} "
+              f"worker(s) [{executor.name} backend]")
     if pending:
-        payloads.update(executor.run(pending, store))
-
-    results = []
-    counted = set()
-    for task in tasks:
-        key = task_key(task)
-        payload = payloads[key]
-        # duplicate tasks in the input execute once; only the first
-        # occurrence counts as freshly executed
-        fresh = key not in cached_keys and key not in counted
-        counted.add(key)
-        results.append(TaskResult(
-            task=task, key=key, metrics=payload["metrics"],
-            extra=payload.get("extra", {}), cached=not fresh,
-            series=payload.get("series", {})))
+        executor.run(pending, store, progress_cb=land)
+    for result in results:
+        if result.error:
+            raise TaskFailed(result.error)
     return SweepResults(results)

@@ -12,9 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from statistics import mean
-from typing import List, Optional, Tuple
-
-from ..sim.switch import ecmp_hash
+from typing import List, Tuple
 
 
 @dataclass
@@ -67,6 +65,11 @@ def load_imbalance(
     if n_uplinks < 1 or evs_size < 1 or n_flows < 1:
         raise ValueError("evs_size, n_uplinks and n_flows must be >= 1")
     rng = random.Random(seed)
+    # the constants of repro.sim.switch.ecmp_hash, the public oracle
+    # the inlined mix below is property-tested against
+    m64 = (1 << 64) - 1
+    c_src, c_dst = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9
+    c_ev, c_salt = 0x94D049BB133111EB, 0xD6E8FEB86659FD93
     samples: List[float] = []
     m = evs_size * n_flows  # total balls per trial
     avg = m / n_uplinks
@@ -77,8 +80,17 @@ def load_imbalance(
                 src = rng.getrandbits(32)
                 dst = rng.getrandbits(32)
                 salt = rng.getrandbits(63)
+                # ecmp_hash(src, dst, ev, salt), inlined: the flow's
+                # share of the key is constant across its EVs, and this
+                # loop runs evs_size * n_flows * repeats times
+                flow = src * c_src + dst * c_dst + salt * c_salt
                 for ev in range(evs_size):
-                    loads[ecmp_hash(src, dst, ev, salt) % n_uplinks] += 1
+                    x = (flow + ev * c_ev) & m64
+                    x ^= x >> 30
+                    x = (x * c_dst) & m64
+                    x ^= x >> 27
+                    x = (x * c_ev) & m64
+                    loads[(x ^ (x >> 31)) % n_uplinks] += 1
             else:
                 for _ev in range(evs_size):
                     loads[rng.randrange(n_uplinks)] += 1

@@ -149,7 +149,7 @@ def _figure_section(outcome: FigureOutcome) -> str:
     meta = (f"tags: {', '.join(spec.tags) or '—'} · metric: "
             f"`{spec.metric}` · {outcome.n_tasks} tasks "
             f"({outcome.executed} executed, {outcome.cached} cached) "
-            f"· {outcome.wall_s:.1f} s")
+            f"· {outcome.wall_s:.1f} s task wall")
     lines += [meta, ""]
     if spec.doc:
         lines += [spec.doc, ""]
@@ -326,9 +326,14 @@ def render_reproduction(campaign: CampaignResult,
         f"{len(campaign)} figures · {campaign.tasks} tasks "
         f"({campaign.executed} executed, {campaign.cached} served from "
         "the content-keyed store — cross-figure dedup included).", "",
+        f"{campaign.workers} worker(s) · {campaign.task_wall_s:.1f} s "
+        f"task wall in {campaign.wall_s:.1f} s campaign wall — parallel "
+        f"efficiency {campaign.parallel_efficiency:.2f} (task wall ÷ "
+        f"(campaign wall × workers)) · {campaign.store_write_s:.1f} s "
+        "writing the store.", "",
         format_markdown_table(
             ["figure", "paper", "status", "tasks", "executed", "cached",
-             "wall (s)"],
+             "task wall (s)"],
             [[f"[`{o.fig_id}`](#{_anchor(o)})", o.spec.figure,
               f"`{o.badge()}`", o.n_tasks, o.executed, o.cached,
               round(o.wall_s, 1)] for o in campaign]),
@@ -404,6 +409,10 @@ def campaign_doc(campaign: CampaignResult,
             "distinct_seeds": _distinct_seeds(campaign),
             "policies": _arena_policies(campaign),
             "wall_s": round(campaign.wall_s, 3),
+            "workers": campaign.workers,
+            "task_wall_s": round(campaign.task_wall_s, 3),
+            "parallel_efficiency": round(campaign.parallel_efficiency, 3),
+            "store_write_s": round(campaign.store_write_s, 3),
             "pruned": len(campaign.pruned),
             "store": (campaign.store.root
                       if campaign.store is not None else None),

@@ -4,7 +4,7 @@ Every paper figure/table/ablation is a :class:`FigureSpec`: a named
 builder that expands the figure's scenario matrix into
 :class:`~repro.harness.sweep.SweepTask`s, the metric each cell reports,
 a table renderer, and the paper's shape assertions.  The one executor,
-:func:`run_figure`, pushes any spec through
+:func:`run_figures`, pushes any number of specs through a single
 :func:`~repro.harness.sweep.run_sweep` — so every figure gets the same
 parallelism, deterministic seeding, and content-keyed artifact caching,
 and a benchmark file shrinks to ``run_figure(fig_id)`` plus a report.
@@ -46,12 +46,14 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from ..harness.sweep import (
     ResultStore,
     SweepResults,
     SweepTask,
+    TaskFailed,
     TaskResult,
     run_sweep,
 )
@@ -140,6 +142,10 @@ class FigureResult:
             self.spec.check(self)
 
 
+#: what executing a figure yields: its result, or what stopped it
+FigureRun = Union[FigureResult, Exception]
+
+
 @dataclass(frozen=True)
 class FigureSpec:
     """One paper figure declared as data.
@@ -201,19 +207,89 @@ def figure_ids() -> List[str]:
     return list(REGISTRY)
 
 
+def run_figures(specs: Sequence[FigureSpec], *, workers: int = 1,
+                store: Optional[ResultStore] = None,
+                progress: bool = False, backend=None,
+                on_figure: Optional[Callable[[int, FigureRun], None]] = None
+                ) -> List[FigureRun]:
+    """The one executor: plan -> run -> assemble, for any number of
+    figures.
+
+    *Plan*: every spec's matrix is expanded exactly once, concatenated
+    in ``specs`` order.  *Run*: the whole list goes through **one**
+    :func:`~repro.harness.sweep.run_sweep` — a key shared by several
+    figures is "executed" by the first that needs it and "cached" for
+    the rest, and all misses share one ``Backend.run``, so no figure
+    boundary is a scheduling barrier.  *Assemble*: a figure becomes a
+    :class:`FigureResult` the moment its last task lands, and
+    ``on_figure(index, outcome)`` fires right then.
+
+    Fail-soft: a figure whose ``build`` raised, or that owns a task
+    that raised, yields that exception instead of a result; the others
+    are unaffected.  Outcomes come back in ``specs`` order.
+    """
+    outcomes: List[Optional[FigureRun]] = [None] * len(specs)
+
+    def finish(fig: int, outcome: FigureRun) -> None:
+        outcomes[fig] = outcome
+        if on_figure is not None:
+            on_figure(fig, outcome)
+
+    matrices: List[Dict[Key, SweepTask]] = []
+    flat: List[SweepTask] = []
+    owner: List[int] = []      # flat task index -> figure index
+    first: List[int] = []      # figure index -> its first flat index
+    for fig, spec in enumerate(specs):
+        try:
+            tasks = spec.build()
+        except Exception as exc:
+            tasks = None
+            finish(fig, exc)
+        matrices.append(tasks)
+        first.append(len(flat))
+        if tasks is not None:
+            flat.extend(tasks.values())
+            owner.extend([fig] * len(tasks))
+            if not tasks:
+                finish(fig, FigureResult(specs[fig], tasks,
+                                         SweepResults([])))
+    waiting = [len(tasks or ()) for tasks in matrices]
+    landed: List[Optional[TaskResult]] = [None] * len(flat)
+
+    def on_result(index: int, result: TaskResult) -> None:
+        landed[index] = result
+        fig = owner[index]
+        waiting[fig] -= 1
+        if waiting[fig]:
+            return
+        mine = landed[first[fig]:first[fig] + len(matrices[fig])]
+        error = next((r.error for r in mine if r.error), "")
+        finish(fig, TaskFailed(error) if error else
+               FigureResult(specs[fig], matrices[fig], SweepResults(mine)))
+
+    try:
+        run_sweep(flat, workers=workers, store=store, progress=progress,
+                  backend=backend, on_result=on_result)
+    except Exception as exc:
+        # a task that raised has already failed exactly the figures
+        # owning it (every result landed); anything else — a store that
+        # cannot be written — fails the figures still waiting
+        for fig, outcome in enumerate(outcomes):
+            if outcome is None:
+                finish(fig, exc)
+    return outcomes
+
+
 def run_figure(spec, *, workers: int = 1,
                store: Optional[ResultStore] = None,
-               progress: bool = False,
-               mp_context: Optional[str] = None,
-               backend=None) -> FigureResult:
-    """Expand a figure's matrix and execute it through the sweep
-    harness (``spec`` may be a :class:`FigureSpec` or a registry id).
-    ``backend`` selects the execution backend exactly as in
-    :func:`~repro.harness.sweep.run_sweep`."""
+               progress: bool = False, backend=None) -> FigureResult:
+    """Run one figure — a campaign of one through :func:`run_figures`
+    (``spec`` may be a :class:`FigureSpec` or a registry id); whatever
+    stopped it from executing is raised."""
     if isinstance(spec, str):
         spec = get_figure(spec)
-    tasks = spec.build()
-    results = run_sweep(list(tasks.values()), workers=workers,
-                        store=store, progress=progress,
-                        mp_context=mp_context, backend=backend)
-    return FigureResult(spec, tasks, results)
+    (outcome,) = run_figures([spec], workers=workers, store=store,
+                             progress=progress, backend=backend)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

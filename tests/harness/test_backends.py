@@ -25,8 +25,10 @@ from repro.harness.backends import (
     resolve_backend,
     shard_partition,
 )
+from repro.harness.backends.base import FLUSH_EVERY
 from repro.harness.sweep import (
     ResultStore,
+    TaskFailed,
     WorkloadSpec,
     make_model_task,
     make_task,
@@ -73,21 +75,6 @@ class TestResolution:
         assert resolve_backend("shard").name == "shard"
         ready = SerialBackend()
         assert resolve_backend(ready) is ready
-
-    def test_required_mp_context_applied_to_ready_instance(self):
-        """Regression (code review): the threaded campaign runner
-        forces spawn for fork safety; a ready pool-owning instance
-        must not silently keep fork."""
-        ready = ProcessBackend(workers=2)
-        resolved = resolve_backend(ready, mp_context="spawn")
-        assert resolved.mp_context == "spawn"
-        assert ready.mp_context is None  # caller's object untouched
-        # an instance that chose a context keeps it
-        chosen = BatchedBackend(workers=2, mp_context="fork")
-        assert resolve_backend(chosen, mp_context="spawn") is chosen
-        # pool-less backends have no mp_context and pass through
-        serial = SerialBackend()
-        assert resolve_backend(serial, mp_context="spawn") is serial
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -280,6 +267,155 @@ class TestAdaptiveScheduling:
         assert snapshot == {
             key: json.dumps(ref_store.get(key), sort_keys=True)
             for key in snapshot}
+
+
+class CountingStore:
+    """Mixin: count segment appends (one per ``put_many`` window)."""
+
+    frame_appends = 0
+
+    def _append_frame(self, records, entries):
+        self.frame_appends += 1
+        super()._append_frame(records, entries)
+
+
+def footprint_grid(n):
+    return [make_model_task("footprint", seed=i, buffer_size=8)
+            for i in range(n)]
+
+
+POOLS = [SerialBackend, lambda: ProcessBackend(workers=2),
+         lambda: BatchedBackend(workers=2, batch_size=4)]
+POOL_IDS = ["serial", "process", "batched"]
+
+
+class TestWriteBehind:
+    """ISSUE 12: results reach the store one ``put_many`` per window
+    (32 results or a second) and always on the way out; a task that
+    raises is a value, not the end of the run."""
+
+    @pytest.mark.parametrize("make", POOLS[:2], ids=POOL_IDS[:2])
+    def test_frames_per_window_not_per_task(self, make, tmp_path):
+        from repro.harness.store import ColumnarStore
+
+        class Store(CountingStore, ColumnarStore):
+            pass
+        n = 200
+        store = Store(str(tmp_path))
+        results = run_sweep(footprint_grid(n), store=store,
+                            backend=make())
+        assert results.executed == n == len(store.keys())
+        # ceil(N/32) full windows, plus whatever a >1 s run flushed by
+        # time (generous: these tasks take microseconds)
+        assert -(-n // FLUSH_EVERY) <= store.frame_appends \
+            <= -(-n // FLUSH_EVERY) + 5
+
+    @pytest.mark.parametrize("make", POOLS, ids=POOL_IDS)
+    @pytest.mark.parametrize("stop", [KeyboardInterrupt, RuntimeError])
+    def test_interrupt_leaves_every_received_result_readable(
+            self, make, stop, tmp_path):
+        from repro.harness.store import ColumnarStore
+        store = ColumnarStore(str(tmp_path))
+        pending = [(task_key(t), t) for t in footprint_grid(40)]
+        received = {}
+
+        def cb(key, outcome, wall_s):
+            received[key] = outcome
+            if len(received) == 11:
+                raise stop("stop the run")
+        with pytest.raises(stop, match="stop the run"):
+            make().run(pending, store, progress_cb=cb)
+        # the `finally` flush: nothing received was left in the buffer
+        reopened = ColumnarStore(str(tmp_path))
+        assert set(received) <= set(reopened.keys())
+        for key, payload in received.items():
+            assert reopened.get(key) == payload
+        # and the next sweep recomputes only what never arrived
+        persisted = set(reopened.keys())
+        again = run_sweep([t for _k, t in pending], store=reopened)
+        assert again.cached == len(persisted)
+        assert again.executed == 40 - len(persisted)
+
+    @pytest.mark.parametrize("make", POOLS + [
+        lambda: ShardBackend(workers=2, n_shards=2)],
+        ids=POOL_IDS + ["shard"])
+    def test_raising_task_is_a_value_and_the_rest_persist(
+            self, make, tmp_path):
+        from repro.harness.store import ColumnarStore
+        store = ColumnarStore(str(tmp_path))
+        bad = make_model_task("no_such_model", seed=1)
+        tasks = footprint_grid(9)
+        tasks.insert(3, bad)
+        seen = []
+        outcomes = make().run(
+            [(task_key(t), t) for t in tasks], store,
+            progress_cb=lambda key, outcome, wall_s: seen.append(key))
+        assert sorted(seen) == sorted(outcomes) == \
+            sorted(task_key(t) for t in tasks)
+        failure = outcomes.pop(task_key(bad))
+        assert isinstance(failure, TaskFailed)
+        # the traceback of the process that ran it
+        assert "unknown model 'no_such_model'" in str(failure)
+        assert "Traceback" in str(failure)
+        assert sorted(store.keys()) == sorted(outcomes)
+        assert all(store.get(k) == v for k, v in outcomes.items())
+
+    def test_hard_kill_loses_at_most_one_window(self, tmp_path):
+        """The loss bound: a process that dies without unwinding
+        (SIGKILL; here ``os._exit`` in a child) has everything but its
+        last unflushed window on disk, and the next sweep recomputes
+        exactly the rest."""
+        import subprocess
+        import sys
+        import textwrap
+
+        from repro.harness.store import ColumnarStore
+        script = textwrap.dedent("""
+            import os, sys
+            from repro.harness.backends import SerialBackend
+            from repro.harness.store import ColumnarStore
+            from repro.harness.sweep import make_model_task, task_key
+            tasks = [make_model_task("footprint", seed=i, buffer_size=8)
+                     for i in range(100)]
+            seen = []
+            def cb(key, outcome, wall_s):
+                seen.append(key)
+                if len(seen) == 70:
+                    os._exit(9)
+            SerialBackend().run([(task_key(t), t) for t in tasks],
+                                ColumnarStore(sys.argv[1]), cb)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env,
+            timeout=120)
+        assert proc.returncode == 9
+        store = ColumnarStore(str(tmp_path))
+        persisted = len(store.keys())
+        # two full windows flushed (a slow box may have flushed more
+        # by time); at most one window of the 70 received is gone
+        assert 70 - FLUSH_EVERY < persisted <= 70
+        assert persisted >= 2 * FLUSH_EVERY
+        again = run_sweep(footprint_grid(100), store=store)
+        assert (again.executed, again.cached) == \
+            (100 - persisted, persisted)
+        clean = ColumnarStore(str(tmp_path / "clean"))
+        run_sweep(footprint_grid(100), store=clean)
+        assert TestEquivalenceColumnar.canon_snapshot(store) == \
+            TestEquivalenceColumnar.canon_snapshot(clean)
+
+    def test_run_sweep_raises_after_persisting_the_rest(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        tasks = footprint_grid(5) + [
+            make_model_task("no_such_model", seed=1)]
+        landed = []
+        with pytest.raises(TaskFailed, match="no_such_model"):
+            run_sweep(tasks, store=store, backend=ProcessBackend(2),
+                      on_result=lambda i, r: landed.append((i, r.error)))
+        assert len(store) == 5
+        assert sorted(i for i, _ in landed) == list(range(6))
+        assert [bool(err) for _i, err in sorted(landed)] == \
+            [False] * 5 + [True]
 
 
 class TestBatched:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 
 import pytest
 
+from repro.harness.backends import SerialBackend
 from repro.harness.campaign import (
     CampaignResult,
     FigureOutcome,
@@ -13,10 +16,18 @@ from repro.harness.campaign import (
     select_figures,
     shared_store,
 )
-from repro.harness.sweep import ResultStore, SCHEMA_VERSION
+from repro.harness.model_tasks import MODEL_RUNNERS
+from repro.harness.store import ColumnarStore
+from repro.harness.sweep import (
+    SCHEMA_VERSION,
+    ResultStore,
+    make_model_task,
+    task_key,
+)
+from repro.report import campaign_doc
 from repro.scenarios import figure_ids
 
-from helpers import stub_registry, stub_spec
+from helpers import footprint_task, stub_registry, stub_spec
 
 
 class TestSelectFigures:
@@ -133,38 +144,168 @@ class TestRunCampaign:
                                 check=False)
         assert {o.status for o in campaign} == {"warn"}
 
-    def test_figure_jobs_parallel_matches_serial(self, tmp_path):
-        serial = run_campaign(
-            stub_registry(), store=ResultStore(str(tmp_path / "a")))
-        threaded = run_campaign(
-            stub_registry(), store=ResultStore(str(tmp_path / "b")),
-            figure_jobs=3)
-        assert [o.fig_id for o in threaded] == \
-            [o.fig_id for o in serial]
-        assert [o.status for o in threaded] == \
-            [o.status for o in serial]
-        for a, b in zip(serial, threaded):
-            if a.result is not None:
-                assert a.result.values() == b.result.values()
-
-    def test_threaded_campaign_with_process_pools_uses_spawn(
-            self, tmp_path):
-        """figure_jobs>1 + workers>1 must not fork from threads; the
-        spawn-context pools still produce identical results."""
-        campaign = run_campaign(
-            stub_registry(), store=ResultStore(str(tmp_path)),
-            figure_jobs=2, workers=2)
-        assert campaign.counts() == \
-            {"pass": 2, "warn": 1, "fail": 0, "error": 0}
-        baseline = run_campaign(stub_registry())
-        for a, b in zip(campaign, baseline):
-            if b.result is not None:
-                assert a.result.values() == b.result.values()
-
     def test_no_store_still_runs(self):
         campaign = run_campaign(stub_registry())
         assert campaign.ok()
-        assert campaign.cached == 0
+        # the plan dedups across figures even with nowhere to persist:
+        # stub_b is served the buffer=8 task stub_a executed
+        assert (campaign.executed, campaign.cached) == (4, 1)
+
+
+class CountingBackend(SerialBackend):
+    """Serial execution that records what each ``run`` was handed."""
+
+    def __init__(self):
+        self.runs = []
+
+    def run(self, pending, store=None, progress_cb=None):
+        pending = list(pending)
+        self.runs.append([key for key, _task in pending])
+        return super().run(pending, store, progress_cb)
+
+
+def payload_bytes(store):
+    return {key: json.dumps(store.get(key), sort_keys=True)
+            for key in store.keys()}
+
+
+def figures_doc(campaign):
+    """campaign.json's ``figures`` minus the one timing field."""
+    return [{k: v for k, v in fig.items() if k != "wall_s"}
+            for fig in campaign_doc(campaign)["figures"]]
+
+
+class TestOnePool:
+    """ISSUE 12: the campaign, not the figure, is the unit of
+    execution — one plan, one round of lookups, one ``Backend.run``."""
+
+    def test_pool_matches_serial_bytes_record_and_counts(self, tmp_path):
+        serial = run_campaign(
+            stub_registry(), backend="serial",
+            store=ColumnarStore(str(tmp_path / "serial")))
+        pooled = run_campaign(
+            stub_registry(), workers=2,
+            store=ColumnarStore(str(tmp_path / "pooled")))
+        assert pooled.backend == "process" and pooled.workers == 2
+        assert payload_bytes(pooled.store) == payload_bytes(serial.store)
+        assert figures_doc(pooled) == figures_doc(serial)
+        # first-owner rule: stub_a executes the shared buffer=8 task,
+        # stub_b is served it
+        counts = [(o.fig_id, o.executed, o.cached) for o in pooled]
+        assert counts == [(o.fig_id, o.executed, o.cached)
+                          for o in serial]
+        assert counts == [("stub_a", 2, 0), ("stub_b", 1, 1),
+                          ("stub_c", 1, 0)]
+        assert (pooled.tasks, pooled.executed, pooled.cached) == \
+            (serial.tasks, serial.executed, serial.cached) == (5, 4, 1)
+
+    def test_every_matrix_is_built_exactly_once_per_run(self, tmp_path):
+        built = []
+        specs = []
+        for spec in stub_registry():
+            def build(spec=spec):
+                built.append(spec.fig_id)
+                return spec.build()
+            specs.append(dataclasses.replace(spec, build=build))
+        store = ResultStore(str(tmp_path))
+        run_campaign(specs, store=store)
+        assert built == ["stub_a", "stub_b", "stub_c"]
+        run_campaign(specs, store=store)  # cached: still one build each
+        assert built == ["stub_a", "stub_b", "stub_c"] * 2
+
+    def test_one_run_for_all_misses_and_none_when_cached(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        backend = CountingBackend()
+        cold = run_campaign(stub_registry(), store=store,
+                            backend=backend)
+        # every figure's cache misses, deduplicated, in ONE run
+        assert len(backend.runs) == 1
+        assert sorted(backend.runs[0]) == sorted(store.keys())
+        assert cold.executed == len(backend.runs[0]) == 4
+        again = run_campaign(stub_registry(), store=store,
+                             backend=backend)
+        assert len(backend.runs) == 1  # fully cached: nothing started
+        assert (again.executed, again.cached) == (0, 5)
+
+    def test_figures_finish_as_their_last_task_lands(self, tmp_path,
+                                                     capsys):
+        """Progress lines stream in completion order while the single
+        run is still going; outcomes stay in plan order."""
+        campaign = run_campaign(stub_registry(), progress=True,
+                                store=ResultStore(str(tmp_path)))
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("[")]
+        assert [ln.split()[0] for ln in lines] == \
+            ["[1/3]", "[2/3]", "[3/3]"]
+        assert "stub_a: 2 tasks (2 executed, 0 cached)" in lines[0]
+        assert [o.fig_id for o in campaign] == \
+            ["stub_a", "stub_b", "stub_c"]
+
+    def failing_registry(self):
+        """``stub_registry`` plus a task no runner exists for, shared
+        by two figures; a third figure in between is healthy."""
+        bad = make_model_task("not_yet", seed=1)
+        return stub_registry()[:2] + [
+            stub_spec("bad_1", build=lambda: {1: footprint_task(1),
+                                              "x": bad}),
+            stub_registry()[2],
+            stub_spec("bad_2", build=lambda: {"x": bad})]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_task_errors_only_its_owner_figures(
+            self, tmp_path, monkeypatch, workers):
+        store = ColumnarStore(str(tmp_path))
+        specs = self.failing_registry()
+        campaign = run_campaign(specs, store=store, workers=workers)
+        assert [o.status for o in campaign] == \
+            ["pass", "pass", "error", "warn", "error"]
+        for fig_id in ("bad_1", "bad_2"):
+            # the traceback from the process that ran the task
+            assert "unknown model 'not_yet'" in campaign[fig_id].error
+            assert "run_model" in campaign[fig_id].error
+        # every other artifact was persisted, the failure was not
+        healthy = ColumnarStore(str(tmp_path / "healthy"))
+        run_campaign(stub_registry(), store=healthy)
+        assert payload_bytes(store) == payload_bytes(healthy)
+        # once the task can run, the re-run executes exactly that key
+        monkeypatch.setitem(
+            MODEL_RUNNERS, "not_yet",
+            lambda params, seed: {"total_bits": 1.0})
+        backend = CountingBackend()
+        again = run_campaign(specs, store=store, backend=backend)
+        assert backend.runs == [[task_key(make_model_task(
+            "not_yet", seed=1))]]
+        assert again.ok()
+        assert (again["bad_1"].executed, again["bad_1"].cached) == (1, 1)
+        assert (again["bad_2"].executed, again["bad_2"].cached) == (0, 1)
+
+    def test_build_crash_does_not_stop_planning_of_the_rest(
+            self, tmp_path):
+        def boom():
+            raise RuntimeError("matrix exploded")
+        backend = CountingBackend()
+        specs = [stub_spec("stub_bad", build=boom)] + stub_registry()
+        campaign = run_campaign(specs, backend=backend,
+                                store=ResultStore(str(tmp_path)))
+        assert [o.status for o in campaign] == \
+            ["error", "pass", "pass", "warn"]
+        assert len(backend.runs) == 1 and len(backend.runs[0]) == 4
+
+    def test_summary_reports_where_the_wall_went(self, tmp_path):
+        campaign = run_campaign(stub_registry(), workers=2,
+                                store=ColumnarStore(str(tmp_path)))
+        assert campaign.task_wall_s == \
+            pytest.approx(sum(o.wall_s for o in campaign))
+        assert campaign.task_wall_s > 0
+        assert 0 < campaign.parallel_efficiency <= 1
+        assert campaign.parallel_efficiency == pytest.approx(
+            campaign.task_wall_s / (campaign.wall_s * 2))
+        assert 0 < campaign.store_write_s < campaign.wall_s
+        # a cached re-run paid for no tasks and wrote nothing
+        again = run_campaign(stub_registry(), workers=2,
+                             store=campaign.store)
+        assert again.task_wall_s == again.store_write_s == 0.0
+        assert again.parallel_efficiency == 0.0
 
 
 class TestPruneStale:
@@ -240,7 +381,8 @@ class TestStoreConcurrency:
         fresh = FreshStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=fresh,
                                 prune_stale=True)
-        assert campaign.executed == 5  # --fresh: everything re-ran
+        # --fresh: every distinct task re-ran (once, not per figure)
+        assert campaign.executed == 4
         assert campaign.pruned == []   # ...but nothing was deleted
         assert len(store.keys()) == 4
 

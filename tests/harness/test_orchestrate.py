@@ -320,7 +320,9 @@ class TestOrchestratorLoop:
 
     def test_retry_reuses_the_shard_store(self, tmp_path, smoke_env):
         """The elastic-cost contract: a second attempt serves finished
-        tasks from the first attempt's store."""
+        tasks from the first attempt's store.  (This attempt exits
+        after its final flush; what a worker killed *mid-window* costs
+        is pinned by ``test_killed_worker_loses_at_most_one_window``.)"""
         class _HalfThenOk(_FakeRunner):
             def launch(self, shard, slot, **kwargs):
                 if not self.launches:
@@ -343,6 +345,51 @@ class TestOrchestratorLoop:
         shard = result.shards[0]
         assert shard.attempts == 2
         assert shard.merged_keys == 7
+
+    def test_killed_worker_loses_at_most_one_window(self, tmp_path,
+                                                    smoke_env):
+        """The bound on the contract above: results are persisted
+        write-behind (32 results or a second per append), so a worker
+        SIGKILLed mid-shard loses at most its one unflushed window —
+        here the 5 results it had received, all inside one window — and
+        the retry recomputes exactly that plus the unstarted rest."""
+        import subprocess
+        import sys
+        import textwrap
+
+        from repro.harness.store import open_store
+        orch = _orchestrator(tmp_path, _FakeRunner([]), n_shards=1)
+        (shard,) = orch.plan()
+        script = textwrap.dedent("""
+            import os, sys
+            from repro.harness.backends import worker
+            from repro.harness.backends.base import Backend
+            drain = Backend.drain
+            def dying_drain(self, arrivals, store, cb):
+                seen = []
+                def die_after_five(key, outcome, wall_s):
+                    cb(key, outcome, wall_s)
+                    seen.append(key)
+                    if len(seen) == 5:
+                        os._exit(9)  # no unwinding: what SIGKILL does
+                return drain(self, arrivals, store, die_after_five)
+            Backend.drain = dying_drain
+            sys.exit(worker.main([sys.argv[1], "--store", sys.argv[2]]))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, shard.manifest_path,
+             shard.store_dir], env=env, timeout=120,
+            stdout=subprocess.DEVNULL)
+        assert proc.returncode == 9
+        persisted = len(open_store(shard.store_dir).keys())
+        assert persisted <= 5  # the lost window, and nothing else
+        out = io.StringIO()
+        assert run_shard_worker(shard.manifest_path, shard.store_dir,
+                                out=out) == 0
+        assert (f"({7 - persisted} executed, {persisted} cached)"
+                in out.getvalue())
+        assert len(open_store(shard.store_dir).keys()) == 7
 
     def test_empty_selection_is_an_error(self, tmp_path, smoke_env):
         with pytest.raises(ValueError, match="empty campaign"):

@@ -1,9 +1,10 @@
 """Store v2 at campaign scale: 5k tasks, serial + batched backends.
 
 What the JSON store could never promise: a 5000-task campaign through
-the **serial** backend costs 5000 segment appends and *zero* manifest
-rewrites (entries ride the frames), and through the **batched**
-backend the whole sweep is O(batches) store I/O.  Both runs must stay
+the **serial** backend costs one segment append per write-behind
+window (32 results, or a second) and *zero* manifest rewrites (entries
+ride the frames), and through the **batched** backend the whole sweep
+is O(batches) store I/O.  Both runs must stay
 equivalence-suite identical — byte-identical payload reads for every
 key — and a re-run must be fully cached.
 """
@@ -83,8 +84,11 @@ class TestStress5k:
     def test_store_io_counts(self, serial_store, batched_store):
         serial, _ = serial_store
         batched, _ = batched_store
-        # serial: one append per task, but NO quadratic manifest churn
-        assert serial.frame_appends == N_TASKS
+        # serial: one append per write-behind window — 32 results, or
+        # whatever arrived in a second (a minute of those is generous
+        # slack) — never one per task, and NO manifest churn
+        assert -(-N_TASKS // 32) <= serial.frame_appends \
+            <= -(-N_TASKS // 32) + 60
         assert serial.manifest_writes == 0
         # batched: O(batches) everywhere (workers * 4 batches here)
         assert batched.frame_appends <= 8
@@ -102,8 +106,8 @@ class TestStress5k:
         store, _ = serial_store
         stats = store.compact()
         assert stats["records_written"] == N_TASKS
-        # 5000 one-record frames become ceil(5000/512) blocks and the
-        # file shrinks (per-frame overhead + better compression)
+        # the 32-record write-behind frames become ceil(5000/512) blocks
+        # and the file shrinks (per-frame overhead + better compression)
         assert stats["after"]["blocks"] == -(-N_TASKS // 512)
         assert stats["after"]["bytes"] < stats["before"]["bytes"]
         reopened = ColumnarStore(store.root)

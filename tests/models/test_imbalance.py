@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.harness.model_tasks import run_model
 from repro.models.imbalance import imbalance_sweep, load_imbalance
+from repro.sim.switch import ecmp_hash
 
 
 class TestMechanics:
@@ -26,6 +32,51 @@ class TestMechanics:
     def test_percentiles_ordered(self):
         st = load_imbalance(evs_size=128, n_uplinks=32, repeats=40, seed=2)
         assert st.p2_5 <= st.average <= st.p97_5
+
+
+def oracle_samples(evs_size, n_uplinks, n_flows, repeats, seed):
+    """``load_imbalance``'s trials with the public ``ecmp_hash`` called
+    per ball — the loop the model ran before the mix was inlined."""
+    rng = random.Random(seed)
+    samples = []
+    for _ in range(repeats):
+        loads = [0] * n_uplinks
+        for _flow in range(n_flows):
+            src, dst = rng.getrandbits(32), rng.getrandbits(32)
+            salt = rng.getrandbits(63)
+            for ev in range(evs_size):
+                loads[ecmp_hash(src, dst, ev, salt) % n_uplinks] += 1
+        samples.append(max(loads) / (evs_size * n_flows / n_uplinks) - 1.0)
+    return samples
+
+
+class TestInlinedMixEqualsTheOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(evs_size=st.integers(1, 300), n_uplinks=st.integers(1, 64),
+           n_flows=st.integers(1, 3), repeats=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 32))
+    def test_random_flows_land_where_ecmp_hash_puts_them(
+            self, evs_size, n_uplinks, n_flows, repeats, seed):
+        """Random (src, dst, salt) per flow, every ev of its EVS: the
+        hoisted-and-inlined mix is ``sim.switch.ecmp_hash`` exactly."""
+        got = load_imbalance(evs_size=evs_size, n_uplinks=n_uplinks,
+                             n_flows=n_flows, repeats=repeats, seed=seed)
+        assert got.samples == oracle_samples(
+            evs_size, n_uplinks, n_flows, repeats, seed)
+
+    #: committed campaign.json, fig14 (scale-independent matrix):
+    #: exponent -> (ours_1flow, ours_32flow)
+    FIG14_CELLS = {5: (2.75, 0.391), 6: (1.625, 0.279),
+                   8: (0.797, 0.115), 10: (0.404, 0.063)}
+
+    @pytest.mark.parametrize("exponent", sorted(FIG14_CELLS))
+    def test_fig14_cells_pinned(self, exponent):
+        one, many = self.FIG14_CELLS[exponent]
+        for n_flows, repeats, want in ((1, 40, one), (32, 6, many)):
+            out = run_model("imbalance", {
+                "evs_exponent": exponent, "n_uplinks": 32,
+                "n_flows": n_flows, "repeats": repeats}, 14 + exponent)
+            assert round(out["average"], 3) == want
 
 
 class TestPaperClaims:

@@ -88,6 +88,25 @@ class TestRenderReproduction:
         # the crashed figure carries its traceback
         assert "matrix exploded" in text
 
+    def test_summary_says_where_the_wall_went(self, tmp_path):
+        """ISSUE 12: workers, task wall, campaign wall, parallel
+        efficiency and store-write seconds, in both artifacts, from
+        numbers the campaign already holds."""
+        campaign = small_campaign(tmp_path)
+        text = render_reproduction(campaign)
+        assert (f"1 worker(s) · {campaign.task_wall_s:.1f} s task wall "
+                f"in {campaign.wall_s:.1f} s campaign wall — parallel "
+                f"efficiency {campaign.parallel_efficiency:.2f}") in text
+        assert (f"{campaign.store_write_s:.1f} s writing the store."
+                in text)
+        summary = campaign_doc(campaign)["summary"]
+        assert summary["workers"] == 1
+        assert summary["task_wall_s"] == round(campaign.task_wall_s, 3)
+        assert summary["parallel_efficiency"] == \
+            round(campaign.parallel_efficiency, 3)
+        assert summary["store_write_s"] == \
+            round(campaign.store_write_s, 3)
+
     def test_partial_campaign_is_labelled(self, tmp_path):
         campaign = run_campaign([stub_spec("stub_a")],
                                 store=ResultStore(str(tmp_path)))

@@ -35,6 +35,22 @@ class TestDiff:
         assert report.clean
         assert not any(f.changed for f in report.figures)
 
+    def test_summary_fields_never_gate(self):
+        """``summary`` is run accounting (walls, workers, parallel
+        efficiency, store-write seconds): the trend reads figures
+        only, so records that differ there — or lack it — are clean."""
+        old = dict(json.loads(json.dumps(BASE)),
+                   summary={"wall_s": 110.6, "executed": 396})
+        new = dict(json.loads(json.dumps(BASE)),
+                   summary={"wall_s": 27.3, "executed": 348,
+                            "workers": 2, "task_wall_s": 50.4,
+                            "parallel_efficiency": 0.91,
+                            "store_write_s": 0.4})
+        for a, b in ((old, new), (new, old), (BASE, new)):
+            report = diff_campaigns(a, b)
+            assert report.clean
+            assert not any(f.changed for f in report.figures)
+
     def test_badge_regression_detected(self):
         new = record(
             fig07=("fail", [["ecmp", 100.0, 4], ["reps", 50.0, 0]]),
