@@ -1,81 +1,77 @@
-"""Columnar campaign store (ResultStore v2/v3): one segment file per
-store.
+"""Columnar campaign store: one append-only segment file per store.
 
 The JSON :class:`~repro.harness.sweep.ResultStore` pays one file open,
 parse and manifest merge per artifact — fine for a figure, painful for
 a campaign of hundreds (or a shard sweep of thousands) of tasks.  This
 module keeps the store *contract* (content-keyed ``get``/``put`` /
-``put_many``/``merge_from``/``prune``/``manifest``) and replaces the
-storage with a single append-only **segment file**:
+``put_many``/``merge_from``/``prune``/``manifest``) over one file:
 
-- ``store.seg`` starts with an 8-byte file magic and is otherwise a
-  sequence of self-describing **blocks**.  Two frame formats coexist
-  in one file and are always both readable; the store's
-  ``segment_format`` only selects what *new* frames are written as.
-- **v2 frames** (``BLK1``): a fixed header (magic, compressed length,
-  CRC-32, record count) + one zlib-compressed body — a JSON header
-  (content keys, the non-numeric remainder of every payload, the
-  column directory) plus **binary-packed numeric columns** — scalar
-  columns as tagged 8-byte ints/floats, array columns (time-series
-  probes) as length-prefixed packed vectors with a per-element
-  int/float bitmap.
-- **v3 frames** (``BLK2``, the default): the same columns split into
-  three *independently* zlib-compressed sections — **meta** (key
-  refs, per-block string table, column directory, frame-carried
-  manifest entries, section CRCs), **body** (JSON remainders + scalar
-  + dictionary-string columns) and **array** (the time-series
-  columns).  A cold open/``manifest()`` decompresses metas only; a
-  ``get`` decodes meta+body; the array section is decoded lazily,
-  only for records that actually carry arrays.  Repeated strings
-  (figure labels, lb policy / workload names, ``sim``/``key``/
-  ``origin``) are **dictionary-encoded** against a per-block sorted
-  string table and stored once.  Both splits are lossless: a decoded
-  payload is canonically identical (``json.dumps(...,
+- ``store.seg`` is an 8-byte file magic followed by self-describing
+  **frames** (blocks of records).  Two frame formats coexist in one
+  file and are always both readable; ``segment_format`` only selects
+  what *new* frames are written as.
+- **v2 frames** (``BLK1``): header (magic, compressed length, CRC-32,
+  record count) + one zlib body — a JSON header (keys, non-numeric
+  payload remainders, column directory) plus binary-packed numeric
+  columns (tagged 8-byte scalars; length-prefixed array vectors).
+- **v3 frames** (``BLK2``, the default): the same columns in three
+  separately compressed sections — **meta** (key blob or refs,
+  per-block string table, column directory, frame-carried manifest
+  entries, body/array CRCs), **body** (JSON remainders + scalar and
+  dictionary-string columns) and **array** (time-series columns).  A
+  cold open/``manifest()`` decompresses metas only; a ``get`` decodes
+  meta+body; arrays decode lazily, only for records that carry them.
+  Repeated strings are stored once in the block's sorted table.
+  Decoded payloads are canonically identical (``json.dumps(...,
   sort_keys=True)``) to what was stored.
+- **Codec.**  The writer makes one call per section: ``FORMAT_ALONE``
+  LZMA with default lc/lp/pb and the dictionary sized to the input —
+  preset 6 for the meta, preset 4 for body and array (zlib-9 on a
+  platform without :mod:`lzma`).  The reader dispatches on a section's
+  first byte (``0x5d`` LZMA, ``0x78`` zlib), so segments from the
+  writer that kept the smaller of zlib-9 and LZMA read back unchanged.
 - Reads go through an **mmap view** of the segment (remapped when the
-  file grows or is replaced), falling back to buffered preads on
-  platforms without :mod:`mmap` or under ``REPRO_STORE_MMAP=0``.
-- The **key index** is in-memory only, rebuilt by scanning the frame
-  headers/metas on open; a torn final block (crash mid-append) is
-  detected by CRC/length and dropped, and the next append truncates
-  the torn tail first, so the file self-heals without a repair tool.
-- **Manifest entries ride the frames.**  Each record carries its index
-  entry (label, seed, sim, origin, timestamp) inside the block header,
-  so a put is *one* append — no per-put read-merge-write of
-  ``manifest.json`` (the JSON store's O(n²) byte cost on long serial
-  campaigns).  ``manifest.json`` still exists for browsing and
-  cross-format tooling, but as a *derived* artifact: it is
-  materialized by :meth:`~repro.harness.sweep.ResultStore.
-  repair_manifest` (campaign runs call it on finish), by ``compact``
-  and by ``prune``, and :meth:`ColumnarStore.manifest` always prefers
-  the frame-carried entries.
+  file grows or is replaced), falling back to buffered preads without
+  :mod:`mmap` or under ``REPRO_STORE_MMAP=0``.
+- The **key index** is in-memory only, rebuilt from frame headers and
+  metas on open; a torn final frame (crash mid-append) is detected by
+  CRC/length and dropped, and the next append truncates it first, so
+  the file self-heals without a repair tool.
+- **Manifest entries ride the frames** (label, seed, sim, origin,
+  timestamp, task accounting), so a put is *one* append.
+  ``manifest.json`` is a *derived* artifact for browsing and
+  cross-format tooling, materialized by ``repair_manifest`` (campaign
+  runs call it on finish), ``compact`` and ``prune``;
+  :meth:`ColumnarStore.manifest` always prefers the frame entries.
 
 Invariants carried over from the JSON store:
 
-- **Equal key ⟺ identical payload.**  Appends never need to compare
-  contents; ``merge_from`` skips present keys and folds everything new
-  in as *one* appended block — shard merging is an append, not N file
-  copies.  Duplicate records (e.g. a ``--fresh`` re-run) are legal;
-  the index resolves to the newest, and :meth:`ColumnarStore.compact`
-  drops the shadowed ones.
-- **Read-compat.**  A v2 store opened on a legacy directory serves the
-  existing ``<key>.json`` artifacts transparently (reads fall back,
-  ``keys()`` is the union); :meth:`ColumnarStore.compact` absorbs them
-  into the segment file and deletes the originals.
-- **manifest.json is unchanged** — same entry layout, same
-  read-merge-write and read-repair semantics — so shard origins,
-  trend tooling and store browsing work identically on both formats.
+- **Equal key ⟺ identical payload**, so appends never compare
+  contents and ``merge_from`` skips present keys.  **Merge is a frame
+  copy where that changes nothing**: a source v3 frame is appended
+  byte for byte when every record in it is its key's live copy in the
+  source, none is present in the destination, each carries a
+  current-schema manifest entry, the body/array sections match the
+  meta's CRCs (a copy never decompresses them) and the frame holds at
+  least ``COMPACT_BLOCK_RECORDS // 2`` records.  Every other record —
+  v2 frames, partial overlap, stale schema, small write-behind frames,
+  legacy JSON — is decoded and re-encoded in compaction-sized blocks.
+  Duplicate records (a ``--fresh`` re-run) are legal; the index
+  resolves to the newest and ``compact`` drops the shadowed ones.
+- **Read-compat.**  A store opened on a legacy directory serves the
+  ``<key>.json`` artifacts transparently (``keys()`` is the union);
+  ``compact`` absorbs them into the segment and deletes the originals.
 
-Concurrency: writes are appended under a process-local lock with
-``O_APPEND``, so the campaign runner's figure threads share one store
-safely.  Two *processes* appending to one segment file converge the
-same way two JSON campaigns do (content keys make double-execution
-harmless), but may leave shadowed duplicates — run ``repro store
-compact`` afterwards.
+Concurrency: appends hold a process-local lock and an advisory
+``flock`` on an ``O_APPEND`` descriptor.  Without the flock
+(``REPRO_STORE_LOCK=0``, no :mod:`fcntl`) two processes converge the
+way two JSON campaigns do (content keys make double execution
+harmless) but may leave shadowed duplicates for ``repro store
+compact``.
 
-``repro store compact | inspect | verify`` exposes the maintenance
-surface; :func:`open_store` is the policy switch (``REPRO_STORE=json``
-forces the legacy format).
+``repro store compact | inspect | verify`` is the maintenance surface;
+:func:`open_store` is the policy switch (``REPRO_STORE=json`` forces
+the legacy format).
 """
 
 from __future__ import annotations
@@ -182,20 +178,6 @@ def _json_copy(obj):
     return obj
 
 
-def _is_numeric_array(value) -> bool:
-    """True for a non-empty list of packable ints/floats."""
-    if not isinstance(value, list) or not value:
-        return False
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            return False
-        if isinstance(v, int) and not _I64_MIN <= v <= _I64_MAX:
-            return False
-        if isinstance(v, float) and not math.isfinite(v):
-            return False
-    return True
-
-
 def encode_block(records: Sequence[Tuple[str, dict]],
                  entries: Optional[Sequence[Optional[dict]]] = None
                  ) -> bytes:
@@ -222,7 +204,7 @@ def encode_block(records: Sequence[Tuple[str, dict]],
             for name, v in val.items():
                 if _scalar_tag(v) is not None:
                     scalars.setdefault((sect, name), {})[idx] = v
-                elif _is_numeric_array(v):
+                elif _array_kind(v) is not None:
                     arrays.setdefault((sect, name), {})[idx] = v
                 else:
                     rsect[name] = v
@@ -237,10 +219,7 @@ def encode_block(records: Sequence[Tuple[str, dict]],
         values = scalars[(sect, name)]
         tags = bytearray(n)
         buf = bytearray()
-        for i in range(n):
-            if i not in values:
-                continue
-            v = values[i]
+        for i, v in values.items():
             tags[i] = _scalar_tag(v)
             if tags[i] == _T_INT:
                 buf += struct.pack("<q", v)
@@ -252,11 +231,8 @@ def encode_block(records: Sequence[Tuple[str, dict]],
         values = arrays[(sect, name)]
         tags = bytearray(n)
         buf = bytearray()
-        for i in range(n):
-            if i not in values:
-                continue
+        for i, elems in values.items():
             tags[i] = 1
-            elems = values[i]
             buf += struct.pack("<I", len(elems))
             bitmap = bytearray((len(elems) + 7) // 8)
             for j, e in enumerate(elems):
@@ -401,21 +377,22 @@ def _set_field(payload: dict, sect: str, name: Optional[str],
         payload[sect][name] = value
 
 
-def _compress_v3(raw: bytes) -> bytes:
-    """The smaller of zlib-9 and LZMA for one v3 section.
+#: LZMA preset per v3 section (module docstring, "Codec"): every cold
+#: open decompresses the meta and it compresses best, so it keeps the
+#: strong preset; body and array give up <0.1% for the faster one
+_META_PRESET, _DATA_PRESET = 6, 4
 
-    The streams self-describe: ``zlib.compress`` output always leads
-    with ``0x78`` (deflate, 32K window) and ``FORMAT_ALONE`` LZMA with
-    its ``0x5d`` properties byte, so the reader dispatches on the
-    first byte.  LZMA's large dictionary wins on the structured
-    sections (string tables, manifest entries, varint columns); zlib
-    keeps the mostly-incompressible array noise cheap to round-trip.
-    """
-    z = zlib.compress(raw, 9)
+
+def _compress_v3(raw: bytes, preset: int) -> bytes:
+    """One v3 section, one codec call.  A dictionary no smaller than
+    the input yields the stream the preset's 4-8 MiB one would, minus
+    the set-up cost that dominates on ~100 KiB sections."""
     if lzma is None:
-        return z
-    x = lzma.compress(raw, format=lzma.FORMAT_ALONE, preset=6)
-    return x if len(x) < len(z) else z
+        return zlib.compress(raw, 9)
+    dict_size = 1 << min(max((len(raw) - 1).bit_length(), 12), 23)
+    return lzma.compress(raw, format=lzma.FORMAT_ALONE, filters=[
+        {"id": lzma.FILTER_LZMA1, "preset": preset,
+         "dict_size": dict_size}])
 
 
 def _decompress_v3(buf: bytes) -> bytes:
@@ -512,23 +489,16 @@ def _hex_key_blob(keys: Sequence[str]) -> Optional[Tuple[int, bytes]]:
     them binary halves their cost; the hexlify round-trip check makes
     the transform lossless (uppercase or odd-length keys fall back).
     """
-    if not keys:
+    klen = len(keys[0]) if keys else 0
+    if klen == 0 or klen % 2 or any(len(k) != klen for k in keys):
         return None
-    klen = len(keys[0])
-    if klen == 0 or klen % 2:
+    joined = "".join(keys)      # even, equal lengths: one call packs all
+    try:
+        raw = binascii.unhexlify(joined)
+    except (binascii.Error, ValueError):
         return None
-    parts = []
-    for k in keys:
-        if len(k) != klen:
-            return None
-        try:
-            raw = binascii.unhexlify(k)
-        except (binascii.Error, ValueError):
-            return None
-        if binascii.hexlify(raw).decode() != k:
-            return None
-        parts.append(raw)
-    return klen, b"".join(parts)
+    return (klen, raw) if binascii.hexlify(raw).decode() == joined \
+        else None
 
 
 def _meta_keys(n: int, meta: dict) -> List[str]:
@@ -555,35 +525,57 @@ _ARR_RAW = 2      # v2-style int/float bitmap + 8-byte values
 _ARR_SPLIT = 3    # full-precision floats, byte-stream-split planes
 
 
-def _pack_array_v3(buf: bytearray, elems: list) -> None:
-    """Append one array value: deltas of ints (monotonic timestamps,
-    correlated queue depths) and of exactly-scaled decimal floats
-    (rounded metric series) varint-pack to a byte or two per element;
-    anything else falls back to the v2 raw layout."""
-    if all(isinstance(e, int) for e in elems):
+def _array_kind(value) -> Optional[int]:
+    """Classify a payload value for the array section, in one pass:
+    ``_ARR_INT`` (all 64-bit ints), ``_ARR_SPLIT`` (all finite floats;
+    the packer still tries the scaled form), ``_ARR_RAW`` (a mix), or
+    ``None`` — not a non-empty list of packable numbers, keep as JSON.
+    """
+    if not isinstance(value, list) or not value:
+        return None
+    kinds = set(map(type, value))   # bool is its own type: never packed
+    if kinds == {int}:
+        return _ARR_INT if _I64_MIN <= min(value) and \
+            max(value) <= _I64_MAX else None
+    if kinds == {float}:
+        return _ARR_SPLIT if all(map(math.isfinite, value)) else None
+    if kinds == {int, float} and all(
+            _I64_MIN <= v <= _I64_MAX if type(v) is int
+            else math.isfinite(v) for v in value):
+        return _ARR_RAW
+    return None
+
+
+def _pack_deltas(buf: bytearray, ints: Sequence[int]) -> None:
+    """Count, then delta + zigzag varints."""
+    _uvarint(buf, len(ints))
+    prev = 0
+    for e in ints:
+        _uvarint(buf, _zigzag(e - prev))
+        prev = e
+
+
+def _pack_array_v3(buf: bytearray, elems: list, kind: int) -> None:
+    """Append one array value of :func:`_array_kind` ``kind``: deltas
+    of ints (monotonic timestamps, correlated queue depths) and of
+    exactly-scaled decimal floats (rounded metric series) varint-pack
+    to a byte or two per element; anything else falls back to the v2
+    raw layout."""
+    if kind == _ARR_INT:
         buf.append(_ARR_INT)
-        _uvarint(buf, len(elems))
-        prev = 0
-        for e in elems:
-            _uvarint(buf, _zigzag(e - prev))
-            prev = e
+        _pack_deltas(buf, elems)
         return
-    if all(isinstance(e, float) for e in elems):
+    if kind == _ARR_SPLIT:
         scaled = _scale_floats(elems)
         if scaled is not None:
-            k, ints = scaled
             buf.append(_ARR_SCALED)
-            buf.append(k)
-            _uvarint(buf, len(ints))
-            prev = 0
-            for e in ints:
-                _uvarint(buf, _zigzag(e - prev))
-                prev = e
+            buf.append(scaled[0])
+            _pack_deltas(buf, scaled[1])
             return
         # full-precision floats: split the packed doubles into byte
         # planes (all sign/exponent bytes together, then each
         # mantissa byte position) — correlated values share their
-        # high bytes, turning them into zlib-friendly runs while the
+        # high bytes, turning them into compressible runs while the
         # noise bytes stay put (Parquet's BYTE_STREAM_SPLIT)
         buf.append(_ARR_SPLIT)
         _uvarint(buf, len(elems))
@@ -648,34 +640,24 @@ def encode_frame_v3(records: Sequence[Tuple[str, dict]],
                     ) -> Tuple[bytes, Dict[str, object]]:
     """One complete v3 frame for ``records``; returns ``(frame, info)``.
 
-    Layout: ``_FRAME3`` header + three independently zlib-compressed
-    sections —
-
-    - **meta**: the key refs, the per-block string table, the column
-      directory, the frame-carried manifest entries, the array-bearing
-      slot list and the body/array section CRCs.  Everything the index
-      rebuild and ``manifest()`` need, and nothing else: a cold open
-      decompresses *only* this section.
-    - **body**: the packed JSON remainders plus the scalar (``s``) and
-      dictionary-string (``d``) columns — what a ``get`` of a scalar
-      payload decodes.
-    - **array**: the numeric array columns (``a``, time-series
-      probes), decoded lazily only when a requested record carries
-      arrays.
-
-    Strings are dictionary-encoded against a per-block sorted table:
-    content keys, every ``d``-column value (figure labels, lb policy /
-    workload strings, ``sim``/``key``/``origin`` fields) and any
+    Layout: ``_FRAME3`` header + the meta, body and array sections,
+    each compressed on its own (module docstring: sections, codec).
+    The meta holds everything an index rebuild and ``manifest()`` need
+    and nothing else.  Strings go through the per-block sorted table:
+    content keys (unless hex-packed), every ``d``-column value and any
     string repeated in the remainders or entries is stored once and
-    referenced by integer.  ``info`` is the compression breakdown that
-    feeds :meth:`ColumnarStore.stats`.
+    referenced by integer.  ``info`` is the :func:`_frame_info_v3`
+    breakdown that feeds :meth:`ColumnarStore.stats`.
     """
     n = len(records)
     keys: List[str] = []
     rests: List[dict] = []
-    scalars: Dict[Tuple[str, Optional[str]], Dict[int, object]] = {}
-    strs: Dict[Tuple[str, Optional[str]], Dict[int, str]] = {}
-    arrays: Dict[Tuple[str, Optional[str]], Dict[int, list]] = {}
+    # column -> [(record index, tag/kind, value)] in record order: each
+    # value is classified once, here, and the column loops below walk
+    # only the records that carry the column
+    scalars: Dict[Tuple[str, Optional[str]], list] = {}
+    strs: Dict[Tuple[str, Optional[str]], list] = {}
+    arrays: Dict[Tuple[str, Optional[str]], list] = {}
     for idx, (key, payload) in enumerate(records):
         keys.append(key)
         rest: dict = {}
@@ -683,21 +665,29 @@ def encode_frame_v3(records: Sequence[Tuple[str, dict]],
             if isinstance(val, dict):
                 rsect = {}
                 for name, v in val.items():
-                    if _scalar_tag(v) is not None:
-                        scalars.setdefault((sect, name), {})[idx] = v
+                    tag = _scalar_tag(v)
+                    if tag is not None:
+                        scalars.setdefault((sect, name), []).append(
+                            (idx, tag, v))
                     elif isinstance(v, str):
-                        strs.setdefault((sect, name), {})[idx] = v
-                    elif _is_numeric_array(v):
-                        arrays.setdefault((sect, name), {})[idx] = v
+                        strs.setdefault((sect, name), []).append((idx, v))
                     else:
-                        rsect[name] = v
+                        kind = _array_kind(v)
+                        if kind is None:
+                            rsect[name] = v
+                        else:
+                            arrays.setdefault((sect, name), []).append(
+                                (idx, kind, v))
                 rest[sect] = rsect
             elif isinstance(val, str):
-                strs.setdefault((sect, None), {})[idx] = val
-            elif _scalar_tag(val) is not None:
-                scalars.setdefault((sect, None), {})[idx] = val
+                strs.setdefault((sect, None), []).append((idx, val))
             else:
-                rest[sect] = val
+                tag = _scalar_tag(val)
+                if tag is None:
+                    rest[sect] = val
+                else:
+                    scalars.setdefault((sect, None), []).append(
+                        (idx, tag, val))
         rests.append(rest)
 
     entry_list = list(entries) if entries is not None else [None] * n
@@ -710,7 +700,7 @@ def encode_frame_v3(records: Sequence[Tuple[str, dict]],
     key_blob = _hex_key_blob(keys)
     table_set = set() if key_blob is not None else set(keys)
     for col in strs.values():
-        table_set.update(col.values())
+        table_set.update(v for _i, v in col)
     table_set.update(s for s, c in counts.items() if c >= 2)
     table = sorted(table_set)
     index = {s: i for i, s in enumerate(table)}
@@ -723,36 +713,29 @@ def encode_frame_v3(records: Sequence[Tuple[str, dict]],
     body += struct.pack("<I", len(rest_json)) + rest_json
     for sect, name in sorted(scalars, key=_col_order):
         cols.append([sect, name, "s"])
-        values = scalars[(sect, name)]
         tags = bytearray(n)
         buf = bytearray()
-        for i in range(n):
-            if i not in values:
-                continue
-            v = values[i]
-            tags[i] = _scalar_tag(v)
-            if tags[i] == _T_INT:
+        for i, tag, v in scalars[(sect, name)]:
+            if tag == _T_INT:
                 _uvarint(buf, _zigzag(v))
-            elif tags[i] == _T_FLOAT:
+            elif tag == _T_FLOAT:
                 scaled = _float_scale(v)
                 if scaled is not None:
-                    tags[i] = _T_FSCALED
+                    tag = _T_FSCALED
                     buf.append(scaled[0])
                     _uvarint(buf, _zigzag(scaled[1]))
                 else:
                     buf += struct.pack("<d", v)
+            tags[i] = tag
         col_bytes.append(n + len(buf))
         body += tags + buf
     for sect, name in sorted(strs, key=_col_order):
         cols.append([sect, name, "d"])
-        values = strs[(sect, name)]
         tags = bytearray(n)
         buf = bytearray()
-        for i in range(n):
-            if i not in values:
-                continue
+        for i, v in strs[(sect, name)]:
             tags[i] = 1
-            _uvarint(buf, index[values[i]])
+            _uvarint(buf, index[v])
         col_bytes.append(n + len(buf))
         body += tags + buf
 
@@ -760,21 +743,18 @@ def encode_frame_v3(records: Sequence[Tuple[str, dict]],
     ab: set = set()
     for sect, name in sorted(arrays, key=_col_order):
         cols.append([sect, name, "a"])
-        values = arrays[(sect, name)]
-        ab.update(values)
         tags = bytearray(n)
         buf = bytearray()
-        for i in range(n):
-            if i not in values:
-                continue
+        for i, kind, v in arrays[(sect, name)]:
+            ab.add(i)
             tags[i] = 1
-            _pack_array_v3(buf, values[i])
+            _pack_array_v3(buf, v, kind)
         col_bytes.append(n + len(buf))
         arr += tags + buf
 
     body_b, arr_b = bytes(body), bytes(arr)
-    body_comp = _compress_v3(body_b)
-    arr_comp = _compress_v3(arr_b) if arr_b else b""
+    body_comp = _compress_v3(body_b, _DATA_PRESET)
+    arr_comp = _compress_v3(arr_b, _DATA_PRESET) if arr_b else b""
     meta: Dict[str, object] = {
         "t": table, "c": cols,
         "cb": col_bytes, "ab": sorted(ab),
@@ -789,20 +769,26 @@ def encode_frame_v3(records: Sequence[Tuple[str, dict]],
     if any(e is not None for e in entry_list):
         meta["m"] = _dict_pack(entry_list, index)
     meta_comp = _compress_v3(
-        json.dumps(meta, separators=(",", ":")).encode())
+        json.dumps(meta, separators=(",", ":")).encode(), _META_PRESET)
     frame = _FRAME3.pack(BLOCK_MAGIC_V3, n, len(meta_comp),
                          zlib.crc32(meta_comp), len(body_comp),
                          len(arr_comp)) + meta_comp + body_comp + arr_comp
-    info = {
-        "version": 3, "records": n, "meta_comp": len(meta_comp),
-        "body_comp": len(body_comp), "array_comp": len(arr_comp),
-        "body_raw": len(body_b), "array_raw": len(arr_b),
-        "table": len(table),
-        "cols": {_col_key(s, nm, k): b
-                 for (s, nm, k), b in zip((tuple(c) for c in cols),
-                                          col_bytes)},
-    }
-    return frame, info
+    return frame, _frame_info_v3(n, len(meta_comp), len(body_comp),
+                                 len(arr_comp), meta)
+
+
+def _frame_info_v3(n: int, mlen: int, blen: int, alen: int,
+                   meta: dict) -> Dict[str, object]:
+    """A v3 frame's :meth:`ColumnarStore.stats` breakdown, from its
+    header lengths and meta alone — the one source for an encoded, a
+    scanned and a copied frame, so their accounting cannot differ."""
+    raw = meta.get("bl") or [0, 0]
+    return {"version": 3, "records": n, "meta_comp": mlen,
+            "body_comp": blen, "array_comp": alen,
+            "body_raw": raw[0], "array_raw": raw[1],
+            "table": len(meta["t"]),
+            "cols": dict(zip((_col_key(*c) for c in meta.get("c", [])),
+                             meta.get("cb", [])))}
 
 
 def _decode_body_v3(n: int, meta: dict, body: bytes
@@ -863,32 +849,6 @@ def _decode_arrays_v3(n: int, acols: Sequence[Sequence[object]],
             _set_field(records[i][1], sect, name, elems)
 
 
-def decode_frame_v3(buf: bytes, offset: int = 0
-                    ) -> Tuple[List[Tuple[str, dict]],
-                               List[Optional[dict]]]:
-    """Fully decode one v3 frame at ``offset`` (tests / audits)."""
-    head = buf[offset:offset + _FRAME3.size]
-    magic, n, mlen, mcrc, blen, alen = _FRAME3.unpack(head)
-    if magic != BLOCK_MAGIC_V3:
-        raise ValueError("not a v3 frame")
-    pos = offset + _FRAME3.size
-    meta_comp = buf[pos:pos + mlen]
-    if zlib.crc32(meta_comp) != mcrc:
-        raise ValueError("meta CRC mismatch")
-    meta = json.loads(_decompress_v3(meta_comp).decode())
-    body_comp = buf[pos + mlen:pos + mlen + blen]
-    if zlib.crc32(body_comp) != meta["bc"]:
-        raise ValueError("body CRC mismatch")
-    records, entries = _decode_body_v3(n, meta, _decompress_v3(body_comp))
-    if alen:
-        arr_comp = buf[pos + mlen + blen:pos + mlen + blen + alen]
-        if zlib.crc32(arr_comp) != meta["ac"]:
-            raise ValueError("array CRC mismatch")
-        acols = [c for c in meta["c"] if c[2] == "a"]
-        _decode_arrays_v3(n, acols, _decompress_v3(arr_comp), records)
-    return records, entries
-
-
 _DECODE_ERRORS = (ValueError, KeyError, IndexError, TypeError,
                   struct.error, zlib.error) + \
     ((lzma.LZMAError,) if lzma is not None else ())
@@ -910,19 +870,19 @@ def _walk_frames(read, start: int, *, full: bool = True):
       ``version`` (2 or 3), ``offset``/``end``, ``keys``, ``entries``,
       ``records`` (fully decoded payloads — always for v2; for v3 only
       when ``full``, else ``None``), ``errors`` (section CRC/decode
-      failures, ``full`` mode only) and ``info`` (the stats
-      breakdown).  With ``full=False`` a v3 frame costs **one meta
-      decompression** — the body and array sections are never read;
-      their presence is length-checked so torn tails still stop the
-      scan.
+      failures, ``full`` mode only), ``info`` (the stats breakdown)
+      and, v3 only, ``crcs`` (the meta's body/array CRC-32s).  With
+      ``full=False`` a v3 frame costs **one meta decompression** — the
+      body and array sections are never read; their presence is
+      length-checked so torn tails still stop the scan.
     - ``("tail", offset, reason)`` — bytes from ``offset`` on are not
       a valid frame (torn write, corruption, not a segment file);
       scanning stops.
     - ``("eof", offset)`` — clean end of file.
 
-    Both the reader (:meth:`ColumnarStore._refresh`) and the auditor
-    (:meth:`ColumnarStore.verify`) consume this generator, so they can
-    never disagree about what is readable.
+    The reader (:meth:`ColumnarStore._refresh`), the auditor
+    (:meth:`ColumnarStore.verify`) and the merge copy all consume this
+    generator, so they can never disagree about what is readable.
     """
     pos = start
     while True:
@@ -992,18 +952,11 @@ def _walk_frames(read, start: int, *, full: bool = True):
         if end > pos and len(read(end - 1, 1)) < 1:
             yield ("tail", pos, "truncated frame body")
             return
-        raw = meta.get("bl") or [0, 0]
         blk: Dict[str, object] = {
             "version": 3, "offset": pos, "end": end,
             "keys": keys, "entries": entries, "records": None,
-            "errors": [],
-            "info": {"version": 3, "records": n, "meta_comp": mlen,
-                     "body_comp": blen, "array_comp": alen,
-                     "body_raw": raw[0], "array_raw": raw[1],
-                     "table": len(table),
-                     "cols": dict(zip(
-                         (_col_key(*c) for c in meta.get("c", [])),
-                         meta.get("cb", [])))},
+            "errors": [], "crcs": (meta.get("bc"), meta.get("ac")),
+            "info": _frame_info_v3(n, mlen, blen, alen, meta),
         }
         if full:
             body_comp = read(body_off, blen)
@@ -1029,8 +982,19 @@ def _walk_frames(read, start: int, *, full: bool = True):
         pos = end
 
 
+def decode_frame_v3(buf: bytes, offset: int = 0
+                    ) -> Tuple[List[Tuple[str, dict]],
+                               List[Optional[dict]]]:
+    """Fully decode one v3 frame at ``offset`` (tests / audits)."""
+    event = next(_walk_frames(lambda off, n: buf[off:off + n], offset))
+    if event[0] != "frame" or event[1]["errors"]:
+        raise ValueError(f"undecodable v3 frame: {event[1:]}")
+    return event[1]["records"], event[1]["entries"]
+
+
 class ColumnarStore(ResultStore):
-    """The v2 store: one segment file + in-memory index, JSON fallback.
+    """The columnar store (v3 writer, v2+v3 reader): one segment file
+    + in-memory index, legacy-JSON fallback.
 
     API-compatible with :class:`~repro.harness.sweep.ResultStore`;
     see the module docstring for the format and its invariants.
@@ -1057,19 +1021,14 @@ class ColumnarStore(ResultStore):
         #: once applied or for blocks without arrays.
         self._blocks: "OrderedDict[int, tuple]" = OrderedDict()
         self._entries: Dict[str, dict] = {}  # frame-carried manifest
-        self._scanned = 0        # segment bytes validated and indexed
-        self._records = 0        # raw record count incl. duplicates
-        self._blocks_seen = 0    # frames indexed so far
-        self._tail_dirty = False  # torn/garbage tail after _scanned
         self._view = None        # mmap over the scanned segment
-        self._view_len = 0
         # per-format/section/column accounting for stats() — folded
         # from frame headers during the scan, never from block decodes
-        self._fmt_blocks = {2: 0, 3: 0}
         self._sections = dict.fromkeys(
             ("meta_comp", "body_comp", "array_comp", "body_raw",
              "array_raw", "v2_comp", "table_strings"), 0)
         self._col_bytes: Dict[str, int] = {}
+        self._reset()
 
     # ------------------------------------------------------------------
     # segment access: mmap view with buffered fallback
@@ -1152,10 +1111,10 @@ class ColumnarStore(ResultStore):
         self._index.clear()
         self._blocks.clear()
         self._entries.clear()
-        self._scanned = 0
-        self._records = 0
-        self._blocks_seen = 0
-        self._tail_dirty = False
+        self._scanned = 0        # segment bytes validated and indexed
+        self._records = 0        # raw record count incl. duplicates
+        self._blocks_seen = 0    # frames indexed so far
+        self._tail_dirty = False  # torn/garbage tail after _scanned
         self._drop_view()
         self._fmt_blocks = {2: 0, 3: 0}
         for key in self._sections:
@@ -1164,6 +1123,8 @@ class ColumnarStore(ResultStore):
 
     def _fold_info(self, info: Dict[str, object]) -> None:
         """Accumulate one frame's stats breakdown (scan or append)."""
+        self._records += info["records"]
+        self._blocks_seen += 1
         self._fmt_blocks[info["version"]] = \
             self._fmt_blocks.get(info["version"], 0) + 1
         if info["version"] == 3:
@@ -1210,19 +1171,21 @@ class ColumnarStore(ResultStore):
                         # block body) — keep the bytes we paid for
                         self._cache_block(blk["offset"],
                                           (blk["records"], None, ()))
-                    entries = blk["entries"]
-                    for slot, key in enumerate(blk["keys"]):
-                        self._index[key] = (blk["offset"], slot)
-                        if entries[slot] is not None:
-                            self._entries[key] = entries[slot]
-                    self._records += len(blk["keys"])
-                    self._blocks_seen += 1
+                    self._index_frame(blk["offset"], blk["keys"],
+                                      blk["entries"])
                     self._fold_info(blk["info"])
                     self._scanned = blk["end"]
                 elif event[0] == "tail":
                     self._tail_dirty = True
                     return
                 # "eof": loop ends
+
+    def _index_frame(self, offset: int, keys: Sequence[str],
+                     entries: Sequence[Optional[dict]]) -> None:
+        for slot, key in enumerate(keys):
+            self._index[key] = (offset, slot)
+            if entries[slot] is not None:
+                self._entries[key] = entries[slot]
 
     def _cache_block(self, offset: int, entry: tuple) -> None:
         self._blocks[offset] = entry
@@ -1380,15 +1343,26 @@ class ColumnarStore(ResultStore):
 
     def _append_frame(self, records: Sequence[Tuple[str, dict]],
                       entries: Sequence[Optional[dict]]) -> None:
-        """Append one block and register its records in the index."""
+        """Encode one block, append it, keep its records cached."""
         frame, info = self._encode_frame(records, entries)
+        offset = self._append_raw(frame, [key for key, _p in records],
+                                  entries, info)
+        self._cache_block(offset, (
+            [(key, _json_copy(payload)) for key, payload in records],
+            None, ()))
+
+    def _append_raw(self, frame: bytes, keys: Sequence[str],
+                    entries: Sequence[Optional[dict]],
+                    info: Dict[str, object]) -> int:
+        """The one segment append: write ``frame`` (a complete v2/v3
+        frame holding ``keys``) under the lock, register it in the
+        index, fold ``info`` into the stats; returns its offset."""
+        os.makedirs(self.root, exist_ok=True)
         path = self._segment_path()
         fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         try:
-            # the advisory flock serializes whole appends (tail heal
-            # included) across processes; without it two writers
-            # converge the lockless way — shadowed duplicates, and a
-            # heal racing an append can drop the other's frame
+            # serializes whole appends, tail heal included, across
+            # processes (see _flock for the lockless semantics)
             self._flock(fd)
             if self._tail_dirty:
                 # the dirty flag may be stale two ways: another
@@ -1429,37 +1403,26 @@ class ColumnarStore(ResultStore):
         finally:
             os.close(fd)
         offset = end - len(frame)
-        cached = [(key, _json_copy(payload)) for key, payload in records]
-        self._cache_block(offset, (cached, None, ()))
-        for slot, (key, _payload) in enumerate(cached):
-            self._index[key] = (offset, slot)
-            if entries[slot] is not None:
-                self._entries[key] = entries[slot]
+        self._index_frame(offset, keys, entries)
         if offset == max(self._scanned, len(FILE_MAGIC)):
             self._scanned = end
-            self._records += len(cached)
-            self._blocks_seen += 1
             self._fold_info(info)
         # else: another process appended in between; _refresh picks the
         # gap (and this frame again) up from _scanned — idempotent
+        return offset
 
     def put_many(self, items: Iterable[Tuple[str, dict]], *,
                  stats: Optional[Dict[str, dict]] = None) -> None:
-        """Persist several artifacts as **one** segment append.
-
-        The manifest entries travel inside the frame, so there is no
-        per-call read-merge-write of ``manifest.json`` — the whole
-        sweep costs O(batches) store I/O, and the on-disk index is
-        materialized once by ``repair_manifest`` when a campaign
-        finishes.  ``stats`` (key → per-task accounting, see
-        :meth:`~repro.harness.sweep.ResultStore.put_many`) rides the
-        frame-carried entries, never the payloads.
+        """Persist several artifacts as **one** segment append — the
+        manifest entries travel inside the frame, so a sweep costs
+        O(batches) store I/O.  ``stats`` (key → per-task accounting,
+        see :meth:`~repro.harness.sweep.ResultStore.put_many`) rides
+        the frame-carried entries, never the payloads.
         """
         items = list(items)
         if not items:
             return
         with self._lock:
-            os.makedirs(self.root, exist_ok=True)
             self._refresh()
             now = time.time()
             self._append_frame(
@@ -1468,31 +1431,70 @@ class ColumnarStore(ResultStore):
                                       (stats or {}).get(key))
                  for key, payload in items])
 
+    def _copy_frames(self, other: "ColumnarStore",
+                     json_present: set) -> List[str]:
+        """:meth:`merge_from`'s frame copy: walk ``other``'s metas and
+        append each v3 frame the module docstring's merge rule allows
+        verbatim (nothing decoded, nothing cached).  Returns the
+        copied keys; the caller holds ``self._lock``."""
+        copied: List[str] = []
+        with other._lock:
+            other._refresh()
+            live = other._index
+            with other._segment_reader() as read:
+                frames = () if read is None else \
+                    _walk_frames(read, 0, full=False)
+                for event in frames:
+                    if event[0] != "frame" or event[1]["version"] != 3:
+                        continue
+                    blk = event[1]
+                    offset, keys = blk["offset"], blk["keys"]
+                    entries = blk["entries"]
+                    if len(keys) < COMPACT_BLOCK_RECORDS // 2 or any(
+                            live.get(key) != (offset, slot)
+                            or key in self._index or key in json_present
+                            or entries[slot] is None or
+                            entries[slot].get("schema") != SCHEMA_VERSION
+                            for slot, key in enumerate(keys)):
+                        continue
+                    frame = read(offset, blk["end"] - offset)
+                    arr_at = len(frame) - blk["info"]["array_comp"]
+                    body_at = arr_at - blk["info"]["body_comp"]
+                    if (zlib.crc32(frame[body_at:arr_at]),
+                            zlib.crc32(frame[arr_at:])) != blk["crcs"]:
+                        continue
+                    self._append_raw(frame, keys, entries, blk["info"])
+                    copied += keys
+        return copied
+
     def merge_from(self, other: ResultStore) -> List[str]:
-        """Fold ``other`` in as **one** appended block (vs one file
-        copy per artifact in the JSON store).  Same semantics: present
-        keys skip, stale schemas stay behind, manifest entries travel
-        with their ``origin`` inside the frame."""
+        """Fold ``other`` in by appending blocks (vs one file copy per
+        artifact in the JSON store): whole v3 frames verbatim where
+        :meth:`_copy_frames` allows, everything else decoded and
+        re-encoded in compaction-sized blocks.  Same semantics either
+        way: present keys skip, stale schemas stay behind, manifest
+        entries travel with their ``origin`` inside the frame."""
         other_manifest = other.manifest()
         other_keys = other.keys()
-        if isinstance(other, ColumnarStore):
-            # stream the source in frame order, not sorted-key order:
-            # content keys shuffle records across blocks, so sorted
-            # point reads thrash the bounded block LRU and re-decode
-            # each block once per *record* (the 50k merge scenario
-            # measured ~17x slower that way); frame order decodes each
-            # source block once.  Legacy JSON keys sort after the
-            # segment (their location is per-file, order-free).
-            with other._lock:
-                locs = dict(other._index)
-            other_keys = sorted(
-                other_keys, key=lambda k: locs.get(k, (1 << 62, 0)))
         merged: List[str] = []
         records: List[Tuple[str, dict]] = []
         entries: List[Optional[dict]] = []
         with self._lock:
             self._refresh()
             json_present = set(self._json_keys())
+            if isinstance(other, ColumnarStore):
+                if self._format >= 3:
+                    merged = self._copy_frames(other, json_present)
+                # decode the rest in frame order, not sorted-key order:
+                # content keys shuffle records across blocks, so sorted
+                # point reads thrash the block LRU and re-decode a block
+                # once per *record* (~17x slower at 50k); frame order
+                # decodes each source block once.  Legacy JSON keys
+                # (per-file, order-free) sort after the segment.
+                with other._lock:
+                    locs = dict(other._index)
+                other_keys = sorted(
+                    other_keys, key=lambda k: locs.get(k, (1 << 62, 0)))
             for key in other_keys:
                 if key in self._index or key in json_present:
                     continue
@@ -1504,13 +1506,11 @@ class ColumnarStore(ResultStore):
                                other._manifest_entry(payload,
                                                      time.time()))
                 merged.append(key)
-            if records:
-                os.makedirs(self.root, exist_ok=True)
-                # chunked like compaction: one giant block would make
-                # every later cold point-read decode the whole merge
-                for lo in range(0, len(records), COMPACT_BLOCK_RECORDS):
-                    hi = lo + COMPACT_BLOCK_RECORDS
-                    self._append_frame(records[lo:hi], entries[lo:hi])
+            # chunked like compaction: one giant block would make
+            # every later cold point-read decode the whole merge
+            for lo in range(0, len(records), COMPACT_BLOCK_RECORDS):
+                hi = lo + COMPACT_BLOCK_RECORDS
+                self._append_frame(records[lo:hi], entries[lo:hi])
         return merged
 
     def manifest(self) -> Dict[str, dict]:
@@ -1747,9 +1747,6 @@ class ColumnarStore(ResultStore):
             # a torn/corrupt tail stops the scan, so the counts above
             # cover only the readable prefix — statistics must say so
             "tail_dirty": self._tail_dirty,
-            # header-only breakdown: every number below comes from the
-            # frame headers/metas the scan already paid for — stats()
-            # never decodes a block body through the LRU cache
             "format": {"v2_blocks": self._fmt_blocks.get(2, 0),
                        "v3_blocks": self._fmt_blocks.get(3, 0)},
             "sections": dict(self._sections),

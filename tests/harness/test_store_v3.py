@@ -11,13 +11,21 @@ a pure, stable, fail-soft reordering.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import multiprocessing
 import os
 import random
+import shutil
 import struct
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.harness.store as store_mod
 
 from repro.harness.backends.schedule import (
     longest_first,
@@ -31,12 +39,15 @@ from repro.harness.store import (
     LOCK_ENV,
     MMAP_ENV,
     ColumnarStore,
+    _DATA_PRESET,
+    _META_PRESET,
     _compress_v3,
     _decompress_v3,
     _dict_pack,
     _dict_unpack,
     _hex_key_blob,
     _meta_keys,
+    _array_kind,
     _pack_array_v3,
     _read_uvarint,
     _unpack_array_v3,
@@ -46,7 +57,7 @@ from repro.harness.store import (
     decode_frame_v3,
     encode_frame_v3,
 )
-from repro.harness.sweep import SCHEMA_VERSION
+from repro.harness.sweep import SCHEMA_VERSION, ResultStore
 
 
 def canon(doc) -> str:
@@ -131,7 +142,7 @@ class TestV3Codec:
         ]
         for elems in cases:
             buf = bytearray()
-            _pack_array_v3(buf, elems)
+            _pack_array_v3(buf, elems, _array_kind(elems))
             back, off = _unpack_array_v3(bytes(buf), 0)
             assert off == len(buf)
             assert canon(back) == canon(elems)
@@ -162,9 +173,16 @@ class TestV3Codec:
         assert _hex_key_blob(["ab", "abcd"]) is None  # ragged lengths
         assert _hex_key_blob(["AB" * 12]) is None     # not canonical
 
-    def test_adaptive_compression_is_self_describing(self):
-        for raw in (b"", b"x", b"abc" * 5000, os.urandom(256)):
-            assert _decompress_v3(_compress_v3(raw)) == raw
+    @pytest.mark.parametrize("preset", [_META_PRESET, _DATA_PRESET])
+    def test_section_compression_is_self_describing(self, preset):
+        import zlib
+        for raw in (b"", b"x", b"abc" * 5000, os.urandom(256),
+                    os.urandom(5000) * 3):
+            comp = _compress_v3(raw, preset)
+            assert comp[:1] == b"\x5d"        # what the reader keys on
+            assert _decompress_v3(comp) == raw
+            # streams of the zlib era (first byte 0x78) still read
+            assert _decompress_v3(zlib.compress(raw, 9)) == raw
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +307,272 @@ class TestAppendLocking:
         store.put_many(batch(4))
         assert not store._flock(0)                 # env wins
         assert len(ColumnarStore(str(tmp_path))) == 4
+
+
+# ----------------------------------------------------------------------
+# merge: verified frame copy vs the all-decode path
+# ----------------------------------------------------------------------
+SEG = ColumnarStore.SEGMENT
+FLOOR = store_mod.COMPACT_BLOCK_RECORDS // 2
+
+
+def _frames(root):
+    """The v3/v2 frame dicts of a store's segment, in file order."""
+    blob = open(os.path.join(root, SEG), "rb").read()
+    return [ev[1] for ev in store_mod._walk_frames(
+        lambda off, n: blob[off:off + n], 0, full=False)
+        if ev[0] == "frame"]
+
+
+def _flip_byte(root, frame, section):
+    info = frame["info"]
+    arr_at = frame["end"] - info["array_comp"]
+    at = arr_at + info["array_comp"] // 2 if section == "array" \
+        else arr_at - info["body_comp"] // 2
+    with open(os.path.join(root, SEG), "r+b") as fh:
+        fh.seek(at)
+        byte = fh.read(1)
+        fh.seek(at)
+        fh.write(bytes([byte[0] ^ 0xFF]))
+
+
+def _stale(start, n):
+    return [(k, dict(p, schema=SCHEMA_VERSION - 1))
+            for k, p in batch(n, start)]
+
+
+# each case builds a source store (and may pre-populate the
+# destination); "copied" is how many source frames qualify for the
+# verbatim copy — 0 means the whole merge is the decode path's
+def _src_eligible(src, dest):
+    store = ColumnarStore(src, origin="shard-0/2")
+    store.put_many(batch(FLOOR, 0))
+    store.put_many(batch(FLOOR + 40, FLOOR))
+
+
+def _src_partial_overlap(src, dest):
+    _src_eligible(src, dest)
+    ColumnarStore(dest, origin="local").put_many(batch(5, FLOOR + 3))
+
+
+def _src_overlap_legacy_json(src, dest):
+    _src_eligible(src, dest)
+    ResultStore(dest).put_many(batch(2, 7))
+
+
+def _src_shadowed_duplicate(src, dest):
+    store = ColumnarStore(src, origin="shard-1/2")
+    store.put_many(batch(FLOOR, 0))
+    store.put_many(batch(FLOOR, FLOOR - 5))    # a --fresh re-put of 5
+
+
+def _src_stale_schema(src, dest):
+    store = ColumnarStore(src)
+    store.put_many(batch(FLOOR, 0) + _stale(FLOOR, 1))
+    store.put_many(batch(FLOOR, 2 * FLOOR))
+
+
+def _src_v2_format(src, dest):
+    ColumnarStore(src, segment_format=2).put_many(batch(FLOOR, 0))
+
+
+def _src_small_frames(src, dest):
+    store = ColumnarStore(src, origin="shard-0/2")
+    for lo in range(0, 3 * 32, 32):            # write-behind windows
+        store.put_many(batch(32, lo))
+
+
+def _src_flipped_body(src, dest):
+    _src_eligible(src, dest)
+    _flip_byte(src, _frames(src)[0], "body")
+
+
+def _src_flipped_array(src, dest):
+    _src_eligible(src, dest)
+    _flip_byte(src, _frames(src)[1], "array")
+
+
+def _src_torn_tail(src, dest):
+    _src_eligible(src, dest)
+    seg = os.path.join(src, SEG)
+    with open(seg, "r+b") as fh:
+        fh.truncate(os.path.getsize(seg) - 11)
+
+
+MERGE_CASES = [
+    (_src_eligible, 2), (_src_partial_overlap, 1),
+    (_src_overlap_legacy_json, 1), (_src_shadowed_duplicate, 1),
+    (_src_stale_schema, 1), (_src_v2_format, 0), (_src_small_frames, 0),
+    (_src_flipped_body, 1), (_src_flipped_array, 1), (_src_torn_tail, 1),
+]
+
+
+class _CountingStore(ColumnarStore):
+    encoded = 0
+
+    def _append_frame(self, records, entries):
+        self.encoded += 1
+        super()._append_frame(records, entries)
+
+
+def _assert_same_store(fast_root, ref_root, *, written_at=True):
+    fast, ref = ColumnarStore(fast_root), ColumnarStore(ref_root)
+    assert fast.keys() == ref.keys()
+    for key in ref.keys():
+        assert canon(fast.get(key)) == canon(ref.get(key))
+    manifests = [fast.manifest(), ref.manifest()]
+    if not written_at:     # the two stores were put into at two times
+        for manifest in manifests:
+            for entry in manifest.values():
+                entry.pop("written_at", None)
+    assert manifests[0] == manifests[1]
+    vf, vr = fast.verify(), ref.verify()
+    for field in ("ok", "unique_keys", "duplicate_records",
+                  "key_mismatches", "errors", "legacy_json"):
+        assert vf[field] == vr[field], field
+
+
+class TestMergeCopy:
+    """ISSUE 14: a frame is appended verbatim only when a decode and
+    re-encode would have moved every record of it unchanged; every
+    other frame takes the decode path, and either way the merged store
+    is the one the decode path alone would have built."""
+
+    @pytest.mark.parametrize("build,copied", MERGE_CASES,
+                             ids=[c[0].__name__[5:] for c in MERGE_CASES])
+    def test_equals_decode_path(self, build, copied, tmp_path,
+                                monkeypatch):
+        src, fast_root, ref_root = (str(tmp_path / d)
+                                    for d in ("src", "fast", "ref"))
+        build(src, fast_root)
+        if os.path.isdir(fast_root):
+            shutil.copytree(fast_root, ref_root)
+        fast = _CountingStore(fast_root)
+        frames_before = fast.stats()["blocks"]
+        merged = fast.merge_from(ColumnarStore(src))
+        assert fast.stats()["blocks"] - frames_before - fast.encoded \
+            == copied
+        with monkeypatch.context() as patch:
+            patch.setattr(ColumnarStore, "_copy_frames",
+                          lambda self, other, present: [])
+            ref = _CountingStore(ref_root)
+            ref_merged = ref.merge_from(ColumnarStore(src))
+            assert ref.encoded == -(-len(ref_merged) //
+                                    store_mod.COMPACT_BLOCK_RECORDS)
+        assert sorted(merged) == sorted(ref_merged)
+        _assert_same_store(fast_root, ref_root)
+        assert fast.verify()["ok"]
+        # idempotent, on the live object and on a cold one
+        assert fast.merge_from(ColumnarStore(src)) == []
+        assert ColumnarStore(fast_root).merge_from(
+            ColumnarStore(src)) == []
+
+    def test_copy_is_byte_for_byte_and_keeps_origin(self, tmp_path):
+        src, dest = str(tmp_path / "src"), str(tmp_path / "dest")
+        _src_eligible(src, dest)
+        store = _CountingStore(dest, origin="merger")
+        assert len(store.merge_from(ColumnarStore(src))) == 2 * FLOOR + 40
+        assert store.encoded == 0 and not store._blocks   # nothing decoded
+        assert open(os.path.join(dest, SEG), "rb").read() == \
+            open(os.path.join(src, SEG), "rb").read()
+        assert store.manifest() == ColumnarStore(src).manifest()
+        assert {e["origin"] for e in store.manifest().values()} == \
+            {"shard-0/2"}
+        assert canon(store.get(f"{3:024x}")) == canon(batch(4)[3][1])
+
+    def test_v2_format_destination_never_copies_v3_frames(self, tmp_path):
+        src, dest = str(tmp_path / "src"), str(tmp_path / "dest")
+        _src_eligible(src, dest)
+        store = ColumnarStore(dest, segment_format=2)
+        assert len(store.merge_from(ColumnarStore(src))) == 2 * FLOOR + 40
+        assert {f["version"] for f in _frames(dest)} == {2}
+
+    def test_stats_after_copy_equal_a_fresh_open(self, tmp_path):
+        src, dest = str(tmp_path / "src"), str(tmp_path / "dest")
+        _src_small_frames(src, dest)               # re-encoded frames
+        ColumnarStore(src).put_many(batch(FLOOR, 1000))   # + a copied one
+        store = ColumnarStore(dest)
+        store.put_many(batch(3, 5000))
+        store.merge_from(ColumnarStore(src))
+        live = store.stats()
+        assert live["format"]["v3_blocks"] == 3 and live["columns"]
+        assert live == ColumnarStore(dest).stats()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["put_a", "put_b", "put_dest", "stale_a",
+                         "merge_a", "merge_b"]),
+        st.integers(0, 40), st.integers(1, 12)), min_size=1, max_size=12))
+    def test_random_put_merge_interleavings(self, ops):
+        """Frames of 4+ records are copy-eligible here (block size 8),
+        so random put sizes land on both sides of every rule."""
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+                store_mod, "COMPACT_BLOCK_RECORDS", 8):
+            a, b, fast, ref = (os.path.join(tmp, d)
+                               for d in ("a", "b", "fast", "ref"))
+            # the destinations stay open across ops, as a campaign's do
+            fast_store, ref_store = ColumnarStore(fast), ColumnarStore(ref)
+            for op, start, n in ops:
+                if op.startswith("merge"):
+                    src = a if op == "merge_a" else b
+                    got = fast_store.merge_from(ColumnarStore(src))
+                    with mock.patch.object(
+                            ColumnarStore, "_copy_frames",
+                            lambda self, other, present: []):
+                        want = ref_store.merge_from(ColumnarStore(src))
+                    assert sorted(got) == sorted(want)
+                elif op == "put_dest":
+                    for store in (fast_store, ref_store):
+                        store.put_many(batch(n, start))
+                else:
+                    items = _stale(start, n) if op == "stale_a" \
+                        else batch(n, start)
+                    ColumnarStore(a if op.endswith("_a") else b,
+                                  origin=op).put_many(items)
+            _assert_same_store(fast, ref, written_at=False)
+            assert fast_store.stats() == ColumnarStore(fast).stats()
+
+
+class TestReadsParentCommitStore:
+    """``data/store_compat``: a segment written by the last encoder
+    that picked the smaller of zlib-9 and LZMA per section (see
+    ``make_store_compat_fixture.py``) — old stores must read forever."""
+
+    DATA = os.path.join(os.path.dirname(__file__), "data")
+
+    def test_fixture_reads_back_identically(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "make_fixture",
+            os.path.join(self.DATA, "make_store_compat_fixture.py"))
+        maker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(maker)
+        root = str(tmp_path / "compat")
+        shutil.copytree(os.path.join(self.DATA, "store_compat"), root)
+        frames = _frames(root)
+        blob = open(os.path.join(root, SEG), "rb").read()
+        lead = set()                       # first byte of every section
+        for f in (f for f in frames if f["version"] == 3):
+            arr_at = f["end"] - f["info"]["array_comp"]
+            assert f["info"]["array_comp"] > 0
+            lead |= {blob[arr_at], blob[arr_at - f["info"]["body_comp"]],
+                     blob[f["offset"] + store_mod._FRAME3.size]}
+        assert lead == {0x78, 0x5d}        # zlib won some, LZMA others
+        assert [f["version"] for f in frames] == [3, 3, 2]
+        store = ColumnarStore(root)
+        expected = maker.records(0, maker.N_RECORDS)
+        assert store.keys() == sorted(k for k, _ in expected)
+        for key, payload in expected:
+            assert canon(store.get(key)) == canon(payload)
+        with open(os.path.join(
+                self.DATA, "store_compat_expected.json")) as fh:
+            assert store.manifest() == json.load(fh)
+        assert store.verify()["ok"]
+        # and it merges: the LZMA-era frame is big enough to be copied
+        # only if the floor allows — here it is not, so all decode
+        dest = ColumnarStore(str(tmp_path / "dest"))
+        assert len(dest.merge_from(store)) == maker.N_RECORDS
+        for key, payload in expected:
+            assert canon(dest.get(key)) == canon(payload)
 
 
 # ----------------------------------------------------------------------
