@@ -37,7 +37,7 @@ checks — rests on these):
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 #: Wheel geometry: 4096 slots of 2**15 ps (32.768 ns) each — a ~134 us
@@ -50,13 +50,24 @@ _NSLOTS = 4096
 _MASK = _NSLOTS - 1
 
 
+def _spread(call: tuple) -> None:
+    """Event body for the n-ary calls :meth:`Engine.at` accepts."""
+    call[0](*call[1])
+
+
 class Engine:
-    """Event loop with integer-picosecond timestamps."""
+    """Event loop with integer-picosecond timestamps.
+
+    An event is ``(time_ps, seq, fn, arg)`` and runs as ``fn(arg)`` — no
+    argument tuple to pack or spread on the hot path.  ``at`` folds its
+    other arities into that shape: ``(…, None, fn)`` runs ``fn()`` and
+    an n-ary call rides as ``(…, _spread, (fn, args))``.
+    """
 
     __slots__ = (
         "now", "_seq", "_stopped", "events_executed",
         "_wheel", "_overflow", "_cursor", "_window_end",
-        "_wheel_count", "_stale",
+        "_last_slot", "_stale",
     )
 
     def __init__(self) -> None:
@@ -64,7 +75,7 @@ class Engine:
         self._seq: int = 0
         self._stopped: bool = False
         self.events_executed: int = 0
-        #: per-slot buckets; each bucket is a heap of (time, seq, fn, args)
+        #: per-slot buckets; each bucket is a heap of (time, seq, fn, arg)
         self._wheel: list = [[] for _ in range(_NSLOTS)]
         #: events at or beyond the wheel horizon, one big heap
         self._overflow: list = []
@@ -72,7 +83,10 @@ class Engine:
         self._cursor: int = 0
         #: absolute time (exclusive) covered by the wheel window
         self._window_end: int = _NSLOTS << _SLOT_BITS
-        self._wheel_count: int = 0
+        #: highest slot a wheel event was queued into (>= the cursor);
+        #: at it, an empty cursor bucket means an empty wheel — a push
+        #: pays one compare, a pop nothing, where a count paid two writes
+        self._last_slot: int = 0
         #: cancelled/superseded Timer shells still queued (see Timer)
         self._stale: int = 0
 
@@ -82,27 +96,40 @@ class Engine:
             raise ValueError(
                 f"cannot schedule in the past: {time_ps} < now={self.now}"
             )
-        seq = self._seq + 1
-        self._seq = seq
-        # inlined _push: this is the hottest scheduling call in the sim
+        match args:
+            case (arg,):
+                pass
+            case ():
+                fn, arg = None, fn
+            case _:
+                fn, arg = _spread, (fn, args)
+        # _push, inlined: a nested call here costs the scheduler-only
+        # micro-runs (engine.chain_events_per_s) 10-20 %
+        self._seq = seq = self._seq + 1
         if time_ps < self._window_end:
             slot = time_ps >> _SLOT_BITS
             if slot < self._cursor:
                 slot = self._cursor
-            heapq.heappush(self._wheel[slot & _MASK],
-                           (time_ps, seq, fn, args))
-            self._wheel_count += 1
+            elif slot > self._last_slot:
+                self._last_slot = slot
+            heappush(self._wheel[slot & _MASK], (time_ps, seq, fn, arg))
         else:
-            heapq.heappush(self._overflow, (time_ps, seq, fn, args))
+            heappush(self._overflow, (time_ps, seq, fn, arg))
 
-    def _push(self, time_ps: int, seq: int, fn, args) -> None:
-        """Queue an event under an already-allocated sequence number.
+    def _push(self, time_ps: int, fn, arg, seq: int = 0) -> None:
+        """Queue ``fn(arg)`` at ``time_ps >= now`` (unchecked: the caller
+        owns that invariant) — the one-argument primitive the port hot
+        path and ``Timer`` schedule through, skipping ``at``'s argument
+        packing.
 
-        ``Timer`` allocates seq at arm time but queues lazily; keeping
-        allocation and queueing separable means a deferred shell lands
-        at exactly the ``(time, seq)`` slot an eager push would have
-        used, so same-instant tie-breaks are identical either way.
+        ``seq`` is for ``Timer``, which allocates a sequence number at
+        arm time but queues lazily; keeping allocation and queueing
+        separable means a deferred shell lands at exactly the ``(time,
+        seq)`` slot an eager push would have used, so same-instant
+        tie-breaks are identical either way.
         """
+        if not seq:
+            self._seq = seq = self._seq + 1
         if time_ps < self._window_end:
             slot = time_ps >> _SLOT_BITS
             if slot < self._cursor:
@@ -111,11 +138,11 @@ class Engine:
                 # drop into the cursor's bucket, whose heap restores
                 # (time, seq) order ahead of that bucket's later events
                 slot = self._cursor
-            heapq.heappush(self._wheel[slot & _MASK],
-                           (time_ps, seq, fn, args))
-            self._wheel_count += 1
+            elif slot > self._last_slot:
+                self._last_slot = slot
+            heappush(self._wheel[slot & _MASK], (time_ps, seq, fn, arg))
         else:
-            heapq.heappush(self._overflow, (time_ps, seq, fn, args))
+            heappush(self._overflow, (time_ps, seq, fn, arg))
 
     def after(self, delay_ps: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` after ``delay_ps`` picoseconds."""
@@ -130,17 +157,16 @@ class Engine:
         overflow = self._overflow
         wheel = self._wheel
         window_end = self._window_end
-        cursor = self._cursor
-        push, pop = heapq.heappush, heapq.heappop
-        moved = 0
+        slot = cursor = self._cursor
         while overflow and overflow[0][0] < window_end:
-            ev = pop(overflow)
+            ev = heappop(overflow)
+            # popped in time order, so slots only grow
             slot = ev[0] >> _SLOT_BITS
             if slot < cursor:
                 slot = cursor
-            push(wheel[slot & _MASK], ev)
-            moved += 1
-        self._wheel_count += moved
+            heappush(wheel[slot & _MASK], ev)
+        if slot > self._last_slot:
+            self._last_slot = slot
 
     def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until_ps``, or ``stop()``.
@@ -149,16 +175,22 @@ class Engine:
         """
         wheel = self._wheel
         overflow = self._overflow
-        pop = heapq.heappop
-        push = heapq.heappush
-        executed = 0
+        pop = heappop
         # sentinels keep the per-event checks branch-cheap: nothing is
         # ever scheduled at or counted to 2**63
         until = (1 << 63) if until_ps is None else until_ps
-        limit = (1 << 63) if max_events is None else max_events
+        budget = limit = (1 << 63) if max_events is None else max_events
         self._stopped = False
-        while True:
-            if not self._wheel_count:
+        running = budget > 0
+        while running:
+            bucket = wheel[self._cursor & _MASK]
+            if not bucket:
+                if self._cursor < self._last_slot:
+                    self._cursor += 1
+                    self._window_end += _SLOT_PS
+                    if overflow and overflow[0][0] < self._window_end:
+                        self._refill()
+                    continue
                 if not overflow:
                     break
                 # wheel empty: jump the window to the overflow head
@@ -168,44 +200,36 @@ class Engine:
                 self._window_end = (self._cursor + _NSLOTS) << _SLOT_BITS
                 self._refill()
                 continue
-            bucket = wheel[self._cursor & _MASK]
-            if not bucket:
-                self._cursor += 1
-                self._window_end += _SLOT_PS
-                if overflow and overflow[0][0] < self._window_end:
-                    self._refill()
-                continue
-            # drain this slot's bucket (callbacks may push into it);
-            # _wheel_count is kept exact per event so pending() stays
-            # accurate when a probe callback reads it mid-drain
+            # drain this slot's bucket (callbacks may push into it)
             while bucket:
-                if executed >= limit:
-                    self.events_executed += executed
-                    return executed
-                item = pop(bucket)
-                time_ps = item[0]
+                time_ps, seq, fn, arg = pop(bucket)
                 if time_ps > until:
                     # advance to the horizon, but never rewind: a second
                     # run() with an earlier until_ps must not move time
                     # backwards under already-scheduled events
-                    push(bucket, item)
+                    heappush(bucket, (time_ps, seq, fn, arg))
                     if until > self.now:
                         self.now = until
-                    self.events_executed += executed
-                    return executed
-                self._wheel_count -= 1
+                    running = False
+                    break
                 self.now = time_ps
-                item[2](*item[3])
-                executed += 1
-                if self._stopped:
-                    self.events_executed += executed
-                    return executed
-        self.events_executed += executed
-        return executed
+                budget -= 1
+                if fn is None:
+                    arg()
+                else:
+                    fn(arg)
+                if self._stopped or not budget:
+                    running = False
+                    break
+        self.events_executed += limit - budget
+        return limit - budget
 
     def pending(self) -> int:
-        """Number of events still queued (including cancelled shells)."""
-        return self._wheel_count + len(self._overflow)
+        """Number of events still queued (including cancelled shells).
+
+        Counted from the buckets (O(slots): for probes, not hot paths),
+        so it is exact even in the middle of a bucket's drain."""
+        return sum(map(len, self._wheel)) + len(self._overflow)
 
     def pending_live(self) -> int:
         """Queued events excluding cancelled/superseded Timer shells.
@@ -214,7 +238,7 @@ class Engine:
         runs :meth:`pending` over-reads by the stale shells Timers leave
         behind until the wheel drains them.
         """
-        return self._wheel_count + len(self._overflow) - self._stale
+        return self.pending() - self._stale
 
 
 class Timer:
@@ -239,14 +263,15 @@ class Timer:
     bit-identical to the pre-wheel engine.
     """
 
-    __slots__ = ("_engine", "_fn", "_armed_at", "_armed_seq",
+    __slots__ = ("_engine", "_fn", "deadline", "_armed_seq",
                  "_shell_at", "_shell_live", "_shell_id")
 
     def __init__(self, engine: Engine, fn: Callable[[], Any]) -> None:
         self._engine = engine
         self._fn = fn
-        #: deadline the owner asked for (None = unarmed)
-        self._armed_at: Optional[int] = None
+        #: deadline the owner asked for (None = unarmed); read-only
+        #: outside this class
+        self.deadline: Optional[int] = None
         #: seq allocated for the current arming's firing event
         self._armed_seq: int = 0
         #: time of the queued shell event (None = no shell queued)
@@ -258,11 +283,7 @@ class Timer:
 
     @property
     def armed(self) -> bool:
-        return self._armed_at is not None
-
-    @property
-    def deadline(self) -> Optional[int]:
-        return self._armed_at
+        return self.deadline is not None
 
     def arm_at(self, time_ps: int) -> None:
         """(Re)arm to fire at absolute ``time_ps``; replaces prior arming."""
@@ -272,7 +293,7 @@ class Timer:
                 f"cannot schedule in the past: {time_ps} < now={engine.now}"
             )
         engine._seq = seq = engine._seq + 1
-        self._armed_at = time_ps
+        self.deadline = time_ps
         self._armed_seq = seq
         shell_at = self._shell_at
         if shell_at is not None:
@@ -289,13 +310,13 @@ class Timer:
         self._shell_id += 1
         self._shell_at = time_ps
         self._shell_live = True
-        engine._push(time_ps, seq, self._fire, (self._shell_id,))
+        engine._push(time_ps, self._fire, self._shell_id, seq)
 
     def arm_after(self, delay_ps: int) -> None:
         self.arm_at(self._engine.now + delay_ps)
 
     def cancel(self) -> None:
-        self._armed_at = None
+        self.deadline = None
         if self._shell_at is not None and self._shell_live:
             self._engine._stale += 1
             self._shell_live = False
@@ -312,15 +333,15 @@ class Timer:
             return
         self._shell_at = None
         self._shell_live = False
-        deadline = self._armed_at
+        deadline = self.deadline
         if deadline is not None and deadline > self._engine.now:
             # armed later than this shell: defer by re-queueing under
             # the seq the arming reserved
             self._shell_id += 1
             self._shell_at = deadline
             self._shell_live = True
-            self._engine._push(deadline, self._armed_seq, self._fire,
-                               (self._shell_id,))
+            self._engine._push(deadline, self._fire, self._shell_id,
+                               self._armed_seq)
             return
-        self._armed_at = None
+        self.deadline = None
         self._fn()

@@ -129,6 +129,10 @@ class Network:
         if not (0 <= src < len(self.tree.hosts)
                 and 0 <= dst < len(self.tree.hosts)):
             raise ValueError("host id out of range")
+        for host in (self.tree.hosts[src], self.tree.hosts[dst]):
+            # once per flow: the per-packet paths assume port + dispatcher
+            if host.port is None or host.dispatch is None:
+                raise ValueError(f"host {host.host_id} is not wired")
         cfg = self.config
         lb_name = lb or cfg.lb
         replication = REPLICATION_FOR_LB.get(lb_name)

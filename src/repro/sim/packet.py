@@ -27,7 +27,12 @@ class Packet:
                     ACKs).
         is_ack:     True for acknowledgement packets.
         is_nack:    True for NACKs generated in response to trimmed packets.
-        trimmed:    True once a switch trimmed this data packet to a header.
+        trimmed:    True once a switch trimmed this data packet to a header
+                    (set only through :meth:`trim`).
+        is_control: ACK, NACK or trimmed header — the packets that ride a
+                    port's strict-priority control queue; maintained by
+                    the constructor and :meth:`trim` so a port reads one
+                    flag per enqueue instead of three.
         acked_seqs: sequence numbers acknowledged (coalesced ACKs carry >1).
         ev_echoes:  for Carry-EVs ACK coalescing: list of (ev, ecn) pairs of
                     every data packet covered by this ACK, oldest first.
@@ -37,8 +42,8 @@ class Packet:
 
     __slots__ = (
         "src", "dst", "flow_id", "seq", "size", "ev", "ecn",
-        "is_ack", "is_nack", "trimmed", "acked_seqs", "ev_echoes",
-        "send_time", "retx",
+        "is_ack", "is_nack", "trimmed", "is_control", "acked_seqs",
+        "ev_echoes", "send_time", "retx",
     )
 
     def __init__(
@@ -65,19 +70,15 @@ class Packet:
         self.is_ack = is_ack
         self.is_nack = is_nack
         self.trimmed = False
+        self.is_control = is_ack or is_nack
         self.acked_seqs: Optional[List[int]] = None
         self.ev_echoes: Optional[List[Tuple[int, bool]]] = None
         self.send_time = send_time
         self.retx = retx
 
-    @property
-    def is_control(self) -> bool:
-        """Control packets (ACK/NACK/trimmed) get strict queue priority."""
-        return self.is_ack or self.is_nack or self.trimmed
-
     def trim(self) -> None:
         """Truncate the payload to a header, as a trimming switch would."""
-        self.trimmed = True
+        self.trimmed = self.is_control = True
         self.size = CONTROL_PACKET_BYTES
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -98,16 +99,9 @@ def make_ack(
     Per Sec. 3.1 the ACK reuses the data packet's EV for its own header —
     no extra header field is needed and the ACK is hashed consistently.
     """
-    ack = Packet(
-        src=data_pkt.dst,
-        dst=data_pkt.src,
-        flow_id=data_pkt.flow_id,
-        seq=data_pkt.seq,
-        size=CONTROL_PACKET_BYTES,
-        ev=data_pkt.ev,
-        is_ack=True,
-        send_time=data_pkt.send_time,
-    )
+    ack = Packet(data_pkt.dst, data_pkt.src, data_pkt.flow_id,
+                 data_pkt.seq, CONTROL_PACKET_BYTES, data_pkt.ev,
+                 is_ack=True, send_time=data_pkt.send_time)
     ack.ecn = data_pkt.ecn
     ack.acked_seqs = acked_seqs
     ack.ev_echoes = ev_echoes
@@ -116,14 +110,6 @@ def make_ack(
 
 def make_nack(trimmed_pkt: Packet) -> Packet:
     """Build a NACK in response to a trimmed data packet (Appendix A)."""
-    nack = Packet(
-        src=trimmed_pkt.dst,
-        dst=trimmed_pkt.src,
-        flow_id=trimmed_pkt.flow_id,
-        seq=trimmed_pkt.seq,
-        size=CONTROL_PACKET_BYTES,
-        ev=trimmed_pkt.ev,
-        is_nack=True,
-        send_time=trimmed_pkt.send_time,
-    )
-    return nack
+    return Packet(trimmed_pkt.dst, trimmed_pkt.src, trimmed_pkt.flow_id,
+                  trimmed_pkt.seq, CONTROL_PACKET_BYTES, trimmed_pkt.ev,
+                  is_nack=True, send_time=trimmed_pkt.send_time)

@@ -11,19 +11,19 @@ the instantaneous queue occupancy, evaluated at enqueue.  Degenerate
 ``Kmin == Kmax`` configs mark as a hard threshold (mark iff
 ``queue >= Kmax``); ``Kmin > Kmax`` is rejected at construction.
 
-Counters and queue byte-tracking live in one flat ``array('q')`` per
-port (htsim-style array-backed state): the transmit/enqueue hot paths
-touch a single local array reference instead of a tree of attribute
-loads, and :class:`PortStats` is a named view over the same array so
-telemetry keeps its attribute API.
+Counters and queue byte-tracking live in one flat list per port
+(htsim-style array-backed state; a ``list``, not an ``array('q')``,
+because CPython specializes list indexing and an array cell update costs
+3-4x as much): the transmit/enqueue hot paths touch a single local
+reference instead of a tree of attribute loads, and :class:`PortStats`
+is a named view over the same list so telemetry keeps its attribute API.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from .engine import Engine
 from .link import Cable
@@ -52,6 +52,20 @@ _CTRL_BYTES = 9
 _N_COUNTERS = 10
 
 
+class _TxTimes(dict):
+    """Serialization time by packet size at one link rate, computed on
+    first use (``times[size]``, no miss handling at the call sites)."""
+
+    __slots__ = ("gbps",)
+
+    def __init__(self, gbps: float) -> None:
+        self.gbps = gbps
+
+    def __missing__(self, size: int) -> int:
+        tx = self[size] = tx_time_ps(size, self.gbps)
+        return tx
+
+
 def _counter(idx: int) -> property:
     def _get(self) -> int:
         return self._c[idx]
@@ -72,9 +86,9 @@ class PortStats:
 
     __slots__ = ("_c",)
 
-    def __init__(self, counters: Optional[array] = None) -> None:
+    def __init__(self, counters: Optional[List[int]] = None) -> None:
         self._c = counters if counters is not None \
-            else array("q", [0] * _N_COUNTERS)
+            else [0] * _N_COUNTERS
 
     bytes_tx = _counter(_BYTES_TX)
     pkts_tx = _counter(_PKTS_TX)
@@ -142,7 +156,7 @@ class EgressPort:
         self._mark_floor = kmin_bytes if kmin_bytes < kmax_bytes \
             else kmax_bytes - 1
         self.rng = rng
-        self._c = array("q", [0] * _N_COUNTERS)
+        self._c = [0] * _N_COUNTERS
         self.stats = PortStats(self._c)
         #: the switch whose uplink group contains this port (None for
         #: host NICs / down ports); lets ``excluded``/``rate_gbps``
@@ -152,7 +166,7 @@ class EgressPort:
         #: groups after a failure (Sec. 3.2's "10 ms to update the group").
         self._excluded = False
         #: per-packet-size serialization times at the current rate
-        self._tx_cache: dict = {}
+        self._tx_cache = _TxTimes(rate_gbps)
         self._data_q: deque = deque()
         self._ctrl_q: deque = deque()
         self._busy = False
@@ -171,7 +185,7 @@ class EgressPort:
     @rate_gbps.setter
     def rate_gbps(self, gbps: float) -> None:
         self._rate_gbps = gbps
-        self._tx_cache.clear()
+        self._tx_cache = _TxTimes(gbps)
         owner = self.owner
         if owner is not None:
             owner._healthy_cache_dirty = True
@@ -208,16 +222,21 @@ class EgressPort:
     # enqueue path
     # ------------------------------------------------------------------
     def enqueue(self, pkt: Packet) -> None:
-        """Accept a packet for transmission (or drop / trim it)."""
+        """Accept a packet for transmission (or drop / trim it).
+
+        An idle transmitter implies both queues are empty (``_tx_done``
+        only goes idle after finding them so), so a packet accepted by
+        an idle port skips the queue: same overflow / trim / ECN decision
+        on the same (zero) occupancy, then straight onto the wire.
+        """
         c = self._c
         c[_PKTS_ENQUEUED] += 1
         size = pkt.size
-        if pkt.is_ack or pkt.is_nack or pkt.trimmed:
+        if pkt.is_control:
             if c[_CTRL_BYTES] + size > self.ctrl_capacity_bytes:
                 self._drop(pkt, "overflow")
                 return
-            self._ctrl_q.append(pkt)
-            c[_CTRL_BYTES] += size
+            queue, held = self._ctrl_q, _CTRL_BYTES
         elif c[_DATA_BYTES] + size > self.capacity_bytes:
             if not self.trim_enabled or (
                     c[_CTRL_BYTES] + CONTROL_PACKET_BYTES
@@ -228,16 +247,20 @@ class EgressPort:
                 return
             pkt.trim()
             c[_TRIMS] += 1
-            self._ctrl_q.append(pkt)
-            c[_CTRL_BYTES] += pkt.size
+            size = pkt.size
+            queue, held = self._ctrl_q, _CTRL_BYTES
         else:
             if self.ecn_enabled and not pkt.ecn \
                     and c[_DATA_BYTES] > self._mark_floor:
                 self._maybe_mark(pkt)
-            self._data_q.append(pkt)
-            c[_DATA_BYTES] += size
-        if not self._busy:
-            self._start_next()
+            queue, held = self._data_q, _DATA_BYTES
+        if self._busy:
+            queue.append(pkt)
+            c[held] += size
+            return
+        self._busy = True
+        engine = self.engine
+        engine._push(engine.now + self._tx_cache[size], self._tx_done, pkt)
 
     def enqueue_burst(self, pkts) -> None:
         """Enqueue several packets handed over at the same instant.
@@ -256,12 +279,11 @@ class EgressPort:
         for pkt in pkts:
             c[_PKTS_ENQUEUED] += 1
             size = pkt.size
-            if pkt.is_ack or pkt.is_nack or pkt.trimmed:
+            if pkt.is_control:
                 if c[_CTRL_BYTES] + size > ctrl_cap:
                     self._drop(pkt, "overflow")
                     continue
-                ctrl_q.append(pkt)
-                c[_CTRL_BYTES] += size
+                queue, held = ctrl_q, _CTRL_BYTES
             elif c[_DATA_BYTES] + size > capacity:
                 if not self.trim_enabled or (
                         c[_CTRL_BYTES] + CONTROL_PACKET_BYTES > ctrl_cap):
@@ -269,16 +291,22 @@ class EgressPort:
                     continue
                 pkt.trim()
                 c[_TRIMS] += 1
-                ctrl_q.append(pkt)
-                c[_CTRL_BYTES] += pkt.size
+                size = pkt.size
+                queue, held = ctrl_q, _CTRL_BYTES
             else:
                 if ecn_on and not pkt.ecn \
                         and c[_DATA_BYTES] > self._mark_floor:
                     self._maybe_mark(pkt)
-                data_q.append(pkt)
-                c[_DATA_BYTES] += size
-            if not self._busy:
-                self._start_next()
+                queue, held = data_q, _DATA_BYTES
+            if self._busy:
+                queue.append(pkt)
+                c[held] += size
+            else:
+                # the burst's first accepted packet starts the transmitter
+                self._busy = True
+                engine = self.engine
+                engine._push(engine.now + self._tx_cache[size],
+                             self._tx_done, pkt)
 
     def _maybe_mark(self, pkt: Packet) -> None:
         """RED-style linear marking on instantaneous occupancy."""
@@ -315,8 +343,23 @@ class EgressPort:
     # ------------------------------------------------------------------
     # transmit path
     # ------------------------------------------------------------------
-    def _start_next(self) -> None:
+    def _tx_done(self, pkt: Packet) -> None:
         c = self._c
+        c[_BYTES_TX] += pkt.size
+        c[_PKTS_TX] += 1
+        engine = self.engine
+        cable = self.cable
+        # healthy cable first; the shared rng is drawn iff the cable is
+        # up and lossy (the draw order is part of the result)
+        if cable is None or not (cable.down or cable.ber > 0.0):
+            engine._push(engine.now + self.latency_ps, self._deliver, pkt)
+        elif cable.down:
+            self._drop(pkt, "link_down")
+        elif self.rng.random() < cable.ber:
+            self._drop(pkt, "ber")
+        else:
+            engine._push(engine.now + self.latency_ps, self._deliver, pkt)
+        # start the next packet, control first, or go idle
         if self._ctrl_q:
             pkt = self._ctrl_q.popleft()
             c[_CTRL_BYTES] -= pkt.size
@@ -324,43 +367,10 @@ class EgressPort:
             pkt = self._data_q.popleft()
             c[_DATA_BYTES] -= pkt.size
         else:
-            return
-        self._busy = True
-        size = pkt.size
-        tx = self._tx_cache.get(size)
-        if tx is None:
-            tx = self._tx_cache[size] = tx_time_ps(size, self._rate_gbps)
-        engine = self.engine
-        engine.at(engine.now + tx, self._tx_done, pkt)
-
-    def _tx_done(self, pkt: Packet) -> None:
-        c = self._c
-        c[_BYTES_TX] += pkt.size
-        c[_PKTS_TX] += 1
-        engine = self.engine
-        cable = self.cable
-        if cable is not None and cable.down:
-            self._drop(pkt, "link_down")
-        elif cable is not None and cable.ber > 0.0 and \
-                self.rng.random() < cable.ber:
-            self._drop(pkt, "ber")
-        else:
-            engine.at(engine.now + self.latency_ps, self._deliver, pkt)
-        # _start_next, inlined: this port's transmitter just went idle
-        if self._ctrl_q:
-            nxt = self._ctrl_q.popleft()
-            c[_CTRL_BYTES] -= nxt.size
-        elif self._data_q:
-            nxt = self._data_q.popleft()
-            c[_DATA_BYTES] -= nxt.size
-        else:
             self._busy = False
             return
-        size = nxt.size
-        tx = self._tx_cache.get(size)
-        if tx is None:
-            tx = self._tx_cache[size] = tx_time_ps(size, self._rate_gbps)
-        engine.at(engine.now + tx, self._tx_done, nxt)
+        engine._push(engine.now + self._tx_cache[pkt.size],
+                     self._tx_done, pkt)
 
     def _deliver(self, pkt: Packet) -> None:
         cable = self.cable

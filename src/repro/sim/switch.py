@@ -110,10 +110,27 @@ class Switch(Node):
     def receive(self, pkt: Packet) -> None:
         port = self.down_route.get(pkt.dst)
         if port is None:
-            port = self._pick_uplink(pkt)
-            if port is None:
-                # no usable uplink at all: blackhole the packet
-                return
+            if self.mode == "ecmp" and self.up_ports:
+                # hot path: cached group + inlined ecmp_hash (same mix as
+                # the public function; keep the two in sync)
+                if self._healthy_cache_dirty:
+                    self._rebuild_group_caches()
+                group, n = self._ecmp_group
+                x = (pkt.src * 0x9E3779B97F4A7C15
+                     + pkt.dst * 0xBF58476D1CE4E5B9
+                     + pkt.ev * 0x94D049BB133111EB
+                     + self.salt * 0xD6E8FEB86659FD93) & _M64
+                x ^= x >> 30
+                x = (x * 0xBF58476D1CE4E5B9) & _M64
+                x ^= x >> 27
+                x = (x * 0x94D049BB133111EB) & _M64
+                x ^= x >> 31
+                port = group[x % n]
+            else:
+                port = self._pick_uplink(pkt)
+                if port is None:
+                    # no usable uplink at all: blackhole the packet
+                    return
         port.enqueue(pkt)
 
     def route(self, pkt: Packet) -> Optional[EgressPort]:
@@ -145,22 +162,6 @@ class Switch(Node):
         ports = self.up_ports
         if not ports:
             return None
-        if self.mode == "ecmp":
-            # hot path: cached group + inlined ecmp_hash (same mix as the
-            # public function; keep the two in sync)
-            if self._healthy_cache_dirty:
-                self._rebuild_group_caches()
-            group, n = self._ecmp_group
-            x = (pkt.src * 0x9E3779B97F4A7C15
-                 + pkt.dst * 0xBF58476D1CE4E5B9
-                 + pkt.ev * 0x94D049BB133111EB
-                 + self.salt * 0xD6E8FEB86659FD93) & _M64
-            x ^= x >> 30
-            x = (x * 0xBF58476D1CE4E5B9) & _M64
-            x ^= x >> 27
-            x = (x * 0x94D049BB133111EB) & _M64
-            x ^= x >> 31
-            return group[x % n]
         if self.mode == "adaptive":
             # DRILL/Adaptive-RoCE style power-of-two-choices: sample two
             # random uplinks and take the shorter queue.  Real adaptive
@@ -191,10 +192,11 @@ class Switch(Node):
                     return port
                 slot -= w
             return ports[-1]  # unreachable; guards float quirks
-        # ECMP group after an "ideal"-mode fallthrough (every uplink
-        # dead): exclude ports the control plane removed from the group
-        # (after routing_update_delay), exactly like a real ECMP group
-        # shrink.  Until then failed ports still attract traffic.
+        # plain ECMP (`receive` inlines this for its hot path), or an
+        # "ideal"-mode fallthrough (every uplink dead): exclude ports the
+        # control plane removed from the group (after
+        # routing_update_delay), exactly like a real ECMP group shrink.
+        # Until then failed ports still attract traffic.
         if self._healthy_cache_dirty:
             self._rebuild_group_caches()
         group, n = self._ecmp_group
@@ -241,9 +243,9 @@ class Switch(Node):
 class Host(Node):
     """An endpoint NIC.  Owns one egress port toward its ToR switch.
 
-    Delivery of packets to transports is delegated to the
-    :class:`~repro.sim.network.Network` dispatcher so that hosts stay a
-    thin wire-termination object.
+    Transports enqueue on ``port`` directly; delivery of packets to
+    them is delegated to the :class:`~repro.sim.network.Network`
+    dispatcher so that hosts stay a thin wire-termination object.
     """
 
     __slots__ = ("host_id", "port", "dispatch")
@@ -253,11 +255,9 @@ class Host(Node):
         self.port: Optional[EgressPort] = None
         self.dispatch: Optional[Callable[[Packet], None]] = None
 
-    def receive(self, pkt: Packet) -> None:
-        assert self.dispatch is not None, "host not wired to a network"
-        self.dispatch(pkt)
-
-    def send(self, pkt: Packet) -> None:
-        """Inject a packet into the fabric through the NIC egress queue."""
-        assert self.port is not None, "host not attached to a switch"
-        self.port.enqueue(pkt)
+    @property
+    def receive(self) -> Optional[Callable[[Packet], None]]:
+        """A host only forwards to its dispatcher, so the port feeding it
+        binds (at first delivery, like any peer's ``receive``) straight
+        to the ``dispatch`` installed by then."""
+        return self.dispatch

@@ -152,17 +152,21 @@ class FlowSender:
     def _try_send(self) -> None:
         if self.complete_time is not None or self.cancelled:
             return
-        now = self.engine.now
         retx_q = self._retx_q
+        cwnd = self.cc.cwnd
+        inflight = self._inflight_bytes
+        n_pkts = self.n_pkts
+        if inflight >= cwnd or not (retx_q or self._next_new_seq < n_pkts):
+            # window closed, or nothing left to send: skip the set-up
+            self._rearm_timer()
+            return
+        now = self.engine.now
         acked = self._acked
         outstanding = self._outstanding
         stats = self.stats
         next_entropy = self.lb.next_entropy
-        n_pkts = self.n_pkts
         mtu = self.mtu
         src, dst, flow_id = self.src, self.dst, self.flow_id
-        cwnd = self.cc.cwnd
-        inflight = self._inflight_bytes
         burst: List[Packet] = []
         while inflight < cwnd:
             if retx_q:
@@ -190,7 +194,6 @@ class FlowSender:
         if burst:
             # all same-instant: hand the window over in one batch
             port = self.host.port
-            assert port is not None, "host not attached to a switch"
             if len(burst) == 1:
                 port.enqueue(burst[0])
             else:
@@ -200,7 +203,7 @@ class FlowSender:
     # ------------------------------------------------------------------
     def on_ack(self, ack: Packet) -> None:
         """Handle a (possibly coalesced) acknowledgement."""
-        if self.done or self.cancelled:
+        if self.complete_time is not None or self.cancelled:
             return
         now = self.engine.now
         self.stats.acks_received += 1
@@ -248,7 +251,7 @@ class FlowSender:
 
     def on_nack(self, nack: Packet) -> None:
         """A switch trimmed this packet: fast congestion-loss recovery."""
-        if self.done or self.cancelled:
+        if self.complete_time is not None or self.cancelled:
             return
         now = self.engine.now
         self.stats.nacks += 1
@@ -272,7 +275,7 @@ class FlowSender:
             self._retx_q.append(seq)
 
     def _on_timer(self) -> None:
-        if self.done or self.cancelled:
+        if self.complete_time is not None or self.cancelled:
             return
         now = self.engine.now
         expired = [seq for seq, (t, _, _, _) in self._outstanding.items()
@@ -404,19 +407,24 @@ class FlowReceiver:
         """Handle an arriving data (or trimmed) packet."""
         if pkt.trimmed:
             # payload was cut by a congested switch: NACK immediately
-            self.host.send(make_nack(pkt))
+            self.host.port.enqueue(make_nack(pkt))
             return
+        now = self.engine.now
         if self.first_arrival is None:
-            self.first_arrival = self.engine.now
-        self.last_arrival = self.engine.now
+            self.first_arrival = now
+        self.last_arrival = now
         if pkt.seq not in self.received:
             self.received.add(pkt.seq)
             self.bytes_received += pkt.size
+        if self.coalesce == 1:
+            # every packet is its own ACK: nothing pends, no timer runs
+            self.host.port.enqueue(make_ack(pkt))
+            return
         self._pending.append(pkt)
         if (len(self._pending) >= self.coalesce
                 or len(self.received) == self.n_pkts):
             self._flush()
-        elif not self._flush_timer.armed:
+        elif self._flush_timer.deadline is None:
             # never hold ACKs hostage to the coalescing ratio: a short
             # delayed-ACK timer bounds the feedback delay
             self._flush_timer.arm_after(self.ack_delay_ps)
@@ -431,7 +439,7 @@ class FlowReceiver:
                   if self.carry_evs else None)
         ack = make_ack(last, acked_seqs=acked_seqs, ev_echoes=echoes)
         self._pending.clear()
-        self.host.send(ack)
+        self.host.port.enqueue(ack)
 
     @property
     def complete(self) -> bool:

@@ -281,3 +281,110 @@ class TestPendingAccounting:
         engine.run()
         assert engine.pending() == 0
         assert engine.pending_live() == 0
+
+
+class TestEventContract:
+    """One event shape ``(time, seq, fn, arg)`` behind ``at``'s any-arity
+    signature, and queue accounting that is exact at every instant."""
+
+    def test_mixed_arity_and_timers_fire_in_seq_order(self, engine):
+        order = []
+        timers = [Timer(engine, lambda i=i: order.append(("timer", i)))
+                  for i in range(3)]
+        engine.at(7, lambda: order.append("zero"))
+        timers[0].arm_at(7)
+        engine.at(7, order.append, "one")
+        timers[1].arm_at(3)
+        timers[1].arm_at(7)     # deferred shell keeps this arming's seq
+        engine.at(7, lambda a, b, c: order.append((a, b, c)), 1, 2, 3)
+        timers[2].arm_at(7)
+        engine.at(7, order.append, None)   # None is an argument too
+        engine.run()
+        assert order == ["zero", ("timer", 0), "one", ("timer", 1),
+                         (1, 2, 3), ("timer", 2), None]
+
+    def test_pending_is_exact_inside_a_bucket(self, engine):
+        seen = []
+
+        def probe():
+            seen.append((engine.pending(), engine.pending_live()))
+
+        engine.at(5, probe)
+        engine.at(5, probe)
+        stale = Timer(engine, lambda: None)
+        stale.arm_at(5)
+        stale.cancel()          # a dead shell in the middle of the bucket
+        engine.at(5, probe)
+        engine.at(5, lambda: engine.at(6, probe))   # pushes mid-drain
+        engine.at(10**12, probe)                    # waits in overflow
+        engine.run()
+        # each probe sees exactly what is queued behind it
+        assert seen == [(5, 4), (4, 3), (2, 2), (1, 1), (0, 0)]
+
+    def test_max_events_stops_mid_bucket_and_resumes(self, engine):
+        order = []
+        for tag in "abcde":
+            engine.at(5, order.append, tag)     # one bucket, one instant
+        assert engine.run(max_events=2) == 2
+        assert (order, engine.pending()) == (["a", "b"], 3)
+        assert engine.run(max_events=0) == 0
+        engine.at(5, order.append, "f")         # same instant, later seq
+        assert engine.run() == 4
+        assert order == list("abcdef")
+        assert (engine.pending(), engine.events_executed) == (0, 6)
+
+    def test_until_stops_mid_bucket_and_resumes(self, engine):
+        order = []
+        # 10, 20 and 30 ps share the first 32.768 ns bucket
+        for t in (30, 10, 20, 10):
+            engine.at(t, order.append, t)
+        assert engine.run(until_ps=15) == 2
+        assert (order, engine.now, engine.pending()) == ([10, 10], 15, 2)
+        engine.at(15, order.append, 15)
+        assert engine.run() == 3
+        assert order == [10, 10, 15, 20, 30]
+        assert engine.pending() == 0
+
+    def test_stop_mid_bucket_then_far_future_jump(self, engine):
+        order = []
+        engine.at(5, lambda: (order.append("stop"), engine.stop()))
+        engine.at(5, order.append, "same-bucket")
+        engine.at(10**12, order.append, "far")
+        engine.run()
+        assert (order, engine.pending()) == (["stop"], 2)
+        engine.run()
+        assert order == ["stop", "same-bucket", "far"]
+
+    def test_raising_callback_leaves_the_queue_consistent(self, engine):
+        order = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        engine.at(5, boom)
+        engine.at(5, order.append, "after")
+        with pytest.raises(RuntimeError):
+            engine.run()
+        assert engine.pending() == 1
+        engine.run()
+        assert (order, engine.pending()) == (["after"], 0)
+
+    @given(times=st.lists(st.integers(0, 3 * 10**8), min_size=1,
+                          max_size=60),
+           cut=st.integers(0, 3 * 10**8), budget=st.integers(0, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_property_interrupted_runs_preserve_total_order(
+            self, times, cut, budget):
+        """until / max_events interruptions (across wheel windows and the
+        overflow heap) never lose, duplicate or reorder an event."""
+        eng = Engine()
+        fired = []
+        for i, t in enumerate(times):
+            eng.at(t, fired.append, (t, i))
+        n = eng.run(until_ps=cut)
+        assert eng.pending() == len(times) - n
+        n += eng.run(max_events=budget)
+        assert eng.pending() == len(times) - n
+        eng.run()
+        assert fired == sorted(fired)
+        assert len(fired) == len(times) and eng.pending() == 0

@@ -1,8 +1,9 @@
 """Golden event-trace determinism.
 
-Three small end-to-end scenarios — a symmetric spray, an incast with
-trimming, and an RTO run under a cable failure — are traced at every
-host's dispatch point and hashed.  The committed SHA-256 digests were
+Small end-to-end scenarios — a symmetric spray, an incast with
+trimming, an RTO run under a cable failure, a lossy (BER) incast with a
+cable flap, and one per arena policy — are traced at every host's
+dispatch point and hashed.  The committed SHA-256 digests were
 captured from the pre-time-wheel binary-heap engine, so these tests pin
 the scheduler rewrite (and any future hot-path work) to **bit-identical
 event order**: same arrival times, same EV draws, same ECN marks, same
@@ -42,6 +43,11 @@ GOLDEN = {
               "e0a8d479384e2c94627fb157eb75be7e", 256),
     "sprinklers": ("9986c99c49c429e9939a927119b73b75"
                    "041b22f48382bd52ec2824dc254ca5c3", 256),
+    # captured at the parent of the per-event-floor PR, before any sim/
+    # edit: pins the order of BER draws against ECN-marking draws on the
+    # tree's shared rng (7 BER drops, 103 link-down drops, 36 trims)
+    "ber": ("4f5a869e3c0717983d8ea8d2285b48ce"
+            "5ad5d31b20d8fd50e51a79110a94c777", 621),
 }
 
 
@@ -99,6 +105,24 @@ def golden_rto():
     return trace
 
 
+def golden_ber():
+    cfg = NetworkConfig(
+        topo=TopologyParams(n_hosts=8, hosts_per_t0=4, link_gbps=100.0,
+                            trim_enabled=True),
+        lb="reps", seed=9)
+    net, trace = _traced(cfg)
+    cables = net.tree.t0_uplink_cables()
+    net.failures.set_ber(cables[0], 1e-2)
+    net.failures.set_ber(cables[5], 1e-2)
+    net.failures.fail_cable(cables[2], at_ps=us_to_ps(8.0),
+                            duration_ps=us_to_ps(30.0))
+    # rack 0 incasts onto host 4, rack 1 answers as a permutation
+    for s in range(8):
+        net.add_flow(s, 4 if s < 4 else s - 4, 128 * 1024)
+    net.run(max_us=50_000.0)
+    return trace
+
+
 def _golden_policy(lb, seed, msg_bytes):
     cfg = NetworkConfig(
         topo=TopologyParams(n_hosts=8, hosts_per_t0=4, link_gbps=100.0),
@@ -125,7 +149,8 @@ def golden_sprinklers():
 
 
 _SCENARIOS = {"spray": golden_spray, "trim": golden_trim,
-              "rto": golden_rto, "repflow": golden_repflow,
+              "rto": golden_rto, "ber": golden_ber,
+              "repflow": golden_repflow,
               "prime": golden_prime, "sprinklers": golden_sprinklers}
 
 
@@ -153,6 +178,10 @@ def test_golden_trim_trace():
 
 def test_golden_rto_trace():
     _check("rto")
+
+
+def test_golden_ber_trace():
+    _check("ber")
 
 
 def test_golden_repflow_trace():

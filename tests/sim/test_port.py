@@ -5,11 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.link import Cable
 from repro.sim.packet import CONTROL_PACKET_BYTES, Packet, make_ack
-from repro.sim.port import EgressPort
+from repro.sim.port import (_CTRL_BYTES, _DATA_BYTES, _PKTS_ENQUEUED,
+                            _TRIMS, EgressPort)
 from repro.sim.switch import Node
 from repro.sim.units import NS, tx_time_ps
 
@@ -300,3 +303,192 @@ class TestDegenerateEcnThresholds:
     def test_negative_kmin_rejected(self, engine):
         with pytest.raises(ValueError, match="kmin"):
             make_port(engine, kmin=-1, kmax=1024)
+
+
+# ----------------------------------------------------------------------
+# idle-port fast path == the always-queue reference
+# ----------------------------------------------------------------------
+class ReferencePort(EgressPort):
+    """The port before the idle fast path, kept as the oracle: every
+    accepted packet is appended to its queue, then ``_start_next`` pops
+    it again if the transmitter is idle; ``_tx_done`` tests down, then
+    BER, then delivers.  Owns the "idle => both queues empty" invariant
+    :meth:`EgressPort.enqueue` relies on."""
+
+    __slots__ = ()
+
+    def enqueue(self, pkt):
+        assert self._busy or not (self._ctrl_q or self._data_q)
+        c = self._c
+        c[_PKTS_ENQUEUED] += 1
+        if pkt.is_ack or pkt.is_nack or pkt.trimmed:
+            if c[_CTRL_BYTES] + pkt.size > self.ctrl_capacity_bytes:
+                return self._drop(pkt, "overflow")
+            self._ctrl_q.append(pkt)
+            c[_CTRL_BYTES] += pkt.size
+        elif c[_DATA_BYTES] + pkt.size > self.capacity_bytes:
+            if not self.trim_enabled or (
+                    c[_CTRL_BYTES] + CONTROL_PACKET_BYTES
+                    > self.ctrl_capacity_bytes):
+                return self._drop(pkt, "overflow")
+            pkt.trim()
+            c[_TRIMS] += 1
+            self._ctrl_q.append(pkt)
+            c[_CTRL_BYTES] += pkt.size
+        else:
+            if self.ecn_enabled and not pkt.ecn \
+                    and c[_DATA_BYTES] > self._mark_floor:
+                self._maybe_mark(pkt)
+            self._data_q.append(pkt)
+            c[_DATA_BYTES] += pkt.size
+        if not self._busy:
+            self._start_next()
+
+    def enqueue_burst(self, pkts):
+        for pkt in pkts:
+            self.enqueue(pkt)
+
+    def _start_next(self):
+        for queue, held in ((self._ctrl_q, _CTRL_BYTES),
+                            (self._data_q, _DATA_BYTES)):
+            if queue:
+                pkt = queue.popleft()
+                self._c[held] -= pkt.size
+                self._busy = True
+                self.engine.after(tx_time_ps(pkt.size, self.rate_gbps),
+                                  self._tx_done, pkt)
+                return
+        self._busy = False
+
+    def _tx_done(self, pkt):
+        self.stats.bytes_tx += pkt.size
+        self.stats.pkts_tx += 1
+        cable = self.cable
+        if cable.down:
+            self._drop(pkt, "link_down")
+        elif cable.ber > 0.0 and self.rng.random() < cable.ber:
+            self._drop(pkt, "ber")
+        else:
+            self.engine.after(self.latency_ps, self._deliver, pkt)
+        self._start_next()
+
+
+class CountingRandom(random.Random):
+    """Counts ``random()`` draws (ECN marking and BER share one rng)."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+_PKT = st.tuples(st.sampled_from(["data", "data", "ack", "trimmed"]),
+                 st.sampled_from([64, 1000, 4096]))
+_STEP = st.one_of(
+    st.tuples(st.just("pkts"), st.lists(_PKT, min_size=1, max_size=6)),
+    st.tuples(st.just("down"), st.booleans()),
+    st.tuples(st.just("ber"), st.sampled_from([0.0, 0.4])),
+)
+_SCHEDULE = st.lists(
+    st.tuples(st.sampled_from([0, 1_000, 20_000, 81_920, 400_000]), _STEP),
+    min_size=1, max_size=40)
+# capacities below one packet, kmin == kmax == 0, a one-header control queue
+_CONFIG = st.fixed_dictionaries({
+    "capacity": st.sampled_from([500, 4096, 8192, 1 << 16]),
+    "ecn": st.sampled_from([(0, 0), (0, 4096), (1000, 1000), (2000, 9000)]),
+    "ecn_on": st.booleans(),
+    "trim": st.booleans(),
+    "ctrl_cap": st.sampled_from([CONTROL_PACKET_BYTES, 200, 1 << 20]),
+    "seed": st.integers(0, 3),
+})
+
+
+def _drive(port_cls, config, schedule):
+    """Run ``schedule`` through one ``port_cls``; everything observable."""
+    engine = Engine()
+    rng = CountingRandom(config["seed"])
+    port = port_cls(
+        engine, "p", rate_gbps=400.0, latency_ps=500 * NS,
+        capacity_bytes=config["capacity"], kmin_bytes=config["ecn"][0],
+        kmax_bytes=config["ecn"][1], rng=rng,
+        ecn_enabled=config["ecn_on"], trim_enabled=config["trim"],
+        ctrl_capacity_bytes=config["ctrl_cap"])
+    delivered, dropped = [], []
+    sink = Sink()
+    sink.receive = lambda p: delivered.append(
+        (engine.now, p.seq, p.ecn, p.trimmed))
+    port.peer = sink
+    port.on_drop = lambda p: dropped.append((engine.now, p.seq))
+    cable = Cable("c")
+    cable.attach(port, make_port(engine)[0])
+    seq = 0
+
+    def make(kind, size):
+        nonlocal seq
+        seq += 1
+        pkt = dpkt(seq=seq, size=size)
+        if kind == "ack":
+            pkt = make_ack(pkt)
+        elif kind == "trimmed":
+            pkt.trim()
+        return pkt
+
+    def step(action, arg):
+        if action == "down":
+            cable.down = arg
+        elif action == "ber":
+            cable.ber = arg
+        elif len(arg) == 1:
+            port.enqueue(make(*arg[0]))
+        else:
+            port.enqueue_burst([make(*p) for p in arg])
+
+    at = 0
+    for delay, (action, arg) in schedule:
+        at += delay
+        engine.at(at, step, action, arg)
+    engine.run()
+    st_ = port.stats
+    return {
+        "delivered": delivered, "dropped": dropped, "draws": rng.draws,
+        "events": engine.events_executed, "end": engine.now,
+        "stats": (st_.bytes_tx, st_.pkts_tx, st_.drops_overflow,
+                  st_.drops_link_down, st_.drops_ber, st_.trims,
+                  st_.ecn_marks, st_.pkts_enqueued),
+        "left": (port.busy, port.queue_bytes, port.total_queue_bytes),
+    }
+
+
+class TestIdleFastPathEquivalence:
+    @given(config=_CONFIG, schedule=_SCHEDULE)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_port(self, config, schedule):
+        """Same PortStats, same (time, seq, ecn, trimmed) deliveries, same
+        drops, same number of rng draws and of engine events as the
+        append-then-``_start_next`` reference, on any schedule."""
+        got = _drive(EgressPort, config, schedule)
+        want = _drive(ReferencePort, config, schedule)
+        assert got == want
+        assert got["left"] == (False, 0, 0)
+
+    def test_idle_port_marks_at_zero_occupancy_when_kmax_is_zero(
+            self, engine):
+        """``kmin == kmax == 0`` marks every data packet, including the
+        one an idle port puts straight on the wire."""
+        port, sink, _ = make_port(engine, kmin=0, kmax=0)
+        port.enqueue(dpkt(0))
+        engine.run()
+        assert [p.ecn for p in sink.received] == [True]
+        assert port.stats.ecn_marks == 1
+
+    def test_idle_port_trims_packet_larger_than_capacity(self, engine):
+        port, sink, _ = make_port(engine, capacity=1000, kmin=0, kmax=0,
+                                  trim=True)
+        port.enqueue(dpkt(0, size=4096))
+        assert port.busy and port.total_queue_bytes == 0
+        engine.run()
+        assert [(p.trimmed, p.size) for p in sink.received] == \
+            [(True, CONTROL_PACKET_BYTES)]
+        assert (port.stats.trims, port.stats.bytes_tx) == \
+            (1, CONTROL_PACKET_BYTES)

@@ -210,3 +210,35 @@ class TestTrimming:
         m = net.run(max_us=100_000)
         nacks = sum(r.sender.stats.nacks for r in net.flows.values())
         assert nacks == m.trims
+
+
+class TestHostWiring:
+    """Wiring is checked once per flow (a named error that survives
+    ``-O``), not asserted once per packet."""
+
+    def test_unattached_host_rejected_at_add_flow(self, net):
+        net.tree.hosts[0].port = None
+        with pytest.raises(ValueError, match="host 0 is not wired"):
+            net.add_flow(0, 4, 4096)
+        with pytest.raises(ValueError, match="host 0 is not wired"):
+            net.add_flow(4, 0, 4096)
+
+    def test_host_without_dispatcher_rejected_at_add_flow(self, net):
+        net.tree.hosts[4].dispatch = None
+        with pytest.raises(ValueError, match="host 4 is not wired"):
+            net.add_flow(0, 4, 4096)
+
+    def test_dispatch_replaced_after_construction_is_honoured(self, net):
+        """Ports deliver straight to a host's dispatcher, binding it at
+        the first delivery — so a tracing wrapper installed on a built
+        network (the golden-trace harness) sees every packet."""
+        seen = []
+        for host in net.tree.hosts:
+            def wrap(pkt, _inner=host.dispatch, _id=host.host_id):
+                seen.append(_id)
+                _inner(pkt)
+            host.dispatch = wrap
+        fid = one_flow(net, size=8 * 4096)
+        net.run()
+        assert net.sender_of(fid).done
+        assert seen.count(4) == 8 and seen.count(0) == 8   # data, ACKs
