@@ -620,13 +620,18 @@ def _cmd_figures_campaign(args: argparse.Namespace, workers: int) -> int:
     report_path, json_path = write_campaign_report(
         campaign, report_path=args.report, json_path=args.json_path)
     counts = campaign.counts()
+    slowest = max((r for o in campaign if o.result is not None
+                   for r in o.result.sweep if not r.cached),
+                  key=lambda r: r.wall_s, default=None)
     print(f"campaign done in {campaign.wall_s:.1f}s: "
           + ", ".join(f"{counts[s]} {s}" for s in STATUSES)
           + f"; {campaign.tasks} tasks ({campaign.executed} executed, "
             f"{campaign.cached} cached); {campaign.task_wall_s:.1f}s "
             f"task wall on {campaign.workers} worker(s) = parallel "
             f"efficiency {campaign.parallel_efficiency:.2f}, "
-            f"{campaign.store_write_s:.1f}s writing the store")
+            f"{campaign.store_write_s:.1f}s writing the store"
+          + (f"; slowest task {slowest.wall_s:.1f}s: "
+             f"{slowest.task.label()}" if slowest is not None else ""))
     print(f"report: {report_path}; record: {json_path}")
     return 0 if campaign.ok(strict=args.strict) else 1
 

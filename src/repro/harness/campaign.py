@@ -62,7 +62,7 @@ def shared_store(results_dir: str, *, fresh: bool = False) -> ResultStore:
     the full task identity (parameters + schema + simulator hash), so
     a shared namespace is safe and is what makes cross-figure dedup
     work.  The store format follows :func:`~repro.harness.store.
-    open_store` policy — columnar (v2) by default, ``REPRO_STORE=json``
+    open_store` policy — columnar (v3) by default, ``REPRO_STORE=json``
     for the legacy one-JSON-per-task layout; either way legacy
     directories keep serving reads.  ``fresh`` re-runs every task but
     still persists the results.

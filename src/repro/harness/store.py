@@ -1790,4 +1790,5 @@ def open_store(root: str, *, origin: Optional[str] = None,
         return ColumnarStore(root, origin=origin, fresh=fresh,
                              segment_format=2)
     raise ValueError(
-        f"{STORE_ENV} must be 'json' or 'columnar', got {kind!r}")
+        f"{STORE_ENV} must be one of json, v1, v2, v3 or columnar, "
+        f"got {kind!r}")

@@ -291,7 +291,10 @@ class SweepTask:
 
     def label(self) -> str:
         if self.workload.kind == "model":
-            return self.workload.label()
+            # a model's params set its cost (fig14: 0.3 ms .. seconds),
+            # and the label is the wall-time history's join key
+            return " ".join([self.workload.label(), *(
+                f"{k}={v}" for k, v in self.workload.params)])
         topo = dict(self.topo)
         bits = [self.lb, self.workload.label(),
                 f"{topo.get('n_hosts', '?')}h"]

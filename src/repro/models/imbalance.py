@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from statistics import mean
-from typing import List, Tuple
+from struct import iter_unpack
+from typing import Callable, List, Tuple
 
 
 @dataclass
@@ -45,6 +46,65 @@ class ImbalanceStats:
         return self.percentile(97.5)
 
 
+#: the constants of :func:`repro.sim.switch.ecmp_hash`, the public
+#: per-ball oracle the lane kernel is property-tested against
+_M64 = (1 << 64) - 1
+_C_SRC, _C_DST = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9
+_C_EV, _C_SALT = 0x94D049BB133111EB, 0xD6E8FEB86659FD93
+
+#: EVs hashed per big-int operation: 4096 lanes of 128 bits keep every
+#: temporary at 64 KiB however large the EVS is
+_BLOCK = 4096
+
+
+def _flow_kernel(evs_size: int,
+                 n_uplinks: int) -> Callable[[int, int, int, List[int]], None]:
+    """``throw(src, dst, salt, loads)``: add one flow's balls to ``loads``.
+
+    ``ecmp_hash(src, dst, ev, salt) % n_uplinks`` for every ``ev`` of the
+    EVS, a block of EVs at a time in one Python int with a 128-bit lane
+    per EV.  A 64-bit lane value times a 64-bit constant fits its lane,
+    so no carry crosses lanes, and every ``& mask`` clears the neighbour
+    bits a right shift dragged in before the next multiply could spread
+    them; the junk the last shift leaves sits above bit 64 of each lane,
+    where neither finisher reads.
+    """
+    lanes = min(evs_size, _BLOCK)
+    nbytes = 16 * lanes
+    ones = ((1 << (8 * nbytes)) - 1) // ((1 << 128) - 1)  # bit 0 per lane
+    mask = ones * _M64
+    ramp = int.from_bytes(b"".join((i * _C_EV).to_bytes(16, "little")
+                                   for i in range(lanes)), "little")
+    # block to block every lane's ev grows by ``lanes``: unmasked keys
+    # gain under 2^64 a block, so 2^128 is out of any EVS's reach
+    stride = (lanes * _C_EV & _M64) * ones
+    # a power-of-two uplink count is the low bits of each lane's low
+    # byte, which ``table`` keeps; any other needs the whole 64-bit value
+    low_byte = n_uplinks <= 256 and not n_uplinks & (n_uplinks - 1)
+    table = bytes(i & (n_uplinks - 1) for i in range(256))
+
+    def throw(src: int, dst: int, salt: int, loads: List[int]) -> None:
+        flow = src * _C_SRC + dst * _C_DST + salt * _C_SALT
+        keys = ramp + (flow & _M64) * ones
+        for left in range(evs_size, 0, -lanes):
+            x = keys & mask
+            x = ((x ^ (x >> 30)) & mask) * _C_DST & mask
+            x = ((x ^ (x >> 27)) & mask) * _C_EV & mask
+            x ^= x >> 31
+            # a short last block computes whole and keeps its low lanes
+            raw = x.to_bytes(nbytes, "little")[:16 * min(left, lanes)]
+            if low_byte:
+                uplink = raw[::16].translate(table)
+                for k in range(n_uplinks):
+                    loads[k] += uplink.count(k)
+            else:
+                for (v,) in iter_unpack("<Q8x", raw):
+                    loads[v % n_uplinks] += 1
+            keys += stride
+
+    return throw
+
+
 def load_imbalance(
     *,
     evs_size: int,
@@ -52,7 +112,6 @@ def load_imbalance(
     n_flows: int = 1,
     repeats: int = 100,
     seed: int = 0,
-    use_ecmp_hash: bool = True,
 ) -> ImbalanceStats:
     """Measure the EV->uplink load imbalance distribution.
 
@@ -65,35 +124,17 @@ def load_imbalance(
     if n_uplinks < 1 or evs_size < 1 or n_flows < 1:
         raise ValueError("evs_size, n_uplinks and n_flows must be >= 1")
     rng = random.Random(seed)
-    # the constants of repro.sim.switch.ecmp_hash, the public oracle
-    # the inlined mix below is property-tested against
-    m64 = (1 << 64) - 1
-    c_src, c_dst = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9
-    c_ev, c_salt = 0x94D049BB133111EB, 0xD6E8FEB86659FD93
+    throw = _flow_kernel(evs_size, n_uplinks)
     samples: List[float] = []
-    m = evs_size * n_flows  # total balls per trial
-    avg = m / n_uplinks
+    avg = evs_size * n_flows / n_uplinks  # mean balls per uplink
     for _ in range(repeats):
         loads = [0] * n_uplinks
         for _flow in range(n_flows):
-            if use_ecmp_hash:
-                src = rng.getrandbits(32)
-                dst = rng.getrandbits(32)
-                salt = rng.getrandbits(63)
-                # ecmp_hash(src, dst, ev, salt), inlined: the flow's
-                # share of the key is constant across its EVs, and this
-                # loop runs evs_size * n_flows * repeats times
-                flow = src * c_src + dst * c_dst + salt * c_salt
-                for ev in range(evs_size):
-                    x = (flow + ev * c_ev) & m64
-                    x ^= x >> 30
-                    x = (x * c_dst) & m64
-                    x ^= x >> 27
-                    x = (x * c_ev) & m64
-                    loads[(x ^ (x >> 31)) % n_uplinks] += 1
-            else:
-                for _ev in range(evs_size):
-                    loads[rng.randrange(n_uplinks)] += 1
+            # the draw order is part of the result
+            src = rng.getrandbits(32)
+            dst = rng.getrandbits(32)
+            salt = rng.getrandbits(63)
+            throw(src, dst, salt, loads)
         samples.append(max(loads) / avg - 1.0)
     return ImbalanceStats(evs_size, n_uplinks, n_flows, samples)
 

@@ -124,3 +124,30 @@ class TestRareLabelProperty:
         d_after = default_expectation(hist_after)
         bound = abs(d_before - tiny) / (n + 1)
         assert abs(d_before - d_after) <= bound + 1e-9
+
+
+class TestModelLabelsCarryTheirParams:
+    def test_history_tells_fig14_cells_apart(self):
+        """fig14's 14 tasks span 0.3 ms .. seconds.  Under one shared
+        ``model:imbalance`` label a recorded run averaged them into one
+        expectation and the plan order came back unchanged; with the
+        params in the label the 2^16 x 32-flow cell dispatches first."""
+        from repro.harness.sweep import task_key
+        from repro.scenarios import get_figure
+
+        plan = get_figure("fig14").build()
+        pending = [(task_key(task), task) for task in plan.values()]
+        labels = {task.label() for _key, task in pending}
+        assert len(labels) == len(pending)
+        assert all(label.startswith("model:imbalance ") for label in labels)
+        # one recorded run: each cell cost what its ball count says
+        entries = {}
+        for key, task in pending:
+            p = dict(task.workload.params)
+            balls = (1 << p["evs_exponent"]) * p["n_flows"] * p["repeats"]
+            entries[key] = {"label": task.label(), "wall_s": 1e-7 * balls}
+        recorded = _FakeStore(entries)
+        first = longest_first(pending, recorded)[0][1]
+        assert first is plan[(16, 32)]
+        assert "evs_exponent=16" in first.label()
+        assert "n_flows=32" in first.label()

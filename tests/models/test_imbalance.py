@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness.model_tasks import run_model
-from repro.models.imbalance import imbalance_sweep, load_imbalance
+from repro.models.imbalance import (
+    _BLOCK,
+    _flow_kernel,
+    imbalance_sweep,
+    load_imbalance,
+)
 from repro.sim.switch import ecmp_hash
 
 
@@ -19,6 +24,13 @@ class TestMechanics:
             load_imbalance(evs_size=0, n_uplinks=8)
         with pytest.raises(ValueError):
             load_imbalance(evs_size=8, n_uplinks=0)
+        with pytest.raises(ValueError):
+            load_imbalance(evs_size=8, n_uplinks=8, n_flows=0)
+
+    def test_the_hash_is_the_only_way_to_throw(self):
+        """The ``rng.randrange`` branch is gone with its switch."""
+        with pytest.raises(TypeError):
+            load_imbalance(evs_size=8, n_uplinks=8, use_ecmp_hash=False)
 
     def test_deterministic_under_seed(self):
         a = load_imbalance(evs_size=256, n_uplinks=8, repeats=5, seed=3)
@@ -36,7 +48,7 @@ class TestMechanics:
 
 def oracle_samples(evs_size, n_uplinks, n_flows, repeats, seed):
     """``load_imbalance``'s trials with the public ``ecmp_hash`` called
-    per ball — the loop the model ran before the mix was inlined."""
+    per ball — the reference loop the lane kernel must equal exactly."""
     rng = random.Random(seed)
     samples = []
     for _ in range(repeats):
@@ -50,24 +62,57 @@ def oracle_samples(evs_size, n_uplinks, n_flows, repeats, seed):
     return samples
 
 
-class TestInlinedMixEqualsTheOracle:
+#: a few lanes, one lane short of a block, exactly one, one over (a
+#: one-lane last block), and two blocks plus a ragged tail
+EVS_SIZES = (1, 2, 31, 300, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
+#: both finishers and their border: powers of two up to one byte, their
+#: neighbours, and counts past it
+UPLINKS = st.one_of(st.integers(1, 300),
+                    st.sampled_from((1, 32, 128, 255, 256, 257)))
+
+
+def field(bits):
+    """A ``bits``-wide header field, its extremes drawn half the time."""
+    top = 2 ** bits - 1
+    return st.sampled_from((0, 1, top)) | st.integers(0, top)
+
+
+class TestLaneKernelEqualsTheOracle:
     @settings(max_examples=60, deadline=None)
-    @given(evs_size=st.integers(1, 300), n_uplinks=st.integers(1, 64),
+    @given(evs_size=st.sampled_from(EVS_SIZES), n_uplinks=UPLINKS,
            n_flows=st.integers(1, 3), repeats=st.integers(1, 2),
            seed=st.integers(0, 2 ** 32))
     def test_random_flows_land_where_ecmp_hash_puts_them(
             self, evs_size, n_uplinks, n_flows, repeats, seed):
-        """Random (src, dst, salt) per flow, every ev of its EVS: the
-        hoisted-and-inlined mix is ``sim.switch.ecmp_hash`` exactly."""
+        """Random (src, dst, salt) per flow, every ev of its EVS, across
+        block boundaries and both finishers: the lane-parallel mix is
+        ``sim.switch.ecmp_hash`` exactly (float-for-float samples)."""
         got = load_imbalance(evs_size=evs_size, n_uplinks=n_uplinks,
                              n_flows=n_flows, repeats=repeats, seed=seed)
         assert got.samples == oracle_samples(
             evs_size, n_uplinks, n_flows, repeats, seed)
 
+    @settings(max_examples=60, deadline=None)
+    @given(src=field(32), dst=field(32), salt=field(63),
+           evs_size=st.sampled_from(EVS_SIZES), n_uplinks=UPLINKS)
+    def test_one_flow_with_chosen_header_fields(
+            self, src, dst, salt, evs_size, n_uplinks):
+        """Header fields hypothesis picks (the RNG never draws 0 or all
+        ones): the flow key wraps 64 bits, the top lane of a block holds
+        the largest ``ev * c_ev``, and ``loads`` is added to, not reset."""
+        loads = [7] * n_uplinks
+        _flow_kernel(evs_size, n_uplinks)(src, dst, salt, loads)
+        want = [7] * n_uplinks
+        for ev in range(evs_size):
+            want[ecmp_hash(src, dst, ev, salt) % n_uplinks] += 1
+        assert loads == want
+
     #: committed campaign.json, fig14 (scale-independent matrix):
     #: exponent -> (ours_1flow, ours_32flow)
     FIG14_CELLS = {5: (2.75, 0.391), 6: (1.625, 0.279),
-                   8: (0.797, 0.115), 10: (0.404, 0.063)}
+                   8: (0.797, 0.115), 10: (0.404, 0.063),
+                   12: (0.196, 0.032), 14: (0.093, 0.017),
+                   16: (0.045, 0.008)}
 
     @pytest.mark.parametrize("exponent", sorted(FIG14_CELLS))
     def test_fig14_cells_pinned(self, exponent):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -271,6 +273,10 @@ class TestFiguresCampaign:
         code, out = self.campaign(capsys, tmp_path)
         assert code == 0
         assert "campaign done" in out
+        # the straggler is named, params and all, where the user looks
+        assert re.search(r"; slowest task \d+\.\d+s: "
+                         r"model:trace_quantiles .*trace=\w+$", out,
+                         re.MULTILINE)
         text = (tmp_path / "REPRODUCTION.md").read_text()
         assert "## table1 — Table 1 `[PASS]`" in text
         assert "## fig24 — Fig. 24 `[PASS]`" in text
@@ -285,6 +291,7 @@ class TestFiguresCampaign:
         code, out = self.campaign(capsys, tmp_path)
         assert code == 0
         assert "7 tasks (0 executed, 7 cached)" in out
+        assert "slowest task" not in out  # nothing ran, nothing to name
 
     def test_ids_act_as_only_filter_with_all(self, capsys, tmp_path):
         code, out = run_cli(
@@ -704,6 +711,7 @@ class TestOrchestrate:
         # with the 0.4 s throttle, the last two or three tasks) — the
         # retry recomputed that, so the final render executes nothing
         assert "7 tasks (0 executed, 7 cached)" in out
+        assert "slowest task" not in out  # nothing ran, nothing to name
         # the acceptance contract: nothing leaked into this process
         assert "REPRO_SHARD" not in os.environ
         assert "REPRO_BENCH_SCALE" not in os.environ
