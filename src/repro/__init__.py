@@ -18,14 +18,7 @@ Quickstart::
     print(net.run().summary())
 """
 
-from .core import RepsConfig, RepsSender, compute_footprint
-from .sim import (
-    FatTree,
-    Network,
-    NetworkConfig,
-    RunMetrics,
-    TopologyParams,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
@@ -34,3 +27,31 @@ __all__ = [
     "Network", "NetworkConfig", "TopologyParams", "FatTree", "RunMetrics",
     "__version__",
 ]
+
+
+def _lazy_exports(namespace, exports):
+    """PEP 562 ``(__getattr__, __dir__)`` for the package whose
+    ``globals()`` is ``namespace``: it keeps its public names, and a
+    name's submodule (``exports`` maps submodule -> names) is imported
+    the first time the name is used."""
+    home = {name: sub for sub, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        if name not in home:
+            raise AttributeError(f"module {namespace['__name__']!r} "
+                                 f"has no attribute {name!r}")
+        module = import_module(home[name], namespace["__name__"])
+        value = namespace[name] = getattr(module, name)
+        return value
+
+    return __getattr__, lambda: sorted({*namespace, *home})
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".core.reps": ("RepsConfig", "RepsSender"),
+    ".core.footprint": ("compute_footprint",),
+    ".sim.network": ("Network", "NetworkConfig"),
+    ".sim.params": ("TopologyParams",),
+    ".sim.topology": ("FatTree",),
+    ".sim.metrics": ("RunMetrics",),
+})

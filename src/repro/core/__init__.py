@@ -1,6 +1,10 @@
 """REPS: the paper's core contribution (Sec. 3)."""
 
-from .footprint import Footprint, compute_footprint
-from .reps import RepsConfig, RepsSender
+from .. import _lazy_exports
 
 __all__ = ["RepsConfig", "RepsSender", "Footprint", "compute_footprint"]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".footprint": ("Footprint", "compute_footprint"),
+    ".reps": ("RepsConfig", "RepsSender"),
+})

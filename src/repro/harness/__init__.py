@@ -1,60 +1,6 @@
 """Experiment harness: scenario runner, sweeps, scaling, and reporting."""
 
-from .ascii_charts import hbar, render_port_series, sparkline
-from .stats import Aggregate, compare, repeat
-from .report import (
-    cdf_points,
-    format_sweep_table,
-    format_table,
-    print_shape,
-    print_table,
-    shape_note,
-    speedups,
-)
-from .model_tasks import MODEL_RUNNERS, run_model
-from .runner import (
-    RESULT_PROBES,
-    Scenario,
-    ScenarioResult,
-    ber_hook,
-    degrade_cables_hook,
-    degrade_fraction_hook,
-    fail_cable_schedule_hook,
-    fail_cables_hook,
-    fail_fraction_hook,
-    fail_tor_uplinks_hook,
-    force_freeze_hook,
-    run_collective,
-    run_lb_matrix,
-    run_mixed_traffic,
-    run_synthetic,
-    run_trace,
-)
-from .scale import FULL, QUICK, SMOKE, Scale, current_scale
-from .backends import (
-    BACKENDS,
-    Backend,
-    backend_names,
-    make_backend,
-    resolve_backend,
-)
-from .store import ColumnarStore, open_store
-from .sweep import (
-    FailureSpec,
-    ResultStore,
-    SweepGrid,
-    SweepResults,
-    SweepTask,
-    TaskResult,
-    WorkloadSpec,
-    execute_task,
-    make_model_task,
-    make_task,
-    run_sweep,
-    simulator_version,
-    spawn_seeds,
-    task_key,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "Scenario", "ScenarioResult", "run_synthetic", "run_trace",
@@ -77,3 +23,25 @@ __all__ = [
     "BACKENDS", "Backend", "backend_names", "make_backend",
     "resolve_backend",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".ascii_charts": ("hbar", "render_port_series", "sparkline"),
+    ".stats": ("Aggregate", "compare", "repeat"),
+    ".report": ("cdf_points", "format_sweep_table", "format_table",
+                "print_shape", "print_table", "shape_note", "speedups"),
+    ".model_tasks": ("MODEL_RUNNERS", "run_model"),
+    ".runner": ("RESULT_PROBES", "Scenario", "ScenarioResult", "ber_hook",
+                "degrade_cables_hook", "degrade_fraction_hook",
+                "fail_cable_schedule_hook", "fail_cables_hook",
+                "fail_fraction_hook", "fail_tor_uplinks_hook",
+                "force_freeze_hook", "run_collective", "run_lb_matrix",
+                "run_mixed_traffic", "run_synthetic", "run_trace"),
+    ".scale": ("FULL", "QUICK", "SMOKE", "Scale", "current_scale"),
+    ".backends": ("BACKENDS", "Backend", "backend_names", "make_backend",
+                  "resolve_backend"),
+    ".store": ("ColumnarStore", "open_store"),
+    ".sweep": ("FailureSpec", "ResultStore", "SweepGrid", "SweepResults",
+               "SweepTask", "TaskResult", "WorkloadSpec", "execute_task",
+               "make_model_task", "make_task", "run_sweep",
+               "simulator_version", "spawn_seeds", "task_key"),
+})

@@ -13,7 +13,6 @@ failure value instead of terminating the pool under the others.
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Dict, List, Optional, Tuple
 
 from ..sweep import SweepTask
@@ -48,6 +47,13 @@ class ProcessBackend(Backend):
         if n <= 1:
             return self.drain(map(timed_tasks, batches), store,
                               progress_cb)
+        # describe -> execute: the parent loads what execute_task will
+        # import *before* the pool forks, so every worker inherits the
+        # models and the simulator instead of importing them again
+        import multiprocessing
+
+        from .. import model_tasks, runner  # noqa: F401
+
         with multiprocessing.Pool(processes=n) as pool:
             return self.drain(
                 pool.imap_unordered(timed_tasks, batches, chunksize=1),

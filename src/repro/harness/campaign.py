@@ -44,7 +44,6 @@ from ..scenarios import FigureResult, FigureSpec, figure_ids, get_figure
 # run_figure is re-exported: the perf ledger wraps it by this name
 from ..scenarios.registry import FigureRun, run_figure, run_figures  # noqa: F401,E501
 from .backends import resolve_backend
-from .store import open_store
 from .sweep import ResultStore
 
 #: subdirectory (under a ``--results-dir``) holding the shared
@@ -67,6 +66,9 @@ def shared_store(results_dir: str, *, fresh: bool = False) -> ResultStore:
     directories keep serving reads.  ``fresh`` re-runs every task but
     still persists the results.
     """
+    # describe -> persist: the codec loads when a store is opened
+    from .store import open_store
+
     return open_store(os.path.join(results_dir, CAMPAIGN_STORE_DIR),
                       fresh=fresh)
 

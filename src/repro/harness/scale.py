@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..sim.topology import TopologyParams
+from ..sim.params import TopologyParams
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,9 @@ import math
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -87,26 +88,11 @@ from typing import (
 )
 
 from ..core.reps import RepsConfig
-from ..sim.metrics import RunMetrics
-from ..sim.topology import TopologyParams
-from .model_tasks import run_model
-from .runner import (
-    RESULT_PROBES,
-    Scenario,
-    ber_hook,
-    degrade_cables_hook,
-    degrade_fraction_hook,
-    fail_cable_schedule_hook,
-    fail_cables_hook,
-    fail_fraction_hook,
-    fail_tor_uplinks_hook,
-    force_freeze_hook,
-    run_collective,
-    run_mixed_traffic,
-    run_synthetic,
-    run_trace,
-)
-from .stats import Aggregate
+from ..sim.params import TopologyParams
+
+if TYPE_CHECKING:  # annotations only: both live past the execute boundary
+    from ..sim.metrics import RunMetrics
+    from .stats import Aggregate
 
 #: bump to invalidate stored artifacts when the result format changes
 #: (3: time-series probe outputs ride a dedicated ``series`` section)
@@ -119,17 +105,20 @@ _SCENARIO_KEYS = frozenset(
     {"cc", "evs_size", "ack_coalesce", "carry_evs", "reps", "rto_us",
      "max_us", "telemetry_bucket_us"})
 
-#: declarative failure kinds -> the runner's hook factories
-_FAILURE_HOOKS = {
-    "fail_cables": fail_cables_hook,
-    "fail_cable_schedule": fail_cable_schedule_hook,
-    "fail_tor_uplinks": fail_tor_uplinks_hook,
-    "fail_fraction": fail_fraction_hook,
-    "degrade_cables": degrade_cables_hook,
-    "degrade_fraction": degrade_fraction_hook,
-    "ber": ber_hook,
-    "force_freeze": force_freeze_hook,
-}
+#: declarative failure kinds; kind ``k`` is built by the runner's
+#: ``<k>_hook`` factory (:meth:`FailureSpec.hook`)
+FAILURE_KINDS = (
+    "fail_cables", "fail_cable_schedule", "fail_tor_uplinks",
+    "fail_fraction", "degrade_cables", "degrade_fraction", "ber",
+    "force_freeze")
+
+#: the names ``SweepTask.probes`` may carry — the keys of
+#: :data:`~repro.harness.runner.RESULT_PROBES`, declared on this side
+#: so building a task does not import the simulator
+PROBE_NAMES = (
+    "queue_telemetry", "uplink_share", "freeze_entries",
+    "goodput_series", "queue_series", "uplink_share_series",
+    "ev_recycle_series")
 
 #: packages/modules whose source defines simulation results (or the
 #: shape of stored artifacts) — hashed into :func:`simulator_version`
@@ -189,6 +178,12 @@ def _kv(mapping: Mapping[str, object]) -> KV:
     return tuple((k, _deep_tuple(mapping[k])) for k in sorted(mapping))
 
 
+def _field_dict(spec) -> Dict[str, object]:
+    """A flat dataclass's fields, read directly: the specs hold only
+    scalars and tuples, so ``asdict``'s recursive copy buys nothing."""
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """One declarative workload: picklable, hashable, content-keyable.
@@ -232,7 +227,7 @@ class WorkloadSpec:
 class FailureSpec:
     """A named failure hook plus kwargs, in canonical tuple form.
 
-    Besides the single-hook kinds in ``_FAILURE_HOOKS``, the special
+    Besides the single-hook kinds in ``FAILURE_KINDS``, the special
     kind ``"compose"`` holds a tuple of sub-specs applied in order —
     the declarative form of Fig. 8's combined cable+switch modes.
     """
@@ -242,9 +237,9 @@ class FailureSpec:
 
     @classmethod
     def make(cls, kind: str, **params) -> "FailureSpec":
-        if kind not in _FAILURE_HOOKS:
+        if kind not in FAILURE_KINDS:
             raise ValueError(f"unknown failure kind {kind!r}; "
-                             f"one of {sorted(_FAILURE_HOOKS)}")
+                             f"one of {sorted(FAILURE_KINDS)}")
         return cls(kind, _kv(params))
 
     @classmethod
@@ -264,9 +259,12 @@ class FailureSpec:
                 for h in hooks:
                     h(net)
             return composite
+        # describe -> execute: building the hook needs the simulator
+        from . import runner
+
         kwargs = {k: (list(v) if isinstance(v, tuple) else v)
                   for k, v in self.params}
-        return _FAILURE_HOOKS[self.kind](**kwargs)
+        return getattr(runner, f"{self.kind}_hook")(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -311,22 +309,22 @@ def make_task(lb: str, topo: Union[TopologyParams, Mapping[str, object]],
               **scenario_kw) -> SweepTask:
     """Build a :class:`SweepTask` from natural arguments."""
     if isinstance(topo, TopologyParams):
-        topo = asdict(topo)
+        topo = _field_dict(topo)
     unknown = set(scenario_kw) - _SCENARIO_KEYS
     if unknown:
         raise ValueError(f"unsupported scenario keys {sorted(unknown)}; "
                          f"allowed: {sorted(_SCENARIO_KEYS)}")
-    bad_probes = set(probes) - set(RESULT_PROBES)
+    bad_probes = set(probes) - set(PROBE_NAMES)
     if bad_probes:
         raise ValueError(f"unknown probes {sorted(bad_probes)}; "
-                         f"one of {sorted(RESULT_PROBES)}")
+                         f"one of {sorted(PROBE_NAMES)}")
     if probes and workload.kind in ("mixed", "model"):
         # these kinds never produce the ScenarioResult probes read from
         raise ValueError(
             f"probes are not supported for {workload.kind!r} workloads")
     reps = scenario_kw.get("reps")
     if isinstance(reps, RepsConfig):
-        scenario_kw["reps"] = _kv(asdict(reps))
+        scenario_kw["reps"] = _kv(_field_dict(reps))
     return SweepTask(lb=lb, topo=_kv(topo), workload=workload,
                      seed=int(seed), scenario=_kv(scenario_kw),
                      failure=failure, probes=tuple(probes))
@@ -388,7 +386,7 @@ def _jsonify(obj):
     if isinstance(obj, FailureSpec):
         return {"kind": obj.kind, "params": _jsonify(obj.params)}
     if isinstance(obj, WorkloadSpec):
-        return asdict(obj)
+        return _field_dict(obj)
     return obj
 
 
@@ -408,10 +406,10 @@ _WORKLOAD_KEY_FIELDS = {
 
 
 def _workload_doc(workload: WorkloadSpec) -> Dict[str, object]:
-    doc = asdict(workload)
     names = _WORKLOAD_KEY_FIELDS.get(workload.kind)
-    return {k: _jsonify(doc[k]) for k in names} if names \
-        else _jsonify_mapping(doc)
+    if not names:
+        return _jsonify_mapping(_field_dict(workload))
+    return {k: _jsonify(getattr(workload, k)) for k in names}
 
 
 def _jsonify_mapping(doc: Mapping[str, object]) -> Dict[str, object]:
@@ -705,12 +703,16 @@ def _finite_or_none(value: float):
 
 def execute_task(task: SweepTask) -> Dict[str, object]:
     """Run one task to completion and return its JSON-ready payload."""
+    # describe -> execute: the models and the simulator load with the
+    # first task that runs, not with the task's description
+    from . import model_tasks, runner
+
     w = task.workload
     payload = {"schema": SCHEMA_VERSION, "sim": simulator_version(),
                "key": task_key(task),
                "task": {"label": task.label(), "seed": task.seed}}
     if w.kind == "model":
-        outputs = run_model(w.pattern, dict(w.params), task.seed)
+        outputs = model_tasks.run_model(w.pattern, dict(w.params), task.seed)
         payload["metrics"] = {}
         payload["extra"] = {k: _finite_or_none(float(v))
                             for k, v in outputs.items()}
@@ -719,7 +721,7 @@ def execute_task(task: SweepTask) -> Dict[str, object]:
     kw = dict(task.scenario)
     if isinstance(kw.get("reps"), tuple):
         kw["reps"] = RepsConfig(**dict(kw["reps"]))
-    scenario = Scenario(
+    scenario = runner.Scenario(
         lb=task.lb, topo=TopologyParams(**dict(task.topo)), seed=task.seed,
         failures=task.failure.hook() if task.failure else None,
         # only tasks that read the LB counter series pay the sampler
@@ -728,17 +730,19 @@ def execute_task(task: SweepTask) -> Dict[str, object]:
         sample_lb_series="ev_recycle_series" in task.probes, **kw)
     extra: Dict[str, float] = {}
     if w.kind == "synthetic":
-        res = run_synthetic(scenario, w.pattern, w.msg_bytes,
-                            fan_in=w.fan_in, workload_seed=w.workload_seed)
+        res = runner.run_synthetic(
+            scenario, w.pattern, w.msg_bytes, fan_in=w.fan_in,
+            workload_seed=w.workload_seed)
     elif w.kind == "trace":
-        res = run_trace(scenario, load=w.load, duration_us=w.duration_us,
-                        trace=w.pattern, workload_seed=w.workload_seed)
+        res = runner.run_trace(
+            scenario, load=w.load, duration_us=w.duration_us,
+            trace=w.pattern, workload_seed=w.workload_seed)
     elif w.kind == "collective":
-        res = run_collective(scenario, w.pattern, w.msg_bytes,
-                             n_parallel=w.n_parallel)
+        res = runner.run_collective(scenario, w.pattern, w.msg_bytes,
+                                    n_parallel=w.n_parallel)
         extra["finish_us"] = res.collective.finish_us
     elif w.kind == "mixed":
-        main, bg = run_mixed_traffic(
+        main, bg = runner.run_mixed_traffic(
             scenario, w.pattern, w.msg_bytes,
             background_lb=w.background_lb,
             background_fraction=w.background_fraction,
@@ -755,7 +759,7 @@ def execute_task(task: SweepTask) -> Dict[str, object]:
         raise ValueError(f"unknown workload kind {w.kind!r}")
     series: Dict[str, List[float]] = {}
     for name in task.probes:
-        probed = RESULT_PROBES[name](res)
+        probed = runner.RESULT_PROBES[name](res)
         for k, v in probed.items():
             if isinstance(v, (list, tuple)):
                 # windowed time-series output: a dedicated artifact
@@ -888,6 +892,9 @@ class SweepResults:
         Keys are seed-erased tasks (:meth:`SweepTask.group`), in first-
         appearance order; values aggregate every seed of that group.
         """
+        # describe -> execute: percentiles come from the sim's metrics
+        from .stats import Aggregate
+
         groups: Dict[SweepTask, List[float]] = {}
         for r in self.results:
             groups.setdefault(r.task.group(), []).append(

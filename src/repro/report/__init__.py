@@ -20,29 +20,7 @@ All of them share :mod:`repro.report.provenance` for the environment
 header.
 """
 
-from .figure_docs import (
-    docs_drift,
-    render_figure_page,
-    render_index,
-    write_figure_docs,
-)
-from .live import (
-    render_live_html,
-    render_status_text,
-    write_live_html,
-)
-from .provenance import collect_provenance
-from .reproduction import (
-    campaign_doc,
-    render_reproduction,
-    write_campaign_report,
-)
-from .trend import (
-    TrendReport,
-    diff_campaigns,
-    load_record,
-    render_trend,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "TrendReport",
@@ -61,3 +39,14 @@ __all__ = [
     "write_figure_docs",
     "write_live_html",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".figure_docs": ("docs_drift", "render_figure_page", "render_index",
+                     "write_figure_docs"),
+    ".live": ("render_live_html", "render_status_text", "write_live_html"),
+    ".provenance": ("collect_provenance",),
+    ".reproduction": ("campaign_doc", "render_reproduction",
+                      "write_campaign_report"),
+    ".trend": ("TrendReport", "diff_campaigns", "load_record",
+               "render_trend"),
+})

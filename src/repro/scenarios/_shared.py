@@ -16,7 +16,7 @@ from ..harness.sweep import (
     WorkloadSpec,
     make_task,
 )
-from ..sim.topology import TopologyParams
+from ..sim.params import TopologyParams
 
 #: the full Sec. 4.1 baseline suite, in the paper's legend order
 ALL_LBS = ["ecmp", "ops", "flowlet", "bitmap", "mprdma", "plb",

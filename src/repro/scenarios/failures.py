@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Dict
 
 from ..harness.report import cdf_points
-from ..harness.sweep import FailureSpec, SweepTask
-from ..sim.topology import TopologyParams
+from ..harness.sweep import FailureSpec, SweepTask, WorkloadSpec
+from ..sim.params import TopologyParams
 from ._shared import msg, scaled_topo, small_topo, synthetic, task, \
     testbed_topo
 from .registry import FigureResult, FigureSpec, TableDoc, register
@@ -141,7 +141,6 @@ _FIG08_ALLREDUCE_MODES = ("one_cable", "5pct_cables")
 
 
 def _fig08_allreduce_build() -> Dict[tuple, SweepTask]:
-    from ..harness.sweep import WorkloadSpec
     workload = WorkloadSpec(kind="collective", pattern="ring_allreduce",
                             msg_bytes=msg(4))
     return {(mode, lb): task(lb, small_topo(), workload, seed=5,

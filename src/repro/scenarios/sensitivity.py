@@ -14,7 +14,7 @@ from typing import Dict, Mapping, Optional, Sequence
 from ..core.footprint import compute_footprint
 from ..core.reps import RepsConfig
 from ..harness.sweep import FailureSpec, SweepTask, WorkloadSpec
-from ..sim.topology import TopologyParams
+from ..sim.params import TopologyParams
 from ._shared import ALL_LBS, msg, scaled_topo, small_topo, synthetic, \
     task
 from .registry import FigureResult, FigureSpec, TableDoc, register

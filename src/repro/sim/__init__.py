@@ -1,16 +1,6 @@
 """Packet-level discrete-event network simulator (htsim substitute)."""
 
-from .engine import Engine, Timer
-from .failures import FailureInjector
-from .link import Cable
-from .metrics import RunMetrics, SeriesRecorder
-from .network import Network, NetworkConfig
-from .packet import CONTROL_PACKET_BYTES, Packet, make_ack, make_nack
-from .port import EgressPort, PortStats
-from .switch import Host, Node, Switch, ecmp_hash
-from .topology import FatTree, TopologyParams
-from .transport import FlowReceiver, FlowSender
-from .units import MS, NS, PS, SEC, US, tx_time_ps, us_to_ps
+from .. import _lazy_exports
 
 __all__ = [
     "Engine", "Timer", "FailureInjector", "Cable", "RunMetrics",
@@ -20,3 +10,18 @@ __all__ = [
     "TopologyParams", "FlowReceiver", "FlowSender",
     "PS", "NS", "US", "MS", "SEC", "tx_time_ps", "us_to_ps",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".engine": ("Engine", "Timer"),
+    ".failures": ("FailureInjector",),
+    ".link": ("Cable",),
+    ".metrics": ("RunMetrics", "SeriesRecorder"),
+    ".network": ("Network", "NetworkConfig"),
+    ".packet": ("CONTROL_PACKET_BYTES", "Packet", "make_ack", "make_nack"),
+    ".params": ("TopologyParams",),
+    ".port": ("EgressPort", "PortStats"),
+    ".switch": ("Host", "Node", "Switch", "ecmp_hash"),
+    ".topology": ("FatTree",),
+    ".transport": ("FlowReceiver", "FlowSender"),
+    ".units": ("MS", "NS", "PS", "SEC", "US", "tx_time_ps", "us_to_ps"),
+})

@@ -1,23 +1,6 @@
 """Workload generators: synthetic patterns, DC traces, AI collectives."""
 
-from .collectives import (
-    AllToAll,
-    ButterflyAllReduce,
-    Collective,
-    RingAllReduce,
-    spine_heavy_ring,
-)
-from .synthetic import incast, permutation, tornado
-from .traces import (
-    FACEBOOK_CDF,
-    TRACES,
-    WEBSEARCH_CDF,
-    TraceFlow,
-    empirical_cdf,
-    generate_trace_flows,
-    mean_flow_size,
-    sample_flow_size,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "incast", "permutation", "tornado",
@@ -27,3 +10,12 @@ __all__ = [
     "empirical_cdf", "generate_trace_flows", "mean_flow_size",
     "sample_flow_size",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    ".collectives": ("AllToAll", "ButterflyAllReduce", "Collective",
+                     "RingAllReduce", "spine_heavy_ring"),
+    ".synthetic": ("incast", "permutation", "tornado"),
+    ".traces": ("FACEBOOK_CDF", "TRACES", "WEBSEARCH_CDF", "TraceFlow",
+                "empirical_cdf", "generate_trace_flows", "mean_flow_size",
+                "sample_flow_size"),
+})

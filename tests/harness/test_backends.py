@@ -36,6 +36,8 @@ from repro.harness.sweep import (
     task_key,
 )
 
+from helpers import fresh_interpreter
+
 TINY_TOPO = {"n_hosts": 8, "hosts_per_t0": 4}
 TINY_WORKLOAD = WorkloadSpec(kind="synthetic", pattern="permutation",
                              msg_bytes=128 * 1024)
@@ -87,6 +89,73 @@ class TestResolution:
                                    "shard"]
         for name, cls in BACKENDS.items():
             assert cls.name == name
+
+
+class TestExecuteBoundary:
+    """Describing work loads no simulator; a pool's parent loads it
+    once, before forking (docs/ARCHITECTURE.md, "Layers")."""
+
+    def test_name_sets_match_across_the_boundary(self):
+        import repro.cli as cli
+        from repro.harness import runner, sweep
+
+        assert set(runner.RESULT_PROBES) == set(sweep.PROBE_NAMES)
+        hooks = {name[:-len("_hook")] for name in vars(runner)
+                 if name.endswith("_hook")}
+        assert hooks == set(sweep.FAILURE_KINDS)
+        assert tuple(backend_names()) == cli.BACKEND_NAMES
+        assert set(BACKENDS) == set(cli.BACKEND_NAMES)
+
+    def test_describing_tasks_does_not_import_the_runner(self):
+        out = fresh_interpreter("""
+import sys
+from repro.harness.sweep import FailureSpec, make_task, task_key
+from repro.harness.sweep import WorkloadSpec
+w = WorkloadSpec(kind="synthetic", pattern="permutation")
+task_key(make_task("reps", {"n_hosts": 8}, w, seed=1, probes=(
+    "freeze_entries",), failure=FailureSpec.make("ber", ber=1e-6)))
+for bad in (lambda: make_task("reps", {}, w, seed=1, probes=("nope",)),
+            lambda: FailureSpec.make("nope")):
+    try:
+        bad()
+    except ValueError as exc:
+        print(exc)
+print("repro.harness.runner" in sys.modules,
+      "repro.sim.network" in sys.modules)
+""")
+        assert out.splitlines() == [
+            "unknown probes ['nope']; one of ['ev_recycle_series', "
+            "'freeze_entries', 'goodput_series', 'queue_series', "
+            "'queue_telemetry', 'uplink_share', 'uplink_share_series']",
+            "unknown failure kind 'nope'; one of ['ber', "
+            "'degrade_cables', 'degrade_fraction', "
+            "'fail_cable_schedule', 'fail_cables', 'fail_fraction', "
+            "'fail_tor_uplinks', 'force_freeze']",
+            "False False"]
+
+    def test_parent_loads_the_execution_stack_before_the_pool(self):
+        """A spy on the pool factory: by the time a pool exists the
+        parent holds the runner and the models (the workers fork with
+        them), and one ``run`` is still one pool."""
+        out = fresh_interpreter("""
+import multiprocessing, sys
+from repro.harness.backends import ProcessBackend
+from repro.harness.sweep import make_model_task, task_key
+seen = []
+real = multiprocessing.Pool
+def spy(*args, **kwargs):
+    seen.append(all(m in sys.modules for m in (
+        "repro.harness.runner", "repro.harness.model_tasks")))
+    return real(*args, **kwargs)
+multiprocessing.Pool = spy
+tasks = [make_model_task("footprint", seed=1, buffer_size=b)
+         for b in (1, 2, 4)]
+print("repro.harness.runner" in sys.modules)
+outcomes = ProcessBackend(workers=2).run(
+    [(task_key(t), t) for t in tasks])
+print(seen, len(outcomes))
+""")
+        assert out.splitlines() == ["False", "[True] 3"]
 
 
 class TestEquivalence:

@@ -27,7 +27,12 @@ from repro.harness.sweep import (
 from repro.report import campaign_doc
 from repro.scenarios import figure_ids
 
-from helpers import footprint_task, stub_registry, stub_spec
+from helpers import (
+    footprint_task,
+    fresh_interpreter,
+    stub_registry,
+    stub_spec,
+)
 
 
 class TestSelectFigures:
@@ -391,6 +396,17 @@ class TestSharedStore:
     def test_shared_store_location(self, tmp_path):
         store = shared_store(str(tmp_path))
         assert store.root == os.path.join(str(tmp_path), "campaign")
+
+    def test_store_codec_loads_when_a_store_is_opened(self, tmp_path):
+        """Planning a campaign is describe-layer work; the persist
+        layer loads at ``shared_store``, not at ``import campaign``."""
+        out = fresh_interpreter(
+            "import sys\n"
+            "from repro.harness.campaign import shared_store\n"
+            "print('repro.harness.store' in sys.modules)\n"
+            f"shared_store({str(tmp_path)!r})\n"
+            "print('repro.harness.store' in sys.modules)\n")
+        assert out.split() == ["False", "True"]
 
     def test_outcome_accessors_on_error(self):
         spec = stub_spec("stub_x")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -137,6 +138,32 @@ class TestTaskKey:
         probed = make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
                            probes=("freeze_entries",))
         assert task_key(plain) != task_key(probed)
+
+
+#: sha256 over the sorted task keys of every registered figure's
+#: matrix, per scale, with ``simulator_version`` pinned — computed at
+#: the commit before ``task_key`` stopped going through ``asdict``
+CATALOGUE_KEY_DIGESTS = {
+    "smoke": "056a624a0f2d8b7e88f2f65a23d0a487"
+             "52cf2b6b875a6dfeb94bad0288ac6c2c",
+    "quick": "426a0af2215002c3e3a1166398f72af9"
+             "560e91f6a8e27ef942035417e5a4250e",
+}
+
+
+@pytest.mark.parametrize("scale", sorted(CATALOGUE_KEY_DIGESTS))
+def test_catalogue_keys_pinned(scale, monkeypatch):
+    """The key *bytes* are an on-disk format: how ``task_key`` reads a
+    spec's fields may change, what it hashes may not."""
+    from repro.scenarios import figure_ids, get_figure
+
+    monkeypatch.setenv("REPRO_BENCH_SCALE", scale)
+    monkeypatch.setattr(sweep_mod, "simulator_version", lambda: "pinned")
+    keys = sorted(task_key(task) for fig_id in figure_ids()
+                  for task in get_figure(fig_id).build().values())
+    assert len(keys) == 372
+    assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == \
+        CATALOGUE_KEY_DIGESTS[scale]
 
 
 class TestSimulatorVersion:

@@ -7,8 +7,12 @@ pytest's rootdir-based collection (no ``__init__.py`` packages here).
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
+import repro
 from repro.sim.engine import Engine
 from repro.sim.link import Cable
 from repro.sim.network import Network, NetworkConfig
@@ -17,6 +21,18 @@ from repro.sim.port import EgressPort
 from repro.sim.switch import Switch
 from repro.sim.topology import TopologyParams
 from repro.sim.units import NS
+
+
+def fresh_interpreter(code: str, *argv: str, cwd=None) -> str:
+    """stdout of ``python -c code argv...`` in a new process: nothing
+    of ``repro`` is loaded there yet, so import-graph assertions see
+    what ``code`` itself pulled in."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def small_network(lb: str = "reps", *, n_hosts: int = 8,

@@ -952,3 +952,20 @@ class TestParser:
     def test_rejects_unknown_pattern(self):
         with pytest.raises(SystemExit):
             main(["run", "--pattern", "gather"])
+
+    def test_overview_help_and_dispatch_agree(self, capsys):
+        """One overview: every dispatched command is in ``repro -h``
+        and in the package docstring, and every group has help."""
+        import repro.cli as cli
+
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        top_help = capsys.readouterr().out
+        for command in cli.DISPATCH:
+            assert re.search(rf"^    {command}\s", top_help, re.M), command
+            assert f"``{command}``" in cli.__doc__, command
+            with pytest.raises(SystemExit) as exc:
+                main([command, "-h"])
+            assert exc.value.code == 0
+            assert f"usage: repro {command}" in capsys.readouterr().out
