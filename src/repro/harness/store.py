@@ -24,6 +24,13 @@ module keeps the store *contract* (content-keyed ``get``/``put`` /
   Repeated strings are stored once in the block's sorted table.
   Decoded payloads are canonically identical (``json.dumps(...,
   sort_keys=True)``) to what was stored.
+- **The column is the unit in memory too.**  A frame decodes once into
+  flat per-column value lists and the block LRU holds those
+  (:class:`_Block`: keys, JSON remainders, columns; a v2 frame is all
+  remainder).  A record is built when asked for: ``get``, ``verify``,
+  ``compact`` and ``merge_from``'s re-encode go through
+  :meth:`_Block.materialise`, whose fresh dict is the caller's own.
+  Writes are not cached: a ``get`` after a ``put`` decodes the frame.
 - **Codec.**  The writer makes one call per section: ``FORMAT_ALONE``
   LZMA with default lc/lp/pb and the dictionary sized to the input —
   preset 6 for the meta, preset 4 for body and array (zlib-9 on a
@@ -92,6 +99,7 @@ except ImportError:  # pragma: no cover - platform without _lzma
     lzma = None  # type: ignore[assignment]
 from collections import OrderedDict
 from contextlib import contextmanager
+from itertools import accumulate, groupby
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 try:  # advisory append locking — POSIX only, gated (see _flock)
@@ -343,8 +351,9 @@ def _dict_unpack(obj, table: List[str]):
         if obj and obj[0] == _ESC:
             return [_dict_unpack(v, table) for v in obj[1:]]
         return [_dict_unpack(v, table) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _dict_unpack(v, table) for k, v in obj.items()}
+    if isinstance(obj, dict):   # (an atom or an empty container is itself)
+        return {k: _dict_unpack(v, table) if v and isinstance(v, (list, dict))
+                else v for k, v in obj.items()}
     return obj
 
 
@@ -367,14 +376,6 @@ def _col_order(col: Tuple[str, Optional[str]]):
 
 def _col_key(sect: str, name: Optional[str], kind: str) -> str:
     return (sect if name is None else f"{sect}.{name}") + f"|{kind}"
-
-
-def _set_field(payload: dict, sect: str, name: Optional[str],
-               value) -> None:
-    if name is None:
-        payload[sect] = value
-    else:
-        payload[sect][name] = value
 
 
 #: LZMA preset per v3 section (module docstring, "Codec"): every cold
@@ -408,8 +409,9 @@ def _decompress_v3(buf: bytes) -> bytes:
 # case packs in 2-5 bytes instead of an incompressible 8-byte double
 _T_FSCALED = 4
 
-#: largest decimal scale tried for exact float-as-scaled-int packing
-_MAX_FSCALE = 6
+#: the decimal scales tried for exact float-as-scaled-int packing —
+#: the only ones a reader accepts
+_POW10 = tuple(10 ** k for k in range(7))
 
 
 def _uvarint(out: bytearray, v: int) -> None:
@@ -420,23 +422,40 @@ def _uvarint(out: bytearray, v: int) -> None:
     out.append(v)
 
 
-def _read_uvarint(buf, off: int) -> Tuple[int, int]:
-    v = shift = 0
-    while True:
-        b = buf[off]
-        off += 1
-        v |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return v, off
-        shift += 7
-
-
 def _zigzag(v: int) -> int:
     return (v << 1) if v >= 0 else ((-v << 1) - 1)
 
 
-def _unzigzag(z: int) -> int:
-    return (z >> 1) if not z & 1 else -((z + 1) >> 1)
+def _varints(buf: bytes) -> List[int]:
+    """Every value of a byte run that is all LEB128 varints
+    (:func:`_uvarint`); the run must end on a finished value."""
+    if buf.isascii():       # no continuation bit: the bytes are the values
+        return list(buf)
+    out: List[int] = []
+    v = shift = 0
+    for b in buf:
+        if b < 0x80:
+            out.append(v | b << shift)
+            v = shift = 0
+        else:
+            v |= (b & 0x7F) << shift
+            shift += 7
+    if shift:
+        raise ValueError("unfinished varint at the end of a column")
+    return out
+
+
+def _skip_varints(buf: bytes, off: int, count: int) -> int:
+    """The offset just past the ``count`` varints that start at ``off``."""
+    for _ in range(count):
+        while buf[off] >= 0x80:
+            off += 1
+        off += 1
+    return off
+
+
+def _unzigzags(values: Iterable[int]) -> List[int]:
+    return [(z >> 1) ^ -(z & 1) for z in values]
 
 
 def _float_scale(value: float) -> Optional[Tuple[int, int]]:
@@ -449,8 +468,7 @@ def _float_scale(value: float) -> Optional[Tuple[int, int]]:
     """
     if value == 0.0 and math.copysign(1.0, value) < 0.0:
         return None
-    for k in range(_MAX_FSCALE + 1):
-        m = 10 ** k
+    for k, m in enumerate(_POW10):
         try:
             r = round(value * m)
         except (OverflowError, ValueError):  # pragma: no cover
@@ -465,8 +483,7 @@ def _scale_floats(elems: Sequence[float]
     """One common decimal scale for a whole float array, or ``None``."""
     if any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in elems):
         return None
-    for k in range(_MAX_FSCALE + 1):
-        m = 10 ** k
+    for k, m in enumerate(_POW10):
         scaled: List[int] = []
         for v in elems:
             try:
@@ -594,45 +611,77 @@ def _pack_array_v3(buf: bytearray, elems: list, kind: int) -> None:
         buf += struct.pack("<q" if isinstance(e, int) else "<d", e)
 
 
-def _unpack_array_v3(buf, off: int) -> Tuple[list, int]:
-    """Inverse of :func:`_pack_array_v3`; returns ``(elems, offset)``."""
-    kind = buf[off]
-    off += 1
-    if kind == _ARR_INT or kind == _ARR_SCALED:
-        m = 1
-        if kind == _ARR_SCALED:
-            m = 10 ** buf[off]
-            off += 1
-        count, off = _read_uvarint(buf, off)
-        elems: list = []
-        prev = 0
+def _undelta(run: List[int], scale: Optional[int]) -> list:
+    """An int (``scale`` ``None``) or scaled-decimal array from deltas."""
+    elems = list(accumulate(_unzigzags(run)))
+    if scale is None:
+        return elems
+    m = _POW10[scale]       # (an encoder never wrote another scale)
+    return [e / m for e in elems]
+
+
+def _array_values(buf: bytes, count: int) -> List[list]:
+    """The ``count`` array values of one ``a`` column, in slot order
+    (inverse of :func:`_pack_array_v3`, a whole column per call).
+    Int and scaled-decimal arrays are varints from kind byte to last
+    delta, so a column of only them is one decoded stream, cut by
+    counts; at the first byte-plane or raw value that walk stops (all
+    it read so far was read right) and the column is read again, value
+    by value."""
+    values: List[list] = []
+    if buf[:1] <= b"\x01" and buf[-1:] < b"\x80":   # (or is empty)
+        zs = _varints(buf)
+        at = 0
         for _ in range(count):
-            z, off = _read_uvarint(buf, off)
-            prev += _unzigzag(z)
-            elems.append(prev if kind == _ARR_INT else prev / m)
-        return elems, off
-    if kind == _ARR_SPLIT:
-        count, off = _read_uvarint(buf, off)
-        planes = bytes(buf[off:off + 8 * count])
-        if len(planes) != 8 * count:
-            raise ValueError("truncated byte-split float array")
-        off += 8 * count
-        raw = bytearray(8 * count)
-        for j, plane in enumerate(range(7, -1, -1)):
-            raw[plane::8] = planes[j * count:(j + 1) * count]
-        return list(struct.unpack(f"<{count}d", bytes(raw))), off
-    if kind != _ARR_RAW:
-        raise ValueError(f"bad array encoding tag {kind}")
-    count, off = _read_uvarint(buf, off)
-    bitmap = buf[off:off + (count + 7) // 8]
-    off += len(bitmap)
-    elems = []
-    for j in range(count):
-        is_int = bitmap[j // 8] >> (j % 8) & 1
-        (e,) = struct.unpack_from("<q" if is_int else "<d", buf, off)
-        off += 8
-        elems.append(e)
-    return elems, off
+            kind = zs[at]
+            if kind > _ARR_SCALED:
+                values.clear()
+                break
+            at += 2 + kind      # past the kind, a scale and the count
+            run = zs[at:at + zs[at - 1]]
+            if len(run) != zs[at - 1]:
+                raise ValueError("truncated delta run")
+            values.append(_undelta(run, zs[at - 2] if kind else None))
+            at += len(run)
+        else:
+            if at != len(zs):
+                raise ValueError("array column longer than its values")
+            return values
+    off = 0
+    for _ in range(count):
+        kind = buf[off]
+        at = off + 1 + (kind == _ARR_SCALED)    # past kind and scale
+        off = _skip_varints(buf, at, 1)
+        (size,) = _varints(buf[at:off])
+        if kind == _ARR_INT or kind == _ARR_SCALED:
+            end = _skip_varints(buf, off, size)
+            elems = _undelta(_varints(buf[off:end]),
+                             buf[at - 1] if kind else None)
+            off = end
+        elif kind == _ARR_SPLIT:
+            planes = buf[off:off + 8 * size]
+            if len(planes) != 8 * size:
+                raise ValueError("truncated byte-split float array")
+            off += 8 * size
+            raw = bytearray(8 * size)
+            for j, plane in enumerate(range(7, -1, -1)):
+                raw[plane::8] = planes[j * size:(j + 1) * size]
+            elems = list(struct.unpack(f"<{size}d", raw))
+        elif kind == _ARR_RAW:
+            bitmap = buf[off:off + (size + 7) // 8]
+            off += len(bitmap)
+            elems = []
+            for j in range(size):
+                is_int = bitmap[j // 8] >> (j % 8) & 1
+                elems.append(struct.unpack_from(
+                    "<q" if is_int else "<d", buf, off)[0])
+                off += 8
+        else:
+            raise ValueError(f"bad array encoding tag {kind}")
+        values.append(elems)
+    if off != len(buf):
+        raise ValueError("array column longer than its values")
+    return values
 
 
 def encode_frame_v3(records: Sequence[Tuple[str, dict]],
@@ -791,62 +840,112 @@ def _frame_info_v3(n: int, mlen: int, blen: int, alen: int,
                              meta.get("cb", [])))}
 
 
-def _decode_body_v3(n: int, meta: dict, body: bytes
-                    ) -> Tuple[List[Tuple[str, dict]],
-                               List[Optional[dict]]]:
-    """Records (sans array columns) + entries from a decompressed body."""
-    table = meta["t"]
-    keys = _meta_keys(n, meta)
-    (rlen,) = struct.unpack_from("<I", body, 0)
-    rests = _dict_unpack(json.loads(body[4:4 + rlen].decode()), table)
-    off = 4 + rlen
-    for sect, name, kind in meta["c"]:
-        if kind == "a":
-            continue
-        tags = body[off:off + n]
-        off += n
-        if kind == "s":
-            for i in range(n):
-                tag = tags[i]
-                if tag == _T_MISSING:
-                    continue
-                if tag == _T_NULL:
-                    v: object = None
-                elif tag == _T_INT:
-                    z, off = _read_uvarint(body, off)
-                    v = _unzigzag(z)
-                elif tag == _T_FSCALED:
-                    m = 10 ** body[off]
-                    z, off = _read_uvarint(body, off + 1)
-                    v = _unzigzag(z) / m
-                else:
-                    (v,) = struct.unpack_from("<d", body, off)
-                    off += 8
-                _set_field(rests[i], sect, name, v)
-        else:  # "d": refs into the block's string table
-            for i in range(n):
-                if not tags[i]:
-                    continue
-                ref, off = _read_uvarint(body, off)
-                _set_field(rests[i], sect, name, table[ref])
-    entries = _dict_unpack(meta["m"], table) if "m" in meta \
-        else [None] * n
-    return list(zip(keys, rests)), entries
+#: a column slot whose record lacks the field (``None`` is a value)
+_ABSENT = object()
 
 
-def _decode_arrays_v3(n: int, acols: Sequence[Sequence[object]],
-                      arr: bytes,
-                      records: List[Tuple[str, dict]]) -> None:
-    """Apply the array section's columns onto decoded ``records``."""
+def _scalar_values(tags: bytes, buf: bytes) -> list:
+    """The values of one ``s`` column, in slot order.  Tags come in
+    runs — nearly every column is a single one — and a run of ints,
+    scaled decimals or doubles decodes in one go."""
+    out: list = []
     off = 0
-    for sect, name, _kind in acols:
-        tags = arr[off:off + n]
-        off += n
-        for i in range(n):
-            if not tags[i]:
+    for tag, run in groupby(tags):
+        k = len(list(run))
+        if tag == _T_INT or tag == _T_FSCALED:
+            need = k if tag == _T_INT else 2 * k    # (scale, value) pairs
+            end = len(buf) if k == len(tags) else \
+                _skip_varints(buf, off, need)
+            zs = _varints(buf[off:end])
+            if len(zs) != need:
+                raise ValueError("scalar column shorter than its tags")
+            off = end
+            out += _unzigzags(zs) if tag == _T_INT else [
+                v / _POW10[e] for e, v in zip(zs[::2], _unzigzags(zs[1::2]))]
+        elif tag == _T_FLOAT:
+            out += struct.unpack_from(f"<{k}d", buf, off)
+            off += 8 * k
+        elif tag == _T_NULL:
+            out += [None] * k
+        elif tag != _T_MISSING:
+            raise ValueError(f"bad scalar tag {tag}")
+    if off != len(buf):
+        raise ValueError("scalar column longer than its values")
+    return out
+
+
+class _Block:
+    """One decoded frame as columns (module docstring): record keys,
+    JSON remainders, ``(sect, name, values-by-slot)`` per column."""
+
+    __slots__ = ("keys", "rests", "cols", "directory", "pending")
+
+    def __init__(self, keys: List[str], rests: List[dict],
+                 directory=((), ()), pending=None) -> None:
+        self.keys, self.rests, self.cols = keys, rests, []
+        #: the meta's ``(c, cb)``; ``cb`` is every column's byte extent
+        self.directory = directory
+        #: slots that carry arrays, while the array section is undecoded
+        self.pending = pending
+
+    def add_columns(self, table: Sequence[str], data: bytes, off: int = 0,
+                    arrays: bool = True) -> None:
+        """Decode the array section's columns (else the body's) from
+        ``data[off:]``, each from exactly its own ``cb`` bytes."""
+        n = len(self.keys)
+        cols: List[tuple] = []
+        for (sect, name, kind), nbytes in zip(*self.directory, strict=True):
+            if (kind == "a") != arrays:
                 continue
-            elems, off = _unpack_array_v3(arr, off)
-            _set_field(records[i][1], sect, name, elems)
+            tags, buf = data[off:off + n], data[off + n:off + nbytes]
+            off += nbytes
+            if len(tags) + len(buf) != nbytes:
+                raise ValueError("truncated column")
+            present = n - tags.count(0)
+            if kind == "s":
+                values = _scalar_values(tags, buf)
+            elif kind == "d":   # refs into the block's string table
+                values = [table[r] for r in _varints(buf)]
+            else:
+                values = _array_values(buf, present)
+            if len(values) != present:
+                raise ValueError("column holds another count than its tags")
+            if present != n:    # lay the values out by slot
+                by_slot = [_ABSENT] * n
+                for slot, v in zip(
+                        [i for i, tag in enumerate(tags) if tag], values):
+                    by_slot[slot] = v
+                values = by_slot
+            cols.append((sect, name, values))
+        if off != len(data):
+            raise ValueError("section longer than its column directory")
+        self.cols += cols
+        if arrays:
+            self.pending = None
+
+    def materialise(self, slot: int) -> dict:
+        payload = _json_copy(self.rests[slot])
+        for sect, name, values in self.cols:
+            v = values[slot]
+            if v is not _ABSENT:
+                if type(v) is list:     # an array column's value
+                    v = v[:]
+                if name is None:
+                    payload[sect] = v
+                else:
+                    payload[sect][name] = v
+        return payload
+
+
+def _decode_body_v3(n: int, meta: dict, keys: List[str],
+                    body: bytes) -> _Block:
+    """A decompressed body as a :class:`_Block`, arrays pending."""
+    (rlen,) = struct.unpack_from("<I", body, 0)
+    rests = _dict_unpack(json.loads(body[4:4 + rlen].decode()), meta["t"])
+    block = _Block(keys, rests, (meta["c"], meta["cb"]),
+                   frozenset(meta.get("ab") or ()))
+    block.add_columns(meta["t"], body, 4 + rlen, arrays=False)
+    return block
 
 
 _DECODE_ERRORS = (ValueError, KeyError, IndexError, TypeError,
@@ -968,14 +1067,12 @@ def _walk_frames(read, start: int, *, full: bool = True):
                 errors.append("array CRC mismatch")
             if not errors:
                 try:
-                    records, _e = _decode_body_v3(
-                        n, meta, _decompress_v3(body_comp))
+                    block = _decode_body_v3(n, meta, keys,
+                                            _decompress_v3(body_comp))
                     if alen:
-                        acols = [c for c in meta["c"] if c[2] == "a"]
-                        _decode_arrays_v3(n, acols,
-                                          _decompress_v3(arr_comp),
-                                          records)
-                    blk["records"] = records
+                        block.add_columns((), _decompress_v3(arr_comp))
+                    blk["records"] = [(key, block.materialise(slot))
+                                      for slot, key in enumerate(keys)]
                 except _DECODE_ERRORS as exc:
                     errors.append(f"undecodable block body ({exc})")
         yield ("frame", blk)
@@ -1013,13 +1110,10 @@ class ColumnarStore(ResultStore):
         self._format = fmt
         self._lock = threading.RLock()
         self._index: Dict[str, Tuple[int, int]] = {}  # key -> (off, slot)
-        #: bounded LRU of decoded blocks — the index is complete, the
-        #: payload cache is not (misses re-load the block from disk).
-        #: Each value is ``(records, pending_array_slots, array_cols)``
-        #: — ``pending_array_slots`` is the mutable set of slots whose
-        #: array columns are still undecoded (v3 lazy reads), ``None``
-        #: once applied or for blocks without arrays.
-        self._blocks: "OrderedDict[int, tuple]" = OrderedDict()
+        #: bounded LRU of decoded frames (:class:`_Block`: columns, not
+        #: records) — the index is complete, this cache is not (a miss
+        #: re-loads the frame from disk); only reads fill it
+        self._blocks: "OrderedDict[int, _Block]" = OrderedDict()
         self._entries: Dict[str, dict] = {}  # frame-carried manifest
         self._view = None        # mmap over the scanned segment
         # per-format/section/column accounting for stats() — folded
@@ -1169,8 +1263,8 @@ class ColumnarStore(ResultStore):
                     if blk["version"] == 2:
                         # v2 scans decode anyway (the keys live in the
                         # block body) — keep the bytes we paid for
-                        self._cache_block(blk["offset"],
-                                          (blk["records"], None, ()))
+                        self._cache_block(blk["offset"], _Block(
+                            blk["keys"], [p for _k, p in blk["records"]]))
                     self._index_frame(blk["offset"], blk["keys"],
                                       blk["entries"])
                     self._fold_info(blk["info"])
@@ -1187,18 +1281,20 @@ class ColumnarStore(ResultStore):
             if entries[slot] is not None:
                 self._entries[key] = entries[slot]
 
-    def _cache_block(self, offset: int, entry: tuple) -> None:
-        self._blocks[offset] = entry
+    def _cache_block(self, offset: int, block: _Block) -> None:
+        self._blocks[offset] = block
         self._blocks.move_to_end(offset)
         while len(self._blocks) > BLOCK_CACHE_BLOCKS:
             self._blocks.popitem(last=False)
 
-    def _load_block(self, offset: int) -> Optional[tuple]:
+    def _load_block(self, offset: int, into: Optional[_Block] = None
+                    ) -> Optional[_Block]:
         """Decode the frame at ``offset`` for point reads.
 
-        v2 frames decode fully; v3 frames decode meta+body only —
-        ``(records, pending_array_slots, array_cols)`` — so a ``get``
-        of a scalar payload never unpacks the time-series arrays.
+        v2 frames decode fully; a v3 frame decodes keys + body — not
+        the manifest entries (the index scan's business) and not the
+        array section, which a later call adds ``into`` the cached
+        block once a record that carries arrays is asked for.
         """
         with self._segment_reader() as read:
             if read is None:
@@ -1210,64 +1306,54 @@ class ColumnarStore(ResultStore):
                     _m, comp_len, _crc, _n = _FRAME.unpack(head)
                     comp = read(offset + _FRAME.size, comp_len)
                     records, _e = decode_block(zlib.decompress(comp))
-                    return (records, None, ())
+                    return _Block([k for k, _p in records],
+                                  [p for _k, p in records])
                 if magic4 == BLOCK_MAGIC_V3:
                     head = read(offset, _FRAME3.size)
-                    _m, n, mlen, _mcrc, blen, _alen = \
+                    _m, n, mlen, _mcrc, blen, alen = \
                         _FRAME3.unpack(head)
-                    meta = json.loads(_decompress_v3(
-                        read(offset + _FRAME3.size, mlen)).decode())
-                    body = _decompress_v3(
-                        read(offset + _FRAME3.size + mlen, blen))
-                    records, _e = _decode_body_v3(n, meta, body)
-                    pending = set(meta.get("ab") or ())
-                    acols = tuple(tuple(c) for c in meta["c"]
-                                  if c[2] == "a")
-                    return (records, pending or None, acols)
+                    at = offset + _FRAME3.size
+                    if into is not None:
+                        into.add_columns((), _decompress_v3(
+                            read(at + mlen + blen, alen)))
+                        return into
+                    meta = json.loads(
+                        _decompress_v3(read(at, mlen)).decode())
+                    return _decode_body_v3(
+                        n, meta, _meta_keys(n, meta),
+                        _decompress_v3(read(at + mlen, blen)))
             except (OSError,) + _DECODE_ERRORS:
                 return None
         return None
 
-    def _apply_arrays(self, offset: int, records, pending: set,
-                      acols) -> bool:
-        """Decode the array section at ``offset`` into ``records``."""
-        with self._segment_reader() as read:
-            if read is None:
-                return False
-            try:
-                head = read(offset, _FRAME3.size)
-                _m, n, mlen, _mcrc, blen, alen = _FRAME3.unpack(head)
-                arr = _decompress_v3(
-                    read(offset + _FRAME3.size + mlen + blen, alen))
-                _decode_arrays_v3(n, acols, arr, records)
-            except (OSError,) + _DECODE_ERRORS:
-                return False
-        pending.clear()
-        return True
-
     def _record(self, key: str, loc: Tuple[int, int]) -> Optional[dict]:
+        """A fresh payload for ``key`` at ``loc`` — the one place a
+        stored record becomes a dict again."""
         offset, slot = loc
-        entry = self._blocks.get(offset)
-        if entry is None:
-            entry = self._load_block(offset)
-            if entry is None:
+        block = self._blocks.get(offset)
+        if block is None:
+            block = self._load_block(offset)
+            if block is None:
                 return None
-            self._cache_block(offset, entry)
+            self._cache_block(offset, block)
         else:
             self._blocks.move_to_end(offset)
-        records, pending, acols = entry
-        if slot >= len(records) or records[slot][0] != key:
+        if slot >= len(block.keys) or block.keys[slot] != key:
             # stale index vs an externally rewritten file (compact in
             # another process): never serve some other key's payload
             # as a cache hit — a miss just re-executes the task
             return None
-        if pending and slot in pending:
+        if block.pending is not None and slot in block.pending:
             # this record carries time-series arrays and they are
             # still undecoded — pull in the array section now (once
-            # per block; the cache entry is patched in place)
-            if not self._apply_arrays(offset, records, pending, acols):
+            # per block; the cached block is extended in place)
+            self._load_block(offset, block)
+            if block.pending is not None:
                 return None
-        return records[slot][1]
+        try:
+            return block.materialise(slot)
+        except _DECODE_ERRORS:
+            return None
 
     # ------------------------------------------------------------------
     # reads
@@ -1281,7 +1367,7 @@ class ColumnarStore(ResultStore):
             payload = self._record(key, loc)
         if payload is None or payload.get("schema") != SCHEMA_VERSION:
             return None
-        return _json_copy(payload)
+        return payload
 
     def _read_raw(self, key: str) -> Optional[dict]:
         """Like :meth:`_read` but without the schema filter — what
@@ -1293,7 +1379,7 @@ class ColumnarStore(ResultStore):
             if loc is not None:
                 payload = self._record(key, loc)
                 if payload is not None:
-                    return _json_copy(payload)
+                    return payload
         try:
             with open(self._path(key)) as fh:
                 return json.load(fh)
@@ -1343,13 +1429,12 @@ class ColumnarStore(ResultStore):
 
     def _append_frame(self, records: Sequence[Tuple[str, dict]],
                       entries: Sequence[Optional[dict]]) -> None:
-        """Encode one block, append it, keep its records cached."""
+        """Encode one block and append it.  Nothing is cached: no
+        caller reads its own writes back, and a copy of every batch
+        would evict the blocks a reader is using."""
         frame, info = self._encode_frame(records, entries)
-        offset = self._append_raw(frame, [key for key, _p in records],
-                                  entries, info)
-        self._cache_block(offset, (
-            [(key, _json_copy(payload)) for key, payload in records],
-            None, ()))
+        self._append_raw(frame, [key for key, _p in records], entries,
+                         info)
 
     def _append_raw(self, frame: bytes, keys: Sequence[str],
                     entries: Sequence[Optional[dict]],

@@ -138,12 +138,34 @@ class TestRoundTrip:
             assert canon(reopened.get(key)) == canon(payload)
 
     def test_get_returns_an_isolated_copy(self, tmp_path):
-        store = ColumnarStore(str(tmp_path))
-        payload = {"schema": SCHEMA_VERSION, "metrics": {"a": 1},
-                   "extra": {}}
-        store.put("k", payload)
-        store.get("k")["metrics"]["a"] = 999
-        assert store.get("k")["metrics"]["a"] == 1
+        """No copy stands between the block cache and the caller (a
+        record is built fresh on every read): whatever is done to a
+        returned payload — a column value, an array element, a
+        remainder list — the next read is untouched."""
+        payload = {"schema": SCHEMA_VERSION, "key": "k", "sim": "s",
+                   "task": {"label": "reps"},
+                   "metrics": {"a": 1, "fct": [1.5, 2.5, 4.0],
+                               "pkts": [10, 20],
+                               "nested": {"deep": [1, 2]},
+                               "names": ["x", "y"]},
+                   "tags": ["t0", "t1"], "extra": {}}
+        for fmt in (2, 3):
+            root = str(tmp_path / f"v{fmt}")
+            store = ColumnarStore(root, segment_format=fmt)
+            store.put("k", payload)
+            for reader in (store, ColumnarStore(root)):
+                for read in (reader.get, reader._read_raw):
+                    got = read("k")
+                    got["metrics"]["a"] = 999           # column value
+                    got["metrics"]["fct"][0] = -1.0     # array element
+                    got["metrics"]["pkts"].append(30)
+                    got["metrics"]["nested"]["deep"].append(3)
+                    got["metrics"]["names"].clear()     # remainder list
+                    got["tags"].append("t2")
+                    got["task"] = None
+                    del got["metrics"]["fct"], got["extra"]
+                    assert canon(reader.get("k")) == canon(payload)
+                    assert canon(reader._read_raw("k")) == canon(payload)
 
     def test_merge_is_idempotent_and_identical(self, tmp_path):
         batch = rand_batch(17, 25)

@@ -48,11 +48,11 @@ from repro.harness.store import (
     _hex_key_blob,
     _meta_keys,
     _array_kind,
+    _array_values,
     _pack_array_v3,
-    _read_uvarint,
-    _unpack_array_v3,
-    _unzigzag,
+    _unzigzags,
     _uvarint,
+    _varints,
     _zigzag,
     decode_frame_v3,
     encode_frame_v3,
@@ -140,12 +140,13 @@ class TestV3Codec:
             [rng.choice([1, 2.5, -7, 0.125]) for _ in range(30)],
             [], [0], [-0.25],
         ]
+        buf = bytearray()
         for elems in cases:
-            buf = bytearray()
             _pack_array_v3(buf, elems, _array_kind(elems))
-            back, off = _unpack_array_v3(bytes(buf), 0)
-            assert off == len(buf)
-            assert canon(back) == canon(elems)
+        # one column's worth: every value, and every byte, accounted for
+        assert canon(_array_values(bytes(buf), len(cases))) == canon(cases)
+        with pytest.raises(ValueError):
+            _array_values(bytes(buf) + b"\x00", len(cases))
 
     def test_uvarint_and_zigzag_roundtrip(self):
         rng = random.Random(29)
@@ -154,13 +155,13 @@ class TestV3Codec:
         buf = bytearray()
         for v in values:
             _uvarint(buf, v)
-        off = 0
-        for v in values:
-            got, off = _read_uvarint(bytes(buf), off)
-            assert got == v
-        assert off == len(buf)
-        for v in [0, 1, -1, 2**40, -(2**40)]:
-            assert _unzigzag(_zigzag(v)) == v
+        assert _varints(bytes(buf)) == values
+        small = bytes(v & 0x7F for v in values)  # the one-byte fast path
+        assert _varints(small) == list(small)
+        with pytest.raises(ValueError):
+            _varints(b"\x01\x80")               # unfinished last value
+        signed = [0, 1, -1, 2**40, -(2**40), 2**70, -(2**70)]
+        assert _unzigzags([_zigzag(v) for v in signed]) == signed
 
     def test_hex_key_blob_roundtrip_and_rejection(self):
         keys = [f"{i:024x}" for i in range(32)]
