@@ -22,9 +22,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.harness import format_table
 from repro.harness.campaign import shared_store
-from repro.harness.store import open_store
-from repro.harness.sweep import ResultStore, SweepResults, SweepTask, \
-    run_sweep
+from repro.harness.store import ColumnarStore
+from repro.harness.sweep import SweepResults, SweepTask, run_sweep
 from repro.scenarios import FigureResult, get_figure, run_figure
 # one vocabulary for benches and specs: re-export, don't re-implement
 from repro.scenarios._shared import (  # noqa: F401  (re-exports)
@@ -70,28 +69,20 @@ def bench_workers() -> int:
 # exactly one place.
 
 
-def _store(name: str) -> Optional[ResultStore]:
+def _store(name: str) -> Optional[ColumnarStore]:
     if os.environ.get("REPRO_BENCH_CACHE"):
-        try:
-            return open_store(os.path.join(RESULTS_DIR, "sweeps", name))
-        except ValueError as exc:
-            # malformed $REPRO_STORE: fail like the CLI does, not with
-            # a traceback from inside a benchmark run
-            raise SystemExit(f"benchmarks: {exc}")
+        return ColumnarStore(os.path.join(RESULTS_DIR, "sweeps", name))
     return None
 
 
-def _figure_store() -> Optional[ResultStore]:
+def _figure_store() -> Optional[ColumnarStore]:
     """Registered figures cache into the campaign's shared store, so
     bench runs and `repro figures run --all` dedup against the same
     content-keyed artifacts.  (Single-figure `repro figures run <id>`
     deliberately keeps per-figure store subdirs: its `--prune`
     keep-set would otherwise delete other figures' artifacts.)"""
     if os.environ.get("REPRO_BENCH_CACHE"):
-        try:
-            return shared_store(os.path.join(RESULTS_DIR, "sweeps"))
-        except ValueError as exc:
-            raise SystemExit(f"benchmarks: {exc}")
+        return shared_store(os.path.join(RESULTS_DIR, "sweeps"))
     return None
 
 

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-One parser, ten commands in six groups.  A command imports the layer
+One parser, nine commands in six groups.  A command imports the layer
 it runs (describe / execute / persist / present, see
 ``docs/ARCHITECTURE.md``) when it is dispatched, so ``repro -h`` loads
 nothing of the package and ``figures list`` never loads the simulator:
@@ -22,14 +22,12 @@ nothing of the package and ``figures list`` never loads the simulator:
   over local (or SSH) workers with heartbeats, retry shards whose
   worker dies, merge each shard as it lands, and render the same
   REPRODUCTION.md + campaign.json a single-host run produces,
-- ``store`` (:mod:`.store`): artifact-store maintenance — ``compact`` a
-  store into one columnar segment file (absorbing legacy
-  one-JSON-per-task artifacts), ``inspect`` its statistics, ``verify``
-  its integrity,
-- ``docs`` | ``footprint`` | ``perf`` (:mod:`.tools`): regenerate (or
+- ``store`` (:mod:`.store`): artifact-store maintenance — ``compact``
+  a store's segment file (dropping shadowed duplicates), ``inspect``
+  its statistics, ``verify`` its integrity,
+- ``docs`` | ``footprint`` (:mod:`.tools`): regenerate (or
   drift-check) the ``docs/figures/`` pages from the registry; print
-  the Table-1 memory accounting; capture the core perf
-  micro-benchmarks or diff a capture against ``perf.json``.
+  the Table-1 memory accounting.
 
 Campaign-scale commands accept ``--backend`` (or ``$REPRO_BACKEND``)
 to pick the execution backend: ``serial``, ``process``, ``batched``,
@@ -57,7 +55,6 @@ Examples::
     python -m repro docs figures --check
     python -m repro run --lb reps --fail-uplink 0 --fail-at 50 --fail-for 200
     python -m repro footprint --buffer 8 --evs 65536
-    python -m repro perf trend perf.json fresh-perf.json
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ DISPATCH = {
     "store": ("store", "cmd_store"),
     "docs": ("tools", "cmd_docs"),
     "footprint": ("tools", "cmd_footprint"),
-    "perf": ("tools", "cmd_perf"),
 }
 
 #: the ``--backend`` choices, declared where the parser can read them
@@ -370,8 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       "/ verify")
     store_sub = store_p.add_subparsers(dest="store_command", required=True)
     cp_p = store_sub.add_parser(
-        "compact", help="rewrite the store as one columnar segment "
-                        "file (absorbs legacy JSON artifacts, drops "
+        "compact", help="rewrite the store's segment file (drops "
                         "shadowed duplicate records)")
     cp_p.add_argument("root", help="store directory (e.g. "
                                    "<results-dir>/campaign)")
@@ -397,31 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fp_p.add_argument("--buffer", type=int, default=8)
     fp_p.add_argument("--evs", type=int, default=65536)
     fp_p.add_argument("--lifespan", type=int, default=1)
-
-    perf_p = sub.add_parser(
-        "perf", help="core perf micro-benchmarks + perf.json gate")
-    perf_sub = perf_p.add_subparsers(dest="perf_command", required=True)
-    pr_p = perf_sub.add_parser(
-        "run", help="capture a perf record for the current simulator")
-    pr_p.add_argument("--scale", type=int, default=None,
-                      help="workload multiplier (default: the committed "
-                           "quick scale)")
-    pr_p.add_argument("--repeats", type=int, default=3,
-                      help="runs per scenario; fastest wall wins")
-    pr_p.add_argument("--only", default=None, metavar="NAMES",
-                      help="comma-separated scenario names to run")
-    pr_p.add_argument("--json", dest="json_path", default=None,
-                      help="write the record to this path")
-    pt_p = perf_sub.add_parser(
-        "trend", help="diff a fresh capture against a committed record")
-    pt_p.add_argument("old", help="baseline perf.json")
-    pt_p.add_argument("new", help="candidate perf.json")
-    pt_p.add_argument("--tol", type=float, default=0.25,
-                      help="relative throughput tolerance (default 0.25; "
-                           "deterministic counters are always exact)")
-    pt_p.add_argument("--strict", action="store_true",
-                      help="exit non-zero on counter mismatch or "
-                           "out-of-band throughput regression")
     return parser
 
 

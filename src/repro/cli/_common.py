@@ -1,21 +1,10 @@
-"""What the command groups share: store / backend environment checks
-and the campaign figure selection."""
+"""What the command groups share: the backend environment check and
+the campaign figure selection."""
 
 from __future__ import annotations
 
 import os
 from typing import List, Optional
-
-
-def open_store(root: str, **kwargs):
-    """Open a store under the ``$REPRO_STORE`` format policy, failing
-    a command cleanly on a malformed env var."""
-    from ..harness import store
-
-    try:
-        return store.open_store(root, **kwargs)
-    except ValueError as exc:
-        raise SystemExit(f"repro: {exc}")
 
 
 def check_backend_env() -> None:

@@ -6,12 +6,7 @@ import argparse
 import os
 
 from ..harness.report import format_table
-from ._common import (
-    campaign_specs,
-    check_backend_env,
-    open_store,
-    split_csv,
-)
+from ._common import campaign_specs, check_backend_env, split_csv
 
 
 def _campaign(args: argparse.Namespace, workers: int) -> int:
@@ -153,13 +148,15 @@ def cmd_figures(args: argparse.Namespace) -> int:
         specs = [(fig_id, get_figure(fig_id)) for fig_id in args.ids]
     except KeyError as exc:
         raise SystemExit(f"repro figures: {exc.args[0]}")
+    from ..harness.store import ColumnarStore
+
     ok = True
     for fig_id, spec in specs:
         if args.no_cache:
             store = None
         else:
-            store = open_store(os.path.join(args.results_dir, fig_id),
-                               fresh=args.fresh)
+            store = ColumnarStore(os.path.join(args.results_dir, fig_id),
+                                  fresh=args.fresh)
         result = run_figure(spec, workers=workers, store=store,
                             progress=True, backend=args.backend)
         headers, rows, notes = result.table_doc()

@@ -7,7 +7,7 @@ import contextlib
 import os
 from typing import List
 
-from ._common import campaign_specs, check_backend_env, open_store, split_csv
+from ._common import campaign_specs, check_backend_env, split_csv
 
 
 def _plan(args: argparse.Namespace) -> int:
@@ -56,24 +56,23 @@ def _run(args: argparse.Namespace) -> int:
 
 def _looks_like_store(path: str) -> bool:
     """Heuristic pre-flight for ``shard merge`` sources: an empty
-    directory is a valid (empty) shard store, and any store carries a
-    segment file and/or JSON artifacts/manifest — a directory with
-    neither (someone's results dir, a typo'd path) is not a store."""
+    directory is a valid (empty) shard store, and any other store
+    carries a segment file or a manifest — a directory with neither
+    (someone's results dir, a typo'd path) is not a store."""
     from ..harness.store import ColumnarStore
 
     try:
         names = os.listdir(path)
     except OSError:
         return False
-    return (not names
-            or any(n == ColumnarStore.SEGMENT or n.endswith(".json")
-                   for n in names))
+    return (not names or ColumnarStore.SEGMENT in names
+            or ColumnarStore.MANIFEST in names)
 
 
 def _merge(args: argparse.Namespace) -> int:
     from ..harness.store import ColumnarStore
 
-    dest = open_store(args.into)
+    dest = ColumnarStore(args.into)
     # validate every source before touching the destination: a typo in
     # source k must not leave the campaign store half-merged
     for src in args.sources:
@@ -83,10 +82,6 @@ def _merge(args: argparse.Namespace) -> int:
     total = 0
     done: List[str] = []
     for src in args.sources:
-        # sources always open read-compatible (segment + legacy JSON),
-        # whatever $REPRO_STORE says about the destination: a v1 store
-        # cannot see segment files, and "merged 0 artifact(s)" from a
-        # v2 shard store must not be a silent success
         try:
             merged = dest.merge_from(ColumnarStore(src))
         except Exception as exc:

@@ -6,11 +6,12 @@ import argparse
 import os
 
 from ..harness.report import format_sweep_table, format_table
+from ..harness.store import ColumnarStore
 from ..harness.sweep import SweepGrid, WorkloadSpec, run_sweep
 from ..sim.network import Network, NetworkConfig
 from ..sim.topology import TopologyParams
 from ..workloads.synthetic import incast, permutation, tornado
-from ._common import check_backend_env, open_store
+from ._common import check_backend_env
 
 
 def _simulate(args: argparse.Namespace, lb: str):
@@ -91,8 +92,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # `--evs 64,65536` run
         axes={"evs_size": evs_sizes},
     )
-    store = open_store(os.path.join(args.results_dir, args.name),
-                       fresh=args.fresh)
+    store = ColumnarStore(os.path.join(args.results_dir, args.name),
+                          fresh=args.fresh)
     results = run_sweep(grid, workers=args.workers, store=store,
                         progress=True, backend=args.backend)
     print(format_sweep_table(

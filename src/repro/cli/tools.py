@@ -1,4 +1,4 @@
-"""``docs`` | ``footprint`` | ``perf``: registry docs, Table 1, perf.json."""
+"""``docs`` | ``footprint``: registry docs, Table 1."""
 
 from __future__ import annotations
 
@@ -38,41 +38,3 @@ def cmd_footprint(args: argparse.Namespace) -> int:
         ["component", "bits"], fp.rows()))
     print(f"total: {fp.total_bits} bits ~= {fp.total_bytes} bytes")
     return 0
-
-
-def _perf_run(args: argparse.Namespace) -> int:
-    import json
-
-    from ..harness.perf import QUICK_SCALE, render_record, run_perf
-
-    names = args.only.split(",") if args.only else None
-    scale = args.scale if args.scale is not None else QUICK_SCALE
-    record = run_perf(scale=scale, repeats=args.repeats, names=names)
-    print(render_record(record))
-    if args.json_path:
-        with open(args.json_path, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"record: {args.json_path}")
-    return 0
-
-
-def _perf_trend(args: argparse.Namespace) -> int:
-    from ..harness.perf import diff_perf, load_record, render_diff
-
-    try:
-        old_doc = load_record(args.old)
-        new_doc = load_record(args.new)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro perf trend: {exc}")
-    if args.tol < 0:
-        raise SystemExit("repro perf trend: --tol must be >= 0")
-    diff = diff_perf(old_doc, new_doc, tol=args.tol)
-    print(render_diff(diff, args.tol))
-    return 0 if (diff.clean or not args.strict) else 1
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    if args.perf_command == "trend":
-        return _perf_trend(args)
-    return _perf_run(args)

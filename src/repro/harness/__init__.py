@@ -16,8 +16,7 @@ __all__ = [
     "hbar", "render_port_series", "sparkline",
     "Aggregate", "compare", "repeat",
     "SweepGrid", "SweepTask", "SweepResults", "TaskResult",
-    "WorkloadSpec", "FailureSpec", "ResultStore", "ColumnarStore",
-    "open_store",
+    "WorkloadSpec", "FailureSpec", "ColumnarStore",
     "make_task", "make_model_task", "task_key", "run_sweep",
     "spawn_seeds", "execute_task", "simulator_version",
     "BACKENDS", "Backend", "backend_names", "make_backend",
@@ -39,8 +38,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     ".scale": ("FULL", "QUICK", "SMOKE", "Scale", "current_scale"),
     ".backends": ("BACKENDS", "Backend", "backend_names", "make_backend",
                   "resolve_backend"),
-    ".store": ("ColumnarStore", "open_store"),
-    ".sweep": ("FailureSpec", "ResultStore", "SweepGrid", "SweepResults",
+    ".store": ("ColumnarStore",),
+    ".sweep": ("FailureSpec", "SweepGrid", "SweepResults",
                "SweepTask", "TaskResult", "WorkloadSpec", "execute_task",
                "make_model_task", "make_task", "run_sweep",
                "simulator_version", "spawn_seeds", "task_key"),

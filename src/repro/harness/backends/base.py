@@ -91,7 +91,7 @@ class Backend(ABC):
             progress_cb: Optional[ProgressCb] = None
             ) -> Dict[str, Outcome]:
         """Execute every ``(key, task)`` pair; persist into ``store``
-        (a :class:`~repro.harness.sweep.ResultStore`, may be ``None``)
+        (a :class:`~repro.harness.store.ColumnarStore`, may be ``None``)
         and return ``key -> payload`` (or ``TaskFailed``)."""
 
     def drain(self, arrivals: Iterable[Sequence[Finished]], store,

@@ -14,10 +14,10 @@ The scale-out story (``repro shard plan | run | merge``):
    exactly the manifest's keys into a local store tagged with the
    shard's identity.
 3. **merge** folds shard stores into one via
-   :meth:`ResultStore.merge_from`.  Content keys make the merge
-   idempotent and order-independent; a subsequent campaign run against
-   the merged store is fully cached and renders the same report a
-   single-host run would.
+   :meth:`~repro.harness.store.ColumnarStore.merge_from`.  Content
+   keys make the merge idempotent and order-independent; a subsequent
+   campaign run against the merged store is fully cached and renders
+   the same report a single-host run would.
 
 :class:`ShardBackend` runs the same plan → execute → merge cycle
 in-process (each shard against its own scratch store), so the flow is
@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sweep import (
     SCHEMA_VERSION,
-    ResultStore,
     SweepTask,
     simulator_version,
     task_key,
@@ -126,7 +125,7 @@ class ShardBackend(Backend):
 
     The single-process rehearsal of the distributed flow: pending
     tasks are partitioned exactly as ``shard plan`` would, each shard
-    executes against a scratch :class:`ResultStore` (serially, or
+    executes against a scratch store (serially, or
     through a ``workers``-process pool — the flag is honoured, not
     dropped), and the scratch stores merge into the caller's store.
     Useful mostly as a continuously-tested guarantee that partition +
@@ -145,6 +144,8 @@ class ShardBackend(Backend):
     def run(self, pending: Pending, store=None,
             progress_cb: Optional[ProgressCb] = None
             ) -> Dict[str, Outcome]:
+        from ..store import ColumnarStore
+
         inner = ProcessBackend(workers=self.workers)  # 1 = in-process
         by_key: Dict[str, SweepTask] = dict(pending)
         parts = shard_partition(list(by_key), self.n_shards)
@@ -154,15 +155,11 @@ class ShardBackend(Backend):
         # must not overwrite it — manifest origins would otherwise
         # name shards that exist only inside this call
         outer_origin = getattr(store, "origin", None)
-        # scratch stores mirror the destination's format so the v2
-        # (columnar) merge path is rehearsed whenever the caller uses
-        # a v2 store
-        store_cls = type(store) if store is not None else ResultStore
         with tempfile.TemporaryDirectory(prefix="repro-shards-") as tmp:
             for index, keys in enumerate(parts):
                 if not keys:
                     continue
-                scratch = store_cls(
+                scratch = ColumnarStore(
                     os.path.join(tmp, f"shard-{index}"),
                     origin=outer_origin or
                     f"shard-{index}/{self.n_shards}")

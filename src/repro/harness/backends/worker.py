@@ -172,7 +172,7 @@ def run_shard(manifest_path: str, store_dir: str, *,
     cannot be honoured here; any other exception is a retryable crash.
     ``REPRO_BENCH_SCALE`` / ``REPRO_SHARD`` are exported for this call only.
     """
-    from ..store import open_store
+    from ..store import ColumnarStore
     from ..sweep import run_sweep, simulator_version
     from ...scenarios import get_figure
     from . import (
@@ -198,7 +198,7 @@ def run_shard(manifest_path: str, store_dir: str, *,
         try:
             tasks = tasks_for_manifest(manifest, expand_specs(
                 [get_figure(f) for f in manifest["figures"]])[1])
-            store = open_store(store_dir, origin=shard_origin(manifest))
+            store = ColumnarStore(store_dir, origin=shard_origin(manifest))
         except (KeyError, ValueError) as exc:
             raise ShardFatal(str(exc)) from None
         # an empty shard still materializes its store: scripts merge

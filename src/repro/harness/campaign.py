@@ -7,7 +7,7 @@ This module is the engine behind it:
    (``--only/--skip/--tag``) into an ordered campaign plan.
 2. :func:`run_campaign` runs the whole plan as **one** sweep
    (:func:`~repro.scenarios.registry.run_figures`) against **one
-   shared cross-figure** :class:`~repro.harness.sweep.ResultStore`:
+   shared cross-figure** :class:`~repro.harness.store.ColumnarStore`:
    every matrix is expanded once, content keys are deduplicated across
    figures (a shared baseline simulates once), and all cache misses
    share one worker pool — the campaign, not the figure, is the unit
@@ -38,13 +38,15 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from ..scenarios import FigureResult, FigureSpec, figure_ids, get_figure
 # run_figure is re-exported: the perf ledger wraps it by this name
 from ..scenarios.registry import FigureRun, run_figure, run_figures  # noqa: F401,E501
 from .backends import resolve_backend
-from .sweep import ResultStore
+
+if TYPE_CHECKING:  # describe -> persist: the codec loads with a store
+    from .store import ColumnarStore
 
 #: subdirectory (under a ``--results-dir``) holding the shared
 #: cross-figure artifact store — one flat content-keyed namespace
@@ -54,23 +56,21 @@ CAMPAIGN_STORE_DIR = "campaign"
 STATUSES = ("pass", "warn", "fail", "error")
 
 
-def shared_store(results_dir: str, *, fresh: bool = False) -> ResultStore:
+def shared_store(results_dir: str, *, fresh: bool = False
+                 ) -> ColumnarStore:
     """The campaign's shared cross-figure store under ``results_dir``.
 
     One flat namespace for every figure: content keys already encode
     the full task identity (parameters + schema + simulator hash), so
     a shared namespace is safe and is what makes cross-figure dedup
-    work.  The store format follows :func:`~repro.harness.store.
-    open_store` policy — columnar (v3) by default, ``REPRO_STORE=json``
-    for the legacy one-JSON-per-task layout; either way legacy
-    directories keep serving reads.  ``fresh`` re-runs every task but
-    still persists the results.
+    work.  ``fresh`` re-runs every task but still persists the
+    results.
     """
     # describe -> persist: the codec loads when a store is opened
-    from .store import open_store
+    from .store import ColumnarStore
 
-    return open_store(os.path.join(results_dir, CAMPAIGN_STORE_DIR),
-                      fresh=fresh)
+    return ColumnarStore(os.path.join(results_dir, CAMPAIGN_STORE_DIR),
+                         fresh=fresh)
 
 
 def select_figures(only: Sequence[str] = (), skip: Sequence[str] = (),
@@ -129,7 +129,7 @@ class CampaignResult:
     """Every outcome of one ``--all`` run, in registry order."""
 
     def __init__(self, outcomes: Sequence[FigureOutcome], *,
-                 wall_s: float, store: Optional[ResultStore] = None,
+                 wall_s: float, store: Optional[ColumnarStore] = None,
                  pruned: Sequence[str] = (),
                  backend: str = "serial", workers: int = 1,
                  store_write_s: float = 0.0) -> None:
@@ -217,7 +217,7 @@ def _judge(spec: FigureSpec, ran: FigureRun, check: bool) -> FigureOutcome:
 
 
 def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
-                 store: Optional[ResultStore] = None, check: bool = True,
+                 store: Optional[ColumnarStore] = None, check: bool = True,
                  prune_stale: bool = False,
                  progress: bool = False,
                  backend=None) -> CampaignResult:

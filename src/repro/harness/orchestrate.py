@@ -28,7 +28,7 @@ loop (ROADMAP: *distributed elastic campaign orchestration*):
    torn-tail self-healing and content-keyed, so a partial store is
    never corrupt, only incomplete.
 4. **Merge + report.**  Each finished shard streams back through
-   ``ResultStore.merge_from`` the moment it lands (idempotent,
+   ``ColumnarStore.merge_from`` the moment it lands (idempotent,
    order-free), a live status page re-renders on every state change
    (:mod:`repro.report.live`), and once every shard merged the normal
    campaign runner renders ``REPRODUCTION.md`` + ``campaign.json``
@@ -542,8 +542,6 @@ class Orchestrator:
         return handle
 
     def _merge(self, shard: ShardRun) -> None:
-        # sources open read-compatible whatever $REPRO_STORE says
-        # about the destination — same rule as `repro shard merge`
         from .store import ColumnarStore
 
         merged = self.store.merge_from(ColumnarStore(shard.store_dir))

@@ -1,36 +1,34 @@
-"""Columnar campaign store: one append-only segment file per store.
+"""The campaign store: one append-only segment file per store.
 
-The JSON :class:`~repro.harness.sweep.ResultStore` pays one file open,
-parse and manifest merge per artifact — fine for a figure, painful for
-a campaign of hundreds (or a shard sweep of thousands) of tasks.  This
-module keeps the store *contract* (content-keyed ``get``/``put`` /
-``put_many``/``merge_from``/``prune``/``manifest``) over one file:
+A campaign of hundreds (or a shard sweep of thousands) of tasks keeps
+its results content-keyed (``get``/``put``/``put_many``/``merge_from``
+/``prune``/``manifest``) in one file:
 
-- ``store.seg`` is an 8-byte file magic followed by self-describing
-  **frames** (blocks of records).  Two frame formats coexist in one
-  file and are always both readable; ``segment_format`` only selects
-  what *new* frames are written as.
-- **v2 frames** (``BLK1``): header (magic, compressed length, CRC-32,
-  record count) + one zlib body — a JSON header (keys, non-numeric
-  payload remainders, column directory) plus binary-packed numeric
-  columns (tagged 8-byte scalars; length-prefixed array vectors).
-- **v3 frames** (``BLK2``, the default): the same columns in three
-  separately compressed sections — **meta** (key blob or refs,
-  per-block string table, column directory, frame-carried manifest
-  entries, body/array CRCs), **body** (JSON remainders + scalar and
-  dictionary-string columns) and **array** (time-series columns).  A
-  cold open/``manifest()`` decompresses metas only; a ``get`` decodes
-  meta+body; arrays decode lazily, only for records that carry them.
-  Repeated strings are stored once in the block's sorted table.
-  Decoded payloads are canonically identical (``json.dumps(...,
-  sort_keys=True)``) to what was stored.
+- ``store.seg`` is the 8-byte file magic ``REPSEG03`` followed by
+  self-describing **frames** (``BLK2``, blocks of records).  Each frame
+  splits its records into columns kept in three separately compressed
+  sections — **meta** (key blob or refs, per-block string table, column
+  directory, frame-carried manifest entries, body/array CRCs), **body**
+  (JSON remainders + scalar and dictionary-string columns) and
+  **array** (time-series columns).  A cold open/``manifest()``
+  decompresses metas only; a ``get`` decodes meta+body; arrays decode
+  lazily, only for records that carry them.  Repeated strings are
+  stored once in the block's sorted table.  Decoded payloads are
+  canonically identical (``json.dumps(..., sort_keys=True)``) to what
+  was stored.
+- **Segment format 3 only.**  A file magic ``REPSEG02`` or a ``BLK1``
+  frame (segment format 2) raises a ``ValueError`` naming the path
+  instead of being treated as a torn tail, so an old store is refused,
+  never truncated; ``verify`` reports it as an error.  Stray
+  ``<key>.json`` files in a store directory are neither read nor
+  deleted.
 - **The column is the unit in memory too.**  A frame decodes once into
   flat per-column value lists and the block LRU holds those
-  (:class:`_Block`: keys, JSON remainders, columns; a v2 frame is all
-  remainder).  A record is built when asked for: ``get``, ``verify``,
-  ``compact`` and ``merge_from``'s re-encode go through
-  :meth:`_Block.materialise`, whose fresh dict is the caller's own.
-  Writes are not cached: a ``get`` after a ``put`` decodes the frame.
+  (:class:`_Block`: keys, JSON remainders, columns).  A record is built
+  when asked for: ``get``, ``verify``, ``compact`` and ``merge_from``'s
+  re-encode go through :meth:`_Block.materialise`, whose fresh dict is
+  the caller's own.  Writes are not cached: a ``get`` after a ``put``
+  decodes the frame.
 - **Codec.**  The writer makes one call per section: ``FORMAT_ALONE``
   LZMA with default lc/lp/pb and the dictionary sized to the input —
   preset 6 for the meta, preset 4 for body and array (zlib-9 on a
@@ -38,47 +36,45 @@ module keeps the store *contract* (content-keyed ``get``/``put`` /
   first byte (``0x5d`` LZMA, ``0x78`` zlib), so segments from the
   writer that kept the smaller of zlib-9 and LZMA read back unchanged.
 - Reads go through an **mmap view** of the segment (remapped when the
-  file grows or is replaced), falling back to buffered preads without
-  :mod:`mmap` or under ``REPRO_STORE_MMAP=0``.
+  file grows or is replaced), falling back to buffered preads on a
+  platform without :mod:`mmap`.
 - The **key index** is in-memory only, rebuilt from frame headers and
   metas on open; a torn final frame (crash mid-append) is detected by
   CRC/length and dropped, and the next append truncates it first, so
   the file self-heals without a repair tool.
 - **Manifest entries ride the frames** (label, seed, sim, origin,
-  timestamp, task accounting), so a put is *one* append.
-  ``manifest.json`` is a *derived* artifact for browsing and
-  cross-format tooling, materialized by ``repair_manifest`` (campaign
-  runs call it on finish), ``compact`` and ``prune``;
-  :meth:`ColumnarStore.manifest` always prefers the frame entries.
+  timestamp, task accounting), so a put is *one* append and the
+  segment is the manifest's only source.  ``manifest.json`` is a
+  *derived* artifact for browsing, written by ``repair_manifest``
+  (campaign runs call it on finish), ``compact`` and ``prune`` and
+  never read back.
 
-Invariants carried over from the JSON store:
+Invariants:
 
 - **Equal key ⟺ identical payload**, so appends never compare
   contents and ``merge_from`` skips present keys.  **Merge is a frame
-  copy where that changes nothing**: a source v3 frame is appended
-  byte for byte when every record in it is its key's live copy in the
+  copy where that changes nothing**: a source frame is appended byte
+  for byte when every record in it is its key's live copy in the
   source, none is present in the destination, each carries a
   current-schema manifest entry, the body/array sections match the
   meta's CRCs (a copy never decompresses them) and the frame holds at
   least ``COMPACT_BLOCK_RECORDS // 2`` records.  Every other record —
-  v2 frames, partial overlap, stale schema, small write-behind frames,
-  legacy JSON — is decoded and re-encoded in compaction-sized blocks.
-  Duplicate records (a ``--fresh`` re-run) are legal; the index
-  resolves to the newest and ``compact`` drops the shadowed ones.
-- **Read-compat.**  A store opened on a legacy directory serves the
-  ``<key>.json`` artifacts transparently (``keys()`` is the union);
-  ``compact`` absorbs them into the segment and deletes the originals.
+  partial overlap, stale schema, small write-behind frames — is
+  decoded and re-encoded in compaction-sized blocks.  Duplicate
+  records (a ``--fresh`` re-run) are legal; the index resolves to the
+  newest and ``compact`` drops the shadowed ones.
+- ``origin`` names where a store's *new* records come from (e.g.
+  ``"shard-0/2"``); it rides every manifest entry the store writes and
+  survives ``merge_from``, so a merged campaign store still says which
+  shard produced each record.
 
 Concurrency: appends hold a process-local lock and an advisory
-``flock`` on an ``O_APPEND`` descriptor.  Without the flock
-(``REPRO_STORE_LOCK=0``, no :mod:`fcntl`) two processes converge the
-way two JSON campaigns do (content keys make double execution
-harmless) but may leave shadowed duplicates for ``repro store
-compact``.
+``flock`` on an ``O_APPEND`` descriptor.  Without :mod:`fcntl` two
+processes converge the way two campaigns sharing a store do (content
+keys make double execution harmless) but may leave shadowed
+duplicates for ``repro store compact``.
 
-``repro store compact | inspect | verify`` is the maintenance surface;
-:func:`open_store` is the policy switch (``REPRO_STORE=json`` forces
-the legacy format).
+``repro store compact | inspect | verify`` is the maintenance surface.
 """
 
 from __future__ import annotations
@@ -112,34 +108,19 @@ try:  # zero-copy segment reads — gated (see _segment_view)
 except ImportError:  # pragma: no cover - no-mmap platform
     mmap = None
 
-from .sweep import SCHEMA_VERSION, ResultStore, simulator_version
-
-#: the store-format policy environment variable (see :func:`open_store`)
-STORE_ENV = "REPRO_STORE"
-
-#: set to ``0``/``off`` to force buffered reads instead of mmap
-MMAP_ENV = "REPRO_STORE_MMAP"
-
-#: set to ``0``/``off`` to skip the advisory inter-process append lock
-LOCK_ENV = "REPRO_STORE_LOCK"
+from .sweep import SCHEMA_VERSION, simulator_version
 
 #: 8-byte file magic; the trailing digit is the segment format version
-FILE_MAGIC = b"REPSEG02"
-
-#: file magic written by stores created at segment format 3
 FILE_MAGIC_V3 = b"REPSEG03"
 
-#: per-block frame magic (v2 frames)
-BLOCK_MAGIC = b"BLK1"
-
-#: per-block frame magic (v3 frames; may follow v2 frames in one file)
+#: per-block frame magic
 BLOCK_MAGIC_V3 = b"BLK2"
 
-#: the segment format new blocks are written in by default
-SEGMENT_FORMAT = 3
+#: the file and frame magics of segment format 2, refused by name
+_PRE_V3_MAGICS = (b"REPSEG02", b"BLK1")
 
-#: v2 frame header: magic, compressed length, CRC-32, record count
-_FRAME = struct.Struct("<4sIII")
+#: why a segment holding :data:`_PRE_V3_MAGICS` is not read
+_PRE_V3 = "the store predates segment format 3"
 
 #: v3 frame header: magic, record count, meta length, meta CRC-32,
 #: body length, array length (section CRCs and raw sizes ride the meta)
@@ -162,7 +143,7 @@ def _scalar_tag(value) -> Optional[int]:
     """The column tag for a scalar, or ``None`` for "keep as JSON".
 
     Bools are ints in Python but not in the column format; non-finite
-    floats stay JSON so both store formats spell them identically; and
+    floats stay JSON, spelled as the JSON remainder spells them; and
     ints outside 64 bits cannot be packed.
     """
     if value is None:
@@ -184,138 +165,6 @@ def _json_copy(obj):
     if isinstance(obj, list):
         return [_json_copy(v) for v in obj]
     return obj
-
-
-def encode_block(records: Sequence[Tuple[str, dict]],
-                 entries: Optional[Sequence[Optional[dict]]] = None
-                 ) -> bytes:
-    """One uncompressed block body for ``records`` (key/payload pairs).
-
-    Layout: ``u32 header_len + header_json + packed_columns``.  The
-    header carries the keys, the per-record JSON remainders, the
-    per-record manifest ``entries`` (may be ``None``), and the column
-    directory ``[section, name, kind]`` in deterministic (sorted)
-    order; the packed tail holds the columns in that order.
-    """
-    keys: List[str] = []
-    rests: List[dict] = []
-    scalars: Dict[Tuple[str, str], Dict[int, object]] = {}
-    arrays: Dict[Tuple[str, str], Dict[int, list]] = {}
-    for idx, (key, payload) in enumerate(records):
-        keys.append(key)
-        rest: dict = {}
-        for sect, val in payload.items():
-            if not isinstance(val, dict):
-                rest[sect] = val
-                continue
-            rsect = {}
-            for name, v in val.items():
-                if _scalar_tag(v) is not None:
-                    scalars.setdefault((sect, name), {})[idx] = v
-                elif _array_kind(v) is not None:
-                    arrays.setdefault((sect, name), {})[idx] = v
-                else:
-                    rsect[name] = v
-            rest[sect] = rsect
-        rests.append(rest)
-
-    n = len(records)
-    cols: List[List[str]] = []
-    packed = bytearray()
-    for sect, name in sorted(scalars):
-        cols.append([sect, name, "s"])
-        values = scalars[(sect, name)]
-        tags = bytearray(n)
-        buf = bytearray()
-        for i, v in values.items():
-            tags[i] = _scalar_tag(v)
-            if tags[i] == _T_INT:
-                buf += struct.pack("<q", v)
-            elif tags[i] == _T_FLOAT:
-                buf += struct.pack("<d", v)
-        packed += tags + buf
-    for sect, name in sorted(arrays):
-        cols.append([sect, name, "a"])
-        values = arrays[(sect, name)]
-        tags = bytearray(n)
-        buf = bytearray()
-        for i, elems in values.items():
-            tags[i] = 1
-            buf += struct.pack("<I", len(elems))
-            bitmap = bytearray((len(elems) + 7) // 8)
-            for j, e in enumerate(elems):
-                if isinstance(e, int):
-                    bitmap[j // 8] |= 1 << (j % 8)
-            buf += bitmap
-            for e in elems:
-                buf += struct.pack("<q" if isinstance(e, int) else "<d", e)
-        packed += tags + buf
-
-    doc = {"k": keys, "r": rests, "c": cols}
-    if entries is not None and any(e is not None for e in entries):
-        doc["m"] = list(entries)
-    header = json.dumps(doc, separators=(",", ":")).encode()
-    return struct.pack("<I", len(header)) + header + bytes(packed)
-
-
-def decode_block(body: bytes
-                 ) -> Tuple[List[Tuple[str, dict]],
-                            List[Optional[dict]]]:
-    """Invert :func:`encode_block`; every call returns fresh objects.
-
-    Returns ``(records, entries)`` — the key/payload pairs and the
-    parallel list of frame-carried manifest entries (``None`` where a
-    record carried none).
-    """
-    (hlen,) = struct.unpack_from("<I", body, 0)
-    header = json.loads(body[4:4 + hlen].decode())
-    keys, rests, cols = header["k"], header["r"], header["c"]
-    n = len(keys)
-    off = 4 + hlen
-    for sect, name, kind in cols:
-        tags = body[off:off + n]
-        off += n
-        if kind == "s":
-            for i in range(n):
-                tag = tags[i]
-                if tag == _T_MISSING:
-                    continue
-                if tag == _T_NULL:
-                    v: object = None
-                elif tag == _T_INT:
-                    (v,) = struct.unpack_from("<q", body, off)
-                    off += 8
-                else:
-                    (v,) = struct.unpack_from("<d", body, off)
-                    off += 8
-                rests[i][sect][name] = v
-        else:
-            for i in range(n):
-                if not tags[i]:
-                    continue
-                (count,) = struct.unpack_from("<I", body, off)
-                off += 4
-                bitmap = body[off:off + (count + 7) // 8]
-                off += len(bitmap)
-                elems = []
-                for j in range(count):
-                    is_int = bitmap[j // 8] >> (j % 8) & 1
-                    (e,) = struct.unpack_from("<q" if is_int else "<d",
-                                              body, off)
-                    off += 8
-                    elems.append(e)
-                rests[i][sect][name] = elems
-    entries = header.get("m") or [None] * n
-    return list(zip(keys, rests)), entries
-
-
-def _frame_bytes(records: Sequence[Tuple[str, dict]],
-                 entries: Optional[Sequence[Optional[dict]]] = None
-                 ) -> bytes:
-    body = encode_block(records, entries)
-    comp = zlib.compress(body, 6)
-    return _FRAME.pack(BLOCK_MAGIC, len(comp), zlib.crc32(comp),
-                       len(records)) + comp
 
 
 # ----------------------------------------------------------------------
@@ -538,7 +387,7 @@ def _meta_keys(n: int, meta: dict) -> List[str]:
 # per-value array encodings inside a v3 array column
 _ARR_INT = 0      # delta + zigzag varints
 _ARR_SCALED = 1   # scale byte, then delta + zigzag varints of scaled
-_ARR_RAW = 2      # v2-style int/float bitmap + 8-byte values
+_ARR_RAW = 2      # int/float bitmap + 8-byte values
 _ARR_SPLIT = 3    # full-precision floats, byte-stream-split planes
 
 
@@ -576,8 +425,8 @@ def _pack_array_v3(buf: bytearray, elems: list, kind: int) -> None:
     """Append one array value of :func:`_array_kind` ``kind``: deltas
     of ints (monotonic timestamps, correlated queue depths) and of
     exactly-scaled decimal floats (rounded metric series) varint-pack
-    to a byte or two per element; anything else falls back to the v2
-    raw layout."""
+    to a byte or two per element; anything else falls back to the raw
+    bitmap layout."""
     if kind == _ARR_INT:
         buf.append(_ARR_INT)
         _pack_deltas(buf, elems)
@@ -960,23 +809,23 @@ def _walk_frames(read, start: int, *, full: bool = True):
     mmap slice or a buffered pread; the scanner never holds a file
     position.  Yields, in file order:
 
-    - ``("magic", offset)`` — a file-magic marker (v2 or v3).
-      Accepted anywhere, not just at offset 0: two lockless processes
-      racing the very first append can each prepend the magic, and
-      treating it as an 8-byte skip makes that interleaving lossless
-      instead of data-destroying.
+    - ``("magic", offset)`` — a file-magic marker.  Accepted
+      anywhere, not just at offset 0: two lockless processes racing the
+      very first append can each prepend the magic, and treating it as
+      an 8-byte skip makes that interleaving lossless instead of
+      data-destroying.
     - ``("frame", block)`` — one complete frame.  ``block`` is a dict:
-      ``version`` (2 or 3), ``offset``/``end``, ``keys``, ``entries``,
-      ``records`` (fully decoded payloads — always for v2; for v3 only
-      when ``full``, else ``None``), ``errors`` (section CRC/decode
-      failures, ``full`` mode only), ``info`` (the stats breakdown)
-      and, v3 only, ``crcs`` (the meta's body/array CRC-32s).  With
-      ``full=False`` a v3 frame costs **one meta decompression** — the
-      body and array sections are never read; their presence is
+      ``offset``/``end``, ``keys``, ``entries``, ``records`` (fully
+      decoded payloads when ``full``, else ``None``), ``errors``
+      (section CRC/decode failures, ``full`` mode only), ``info`` (the
+      stats breakdown) and ``crcs`` (the meta's body/array CRC-32s).
+      With ``full=False`` a frame costs **one meta decompression** —
+      the body and array sections are never read; their presence is
       length-checked so torn tails still stop the scan.
     - ``("tail", offset, reason)`` — bytes from ``offset`` on are not
-      a valid frame (torn write, corruption, not a segment file);
-      scanning stops.
+      a valid frame (torn write, corruption, not a segment file, or
+      ``reason`` :data:`_PRE_V3` for segment-format-2 data); scanning
+      stops.
     - ``("eof", offset)`` — clean end of file.
 
     The reader (:meth:`ColumnarStore._refresh`), the auditor
@@ -989,39 +838,14 @@ def _walk_frames(read, start: int, *, full: bool = True):
         if not head:
             yield ("eof", pos)
             return
-        if head[:len(FILE_MAGIC)] in (FILE_MAGIC, FILE_MAGIC_V3):
+        if head[:len(FILE_MAGIC_V3)] == FILE_MAGIC_V3:
             yield ("magic", pos)
-            pos += len(FILE_MAGIC)
+            pos += len(FILE_MAGIC_V3)
             continue
-        magic4 = head[:4]
-        if magic4 == BLOCK_MAGIC:
-            if len(head) < _FRAME.size:
-                yield ("tail", pos, "truncated frame header")
-                return
-            _m, comp_len, crc, _n_records = \
-                _FRAME.unpack(head[:_FRAME.size])
-            comp = read(pos + _FRAME.size, comp_len)
-            if len(comp) < comp_len:
-                yield ("tail", pos, "truncated frame body")
-                return
-            if zlib.crc32(comp) != crc:
-                yield ("tail", pos, "CRC mismatch")
-                return
-            try:
-                records, entries = decode_block(zlib.decompress(comp))
-            except _DECODE_ERRORS as exc:
-                yield ("tail", pos, f"undecodable block ({exc})")
-                return
-            end = pos + _FRAME.size + comp_len
-            yield ("frame", {
-                "version": 2, "offset": pos, "end": end,
-                "keys": [k for k, _p in records], "entries": entries,
-                "records": records, "errors": [],
-                "info": {"version": 2, "records": len(records),
-                         "comp": comp_len}})
-            pos = end
-            continue
-        if magic4 != BLOCK_MAGIC_V3:
+        if head.startswith(_PRE_V3_MAGICS):
+            yield ("tail", pos, _PRE_V3)
+            return
+        if head[:4] != BLOCK_MAGIC_V3:
             yield ("tail", pos, "bad frame magic")
             return
         if len(head) < _FRAME3.size:
@@ -1052,7 +876,7 @@ def _walk_frames(read, start: int, *, full: bool = True):
             yield ("tail", pos, "truncated frame body")
             return
         blk: Dict[str, object] = {
-            "version": 3, "offset": pos, "end": end,
+            "offset": pos, "end": end,
             "keys": keys, "entries": entries, "records": None,
             "errors": [], "crcs": (meta.get("bc"), meta.get("ac")),
             "info": _frame_info_v3(n, mlen, blen, alen, meta),
@@ -1089,25 +913,32 @@ def decode_frame_v3(buf: bytes, offset: int = 0
     return event[1]["records"], event[1]["entries"]
 
 
-class ColumnarStore(ResultStore):
-    """The columnar store (v3 writer, v2+v3 reader): one segment file
-    + in-memory index, legacy-JSON fallback.
+class _CachePolicy:
+    """What a lookup answers: a ``fresh`` store (the ``--fresh``
+    behaviour) misses on every :meth:`get` — tasks re-run, results
+    still persist — while maintenance reads (``_read``) see the disk.
 
-    API-compatible with :class:`~repro.harness.sweep.ResultStore`;
-    see the module docstring for the format and its invariants.
-    """
+    A base of its own because the perf ledger wraps
+    ``ColumnarStore.get`` on the class and undoes that by deleting the
+    wrapper, which must leave this method in place."""
+
+    def get(self, key: str) -> Optional[dict]:
+        return None if self.fresh else self._read(key)
+
+
+class ColumnarStore(_CachePolicy):
+    """The campaign store: one segment file + in-memory index (see the
+    module docstring for the format and its invariants)."""
 
     SEGMENT = "store.seg"
+    MANIFEST = "manifest.json"
 
     def __init__(self, root: str, *, origin: Optional[str] = None,
-                 fresh: bool = False,
-                 segment_format: Optional[int] = None) -> None:
-        super().__init__(root, origin=origin, fresh=fresh)
-        fmt = SEGMENT_FORMAT if segment_format is None else segment_format
-        if fmt not in (2, 3):
-            raise ValueError(f"unknown segment format {fmt!r}")
-        #: the format *new* frames are written in; both are always read
-        self._format = fmt
+                 fresh: bool = False) -> None:
+        self.root = root
+        #: rides every manifest entry this store writes (module docstring)
+        self.origin = origin
+        self.fresh = fresh
         self._lock = threading.RLock()
         self._index: Dict[str, Tuple[int, int]] = {}  # key -> (off, slot)
         #: bounded LRU of decoded frames (:class:`_Block`: columns, not
@@ -1116,11 +947,11 @@ class ColumnarStore(ResultStore):
         self._blocks: "OrderedDict[int, _Block]" = OrderedDict()
         self._entries: Dict[str, dict] = {}  # frame-carried manifest
         self._view = None        # mmap over the scanned segment
-        # per-format/section/column accounting for stats() — folded
-        # from frame headers during the scan, never from block decodes
+        # per-section/column accounting for stats() — folded from
+        # frame headers during the scan, never from block decodes
         self._sections = dict.fromkeys(
             ("meta_comp", "body_comp", "array_comp", "body_raw",
-             "array_raw", "v2_comp", "table_strings"), 0)
+             "array_raw", "table_strings"), 0)
         self._col_bytes: Dict[str, int] = {}
         self._reset()
 
@@ -1129,9 +960,6 @@ class ColumnarStore(ResultStore):
     # ------------------------------------------------------------------
     def _segment_path(self) -> str:
         return os.path.join(self.root, self.SEGMENT)
-
-    def _file_magic(self) -> bytes:
-        return FILE_MAGIC_V3 if self._format >= 3 else FILE_MAGIC
 
     def _drop_view(self) -> None:
         if self._view is not None:
@@ -1146,13 +974,10 @@ class ColumnarStore(ResultStore):
         """An mmap over the segment's first ``size`` bytes, or ``None``.
 
         Remapped when the file grew (append) or the size changed under
-        a replace (compact); ``REPRO_STORE_MMAP=0`` or a platform
-        without :mod:`mmap` degrades to buffered pread — same bytes,
-        one copy more per read.
+        a replace (compact); a platform without :mod:`mmap` degrades to
+        buffered pread — same bytes, one copy more per read.
         """
-        if (mmap is None or size <= 0 or
-                os.environ.get(MMAP_ENV, "").strip().lower()
-                in ("0", "off", "no")):
+        if mmap is None or size <= 0:
             self._drop_view()
             return None
         if self._view is not None and self._view_len == size:
@@ -1210,7 +1035,6 @@ class ColumnarStore(ResultStore):
         self._blocks_seen = 0    # frames indexed so far
         self._tail_dirty = False  # torn/garbage tail after _scanned
         self._drop_view()
-        self._fmt_blocks = {2: 0, 3: 0}
         for key in self._sections:
             self._sections[key] = 0
         self._col_bytes.clear()
@@ -1219,19 +1043,13 @@ class ColumnarStore(ResultStore):
         """Accumulate one frame's stats breakdown (scan or append)."""
         self._records += info["records"]
         self._blocks_seen += 1
-        self._fmt_blocks[info["version"]] = \
-            self._fmt_blocks.get(info["version"], 0) + 1
-        if info["version"] == 3:
-            s = self._sections
-            for field in ("meta_comp", "body_comp", "array_comp",
-                          "body_raw", "array_raw"):
-                s[field] += info.get(field, 0)
-            s["table_strings"] += info.get("table", 0)
-            for ckey, nbytes in (info.get("cols") or {}).items():
-                self._col_bytes[ckey] = \
-                    self._col_bytes.get(ckey, 0) + nbytes
-        else:
-            self._sections["v2_comp"] += info.get("comp", 0)
+        s = self._sections
+        for field in ("meta_comp", "body_comp", "array_comp",
+                      "body_raw", "array_raw"):
+            s[field] += info[field]
+        s["table_strings"] += info["table"]
+        for ckey, nbytes in info["cols"].items():
+            self._col_bytes[ckey] = self._col_bytes.get(ckey, 0) + nbytes
 
     def _refresh(self) -> None:
         """Index any segment bytes appended since the last scan.
@@ -1239,7 +1057,8 @@ class ColumnarStore(ResultStore):
         Tolerant by construction: a frame that is short, fails its CRC
         or does not decode marks the tail dirty and stops the scan —
         everything before it stays served, and the next append
-        truncates the torn tail away.
+        truncates the torn tail away.  Segment-format-2 data is not a
+        torn tail: it raises, so nothing ever truncates an old store.
         """
         path = self._segment_path()
         try:
@@ -1257,19 +1076,18 @@ class ColumnarStore(ResultStore):
                 return
             for event in _walk_frames(read, self._scanned, full=False):
                 if event[0] == "magic":
-                    self._scanned = event[1] + len(FILE_MAGIC)
+                    self._scanned = event[1] + len(FILE_MAGIC_V3)
                 elif event[0] == "frame":
                     blk = event[1]
-                    if blk["version"] == 2:
-                        # v2 scans decode anyway (the keys live in the
-                        # block body) — keep the bytes we paid for
-                        self._cache_block(blk["offset"], _Block(
-                            blk["keys"], [p for _k, p in blk["records"]]))
                     self._index_frame(blk["offset"], blk["keys"],
                                       blk["entries"])
                     self._fold_info(blk["info"])
                     self._scanned = blk["end"]
                 elif event[0] == "tail":
+                    if event[2] == _PRE_V3:
+                        raise ValueError(
+                            f"{path}: {_PRE_V3} (format-2 data at "
+                            f"offset {event[1]}) and cannot be read")
                     self._tail_dirty = True
                     return
                 # "eof": loop ends
@@ -1289,10 +1107,8 @@ class ColumnarStore(ResultStore):
 
     def _load_block(self, offset: int, into: Optional[_Block] = None
                     ) -> Optional[_Block]:
-        """Decode the frame at ``offset`` for point reads.
-
-        v2 frames decode fully; a v3 frame decodes keys + body — not
-        the manifest entries (the index scan's business) and not the
+        """Decode the frame at ``offset`` for point reads: keys + body —
+        not the manifest entries (the index scan's business) and not the
         array section, which a later call adds ``into`` the cached
         block once a record that carries arrays is asked for.
         """
@@ -1300,31 +1116,21 @@ class ColumnarStore(ResultStore):
             if read is None:
                 return None
             try:
-                magic4 = read(offset, 4)
-                if magic4 == BLOCK_MAGIC:
-                    head = read(offset, _FRAME.size)
-                    _m, comp_len, _crc, _n = _FRAME.unpack(head)
-                    comp = read(offset + _FRAME.size, comp_len)
-                    records, _e = decode_block(zlib.decompress(comp))
-                    return _Block([k for k, _p in records],
-                                  [p for _k, p in records])
-                if magic4 == BLOCK_MAGIC_V3:
-                    head = read(offset, _FRAME3.size)
-                    _m, n, mlen, _mcrc, blen, alen = \
-                        _FRAME3.unpack(head)
-                    at = offset + _FRAME3.size
-                    if into is not None:
-                        into.add_columns((), _decompress_v3(
-                            read(at + mlen + blen, alen)))
-                        return into
-                    meta = json.loads(
-                        _decompress_v3(read(at, mlen)).decode())
-                    return _decode_body_v3(
-                        n, meta, _meta_keys(n, meta),
-                        _decompress_v3(read(at + mlen, blen)))
+                head = read(offset, _FRAME3.size)
+                magic, n, mlen, _mcrc, blen, alen = _FRAME3.unpack(head)
+                if magic != BLOCK_MAGIC_V3:
+                    return None
+                at = offset + _FRAME3.size
+                if into is not None:
+                    into.add_columns((), _decompress_v3(
+                        read(at + mlen + blen, alen)))
+                    return into
+                meta = json.loads(_decompress_v3(read(at, mlen)).decode())
+                return _decode_body_v3(
+                    n, meta, _meta_keys(n, meta),
+                    _decompress_v3(read(at + mlen, blen)))
             except (OSError,) + _DECODE_ERRORS:
                 return None
-        return None
 
     def _record(self, key: str, loc: Tuple[int, int]) -> Optional[dict]:
         """A fresh payload for ``key`` at ``loc`` — the one place a
@@ -1359,12 +1165,13 @@ class ColumnarStore(ResultStore):
     # reads
     # ------------------------------------------------------------------
     def _read(self, key: str) -> Optional[dict]:
-        with self._lock:
-            self._refresh()
-            loc = self._index.get(key)
-            if loc is None:
-                return super()._read(key)  # legacy JSON artifact
-            payload = self._record(key, loc)
+        """What is actually stored for ``key`` (schema-checked).
+
+        Kept separate from :meth:`get` so the ``fresh`` policy cannot
+        change what maintenance paths like :meth:`prune` or
+        :meth:`manifest` believe exists.
+        """
+        payload = self._read_raw(key)
         if payload is None or payload.get("schema") != SCHEMA_VERSION:
             return None
         return payload
@@ -1376,25 +1183,15 @@ class ColumnarStore(ResultStore):
         with self._lock:
             self._refresh()
             loc = self._index.get(key)
-            if loc is not None:
-                payload = self._record(key, loc)
-                if payload is not None:
-                    return payload
-        try:
-            with open(self._path(key)) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
+            return None if loc is None else self._record(key, loc)
 
     def keys(self) -> List[str]:
         with self._lock:
             self._refresh()
-            segment = set(self._index)
-        return sorted(segment | set(super().keys()))
+            return sorted(self._index)
 
-    def _json_keys(self) -> List[str]:
-        """Legacy ``<key>.json`` artifacts living beside the segment."""
-        return super().keys()
+    def __len__(self) -> int:
+        return len(self.keys())
 
     # ------------------------------------------------------------------
     # writes
@@ -1403,14 +1200,13 @@ class ColumnarStore(ResultStore):
         """Take the advisory inter-process append lock, if available.
 
         Released implicitly when ``fd`` closes.  Returns False on
-        platforms without :mod:`fcntl`, under ``REPRO_STORE_LOCK=0``,
-        or if the lock call itself fails — appends then fall back to
-        the documented lockless semantics (O_APPEND keeps each frame
-        contiguous on Linux; concurrent writers may leave shadowed
-        duplicates and must not race a tail heal).
+        platforms without :mod:`fcntl` or if the lock call itself
+        fails — appends then fall back to the documented lockless
+        semantics (O_APPEND keeps each frame contiguous on Linux;
+        concurrent writers may leave shadowed duplicates and must not
+        race a tail heal).
         """
-        if fcntl is None or os.environ.get(
-                LOCK_ENV, "").strip().lower() in ("0", "off", "no"):
+        if fcntl is None:
             return False
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
@@ -1418,30 +1214,52 @@ class ColumnarStore(ResultStore):
         except OSError:  # pragma: no cover - e.g. locks unsupported fs
             return False
 
-    def _encode_frame(self, records: Sequence[Tuple[str, dict]],
-                      entries: Sequence[Optional[dict]]
-                      ) -> Tuple[bytes, Dict[str, object]]:
-        if self._format >= 3:
-            return encode_frame_v3(records, entries)
-        frame = _frame_bytes(records, entries)
-        return frame, {"version": 2, "records": len(records),
-                       "comp": len(frame) - _FRAME.size}
+    def _write_json(self, path: str, doc: dict) -> None:
+        # per-process *and* per-thread temp name: concurrent writers
+        # sharing a store must not interleave before the atomic rename
+        tmp = path + f".{os.getpid()}.{threading.get_ident()}.tmp"
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        os.replace(tmp, path)
+
+    def _manifest_entry(self, payload: dict, written_at: float,
+                        stats: Optional[dict] = None) -> dict:
+        entry = {
+            "label": payload.get("task", {}).get("label", ""),
+            "seed": payload.get("task", {}).get("seed"),
+            "schema": payload.get("schema"),
+            "sim": payload.get("sim"),
+            "written_at": written_at,
+        }
+        if self.origin:
+            entry["origin"] = self.origin
+        # execution accounting rides the manifest entry, never the
+        # payload: content keys and byte-identity across backends must
+        # not depend on how long a task happened to take
+        if stats:
+            wall = stats.get("wall_s")
+            if isinstance(wall, (int, float)):
+                entry["wall_s"] = round(float(wall), 6)
+            nbytes = stats.get("bytes")
+            if isinstance(nbytes, int) and not isinstance(nbytes, bool):
+                entry["bytes"] = nbytes
+        return entry
 
     def _append_frame(self, records: Sequence[Tuple[str, dict]],
                       entries: Sequence[Optional[dict]]) -> None:
         """Encode one block and append it.  Nothing is cached: no
         caller reads its own writes back, and a copy of every batch
         would evict the blocks a reader is using."""
-        frame, info = self._encode_frame(records, entries)
+        frame, info = encode_frame_v3(records, entries)
         self._append_raw(frame, [key for key, _p in records], entries,
                          info)
 
     def _append_raw(self, frame: bytes, keys: Sequence[str],
                     entries: Sequence[Optional[dict]],
                     info: Dict[str, object]) -> int:
-        """The one segment append: write ``frame`` (a complete v2/v3
-        frame holding ``keys``) under the lock, register it in the
-        index, fold ``info`` into the stats; returns its offset."""
+        """The one segment append: write ``frame`` (a complete frame
+        holding ``keys``) under the lock, register it in the index,
+        fold ``info`` into the stats; returns its offset."""
         os.makedirs(self.root, exist_ok=True)
         path = self._segment_path()
         fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
@@ -1471,7 +1289,7 @@ class ColumnarStore(ResultStore):
                 self._tail_dirty = False
             data = frame
             if os.fstat(fd).st_size == 0:
-                data = self._file_magic() + frame
+                data = FILE_MAGIC_V3 + frame
             # loop on short writes (ENOSPC / RLIMIT_FSIZE can commit a
             # partial frame without raising): the index must never
             # report artifacts durable that are torn on disk
@@ -1489,20 +1307,25 @@ class ColumnarStore(ResultStore):
             os.close(fd)
         offset = end - len(frame)
         self._index_frame(offset, keys, entries)
-        if offset == max(self._scanned, len(FILE_MAGIC)):
+        if offset == max(self._scanned, len(FILE_MAGIC_V3)):
             self._scanned = end
             self._fold_info(info)
         # else: another process appended in between; _refresh picks the
         # gap (and this frame again) up from _scanned — idempotent
         return offset
 
+    def put(self, key: str, payload: dict, *,
+            stats: Optional[dict] = None) -> None:
+        self.put_many([(key, payload)],
+                      stats={key: stats} if stats else None)
+
     def put_many(self, items: Iterable[Tuple[str, dict]], *,
                  stats: Optional[Dict[str, dict]] = None) -> None:
         """Persist several artifacts as **one** segment append — the
         manifest entries travel inside the frame, so a sweep costs
-        O(batches) store I/O.  ``stats`` (key → per-task accounting,
-        see :meth:`~repro.harness.sweep.ResultStore.put_many`) rides
-        the frame-carried entries, never the payloads.
+        O(batches) store I/O.  ``stats`` optionally maps keys to
+        per-task execution accounting (``wall_s``/``bytes``), which
+        rides the frame-carried entries, never the payloads.
         """
         items = list(items)
         if not items:
@@ -1516,10 +1339,9 @@ class ColumnarStore(ResultStore):
                                       (stats or {}).get(key))
                  for key, payload in items])
 
-    def _copy_frames(self, other: "ColumnarStore",
-                     json_present: set) -> List[str]:
+    def _copy_frames(self, other: "ColumnarStore") -> List[str]:
         """:meth:`merge_from`'s frame copy: walk ``other``'s metas and
-        append each v3 frame the module docstring's merge rule allows
+        append each frame the module docstring's merge rule allows
         verbatim (nothing decoded, nothing cached).  Returns the
         copied keys; the caller holds ``self._lock``."""
         copied: List[str] = []
@@ -1530,14 +1352,14 @@ class ColumnarStore(ResultStore):
                 frames = () if read is None else \
                     _walk_frames(read, 0, full=False)
                 for event in frames:
-                    if event[0] != "frame" or event[1]["version"] != 3:
+                    if event[0] != "frame":
                         continue
                     blk = event[1]
                     offset, keys = blk["offset"], blk["keys"]
                     entries = blk["entries"]
                     if len(keys) < COMPACT_BLOCK_RECORDS // 2 or any(
                             live.get(key) != (offset, slot)
-                            or key in self._index or key in json_present
+                            or key in self._index
                             or entries[slot] is None or
                             entries[slot].get("schema") != SCHEMA_VERSION
                             for slot, key in enumerate(keys)):
@@ -1552,36 +1374,34 @@ class ColumnarStore(ResultStore):
                     copied += keys
         return copied
 
-    def merge_from(self, other: ResultStore) -> List[str]:
-        """Fold ``other`` in by appending blocks (vs one file copy per
-        artifact in the JSON store): whole v3 frames verbatim where
-        :meth:`_copy_frames` allows, everything else decoded and
-        re-encoded in compaction-sized blocks.  Same semantics either
-        way: present keys skip, stale schemas stay behind, manifest
-        entries travel with their ``origin`` inside the frame."""
+    def merge_from(self, other: "ColumnarStore") -> List[str]:
+        """Fold ``other``'s records into this store; returns the keys
+        actually merged.
+
+        Whole frames are appended verbatim where :meth:`_copy_frames`
+        allows, everything else is decoded and re-encoded in
+        compaction-sized blocks.  Content-key semantics make this
+        idempotent and commutative: a key already present here is
+        skipped (equal key ⟺ identical payload), so merging the same
+        shard twice — or two shards in either order — converges to the
+        same store.  Manifest entries travel with their ``origin``
+        inside the frame; records with a stale schema stay behind.
+        """
         other_manifest = other.manifest()
-        other_keys = other.keys()
-        merged: List[str] = []
         records: List[Tuple[str, dict]] = []
         entries: List[Optional[dict]] = []
         with self._lock:
             self._refresh()
-            json_present = set(self._json_keys())
-            if isinstance(other, ColumnarStore):
-                if self._format >= 3:
-                    merged = self._copy_frames(other, json_present)
-                # decode the rest in frame order, not sorted-key order:
-                # content keys shuffle records across blocks, so sorted
-                # point reads thrash the block LRU and re-decode a block
-                # once per *record* (~17x slower at 50k); frame order
-                # decodes each source block once.  Legacy JSON keys
-                # (per-file, order-free) sort after the segment.
-                with other._lock:
-                    locs = dict(other._index)
-                other_keys = sorted(
-                    other_keys, key=lambda k: locs.get(k, (1 << 62, 0)))
-            for key in other_keys:
-                if key in self._index or key in json_present:
+            merged = self._copy_frames(other)
+            # decode the rest in frame order, not sorted-key order:
+            # content keys shuffle records across blocks, so sorted
+            # point reads thrash the block LRU and re-decode a block
+            # once per *record* (~17x slower at 50k); frame order
+            # decodes each source block once
+            with other._lock:
+                locs = dict(other._index)
+            for key in sorted(locs, key=locs.__getitem__):
+                if key in self._index:
                     continue
                 payload = other._read(key)
                 if payload is None:
@@ -1599,40 +1419,51 @@ class ColumnarStore(ResultStore):
         return merged
 
     def manifest(self) -> Dict[str, dict]:
-        """The campaign index, frame-carried entries first.
+        """The campaign index: key -> {label, seed, schema, sim,
+        written_at, ...}, from the entries riding the segment frames.
 
-        Starts from whatever ``manifest.json`` says (legacy artifacts,
-        cross-format tooling), overlays the entries riding the segment
-        frames, synthesizes entries for artifacts that carry none, and
-        drops entries whose artifact is gone — the same read-repair
-        contract as the JSON store, just with the frames as the source
-        of truth.
+        A record that carries no entry gets one synthesized from its
+        payload (current-schema records only), so every readable key
+        is listed.
         """
         with self._lock:
             self._refresh()
-            manifest = self._read_index()
-            for key, entry in self._entries.items():
-                manifest[key] = dict(entry)
-            on_disk = self.keys()
-            for key in on_disk:
+            manifest = {key: dict(entry)
+                        for key, entry in self._entries.items()}
+            for key in self._index:
                 if key in manifest:
                     continue
                 payload = self._read(key)
                 if payload is not None:
                     manifest[key] = self._manifest_entry(
                         payload, time.time())
-            for key in set(manifest) - set(on_disk):
-                del manifest[key]
+        return manifest
+
+    def repair_manifest(self) -> Dict[str, dict]:
+        """Write :meth:`manifest` to ``manifest.json`` — the browsable
+        copy, replacing whatever a lost or raced write left there
+        (campaign runs call this after finishing)."""
+        manifest = self.manifest()
+        if manifest or os.path.isdir(self.root):
+            os.makedirs(self.root, exist_ok=True)
+            self._write_json(os.path.join(self.root, self.MANIFEST),
+                             manifest)
         return manifest
 
     # ------------------------------------------------------------------
     # maintenance: prune / compact / verify / stats
     # ------------------------------------------------------------------
     def prune(self, keep: Optional[Iterable[str]] = None) -> List[str]:
-        """Same policy as the JSON store (keep-set, else stale schema /
-        simulator hash); segment records are dropped by rewriting the
-        file, legacy JSON artifacts by deletion.  Orphaned manifest
-        entries are dropped either way."""
+        """Drop stale records by rewriting the segment; returns the
+        removed keys.
+
+        With ``keep`` given, everything outside that key set goes.
+        Without it, records whose stored simulator version differs from
+        the current :func:`simulator_version` (or whose schema is
+        outdated) are removed — the post-upgrade cleanup.
+        ``manifest.json`` is rewritten either way, so entries for
+        records that are gone (an interrupted prune) leave it too.
+        """
         keep_set = set(keep) if keep is not None else None
         with self._lock:
             self._refresh()
@@ -1646,55 +1477,36 @@ class ColumnarStore(ResultStore):
                         payload.get("sim") != simulator_version()
                 if stale:
                     removed.append(key)
-            for key in removed:
-                if key not in self._index:
-                    try:
-                        os.remove(self._path(key))
-                    except OSError:
-                        pass
-            if any(key in self._index for key in removed):
+            if removed:
                 self._rewrite(drop=set(removed))
-            else:
-                for key in removed:
-                    self._index.pop(key, None)
-                    self._entries.pop(key, None)
-            orphaned = set(self._read_index()) - set(self.keys())
-            if removed or orphaned:
-                self._write_json(os.path.join(self.root, self.MANIFEST),
-                                 self.manifest())
+            self.repair_manifest()
         return removed
 
     def compact(self) -> Dict[str, object]:
-        """Rewrite the segment file: one record per live key, legacy
-        JSON artifacts absorbed and deleted, shadowed duplicates
-        dropped.  Returns before/after statistics."""
+        """Rewrite the segment file: one record per live key, shadowed
+        duplicates dropped.  Returns before/after statistics."""
         with self._lock:
             self._refresh()
             before = self._stats_locked()
-            rewrite = self._rewrite(drop=set())
+            written = self._rewrite(drop=set())
             self._write_json(os.path.join(self.root, self.MANIFEST),
                              self.manifest())
             after = self._stats_locked()
         return {"before": before, "after": after,
-                "records_written": rewrite["records"],
-                "json_absorbed": rewrite["json_absorbed"]}
+                "records_written": written}
 
-    def _rewrite(self, drop: set) -> Dict[str, object]:
+    def _rewrite(self, drop: set) -> int:
         """Write a fresh segment holding every live key not in
-        ``drop``; absorb and delete legacy JSON artifacts.  Caller
-        holds the lock."""
+        ``drop``; returns the records written.  Caller holds the
+        lock."""
         survivors = [key for key in self.keys() if key not in drop]
-        absorbed = [key for key in self._json_keys()
-                    if key not in drop and key not in self._index]
         entry_for = self.manifest()  # preserves shard origins
         os.makedirs(self.root, exist_ok=True)
         tmp = self._segment_path() + \
             f".{os.getpid()}.{threading.get_ident()}.tmp"
-        written: set = set()
+        written = 0
         with open(tmp, "wb") as fh:
-            # compaction rewrites in the store's *write* format — the
-            # v2 → v3 migration path is one `repro store compact`
-            fh.write(self._file_magic())
+            fh.write(FILE_MAGIC_V3)
             batch: List[Tuple[str, dict]] = []
             entries: List[Optional[dict]] = []
             for key in survivors:
@@ -1703,41 +1515,29 @@ class ColumnarStore(ResultStore):
                     continue
                 batch.append((key, payload))
                 entries.append(entry_for.get(key))
-                written.add(key)
+                written += 1
                 if len(batch) >= COMPACT_BLOCK_RECORDS:
-                    fh.write(self._encode_frame(batch, entries)[0])
+                    fh.write(encode_frame_v3(batch, entries)[0])
                     batch, entries = [], []
             if batch:
-                fh.write(self._encode_frame(batch, entries)[0])
+                fh.write(encode_frame_v3(batch, entries)[0])
         self._drop_view()  # the view maps the file we just replaced
         os.replace(tmp, self._segment_path())
-        # remove only the legacy JSON artifacts that are now in the
-        # segment (absorbed or shadowed) or deliberately dropped — a
-        # file that failed to *read* (EACCES, I/O error) was never
-        # absorbed and must survive the rewrite
-        for key in self._json_keys():
-            if key not in written and key not in drop:
-                continue
-            try:
-                os.remove(self._path(key))
-            except OSError:
-                pass
         self._reset()
         self._refresh()
-        return {"records": len(written),
-                "json_absorbed": len(set(absorbed) & written)}
+        return written
 
     def verify(self) -> Dict[str, object]:
         """Scan the file from scratch and cross-check every record.
 
         Returns a report dict; ``ok`` is False on CRC failures, torn
-        tails, undecodable blocks, or records whose embedded content
-        key disagrees with their index key.
+        tails, undecodable blocks, segment-format-2 data, or records
+        whose embedded content key disagrees with their index key.
         """
         report: Dict[str, object] = {
             "blocks": 0, "records": 0, "unique_keys": 0,
             "duplicate_records": 0, "key_mismatches": [],
-            "truncated_tail_bytes": 0, "legacy_json": 0, "errors": [],
+            "truncated_tail_bytes": 0, "errors": [],
         }
         seen: Dict[str, int] = {}
         path = self._segment_path()
@@ -1775,17 +1575,6 @@ class ColumnarStore(ResultStore):
                         if not reason.startswith("truncated"):
                             report["errors"].append(
                                 f"{reason} at offset {offset}")
-        for key in self._json_keys():
-            report["legacy_json"] += 1
-            try:
-                with open(self._path(key)) as fh:
-                    payload = json.load(fh)
-            except (OSError, ValueError):
-                report["errors"].append(f"unreadable artifact {key}.json")
-                continue
-            embedded = payload.get("key")
-            if embedded is not None and embedded != key:
-                report["key_mismatches"].append(key)
         report["unique_keys"] = len(seen)
         report["duplicate_records"] = \
             sum(count - 1 for count in seen.values())
@@ -1798,13 +1587,6 @@ class ColumnarStore(ResultStore):
             seg_bytes = os.path.getsize(self._segment_path())
         except OSError:
             seg_bytes = 0
-        json_keys = self._json_keys()
-        json_bytes = 0
-        for key in json_keys:
-            try:
-                json_bytes += os.path.getsize(self._path(key))
-            except OSError:
-                pass
         task_wall = 0.0
         task_bytes = 0
         timed = 0
@@ -1820,20 +1602,17 @@ class ColumnarStore(ResultStore):
                 task_bytes += int(nbytes)
         return {
             "segment_bytes": seg_bytes,
-            "json_bytes": json_bytes,
-            "bytes": seg_bytes + json_bytes,
             "blocks": self._blocks_seen,
             # raw frame records, not unique index keys: the duplicate
             # surplus is the `repro store inspect` signal to compact
             "records": self._records,
             "duplicates": self._records - len(self._index),
-            "legacy_json": len(json_keys),
-            "keys": len(set(self._index) | set(json_keys)),
+            "keys": len(self._index),
             # a torn/corrupt tail stops the scan, so the counts above
             # cover only the readable prefix — statistics must say so
             "tail_dirty": self._tail_dirty,
-            "format": {"v2_blocks": self._fmt_blocks.get(2, 0),
-                       "v3_blocks": self._fmt_blocks.get(3, 0)},
+            # (the perf ledger's store trace records this breakdown)
+            "format": {"v3_blocks": self._blocks_seen},
             "sections": dict(self._sections),
             "columns": dict(self._col_bytes),
             # recorded task accounting riding the manifest entries
@@ -1845,35 +1624,12 @@ class ColumnarStore(ResultStore):
     def stats(self) -> Dict[str, object]:
         """Browsable store statistics (``repro store inspect``).
 
-        Cheap by construction on v3 segments: the refresh scan reads
-        frame headers and metas only (no body decompression, nothing
-        pushed through the block LRU), and the compression breakdown
-        (``sections``/``columns``/``format``) is folded from the
-        per-frame ``info`` the scanner already produced.
+        Cheap by construction: the refresh scan reads frame headers and
+        metas only (no body decompression, nothing pushed through the
+        block LRU), and the compression breakdown
+        (``sections``/``columns``) is folded from the per-frame
+        ``info`` the scanner already produced.
         """
         with self._lock:
             self._refresh()
             return self._stats_locked()
-
-
-def open_store(root: str, *, origin: Optional[str] = None,
-               fresh: bool = False) -> ResultStore:
-    """The store for ``root`` under the current format policy.
-
-    ``REPRO_STORE=json`` forces the legacy one-JSON-per-task format
-    (e.g. to A/B against v2, or to produce a store for the migration
-    path); anything else — the default — opens a :class:`ColumnarStore`,
-    which reads legacy directories transparently and writes segments.
-    """
-    kind = os.environ.get(STORE_ENV, "").strip().lower()
-    if kind in ("json", "v1"):
-        return ResultStore(root, origin=origin, fresh=fresh)
-    if kind in ("", "columnar", "v3"):
-        return ColumnarStore(root, origin=origin, fresh=fresh)
-    if kind == "v2":
-        # pinned legacy segment format: reads everything, writes BLK1
-        return ColumnarStore(root, origin=origin, fresh=fresh,
-                             segment_format=2)
-    raise ValueError(
-        f"{STORE_ENV} must be one of json, v1, v2, v3 or columnar, "
-        f"got {kind!r}")

@@ -17,7 +17,7 @@ campaign:
    root seed via :func:`spawn_seeds`), and the simulator is
    deterministic given a seed, so every backend produces
    byte-identical metrics for the same grid.
-3. Results persist as one JSON file per task in a :class:`ResultStore`,
+3. Results persist in a :class:`~repro.harness.store.ColumnarStore`,
    keyed by a content hash of the task parameters: re-running a
    campaign skips every finished task and recomputes aggregation
    (mean/p99 across seeds) from the store.
@@ -31,7 +31,7 @@ Example::
                      topos=[{"n_hosts": 16, "hosts_per_t0": 8}],
                      root_seed=7, n_seeds=4)
     results = run_sweep(grid, workers=4,
-                        store=ResultStore("benchmarks/results/sweeps/demo"))
+                        store=ColumnarStore("benchmarks/results/sweeps/demo"))
     for group, agg in results.aggregate("max_fct_us").items():
         print(group, agg.mean, agg.percentile(99))
 
@@ -56,13 +56,11 @@ Invariants:
   the worker that simulated the task, immediately after the run, and
   its scalar outputs are persisted in the artifact's ``extra`` mapping
   (probes are part of the content key: adding one re-runs the task).
-- **Store writes are atomic** (temp file + ``os.replace``), and the
-  ``manifest.json`` index is merged on every put and read-repaired on
-  every read, so concurrent campaigns sharing a store converge.
-  :meth:`ResultStore.merge_from` folds one store into another under
-  the same rules — content keys make the merge idempotent, which is
-  what lets independently-executed shards reassemble into one
-  campaign store.
+- **Stores converge.**  Content keys make concurrent campaigns
+  sharing a store harmless and
+  :meth:`~repro.harness.store.ColumnarStore.merge_from` idempotent,
+  which is what lets independently-executed shards reassemble into
+  one campaign store.
 """
 
 from __future__ import annotations
@@ -71,8 +69,6 @@ import hashlib
 import json
 import math
 import os
-import threading
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
     TYPE_CHECKING,
@@ -90,9 +86,10 @@ from typing import (
 from ..core.reps import RepsConfig
 from ..sim.params import TopologyParams
 
-if TYPE_CHECKING:  # annotations only: both live past the execute boundary
+if TYPE_CHECKING:  # annotations only: none loads with the describe layer
     from ..sim.metrics import RunMetrics
     from .stats import Aggregate
+    from .store import ColumnarStore
 
 #: bump to invalidate stored artifacts when the result format changes
 #: (3: time-series probe outputs ride a dedicated ``series`` section)
@@ -378,7 +375,7 @@ def spawn_seeds(root_seed: int, n: int) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# content keys and the artifact store
+# content keys
 # ----------------------------------------------------------------------
 def _jsonify(obj):
     if isinstance(obj, tuple):
@@ -436,250 +433,6 @@ def task_key(task: SweepTask) -> str:
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-class ResultStore:
-    """One JSON artifact per finished task under a root directory.
-
-    Alongside the artifacts, the store maintains a campaign manifest
-    (``manifest.json``): one index entry per key with the task label,
-    seed, simulator version and write timestamp.  The manifest is what
-    makes a sweep directory browsable without opening every artifact,
-    and what :meth:`prune` uses to drop stale results.
-
-    ``origin`` names where this store's *new* artifacts come from
-    (e.g. ``"shard-0/2"``); it rides every manifest entry the store
-    writes and survives :meth:`merge_from`, so a merged campaign
-    store still says which shard produced each artifact.
-    """
-
-    MANIFEST = "manifest.json"
-
-    def __init__(self, root: str, *, origin: Optional[str] = None,
-                 fresh: bool = False) -> None:
-        self.root = root
-        self.origin = origin
-        #: a fresh store answers every :meth:`get` with a miss (the
-        #: ``--fresh`` behaviour): tasks re-run, results still persist
-        self.fresh = fresh
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}.json")
-
-    def _read(self, key: str) -> Optional[dict]:
-        """What is actually on disk for ``key`` (schema-checked).
-
-        Kept separate from :meth:`get` so cache *policy* overrides
-        (``--fresh`` stores answer every lookup with a miss) cannot
-        change what maintenance paths like :meth:`prune` or
-        :meth:`manifest` believe exists.
-        """
-        try:
-            with open(self._path(key)) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if payload.get("schema") != SCHEMA_VERSION:
-            return None
-        return payload
-
-    def get(self, key: str) -> Optional[dict]:
-        return None if self.fresh else self._read(key)
-
-    def _write_json(self, path: str, doc: dict) -> None:
-        # per-process *and* per-thread temp name: concurrent writers
-        # sharing a store must not interleave before the atomic rename
-        tmp = path + f".{os.getpid()}.{threading.get_ident()}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, path)
-
-    def _manifest_entry(self, payload: dict, written_at: float,
-                        stats: Optional[dict] = None) -> dict:
-        entry = {
-            "label": payload.get("task", {}).get("label", ""),
-            "seed": payload.get("task", {}).get("seed"),
-            "schema": payload.get("schema"),
-            "sim": payload.get("sim"),
-            "written_at": written_at,
-        }
-        if self.origin:
-            entry["origin"] = self.origin
-        # execution accounting rides the manifest entry, never the
-        # payload: content keys and byte-identity across backends must
-        # not depend on how long a task happened to take
-        if stats:
-            wall = stats.get("wall_s")
-            if isinstance(wall, (int, float)):
-                entry["wall_s"] = round(float(wall), 6)
-            nbytes = stats.get("bytes")
-            if isinstance(nbytes, int) and not isinstance(nbytes, bool):
-                entry["bytes"] = nbytes
-        return entry
-
-    def put(self, key: str, payload: dict, *,
-            stats: Optional[dict] = None) -> None:
-        self.put_many([(key, payload)],
-                      stats={key: stats} if stats else None)
-
-    def put_many(self, items: Iterable[Tuple[str, dict]], *,
-                 stats: Optional[Dict[str, dict]] = None) -> None:
-        """Persist several artifacts with **one** manifest update.
-
-        Each artifact write is individually atomic as in :meth:`put`;
-        the read-merge-write of ``manifest.json`` happens once per
-        call, which is what makes the batched backend's store I/O
-        O(batches) instead of O(tasks).  ``stats`` optionally maps
-        keys to per-task execution accounting (``wall_s``/``bytes``)
-        recorded into the manifest entries.
-        """
-        items = list(items)
-        if not items:
-            return
-        os.makedirs(self.root, exist_ok=True)
-        for key, payload in items:
-            self._write_json(self._path(key), payload)
-        # read-merge-write per call: concurrent campaigns sharing a
-        # store each merge into the latest on-disk index instead of
-        # clobbering it from a stale in-memory snapshot
-        manifest = self._read_index()
-        now = time.time()
-        for key, payload in items:
-            manifest[key] = self._manifest_entry(
-                payload, now, (stats or {}).get(key))
-        self._write_json(os.path.join(self.root, self.MANIFEST), manifest)
-
-    def merge_from(self, other: "ResultStore") -> List[str]:
-        """Fold ``other``'s artifacts into this store; returns the
-        keys actually copied.
-
-        Content-key semantics make this idempotent and commutative:
-        a key already present here is skipped (equal key ⟺ identical
-        payload), so merging the same shard twice — or two shards in
-        either order — converges to the same store.  Manifest entries
-        travel with their artifacts, preserving the writing shard's
-        ``origin``; artifacts with a stale schema are left behind.
-        """
-        merged: List[str] = []
-        other_manifest = other.manifest()
-        manifest_updates: Dict[str, dict] = {}
-        for key in other.keys():
-            # presence check by path, not by parsing the artifact: a
-            # re-merge of an already-merged store must cost stat()s,
-            # not a JSON parse per artifact (equal key ⟺ identical
-            # payload, and a corrupt artifact self-heals through the
-            # run_sweep cache-miss path)
-            if os.path.exists(self._path(key)):
-                continue
-            payload = other._read(key)
-            if payload is None:
-                continue  # stale schema / unreadable: not worth moving
-            os.makedirs(self.root, exist_ok=True)
-            self._write_json(self._path(key), payload)
-            entry = other_manifest.get(key) or \
-                other._manifest_entry(payload, time.time())
-            manifest_updates[key] = entry
-            merged.append(key)
-        if manifest_updates:
-            manifest = self._read_index()
-            manifest.update(manifest_updates)
-            self._write_json(os.path.join(self.root, self.MANIFEST),
-                             manifest)
-        return merged
-
-    def _read_index(self) -> Dict[str, dict]:
-        try:
-            with open(os.path.join(self.root, self.MANIFEST)) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return {}
-
-    def manifest(self) -> Dict[str, dict]:
-        """The campaign index: key -> {label, seed, schema, sim,
-        written_at}, reconciled against the artifacts on disk.
-
-        put() merges, but two *processes* writing at the same instant
-        can still lose an index entry (last writer wins); reads repair
-        that by synthesizing entries for any artifact missing from the
-        index and dropping entries whose artifact is gone.
-        """
-        manifest = self._read_index()
-        on_disk = self.keys()
-        for key in on_disk:
-            if key in manifest:
-                continue
-            payload = self._read(key)
-            if payload is not None:
-                try:
-                    mtime = os.path.getmtime(self._path(key))
-                except OSError:
-                    mtime = time.time()
-                manifest[key] = self._manifest_entry(payload, mtime)
-        for key in set(manifest) - set(on_disk):
-            del manifest[key]
-        return manifest
-
-    def repair_manifest(self) -> Dict[str, dict]:
-        """Reconcile the index against the artifacts **and persist it**.
-
-        :meth:`manifest` repairs in memory only; this writes the
-        repaired index back so a lost or raced ``manifest.json`` is
-        fixed on disk (campaign runs call this after finishing).
-        """
-        manifest = self.manifest()
-        if manifest or os.path.isdir(self.root):
-            os.makedirs(self.root, exist_ok=True)
-            self._write_json(os.path.join(self.root, self.MANIFEST),
-                             manifest)
-        return manifest
-
-    def keys(self) -> List[str]:
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        return sorted(n[:-5] for n in names
-                      if n.endswith(".json") and n != self.MANIFEST)
-
-    def prune(self, keep: Optional[Iterable[str]] = None) -> List[str]:
-        """Delete stale artifacts; returns the removed keys.
-
-        With ``keep`` given, everything outside that key set goes.
-        Without it, artifacts whose stored simulator version differs
-        from the current :func:`simulator_version` (or whose schema is
-        outdated) are removed — the post-upgrade cleanup.
-
-        Pruning also drops *orphaned* manifest entries — index rows
-        whose artifact file is already gone (an interrupted prune, a
-        hand-deleted file).  Reads repair the reverse case (artifact
-        without an entry); without this, a lost artifact would haunt
-        the index forever because read-repair only ever adds.
-        """
-        removed = []
-        keep_set = set(keep) if keep is not None else None
-        for key in self.keys():
-            if keep_set is not None:
-                stale = key not in keep_set
-            else:
-                payload = self._read(key)  # None for schema mismatch
-                stale = payload is None or \
-                    payload.get("sim") != simulator_version()
-            if stale:
-                try:
-                    os.remove(self._path(key))
-                except OSError:
-                    continue
-                removed.append(key)
-        orphaned = set(self._read_index()) - set(self.keys())
-        if removed or orphaned:
-            # manifest() reconciles against the surviving artifacts, so
-            # persisting it drops the removed keys and the orphans alike
-            self._write_json(os.path.join(self.root, self.MANIFEST),
-                             self.manifest())
-        return removed
-
-    def __len__(self) -> int:
-        return len(self.keys())
 
 
 # ----------------------------------------------------------------------
@@ -914,7 +667,7 @@ class SweepResults:
 
 
 def run_sweep(grid: Union[SweepGrid, Iterable[SweepTask]], *,
-              workers: int = 1, store: Optional[ResultStore] = None,
+              workers: int = 1, store: Optional[ColumnarStore] = None,
               progress: bool = False, backend=None,
               on_result: Optional[Callable[[int, TaskResult], None]] = None
               ) -> SweepResults:
@@ -937,7 +690,7 @@ def run_sweep(grid: Union[SweepGrid, Iterable[SweepTask]], *,
     over (everything that finished is persisted) the first such
     traceback is raised as :class:`TaskFailed`.
     """
-    # lazy: backends import execute_task and ResultStore from here
+    # lazy: backends import execute_task from here
     from .backends import resolve_backend
 
     tasks = grid.tasks() if isinstance(grid, SweepGrid) else list(grid)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Hashable,
@@ -50,13 +51,15 @@ from typing import (
 )
 
 from ..harness.sweep import (
-    ResultStore,
     SweepResults,
     SweepTask,
     TaskFailed,
     TaskResult,
     run_sweep,
 )
+
+if TYPE_CHECKING:  # describe never loads the store's codec
+    from ..harness.store import ColumnarStore
 
 Key = Hashable
 #: (headers, rows, notes) — what a figure prints/persists as its table
@@ -208,7 +211,7 @@ def figure_ids() -> List[str]:
 
 
 def run_figures(specs: Sequence[FigureSpec], *, workers: int = 1,
-                store: Optional[ResultStore] = None,
+                store: Optional[ColumnarStore] = None,
                 progress: bool = False, backend=None,
                 on_figure: Optional[Callable[[int, FigureRun], None]] = None
                 ) -> List[FigureRun]:
@@ -281,7 +284,7 @@ def run_figures(specs: Sequence[FigureSpec], *, workers: int = 1,
 
 
 def run_figure(spec, *, workers: int = 1,
-               store: Optional[ResultStore] = None,
+               store: Optional[ColumnarStore] = None,
                progress: bool = False, backend=None) -> FigureResult:
     """Run one figure — a campaign of one through :func:`run_figures`
     (``spec`` may be a :class:`FigureSpec` or a registry id); whatever

@@ -26,8 +26,8 @@ from repro.harness.backends import (
     shard_partition,
 )
 from repro.harness.backends.base import FLUSH_EVERY
+from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
-    ResultStore,
     TaskFailed,
     WorkloadSpec,
     make_model_task,
@@ -53,13 +53,11 @@ def mixed_grid():
     return tasks
 
 
-def store_snapshot(store: ResultStore):
-    """Artifact bytes by key (the manifest is timing-dependent)."""
-    out = {}
-    for key in store.keys():
-        with open(os.path.join(store.root, f"{key}.json")) as fh:
-            out[key] = fh.read()
-    return out
+def store_snapshot(store: ColumnarStore):
+    """Canonical payload bytes by key (the manifest is
+    timing-dependent)."""
+    return {key: json.dumps(store.get(key), sort_keys=True)
+            for key in store.keys()}
 
 
 class TestResolution:
@@ -172,7 +170,7 @@ class TestEquivalence:
 
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
-        store = ResultStore(str(tmp_path_factory.mktemp("ref")))
+        store = ColumnarStore(str(tmp_path_factory.mktemp("ref")))
         results = run_sweep(mixed_grid(), store=store,
                             backend=SerialBackend())
         return store, results
@@ -181,11 +179,12 @@ class TestEquivalence:
     def test_identical_artifacts_and_aggregates(self, backend, tmp_path,
                                                 reference):
         ref_store, ref_results = reference
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         results = run_sweep(mixed_grid(), store=store, backend=backend)
         assert results.executed == len(mixed_grid())
         # byte-identical artifacts under identical content keys
         assert store_snapshot(store) == store_snapshot(ref_store)
+        assert store.verify()["ok"]
         # identical task_key -> payload mappings
         assert {r.key: (r.metrics, r.extra) for r in results} == \
             {r.key: (r.metrics, r.extra) for r in ref_results}
@@ -201,51 +200,6 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("backend", BACKENDS[1:], ids=IDS[1:])
     def test_cache_hits_after_any_backend(self, backend, tmp_path):
-        store = ResultStore(str(tmp_path))
-        run_sweep(mixed_grid(), store=store, backend=backend)
-        again = run_sweep(mixed_grid(), store=store,
-                          backend=SerialBackend())
-        assert again.executed == 0
-        assert again.cached == len(mixed_grid())
-
-
-class TestEquivalenceColumnar:
-    """ISSUE 5 acceptance: all four backends stay byte-identical on
-    the v2 (columnar) store — and v2 payload reads equal the JSON
-    store's artifacts, so the formats are interchangeable."""
-
-    BACKENDS = TestEquivalence.BACKENDS
-    IDS = TestEquivalence.IDS
-
-    @staticmethod
-    def canon_snapshot(store):
-        """Canonical payload bytes by key (the v2 spelling of
-        ``store_snapshot`` — there are no per-task files to read)."""
-        return {key: json.dumps(store.get(key), sort_keys=True)
-                for key in store.keys()}
-
-    @pytest.fixture(scope="class")
-    def reference(self, tmp_path_factory):
-        from repro.harness.store import ColumnarStore
-        store = ColumnarStore(str(tmp_path_factory.mktemp("ref-v2")))
-        run_sweep(mixed_grid(), store=store, backend=SerialBackend())
-        return store
-
-    @pytest.mark.parametrize("backend", BACKENDS, ids=IDS)
-    def test_identical_payloads_on_v2(self, backend, tmp_path,
-                                      reference):
-        from repro.harness.store import ColumnarStore
-        store = ColumnarStore(str(tmp_path))
-        results = run_sweep(mixed_grid(), store=store, backend=backend)
-        assert results.executed == len(mixed_grid())
-        assert self.canon_snapshot(store) == \
-            self.canon_snapshot(reference)
-        assert store.verify()["ok"]
-
-    @pytest.mark.parametrize("backend", BACKENDS[1:], ids=IDS[1:])
-    def test_cache_hits_after_any_backend_on_v2(self, backend,
-                                                tmp_path):
-        from repro.harness.store import ColumnarStore
         store = ColumnarStore(str(tmp_path))
         run_sweep(mixed_grid(), store=store, backend=backend)
         again = run_sweep(mixed_grid(),
@@ -254,14 +208,27 @@ class TestEquivalenceColumnar:
         assert again.executed == 0
         assert again.cached == len(mixed_grid())
 
-    def test_v2_reads_equal_json_artifacts(self, tmp_path, reference):
-        json_store = ResultStore(str(tmp_path))
-        run_sweep(mixed_grid(), store=json_store,
-                  backend=SerialBackend())
-        json_snapshot = {
-            key: json.dumps(json_store.get(key), sort_keys=True)
-            for key in json_store.keys()}
-        assert json_snapshot == self.canon_snapshot(reference)
+    @pytest.mark.parametrize("backend", BACKENDS, ids=IDS)
+    def test_compacted_store_keeps_payloads_and_hits(self, backend,
+                                                     tmp_path, reference):
+        """Whatever frame layout a backend leaves (write-behind
+        windows, copied shard frames), one compaction rewrites it to
+        the same payloads and a re-run is all cache hits."""
+        ref_store, _ref_results = reference
+        store = ColumnarStore(str(tmp_path))
+        run_sweep(mixed_grid(), store=store, backend=backend)
+        manifest = store.manifest()
+        stats = store.compact()
+        assert stats["records_written"] == len(mixed_grid())
+        assert stats["after"]["blocks"] == 1
+        reopened = ColumnarStore(str(tmp_path))
+        assert store_snapshot(reopened) == store_snapshot(ref_store)
+        assert reopened.manifest() == manifest
+        assert reopened.verify()["ok"]
+        again = run_sweep(mixed_grid(), store=reopened,
+                          backend=SerialBackend())
+        assert again.executed == 0
+        assert again.cached == len(mixed_grid())
 
 
 class TestAdaptiveScheduling:
@@ -285,7 +252,6 @@ class TestAdaptiveScheduling:
     @pytest.fixture(scope="class")
     def warm(self, tmp_path_factory):
         """A store whose manifest carries recorded wall times."""
-        from repro.harness.store import ColumnarStore
         store = ColumnarStore(str(tmp_path_factory.mktemp("warm")))
         run_sweep(mixed_grid(), store=store, backend=SerialBackend())
         return store
@@ -318,7 +284,6 @@ class TestAdaptiveScheduling:
                                               warm):
         import shutil
 
-        from repro.harness.store import ColumnarStore
         root = str(tmp_path / "store")
         shutil.copytree(warm.root, root)
         store = ColumnarStore(root)
@@ -365,8 +330,6 @@ class TestWriteBehind:
 
     @pytest.mark.parametrize("make", POOLS[:2], ids=POOL_IDS[:2])
     def test_frames_per_window_not_per_task(self, make, tmp_path):
-        from repro.harness.store import ColumnarStore
-
         class Store(CountingStore, ColumnarStore):
             pass
         n = 200
@@ -383,7 +346,6 @@ class TestWriteBehind:
     @pytest.mark.parametrize("stop", [KeyboardInterrupt, RuntimeError])
     def test_interrupt_leaves_every_received_result_readable(
             self, make, stop, tmp_path):
-        from repro.harness.store import ColumnarStore
         store = ColumnarStore(str(tmp_path))
         pending = [(task_key(t), t) for t in footprint_grid(40)]
         received = {}
@@ -410,7 +372,6 @@ class TestWriteBehind:
         ids=POOL_IDS + ["shard"])
     def test_raising_task_is_a_value_and_the_rest_persist(
             self, make, tmp_path):
-        from repro.harness.store import ColumnarStore
         store = ColumnarStore(str(tmp_path))
         bad = make_model_task("no_such_model", seed=1)
         tasks = footprint_grid(9)
@@ -438,7 +399,6 @@ class TestWriteBehind:
         import sys
         import textwrap
 
-        from repro.harness.store import ColumnarStore
         script = textwrap.dedent("""
             import os, sys
             from repro.harness.backends import SerialBackend
@@ -470,11 +430,10 @@ class TestWriteBehind:
             (100 - persisted, persisted)
         clean = ColumnarStore(str(tmp_path / "clean"))
         run_sweep(footprint_grid(100), store=clean)
-        assert TestEquivalenceColumnar.canon_snapshot(store) == \
-            TestEquivalenceColumnar.canon_snapshot(clean)
+        assert store_snapshot(store) == store_snapshot(clean)
 
     def test_run_sweep_raises_after_persisting_the_rest(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         tasks = footprint_grid(5) + [
             make_model_task("no_such_model", seed=1)]
         landed = []
@@ -505,8 +464,8 @@ class TestBatched:
     def test_put_many_matches_sequential_puts(self, tmp_path):
         tasks = [make_model_task("footprint", seed=1, buffer_size=b)
                  for b in (1, 2)]
-        a = ResultStore(str(tmp_path / "a"))
-        b = ResultStore(str(tmp_path / "b"))
+        a = ColumnarStore(str(tmp_path / "a"))
+        b = ColumnarStore(str(tmp_path / "b"))
         from repro.harness.sweep import execute_task
         pairs = [(task_key(t), execute_task(t)) for t in tasks]
         for key, payload in pairs:
@@ -568,11 +527,11 @@ class TestStoreMerge:
 
     def test_merge_unions_and_preserves_origin(self, tmp_path):
         t1, t2, t3 = self.tasks()
-        a = ResultStore(str(tmp_path / "a"), origin="shard-0/2")
-        b = ResultStore(str(tmp_path / "b"), origin="shard-1/2")
+        a = ColumnarStore(str(tmp_path / "a"), origin="shard-0/2")
+        b = ColumnarStore(str(tmp_path / "b"), origin="shard-1/2")
         run_sweep([t1, t2], store=a)
         run_sweep([t3], store=b)
-        dest = ResultStore(str(tmp_path / "merged"))
+        dest = ColumnarStore(str(tmp_path / "merged"))
         merged = dest.merge_from(a) + dest.merge_from(b)
         assert sorted(merged) == sorted(set(a.keys()) | set(b.keys()))
         manifest = dest.manifest()
@@ -581,18 +540,18 @@ class TestStoreMerge:
         assert manifest[task_key(t3)]["origin"] == "shard-1/2"
 
     def test_merge_is_idempotent(self, tmp_path):
-        a = ResultStore(str(tmp_path / "a"))
+        a = ColumnarStore(str(tmp_path / "a"))
         run_sweep(self.tasks(), store=a)
-        dest = ResultStore(str(tmp_path / "merged"))
+        dest = ColumnarStore(str(tmp_path / "merged"))
         assert len(dest.merge_from(a)) == 3
         assert dest.merge_from(a) == []
         assert len(dest) == 3
 
     def test_merged_store_serves_cache_hits(self, tmp_path):
         tasks = self.tasks()
-        a = ResultStore(str(tmp_path / "a"))
+        a = ColumnarStore(str(tmp_path / "a"))
         run_sweep(tasks, store=a)
-        dest = ResultStore(str(tmp_path / "merged"))
+        dest = ColumnarStore(str(tmp_path / "merged"))
         dest.merge_from(a)
         results = run_sweep(tasks, store=dest)
         assert results.executed == 0 and results.cached == 3
@@ -602,18 +561,17 @@ class TestStoreMerge:
         must not relabel the store's manifest with the backend's
         internal sub-shard identities."""
         from repro.harness.backends import ShardBackend
-        store = ResultStore(str(tmp_path), origin="shard-3/4")
+        store = ColumnarStore(str(tmp_path), origin="shard-3/4")
         run_sweep(self.tasks(), store=store,
                   backend=ShardBackend(n_shards=2))
         origins = {e.get("origin") for e in store.manifest().values()}
         assert origins == {"shard-3/4"}
 
     def test_stale_schema_artifacts_stay_behind(self, tmp_path):
-        a = ResultStore(str(tmp_path / "a"))
+        a = ColumnarStore(str(tmp_path / "a"))
         run_sweep(self.tasks()[:1], store=a)
-        with open(os.path.join(a.root, "feedface.json"), "w") as fh:
-            json.dump({"schema": 0}, fh)
-        dest = ResultStore(str(tmp_path / "merged"))
+        a.put("feedface", {"schema": 0})
+        dest = ColumnarStore(str(tmp_path / "merged"))
         merged = dest.merge_from(a)
         assert len(merged) == 1
         assert "feedface" not in dest.keys()

@@ -20,7 +20,6 @@ from repro.harness.model_tasks import MODEL_RUNNERS
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
     SCHEMA_VERSION,
-    ResultStore,
     make_model_task,
     task_key,
 )
@@ -67,7 +66,7 @@ class TestSelectFigures:
 
 class TestRunCampaign:
     def test_all_outcomes_in_plan_order(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store)
         assert [o.fig_id for o in campaign] == \
             ["stub_a", "stub_b", "stub_c"]
@@ -78,7 +77,7 @@ class TestRunCampaign:
 
     def test_backend_recorded_for_provenance(self, tmp_path,
                                              monkeypatch):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store)
         assert campaign.backend == "serial"
         campaign = run_campaign(stub_registry(), store=store,
@@ -90,7 +89,7 @@ class TestRunCampaign:
 
     def test_backend_instance_runs_figures(self, tmp_path):
         from repro.harness.backends import BatchedBackend
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store,
                                 backend=BatchedBackend(batch_size=2))
         assert campaign.ok()
@@ -102,7 +101,7 @@ class TestRunCampaign:
             run_campaign([])
 
     def test_cross_figure_dedup_through_shared_store(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store)
         # stub_b shares the buffer=8 task with stub_a: one cache hit
         assert campaign["stub_a"].executed == 2
@@ -113,7 +112,7 @@ class TestRunCampaign:
         assert len(store) == 4
 
     def test_rerun_is_fully_cached(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         run_campaign(stub_registry(), store=store)
         again = run_campaign(stub_registry(), store=store)
         assert again.executed == 0
@@ -123,7 +122,7 @@ class TestRunCampaign:
         def boom():
             raise RuntimeError("matrix exploded")
         specs = stub_registry() + [stub_spec("stub_bad", build=boom)]
-        campaign = run_campaign(specs, store=ResultStore(str(tmp_path)))
+        campaign = run_campaign(specs, store=ColumnarStore(str(tmp_path)))
         assert campaign["stub_bad"].status == "error"
         assert "matrix exploded" in campaign["stub_bad"].error
         # the broken spec did not abort the campaign
@@ -136,7 +135,7 @@ class TestRunCampaign:
             assert result.value(1) > result.value(8), "shape off"
         specs = [stub_spec("stub_div", check=check_bad)] \
             + stub_registry()
-        campaign = run_campaign(specs, store=ResultStore(str(tmp_path)))
+        campaign = run_campaign(specs, store=ColumnarStore(str(tmp_path)))
         outcome = campaign["stub_div"]
         assert outcome.status == "fail"
         assert "shape off" in outcome.error
@@ -145,7 +144,7 @@ class TestRunCampaign:
 
     def test_checks_disabled_means_warn(self, tmp_path):
         campaign = run_campaign(stub_registry(),
-                                store=ResultStore(str(tmp_path)),
+                                store=ColumnarStore(str(tmp_path)),
                                 check=False)
         assert {o.status for o in campaign} == {"warn"}
 
@@ -212,14 +211,14 @@ class TestOnePool:
                 built.append(spec.fig_id)
                 return spec.build()
             specs.append(dataclasses.replace(spec, build=build))
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         run_campaign(specs, store=store)
         assert built == ["stub_a", "stub_b", "stub_c"]
         run_campaign(specs, store=store)  # cached: still one build each
         assert built == ["stub_a", "stub_b", "stub_c"] * 2
 
     def test_one_run_for_all_misses_and_none_when_cached(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         backend = CountingBackend()
         cold = run_campaign(stub_registry(), store=store,
                             backend=backend)
@@ -237,7 +236,7 @@ class TestOnePool:
         """Progress lines stream in completion order while the single
         run is still going; outcomes stay in plan order."""
         campaign = run_campaign(stub_registry(), progress=True,
-                                store=ResultStore(str(tmp_path)))
+                                store=ColumnarStore(str(tmp_path)))
         lines = [ln for ln in capsys.readouterr().out.splitlines()
                  if ln.startswith("[")]
         assert [ln.split()[0] for ln in lines] == \
@@ -291,7 +290,7 @@ class TestOnePool:
         backend = CountingBackend()
         specs = [stub_spec("stub_bad", build=boom)] + stub_registry()
         campaign = run_campaign(specs, backend=backend,
-                                store=ResultStore(str(tmp_path)))
+                                store=ColumnarStore(str(tmp_path)))
         assert [o.status for o in campaign] == \
             ["error", "pass", "pass", "warn"]
         assert len(backend.runs) == 1 and len(backend.runs[0]) == 4
@@ -320,20 +319,20 @@ class TestPruneStale:
                 "metrics": {}, "extra": {}}
 
     def test_prune_stale_drops_old_simulator_artifacts(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         store.put("feedfacefeedfacefeedface", self.stale_payload())
         campaign = run_campaign(stub_registry(), store=store,
                                 prune_stale=True)
         assert "feedfacefeedfacefeedface" in campaign.pruned
-        assert not os.path.exists(
-            os.path.join(str(tmp_path), "feedfacefeedfacefeedface.json"))
+        assert "feedfacefeedfacefeedface" not in \
+            ColumnarStore(str(tmp_path)).keys()
         # fresh artifacts survive and the manifest was read-repaired
         manifest = store.manifest()
         assert "feedfacefeedfacefeedface" not in manifest
         assert len(manifest) == len(store.keys()) == 4
 
     def test_without_flag_stale_artifacts_survive(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         store.put("feedfacefeedfacefeedface", self.stale_payload())
         campaign = run_campaign(stub_registry(), store=store)
         assert campaign.pruned == []
@@ -343,9 +342,9 @@ class TestPruneStale:
         """A campaign over a store whose manifest vanished re-indexes
         every artifact and persists the repaired index to disk."""
         import json
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         run_campaign(stub_registry(), store=store)
-        manifest_path = os.path.join(str(tmp_path), ResultStore.MANIFEST)
+        manifest_path = os.path.join(str(tmp_path), ColumnarStore.MANIFEST)
         os.remove(manifest_path)
         campaign = run_campaign(stub_registry(), store=store,
                                 prune_stale=True)
@@ -361,7 +360,7 @@ class TestStoreConcurrency:
         """Figure threads in one process write the same manifest; the
         per-thread temp names must never collide on os.replace."""
         from concurrent.futures import ThreadPoolExecutor
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         payload = {"schema": SCHEMA_VERSION, "sim": "x" * 16,
                    "task": {"label": "t", "seed": 1},
                    "metrics": {}, "extra": {}}
@@ -378,10 +377,10 @@ class TestStoreConcurrency:
     def test_fresh_store_prune_keeps_disk_artifacts(self, tmp_path):
         """A cache-policy override (`--fresh`) must not make prune()
         believe every artifact is stale and wipe the store."""
-        class FreshStore(ResultStore):
+        class FreshStore(ColumnarStore):
             def get(self, key):
                 return None
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         run_campaign(stub_registry(), store=store)
         fresh = FreshStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=fresh,

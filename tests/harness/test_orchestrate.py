@@ -357,7 +357,7 @@ class TestOrchestratorLoop:
         import sys
         import textwrap
 
-        from repro.harness.store import open_store
+        from repro.harness.store import ColumnarStore
         orch = _orchestrator(tmp_path, _FakeRunner([]), n_shards=1)
         (shard,) = orch.plan()
         script = textwrap.dedent("""
@@ -382,14 +382,14 @@ class TestOrchestratorLoop:
              shard.store_dir], env=env, timeout=120,
             stdout=subprocess.DEVNULL)
         assert proc.returncode == 9
-        persisted = len(open_store(shard.store_dir).keys())
+        persisted = len(ColumnarStore(shard.store_dir).keys())
         assert persisted <= 5  # the lost window, and nothing else
         out = io.StringIO()
         assert run_shard_worker(shard.manifest_path, shard.store_dir,
                                 out=out) == 0
         assert (f"({7 - persisted} executed, {persisted} cached)"
                 in out.getvalue())
-        assert len(open_store(shard.store_dir).keys()) == 7
+        assert len(ColumnarStore(shard.store_dir).keys()) == 7
 
     def test_empty_selection_is_an_error(self, tmp_path, smoke_env):
         with pytest.raises(ValueError, match="empty campaign"):

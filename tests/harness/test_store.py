@@ -1,9 +1,11 @@
-"""Columnar store v2: codec round-trips, recovery, maintenance.
+"""The campaign store: codec round-trips, recovery, maintenance.
 
-The acceptance bar (ISSUE 5): **byte-identical reads** — for any
+The acceptance bar: **byte-identical reads** — for any
 JSON-typed payload, ``put``/``put_many``/``get``/``merge_from``/
 ``compact`` round-trip to the canonically identical document — plus
-idempotent merges and index-rebuild recovery after a torn final block.
+idempotent merges, index-rebuild recovery after a torn final block,
+and a store older than segment format 3 refused by name, never
+truncated.
 The round-trip tests are property-based over a seeded-random payload
 generator, so every run explores the same few hundred arbitrary
 payload shapes deterministically.
@@ -18,19 +20,12 @@ import random
 import pytest
 
 from repro.harness.store import (
-    STORE_ENV,
+    FILE_MAGIC_V3,
     ColumnarStore,
-    decode_block,
-    encode_block,
-    open_store,
+    decode_frame_v3,
+    encode_frame_v3,
 )
-from repro.harness.sweep import (
-    SCHEMA_VERSION,
-    ResultStore,
-    make_model_task,
-    run_sweep,
-    simulator_version,
-)
+from repro.harness.sweep import SCHEMA_VERSION, simulator_version
 
 
 def canon(doc) -> str:
@@ -91,11 +86,15 @@ def rand_batch(seed: int, n: int):
     return [(f"key{i:05d}", rand_payload(rng, i)) for i in range(n)]
 
 
+def encode_frame(records, entries=None) -> bytes:
+    return encode_frame_v3(records, entries)[0]
+
+
 class TestBlockCodec:
     @pytest.mark.parametrize("seed", [1, 7, 42, 2026])
     def test_roundtrip_is_canonically_identical(self, seed):
         batch = rand_batch(seed, 50)
-        decoded, entries = decode_block(encode_block(batch))
+        decoded, entries = decode_frame_v3(encode_frame(batch))
         assert [k for k, _ in decoded] == [k for k, _ in batch]
         for (_, original), (_, back) in zip(batch, decoded):
             assert canon(original) == canon(back)
@@ -104,7 +103,7 @@ class TestBlockCodec:
     def test_int_float_distinction_survives(self):
         payload = {"metrics": {"i": 3, "f": 3.0, "nz": -0.0},
                    "series": {"mixed": [1, 2.0, -3, 0.5]}}
-        (_, back), = decode_block(encode_block([("k", payload)]))[0]
+        (_, back), = decode_frame_v3(encode_frame([("k", payload)]))[0]
         assert canon(payload) == canon(back)
         assert isinstance(back["metrics"]["i"], int)
         assert isinstance(back["metrics"]["f"], float)
@@ -115,7 +114,7 @@ class TestBlockCodec:
         batch = rand_batch(3, 4)
         entries = [{"label": f"l{i}", "origin": "shard-1/2"} if i % 2
                    else None for i in range(4)]
-        _, back = decode_block(encode_block(batch, entries))
+        _, back = decode_frame_v3(encode_frame(batch, entries))
         assert back == entries
 
 
@@ -149,23 +148,22 @@ class TestRoundTrip:
                                "nested": {"deep": [1, 2]},
                                "names": ["x", "y"]},
                    "tags": ["t0", "t1"], "extra": {}}
-        for fmt in (2, 3):
-            root = str(tmp_path / f"v{fmt}")
-            store = ColumnarStore(root, segment_format=fmt)
-            store.put("k", payload)
-            for reader in (store, ColumnarStore(root)):
-                for read in (reader.get, reader._read_raw):
-                    got = read("k")
-                    got["metrics"]["a"] = 999           # column value
-                    got["metrics"]["fct"][0] = -1.0     # array element
-                    got["metrics"]["pkts"].append(30)
-                    got["metrics"]["nested"]["deep"].append(3)
-                    got["metrics"]["names"].clear()     # remainder list
-                    got["tags"].append("t2")
-                    got["task"] = None
-                    del got["metrics"]["fct"], got["extra"]
-                    assert canon(reader.get("k")) == canon(payload)
-                    assert canon(reader._read_raw("k")) == canon(payload)
+        root = str(tmp_path)
+        store = ColumnarStore(root)
+        store.put("k", payload)
+        for reader in (store, ColumnarStore(root)):
+            for read in (reader.get, reader._read_raw):
+                got = read("k")
+                got["metrics"]["a"] = 999           # column value
+                got["metrics"]["fct"][0] = -1.0     # array element
+                got["metrics"]["pkts"].append(30)
+                got["metrics"]["nested"]["deep"].append(3)
+                got["metrics"]["names"].clear()     # remainder list
+                got["tags"].append("t2")
+                got["task"] = None
+                del got["metrics"]["fct"], got["extra"]
+                assert canon(reader.get("k")) == canon(payload)
+                assert canon(reader._read_raw("k")) == canon(payload)
 
     def test_merge_is_idempotent_and_identical(self, tmp_path):
         batch = rand_batch(17, 25)
@@ -176,21 +174,6 @@ class TestRoundTrip:
         assert dest.merge_from(src) == []
         for key, payload in batch:
             assert canon(dest.get(key)) == canon(payload)
-
-    def test_merge_from_json_store_and_back(self, tmp_path):
-        """Cross-format merging, both directions."""
-        batch = rand_batch(19, 10)
-        json_store = ResultStore(str(tmp_path / "v1"))
-        json_store.put_many(batch[:5])
-        v2 = ColumnarStore(str(tmp_path / "v2"))
-        v2.put_many(batch[5:])
-        merged = ColumnarStore(str(tmp_path / "m"))
-        assert len(merged.merge_from(json_store)) == 5
-        assert len(merged.merge_from(v2)) == 5
-        back_to_json = ResultStore(str(tmp_path / "back"))
-        assert len(back_to_json.merge_from(merged)) == 10
-        for key, payload in batch:
-            assert canon(back_to_json.get(key)) == canon(payload)
 
     def test_compact_preserves_reads(self, tmp_path):
         batch = rand_batch(23, 50)
@@ -204,54 +187,6 @@ class TestRoundTrip:
         for key, payload in batch:
             assert canon(reopened.get(key)) == canon(payload)
         assert reopened.verify()["ok"]
-
-
-class TestJsonReadCompat:
-    def seed_json_store(self, tmp_path, n=8):
-        batch = rand_batch(29, n)
-        ResultStore(str(tmp_path)).put_many(batch)
-        return batch
-
-    def test_v2_serves_legacy_artifacts(self, tmp_path):
-        batch = self.seed_json_store(tmp_path)
-        store = ColumnarStore(str(tmp_path))
-        assert store.keys() == sorted(k for k, _ in batch)
-        for key, payload in batch:
-            assert canon(store.get(key)) == canon(payload)
-
-    def test_mixed_store_unions_keys(self, tmp_path):
-        batch = self.seed_json_store(tmp_path)
-        store = ColumnarStore(str(tmp_path))
-        extra = rand_batch(31, 3)
-        store.put_many([(f"new{i}", p) for i, (_, p) in enumerate(extra)])
-        assert len(store.keys()) == len(batch) + 3
-
-    def test_compact_keeps_unreadable_json_artifacts(self, tmp_path):
-        """Regression (code review): a legacy artifact compact cannot
-        *read* was never absorbed, so it must survive the rewrite
-        instead of being deleted as if it had been."""
-        batch = self.seed_json_store(tmp_path, n=4)
-        victim = os.path.join(str(tmp_path),
-                              f"{batch[0][0]}.json")
-        with open(victim, "w") as fh:
-            fh.write("{ not json")  # unreadable at compact time
-        store = ColumnarStore(str(tmp_path))
-        stats = store.compact()
-        assert stats["json_absorbed"] == len(batch) - 1
-        assert os.path.exists(victim)  # never absorbed, never deleted
-        for key, payload in batch[1:]:
-            assert canon(store.get(key)) == canon(payload)
-
-    def test_compact_absorbs_and_deletes_json(self, tmp_path):
-        batch = self.seed_json_store(tmp_path)
-        store = ColumnarStore(str(tmp_path))
-        stats = store.compact()
-        assert stats["json_absorbed"] == len(batch)
-        leftovers = [n for n in os.listdir(str(tmp_path))
-                     if n.endswith(".json") and n != "manifest.json"]
-        assert leftovers == []
-        for key, payload in batch:
-            assert canon(store.get(key)) == canon(payload)
 
 
 class TestRecovery:
@@ -322,15 +257,14 @@ class TestRecovery:
 
     def test_mid_file_magic_marker_is_skipped(self, tmp_path):
         """Regression (code review): two processes racing the first
-        append can each prepend FILE_MAGIC; a mid-file magic must read
-        as an 8-byte skip, not brick every later frame."""
-        from repro.harness.store import FILE_MAGIC, _frame_bytes
+        append can each prepend the file magic; a mid-file magic must
+        read as an 8-byte skip, not brick every later frame."""
         batch = rand_batch(59, 2)
         seg = os.path.join(str(tmp_path), ColumnarStore.SEGMENT)
         os.makedirs(str(tmp_path), exist_ok=True)
         with open(seg, "wb") as fh:  # the raced interleaving
-            fh.write(FILE_MAGIC + _frame_bytes(batch[:1], [None]))
-            fh.write(FILE_MAGIC + _frame_bytes(batch[1:], [None]))
+            fh.write(FILE_MAGIC_V3 + encode_frame(batch[:1], [None]))
+            fh.write(FILE_MAGIC_V3 + encode_frame(batch[1:], [None]))
         store = ColumnarStore(str(tmp_path))
         assert store.keys() == sorted(k for k, _ in batch)
         for key, payload in batch:
@@ -362,23 +296,23 @@ class TestRecovery:
 
     def test_stale_tail_survives_external_compact_rewrite(
             self, tmp_path):
-        """Regression (code review): compact can *replace* the segment
-        with a larger file (absorbing legacy JSON), so a reader whose
-        scan offset predates the rewrite lands mid-frame; its next
-        write must re-validate from offset 0, not truncate the
-        compacted file at the stale offset."""
+        """Regression (code review): the segment can be *replaced* by
+        a larger file behind a reader's back (another process heals,
+        appends and compacts), so a reader whose scan offset predates
+        the rewrite lands mid-frame; its next write must re-validate
+        from offset 0, not truncate the compacted file at the stale
+        offset."""
         _store, first, _second, s1, _s2 = self.two_frame_store(tmp_path)
         seg = os.path.join(str(tmp_path), ColumnarStore.SEGMENT)
         with open(seg, "r+b") as fh:
             fh.truncate(s1 + 5)  # torn second frame
-        # legacy JSON artifacts make the compacted segment larger
-        json_batch = [(f"legacy{i:03d}",
-                       dict(payload, key=f"legacy{i:03d}"))
-                      for i, (_k, payload) in enumerate(rand_batch(73, 8))]
-        ResultStore(str(tmp_path)).put_many(json_batch)
+        later_batch = [(f"later{i:03d}",
+                        dict(payload, key=f"later{i:03d}"))
+                       for i, (_k, payload) in enumerate(rand_batch(73, 8))]
         a = ColumnarStore(str(tmp_path))
         assert sorted(a.keys()) > []  # a has scanned: tail flagged
         b = ColumnarStore(str(tmp_path))
+        b.put_many(later_batch)
         b.compact()
         assert os.path.getsize(seg) > s1 + 5  # the rewrite grew it
         a_payload = dict(rand_payload(random.Random(79), 79),
@@ -387,7 +321,7 @@ class TestRecovery:
         final = ColumnarStore(str(tmp_path))
         for key, _payload in first:
             assert final.get(key) is not None  # compacted records live
-        for key, payload in json_batch:
+        for key, payload in later_batch:
             assert canon(final._read_raw(key)) == canon(payload)
         assert canon(final.get("post-key")) == canon(a_payload)
         assert final.verify()["ok"]
@@ -462,95 +396,164 @@ class TestMaintenance:
         assert sorted(store.prune()) == ["oldschema", "oldsim"]
         assert ColumnarStore(str(tmp_path)).keys() == ["live"]
 
-    @pytest.mark.parametrize("store_cls", [ResultStore, ColumnarStore],
-                             ids=["json", "columnar"])
-    def test_prune_drops_orphaned_manifest_entries(self, tmp_path,
-                                                   store_cls):
-        """Regression (ISSUE 5): read-repair synthesizes entries for
-        artifacts missing from the index, but an entry whose artifact
-        vanished used to survive prune() unless something else was
-        removed in the same call."""
-        store = store_cls(str(tmp_path))
+    def test_prune_drops_orphaned_manifest_entries(self, tmp_path):
+        """Regression: an entry whose artifact vanished used to survive
+        prune() unless something else was removed in the same call —
+        ``manifest.json`` is rewritten from the segment on every
+        prune."""
+        store = ColumnarStore(str(tmp_path))
         live = {"schema": SCHEMA_VERSION, "sim": simulator_version(),
                 "metrics": {}, "extra": {}}
         store.put("live", live)
         store.repair_manifest()
+        path = os.path.join(str(tmp_path), store.MANIFEST)
         # orphan an entry by hand: the artifact is gone, the entry stays
-        manifest = store._read_index()
+        with open(path) as fh:
+            manifest = json.load(fh)
         manifest["ghost"] = {"label": "gone", "seed": 1,
                              "schema": SCHEMA_VERSION,
                              "sim": simulator_version(),
                              "written_at": 0.0}
-        store._write_json(os.path.join(str(tmp_path), store.MANIFEST),
-                          manifest)
+        store._write_json(path, manifest)
+        assert "ghost" not in store.manifest()   # never read back
         assert store.prune() == []          # nothing stale on disk...
-        assert "ghost" not in store._read_index()  # ...orphan dropped
-        assert "live" in store._read_index()
+        with open(path) as fh:
+            manifest = json.load(fh)
+        assert "ghost" not in manifest      # ...orphan dropped
+        assert "live" in manifest
 
-    @pytest.mark.parametrize("store_cls", [ResultStore, ColumnarStore],
-                             ids=["json", "columnar"])
-    def test_manifest_read_repairs_missing_entries(self, tmp_path,
-                                                   store_cls):
-        """The reverse direction: an artifact the index never heard of
-        gets an entry synthesized on read (pre-existing behaviour,
-        pinned here beside its new counterpart)."""
-        store = store_cls(str(tmp_path))
-        store.put("k", {"schema": SCHEMA_VERSION,
-                        "sim": simulator_version(),
-                        "task": {"label": "l", "seed": 3},
-                        "metrics": {}, "extra": {}})
-        os.remove(os.path.join(str(tmp_path), store.MANIFEST)) \
-            if os.path.exists(os.path.join(str(tmp_path),
-                                           store.MANIFEST)) else None
+    def test_manifest_read_repairs_missing_entries(self, tmp_path):
+        """A record that carries no frame entry gets one synthesized
+        from its payload."""
+        store = ColumnarStore(str(tmp_path))
+        payload = {"schema": SCHEMA_VERSION, "sim": simulator_version(),
+                   "task": {"label": "l", "seed": 3},
+                   "metrics": {}, "extra": {}}
+        seg = os.path.join(str(tmp_path), ColumnarStore.SEGMENT)
+        with open(seg, "wb") as fh:
+            fh.write(FILE_MAGIC_V3 + encode_frame([("k", payload)], None))
         manifest = store.manifest()
         assert manifest["k"]["label"] == "l"
         assert manifest["k"]["seed"] == 3
 
-
-class TestOpenStorePolicy:
-    def test_default_is_columnar(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(STORE_ENV, raising=False)
-        assert isinstance(open_store(str(tmp_path)), ColumnarStore)
-
-    def test_json_forces_legacy(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, "json")
-        store = open_store(str(tmp_path))
-        assert type(store) is ResultStore
-
-    def test_explicit_columnar(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, "columnar")
-        assert isinstance(open_store(str(tmp_path)), ColumnarStore)
-
-    def test_unknown_value_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, "parquet")
-        with pytest.raises(ValueError, match="REPRO_STORE"):
-            open_store(str(tmp_path))
-
-    def test_kwargs_pass_through(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(STORE_ENV, raising=False)
-        store = open_store(str(tmp_path), origin="shard-1/4", fresh=True)
-        assert store.origin == "shard-1/4" and store.fresh
-
-
-class TestSweepOnV2:
-    def tasks(self):
-        return [make_model_task("footprint", seed=1, buffer_size=b)
-                for b in (1, 4, 8)]
-
-    def test_run_sweep_persists_and_caches(self, tmp_path):
+    def test_stray_json_files_are_neither_read_nor_deleted(
+            self, tmp_path):
+        """A ``<key>.json`` beside (or instead of) the segment is not
+        part of the store: no key, no read — and no maintenance call
+        removes it."""
+        key, payload = rand_batch(83, 1)[0]
+        stray = os.path.join(str(tmp_path), f"{key}.json")
+        with open(stray, "w") as fh:
+            json.dump(payload, fh)
         store = ColumnarStore(str(tmp_path))
-        first = run_sweep(self.tasks(), store=store)
-        assert first.executed == 3
-        again = run_sweep(self.tasks(), store=ColumnarStore(str(tmp_path)))
-        assert again.executed == 0 and again.cached == 3
-        assert {r.key: canon((r.metrics, r.extra)) for r in first} == \
-            {r.key: canon((r.metrics, r.extra)) for r in again}
+        assert store.keys() == [] and len(store) == 0
+        assert store.get(key) is None and store.manifest() == {}
+        assert store.verify()["ok"]
+        store.compact()
+        store.prune()
+        store.put_many(rand_batch(89, 2))
+        store.prune(keep=[])
+        with open(stray) as fh:
+            assert canon(json.load(fh)) == canon(payload)
 
-    def test_v2_payloads_match_json_store(self, tmp_path):
-        json_store = ResultStore(str(tmp_path / "v1"))
-        v2_store = ColumnarStore(str(tmp_path / "v2"))
-        run_sweep(self.tasks(), store=json_store)
-        run_sweep(self.tasks(), store=v2_store)
-        assert json_store.keys() == v2_store.keys()
-        for key in json_store.keys():
-            assert canon(json_store.get(key)) == canon(v2_store.get(key))
+
+class TestPreV3Segment:
+    """Segment format 2 (file magic ``REPSEG02``, frame magic ``BLK1``)
+    is refused by name — never mistaken for a torn tail and truncated
+    away by the next append."""
+
+    def assert_refused(self, root, seg):
+        before = open(seg, "rb").read()
+        store = ColumnarStore(root)
+        for call in (store.keys, lambda: store.get("k"),
+                     lambda: store.put("k", rand_payload(
+                         random.Random(97), 97)),
+                     store.compact, store.prune, store.stats):
+            with pytest.raises(ValueError) as exc:
+                call()
+            message = str(exc.value)
+            assert seg in message
+            assert "predates segment format 3" in message
+        assert open(seg, "rb").read() == before     # not one byte moved
+        report = store.verify()
+        assert not report["ok"]
+        assert any("predates segment format 3" in err
+                   for err in report["errors"])
+
+    def test_v2_file_magic_is_refused(self, tmp_path):
+        root = str(tmp_path)
+        seg = os.path.join(root, ColumnarStore.SEGMENT)
+        with open(seg, "wb") as fh:
+            fh.write(b"REPSEG02" + b"BLK1" + bytes(range(40)))
+        self.assert_refused(root, seg)
+
+    def test_v2_frame_after_v3_frames_is_refused(self, tmp_path):
+        root = str(tmp_path)
+        ColumnarStore(root).put_many(rand_batch(101, 3))
+        seg = os.path.join(root, ColumnarStore.SEGMENT)
+        with open(seg, "ab") as fh:
+            fh.write(b"BLK1" + bytes(range(40)))
+        self.assert_refused(root, seg)
+
+    # every way a pre-v3 segment can look on disk ...
+    @staticmethod
+    def _v2_file(root):
+        return b"REPSEG02" + b"BLK1" + bytes(range(40))
+
+    @staticmethod
+    def _v2_header_only(root):          # an empty format-2 store
+        return b"REPSEG02"
+
+    @staticmethod
+    def _v2_frame_after_v3(root):
+        ColumnarStore(root).put_many(rand_batch(103, 3))
+        with open(os.path.join(root, ColumnarStore.SEGMENT), "rb") as fh:
+            return fh.read() + b"BLK1" + bytes(range(40))
+
+    LAYOUTS = [_v2_file, _v2_header_only, _v2_frame_after_v3]
+
+    # ... and every public call that could read, append or rewrite it,
+    # each made first on a freshly opened store
+    CALLS = {
+        "keys": lambda store, other: store.keys(),
+        "len": lambda store, other: len(store),
+        "get": lambda store, other: store.get("key00000"),
+        "read_raw": lambda store, other: store._read_raw("key00000"),
+        "put": lambda store, other: store.put(
+            "key00000", rand_batch(107, 1)[0][1]),
+        "put_many": lambda store, other: store.put_many(
+            rand_batch(109, 4)),
+        "manifest": lambda store, other: store.manifest(),
+        "repair_manifest": lambda store, other: store.repair_manifest(),
+        "merge_into_it": lambda store, other: store.merge_from(other),
+        "merge_from_it": lambda store, other: other.merge_from(store),
+        "compact": lambda store, other: store.compact(),
+        "prune": lambda store, other: store.prune(),
+        "prune_keep": lambda store, other: store.prune(keep=[]),
+        "stats": lambda store, other: store.stats(),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS,
+                             ids=["v2-file", "v2-header-only",
+                                  "v2-frame-after-v3"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_first_call_refuses_and_moves_no_byte(self, layout, call,
+                                                  tmp_path):
+        root, peer = str(tmp_path / "old"), str(tmp_path / "peer")
+        os.makedirs(root)
+        seg = os.path.join(root, ColumnarStore.SEGMENT)
+        before = layout.__func__(root)
+        with open(seg, "wb") as fh:
+            fh.write(before)
+        other = ColumnarStore(peer)
+        other.put_many(rand_batch(113, 2))
+        peer_seg = os.path.join(peer, ColumnarStore.SEGMENT)
+        peer_before = open(peer_seg, "rb").read()
+        with pytest.raises(ValueError,
+                           match="predates segment format 3") as exc:
+            self.CALLS[call](ColumnarStore(root), other)
+        assert seg in str(exc.value)
+        assert open(seg, "rb").read() == before
+        # nothing written beside it, nothing leaked into the peer
+        assert sorted(os.listdir(root)) == [ColumnarStore.SEGMENT]
+        assert open(peer_seg, "rb").read() == peer_before

@@ -109,7 +109,8 @@ class TestStress5k:
         # the 32-record write-behind frames become ceil(5000/512) blocks
         # and the file shrinks (per-frame overhead + better compression)
         assert stats["after"]["blocks"] == -(-N_TASKS // 512)
-        assert stats["after"]["bytes"] < stats["before"]["bytes"]
+        assert stats["after"]["segment_bytes"] < \
+            stats["before"]["segment_bytes"]
         reopened = ColumnarStore(store.root)
         assert len(reopened.keys()) == N_TASKS
         assert reopened.verify()["ok"]

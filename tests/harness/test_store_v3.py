@@ -1,12 +1,13 @@
-"""Store v3: codec properties, mmap, locking, migration, scheduling.
+"""Store v3: codec properties, mmap, locking, merge, scheduling.
 
-The acceptance bar (ISSUE 7): the v3 segment format round-trips
-canonically byte-identical payloads (dictionary sentinels, ``-0.0``,
-scaled decimals and full-precision floats included), reads v2 frames
-forever, heals torn tails, remaps its mmap view across appends, holds
-an advisory lock on appends (with a lockless fallback), migrates v2
-stores through ``compact``, and the wall-time-driven scheduler stays
-a pure, stable, fail-soft reordering.
+The acceptance bar: the v3 segment format round-trips canonically
+byte-identical payloads (dictionary sentinels, ``-0.0``, scaled
+decimals and full-precision floats included), heals torn tails,
+remaps its mmap view across appends (with a buffered fallback where
+there is no :mod:`mmap`), holds an advisory lock on appends (with a
+lockless fallback where there is no :mod:`fcntl`), merges by frame
+copy exactly as the decode path would, and the wall-time-driven
+scheduler stays a pure, stable, fail-soft reordering.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ from repro.harness.backends.schedule import (
     wall_time_by_label,
 )
 from repro.harness.store import (
-    BLOCK_MAGIC,
-    BLOCK_MAGIC_V3,
-    FILE_MAGIC,
-    FILE_MAGIC_V3,
-    LOCK_ENV,
-    MMAP_ENV,
     ColumnarStore,
     _DATA_PRESET,
     _META_PRESET,
@@ -57,7 +52,7 @@ from repro.harness.store import (
     decode_frame_v3,
     encode_frame_v3,
 )
-from repro.harness.sweep import SCHEMA_VERSION, ResultStore
+from repro.harness.sweep import SCHEMA_VERSION
 
 
 def canon(doc) -> str:
@@ -202,11 +197,13 @@ class TestMmapView:
 
     def test_disabled_mmap_reads_same_bytes(self, tmp_path,
                                             monkeypatch):
+        """A platform without :mod:`mmap` reads through buffered
+        preads: same bytes."""
         root = str(tmp_path)
         ColumnarStore(root).put_many(batch(10))
         warm = {k: canon(ColumnarStore(root).get(k))
                 for k, _ in batch(10)}
-        monkeypatch.setenv(MMAP_ENV, "0")
+        monkeypatch.setattr(store_mod, "mmap", None)
         cold = ColumnarStore(root)
         assert cold._view is None or cold._view_len == 0
         for key, payload in batch(10):
@@ -214,9 +211,9 @@ class TestMmapView:
 
 
 # ----------------------------------------------------------------------
-# torn tails and the v2 <-> v3 matrix
+# torn tails
 # ----------------------------------------------------------------------
-class TestTornTailAndMatrix:
+class TestTornTail:
     def test_v3_torn_tail_self_heals(self, tmp_path):
         root = str(tmp_path)
         store = ColumnarStore(root)
@@ -233,42 +230,6 @@ class TestTornTailAndMatrix:
         healed = ColumnarStore(root)
         assert len(healed) == 7
         assert healed.verify()["ok"]
-
-    def test_v2_writer_v3_reader_matrix(self, tmp_path):
-        root = str(tmp_path)
-        v2 = ColumnarStore(root, segment_format=2)
-        v2.put_many(batch(5))
-        seg = os.path.join(root, ColumnarStore.SEGMENT)
-        blob = open(seg, "rb").read()
-        assert blob.startswith(FILE_MAGIC) and BLOCK_MAGIC in blob
-        v3 = ColumnarStore(root)                   # default writer: v3
-        for key, payload in batch(5):
-            assert canon(v3.get(key)) == canon(payload)
-        v3.put_many(batch(5, start=5))             # appends BLK2
-        blob = open(seg, "rb").read()
-        assert blob.startswith(FILE_MAGIC)         # header unchanged
-        assert BLOCK_MAGIC in blob and BLOCK_MAGIC_V3 in blob
-        mixed = ColumnarStore(root)                # cold: both formats
-        assert len(mixed) == 10
-        for key, payload in batch(10):
-            assert canon(mixed.get(key)) == canon(payload)
-        fmt = mixed.stats()["format"]
-        assert fmt["v2_blocks"] >= 1 and fmt["v3_blocks"] >= 1
-
-    def test_compact_migrates_v2_store_to_v3(self, tmp_path):
-        root = str(tmp_path)
-        ColumnarStore(root, segment_format=2).put_many(batch(12))
-        store = ColumnarStore(root)
-        store.compact()
-        blob = open(os.path.join(root, ColumnarStore.SEGMENT),
-                    "rb").read()
-        assert blob.startswith(FILE_MAGIC_V3)
-        assert BLOCK_MAGIC_V3 in blob and BLOCK_MAGIC not in blob
-        back = ColumnarStore(root)
-        assert len(back) == 12
-        for key, payload in batch(12):
-            assert canon(back.get(key)) == canon(payload)
-
 
 # ----------------------------------------------------------------------
 # advisory locking
@@ -296,17 +257,11 @@ class TestAppendLocking:
 
     def test_lockless_fallback_still_appends(self, tmp_path,
                                              monkeypatch):
-        import repro.harness.store as store_mod
+        """A platform without :mod:`fcntl` appends without the lock."""
         monkeypatch.setattr(store_mod, "fcntl", None)
         store = ColumnarStore(str(tmp_path))
         store.put_many(batch(4))
-        assert len(ColumnarStore(str(tmp_path))) == 4
-
-    def test_lock_env_disables_flock(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(LOCK_ENV, "0")
-        store = ColumnarStore(str(tmp_path))
-        store.put_many(batch(4))
-        assert not store._flock(0)                 # env wins
+        assert not store._flock(0)
         assert len(ColumnarStore(str(tmp_path))) == 4
 
 
@@ -318,7 +273,7 @@ FLOOR = store_mod.COMPACT_BLOCK_RECORDS // 2
 
 
 def _frames(root):
-    """The v3/v2 frame dicts of a store's segment, in file order."""
+    """The frame dicts of a store's segment, in file order."""
     blob = open(os.path.join(root, SEG), "rb").read()
     return [ev[1] for ev in store_mod._walk_frames(
         lambda off, n: blob[off:off + n], 0, full=False)
@@ -356,11 +311,6 @@ def _src_partial_overlap(src, dest):
     ColumnarStore(dest, origin="local").put_many(batch(5, FLOOR + 3))
 
 
-def _src_overlap_legacy_json(src, dest):
-    _src_eligible(src, dest)
-    ResultStore(dest).put_many(batch(2, 7))
-
-
 def _src_shadowed_duplicate(src, dest):
     store = ColumnarStore(src, origin="shard-1/2")
     store.put_many(batch(FLOOR, 0))
@@ -371,10 +321,6 @@ def _src_stale_schema(src, dest):
     store = ColumnarStore(src)
     store.put_many(batch(FLOOR, 0) + _stale(FLOOR, 1))
     store.put_many(batch(FLOOR, 2 * FLOOR))
-
-
-def _src_v2_format(src, dest):
-    ColumnarStore(src, segment_format=2).put_many(batch(FLOOR, 0))
 
 
 def _src_small_frames(src, dest):
@@ -402,8 +348,8 @@ def _src_torn_tail(src, dest):
 
 MERGE_CASES = [
     (_src_eligible, 2), (_src_partial_overlap, 1),
-    (_src_overlap_legacy_json, 1), (_src_shadowed_duplicate, 1),
-    (_src_stale_schema, 1), (_src_v2_format, 0), (_src_small_frames, 0),
+    (_src_shadowed_duplicate, 1), (_src_stale_schema, 1),
+    (_src_small_frames, 0),
     (_src_flipped_body, 1), (_src_flipped_array, 1), (_src_torn_tail, 1),
 ]
 
@@ -429,7 +375,7 @@ def _assert_same_store(fast_root, ref_root, *, written_at=True):
     assert manifests[0] == manifests[1]
     vf, vr = fast.verify(), ref.verify()
     for field in ("ok", "unique_keys", "duplicate_records",
-                  "key_mismatches", "errors", "legacy_json"):
+                  "key_mismatches", "errors"):
         assert vf[field] == vr[field], field
 
 
@@ -455,7 +401,7 @@ class TestMergeCopy:
             == copied
         with monkeypatch.context() as patch:
             patch.setattr(ColumnarStore, "_copy_frames",
-                          lambda self, other, present: [])
+                          lambda self, other: [])
             ref = _CountingStore(ref_root)
             ref_merged = ref.merge_from(ColumnarStore(src))
             assert ref.encoded == -(-len(ref_merged) //
@@ -480,13 +426,6 @@ class TestMergeCopy:
         assert {e["origin"] for e in store.manifest().values()} == \
             {"shard-0/2"}
         assert canon(store.get(f"{3:024x}")) == canon(batch(4)[3][1])
-
-    def test_v2_format_destination_never_copies_v3_frames(self, tmp_path):
-        src, dest = str(tmp_path / "src"), str(tmp_path / "dest")
-        _src_eligible(src, dest)
-        store = ColumnarStore(dest, segment_format=2)
-        assert len(store.merge_from(ColumnarStore(src))) == 2 * FLOOR + 40
-        assert {f["version"] for f in _frames(dest)} == {2}
 
     def test_stats_after_copy_equal_a_fresh_open(self, tmp_path):
         src, dest = str(tmp_path / "src"), str(tmp_path / "dest")
@@ -519,7 +458,7 @@ class TestMergeCopy:
                     got = fast_store.merge_from(ColumnarStore(src))
                     with mock.patch.object(
                             ColumnarStore, "_copy_frames",
-                            lambda self, other, present: []):
+                            lambda self, other: []):
                         want = ref_store.merge_from(ColumnarStore(src))
                     assert sorted(got) == sorted(want)
                 elif op == "put_dest":
@@ -534,10 +473,83 @@ class TestMergeCopy:
             assert fast_store.stats() == ColumnarStore(fast).stats()
 
 
+# ----------------------------------------------------------------------
+# platform fallbacks: no mmap, no fcntl, neither — same store
+# ----------------------------------------------------------------------
+def _appends(root):
+    store = ColumnarStore(root)
+    store.put(f"{0:024x}", batch(1)[0][1])
+    store.put_many(batch(9, start=1))
+    return store
+
+
+def _merge(root):
+    src = root + "-src"
+    ColumnarStore(src, origin="shard-0/2").put_many(batch(FLOOR))  # copied
+    ColumnarStore(src, origin="shard-0/2").put_many(
+        batch(FLOOR, start=FLOOR))
+    store = ColumnarStore(root)
+    store.put_many(batch(3, start=FLOOR))   # overlap: frame two decodes
+    store.merge_from(ColumnarStore(src))
+    return store
+
+
+def _compact_prune(root):
+    store = _appends(root)
+    store.put_many(batch(4, start=2))               # shadowed duplicates
+    store.compact()
+    store.prune(keep=[k for k, _ in batch(7)])
+    return store
+
+
+def _heal_torn_tail(root):
+    store = _appends(root)
+    seg = os.path.join(root, SEG)
+    with open(seg, "r+b") as fh:
+        fh.truncate(os.path.getsize(seg) - 11)
+    torn = ColumnarStore(root)
+    torn.put_many(batch(2, start=40))
+    return torn
+
+
+FALLBACK_OPS = [_appends, _merge, _compact_prune, _heal_torn_tail]
+PLATFORMS = {"no-mmap": ("mmap",), "no-fcntl": ("fcntl",),
+             "neither": ("mmap", "fcntl")}
+
+
+class TestPlatformFallbacks:
+    """Every store operation, run where :mod:`mmap` and/or
+    :mod:`fcntl` are missing, leaves the store a normal platform
+    leaves: same keys, same payloads, same manifest, same audit."""
+
+    @pytest.mark.parametrize("op", FALLBACK_OPS,
+                             ids=[op.__name__[1:] for op in FALLBACK_OPS])
+    @pytest.mark.parametrize("platform", sorted(PLATFORMS))
+    def test_same_store_as_a_full_platform(self, op, platform, tmp_path,
+                                           monkeypatch):
+        ref = str(tmp_path / "ref")
+        op(ref)
+        with monkeypatch.context() as patch:
+            for module in PLATFORMS[platform]:
+                patch.setattr(store_mod, module, None)
+            fallback = op(str(tmp_path / "fallback"))
+            if "mmap" in PLATFORMS[platform]:
+                assert fallback._view is None
+            if "fcntl" in PLATFORMS[platform]:
+                assert not fallback._flock(0)
+            # read back through the fallback, then through a full platform
+            _assert_same_store(fallback.root, ref, written_at=False)
+        _assert_same_store(fallback.root, ref, written_at=False)
+        assert ColumnarStore(fallback.root).verify()["ok"]
+        assert [f["keys"] for f in _frames(fallback.root)] == \
+            [f["keys"] for f in _frames(ref)]
+
+
 class TestReadsParentCommitStore:
     """``data/store_compat``: a segment written by the last encoder
     that picked the smaller of zlib-9 and LZMA per section (see
-    ``make_store_compat_fixture.py``) — old stores must read forever."""
+    ``make_store_compat_fixture.py``) — v3 segments of every encoder
+    era must read forever."""
 
     DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -552,13 +564,13 @@ class TestReadsParentCommitStore:
         frames = _frames(root)
         blob = open(os.path.join(root, SEG), "rb").read()
         lead = set()                       # first byte of every section
-        for f in (f for f in frames if f["version"] == 3):
+        for f in frames:
             arr_at = f["end"] - f["info"]["array_comp"]
             assert f["info"]["array_comp"] > 0
             lead |= {blob[arr_at], blob[arr_at - f["info"]["body_comp"]],
                      blob[f["offset"] + store_mod._FRAME3.size]}
         assert lead == {0x78, 0x5d}        # zlib won some, LZMA others
-        assert [f["version"] for f in frames] == [3, 3, 2]
+        assert [f["info"]["version"] for f in frames] == [3, 3]
         store = ColumnarStore(root)
         expected = maker.records(0, maker.N_RECORDS)
         assert store.keys() == sorted(k for k, _ in expected)

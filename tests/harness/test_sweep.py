@@ -9,9 +9,9 @@ import os
 import pytest
 
 import repro.harness.sweep as sweep_mod
+from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
     FailureSpec,
-    ResultStore,
     SweepGrid,
     WorkloadSpec,
     execute_task,
@@ -184,7 +184,7 @@ class TestSimulatorVersion:
                                                  monkeypatch):
         """An artifact written by an older simulator must miss: its key
         embeds the old version, so the new run stores a fresh one."""
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["reps"], seeds=(1,))
         monkeypatch.setattr(sweep_mod, "simulator_version",
                             lambda: "0ld51mver510n000")
@@ -197,7 +197,7 @@ class TestSimulatorVersion:
 
 class TestStoreCaching:
     def test_cache_miss_then_hit(self, tmp_path):
-        store = ResultStore(str(tmp_path / "campaign"))
+        store = ColumnarStore(str(tmp_path / "campaign"))
         grid = tiny_grid()
         first = run_sweep(grid, store=store)
         assert (first.executed, first.cached) == (4, 0)
@@ -206,7 +206,7 @@ class TestStoreCaching:
         assert (again.executed, again.cached) == (0, 4)
 
     def test_partial_cache_runs_only_missing(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         small = tiny_grid(lbs=["reps"])
         run_sweep(small, store=store)
         grown = tiny_grid(lbs=["ops", "reps"])
@@ -215,24 +215,25 @@ class TestStoreCaching:
         assert results.executed == 2
 
     def test_corrupt_artifact_recomputed(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["reps"], seeds=(1,))
         run_sweep(grid, store=store)
-        (key,) = store.keys()
-        with open(os.path.join(store.root, f"{key}.json"), "w") as fh:
-            fh.write("{not json")
-        results = run_sweep(grid, store=store)
+        seg = os.path.join(store.root, store.SEGMENT)
+        with open(seg, "r+b") as fh:    # a torn write
+            fh.truncate(os.path.getsize(seg) - 3)
+        results = run_sweep(grid, store=ColumnarStore(str(tmp_path)))
         assert results.executed == 1
+        assert ColumnarStore(str(tmp_path)).verify()["ok"]   # healed
 
     def test_cached_payload_matches_fresh(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["reps"], seeds=(3,))
         fresh = run_sweep(grid, store=store)
         cached = run_sweep(grid, store=store)
         assert fresh.results[0].metrics == cached.results[0].metrics
 
     def test_store_survives_json_roundtrip(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         task = make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
                          max_us=2_000_000.0)
         payload = execute_task(task)
@@ -296,10 +297,10 @@ class TestAggregation:
 
 class TestManifestAndPrune:
     def test_put_maintains_manifest(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["reps"], seeds=(1, 2))
         run_sweep(grid, store=store)
-        manifest = ResultStore(str(tmp_path)).manifest()
+        manifest = ColumnarStore(str(tmp_path)).manifest()
         assert sorted(manifest) == store.keys()
         for entry in manifest.values():
             assert entry["sim"] == simulator_version()
@@ -307,7 +308,7 @@ class TestManifestAndPrune:
             assert entry["written_at"] > 0
 
     def test_prune_keep_set(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["ops", "reps"], seeds=(1,))
         results = run_sweep(grid, store=store)
         keep = [results.results[0].key]
@@ -319,40 +320,36 @@ class TestManifestAndPrune:
     def test_concurrent_stores_merge_manifest(self, tmp_path):
         """Two store instances sharing a directory must not clobber
         each other's manifest entries (read-merge-write per put)."""
-        a = ResultStore(str(tmp_path))
-        b = ResultStore(str(tmp_path))
+        a = ColumnarStore(str(tmp_path))
+        b = ColumnarStore(str(tmp_path))
         run_sweep(tiny_grid(lbs=["ops"], seeds=(1,)), store=a)
         run_sweep(tiny_grid(lbs=["reps"], seeds=(1,)), store=b)
-        manifest = ResultStore(str(tmp_path)).manifest()
+        manifest = ColumnarStore(str(tmp_path)).manifest()
         assert sorted(manifest) == a.keys()
         assert len(manifest) == 2
 
-    def test_manifest_read_repairs_lost_entries(self, tmp_path):
-        """Simulate the two-process lost-update race: an index entry
-        vanishes but the artifact exists — reads must resynthesize it
-        (and drop entries whose artifact was deleted)."""
-        import json as _json
-        store = ResultStore(str(tmp_path))
+    def test_manifest_never_reads_the_index_file(self, tmp_path):
+        """``manifest.json`` is derived: a lost or raced copy (an entry
+        gone, a ghost entry without a record) changes nothing the store
+        reports, and ``repair_manifest`` writes the true index back."""
+        store = ColumnarStore(str(tmp_path))
         run_sweep(tiny_grid(lbs=["ops", "reps"], seeds=(1,)),
                   store=store)
-        index_path = os.path.join(str(tmp_path), ResultStore.MANIFEST)
-        with open(index_path) as fh:
-            index = _json.load(fh)
-        lost_key, kept_key = sorted(index)
-        removed_artifact = index.pop(kept_key)  # keep entry, drop file
-        del removed_artifact
-        os.remove(os.path.join(str(tmp_path), f"{kept_key}.json"))
-        index[kept_key] = {"label": "ghost"}  # entry without artifact
-        del index[lost_key]                   # artifact without entry
+        truth = store.repair_manifest()
+        index_path = os.path.join(str(tmp_path), store.MANIFEST)
+        lost_key, kept_key = sorted(truth)
         with open(index_path, "w") as fh:
-            _json.dump(index, fh)
-        manifest = store.manifest()
-        assert sorted(manifest) == [lost_key]
-        assert manifest[lost_key]["sim"] == simulator_version()
-        assert manifest[lost_key]["label"]
+            json.dump({kept_key: {"label": "ghost"},
+                       "feedface": {"label": "ghost"}}, fh)
+        assert ColumnarStore(str(tmp_path)).manifest() == truth
+        assert truth[lost_key]["sim"] == simulator_version()
+        assert truth[lost_key]["label"]
+        store.repair_manifest()
+        with open(index_path) as fh:
+            assert json.load(fh) == truth
 
     def test_prune_stale_sim_versions(self, tmp_path, monkeypatch):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         grid = tiny_grid(lbs=["reps"], seeds=(1,))
         monkeypatch.setattr(sweep_mod, "simulator_version",
                             lambda: "0ld51mver510n000")
@@ -460,7 +457,7 @@ class TestWorkloadKinds:
         assert payload["metrics"]["flows_total"] == 6
 
     def test_model_workload_runs_through_sweep(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         tasks = [make_model_task("footprint", seed=1, buffer_size=b)
                  for b in (1, 8)]
         results = run_sweep(tasks, store=store)

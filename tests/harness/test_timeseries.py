@@ -19,7 +19,6 @@ from repro.harness.runner import (
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
     FailureSpec,
-    ResultStore,
     WorkloadSpec,
     execute_task,
     make_task,
@@ -119,14 +118,11 @@ class TestSeriesThroughSweep:
         assert "steady_queue_kb" in payload["extra"]
         assert "goodput_gbps" in payload["series"]
 
-    @pytest.mark.parametrize("store_cls", [ResultStore, ColumnarStore],
-                             ids=["json", "columnar"])
-    def test_series_identical_fresh_and_cached(self, tmp_path,
-                                               store_cls):
+    def test_series_identical_fresh_and_cached(self, tmp_path):
         task = series_task()
-        store = store_cls(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         fresh = run_sweep([task], store=store)
-        cached = run_sweep([task], store=store_cls(str(tmp_path)))
+        cached = run_sweep([task], store=ColumnarStore(str(tmp_path)))
         assert cached.cached == 1
         assert fresh[task].series == cached[task].series
         assert fresh[task].series["goodput_gbps"]

@@ -1,7 +1,7 @@
 """fig02_timeseries end-to-end: recovery curve through the pipeline.
 
-Runs the registered figure at smoke scale on a v2 store and asserts
-the ISSUE-5 acceptance bar: the paper-shape check holds, the series
+Runs the registered figure at smoke scale on the store and asserts
+the acceptance bar: the paper-shape check holds, the series
 arrays travel the store intact, and a re-run is fully cached.
 """
 

@@ -24,7 +24,6 @@ policy — and previously under-tested ones like ``bitmap`` and
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -39,9 +38,9 @@ from repro.harness.backends import (
     SerialBackend,
     ShardBackend,
 )
+from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
     FailureSpec,
-    ResultStore,
     WorkloadSpec,
     execute_task,
     make_task,
@@ -172,21 +171,18 @@ class TestBackendDeterminism:
 
     @staticmethod
     def _snapshot(store):
-        out = {}
-        for key in store.keys():
-            with open(os.path.join(store.root, f"{key}.json")) as fh:
-                out[key] = fh.read()
-        return out
+        return {key: json.dumps(store.get(key), sort_keys=True)
+                for key in store.keys()}
 
     @pytest.mark.parametrize("lb", POLICIES)
     def test_all_backends_byte_identical(self, lb, tmp_path):
         grid = self._grid(lb)
-        ref_store = ResultStore(str(tmp_path / "serial"))
+        ref_store = ColumnarStore(str(tmp_path / "serial"))
         run_sweep(grid, store=ref_store, backend=SerialBackend())
         reference = self._snapshot(ref_store)
         assert len(reference) == len(grid)
         for backend, name in zip(self.BACKENDS, self.IDS):
-            store = ResultStore(str(tmp_path / name))
+            store = ColumnarStore(str(tmp_path / name))
             run_sweep(grid, store=store, backend=backend)
             assert self._snapshot(store) == reference, \
                 f"{lb}: {name} backend artifacts diverge from serial"

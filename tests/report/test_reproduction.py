@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.harness.campaign import run_campaign
-from repro.harness.sweep import ResultStore
+from repro.harness.store import ColumnarStore
 from repro.report import (
     campaign_doc,
     collect_provenance,
@@ -27,7 +27,7 @@ def small_campaign(tmp_path, extra_specs=()):
         raise RuntimeError("matrix exploded")
     specs = stub_registry() + list(extra_specs) \
         + [stub_spec("stub_bad", build=boom)]
-    return run_campaign(specs, store=ResultStore(str(tmp_path)))
+    return run_campaign(specs, store=ColumnarStore(str(tmp_path)))
 
 
 class TestProvenance:
@@ -109,7 +109,7 @@ class TestRenderReproduction:
 
     def test_partial_campaign_is_labelled(self, tmp_path):
         campaign = run_campaign([stub_spec("stub_a")],
-                                store=ResultStore(str(tmp_path)))
+                                store=ColumnarStore(str(tmp_path)))
         text = render_reproduction(campaign)
         assert "**Partial campaign**" in text
         assert "Every registered paper figure" not in text
@@ -120,7 +120,7 @@ class TestRenderReproduction:
         spec = stub_spec("stub_t")
         object.__setattr__(spec, "table", bad_table)
         campaign = run_campaign([spec] + stub_registry(),
-                                store=ResultStore(str(tmp_path)))
+                                store=ColumnarStore(str(tmp_path)))
         text = render_reproduction(campaign)  # must not raise
         assert "Table renderer failed:" in text
         assert "axis missing at this scale" in text
@@ -149,7 +149,7 @@ class TestRenderReproduction:
             raise KeyError("axis missing at smoke scale")
         campaign = run_campaign(
             [stub_spec("stub_ck", check=check_crash)],
-            store=ResultStore(str(tmp_path)))
+            store=ColumnarStore(str(tmp_path)))
         assert campaign["stub_ck"].status == "error"
         text = render_reproduction(campaign)
         assert "Shape check crashed (measured results below):" in text
@@ -163,7 +163,7 @@ class TestRenderReproduction:
             assert False, "factor off by 2x"
         campaign = run_campaign(
             [stub_spec("stub_div", check=check_bad)],
-            store=ResultStore(str(tmp_path)))
+            store=ColumnarStore(str(tmp_path)))
         text = render_reproduction(campaign)
         assert "**Diverges from the paper:** factor off by 2x" in text
 
@@ -193,7 +193,7 @@ class TestTimeseriesReport:
     def ts_campaign(self, tmp_path_factory):
         return run_campaign(
             [ts_spec()],
-            store=ResultStore(str(tmp_path_factory.mktemp("ts"))))
+            store=ColumnarStore(str(tmp_path_factory.mktemp("ts"))))
 
     def test_sparkline_panel_replaces_bar_chart(self, ts_campaign):
         text = render_reproduction(ts_campaign)
@@ -214,7 +214,7 @@ class TestTimeseriesReport:
 
     def test_scalar_figures_carry_no_series(self, tmp_path):
         campaign = run_campaign([stub_spec("stub_scalar")],
-                                store=ResultStore(str(tmp_path)))
+                                store=ColumnarStore(str(tmp_path)))
         doc = campaign_doc(campaign)
         fig = doc["figures"][0]
         assert fig["metric_kind"] == "scalar"

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 
 from repro.harness.runner import Scenario, run_synthetic
+from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
     FailureSpec,
-    ResultStore,
     WorkloadSpec,
     _jsonify,
     _metrics_doc,
@@ -120,7 +120,7 @@ class TestCallableEquivalence:
 
 class TestStoreRoundTrip:
     def test_schedule_task_payload_roundtrips(self, tmp_path):
-        store = ResultStore(str(tmp_path))
+        store = ColumnarStore(str(tmp_path))
         task = make_task("reps", TOPO, WORKLOAD, seed=5,
                          failure=SCHEDULE, probes=("freeze_entries",),
                          max_us=MAX_US)

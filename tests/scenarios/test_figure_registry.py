@@ -67,8 +67,8 @@ class TestSpecWiring:
 
 class TestExecution:
     def test_model_figure_end_to_end(self, tmp_path):
-        from repro.harness.sweep import ResultStore
-        store = ResultStore(str(tmp_path))
+        from repro.harness.store import ColumnarStore
+        store = ColumnarStore(str(tmp_path))
         result = run_figure("table1", store=store)
         result.check()
         assert result.value(8, "total_bytes") == 25

@@ -16,8 +16,7 @@ def _clean_harness_env():
     whatever the test exported afterwards (monkeypatch.delenv cannot:
     it only undoes changes it made itself, not the CLI's)."""
     import os
-    keys = ("REPRO_BENCH_SCALE", "REPRO_SHARD", "REPRO_BACKEND",
-            "REPRO_STORE")
+    keys = ("REPRO_BENCH_SCALE", "REPRO_SHARD", "REPRO_BACKEND")
     saved = {key: os.environ.pop(key, None) for key in keys}
     yield
     for key, value in saved.items():
@@ -183,18 +182,16 @@ class TestFigures:
         assert "5 executed, 0 from cache" in out
 
     def test_prune_drops_stale_artifacts(self, capsys, tmp_path):
-        import json
-        import os
+        from repro.harness.store import ColumnarStore
         run_cli(capsys, "figures", "run", "table1",
                 "--results-dir", str(tmp_path))
-        stale = os.path.join(str(tmp_path), "table1", "feedface.json")
-        with open(stale, "w") as fh:
-            json.dump({"schema": 0}, fh)
+        root = str(tmp_path / "table1")
+        ColumnarStore(root).put("feedface", {"schema": 0})
         code, out = run_cli(capsys, "figures", "run", "table1",
                             "--prune", "--results-dir", str(tmp_path))
         assert code == 0
         assert "pruned 1 stale artifact(s)" in out
-        assert not os.path.exists(stale)
+        assert "feedface" not in ColumnarStore(root).keys()
 
     def test_no_cache_runs_without_store(self, capsys, tmp_path):
         code, out = run_cli(capsys, "figures", "run", "table1",
@@ -366,17 +363,15 @@ class TestFiguresCampaign:
                     "--prune", "--results-dir", str(tmp_path))
 
     def test_prune_stale_flag(self, capsys, tmp_path):
-        import json
-        import os
+        from repro.harness.store import ColumnarStore
         self.campaign(capsys, tmp_path)
-        stale = os.path.join(str(tmp_path / "store"), "campaign",
-                             "feedface.json")
-        with open(stale, "w") as fh:
-            json.dump({"schema": 2, "sim": "0" * 16, "metrics": {},
-                       "task": {"label": "ghost", "seed": 1}}, fh)
+        root = str(tmp_path / "store" / "campaign")
+        ColumnarStore(root).put("feedface", {
+            "schema": 2, "sim": "0" * 16, "metrics": {},
+            "task": {"label": "ghost", "seed": 1}})
         code, _out = self.campaign(capsys, tmp_path, "--prune-stale")
         assert code == 0
-        assert not os.path.exists(stale)
+        assert "feedface" not in ColumnarStore(root).keys()
 
     def test_scale_flag_sets_bench_scale(self, capsys, tmp_path,
                                          monkeypatch):
@@ -453,26 +448,6 @@ class TestShard:
         assert [f["status"] for f in sharded["figures"]] == \
             [f["status"] for f in single["figures"]]
 
-    def test_merge_reads_v2_sources_under_json_policy(self, capsys,
-                                                      tmp_path):
-        """Regression (code review): columnar shard stores merged
-        with $REPRO_STORE=json must not silently merge 0 artifacts."""
-        import os
-        self.plan(capsys, tmp_path)
-        for i in (0, 1):
-            code, _ = run_cli(
-                capsys, "shard", "run",
-                str(tmp_path / "plan" / f"shard-{i}.json"),
-                "--store", str(tmp_path / f"shard-{i}"))
-            assert code == 0
-        os.environ["REPRO_STORE"] = "json"  # autouse fixture scrubs it
-        code, out = run_cli(
-            capsys, "shard", "merge",
-            "--into", str(tmp_path / "merged-v1"),
-            str(tmp_path / "shard-0"), str(tmp_path / "shard-1"))
-        assert code == 0
-        assert "7 artifact(s) (7 newly merged)" in out
-
     def test_merge_is_idempotent(self, capsys, tmp_path):
         self.full_flow(capsys, tmp_path)
         code, out = run_cli(
@@ -484,9 +459,9 @@ class TestShard:
 
     def test_merged_manifest_records_shard_origin(self, capsys,
                                                   tmp_path):
-        from repro.harness.store import open_store
+        from repro.harness.store import ColumnarStore
         self.full_flow(capsys, tmp_path)
-        manifest = open_store(
+        manifest = ColumnarStore(
             str(tmp_path / "merged" / "campaign")).manifest()
         assert len(manifest) == 7
         assert {e["origin"] for e in manifest.values()} == \
@@ -555,7 +530,7 @@ class TestShard:
         its provenance header."""
         import os
 
-        from repro.harness.store import open_store
+        from repro.harness.store import ColumnarStore
         from repro.report import collect_provenance
         self.plan(capsys, tmp_path)
         assert "REPRO_SHARD" not in os.environ
@@ -566,7 +541,7 @@ class TestShard:
             "--store", str(tmp_path / "s1"))
         assert code == 0
         # the run itself saw the identity: the store records it
-        manifest = open_store(str(tmp_path / "s1")).manifest()
+        manifest = ColumnarStore(str(tmp_path / "s1")).manifest()
         assert {e["origin"] for e in manifest.values()} == {"shard-1/2"}
         # ...but nothing leaked into this process
         assert "REPRO_SHARD" not in os.environ
@@ -595,6 +570,71 @@ class TestShard:
         # pre-flight validation: nothing was merged into the dest
         assert not (tmp_path / "m").exists() or \
             not list((tmp_path / "m").iterdir())
+        # stray per-task JSON files do not make a store either
+        (bogus / "README.txt").unlink()
+        (bogus / "feedface.json").write_text("{}")
+        with pytest.raises(SystemExit, match="not-a-store is not a"):
+            run_cli(capsys, "shard", "merge",
+                    "--into", str(tmp_path / "m"), str(bogus))
+
+    def test_merge_accepts_empty_and_manifest_only_sources(
+            self, capsys, tmp_path):
+        empty, indexed = tmp_path / "empty", tmp_path / "indexed"
+        empty.mkdir()
+        indexed.mkdir()
+        (indexed / "manifest.json").write_text("{}")
+        code, out = run_cli(capsys, "shard", "merge",
+                            "--into", str(tmp_path / "m"),
+                            str(empty), str(indexed))
+        assert code == 0
+        assert "0 artifact(s) (0 newly merged)" in out
+
+    def test_merge_refuses_a_pre_v3_source(self, capsys, tmp_path):
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "store.seg").write_bytes(b"REPSEG02BLK1" + bytes(40))
+        with pytest.raises(SystemExit,
+                           match="predates segment format 3"):
+            run_cli(capsys, "shard", "merge",
+                    "--into", str(tmp_path / "m"), str(old))
+
+    # what a directory holds -> whether it is a shard store
+    SOURCE_DIRS = {
+        "empty": ({}, True),
+        "segment": ({"store.seg": b""}, True),
+        "manifest-only": ({"manifest.json": b"{}"}, True),
+        "segment-and-manifest": (
+            {"store.seg": b"", "manifest.json": b"{}"}, True),
+        "stray-json-only": ({"0123abcd.json": b"{}"}, False),
+        "unrelated-file": ({"data.bin": b"x"}, False),
+    }
+
+    @pytest.mark.parametrize("case", list(SOURCE_DIRS))
+    def test_looks_like_store(self, case, tmp_path):
+        from repro.cli.shard import _looks_like_store
+        files, expected = self.SOURCE_DIRS[case]
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        assert _looks_like_store(str(tmp_path)) is expected
+
+    def test_missing_path_or_plain_file_is_not_a_store(self, tmp_path):
+        from repro.cli.shard import _looks_like_store
+        (tmp_path / "store.seg").write_bytes(b"")
+        assert not _looks_like_store(str(tmp_path / "missing"))
+        assert not _looks_like_store(str(tmp_path / "store.seg"))
+
+    def test_merge_refuses_stray_json_and_leaves_it(self, capsys,
+                                                    tmp_path):
+        """A directory of ``<key>.json`` files is not a store: it is
+        refused by name and not one of its files is touched."""
+        stray = tmp_path / "stray"
+        stray.mkdir()
+        (stray / "0123abcd.json").write_text('{"schema": 1}')
+        with pytest.raises(SystemExit, match="stray is not a"):
+            run_cli(capsys, "shard", "merge",
+                    "--into", str(tmp_path / "m"), str(stray))
+        assert [p.name for p in stray.iterdir()] == ["0123abcd.json"]
+        assert (stray / "0123abcd.json").read_text() == '{"schema": 1}'
 
     def test_merge_validates_before_merging(self, capsys, tmp_path):
         """A bad source anywhere in the list fails the merge before
@@ -766,24 +806,15 @@ class TestOrchestrate:
 
 
 class TestStore:
-    """`repro store compact | inspect | verify` + the $REPRO_STORE
-    format policy."""
+    """`repro store compact | inspect | verify`."""
 
-    def campaign_store(self, capsys, tmp_path, env=None):
-        import os
-        # the autouse _clean_harness_env fixture scrubs these keys
-        # after the test, so plain assignment is safe here
-        os.environ.update(env or {})
-        try:
-            code, _ = run_cli(
-                capsys, "figures", "run", "--only", "table1",
-                "--scale", "smoke",
-                "--results-dir", str(tmp_path / "results"),
-                "--report", str(tmp_path / "R.md"),
-                "--json", str(tmp_path / "c.json"))
-        finally:
-            for key in (env or {}):
-                os.environ.pop(key, None)
+    def campaign_store(self, capsys, tmp_path):
+        code, _ = run_cli(
+            capsys, "figures", "run", "--only", "table1",
+            "--scale", "smoke",
+            "--results-dir", str(tmp_path / "results"),
+            "--report", str(tmp_path / "R.md"),
+            "--json", str(tmp_path / "c.json"))
         assert code == 0
         return str(tmp_path / "results" / "campaign")
 
@@ -796,20 +827,13 @@ class TestStore:
         assert code == 0
         assert "store verify: OK" in out
 
-    def test_compact_migrates_a_json_store(self, capsys, tmp_path):
-        """The v1 -> v2 migration: campaign on a JSON store, compact,
-        then a default (columnar) re-run is fully cached."""
-        import os
-        root = self.campaign_store(capsys, tmp_path,
-                                   env={"REPRO_STORE": "json"})
-        json_files = [n for n in os.listdir(root)
-                      if n.endswith(".json") and n != "manifest.json"]
-        assert json_files  # the JSON store really wrote per-task files
+    def test_compact_then_rerun_is_fully_cached(self, capsys, tmp_path):
+        root = self.campaign_store(capsys, tmp_path)
         code, out = run_cli(capsys, "store", "compact", root)
         assert code == 0
-        assert f"{len(json_files)} JSON artifact(s) absorbed" in out
-        assert [n for n in os.listdir(root) if n.endswith(".json")] == \
-            ["manifest.json"]
+        assert "record(s) in 1 block(s)" in out
+        code, out = run_cli(capsys, "store", "verify", root)
+        assert code == 0
         code, out = run_cli(
             capsys, "figures", "run", "--only", "table1",
             "--scale", "smoke",
@@ -830,32 +854,25 @@ class TestStore:
         assert code == 1
         assert "store verify: FAILED" in out
 
-    def test_compact_refuses_under_json_policy(self, capsys, tmp_path,
-                                               monkeypatch):
-        """Regression (code review): compacting while $REPRO_STORE=json
-        is pinned would make the whole cache invisible to the very
-        pipeline that's pinned to the legacy format."""
-        root = self.campaign_store(capsys, tmp_path,
-                                   env={"REPRO_STORE": "json"})
-        monkeypatch.setenv("REPRO_STORE", "json")
-        with pytest.raises(SystemExit, match="unset it first"):
-            run_cli(capsys, "store", "compact", root)
-
     def test_store_commands_reject_missing_dir(self, capsys, tmp_path):
         for command in ("compact", "inspect", "verify"):
             with pytest.raises(SystemExit, match="store directory"):
                 run_cli(capsys, "store", command,
                         str(tmp_path / "ghost"))
 
-    def test_bad_store_env_fails_cleanly(self, capsys, tmp_path,
-                                         monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "parquet")
-        with pytest.raises(SystemExit, match="REPRO_STORE"):
-            run_cli(capsys, "sweep", "--lbs", "reps",
-                    "--pattern", "tornado", "--mib", "0.25",
-                    "--hosts", "8", "--hosts-per-t0", "4",
-                    "--seeds", "1", "--name", "x",
-                    "--results-dir", str(tmp_path))
+    def test_pre_v3_store_is_refused_by_name(self, capsys, tmp_path):
+        old = tmp_path / "old"
+        old.mkdir()
+        seg = old / "store.seg"
+        seg.write_bytes(b"REPSEG02BLK1" + bytes(40))
+        for command in ("compact", "inspect"):
+            with pytest.raises(SystemExit,
+                               match="predates segment format 3"):
+                run_cli(capsys, "store", command, str(old))
+        code, out = run_cli(capsys, "store", "verify", str(old))
+        assert code == 1
+        assert "predates segment format 3" in out
+        assert seg.read_bytes() == b"REPSEG02BLK1" + bytes(40)
 
 
 class TestFiguresTrend:
