@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-One parser, nine commands in six groups.  A command imports the layer
+One parser, eight commands in five groups.  A command imports the layer
 it runs (describe / execute / persist / present, see
 ``docs/ARCHITECTURE.md``) when it is dispatched, so ``repro -h`` loads
 nothing of the package and ``figures list`` never loads the simulator:
@@ -14,24 +14,21 @@ nothing of the package and ``figures list`` never loads the simulator:
   sweep harness, ``run --all`` to reproduce the whole paper in one
   campaign that renders ``REPRODUCTION.md`` + ``campaign.json``, or
   ``trend`` to diff two ``campaign.json`` records for regressions,
-- ``shard`` (:mod:`.shard`): scale a campaign out over hosts — ``plan``
-  deterministic shard manifests, ``run`` one shard anywhere against a
-  local store, ``merge`` the shard stores back into one,
-- ``orchestrate`` (:mod:`.orchestrate`): the elastic whole-campaign
-  version of ``shard`` — plan wall-time-balanced shards, fan them out
-  over local (or SSH) workers with heartbeats, retry shards whose
-  worker dies, merge each shard as it lands, and render the same
-  REPRODUCTION.md + campaign.json a single-host run produces,
+- ``orchestrate`` (:mod:`.orchestrate`): a campaign scaled past one
+  pool — plan wall-time-balanced shards, fan them out over local (or
+  SSH) workers with heartbeats, retry shards whose worker dies, merge
+  each shard as it lands, and render the same REPRODUCTION.md +
+  campaign.json a single-host run produces,
 - ``store`` (:mod:`.store`): artifact-store maintenance — ``compact``
   a store's segment file (dropping shadowed duplicates), ``inspect``
-  its statistics, ``verify`` its integrity,
+  its statistics, ``verify`` its integrity, ``merge`` stores written
+  elsewhere into one,
 - ``docs`` | ``footprint`` (:mod:`.tools`): regenerate (or
   drift-check) the ``docs/figures/`` pages from the registry; print
   the Table-1 memory accounting.
 
-Campaign-scale commands accept ``--backend`` (or ``$REPRO_BACKEND``)
-to pick the execution backend: ``serial``, ``process``, ``batched``,
-or ``shard`` (see :mod:`repro.harness.backends`).
+``--workers`` alone picks how a sweep runs: in-process for 1, one
+``multiprocessing`` pool for more (see :mod:`repro.harness.backends`).
 
 Examples::
 
@@ -44,14 +41,12 @@ Examples::
     python -m repro figures run --all --scale smoke --workers 4
     python -m repro figures run --all --tag failures --skip fig09
     python -m repro figures trend old-campaign.json campaign.json --strict
-    python -m repro shard plan --shards 4 --scale smoke --out plan/
-    python -m repro shard run plan/shard-0.json --store stores/shard-0
-    python -m repro shard merge --into stores/merged/campaign \\
-        stores/shard-0 stores/shard-1
     python -m repro orchestrate --scale smoke --fan-out 4 \\
         --results-dir /tmp/orch --html /tmp/orch/status.html
     python -m repro store compact benchmarks/results/sweeps/campaign
     python -m repro store verify benchmarks/results/sweeps/campaign
+    python -m repro store merge --into merged/campaign \\
+        hostA/campaign hostB/campaign
     python -m repro docs figures --check
     python -m repro run --lb reps --fail-uplink 0 --fail-at 50 --fail-for 200
     python -m repro footprint --buffer 8 --evs 65536
@@ -72,17 +67,11 @@ DISPATCH = {
     "compare": ("simulate", "cmd_compare"),
     "sweep": ("simulate", "cmd_sweep"),
     "figures": ("figures", "cmd_figures"),
-    "shard": ("shard", "cmd_shard"),
     "orchestrate": ("orchestrate", "cmd_orchestrate"),
     "store": ("store", "cmd_store"),
     "docs": ("tools", "cmd_docs"),
     "footprint": ("tools", "cmd_footprint"),
 }
-
-#: the ``--backend`` choices, declared where the parser can read them
-#: without importing a backend (``repro.harness.backends.BACKENDS`` is
-#: tested equal)
-BACKEND_NAMES = ("batched", "process", "serial", "shard")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,9 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="number of seeds spawned from --root-seed")
     sw_p.add_argument("--workers", type=int, default=1,
                       help="worker processes (1 = serial)")
-    sw_p.add_argument("--backend", default=None, choices=BACKEND_NAMES,
-                      help="execution backend (default: $REPRO_BACKEND, "
-                           "else serial/process by --workers)")
     sw_p.add_argument("--max-us", type=float, default=2_000_000.0)
     sw_p.add_argument("--metric", default="max_fct_us",
                       help="metric to aggregate across seeds")
@@ -196,12 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fr_p.add_argument("--scale", default=None,
                       choices=("smoke", "quick", "full"),
                       help="set REPRO_BENCH_SCALE for this run")
-    fr_p.add_argument("--workers", type=int, default=None,
-                      help="worker processes (default: "
-                           "$REPRO_BENCH_WORKERS or 1)")
-    fr_p.add_argument("--backend", default=None, choices=BACKEND_NAMES,
-                      help="execution backend (default: $REPRO_BACKEND, "
-                           "else serial/process by --workers)")
+    fr_p.add_argument("--workers", type=int, default=1,
+                      help="worker processes (1 = serial)")
     fr_p.add_argument("--results-dir",
                       default=os.path.join("benchmarks", "results",
                                            "sweeps"),
@@ -244,45 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="exit non-zero on any regression (worse "
                            "badge, metric drift, lost coverage)")
 
-    shard_p = sub.add_parser(
-        "shard", help="scale a campaign out: plan / run / merge")
-    shard_sub = shard_p.add_subparsers(dest="shard_command", required=True)
-    sp_p = shard_sub.add_parser(
-        "plan", help="partition the campaign grid into shard manifests")
-    sp_p.add_argument("--shards", type=int, default=2,
-                      help="number of shards to plan (default 2)")
-    sp_p.add_argument("--out", default="shard-plan",
-                      help="directory for shard-<i>.json manifests")
-    sp_p.add_argument("--only", default=None, metavar="IDS",
-                      help="comma-separated figure ids to keep")
-    sp_p.add_argument("--skip", default=None, metavar="IDS",
-                      help="comma-separated figure ids to drop")
-    sp_p.add_argument("--tag", default=None, metavar="TAGS",
-                      help="keep figures carrying any of these tags")
-    sp_p.add_argument("--scale", default=None,
-                      choices=("smoke", "quick", "full"),
-                      help="set REPRO_BENCH_SCALE for the plan (the "
-                           "scale is recorded in every manifest)")
-    sr_p = shard_sub.add_parser(
-        "run", help="execute one shard manifest against a local store")
-    sr_p.add_argument("manifest", help="shard-<i>.json from `shard plan`")
-    sr_p.add_argument("--store", required=True,
-                      help="local artifact-store directory for this "
-                           "shard's results")
-    sr_p.add_argument("--workers", type=int, default=1,
-                      help="worker processes (1 = serial)")
-    sr_p.add_argument("--backend", default=None, choices=BACKEND_NAMES,
-                      help="execution backend for this shard's tasks")
-    sm_p = shard_sub.add_parser(
-        "merge", help="fold shard stores into one campaign store")
-    sm_p.add_argument("sources", nargs="+", metavar="STORE",
-                      help="shard store directories to merge")
-    sm_p.add_argument("--into", required=True,
-                      help="destination store (use "
-                           "<results-dir>/campaign so `repro figures "
-                           "run --all --results-dir <results-dir>` "
-                           "finds it)")
-
     orc_p = sub.add_parser(
         "orchestrate",
         help="elastic campaign: plan balanced shards, fan out "
@@ -310,9 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "work-stealing margin)")
     orc_p.add_argument("--shard-workers", type=int, default=1,
                        help="sweep processes inside each worker")
-    orc_p.add_argument("--backend", default=None,
-                       choices=BACKEND_NAMES,
-                       help="execution backend inside each worker")
     orc_p.add_argument("--results-dir",
                        default=os.path.join("benchmarks", "results",
                                             "sweeps"),
@@ -363,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     store_p = sub.add_parser(
         "store", help="artifact-store maintenance: compact / inspect "
-                      "/ verify")
+                      "/ verify / merge")
     store_sub = store_p.add_subparsers(dest="store_command", required=True)
     cp_p = store_sub.add_parser(
         "compact", help="rewrite the store's segment file (drops "
@@ -376,6 +316,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="CRC / decode / content-key integrity check; "
                        "exits non-zero on corruption")
     vf_p.add_argument("root", help="store directory")
+    mg_p = store_sub.add_parser(
+        "merge", help="fold stores (e.g. from other hosts) into one")
+    mg_p.add_argument("sources", nargs="+", metavar="SRC",
+                      help="store directories to merge")
+    mg_p.add_argument("--into", required=True,
+                      help="destination store (use "
+                           "<results-dir>/campaign so `repro figures "
+                           "run --all --results-dir <results-dir>` "
+                           "finds it)")
 
     docs_p = sub.add_parser(
         "docs", help="generate documentation from the registry")

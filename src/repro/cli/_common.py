@@ -1,22 +1,8 @@
-"""What the command groups share: the backend environment check and
-the campaign figure selection."""
+"""What the command groups share: the campaign figure selection."""
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
-
-
-def check_backend_env() -> None:
-    """Fail a sweep-running command cleanly on a bad ``$REPRO_BACKEND``
-    (``--backend`` is argparse-validated; the env var is not)."""
-    from ..harness.backends import BACKEND_ENV, backend_names
-
-    raw = os.environ.get(BACKEND_ENV)
-    if raw and raw not in backend_names():
-        raise SystemExit(
-            f"repro: {BACKEND_ENV}={raw!r} is not a known backend; "
-            f"one of {', '.join(backend_names())}")
 
 
 def split_csv(raw: Optional[str]) -> List[str]:
@@ -28,11 +14,11 @@ def campaign_specs(prog: str, *, only: List[str] = (),
                    policies: List[str] = ()):
     """The figure selection every campaign-scale command shares.
 
-    ``figures run --all``, ``shard plan`` and ``orchestrate`` must
-    agree on what a selection means (including the ``--policies``
-    arena derivation), or an orchestrated campaign could silently
-    cover a different figure set than the single-host run it is
-    checked against.  ``prog`` only brands the error messages.
+    ``figures run --all`` and ``orchestrate`` must agree on what a
+    selection means (including the ``--policies`` arena derivation),
+    or an orchestrated campaign could silently cover a different
+    figure set than the single-host run it is checked against.
+    ``prog`` only brands the error messages.
     """
     from ..harness.campaign import select_figures
 

@@ -6,10 +6,10 @@ import argparse
 import os
 
 from ..harness.report import format_table
-from ._common import campaign_specs, check_backend_env, split_csv
+from ._common import campaign_specs, split_csv
 
 
-def _campaign(args: argparse.Namespace, workers: int) -> int:
+def _campaign(args: argparse.Namespace) -> int:
     """``figures run --all``: the whole-paper campaign."""
     from ..harness.campaign import (
         STATUSES,
@@ -42,12 +42,12 @@ def _campaign(args: argparse.Namespace, workers: int) -> int:
             store = shared_store(args.results_dir, fresh=args.fresh)
         except ValueError as exc:
             raise SystemExit(f"repro: {exc}")
-    print(f"campaign: {len(specs)} figure(s), workers={workers}, "
+    print(f"campaign: {len(specs)} figure(s), workers={args.workers}, "
           f"store={store.root if store is not None else 'none'}")
     campaign = run_campaign(
-        specs, workers=workers, store=store, check=not args.no_check,
-        prune_stale=args.prune_stale, progress=True,
-        backend=args.backend)
+        specs, workers=args.workers, store=store,
+        check=not args.no_check, prune_stale=args.prune_stale,
+        progress=True)
     if len(specs) < len(figure_ids()) and \
             args.report == "REPRODUCTION.md":
         # the report itself is marked partial, but overwriting the
@@ -106,24 +106,12 @@ def cmd_figures(args: argparse.Namespace) -> int:
                            rows))
         return 0
 
-    check_backend_env()
     if args.scale:
         # matrices resolve the scale lazily at build time; workers
         # inherit it through the (forked) environment
         os.environ["REPRO_BENCH_SCALE"] = args.scale
-    workers = args.workers
-    if workers is None:
-        # resolved here, not at parser build, so a malformed env var
-        # cannot break unrelated subcommands
-        raw = os.environ.get("REPRO_BENCH_WORKERS", "1") or "1"
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise SystemExit(
-                f"repro figures: REPRO_BENCH_WORKERS must be an "
-                f"integer, got {raw!r}")
     if args.all or args.only or args.skip or args.tag:
-        return _campaign(args, workers)
+        return _campaign(args)
     if not args.ids:
         raise SystemExit("repro figures run: provide FIG_ID(s) or "
                          "--all (see `repro figures list`)")
@@ -157,8 +145,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
         else:
             store = ColumnarStore(os.path.join(args.results_dir, fig_id),
                                   fresh=args.fresh)
-        result = run_figure(spec, workers=workers, store=store,
-                            progress=True, backend=args.backend)
+        result = run_figure(spec, workers=args.workers, store=store,
+                            progress=True)
         headers, rows, notes = result.table_doc()
         print(format_table(spec.title, headers, rows))
         for note in notes:

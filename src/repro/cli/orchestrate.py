@@ -13,11 +13,10 @@ from ..harness.orchestrate import (
     SSHRunner,
     orchestrate_campaign,
 )
-from ._common import campaign_specs, check_backend_env, split_csv
+from ._common import campaign_specs, split_csv
 
 
 def cmd_orchestrate(args: argparse.Namespace) -> int:
-    check_backend_env()
     if args.fan_out < 1:
         raise SystemExit("repro orchestrate: --fan-out must be >= 1")
     if args.shards is not None and args.shards < 1:
@@ -33,13 +32,11 @@ def cmd_orchestrate(args: argparse.Namespace) -> int:
             raise SystemExit("repro orchestrate: --ssh-hosts only "
                              "applies to --runner ssh")
         runner = LocalGroupRunner()
-    # the acceptance contract: whatever the run exports for its own
-    # planning/final render, the orchestrator's environment is
-    # restored afterwards — REPRO_BENCH_SCALE and REPRO_SHARD leak
-    # from this process into nothing
+    # whatever the run exports for its own planning/final render, the
+    # orchestrator's environment is restored afterwards —
+    # REPRO_BENCH_SCALE leaks from this process into nothing
     scale = args.scale or os.environ.get("REPRO_BENCH_SCALE")
-    with scoped_env(REPRO_BENCH_SCALE=scale,
-                    REPRO_SHARD=os.environ.get("REPRO_SHARD")):
+    with scoped_env(REPRO_BENCH_SCALE=scale):
         specs = campaign_specs("repro orchestrate",
                                only=split_csv(args.only),
                                skip=split_csv(args.skip),
@@ -50,8 +47,7 @@ def cmd_orchestrate(args: argparse.Namespace) -> int:
                 specs, results_dir=args.results_dir,
                 work_dir=args.work_dir, fan_out=args.fan_out,
                 n_shards=args.shards,
-                shard_workers=args.shard_workers,
-                backend=args.backend, runner=runner,
+                shard_workers=args.shard_workers, runner=runner,
                 heartbeat_timeout_s=args.heartbeat_timeout,
                 shard_deadline_s=args.shard_deadline,
                 max_retries=args.max_retries,

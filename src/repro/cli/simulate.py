@@ -11,7 +11,6 @@ from ..harness.sweep import SweepGrid, WorkloadSpec, run_sweep
 from ..sim.network import Network, NetworkConfig
 from ..sim.topology import TopologyParams
 from ..workloads.synthetic import incast, permutation, tornado
-from ._common import check_backend_env
 
 
 def _simulate(args: argparse.Namespace, lb: str):
@@ -72,7 +71,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    check_backend_env()
     workload = WorkloadSpec(
         kind="synthetic", pattern=args.pattern,
         msg_bytes=int(args.mib * 1024 * 1024), fan_in=args.fan_in)
@@ -95,7 +93,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     store = ColumnarStore(os.path.join(args.results_dir, args.name),
                           fresh=args.fresh)
     results = run_sweep(grid, workers=args.workers, store=store,
-                        progress=True, backend=args.backend)
+                        progress=True)
     print(format_sweep_table(
         f"sweep '{args.name}': {args.pattern} {args.mib} MiB on "
         f"{args.hosts} hosts", results, args.metric))

@@ -1,9 +1,10 @@
-"""``store``: compact | inspect | verify."""
+"""``store``: compact | inspect | verify | merge."""
 
 from __future__ import annotations
 
 import argparse
 import os
+from typing import List, Sequence
 
 from ..harness.report import format_table
 from ..harness.store import ColumnarStore
@@ -75,7 +76,56 @@ def _verify(store: ColumnarStore, root: str) -> int:
     return 0 if report["ok"] else 1
 
 
+def _looks_like_store(path: str) -> bool:
+    """Heuristic pre-flight for ``merge`` sources: an empty directory
+    is a valid (empty) store — a shard with no tasks leaves one — and
+    any other store carries a segment file or a manifest; a directory
+    with neither (someone's results dir, a typo'd path) is not a
+    store."""
+    try:
+        names = os.listdir(path)
+    except OSError:
+        return False
+    return (not names or ColumnarStore.SEGMENT in names
+            or ColumnarStore.MANIFEST in names)
+
+
+def _merge(sources: Sequence[str], into: str) -> int:
+    dest = ColumnarStore(into)
+    # validate every source before touching the destination: a typo in
+    # source k must not leave the campaign store half-merged
+    for src in sources:
+        if not os.path.isdir(src) or not _looks_like_store(src):
+            raise SystemExit(f"repro store merge: {src} is not a "
+                             f"store directory")
+    total = 0
+    done: List[str] = []
+    for src in sources:
+        try:
+            merged = dest.merge_from(ColumnarStore(src))
+        except Exception as exc:
+            # merge_from is idempotent (content-keyed), so the partial
+            # merge is safe: fixing the bad source and re-running the
+            # same command completes the campaign store
+            raise SystemExit(
+                f"repro store merge: merging {src} failed: {exc}\n"
+                f"merged {len(done)}/{len(sources)} source(s) "
+                f"before the failure"
+                + (f" ({', '.join(done)})" if done else "")
+                + f"; {src} and later sources did not land — re-run "
+                  f"the same merge once the source is fixed "
+                  f"(already-merged artifacts are skipped)")
+        total += len(merged)
+        done.append(src)
+        print(f"merged {len(merged)} artifact(s) from {src}")
+    print(f"store {dest.root}: {len(dest)} artifact(s) "
+          f"({total} newly merged)")
+    return 0
+
+
 def cmd_store(args: argparse.Namespace) -> int:
+    if args.store_command == "merge":
+        return _merge(args.sources, args.into)
     if not os.path.isdir(args.root):
         raise SystemExit(f"repro store: {args.root} is not a store "
                          f"directory")

@@ -2,16 +2,15 @@
 
 :func:`~repro.harness.sweep.run_sweep` decides *what* runs (grid
 expansion, dedup, cache lookups); a :class:`Backend` decides how the
-cache misses execute — in-process, across a worker pool, in amortized
-batches, or sharded into independent stores that merge later.
+cache misses execute — in-process, or across one worker pool.
 
 The contract every implementation must honour:
 
 - **Artifact equivalence.**  A backend only orchestrates; the payload
   for a task comes from :func:`~repro.harness.sweep.execute_task` and
-  must be byte-identical no matter which backend ran it.  Backend
-  choice is therefore *not* part of the content key, and stores
-  written by different backends (or different hosts) merge safely.
+  must be byte-identical no matter which backend ran it.  The backend
+  is therefore *not* part of the content key, and stores written by
+  different backends (or different hosts) merge safely.
 - **Completeness.**  ``run`` returns an outcome for every pending key
   (the payload, or a :class:`~repro.harness.sweep.TaskFailed` for a
   task that raised), reports each through ``progress_cb`` as it
@@ -35,7 +34,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -62,25 +60,23 @@ FLUSH_EVERY = 32
 FLUSH_AFTER_S = 1.0
 
 
-def timed_tasks(batch: Sequence[Tuple[str, SweepTask]]) -> List[Finished]:
-    """Execute one dispatch's tasks (top-level: it pickles into pool
+def timed_task(item: Tuple[str, SweepTask]) -> Finished:
+    """Execute one pending task (top-level: it pickles into pool
     workers).  An exception becomes a failure *value* carrying this
     process's traceback — it must not tear down a pool others run in."""
-    out = []
-    for key, task in batch:
-        t0 = time.perf_counter()
-        try:
-            outcome = execute_task(task)
-        except Exception:
-            outcome = TaskFailed(traceback.format_exc())
-        out.append((key, outcome, time.perf_counter() - t0))
-    return out
+    key, task = item
+    t0 = time.perf_counter()
+    try:
+        outcome = execute_task(task)
+    except Exception:
+        outcome = TaskFailed(traceback.format_exc())
+    return key, outcome, time.perf_counter() - t0
 
 
 class Backend(ABC):
     """One way of executing a sweep's pending tasks."""
 
-    #: registry name (``--backend <name>`` / ``REPRO_BACKEND``)
+    #: the name the report's provenance header records
     name: str = "?"
 
     #: seconds this backend has spent appending results to stores
@@ -94,9 +90,9 @@ class Backend(ABC):
         (a :class:`~repro.harness.store.ColumnarStore`, may be ``None``)
         and return ``key -> payload`` (or ``TaskFailed``)."""
 
-    def drain(self, arrivals: Iterable[Sequence[Finished]], store,
+    def drain(self, arrivals: Iterable[Finished], store,
               progress_cb: Optional[ProgressCb]) -> Dict[str, Outcome]:
-        """Collect what each dispatch returns as it arrives, persisting
+        """Collect each finished task as it arrives, persisting
         payloads write-behind (module docstring: the loss bound)."""
         outcomes: Dict[str, Outcome] = {}
         buffered: Dict[str, Dict[str, object]] = {}
@@ -114,15 +110,14 @@ class Backend(ABC):
             flushed_at = time.monotonic()
 
         try:
-            for arrival in arrivals:
-                for key, outcome, wall_s in arrival:
-                    outcomes[key] = outcome
-                    if store is not None and \
-                            not isinstance(outcome, TaskFailed):
-                        buffered[key] = outcome
-                        stats[key] = task_stats(outcome, wall_s)
-                    if progress_cb is not None:
-                        progress_cb(key, outcome, wall_s)
+            for key, outcome, wall_s in arrivals:
+                outcomes[key] = outcome
+                if store is not None and \
+                        not isinstance(outcome, TaskFailed):
+                    buffered[key] = outcome
+                    stats[key] = task_stats(outcome, wall_s)
+                if progress_cb is not None:
+                    progress_cb(key, outcome, wall_s)
                 if len(buffered) >= FLUSH_EVERY or \
                         time.monotonic() - flushed_at >= FLUSH_AFTER_S:
                     flush()

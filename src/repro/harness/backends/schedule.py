@@ -62,13 +62,6 @@ def wall_time_history(store) -> Dict[str, Tuple[float, int]]:
             for label, vals in totals.items()}
 
 
-def wall_time_by_label(store) -> Dict[str, float]:
-    """Mean recorded wall seconds per task label, from the store's
-    manifest accounting.  Empty when nothing was ever timed."""
-    return {label: mean
-            for label, (mean, _n) in wall_time_history(store).items()}
-
-
 def default_expectation(history: Dict[str, Tuple[float, int]]) -> float:
     """What an *unseen* label is expected to cost: the observation-
     weighted mean of the recorded wall times (total wall over total

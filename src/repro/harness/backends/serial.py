@@ -2,15 +2,14 @@
 
 The debugging baseline — no pool, no pickling, a failing task's
 traceback names the failing line directly — and the reference
-implementation the equivalence suite measures every other backend
-against.
+implementation the equivalence suite measures the pool against.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from .base import Backend, Outcome, Pending, ProgressCb, timed_tasks
+from .base import Backend, Outcome, Pending, ProgressCb, timed_task
 
 
 class SerialBackend(Backend):
@@ -21,5 +20,4 @@ class SerialBackend(Backend):
     def run(self, pending: Pending, store=None,
             progress_cb: Optional[ProgressCb] = None
             ) -> Dict[str, Outcome]:
-        return self.drain((timed_tasks([item]) for item in pending),
-                          store, progress_cb)
+        return self.drain(map(timed_task, pending), store, progress_cb)

@@ -1,19 +1,26 @@
 """Shard worker: run one shard manifest and report heartbeats.
 
 The execution leaf of ``repro orchestrate``: the orchestrator plans
-shard manifests and fans them out to worker processes, each of which
-runs this module (``python -m repro.harness.backends.worker``) against
-one manifest.  A worker (:func:`run_shard`, which is also all that
-``repro shard run`` does)
+shard manifests (:func:`~repro.harness.orchestrate.plan_campaign_shards`)
+and fans them out to worker processes, each of which runs this module
+(``python -m repro.harness.backends.worker``) against one manifest.
+This module owns the manifest format: the orchestrator writes it, a
+worker (:func:`run_shard`) reads it and
 
-1. validates the manifest (simulator-version match, grid re-expansion
-   at the recorded scale),
+1. validates it (simulator-version match, grid re-expansion at the
+   recorded scale),
 2. sweeps the shard's tasks into a local store tagged with the
    shard's identity, and
 3. writes a small JSON *heartbeat* file on an interval **and** on
    every task completion, so the orchestrator can tell a slow worker
    from a dead one and render live progress without touching the
    store.
+
+A manifest is plain JSON: ``{schema, kind: "repro-shard", shard,
+n_shards, sim, artifact_schema, scale, figures, keys, expected_s}``.
+``figures`` is the planner's resolved selection (:func:`figure_specs`
+turns it back into specs), so a worker re-expands the planner's grid,
+immune to later registry/tag drift.
 
 Exit codes are part of the protocol: ``0`` success,
 :data:`EXIT_FATAL` (3) for validation failures that a retry can never
@@ -36,13 +43,110 @@ import os
 import sys
 import threading
 import time
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from ..sweep import SweepTask, run_sweep, simulator_version, task_key
 
 #: exit code for validation failures a retry cannot fix
 EXIT_FATAL = 3
 
 #: failure-drill hook: seconds to sleep after each executed task
 THROTTLE_ENV = "REPRO_WORKER_THROTTLE_S"
+
+#: bump when the shard manifest layout changes
+SHARD_SCHEMA = 1
+
+#: manifest marker so arbitrary JSON cannot be fed to a worker
+SHARD_KIND = "repro-shard"
+
+
+def load_shard_manifest(path: str) -> Dict[str, object]:
+    """Read and validate one shard manifest."""
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read shard manifest {path}: {exc}")
+    if not isinstance(manifest, dict) or \
+            manifest.get("kind") != SHARD_KIND:
+        raise ValueError(f"{path} is not a repro shard manifest")
+    if manifest.get("schema") != SHARD_SCHEMA:
+        raise ValueError(
+            f"{path}: shard schema {manifest.get('schema')!r} "
+            f"unsupported (expected {SHARD_SCHEMA})")
+    return manifest
+
+
+def shard_origin(manifest: Dict[str, object]) -> str:
+    """The shard identity recorded in store manifest entries."""
+    return f"shard-{manifest['shard']}/{manifest['n_shards']}"
+
+
+def expand_specs(specs, warn: Optional[Callable[[str], None]] = None
+                 ) -> Tuple[List[str], Dict[str, SweepTask]]:
+    """The planner's expansion of a figure selection: the ids whose
+    matrix built, and ``key -> task`` over them (deduplicated).
+
+    Fail-soft like the campaign runner: a figure whose matrix cannot
+    build contributes no tasks on any host (``warn`` is told), so
+    shards stay equal to a single-host run.
+    """
+    figures: List[str] = []
+    by_key: Dict[str, SweepTask] = {}
+    for spec in specs:
+        try:
+            tasks = spec.build()
+        except Exception as exc:
+            if warn is not None:
+                warn(f"skipping {spec.fig_id}: matrix failed to build "
+                     f"({exc})")
+            continue
+        figures.append(spec.fig_id)
+        for task in tasks.values():
+            by_key.setdefault(task_key(task), task)
+    return figures, by_key
+
+
+def figure_specs(ids: List[str]) -> List:
+    """The specs a manifest's figure ids name.
+
+    A registered id is its spec.  An ``arena_<base>`` id is derived
+    (``--policies``) from a policy list and pivot the manifest does not
+    record: ``<base>``'s arena with every registered policy as pivot
+    and as target covers the tasks of any selection, and the planned
+    keys pick theirs out (content keys cannot match a wrong task).
+    """
+    from ...lb import available
+    from ...scenarios import REGISTRY, arena_spec, get_figure
+
+    specs = []
+    for fig_id in ids:
+        if fig_id in REGISTRY or not fig_id.startswith("arena_"):
+            specs.append(get_figure(fig_id))
+            continue
+        base = get_figure(fig_id[len("arena_"):])
+        for pivot in available():
+            spec = arena_spec(base, available(), pivot=pivot)
+            if spec is not None:
+                specs.append(spec)
+    return specs
+
+
+def tasks_for_manifest(manifest: Dict[str, object],
+                       by_key: Dict[str, SweepTask]) -> List[SweepTask]:
+    """Resolve a manifest's keys against a re-expanded grid.
+
+    Raises :class:`ValueError` when any planned key is missing — the
+    grid drifted (code or scale changed) since the plan, and running
+    anyway would produce artifacts the merge can never match.
+    """
+    missing = [key for key in manifest["keys"] if key not in by_key]
+    if missing:
+        raise ValueError(
+            f"{len(missing)} planned task(s) missing from the "
+            f"re-expanded grid (first: {missing[0]}); the figure "
+            f"matrices changed since the plan — re-plan")
+    return [by_key[key] for key in manifest["keys"]]
 
 
 @contextlib.contextmanager
@@ -52,11 +156,11 @@ def scoped_env(**pairs: Optional[str]) -> Iterator[None]:
     Every named variable is restored on exit — to its previous value,
     or removed if it did not exist (a plain ``monkeypatch``-style
     save/restore; ``None`` removes the variable for the scope).  The
-    shard CLI and the worker run below code that reads
-    ``REPRO_BENCH_SCALE`` / ``REPRO_SHARD`` from the environment; this
-    keeps that contract while guaranteeing a later in-process run (a
-    test, or an orchestrator driving shards) cannot inherit a stale
-    shard identity or scale.
+    orchestrator and the worker run below code that reads
+    ``REPRO_BENCH_SCALE`` from the environment; this keeps that
+    contract while guaranteeing a later in-process run (a test, or an
+    orchestrator driving shards in-process) cannot inherit a stale
+    scale.
     """
     saved = {name: os.environ.get(name) for name in pairs}
     try:
@@ -162,33 +266,23 @@ class ShardFatal(ValueError):
 
 
 def run_shard(manifest_path: str, store_dir: str, *,
-              workers: int = 1, backend: Optional[str] = None,
+              workers: int = 1,
               heartbeat_path: Optional[str] = None,
               heartbeat_interval_s: float = 1.0, say=print) -> None:
-    """Execute one shard manifest into ``store_dir`` — what ``repro
-    shard run`` and the orchestrator's workers both do.
+    """Execute one shard manifest into ``store_dir`` — what every
+    orchestrator worker does.
 
     Raises :class:`ShardFatal` before anything runs when the manifest
     cannot be honoured here; any other exception is a retryable crash.
-    ``REPRO_BENCH_SCALE`` / ``REPRO_SHARD`` are exported for this call only.
+    ``REPRO_BENCH_SCALE`` is exported for this call only.
     """
     from ..store import ColumnarStore
-    from ..sweep import run_sweep, simulator_version
-    from ...scenarios import get_figure
-    from . import (
-        expand_specs,
-        load_shard_manifest,
-        shard_origin,
-        tasks_for_manifest,
-    )
 
     try:
         manifest = load_shard_manifest(manifest_path)
     except ValueError as exc:
         raise ShardFatal(str(exc)) from None
-    with scoped_env(REPRO_BENCH_SCALE=str(manifest["scale"]),
-                    REPRO_SHARD=(f"{manifest['shard']}/"
-                                 f"{manifest['n_shards']}")):
+    with scoped_env(REPRO_BENCH_SCALE=str(manifest["scale"])):
         if simulator_version() != manifest["sim"]:
             raise ShardFatal(
                 f"simulator {simulator_version()} does not match the "
@@ -197,12 +291,13 @@ def run_shard(manifest_path: str, store_dir: str, *,
                 f"commit or re-plan")
         try:
             tasks = tasks_for_manifest(manifest, expand_specs(
-                [get_figure(f) for f in manifest["figures"]])[1])
+                figure_specs(manifest["figures"]))[1])
             store = ColumnarStore(store_dir, origin=shard_origin(manifest))
         except (KeyError, ValueError) as exc:
             raise ShardFatal(str(exc)) from None
-        # an empty shard still materializes its store: scripts merge
-        # every planned shard, and `shard merge` rejects missing dirs
+        # an empty shard still materializes its store: the orchestrator
+        # merges every planned shard, and `repro store merge` rejects
+        # missing dirs
         os.makedirs(store.root, exist_ok=True)
 
         beat = Heartbeat(heartbeat_path, int(manifest["shard"]),
@@ -228,7 +323,7 @@ def run_shard(manifest_path: str, store_dir: str, *,
         # write-behind window that was still unflushed
         try:
             results = run_sweep(tasks, workers=workers, store=store,
-                                backend=backend, on_result=on_result)
+                                on_result=on_result)
         finally:
             beat.close()
         say(f"{shard_origin(manifest)}: {len(tasks)} task(s) "
@@ -271,8 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="local artifact-store directory")
     parser.add_argument("--workers", type=int, default=1,
                         help="in-worker sweep processes (1 = serial)")
-    parser.add_argument("--backend", default=None,
-                        help="execution backend for this shard")
     parser.add_argument("--heartbeat", default=None,
                         help="heartbeat JSON path (atomic writes)")
     parser.add_argument("--heartbeat-interval", type=float, default=1.0,
@@ -284,7 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     return run_shard_worker(
         args.manifest, args.store, workers=args.workers,
-        backend=args.backend, heartbeat_path=args.heartbeat,
+        heartbeat_path=args.heartbeat,
         heartbeat_interval_s=args.heartbeat_interval)
 
 

@@ -224,9 +224,9 @@ def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
     """Run ``specs`` as one sweep, fail-soft, and return every outcome.
 
     ``store`` is shared across figures (see :func:`shared_store`).
-    ``backend`` selects the execution backend (name, instance, or
-    ``None`` for ``$REPRO_BACKEND`` / worker-count default) and is
-    recorded on the result for report provenance.  With
+    ``workers`` picks the execution backend (serial, or one pool) unless
+    a ready ``backend`` instance is given; its name is recorded on the
+    result for report provenance.  With
     ``prune_stale`` the store drops artifacts whose recorded simulator
     hash (or schema) no longer matches the current source tree after
     the campaign finishes.

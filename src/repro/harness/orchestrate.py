@@ -1,18 +1,19 @@
 """Elastic campaign orchestration: plan, fan out, retry, merge, report.
 
-``repro shard plan | run | merge`` proves multi-host correctness but
-leaves a human playing scheduler.  ``repro orchestrate`` closes the
-loop (ROADMAP: *distributed elastic campaign orchestration*):
+``repro orchestrate`` is how a campaign scales past one pool — over
+local worker processes or SSH hosts — without a human playing
+scheduler:
 
 1. **Plan.**  The figure selection expands into its deduplicated task
    grid, and :func:`balanced_partition` bins the content keys into
-   shard manifests by *expected wall time* — greedy LPT over the
-   per-label accounting the campaign store already records
+   shard manifests (the format :mod:`repro.harness.backends.worker`
+   owns) by *expected wall time* — greedy LPT over the per-label
+   accounting the campaign store already records
    (:func:`~repro.harness.backends.schedule.wall_time_history`), so a
    warm store makes shards that finish together instead of leaving one
    straggler shard to serialize the tail.  With no history every key
-   weighs the same and the plan degrades to the deterministic
-   round-robin ``shard plan`` produces.
+   weighs the same and the plan degrades to a deterministic
+   round-robin over the sorted keys.
 2. **Fan out.**  A :class:`WorkerRunner` launches one worker process
    per busy slot (:class:`LocalGroupRunner` spawns local process
    groups; :class:`SSHRunner` wraps the identical command in ``ssh``
@@ -39,7 +40,10 @@ Failure semantics: a worker exit of
 :data:`~repro.harness.backends.worker.EXIT_FATAL` (bad manifest,
 simulator drift) aborts the whole run — a retry can never fix it on
 any host.  Every other death retries up to ``max_retries`` times per
-shard before the campaign is declared failed.  ``chaos_kills`` is the
+shard before the campaign is declared failed.  Whatever ends the loop
+— an abort, a raising merge, a ``KeyboardInterrupt`` — kills every
+live worker first: workers run in their own sessions, so a Ctrl-C on
+the terminal never reaches them.  ``chaos_kills`` is the
 built-in failure drill: SIGKILL that many live workers mid-shard and
 let the retry path prove the elastic story (the CI orchestrate job
 runs with one injected death on every push).
@@ -47,6 +51,7 @@ runs with one injected death on every push).
 
 from __future__ import annotations
 
+import json
 import os
 import shlex
 import signal
@@ -62,14 +67,14 @@ from .backends.schedule import (
     task_label,
     wall_time_history,
 )
-from .backends.shard import (
+from .backends.worker import (
+    EXIT_FATAL,
     SHARD_KIND,
     SHARD_SCHEMA,
     expand_specs,
+    read_heartbeat,
     shard_origin,
-    write_shard_plan,
 )
-from .backends.worker import EXIT_FATAL, read_heartbeat
 from .scale import current_scale
 from .sweep import SCHEMA_VERSION, SweepTask, simulator_version
 
@@ -87,8 +92,8 @@ def balanced_partition(weighted: Sequence[Tuple[str, float]],
     Deterministic: keys are taken heaviest-first (ties broken by key)
     and each goes to the currently lightest bin (ties broken by bin
     index).  With all-equal weights this reduces to round-robin over
-    the sorted keys — the same partition ``shard plan`` produces — so
-    orchestration without history plans exactly like the manual flow.
+    the sorted keys — independent of input order and balanced to
+    within one task, so a plan without history is stable across hosts.
     Bins keep their assignment order (heaviest first), which is the
     order the worker executes.
     """
@@ -113,7 +118,7 @@ def plan_campaign_shards(specs: Sequence, n_shards: int, *,
                          ) -> Tuple[List[Dict[str, object]], float]:
     """Balanced shard manifests for a figure selection.
 
-    Expands every spec's matrix (fail-soft: ``shard.expand_specs``),
+    Expands every spec's matrix (fail-soft: ``worker.expand_specs``),
     weighs each task by its label's recorded mean wall time from
     ``history_store`` (unseen labels get the observation-weighted
     default), and LPT-bins the keys.  Returns the manifests (empty
@@ -147,6 +152,20 @@ def plan_campaign_shards(specs: Sequence, n_shards: int, *,
             "expected_s": round(sum(weights[k] for k in keys), 6),
         })
     return manifests, sum(w for _k, w in weighted)
+
+
+def write_shard_plan(out_dir: str,
+                     manifests: Sequence[Dict[str, object]]) -> List[str]:
+    """Persist ``manifests`` as ``shard-<i>.json`` under ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for manifest in manifests:
+        path = os.path.join(out_dir, f"shard-{manifest['shard']}.json")
+        with open(path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        paths.append(path)
+    return paths
 
 
 # ----------------------------------------------------------------------
@@ -227,20 +246,17 @@ class WorkerRunner(ABC):
 
     @abstractmethod
     def launch(self, shard: ShardRun, slot: int, *, workers: int,
-               backend: Optional[str], log_path: str) -> WorkerHandle:
+               log_path: str) -> WorkerHandle:
         """Start a worker for ``shard``; stdout/stderr go to
         ``log_path``."""
 
 
-def _worker_argv(python: str, shard: ShardRun, *, workers: int,
-                 backend: Optional[str]) -> List[str]:
-    argv = [python, "-m", "repro.harness.backends.worker",
+def _worker_argv(python: str, shard: ShardRun, *,
+                 workers: int) -> List[str]:
+    return [python, "-m", "repro.harness.backends.worker",
             shard.manifest_path, "--store", shard.store_dir,
             "--heartbeat", shard.heartbeat_path,
             "--workers", str(workers)]
-    if backend:
-        argv += ["--backend", backend]
-    return argv
 
 
 def _package_root() -> str:
@@ -269,14 +285,13 @@ class LocalGroupRunner(WorkerRunner):
     def __init__(self, python: Optional[str] = None) -> None:
         self.python = python or sys.executable
 
-    def command_for(self, shard: ShardRun, *, workers: int = 1,
-                    backend: Optional[str] = None) -> List[str]:
-        return _worker_argv(self.python, shard, workers=workers,
-                            backend=backend)
+    def command_for(self, shard: ShardRun, *,
+                    workers: int = 1) -> List[str]:
+        return _worker_argv(self.python, shard, workers=workers)
 
     def launch(self, shard: ShardRun, slot: int, *, workers: int,
-               backend: Optional[str], log_path: str) -> WorkerHandle:
-        argv = self.command_for(shard, workers=workers, backend=backend)
+               log_path: str) -> WorkerHandle:
+        argv = self.command_for(shard, workers=workers)
         with open(log_path, "ab") as log:
             proc = subprocess.Popen(
                 argv, stdout=log, stderr=subprocess.STDOUT,
@@ -315,11 +330,9 @@ class SSHRunner(WorkerRunner):
         return len(self.hosts)
 
     def command_for(self, shard: ShardRun, slot: int = 0, *,
-                    workers: int = 1,
-                    backend: Optional[str] = None) -> List[str]:
+                    workers: int = 1) -> List[str]:
         host = self.hosts[slot % len(self.hosts)]
-        remote = _worker_argv(self.python, shard, workers=workers,
-                              backend=backend)
+        remote = _worker_argv(self.python, shard, workers=workers)
         remote_cmd = " ".join(
             [f"PYTHONPATH={shlex.quote(self.pythonpath)}",
              f"REPRO_BENCH_SCALE={shlex.quote(current_scale().name)}"]
@@ -330,9 +343,8 @@ class SSHRunner(WorkerRunner):
         return argv + [host, remote_cmd]
 
     def launch(self, shard: ShardRun, slot: int, *, workers: int,
-               backend: Optional[str], log_path: str) -> WorkerHandle:
-        argv = self.command_for(shard, slot, workers=workers,
-                                backend=backend)
+               log_path: str) -> WorkerHandle:
+        argv = self.command_for(shard, slot, workers=workers)
         with open(log_path, "ab") as log:
             proc = subprocess.Popen(
                 argv, stdout=log, stderr=subprocess.STDOUT,
@@ -390,7 +402,6 @@ class Orchestrator:
     def __init__(self, specs: Sequence, *, results_dir: str,
                  work_dir: Optional[str] = None, fan_out: int = 2,
                  n_shards: Optional[int] = None, shard_workers: int = 1,
-                 backend: Optional[str] = None,
                  runner: Optional[WorkerRunner] = None,
                  heartbeat_timeout_s: float = 60.0,
                  shard_deadline_s: Optional[float] = None,
@@ -414,7 +425,6 @@ class Orchestrator:
         # worker pulls extra shards while a slow one chews on its first
         self.n_shards = n_shards or max(1, 2 * self.fan_out)
         self.shard_workers = max(1, shard_workers)
-        self.backend = backend
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.shard_deadline_s = shard_deadline_s
         self.max_retries = max(0, int(max_retries))
@@ -533,7 +543,6 @@ class Orchestrator:
             pass
         handle = self.runner.launch(shard, slot,
                                     workers=self.shard_workers,
-                                    backend=self.backend,
                                     log_path=log_path)
         shard.worker = handle.name
         self._say(f"shard {shard.index} -> {handle.name} "
@@ -580,13 +589,55 @@ class Orchestrator:
     def run(self) -> OrchestrationResult:
         self._started = time.monotonic()
         shards = self.plan()
+        running: Dict[int, Tuple[WorkerHandle, ShardRun]] = {}
+        self._render_live(shards, "running")
+        try:
+            abort = self._watch(shards, running)
+        finally:
+            # whatever ends the loop early — a raising merge, a
+            # KeyboardInterrupt — must not orphan a worker: each runs
+            # in its own session, so no terminal signal reaches it
+            if running:
+                self._abort_running(running)
+                self._render_live(shards, "failed")
+
+        result = OrchestrationResult(
+            shards=shards, events=self.events, retries=self.retries,
+            chaos_requested=self.chaos_kills,
+            chaos_killed=self.chaos_killed,
+            wall_s=time.monotonic() - self._started, aborted=abort)
+        if all(s.status == "merged" for s in shards):
+            self._say("all shards merged; rendering the campaign from "
+                      "the fully-cached store")
+            self._render_live(shards, "reporting")
+            result.campaign = self._final_campaign()
+            result.report_path, result.json_path = \
+                self._write_report(result.campaign)
+            result.wall_s = time.monotonic() - self._started
+        self._render_live(
+            shards, "complete" if result.ok() else "failed")
+        return result
+
+    def _abort_running(self,
+                       running: Dict[int, Tuple[WorkerHandle, ShardRun]]
+                       ) -> None:
+        for slot in sorted(running):
+            handle, shard = running.pop(slot)
+            handle.kill()
+            shard.status = "aborted"
+            shard.wall_s += time.monotonic() - shard.started_at
+            self._say(f"shard {shard.index} aborted")
+
+    def _watch(self, shards: Sequence[ShardRun],
+               running: Dict[int, Tuple[WorkerHandle, ShardRun]]) -> bool:
+        """Launch, poll, retry and merge until every shard is settled;
+        ``running`` holds the live workers throughout.  Returns whether
+        the run aborted."""
         # longest-expected-first dispatch: the heaviest shard starts
         # on the first free slot, idle workers steal the next heaviest
         queue: List[ShardRun] = sorted(
             shards, key=lambda s: (-s.expected_s, s.index))
-        running: Dict[int, Tuple[WorkerHandle, ShardRun]] = {}
         abort = False
-        self._render_live(shards, "running")
         while True:
             progressed = False
             while queue and len(running) < self.fan_out and not abort:
@@ -665,35 +716,13 @@ class Orchestrator:
                 queue.clear()
                 progressed = True
             if abort and running:
-                for slot in sorted(running):
-                    handle, shard = running.pop(slot)
-                    handle.kill()
-                    shard.status = "aborted"
-                    shard.wall_s += time.monotonic() - shard.started_at
-                    self._say(f"shard {shard.index} aborted")
+                self._abort_running(running)
                 progressed = True
             if progressed:
                 self._render_live(shards, "running")
             if not running and not queue:
-                break
+                return abort
             time.sleep(self.poll_interval_s)
-
-        result = OrchestrationResult(
-            shards=shards, events=self.events, retries=self.retries,
-            chaos_requested=self.chaos_kills,
-            chaos_killed=self.chaos_killed,
-            wall_s=time.monotonic() - self._started, aborted=abort)
-        if all(s.status == "merged" for s in shards):
-            self._say("all shards merged; rendering the campaign from "
-                      "the fully-cached store")
-            self._render_live(shards, "reporting")
-            result.campaign = self._final_campaign()
-            result.report_path, result.json_path = \
-                self._write_report(result.campaign)
-            result.wall_s = time.monotonic() - self._started
-        self._render_live(
-            shards, "complete" if result.ok() else "failed")
-        return result
 
     def _final_campaign(self):
         from .campaign import run_campaign

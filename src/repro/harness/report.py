@@ -1,13 +1,9 @@
-"""Plain-text reporting: the tables/series each benchmark regenerates.
-
-Benchmarks print the paper's reported numbers next to the measured ones
-so paper-vs-measured shape checks are visible in the bench output (and
-recorded in EXPERIMENTS.md).
-"""
+"""Plain-text reporting: the ASCII and markdown tables the CLI and the
+campaign report print."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 
 def format_table(title: str, headers: Sequence[str],
@@ -25,11 +21,6 @@ def format_table(title: str, headers: Sequence[str],
     for row in str_rows:
         lines.append(sep.join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def print_table(title: str, headers: Sequence[str],
-                rows: Iterable[Sequence[object]]) -> None:
-    print("\n" + format_table(title, headers, rows) + "\n")
 
 
 def _fmt(cell: object) -> str:
@@ -54,24 +45,6 @@ def format_markdown_table(headers: Sequence[str],
     for row in str_rows:
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
-
-
-def speedups(baseline: float, values: Dict[str, float]) -> Dict[str, float]:
-    """baseline / value per key (larger = faster than baseline)."""
-    out = {}
-    for k, v in values.items():
-        out[k] = baseline / v if v > 0 else float("inf")
-    return out
-
-
-def shape_note(claim: str, holds: bool) -> str:
-    """One-line paper-claim check used in bench output."""
-    mark = "OK " if holds else "DIVERGES"
-    return f"[{mark}] {claim}"
-
-
-def print_shape(claim: str, holds: bool) -> None:
-    print(shape_note(claim, holds))
 
 
 SWEEP_HEADERS = ["scenario", "seeds", "mean", "ci95", "p99", "min", "max"]

@@ -9,14 +9,13 @@ campaign:
    declares the matrix.  Every axis value is plain data — topology
    kwargs, a :class:`WorkloadSpec`, a :class:`FailureSpec` — so tasks
    pickle cleanly and hash stably.
-2. :func:`run_sweep` executes the tasks through a pluggable
-   *execution backend* (:mod:`repro.harness.backends`): ``serial``,
-   ``process`` (pool), ``batched`` (chunked pool dispatch) or
-   ``shard`` (partition / merge).  Each task carries its
-   own seed (listed explicitly or spawned deterministically from a
-   root seed via :func:`spawn_seeds`), and the simulator is
-   deterministic given a seed, so every backend produces
-   byte-identical metrics for the same grid.
+2. :func:`run_sweep` executes the tasks through an *execution
+   backend* (:mod:`repro.harness.backends`) picked by the worker
+   count: ``serial`` for one, one ``process`` pool for more.  Each
+   task carries its own seed (listed explicitly or spawned
+   deterministically from a root seed via :func:`spawn_seeds`), and
+   the simulator is deterministic given a seed, so serial and pooled
+   runs produce byte-identical metrics for the same grid.
 3. Results persist in a :class:`~repro.harness.store.ColumnarStore`,
    keyed by a content hash of the task parameters: re-running a
    campaign skips every finished task and recomputes aggregation
@@ -59,8 +58,8 @@ Invariants:
 - **Stores converge.**  Content keys make concurrent campaigns
   sharing a store harmless and
   :meth:`~repro.harness.store.ColumnarStore.merge_from` idempotent,
-  which is what lets independently-executed shards reassemble into
-  one campaign store.
+  which is what lets ``repro orchestrate``'s independently-executed
+  shards reassemble into one campaign store.
 """
 
 from __future__ import annotations
@@ -674,12 +673,11 @@ def run_sweep(grid: Union[SweepGrid, Iterable[SweepTask]], *,
     """Execute a campaign and return its (possibly cached) results.
 
     Every task is keyed once, distinct keys are looked up in ``store``
-    once, and all cache misses go to **one** ``Backend.run``.
-    ``backend`` is a registry name from :mod:`repro.harness.backends`,
-    a ready ``Backend``, or ``None`` to consult ``$REPRO_BACKEND`` and
-    fall back to ``serial`` / ``process`` by worker count.  Results are
-    identical across backends because each task's RNG state depends
-    only on the task itself.  With a ``store``, finished tasks are
+    once, and all cache misses go to **one** ``Backend.run``:
+    ``serial`` for ``workers <= 1``, a ``workers``-process pool
+    otherwise, or the ready ``Backend`` passed as ``backend``.  Results
+    are identical across backends because each task's RNG state
+    depends only on the task itself.  With a ``store``, finished tasks are
     skipped on re-runs and new results are persisted as they arrive.
 
     ``on_result(index, result)`` fires once per input task — during

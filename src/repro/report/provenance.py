@@ -9,13 +9,11 @@ third-party dependencies; fields that cannot be determined degrade to
 
 from __future__ import annotations
 
-import os
 import platform
 import subprocess
 import time
 from typing import Dict, Optional
 
-from ..harness.backends import BACKEND_ENV
 from ..harness.scale import current_scale
 from ..harness.sweep import SCHEMA_VERSION, simulator_version
 
@@ -33,11 +31,8 @@ def collect_provenance(backend: Optional[str] = None
                        ) -> Dict[str, object]:
     """Everything the report header states about this run's origin.
 
-    ``backend`` is the resolved execution-backend name the campaign
-    actually ran with; when absent the default resolution
-    (``$REPRO_BACKEND`` → ``serial``) is recorded.  ``shard`` carries
-    the shard identity ``repro shard run`` exports via
-    ``$REPRO_SHARD`` — empty for whole-campaign (unsharded) runs.
+    ``backend`` is the execution-backend name the campaign actually
+    ran with (``serial`` when absent).
     """
     sha = _git("rev-parse", "--short", "HEAD") or "unknown"
     dirty = bool(_git("status", "--porcelain")) if sha != "unknown" \
@@ -49,10 +44,7 @@ def collect_provenance(backend: Optional[str] = None
         "simulator_version": simulator_version(),
         "schema_version": SCHEMA_VERSION,
         "scale": current_scale().name,
-        # recorded, not resolved: provenance must degrade (report the
-        # configured name verbatim), never fail the report
-        "backend": backend or os.environ.get(BACKEND_ENV) or "serial",
-        "shard": os.environ.get("REPRO_SHARD", ""),
+        "backend": backend or "serial",
         "python": platform.python_version(),
         "platform": platform.platform(),
     }

@@ -308,9 +308,7 @@ def render_reproduction(campaign: CampaignResult,
              ["simulator hash", f"`{prov['simulator_version']}`"],
              ["artifact schema", prov["schema_version"]],
              ["bench scale", f"`{prov['scale']}`"],
-             ["execution backend", f"`{prov.get('backend', 'serial')}`"
-              + (f" (shard `{prov['shard']}`)"
-                 if prov.get("shard") else "")],
+             ["execution backend", f"`{prov.get('backend', 'serial')}`"],
              ["python", prov["python"]],
              ["platform", prov["platform"]],
              ["campaign wall time", f"{campaign.wall_s:.1f} s"],

@@ -1,8 +1,8 @@
-"""Execution backends: equivalence, resolution, sharding, merging.
+"""Execution backends: equivalence, resolution, write-behind, merging.
 
-The acceptance bar for the backend layer: **every backend produces
-byte-identical artifacts for the same grid**, so backend choice can
-never invalidate a store and shard stores merge losslessly.
+The acceptance bar for the backend layer: **serial and pooled runs
+produce byte-identical artifacts for the same grid**, so the worker
+count can never invalidate a store and shard stores merge losslessly.
 """
 
 from __future__ import annotations
@@ -13,17 +13,10 @@ import os
 import pytest
 
 from repro.harness.backends import (
-    BACKEND_ENV,
     BACKENDS,
-    BatchedBackend,
     ProcessBackend,
     SerialBackend,
-    ShardBackend,
-    backend_names,
-    make_backend,
-    plan_manifests,
     resolve_backend,
-    shard_partition,
 )
 from repro.harness.backends.base import FLUSH_EVERY
 from repro.harness.store import ColumnarStore
@@ -63,28 +56,19 @@ def store_snapshot(store: ColumnarStore):
 class TestResolution:
     def test_default_is_serial_then_process(self):
         assert resolve_backend(None, workers=1).name == "serial"
-        assert resolve_backend(None, workers=4).name == "process"
-
-    def test_env_var_wins_over_worker_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "batched")
+        assert resolve_backend(None, workers=0).name == "serial"
         backend = resolve_backend(None, workers=4)
-        assert backend.name == "batched"
+        assert backend.name == "process"
         assert backend.workers == 4
 
-    def test_name_and_instance_pass_through(self):
-        assert resolve_backend("shard").name == "shard"
+    def test_instance_passes_through(self):
         ready = SerialBackend()
         assert resolve_backend(ready) is ready
+        pool = ProcessBackend(workers=3)
+        assert resolve_backend(pool, workers=1) is pool
 
-    def test_unknown_name_lists_registry(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("quantum")
-        with pytest.raises(ValueError, match="batched"):
-            resolve_backend("quantum")
-
-    def test_registry_is_complete(self):
-        assert backend_names() == ["batched", "process", "serial",
-                                   "shard"]
+    def test_registry_is_serial_and_process(self):
+        assert sorted(BACKENDS) == ["process", "serial"]
         for name, cls in BACKENDS.items():
             assert cls.name == name
 
@@ -94,15 +78,12 @@ class TestExecuteBoundary:
     once, before forking (docs/ARCHITECTURE.md, "Layers")."""
 
     def test_name_sets_match_across_the_boundary(self):
-        import repro.cli as cli
         from repro.harness import runner, sweep
 
         assert set(runner.RESULT_PROBES) == set(sweep.PROBE_NAMES)
         hooks = {name[:-len("_hook")] for name in vars(runner)
                  if name.endswith("_hook")}
         assert hooks == set(sweep.FAILURE_KINDS)
-        assert tuple(backend_names()) == cli.BACKEND_NAMES
-        assert set(BACKENDS) == set(cli.BACKEND_NAMES)
 
     def test_describing_tasks_does_not_import_the_runner(self):
         out = fresh_interpreter("""
@@ -157,16 +138,11 @@ print(seen, len(outcomes))
 
 
 class TestEquivalence:
-    """ISSUE acceptance: serial, process, batched and shard-then-merge
-    runs of one grid yield identical key -> payload mappings and
-    identical aggregate tables."""
+    """Serial and pooled runs of one grid yield identical key ->
+    payload mappings and identical aggregate tables."""
 
-    BACKENDS = [SerialBackend(),
-                ProcessBackend(workers=2),
-                BatchedBackend(workers=2, batch_size=2),
-                ShardBackend(n_shards=2),
-                ShardBackend(workers=2, n_shards=2)]
-    IDS = ["serial", "process", "batched", "shard", "shard-pooled"]
+    BACKENDS = [SerialBackend(), ProcessBackend(workers=2)]
+    IDS = ["serial", "process"]
 
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
@@ -212,8 +188,8 @@ class TestEquivalence:
     def test_compacted_store_keeps_payloads_and_hits(self, backend,
                                                      tmp_path, reference):
         """Whatever frame layout a backend leaves (write-behind
-        windows, copied shard frames), one compaction rewrites it to
-        the same payloads and a re-run is all cache hits."""
+        windows in arrival order), one compaction rewrites it to the
+        same payloads and a re-run is all cache hits."""
         ref_store, _ref_results = reference
         store = ColumnarStore(str(tmp_path))
         run_sweep(mixed_grid(), store=store, backend=backend)
@@ -232,9 +208,9 @@ class TestEquivalence:
 
 
 class TestAdaptiveScheduling:
-    """ISSUE 7 acceptance: longest-expected-first dispatch is live on
-    every parallel backend once the store carries wall-time history —
-    and stays byte-identical to the serial reference."""
+    """Longest-expected-first dispatch is live in the pool once the
+    store carries wall-time history — and stays byte-identical to the
+    serial reference."""
 
     BACKENDS = TestEquivalence.BACKENDS
     IDS = TestEquivalence.IDS
@@ -267,8 +243,9 @@ class TestAdaptiveScheduling:
 
     def test_scheduler_reorders_from_recorded_history(self, warm):
         from repro.harness.backends.schedule import (
-            longest_first, task_label, wall_time_by_label)
-        by_label = wall_time_by_label(warm)
+            longest_first, task_label, wall_time_history)
+        by_label = {label: mean for label, (mean, _n)
+                    in wall_time_history(warm).items()}
         sims = [task_label(t) for t in mixed_grid() if t.lb != "model"]
         assert all(label in by_label for label in sims)
         pending = [(task_key(t), t) for t in self.second_wave()]
@@ -318,17 +295,16 @@ def footprint_grid(n):
             for i in range(n)]
 
 
-POOLS = [SerialBackend, lambda: ProcessBackend(workers=2),
-         lambda: BatchedBackend(workers=2, batch_size=4)]
-POOL_IDS = ["serial", "process", "batched"]
+POOLS = [SerialBackend, lambda: ProcessBackend(workers=2)]
+POOL_IDS = ["serial", "process"]
 
 
 class TestWriteBehind:
-    """ISSUE 12: results reach the store one ``put_many`` per window
-    (32 results or a second) and always on the way out; a task that
-    raises is a value, not the end of the run."""
+    """Results reach the store one ``put_many`` per window (32 results
+    or a second) and always on the way out; a task that raises is a
+    value, not the end of the run."""
 
-    @pytest.mark.parametrize("make", POOLS[:2], ids=POOL_IDS[:2])
+    @pytest.mark.parametrize("make", POOLS, ids=POOL_IDS)
     def test_frames_per_window_not_per_task(self, make, tmp_path):
         class Store(CountingStore, ColumnarStore):
             pass
@@ -367,9 +343,7 @@ class TestWriteBehind:
         assert again.cached == len(persisted)
         assert again.executed == 40 - len(persisted)
 
-    @pytest.mark.parametrize("make", POOLS + [
-        lambda: ShardBackend(workers=2, n_shards=2)],
-        ids=POOL_IDS + ["shard"])
+    @pytest.mark.parametrize("make", POOLS, ids=POOL_IDS)
     def test_raising_task_is_a_value_and_the_rest_persist(
             self, make, tmp_path):
         store = ColumnarStore(str(tmp_path))
@@ -446,21 +420,7 @@ class TestWriteBehind:
             [False] * 5 + [True]
 
 
-class TestBatched:
-    def test_batches_cover_and_interleave(self):
-        backend = BatchedBackend(workers=2, batch_size=2)
-        pending = [(f"k{i}", None) for i in range(7)]
-        batches = backend._batches(pending)
-        assert sorted(k for b in batches for k, _ in b) == \
-            sorted(k for k, _ in pending)
-        assert max(len(b) for b in batches) - \
-            min(len(b) for b in batches) <= 1
-
-    def test_default_batch_count_caps_at_pending(self):
-        backend = BatchedBackend(workers=8)
-        batches = backend._batches([(f"k{i}", None) for i in range(3)])
-        assert len(batches) == 3
-
+class TestPutMany:
     def test_put_many_matches_sequential_puts(self, tmp_path):
         tasks = [make_model_task("footprint", seed=1, buffer_size=b)
                  for b in (1, 2)]
@@ -478,46 +438,6 @@ class TestBatched:
             assert {k: v for k, v in am[key].items()
                     if k != "written_at"} == \
                 {k: v for k, v in bm[key].items() if k != "written_at"}
-
-
-class TestShardPartition:
-    def test_deterministic_and_order_independent(self):
-        keys = [f"{i:04x}" for i in range(13)]
-        assert shard_partition(keys, 3) == \
-            shard_partition(list(reversed(keys)), 3)
-
-    def test_disjoint_cover_balanced(self):
-        keys = [f"{i:04x}" for i in range(13)]
-        parts = shard_partition(keys, 4)
-        flat = [k for part in parts for k in part]
-        assert sorted(flat) == sorted(keys)
-        assert len(flat) == len(set(flat))
-        sizes = [len(p) for p in parts]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_shards_than_keys(self):
-        parts = shard_partition(["a", "b"], 5)
-        assert sum(len(p) for p in parts) == 2
-        assert len(parts) == 5
-
-    def test_bad_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            shard_partition(["a"], 0)
-        with pytest.raises(ValueError, match="n_shards"):
-            ShardBackend(n_shards=0)
-
-    def test_manifests_record_grid_identity(self):
-        from repro.harness.sweep import SCHEMA_VERSION, simulator_version
-        manifests = plan_manifests(["table1"], ["aa", "bb", "cc"], 2,
-                                   "smoke")
-        assert [m["shard"] for m in manifests] == [0, 1]
-        for m in manifests:
-            assert m["sim"] == simulator_version()
-            assert m["artifact_schema"] == SCHEMA_VERSION
-            assert m["scale"] == "smoke"
-            assert m["figures"] == ["table1"]
-        assert sorted(manifests[0]["keys"] + manifests[1]["keys"]) == \
-            ["aa", "bb", "cc"]
 
 
 class TestStoreMerge:
@@ -555,17 +475,6 @@ class TestStoreMerge:
         dest.merge_from(a)
         results = run_sweep(tasks, store=dest)
         assert results.executed == 0 and results.cached == 3
-
-    def test_shard_backend_inherits_outer_store_origin(self, tmp_path):
-        """Regression (code review): `repro shard run --backend shard`
-        must not relabel the store's manifest with the backend's
-        internal sub-shard identities."""
-        from repro.harness.backends import ShardBackend
-        store = ColumnarStore(str(tmp_path), origin="shard-3/4")
-        run_sweep(self.tasks(), store=store,
-                  backend=ShardBackend(n_shards=2))
-        origins = {e.get("origin") for e in store.manifest().values()}
-        assert origins == {"shard-3/4"}
 
     def test_stale_schema_artifacts_stay_behind(self, tmp_path):
         a = ColumnarStore(str(tmp_path / "a"))

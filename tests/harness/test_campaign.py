@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro.harness.backends import SerialBackend
+from repro.harness.backends import ProcessBackend, SerialBackend
 from repro.harness.campaign import (
     CampaignResult,
     FigureOutcome,
@@ -75,25 +75,19 @@ class TestRunCampaign:
         assert campaign.ok() and campaign.ok(strict=True)
         assert campaign["stub_c"].status == "warn"
 
-    def test_backend_recorded_for_provenance(self, tmp_path,
-                                             monkeypatch):
+    def test_backend_recorded_for_provenance(self, tmp_path):
         store = ColumnarStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store)
-        assert campaign.backend == "serial"
-        campaign = run_campaign(stub_registry(), store=store,
-                                backend="batched")
-        assert campaign.backend == "batched"
-        monkeypatch.setenv("REPRO_BACKEND", "shard")
-        campaign = run_campaign(stub_registry(), store=store)
-        assert campaign.backend == "shard"
+        assert (campaign.backend, campaign.workers) == ("serial", 1)
+        campaign = run_campaign(stub_registry(), store=store, workers=2)
+        assert (campaign.backend, campaign.workers) == ("process", 2)
 
     def test_backend_instance_runs_figures(self, tmp_path):
-        from repro.harness.backends import BatchedBackend
         store = ColumnarStore(str(tmp_path))
         campaign = run_campaign(stub_registry(), store=store,
-                                backend=BatchedBackend(batch_size=2))
+                                backend=ProcessBackend(workers=2))
         assert campaign.ok()
-        assert campaign.backend == "batched"
+        assert (campaign.backend, campaign.workers) == ("process", 2)
         assert campaign.executed > 0
 
     def test_empty_campaign_rejected(self):
@@ -185,7 +179,7 @@ class TestOnePool:
 
     def test_pool_matches_serial_bytes_record_and_counts(self, tmp_path):
         serial = run_campaign(
-            stub_registry(), backend="serial",
+            stub_registry(), backend=SerialBackend(),
             store=ColumnarStore(str(tmp_path / "serial")))
         pooled = run_campaign(
             stub_registry(), workers=2,

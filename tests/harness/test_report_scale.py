@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.report import (
-    cdf_points,
-    format_table,
-    shape_note,
-    speedups,
-)
+from repro.harness.report import cdf_points, format_table
 from repro.harness.scale import FULL, QUICK, SMOKE, current_scale
 
 
@@ -19,18 +14,6 @@ class TestReport:
         lines = out.splitlines()
         assert lines[0] == "== T =="
         assert len({len(line) for line in lines[1:]}) <= 2
-
-    def test_speedups(self):
-        s = speedups(100.0, {"a": 50.0, "b": 200.0})
-        assert s["a"] == 2.0
-        assert s["b"] == 0.5
-
-    def test_speedup_zero_value(self):
-        assert speedups(10.0, {"x": 0.0})["x"] == float("inf")
-
-    def test_shape_note(self):
-        assert shape_note("claim", True).startswith("[OK ]")
-        assert "DIVERGES" in shape_note("claim", False)
 
     def test_cdf_points(self):
         pts = cdf_points(list(range(100)), n_points=5)

@@ -1,12 +1,11 @@
-"""Store v2 at campaign scale: 5k tasks, serial + batched backends.
+"""The store at campaign scale: 5k tasks, serial + process backends.
 
-What the JSON store could never promise: a 5000-task campaign through
-the **serial** backend costs one segment append per write-behind
-window (32 results, or a second) and *zero* manifest rewrites (entries
-ride the frames), and through the **batched** backend the whole sweep
-is O(batches) store I/O.  Both runs must stay
-equivalence-suite identical — byte-identical payload reads for every
-key — and a re-run must be fully cached.
+A 5000-task campaign costs one segment append per write-behind window
+(32 results, or a second) and *zero* manifest rewrites (entries ride
+the frames), whether the **serial** backend or a two-worker **process**
+pool delivers the results.  Both runs must stay equivalence-suite
+identical — byte-identical payload reads for every key — and a re-run
+must be fully cached.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import os
 
 import pytest
 
-from repro.harness.backends import BatchedBackend, SerialBackend
+from repro.harness.backends import ProcessBackend, SerialBackend
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import make_model_task, run_sweep
 
@@ -32,7 +31,7 @@ def grid():
 
 
 class CountingStore(ColumnarStore):
-    """A v2 store that counts its own I/O."""
+    """A store that counts its own I/O."""
 
     def __init__(self, root: str, **kwargs) -> None:
         super().__init__(root, **kwargs)
@@ -57,47 +56,44 @@ def serial_store(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def batched_store(tmp_path_factory):
-    store = CountingStore(str(tmp_path_factory.mktemp("batched")))
+def process_store(tmp_path_factory):
+    store = CountingStore(str(tmp_path_factory.mktemp("process")))
     results = run_sweep(grid(), store=store,
-                        backend=BatchedBackend(workers=1))
+                        backend=ProcessBackend(workers=2))
     return store, results
 
 
 class TestStress5k:
     def test_both_backends_execute_everything(self, serial_store,
-                                              batched_store):
-        for _store, results in (serial_store, batched_store):
+                                              process_store):
+        for _store, results in (serial_store, process_store):
             assert len(results) == N_TASKS
             assert results.executed == N_TASKS
 
     def test_equivalence_suite_byte_identity(self, serial_store,
-                                             batched_store):
+                                             process_store):
         a, _ = serial_store
-        b, _ = batched_store
+        b, _ = process_store
         keys = a.keys()
         assert keys == b.keys() and len(keys) == N_TASKS
         for key in keys:
             assert json.dumps(a.get(key), sort_keys=True) == \
                 json.dumps(b.get(key), sort_keys=True)
 
-    def test_store_io_counts(self, serial_store, batched_store):
-        serial, _ = serial_store
-        batched, _ = batched_store
-        # serial: one append per write-behind window — 32 results, or
-        # whatever arrived in a second (a minute of those is generous
-        # slack) — never one per task, and NO manifest churn
-        assert -(-N_TASKS // 32) <= serial.frame_appends \
+    @pytest.mark.parametrize("which", ["serial", "process"])
+    def test_store_io_counts(self, which, serial_store, process_store):
+        store, _ = {"serial": serial_store, "process": process_store}[which]
+        # one append per write-behind window — 32 results, or whatever
+        # arrived in a second (a minute of those is generous slack) —
+        # never one per task, and NO manifest churn
+        assert -(-N_TASKS // 32) <= store.frame_appends \
             <= -(-N_TASKS // 32) + 60
-        assert serial.manifest_writes == 0
-        # batched: O(batches) everywhere (workers * 4 batches here)
-        assert batched.frame_appends <= 8
-        assert batched.manifest_writes == 0
+        assert store.manifest_writes == 0
         # the on-disk frame structure matches what we counted
-        assert batched.verify()["blocks"] == batched.frame_appends
+        assert store.verify()["blocks"] == store.frame_appends
 
-    def test_rerun_is_fully_cached(self, batched_store):
-        store, _ = batched_store
+    def test_rerun_is_fully_cached(self, process_store):
+        store, _ = process_store
         again = run_sweep(grid(), store=ColumnarStore(store.root),
                           backend=SerialBackend())
         assert again.executed == 0 and again.cached == N_TASKS
@@ -115,8 +111,8 @@ class TestStress5k:
         assert len(reopened.keys()) == N_TASKS
         assert reopened.verify()["ok"]
 
-    def test_manifest_materializes_on_demand(self, batched_store):
-        store, _ = batched_store
+    def test_manifest_materializes_on_demand(self, process_store):
+        store, _ = process_store
         assert not os.path.exists(os.path.join(store.root,
                                                store.MANIFEST))
         manifest = store.repair_manifest()

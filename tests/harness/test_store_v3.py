@@ -30,7 +30,7 @@ import repro.harness.store as store_mod
 
 from repro.harness.backends.schedule import (
     longest_first,
-    wall_time_by_label,
+    wall_time_history,
 )
 from repro.harness.store import (
     ColumnarStore,
@@ -623,8 +623,9 @@ class TestSchedule:
     })
 
     def test_mean_wall_per_label(self):
-        assert wall_time_by_label(self.STORE) == \
-            {"slow": 10.0, "fast": 1.0}
+        # (mean wall, observations); untimed entries are not history
+        assert wall_time_history(self.STORE) == \
+            {"slow": (10.0, 2), "fast": (1.0, 1)}
 
     def test_longest_expected_first_and_stable(self):
         pending = _pending("fast", "slow", "fast", "slow")
@@ -648,4 +649,4 @@ class TestSchedule:
         assert longest_first(pending, None) == pending
         assert longest_first(pending, _FakeStore({})) == pending
         assert longest_first(pending, _BrokenStore()) == pending
-        assert wall_time_by_label(_BrokenStore()) == {}
+        assert wall_time_history(_BrokenStore()) == {}

@@ -65,18 +65,14 @@ class TestRenderReproduction:
         assert "distinct seeds" in text
         assert "| execution backend | `serial` |" in text
 
-    def test_backend_and_shard_identity_in_provenance(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_backend_in_provenance(self, tmp_path):
         assert collect_provenance()["backend"] == "serial"
-        assert collect_provenance(backend="batched")["backend"] == \
-            "batched"
-        monkeypatch.setenv("REPRO_SHARD", "1/4")
         prov = collect_provenance(backend="process")
-        assert prov["shard"] == "1/4"
+        assert prov["backend"] == "process"
+        assert "shard" not in prov
         campaign = small_campaign(tmp_path)
         text = render_reproduction(campaign, prov)
-        assert "| execution backend | `process` (shard `1/4`) |" in text
+        assert "| execution backend | `process` |" in text
 
     def test_summary_table_and_chart(self, tmp_path):
         campaign = small_campaign(tmp_path)

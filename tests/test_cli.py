@@ -11,12 +11,12 @@ from repro.cli import main
 
 @pytest.fixture(autouse=True)
 def _clean_harness_env():
-    """CLI paths (``--scale``, ``shard run``) export harness env vars
-    for their worker trees; start every test without them and scrub
-    whatever the test exported afterwards (monkeypatch.delenv cannot:
-    it only undoes changes it made itself, not the CLI's)."""
+    """``--scale`` exports ``REPRO_BENCH_SCALE`` for the worker tree;
+    start every test without it and scrub whatever the test exported
+    afterwards (monkeypatch.delenv cannot: it only undoes changes it
+    made itself, not the CLI's)."""
     import os
-    keys = ("REPRO_BENCH_SCALE", "REPRO_SHARD", "REPRO_BACKEND")
+    keys = ("REPRO_BENCH_SCALE",)
     saved = {key: os.environ.pop(key, None) for key in keys}
     yield
     for key, value in saved.items():
@@ -117,26 +117,10 @@ class TestSweep:
         assert "2 worker(s)" in out
         assert "[process backend]" in out
 
-    def test_backend_flag(self, capsys, tmp_path):
-        code, out = self.sweep(capsys, tmp_path, "--backend", "batched")
-        assert code == 0
-        assert "[batched backend]" in out
-
-    def test_backend_env_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "shard")
+    def test_one_worker_runs_serially(self, capsys, tmp_path):
         code, out = self.sweep(capsys, tmp_path)
         assert code == 0
-        assert "[shard backend]" in out
-
-    def test_unknown_backend_rejected(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
-            self.sweep(capsys, tmp_path, "--backend", "quantum")
-
-    def test_bad_backend_env_fails_cleanly(self, capsys, tmp_path,
-                                           monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "quantum")
-        with pytest.raises(SystemExit, match="not a known backend"):
-            self.sweep(capsys, tmp_path)
+        assert "1 worker(s) [serial backend]" in out
 
     def test_root_seed_spawning(self, capsys, tmp_path):
         code, out = run_cli(
@@ -240,18 +224,12 @@ class TestFigures:
                     "--results-dir", str(tmp_path))
         assert not (tmp_path / "table1").exists()
 
-    def test_workers_env_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "2")
+    def test_workers_flag(self, capsys, tmp_path):
         code, out = run_cli(capsys, "figures", "run", "fig24",
+                            "--workers", "2",
                             "--results-dir", str(tmp_path))
         assert code == 0
-        assert "2 worker(s)" in out
-
-    def test_malformed_workers_env_leaves_other_commands_alone(
-            self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "lots")
-        code, out = run_cli(capsys, "footprint")
-        assert code == 0
+        assert "2 worker(s) [process backend]" in out
 
 
 class TestFiguresCampaign:
@@ -382,43 +360,45 @@ class TestFiguresCampaign:
         assert "| bench scale | `smoke` |" in text
 
 
-class TestShard:
-    """`repro shard plan | run | merge`: the multi-host campaign flow
+class TestStoreMerge:
+    """`repro store merge`: shard stores written by orchestrate's
+    workers (or on other hosts) folded into one campaign store,
     rehearsed over the (cheap) model figures."""
 
     SELECTION = "table1,fig24"
 
-    def plan(self, capsys, tmp_path, *extra):
-        return run_cli(
-            capsys, "shard", "plan", "--shards", "2",
-            "--only", self.SELECTION, "--scale", "smoke",
-            "--out", str(tmp_path / "plan"), *extra)
+    def shard_stores(self, tmp_path, n_shards=2, only=SELECTION):
+        """Shard stores as orchestrate's workers leave them: planned by
+        ``plan_campaign_shards``, each run by ``run_shard_worker``."""
+        import io
+        import os
+
+        from repro.harness.backends.worker import (
+            run_shard_worker,
+            scoped_env,
+        )
+        from repro.harness.campaign import select_figures
+        from repro.harness.orchestrate import (
+            plan_campaign_shards,
+            write_shard_plan,
+        )
+        with scoped_env(REPRO_BENCH_SCALE="smoke"):
+            manifests, _ = plan_campaign_shards(
+                select_figures(only=only.split(",")), n_shards)
+        stores = []
+        for path in write_shard_plan(str(tmp_path / "plan"), manifests):
+            store = str(tmp_path / os.path.basename(path)[:-5])
+            assert run_shard_worker(path, store, out=io.StringIO()) == 0
+            stores.append(store)
+        return stores
 
     def full_flow(self, capsys, tmp_path):
-        self.plan(capsys, tmp_path)
-        for i in (0, 1):
-            code, out = run_cli(
-                capsys, "shard", "run",
-                str(tmp_path / "plan" / f"shard-{i}.json"),
-                "--store", str(tmp_path / f"shard-{i}"))
-            assert code == 0
         return run_cli(
-            capsys, "shard", "merge",
+            capsys, "store", "merge",
             "--into", str(tmp_path / "merged" / "campaign"),
-            str(tmp_path / "shard-0"), str(tmp_path / "shard-1"))
+            *self.shard_stores(tmp_path))
 
-    def test_plan_is_deterministic(self, capsys, tmp_path):
-        code, out = self.plan(capsys, tmp_path)
-        assert code == 0
-        assert "7 task(s) from 2 figure(s) into 2 shard(s)" in out
-        first = [(tmp_path / "plan" / f"shard-{i}.json").read_text()
-                 for i in (0, 1)]
-        self.plan(capsys, tmp_path)
-        again = [(tmp_path / "plan" / f"shard-{i}.json").read_text()
-                 for i in (0, 1)]
-        assert first == again
-
-    def test_shard_then_merge_reproduces_single_host_run(
+    def test_merged_shards_reproduce_single_host_run(
             self, capsys, tmp_path):
         import json
         code, out = self.full_flow(capsys, tmp_path)
@@ -451,7 +431,7 @@ class TestShard:
     def test_merge_is_idempotent(self, capsys, tmp_path):
         self.full_flow(capsys, tmp_path)
         code, out = run_cli(
-            capsys, "shard", "merge",
+            capsys, "store", "merge",
             "--into", str(tmp_path / "merged" / "campaign"),
             str(tmp_path / "shard-0"), str(tmp_path / "shard-1"))
         assert code == 0
@@ -468,94 +448,23 @@ class TestShard:
             {"shard-0/2", "shard-1/2"}
 
     def test_empty_shard_still_merges(self, capsys, tmp_path):
-        """Regression (code review): more shards than tasks left the
-        empty shard's store uncreated, so merging every planned shard
-        store failed."""
-        run_cli(capsys, "shard", "plan", "--shards", "8",
-                "--only", "table1", "--scale", "smoke",
-                "--out", str(tmp_path / "plan"))
-        stores = []
-        for i in range(8):
-            code, _ = run_cli(
-                capsys, "shard", "run",
-                str(tmp_path / "plan" / f"shard-{i}.json"),
-                "--store", str(tmp_path / f"s{i}"))
-            assert code == 0
-            stores.append(str(tmp_path / f"s{i}"))
-        code, out = run_cli(capsys, "shard", "merge",
-                            "--into", str(tmp_path / "m"), *stores)
+        """More shards than tasks: the planner drops empty bins, and an
+        empty shard store (a worker given no keys) is a valid source."""
+        stores = self.shard_stores(tmp_path, n_shards=8, only="table1")
+        assert len(stores) == 5
+        empty = tmp_path / "shard-7"
+        empty.mkdir()
+        code, out = run_cli(capsys, "store", "merge",
+                            "--into", str(tmp_path / "m"),
+                            *stores, str(empty))
         assert code == 0
         assert "5 artifact(s) (5 newly merged)" in out
 
-    def test_run_refuses_simulator_drift(self, capsys, tmp_path):
-        import json
-        self.plan(capsys, tmp_path)
-        path = tmp_path / "plan" / "shard-0.json"
-        manifest = json.loads(path.read_text())
-        manifest["sim"] = "0" * 16
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(SystemExit, match="does not match"):
-            run_cli(capsys, "shard", "run", str(path),
-                    "--store", str(tmp_path / "s"))
-
-    def test_run_refuses_non_manifest_json(self, capsys, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text("{\"keys\": []}")
-        with pytest.raises(SystemExit, match="not a repro shard"):
-            run_cli(capsys, "shard", "run", str(path),
-                    "--store", str(tmp_path / "s"))
-
     def test_merge_rejects_missing_source(self, capsys, tmp_path):
         with pytest.raises(SystemExit, match="not a.*store"):
-            run_cli(capsys, "shard", "merge",
+            run_cli(capsys, "store", "merge",
                     "--into", str(tmp_path / "m"),
                     str(tmp_path / "ghost"))
-
-    def test_plan_rejects_empty_selection(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="selected no figures"):
-            run_cli(capsys, "shard", "plan", "--only", "table1",
-                    "--skip", "table1",
-                    "--out", str(tmp_path / "plan"))
-
-    def test_plan_rejects_unknown_figure(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="figures list"):
-            run_cli(capsys, "shard", "plan", "--only", "fig99",
-                    "--out", str(tmp_path / "plan"))
-
-    def test_run_scopes_shard_identity(self, capsys, tmp_path):
-        """Regression (ISSUE 10): `shard run` exports $REPRO_SHARD /
-        $REPRO_BENCH_SCALE only for the duration of the run.  It used
-        to leave both behind, so a later in-process run (tests, the
-        orchestrator) inherited a stale shard identity and scale in
-        its provenance header."""
-        import os
-
-        from repro.harness.store import ColumnarStore
-        from repro.report import collect_provenance
-        self.plan(capsys, tmp_path)
-        assert "REPRO_SHARD" not in os.environ
-        assert "REPRO_BENCH_SCALE" not in os.environ
-        code, _ = run_cli(
-            capsys, "shard", "run",
-            str(tmp_path / "plan" / "shard-1.json"),
-            "--store", str(tmp_path / "s1"))
-        assert code == 0
-        # the run itself saw the identity: the store records it
-        manifest = ColumnarStore(str(tmp_path / "s1")).manifest()
-        assert {e["origin"] for e in manifest.values()} == {"shard-1/2"}
-        # ...but nothing leaked into this process
-        assert "REPRO_SHARD" not in os.environ
-        assert "REPRO_BENCH_SCALE" not in os.environ
-        assert collect_provenance()["shard"] == ""
-        # and a value that existed before the run is restored, not
-        # clobbered
-        os.environ["REPRO_BENCH_SCALE"] = "full"
-        os.environ["REPRO_SHARD"] = "9/9"
-        run_cli(capsys, "shard", "run",
-                str(tmp_path / "plan" / "shard-0.json"),
-                "--store", str(tmp_path / "s0"))
-        assert os.environ["REPRO_BENCH_SCALE"] == "full"
-        assert os.environ["REPRO_SHARD"] == "9/9"
 
     def test_merge_rejects_non_store_directory(self, capsys, tmp_path):
         """Regression (ISSUE 10): a directory that exists but is not a
@@ -565,7 +474,7 @@ class TestShard:
         bogus.mkdir()
         (bogus / "README.txt").write_text("just some directory\n")
         with pytest.raises(SystemExit, match="not-a-store is not a"):
-            run_cli(capsys, "shard", "merge",
+            run_cli(capsys, "store", "merge",
                     "--into", str(tmp_path / "m"), str(bogus))
         # pre-flight validation: nothing was merged into the dest
         assert not (tmp_path / "m").exists() or \
@@ -574,7 +483,7 @@ class TestShard:
         (bogus / "README.txt").unlink()
         (bogus / "feedface.json").write_text("{}")
         with pytest.raises(SystemExit, match="not-a-store is not a"):
-            run_cli(capsys, "shard", "merge",
+            run_cli(capsys, "store", "merge",
                     "--into", str(tmp_path / "m"), str(bogus))
 
     def test_merge_accepts_empty_and_manifest_only_sources(
@@ -583,7 +492,7 @@ class TestShard:
         empty.mkdir()
         indexed.mkdir()
         (indexed / "manifest.json").write_text("{}")
-        code, out = run_cli(capsys, "shard", "merge",
+        code, out = run_cli(capsys, "store", "merge",
                             "--into", str(tmp_path / "m"),
                             str(empty), str(indexed))
         assert code == 0
@@ -595,10 +504,10 @@ class TestShard:
         (old / "store.seg").write_bytes(b"REPSEG02BLK1" + bytes(40))
         with pytest.raises(SystemExit,
                            match="predates segment format 3"):
-            run_cli(capsys, "shard", "merge",
+            run_cli(capsys, "store", "merge",
                     "--into", str(tmp_path / "m"), str(old))
 
-    # what a directory holds -> whether it is a shard store
+    # what a directory holds -> whether it is a store
     SOURCE_DIRS = {
         "empty": ({}, True),
         "segment": ({"store.seg": b""}, True),
@@ -611,14 +520,14 @@ class TestShard:
 
     @pytest.mark.parametrize("case", list(SOURCE_DIRS))
     def test_looks_like_store(self, case, tmp_path):
-        from repro.cli.shard import _looks_like_store
+        from repro.cli.store import _looks_like_store
         files, expected = self.SOURCE_DIRS[case]
         for name, data in files.items():
             (tmp_path / name).write_bytes(data)
         assert _looks_like_store(str(tmp_path)) is expected
 
     def test_missing_path_or_plain_file_is_not_a_store(self, tmp_path):
-        from repro.cli.shard import _looks_like_store
+        from repro.cli.store import _looks_like_store
         (tmp_path / "store.seg").write_bytes(b"")
         assert not _looks_like_store(str(tmp_path / "missing"))
         assert not _looks_like_store(str(tmp_path / "store.seg"))
@@ -631,7 +540,7 @@ class TestShard:
         stray.mkdir()
         (stray / "0123abcd.json").write_text('{"schema": 1}')
         with pytest.raises(SystemExit, match="stray is not a"):
-            run_cli(capsys, "shard", "merge",
+            run_cli(capsys, "store", "merge",
                     "--into", str(tmp_path / "m"), str(stray))
         assert [p.name for p in stray.iterdir()] == ["0123abcd.json"]
         assert (stray / "0123abcd.json").read_text() == '{"schema": 1}'
@@ -640,17 +549,12 @@ class TestShard:
         """A bad source anywhere in the list fails the merge before
         source 0 lands — no half-merged destination."""
         import os
-        self.plan(capsys, tmp_path)
-        code, _ = run_cli(
-            capsys, "shard", "run",
-            str(tmp_path / "plan" / "shard-0.json"),
-            "--store", str(tmp_path / "shard-0"))
-        assert code == 0
+        self.shard_stores(tmp_path)
         bogus = tmp_path / "junk"
         bogus.mkdir()
         (bogus / "data.bin").write_text("x")
         with pytest.raises(SystemExit, match="junk is not a"):
-            run_cli(capsys, "shard", "merge",
+            run_cli(capsys, "store", "merge",
                     "--into", str(tmp_path / "m"),
                     str(tmp_path / "shard-0"), str(bogus))
         dest = tmp_path / "m"
@@ -663,13 +567,7 @@ class TestShard:
         from unittest import mock
 
         from repro.harness.store import ColumnarStore
-        self.plan(capsys, tmp_path)
-        for i in (0, 1):
-            code, _ = run_cli(
-                capsys, "shard", "run",
-                str(tmp_path / "plan" / f"shard-{i}.json"),
-                "--store", str(tmp_path / f"shard-{i}"))
-            assert code == 0
+        self.shard_stores(tmp_path)
         real = ColumnarStore.merge_from
         calls = {"n": 0}
 
@@ -681,7 +579,7 @@ class TestShard:
 
         with mock.patch.object(ColumnarStore, "merge_from", flaky):
             with pytest.raises(SystemExit) as err:
-                run_cli(capsys, "shard", "merge",
+                run_cli(capsys, "store", "merge",
                         "--into", str(tmp_path / "m"),
                         str(tmp_path / "shard-0"),
                         str(tmp_path / "shard-1"))
@@ -691,29 +589,12 @@ class TestShard:
         assert "disk on fire" in message
         # the partial merge is safe: re-running the same command
         # completes the destination
-        code, out = run_cli(capsys, "shard", "merge",
+        code, out = run_cli(capsys, "store", "merge",
                             "--into", str(tmp_path / "m"),
                             str(tmp_path / "shard-0"),
                             str(tmp_path / "shard-1"))
         assert code == 0
         assert "7 artifact(s)" in out
-
-    def test_drift_refusal_runs_nothing(self, capsys, tmp_path):
-        """Backfill (ISSUE 5): the simulator-drift refusal must fire
-        before any task executes — no store directory, no artifacts,
-        no $REPRO_SHARD export."""
-        import json
-        import os
-        self.plan(capsys, tmp_path)
-        path = tmp_path / "plan" / "shard-0.json"
-        manifest = json.loads(path.read_text())
-        manifest["sim"] = "f" * 16
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(SystemExit, match="re-plan"):
-            run_cli(capsys, "shard", "run", str(path),
-                    "--store", str(tmp_path / "never"))
-        assert not (tmp_path / "never").exists()
-        assert "REPRO_SHARD" not in os.environ
 
 
 class TestOrchestrate:
@@ -753,7 +634,6 @@ class TestOrchestrate:
         assert "7 tasks (0 executed, 7 cached)" in out
         assert "slowest task" not in out  # nothing ran, nothing to name
         # the acceptance contract: nothing leaked into this process
-        assert "REPRO_SHARD" not in os.environ
         assert "REPRO_BENCH_SCALE" not in os.environ
         page = (tmp_path / "status.html").read_text()
         assert "complete" in page
@@ -792,6 +672,11 @@ class TestOrchestrate:
         with pytest.raises(SystemExit, match="selected no figures"):
             run_cli(capsys, "orchestrate", "--only", "table1",
                     "--skip", "table1",
+                    "--results-dir", str(tmp_path / "r"))
+
+    def test_rejects_unknown_figure(self, capsys, tmp_path):
+        with pytest.raises(SystemExit, match="figures list"):
+            run_cli(capsys, "orchestrate", "--only", "fig99",
                     "--results-dir", str(tmp_path / "r"))
 
     def test_ssh_runner_needs_hosts(self, capsys, tmp_path):
