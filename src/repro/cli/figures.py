@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from ..harness.report import format_table
+from ..report.text import format_table
 from ._common import campaign_specs, split_csv
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from ..harness.report import format_sweep_table, format_table
+from ..report.text import format_sweep_table, format_table
 from ..harness.store import ColumnarStore
 from ..harness.sweep import SweepGrid, WorkloadSpec, run_sweep
 from ..sim.network import Network, NetworkConfig

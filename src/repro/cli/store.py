@@ -6,7 +6,7 @@ import argparse
 import os
 from typing import List, Sequence
 
-from ..harness.report import format_table
+from ..report.text import format_table
 from ..harness.store import ColumnarStore
 
 

@@ -28,7 +28,7 @@ def cmd_docs(args: argparse.Namespace) -> int:
 def cmd_footprint(args: argparse.Namespace) -> int:
     from ..core.footprint import compute_footprint
     from ..core.reps import RepsConfig
-    from ..harness.report import format_table
+    from ..report.text import format_table
 
     cfg = RepsConfig(buffer_size=args.buffer, evs_size=args.evs,
                      ev_lifespan=args.lifespan)

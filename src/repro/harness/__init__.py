@@ -22,9 +22,9 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    ".ascii_charts": ("hbar", "render_port_series", "sparkline"),
-    ".stats": ("Aggregate", "compare", "repeat"),
-    ".report": ("cdf_points", "format_sweep_table", "format_table"),
+    "..report.text": ("format_sweep_table", "format_table", "hbar",
+                      "render_port_series", "sparkline"),
+    ".stats": ("Aggregate", "cdf_points", "compare", "repeat"),
     ".model_tasks": ("MODEL_RUNNERS", "run_model"),
     ".runner": ("RESULT_PROBES", "Scenario", "ScenarioResult", "ber_hook",
                 "degrade_cables_hook", "degrade_fraction_hook",

@@ -4,7 +4,8 @@ The paper runs "each experiment multiple times to account for randomness
 in the initial EVs" (Sec. 4.5.4).  :func:`repeat` runs a scenario
 factory across seeds and aggregates any scalar metric with a mean and a
 t-distribution confidence interval, so benches and users can report
-seed-robust numbers.
+seed-robust numbers; :func:`cdf_points` downsamples an empirical CDF
+for a figure's table.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
-
-from ..sim.metrics import nearest_rank
 
 #: two-sided 95% t-critical values for small sample sizes (df = n - 1)
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
@@ -52,6 +51,9 @@ class Aggregate:
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile ``p`` in [0, 100] of the samples."""
+        # describe -> execute: the one percentile definition sits
+        # beside the engine (sim/metrics.py)
+        from ..sim.metrics import nearest_rank
         return nearest_rank(self.samples, p)
 
     @property
@@ -90,3 +92,15 @@ def compare(run_a: Callable[[int], float], run_b: Callable[[int], float],
     ratios = [x / y if y else float("inf")
               for x, y in zip(a.samples, b.samples)]
     return {"a": a, "b": b, "ratio": Aggregate(ratios)}
+
+
+def cdf_points(values: Sequence[float],
+               n_points: int = 20) -> List[tuple]:
+    """Downsampled empirical CDF of ``values`` as (value, probability)."""
+    if not values:
+        return []
+    ordered = sorted(values)
+    n = len(ordered)
+    idxs = sorted({min(n - 1, int(round(i * (n - 1) / (n_points - 1))))
+                   for i in range(n_points)}) if n_points > 1 else [n - 1]
+    return [(ordered[i], (i + 1) / n) for i in idxs]

@@ -33,17 +33,18 @@ its results content-keyed (``get``/``put``/``put_many``/``merge_from``
   scan (or kept from the append that wrote it), into a
   :class:`_Frame`: keys, manifest entries, string table and column
   directory.  A block load reads only the body (and later the array)
-  section; a merge's frame copy reads no meta at all.  The codec works
-  a column at a time: a column's varints (tags aside) are one run.
+  section; a merge's frame copy reads no meta at all.  The encoder
+  packs a column value by value; the decoder has one loop per array
+  kind.
 - **Codec.**  The writer makes one call per section: ``FORMAT_ALONE``
   LZMA with default lc/lp/pb and the dictionary sized to the input —
-  preset 6 for the meta, preset 4 for body and array (zlib-9 on a
-  platform without :mod:`lzma`).  The reader dispatches on a section's
-  first byte (``0x5d`` LZMA, ``0x78`` zlib), so segments from the
-  writer that kept the smaller of zlib-9 and LZMA read back unchanged.
-- Reads go through an **mmap view** of the segment (remapped when the
-  file grows or is replaced), falling back to buffered preads on a
-  platform without :mod:`mmap`.
+  preset 6 for the meta, preset 4 for body and array.  The reader
+  dispatches on a section's first byte (``0x5d`` LZMA, ``0x78`` zlib),
+  so segments from the writer that kept the smaller of zlib-9 and LZMA
+  read back unchanged.
+- Reads are **buffered preads** of the segment, through one reader
+  (:meth:`ColumnarStore._segment_reader`) that the index scan, block
+  loads, merge copies and ``verify`` share.
 - The **key index** is in-memory only, rebuilt from frame headers and
   metas on open; a torn final frame (crash mid-append) is detected by
   CRC/length and dropped, and the next append truncates it first, so
@@ -73,11 +74,15 @@ Invariants:
   survives ``merge_from``, so a merged campaign store still says which
   shard produced each record.
 
+Platform: the store is POSIX-only (:mod:`fcntl`, :mod:`lzma`); CI
+runs Linux.
+
 Concurrency: appends hold a process-local lock and an advisory
-``flock`` on an ``O_APPEND`` descriptor.  Without :mod:`fcntl` two
-processes converge the way two campaigns sharing a store do (content
-keys make double execution harmless) but may leave shadowed
-duplicates for ``repro store compact``.
+``flock`` on an ``O_APPEND`` descriptor.  Where the ``flock`` call
+itself fails (a file system without locks) two processes converge the
+way two campaigns sharing a store do (content keys make double
+execution harmless) but may leave shadowed duplicates for ``repro
+store compact``.
 
 ``repro store compact | inspect | verify`` is the maintenance surface.
 """
@@ -87,33 +92,19 @@ from __future__ import annotations
 import base64
 import binascii
 import copy
+import fcntl
 import json
+import lzma
 import math
 import os
 import struct
 import threading
 import time
 import zlib
-
-try:  # stdlib everywhere we run, but degrade to zlib-only if absent
-    import lzma
-except ImportError:  # pragma: no cover - platform without _lzma
-    lzma = None  # type: ignore[assignment]
 from collections import OrderedDict
 from contextlib import contextmanager
-from itertools import accumulate, chain, compress, groupby, repeat
-from operator import sub
+from itertools import accumulate, compress, groupby, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-try:  # advisory append locking — POSIX only, gated (see _flock)
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None
-
-try:  # zero-copy segment reads — gated (see _segment_view)
-    import mmap
-except ImportError:  # pragma: no cover - no-mmap platform
-    mmap = None
 
 from .sweep import SCHEMA_VERSION, simulator_version
 
@@ -144,8 +135,6 @@ BLOCK_CACHE_BLOCKS = 32
 _T_MISSING, _T_NULL, _T_INT, _T_FLOAT = 0, 1, 2, 3
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-
-_DOUBLE = struct.Struct("<d")
 
 
 def _scalar_tag(value) -> Optional[int]:
@@ -256,8 +245,6 @@ def _compress_v3(raw: bytes, preset: int) -> bytes:
     """One v3 section, one codec call.  A dictionary no smaller than
     the input yields the stream the preset's 4-8 MiB one would, minus
     the set-up cost that dominates on ~100 KiB sections."""
-    if lzma is None:
-        return zlib.compress(raw, 9)
     dict_size = 1 << min(max((len(raw) - 1).bit_length(), 12), 23)
     return lzma.compress(raw, format=lzma.FORMAT_ALONE, filters=[
         {"id": lzma.FILTER_LZMA1, "preset": preset,
@@ -265,9 +252,8 @@ def _compress_v3(raw: bytes, preset: int) -> bytes:
 
 
 def _decompress_v3(buf: bytes) -> bytes:
+    """A section of either era: LZMA, or zlib from older segments."""
     if buf[:1] == b"\x5d":
-        if lzma is None:  # pragma: no cover - see _compress_v3
-            raise ValueError("LZMA-compressed section but no lzma module")
         return lzma.decompress(buf, format=lzma.FORMAT_ALONE)
     return zlib.decompress(buf)
 
@@ -282,31 +268,21 @@ _T_FSCALED = 4
 _POW10 = tuple(10 ** k for k in range(7))
 
 
-def _uvarints(values: Iterable[int]) -> bytes:
-    """A whole run of unsigned values as LEB128 varints, in one loop
-    (the inverse of :func:`_varints`)."""
-    out = bytearray()
-    put = out.append
-    for v in values:
-        while v >= 0x80:
-            put((v & 0x7F) | 0x80)
-            v >>= 7
-        put(v)
-    return out
+def _uvarint(out: bytearray, v: int) -> None:
+    """LEB128 append (unsigned)."""
+    while v >= 0x80:
+        out.append((v & 0x7F) | 0x80)
+        v >>= 7
+    out.append(v)
 
 
-def _zigzags(values: Iterable[int]) -> List[int]:
-    return [v << 1 if v >= 0 else (-v << 1) - 1 for v in values]
-
-
-def _deltas(ints: Sequence[int]) -> List[int]:
-    """Zigzagged deltas of ``ints`` from 0 (inverse: :func:`_delta_arrays`)."""
-    return _zigzags(map(sub, ints, chain((0,), ints)))
+def _zigzag(v: int) -> int:
+    return (v << 1) if v >= 0 else ((-v << 1) - 1)
 
 
 def _varints(buf: bytes) -> List[int]:
     """Every value of a byte run that is all LEB128 varints
-    (:func:`_uvarints`); the run must end on a finished value."""
+    (:func:`_uvarint`); the run must end on a finished value."""
     if buf.isascii():       # no continuation bit: the bytes are the values
         return list(buf)
     out: List[int] = []
@@ -322,6 +298,16 @@ def _varints(buf: bytes) -> List[int]:
     if shift:
         raise ValueError("unfinished varint at the end of a column")
     return out
+
+
+def _varint_at(buf: bytes, off: int) -> Tuple[int, int]:
+    """The varint at ``off`` and the offset just past it."""
+    v = shift = 0
+    while buf[off] >= 0x80:
+        v |= (buf[off] & 0x7F) << shift
+        shift += 7
+        off += 1
+    return v | buf[off] << shift, off + 1
 
 
 def _skip_varints(buf: bytes, off: int, count: int) -> int:
@@ -442,97 +428,72 @@ def _array_kind(value) -> Optional[int]:
     return None
 
 
-def _array_column(values: Sequence[list], kinds: Sequence[int]) -> bytes:
-    """One ``a`` column's bytes: each value of :func:`_array_kind`
-    ``kind`` in slot order.  Deltas of ints (monotonic timestamps,
-    correlated queue depths) and of exactly-scaled decimal floats
-    (rounded metric series) varint-pack to a byte or two per element;
-    anything else falls back to byte planes or the raw bitmap layout.
-    Kind, scale, count and deltas are all varints, so runs of int and
-    scaled values collect into one list and encode in one pass."""
-    out = bytearray()
-    run: List[int] = []         # varints not yet written
-    for elems, kind in zip(values, kinds):
-        if kind == _ARR_SPLIT:
-            scaled = _scale_floats(elems)
-            if scaled is not None:
-                run += (_ARR_SCALED, scaled[0], len(elems))
-                run += _deltas(scaled[1])
-                continue
-        elif kind == _ARR_INT:
-            run += (_ARR_INT, len(elems))
-            run += _deltas(elems)
-            continue
-        run += (kind, len(elems))
-        out += _uvarints(run)
-        run.clear()
-        if kind == _ARR_SPLIT:
-            # full-precision floats: split the packed doubles into byte
-            # planes (all sign/exponent bytes together, then each
-            # mantissa byte position) — correlated values share their
-            # high bytes, turning them into compressible runs while the
-            # noise bytes stay put (Parquet's BYTE_STREAM_SPLIT)
-            packed = struct.pack(f"<{len(elems)}d", *elems)
-            for plane in range(7, -1, -1):
-                out += packed[plane::8]
-            continue
-        bitmap = bytearray((len(elems) + 7) // 8)
-        for j, e in enumerate(elems):
-            if isinstance(e, int):
-                bitmap[j // 8] |= 1 << (j % 8)
-        out += bitmap
-        for e in elems:
-            out += struct.pack("<q" if isinstance(e, int) else "<d", e)
-    out += _uvarints(run)
-    return out
+def _pack_deltas(buf: bytearray, ints: Sequence[int]) -> None:
+    """Count, then delta + zigzag varints."""
+    _uvarint(buf, len(ints))
+    prev = 0
+    for e in ints:
+        _uvarint(buf, _zigzag(e - prev))
+        prev = e
 
 
-def _delta_arrays(zs: List[int], count: int) -> Optional[List[tuple]]:
-    """The ``count`` values of an ``a`` column that is one varint stream
-    (``zs``: every value an int or scaled-decimal array), or ``None`` at
-    the first value of another kind.  The stream un-zigzags once and
-    each array is a running sum of its slice."""
-    us = _unzigzags(zs)
-    values: List[tuple] = []
-    at = 0
-    for _ in range(count):
-        kind = zs[at]
-        if kind > _ARR_SCALED:
-            return None
-        at += 2 + kind          # past the kind, a scale and the count
-        end = at + zs[at - 1]
-        if end > len(zs):
-            raise ValueError("truncated delta run")
-        elems = tuple(accumulate(us[at:end]))
-        if kind:
-            m = _POW10[zs[at - 2]]  # (an encoder never wrote another)
-            elems = tuple([e / m for e in elems])
-        values.append(elems)
-        at = end
-    if at != len(zs):
-        raise ValueError("array column longer than its values")
-    return values
+def _pack_array_v3(buf: bytearray, elems: list, kind: int) -> None:
+    """Append one array value of :func:`_array_kind` ``kind``: deltas
+    of ints (monotonic timestamps, correlated queue depths) and of
+    exactly-scaled decimal floats (rounded metric series) varint-pack
+    to a byte or two per element; anything else falls back to byte
+    planes or the raw bitmap layout."""
+    if kind == _ARR_INT:
+        buf.append(_ARR_INT)
+        _pack_deltas(buf, elems)
+        return
+    if kind == _ARR_SPLIT:
+        scaled = _scale_floats(elems)
+        if scaled is not None:
+            buf.append(_ARR_SCALED)
+            buf.append(scaled[0])
+            _pack_deltas(buf, scaled[1])
+            return
+        # full-precision floats: split the packed doubles into byte
+        # planes (all sign/exponent bytes together, then each
+        # mantissa byte position) — correlated values share their
+        # high bytes, turning them into compressible runs while the
+        # noise bytes stay put (Parquet's BYTE_STREAM_SPLIT)
+        buf.append(_ARR_SPLIT)
+        _uvarint(buf, len(elems))
+        packed = struct.pack(f"<{len(elems)}d", *elems)
+        for plane in range(7, -1, -1):
+            buf += packed[plane::8]
+        return
+    buf.append(_ARR_RAW)
+    _uvarint(buf, len(elems))
+    bitmap = bytearray((len(elems) + 7) // 8)
+    for j, e in enumerate(elems):
+        if isinstance(e, int):
+            bitmap[j // 8] |= 1 << (j % 8)
+    buf += bitmap
+    for e in elems:
+        buf += struct.pack("<q" if isinstance(e, int) else "<d", e)
 
 
 def _array_values(buf: bytes, count: int) -> List[tuple]:
     """The ``count`` array values of one ``a`` column, in slot order
-    (inverse of :func:`_array_column`, a whole column per call): one
-    varint stream (:func:`_delta_arrays`) where the column allows, else
-    value by value."""
-    if buf[:1] <= b"\x01" and buf[-1:] < b"\x80":   # (or is empty)
-        values = _delta_arrays(_varints(buf), count)
-        if values is not None:
-            return values
-    values = []
+    (inverse of :func:`_pack_array_v3`): value by value, one branch
+    per array kind."""
+    values: List[tuple] = []
     off = 0
     for _ in range(count):
-        start, kind = off, buf[off]
-        at = off + 1 + (kind == _ARR_SCALED)    # past kind and scale
-        off = _skip_varints(buf, at, 1)
-        (size,) = _varints(buf[at:off])
-        if kind == _ARR_INT or kind == _ARR_SCALED:
-            off = _skip_varints(buf, off, size)
-            (elems,) = _delta_arrays(_varints(buf[start:off]), 1)
+        kind = buf[off]
+        scaled = kind == _ARR_SCALED
+        if scaled:
+            m = _POW10[buf[off + 1]]    # (an encoder never wrote another)
+        size, off = _varint_at(buf, off + 1 + scaled)
+        if kind == _ARR_INT or scaled:      # count, then delta varints
+            end = _skip_varints(buf, off, size)
+            elems = tuple(accumulate(_unzigzags(_varints(buf[off:end]))))
+            if scaled:
+                elems = tuple([e / m for e in elems])
+            off = end
         elif kind == _ARR_SPLIT:
             planes = buf[off:off + 8 * size]
             if len(planes) != 8 * size:
@@ -560,94 +521,59 @@ def _array_values(buf: bytes, count: int) -> List[tuple]:
     return values
 
 
-def _tag_slots(n: int, slots: Sequence[int]) -> bytearray:
-    """A column's tag bytes: 1 at ``slots``, 0 (absent) elsewhere."""
-    if len(slots) == n:     # (a record carries a column at most once)
-        return bytearray(b"\x01") * n
-    tags = bytearray(n)
-    for slot in slots:
-        tags[slot] = 1
-    return tags
+def encode_frame_v3(records: Sequence[Tuple[str, dict]],
+                    entries: Optional[Sequence[Optional[dict]]] = None
+                    ) -> Tuple[bytes, "_Frame"]:
+    """One complete v3 frame for ``records``; returns ``(frame, fr)``.
 
-
-def _scalar_column(n: int, slots: Sequence[int], values: list) -> bytes:
-    """One ``s`` column's bytes — tags, then the values in slot order:
-    scaled decimals and ints collect into varint runs between raw
-    doubles."""
-    tags = bytearray(n)
-    out = bytearray()
-    run: List[int] = []
-    for slot, v in zip(slots, values):
-        if v is None:
-            tags[slot] = _T_NULL
-            continue
-        if isinstance(v, float):
-            scaled = _float_scale(v)
-            if scaled is None:
-                tags[slot] = _T_FLOAT
-                if run:
-                    out += _uvarints(run)
-                    run = []
-                out += _DOUBLE.pack(v)
-                continue
-            tags[slot] = _T_FSCALED
-            run.append(scaled[0])
-            v = scaled[1]
-        else:
-            tags[slot] = _T_INT
-        run.append(v << 1 if v >= 0 else (-v << 1) - 1)
-    return tags + out + _uvarints(run)
-
-
-def _value_kind(v) -> Tuple[Optional[str], object]:
-    """``(column kind, value)`` for one field value: ``"s"`` (a
-    :func:`_scalar_tag` scalar), ``"d"`` (a string) or ``"a"`` (an
-    :func:`_array_kind` array, the value becoming ``(kind, array)``);
-    kind ``None`` keeps the value in the JSON remainder."""
-    if _scalar_tag(v) is not None:
-        return "s", v
-    if isinstance(v, str):
-        return "d", v
-    kind = _array_kind(v)
-    return (None, v) if kind is None else ("a", (kind, v))
-
-
-def _encode_frame(records: Sequence[Tuple[str, dict]],
-                  entries: Optional[Sequence[Optional[dict]]] = None
-                  ) -> Tuple[bytes, "_Frame"]:
-    """:func:`encode_frame_v3`, returning the frame's :class:`_Frame`."""
+    Layout: ``_FRAME3`` header + the meta, body and array sections,
+    each compressed on its own (module docstring: sections, codec).
+    The meta holds everything an index rebuild and ``manifest()`` need
+    and nothing else.  Strings go through the per-block sorted table:
+    content keys (unless hex-packed), every ``d``-column value and any
+    string repeated in the remainders or entries is stored once and
+    referenced by integer.  ``fr`` is the frame's :class:`_Frame` (at
+    offset 0); its :meth:`_Frame.info` feeds :meth:`ColumnarStore.stats`.
+    """
     n = len(records)
-    keys = [key for key, _payload in records]
+    keys: List[str] = []
     rests: List[dict] = []
-    # kind -> column -> (slots, values), in slot order: each value is
-    # classified once, here, and the column loops below walk only the
-    # records that carry the column
-    by_kind: Dict[str, Dict[Tuple[str, Optional[str]],
-                            Tuple[List[int], list]]] = {
-        "s": {}, "d": {}, "a": {}}
-    for slot, (_key, payload) in enumerate(records):
+    # column -> [(record index, tag/kind, value)] in record order: each
+    # value is classified once, here, and the column loops below walk
+    # only the records that carry the column
+    scalars: Dict[Tuple[str, Optional[str]], list] = {}
+    strs: Dict[Tuple[str, Optional[str]], list] = {}
+    arrays: Dict[Tuple[str, Optional[str]], list] = {}
+    for idx, (key, payload) in enumerate(records):
+        keys.append(key)
         rest: dict = {}
         for sect, val in payload.items():
             if isinstance(val, dict):
-                rest[sect] = rsect = {}
+                rsect = {}
                 for name, v in val.items():
-                    kind, v = _value_kind(v)
-                    if kind is None:
-                        rsect[name] = v
+                    tag = _scalar_tag(v)
+                    if tag is not None:
+                        scalars.setdefault((sect, name), []).append(
+                            (idx, tag, v))
+                    elif isinstance(v, str):
+                        strs.setdefault((sect, name), []).append((idx, v))
                     else:
-                        col = by_kind[kind].setdefault((sect, name),
-                                                       ([], []))
-                        col[0].append(slot)
-                        col[1].append(v)
-                continue
-            kind = "d" if isinstance(val, str) else \
-                "s" if _scalar_tag(val) is not None else None
-            if kind is None:
-                rest[sect] = val
+                        kind = _array_kind(v)
+                        if kind is None:
+                            rsect[name] = v
+                        else:
+                            arrays.setdefault((sect, name), []).append(
+                                (idx, kind, v))
+                rest[sect] = rsect
+            elif isinstance(val, str):
+                strs.setdefault((sect, None), []).append((idx, val))
             else:
-                col = by_kind[kind].setdefault((sect, None), ([], []))
-                col[0].append(slot)
-                col[1].append(val)
+                tag = _scalar_tag(val)
+                if tag is None:
+                    rest[sect] = val
+                else:
+                    scalars.setdefault((sect, None), []).append(
+                        (idx, tag, val))
         rests.append(rest)
 
     entry_list = list(entries) if entries is not None else [None] * n
@@ -659,44 +585,65 @@ def _encode_frame(records: Sequence[Tuple[str, dict]],
     # arbitrary key strings fall back to table refs ("k")
     key_blob = _hex_key_blob(keys)
     table_set = set() if key_blob is not None else set(keys)
-    for _slots, values in by_kind["d"].values():
-        table_set.update(values)
+    for col in strs.values():
+        table_set.update(v for _i, v in col)
     table_set.update(s for s, c in counts.items() if c >= 2)
     table = sorted(table_set)
     index = {s: i for i, s in enumerate(table)}
 
-    columns: List[List[object]] = []
+    cols: List[List[object]] = []
     col_bytes: List[int] = []
-    sections = {"s": bytearray(), "d": bytearray(), "a": bytearray()}
-    array_slots: set = set()
-    for kind, cols in by_kind.items():
-        out = sections[kind]
-        for ck in sorted(cols, key=_col_order):
-            slots, values = cols[ck]
-            if kind == "s":
-                data = _scalar_column(n, slots, values)
-            elif kind == "d":
-                data = _tag_slots(n, slots) + _uvarints(
-                    map(index.__getitem__, values))
-            else:
-                array_slots.update(slots)
-                kinds, arrays = zip(*values)
-                data = _tag_slots(n, slots) + _array_column(
-                    arrays, list(kinds))
-            columns.append([*ck, kind])
-            col_bytes.append(len(data))
-            out += data
-
+    body = bytearray()
     rest_json = json.dumps(_dict_pack(rests, index),
                            separators=(",", ":")).encode()
-    body_b = struct.pack("<I", len(rest_json)) + rest_json + \
-        sections["s"] + sections["d"]
-    arr_b = bytes(sections["a"])
+    body += struct.pack("<I", len(rest_json)) + rest_json
+    for sect, name in sorted(scalars, key=_col_order):
+        cols.append([sect, name, "s"])
+        tags = bytearray(n)
+        buf = bytearray()
+        for i, tag, v in scalars[(sect, name)]:
+            if tag == _T_INT:
+                _uvarint(buf, _zigzag(v))
+            elif tag == _T_FLOAT:
+                scaled = _float_scale(v)
+                if scaled is not None:
+                    tag = _T_FSCALED
+                    buf.append(scaled[0])
+                    _uvarint(buf, _zigzag(scaled[1]))
+                else:
+                    buf += struct.pack("<d", v)
+            tags[i] = tag
+        col_bytes.append(n + len(buf))
+        body += tags + buf
+    for sect, name in sorted(strs, key=_col_order):
+        cols.append([sect, name, "d"])
+        tags = bytearray(n)
+        buf = bytearray()
+        for i, v in strs[(sect, name)]:
+            tags[i] = 1
+            _uvarint(buf, index[v])
+        col_bytes.append(n + len(buf))
+        body += tags + buf
+
+    arr = bytearray()
+    ab: set = set()
+    for sect, name in sorted(arrays, key=_col_order):
+        cols.append([sect, name, "a"])
+        tags = bytearray(n)
+        buf = bytearray()
+        for i, kind, v in arrays[(sect, name)]:
+            ab.add(i)
+            tags[i] = 1
+            _pack_array_v3(buf, v, kind)
+        col_bytes.append(n + len(buf))
+        arr += tags + buf
+
+    body_b, arr_b = bytes(body), bytes(arr)
     body_comp = _compress_v3(body_b, _DATA_PRESET)
     arr_comp = _compress_v3(arr_b, _DATA_PRESET) if arr_b else b""
     meta: Dict[str, object] = {
-        "t": table, "c": columns,
-        "cb": col_bytes, "ab": sorted(array_slots),
+        "t": table, "c": cols,
+        "cb": col_bytes, "ab": sorted(ab),
         "bc": zlib.crc32(body_comp), "ac": zlib.crc32(arr_comp),
         "bl": [len(body_b), len(arr_b)],
     }
@@ -714,24 +661,6 @@ def _encode_frame(records: Sequence[Tuple[str, dict]],
                         len(arr_comp))
     return head + meta_comp + body_comp + arr_comp, \
         _Frame(0, head, meta, keys, entry_list)
-
-
-def encode_frame_v3(records: Sequence[Tuple[str, dict]],
-                    entries: Optional[Sequence[Optional[dict]]] = None
-                    ) -> Tuple[bytes, Dict[str, object]]:
-    """One complete v3 frame for ``records``; returns ``(frame, info)``.
-
-    Layout: ``_FRAME3`` header + the meta, body and array sections,
-    each compressed on its own (module docstring: sections, codec).
-    The meta holds everything an index rebuild and ``manifest()`` need
-    and nothing else.  Strings go through the per-block sorted table:
-    content keys (unless hex-packed), every ``d``-column value and any
-    string repeated in the remainders or entries is stored once and
-    referenced by integer.  ``info`` is the :meth:`_Frame.info`
-    breakdown that feeds :meth:`ColumnarStore.stats`.
-    """
-    frame, fr = _encode_frame(records, entries)
-    return frame, fr.info()
 
 
 class _Frame:
@@ -897,16 +826,15 @@ def _decode_body(frame: _Frame, body: bytes) -> _Block:
 
 
 _DECODE_ERRORS = (ValueError, KeyError, IndexError, TypeError,
-                  struct.error, zlib.error) + \
-    ((lzma.LZMAError,) if lzma is not None else ())
+                  struct.error, zlib.error, lzma.LZMAError)
 
 
 def _walk_frames(read, start: int, *, full: bool = True):
     """The one segment scanner: iterate events from ``start``.
 
-    ``read(offset, n)`` returns up to ``n`` bytes at ``offset`` — an
-    mmap slice or a buffered pread; the scanner never holds a file
-    position.  Yields, in file order:
+    ``read(offset, n)`` returns up to ``n`` bytes at ``offset`` (a
+    :meth:`ColumnarStore._segment_reader` pread, or a slice in tests);
+    the scanner never holds a file position.  Yields, in file order:
 
     - ``("magic", offset)`` — a file-magic marker.  Accepted
       anywhere, not just at offset 0: two lockless processes racing the
@@ -1041,7 +969,6 @@ class ColumnarStore(_CachePolicy):
         #: offset -> :class:`_Frame` of every indexed frame: its meta is
         #: decoded once, by the scan or the append that found it
         self._frames: Dict[int, _Frame] = {}
-        self._view = None        # mmap over the scanned segment
         # per-section/column accounting for stats() — folded from
         # frame headers during the scan, never from block decodes
         self._sections = dict.fromkeys(
@@ -1051,63 +978,15 @@ class ColumnarStore(_CachePolicy):
         self._reset()
 
     # ------------------------------------------------------------------
-    # segment access: mmap view with buffered fallback
+    # segment access: one buffered reader
     # ------------------------------------------------------------------
     def _segment_path(self) -> str:
         return os.path.join(self.root, self.SEGMENT)
 
-    def _drop_view(self) -> None:
-        if self._view is not None:
-            try:
-                self._view.close()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-        self._view = None
-        self._view_len = 0
-
-    def _segment_view(self, size: int):
-        """An mmap over the segment's first ``size`` bytes, or ``None``.
-
-        Remapped when the file grew (append) or the size changed under
-        a replace (compact); a platform without :mod:`mmap` degrades to
-        buffered pread — same bytes, one copy more per read.
-        """
-        if mmap is None or size <= 0:
-            self._drop_view()
-            return None
-        if self._view is not None and self._view_len == size:
-            return self._view
-        self._drop_view()
-        try:
-            fd = os.open(self._segment_path(), os.O_RDONLY)
-        except OSError:
-            return None
-        try:
-            self._view = mmap.mmap(fd, size, access=mmap.ACCESS_READ)
-            self._view_len = size
-        except (OSError, ValueError):  # pragma: no cover - map failure
-            self._view = None
-            self._view_len = 0
-        finally:
-            os.close(fd)
-        return self._view
-
     @contextmanager
     def _segment_reader(self):
-        """Yield ``read(off, n)`` for the current segment, or ``None``.
-
-        The mmap path slices the shared view (no file handle, no seek
-        syscalls); the fallback opens the file for the duration and
-        serves buffered preads.
-        """
-        try:
-            size = os.path.getsize(self._segment_path())
-        except OSError:
-            size = 0
-        view = self._segment_view(size) if size > 0 else None
-        if view is not None:
-            yield lambda off, n: view[off:off + n]
-            return
+        """Yield ``read(off, n)`` — a buffered pread of the segment for
+        the duration — or ``None`` when there is no segment file."""
         try:
             fh = open(self._segment_path(), "rb")
         except OSError:
@@ -1130,7 +1009,6 @@ class ColumnarStore(_CachePolicy):
         self._records = 0        # raw record count incl. duplicates
         self._blocks_seen = 0    # frames indexed so far
         self._tail_dirty = False  # torn/garbage tail after _scanned
-        self._drop_view()
         for key in self._sections:
             self._sections[key] = 0
         self._col_bytes.clear()
@@ -1297,21 +1175,19 @@ class ColumnarStore(_CachePolicy):
     # writes
     # ------------------------------------------------------------------
     def _flock(self, fd: int) -> bool:
-        """Take the advisory inter-process append lock, if available.
+        """Take the advisory inter-process append lock.
 
-        Released implicitly when ``fd`` closes.  Returns False on
-        platforms without :mod:`fcntl` or if the lock call itself
-        fails — appends then fall back to the documented lockless
-        semantics (O_APPEND keeps each frame contiguous on Linux;
-        concurrent writers may leave shadowed duplicates and must not
-        race a tail heal).
+        Released implicitly when ``fd`` closes.  Returns False if the
+        lock call itself fails (e.g. a file system without locks) —
+        appends then fall back to the documented lockless semantics
+        (O_APPEND keeps each frame contiguous on Linux; concurrent
+        writers may leave shadowed duplicates and must not race a tail
+        heal).
         """
-        if fcntl is None:
-            return False
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             return True
-        except OSError:  # pragma: no cover - e.g. locks unsupported fs
+        except OSError:
             return False
 
     def _manifest_entry(self, payload: dict, written_at: float,
@@ -1342,7 +1218,7 @@ class ColumnarStore(_CachePolicy):
         """Encode one block and append it.  Nothing is cached: no
         caller reads its own writes back, and a copy of every batch
         would evict the blocks a reader is using."""
-        self._append_raw(*_encode_frame(records, entries))
+        self._append_raw(*encode_frame_v3(records, entries))
 
     def _append_raw(self, data: bytes, frame: _Frame) -> int:
         """The one segment append: write ``data`` (the complete frame
@@ -1371,9 +1247,7 @@ class ColumnarStore(_CachePolicy):
                 # genuinely torn: drop the garbage before appending
                 # over it — all the way to offset 0 when even the file
                 # magic never made it to disk (the append below
-                # re-creates it).  Unmap first: reads through a view
-                # spanning truncated pages would fault
-                self._drop_view()
+                # re-creates it)
                 os.ftruncate(fd, self._scanned)
                 self._tail_dirty = False
             size = len(data)
@@ -1585,24 +1459,36 @@ class ColumnarStore(_CachePolicy):
         tmp = self._segment_path() + \
             f".{os.getpid()}.{threading.get_ident()}.tmp"
         written = 0
-        with open(tmp, "wb") as fh:
-            fh.write(FILE_MAGIC_V3)
-            batch: List[Tuple[str, dict]] = []
-            entries: List[Optional[dict]] = []
-            for key in survivors:
-                payload = self._read_raw(key)
-                if payload is None:
-                    continue
-                batch.append((key, payload))
-                entries.append(entry_for.get(key))
-                written += 1
-                if len(batch) >= COMPACT_BLOCK_RECORDS:
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(FILE_MAGIC_V3)
+                batch: List[Tuple[str, dict]] = []
+                entries: List[Optional[dict]] = []
+                for key in survivors:
+                    payload = self._read_raw(key)
+                    if payload is None:
+                        continue
+                    batch.append((key, payload))
+                    entries.append(entry_for.get(key))
+                    written += 1
+                    if len(batch) >= COMPACT_BLOCK_RECORDS:
+                        fh.write(encode_frame_v3(batch, entries)[0])
+                        batch, entries = [], []
+                if batch:
                     fh.write(encode_frame_v3(batch, entries)[0])
-                    batch, entries = [], []
-            if batch:
-                fh.write(encode_frame_v3(batch, entries)[0])
-        self._drop_view()  # the view maps the file we just replaced
-        os.replace(tmp, self._segment_path())
+                # durable before it replaces the segment: a crash
+                # after the rename must not leave a torn store
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self._segment_path())
+        except BaseException:
+            # an encode or write failure (e.g. ENOSPC) leaves the old
+            # segment in place and no tmp file behind
+            try:
+                os.remove(tmp)
+            except FileNotFoundError:
+                pass
+            raise
         self._reset()
         self._refresh()
         return written
@@ -1620,19 +1506,17 @@ class ColumnarStore(_CachePolicy):
             "truncated_tail_bytes": 0, "errors": [],
         }
         seen: Dict[str, int] = {}
-        path = self._segment_path()
         try:
-            size = os.path.getsize(path)
+            size = os.path.getsize(self._segment_path())
         except OSError:
             size = 0
-        if size:
-            with open(path, "rb") as fh:
-                def read(off: int, n: int) -> bytes:
-                    fh.seek(off)
-                    return fh.read(n)
-                # same scanner the reader uses (full decode: every
-                # section CRC-checked): verify can never call readable
-                # what _refresh would refuse, or vice versa
+        with self._segment_reader() as read:
+            # same reader and scanner as the index (full decode: every
+            # section CRC-checked): verify can never call readable what
+            # _refresh would refuse, or vice versa
+            if read is None and size:
+                report["errors"].append("segment cannot be opened")
+            if read is not None:
                 for event in _walk_frames(read, 0, full=True):
                     if event[0] == "frame":
                         _kind, frame, records, errors = event

@@ -84,10 +84,10 @@ from typing import (
 
 from ..core.reps import RepsConfig
 from ..sim.params import TopologyParams
+from .stats import Aggregate
 
 if TYPE_CHECKING:  # annotations only: none loads with the describe layer
     from ..sim.metrics import RunMetrics
-    from .stats import Aggregate
     from .store import ColumnarStore
 
 #: bump to invalidate stored artifacts when the result format changes
@@ -644,9 +644,6 @@ class SweepResults:
         Keys are seed-erased tasks (:meth:`SweepTask.group`), in first-
         appearance order; values aggregate every seed of that group.
         """
-        # describe -> execute: percentiles come from the sim's metrics
-        from .stats import Aggregate
-
         groups: Dict[SweepTask, List[float]] = {}
         for r in self.results:
             groups.setdefault(r.task.group(), []).append(

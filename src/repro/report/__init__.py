@@ -17,7 +17,8 @@ two generators:
   ``repro orchestrate`` rewrites as shards launch, merge and retry.
 
 All of them share :mod:`repro.report.provenance` for the environment
-header.
+header, and :mod:`repro.report.text` for the plain-text tables and
+terminal charts (which the CLI prints too).
 """
 
 from .. import _lazy_exports

@@ -16,7 +16,7 @@ import os
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..harness.report import format_markdown_table
+from .text import format_markdown_table
 from ..harness.sweep import FailureSpec, SweepTask
 from ..scenarios import REGISTRY, FigureSpec
 

@@ -53,9 +53,10 @@ def collect_provenance(backend: Optional[str] = None
 def store_throughput(store) -> Dict[str, object]:
     """Recorded execution accounting for ``store``, report-safe.
 
-    Folds the per-task wall times and payload sizes that execution
-    backends record on the store's manifest entries into a throughput
-    summary (``tasks_per_s`` is aggregate compute throughput: timed
+    The per-task wall times and payload sizes that execution backends
+    record on the store's manifest entries, as :meth:`ColumnarStore.stats
+    <repro.harness.store.ColumnarStore.stats>` folds them, plus a
+    throughput (``tasks_per_s`` is aggregate compute throughput: timed
     tasks over summed task wall — not wall-clock, which parallel
     backends compress).  Stores without timed entries — legacy
     manifests, ``--no-cache`` runs — degrade to zeros rather than
@@ -66,25 +67,14 @@ def store_throughput(store) -> Dict[str, object]:
     if store is None:
         return empty
     try:
-        manifest = store.manifest()
+        stats = store.stats()
     except Exception:  # report-safe: accounting must never fail a run
         return empty
-    wall = 0.0
-    nbytes = 0
-    timed = 0
-    for entry in manifest.values():
-        if not isinstance(entry, dict):
-            continue
-        w = entry.get("wall_s")
-        if isinstance(w, (int, float)) and not isinstance(w, bool):
-            wall += float(w)
-            timed += 1
-        b = entry.get("bytes")
-        if isinstance(b, (int, float)) and not isinstance(b, bool):
-            nbytes += int(b)
+    wall = stats["task_wall_s"]
     return {
-        "tasks_timed": timed,
-        "task_wall_s": round(wall, 6),
-        "task_bytes": nbytes,
-        "tasks_per_s": round(timed / wall, 2) if wall > 0 else 0.0,
+        "tasks_timed": stats["tasks_timed"],
+        "task_wall_s": wall,
+        "task_bytes": stats["task_bytes"],
+        "tasks_per_s": round(stats["tasks_timed"] / wall, 2)
+        if wall > 0 else 0.0,
     }

@@ -15,11 +15,10 @@ import math
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..harness.ascii_charts import bar_chart, sparkline
 from ..harness.campaign import STATUSES, CampaignResult, FigureOutcome
-from ..harness.report import format_markdown_table
 from ..scenarios import figure_ids
 from .provenance import collect_provenance, store_throughput
+from .text import bar_chart, format_markdown_table, sparkline
 
 #: bump when the campaign.json layout changes
 REPORT_SCHEMA = 1

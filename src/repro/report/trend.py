@@ -302,7 +302,7 @@ def diff_campaigns(old_doc: Dict[str, object],
 
 def render_trend(report: TrendReport) -> str:
     """Human-readable trend summary (what the CLI prints)."""
-    from ..harness.report import format_table
+    from .text import format_table
 
     rows = []
     for fig in report.figures:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..harness.report import cdf_points
+from ..harness.stats import cdf_points
 from ..harness.sweep import FailureSpec, SweepTask, WorkloadSpec
 from ..sim.params import TopologyParams
 from ._shared import msg, scaled_topo, small_topo, synthetic, task, \

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.ascii_charts import hbar, render_port_series, sparkline
 from repro.harness.stats import Aggregate, compare, repeat
+from repro.report.text import hbar, render_port_series, sparkline
 
 
 class TestSparkline:

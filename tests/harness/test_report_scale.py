@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.report import cdf_points, format_table
 from repro.harness.scale import FULL, QUICK, SMOKE, current_scale
+from repro.harness.stats import cdf_points
+from repro.report.text import format_table
 
 
 class TestReport:

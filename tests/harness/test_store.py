@@ -13,13 +13,16 @@ payload shapes deterministically.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
 
 import pytest
 
+import repro.harness.store as store_mod
 from repro.harness.store import (
+    COMPACT_BLOCK_RECORDS,
     FILE_MAGIC_V3,
     ColumnarStore,
     decode_frame_v3,
@@ -349,6 +352,19 @@ class TestRecovery:
         assert store.keys() == []
         assert not store.verify()["ok"]
 
+    def test_segment_that_cannot_be_opened_fails_verify(
+            self, tmp_path, monkeypatch):
+        store = ColumnarStore(str(tmp_path))
+        store.put_many(rand_batch(59, 3))
+
+        def refuse(*_args, **_kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(store_mod, "open", refuse, raising=False)
+        report = store.verify()
+        assert not report["ok"]
+        assert report["errors"] == ["segment cannot be opened"]
+
 
 class TestMaintenance:
     def test_duplicate_records_latest_wins(self, tmp_path):
@@ -382,6 +398,55 @@ class TestMaintenance:
         reopened = ColumnarStore(str(tmp_path))
         assert reopened.keys() == keep
         assert reopened.verify()["ok"]
+
+    def test_failed_rewrite_keeps_the_segment_and_leaves_no_tmp(
+            self, tmp_path, monkeypatch):
+        """An encode that raises mid-compaction (as ENOSPC would) leaves
+        the old segment byte for byte, every key readable, and no
+        ``.tmp`` file behind."""
+        root = str(tmp_path)
+        batch = [(f"key{i:05d}", {"schema": SCHEMA_VERSION,
+                                  "metrics": {"v": i}})
+                 for i in range(COMPACT_BLOCK_RECORDS + 10)]
+        store = ColumnarStore(root)
+        store.put_many(batch[:300])
+        store.put_many(batch[300:])
+        seg = os.path.join(root, ColumnarStore.SEGMENT)
+        with open(seg, "rb") as fh:
+            before = fh.read()
+        real, calls = store_mod.encode_frame_v3, []
+
+        def second_block_fails(records, entries=None):
+            calls.append(len(records))
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(records, entries)
+
+        monkeypatch.setattr(store_mod, "encode_frame_v3",
+                            second_block_fails)
+        with pytest.raises(OSError, match="No space left"):
+            store.compact()
+        monkeypatch.undo()
+        assert calls == [COMPACT_BLOCK_RECORDS, 10]
+        assert os.listdir(root) == [ColumnarStore.SEGMENT]
+        with open(seg, "rb") as fh:
+            assert fh.read() == before
+        for reader in (store, ColumnarStore(root)):
+            for key, payload in batch:
+                assert canon(reader.get(key)) == canon(payload)
+
+    def test_rewrite_syncs_the_new_segment_before_replacing(
+            self, tmp_path, monkeypatch):
+        store = ColumnarStore(str(tmp_path))
+        store.put_many(rand_batch(53, 6))
+        order = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (
+            order.append("fsync"), real_fsync(fd))[1])
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            order.append("replace"), real_replace(src, dst))[1])
+        store.compact()
+        assert order == ["fsync", "replace"]
 
     def test_prune_stale_sim_and_schema(self, tmp_path):
         store = ColumnarStore(str(tmp_path))

@@ -12,7 +12,8 @@ around that:
 - the write path does not cache: a ``get`` after a ``put`` decodes;
 - every truncation of a decompressed section is a decode error, never
   a silently different payload;
-- the column-wide array codec keeps the value-by-value layout;
+- an array column is its values packed one by one, the oracle's
+  layout;
 - a frame's meta is decoded once, by the scan: a cold ``get`` and a
   merge's frame copy read none, and a frame rewritten under a reader
   is a miss;
@@ -195,9 +196,10 @@ class TestEncoderIsByteIdentical:
 
     def test_no_entries_and_store_path_agree(self, tmp_path):
         records, _entries = seeded_batch(5, 40)
-        frame, info = encode_frame_v3(records)
+        frame, fr = encode_frame_v3(records)
         back, entries = decode_frame_v3(frame)
-        assert entries == [None] * 40 and info["records"] == 40
+        assert entries == [None] * 40 and fr.n == 40
+        assert fr.info()["records"] == 40
         assert [ordered(p) for _, p in back] == \
             [ordered(p) for _, p in v3_oracle.decode_frame(frame)[0]]
 
@@ -404,8 +406,15 @@ class TestMalformedSections:
 
 
 # ----------------------------------------------------------------------
-# column-wide arrays
+# array columns: values packed one by one
 # ----------------------------------------------------------------------
+def _array_column(values, kinds) -> bytes:
+    buf = bytearray()
+    for elems, kind in zip(values, kinds):
+        store_mod._pack_array_v3(buf, elems, kind)
+    return bytes(buf)
+
+
 class TestColumnWideArrays:
     def _per_value(self, column, count):
         off, back = 0, []
@@ -418,8 +427,8 @@ class TestColumnWideArrays:
     def test_equal_size_byte_planes_keep_the_per_value_layout(self):
         rng = random.Random(8)
         values = [[rng.uniform(-5, 5) for _ in range(8)] for _ in range(40)]
-        column = bytes(store_mod._array_column(
-            values, [store_mod._ARR_SPLIT] * len(values)))
+        column = _array_column(values,
+                               [store_mod._ARR_SPLIT] * len(values))
         assert self._per_value(column, len(values)) == values
         assert [list(v) for v in store_mod._array_values(
             column, len(values))] == values
@@ -434,7 +443,7 @@ class TestColumnWideArrays:
         values.append([round(rng.uniform(0, 9), 2) for _ in range(8)])
         values.append(list(range(7)))
         kinds = [store_mod._array_kind(v) for v in values]
-        column = bytes(store_mod._array_column(values, kinds))
+        column = _array_column(values, kinds)
         assert self._per_value(column, len(values)) == values
         assert [list(v) for v in store_mod._array_values(
             column, len(values))] == values
@@ -552,8 +561,9 @@ def _campaign_block(n=512):
 
 #: Python-level calls (``call`` + ``c_call`` profile events) one cold
 #: ``get`` on ``_campaign_block()`` may make: ~10 % above the 26 264 of
-#: the column decoder reading the scan's frame directory (a meta decode
-#: per load made 51 266; the per-record walk before that, 100 065)
+#: the column decoder reading the scan's frame directory (26 878 since
+#: array columns decode value by value; a meta decode per load made
+#: 51 266; the per-record walk before that, 100 065)
 COLD_GET_CALL_BOUND = 29_000
 
 

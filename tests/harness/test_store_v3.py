@@ -1,17 +1,17 @@
-"""Store v3: codec properties, mmap, locking, merge, scheduling.
+"""Store v3: codec properties, reads, locking, merge, scheduling.
 
 The acceptance bar: the v3 segment format round-trips canonically
 byte-identical payloads (dictionary sentinels, ``-0.0``, scaled
-decimals and full-precision floats included), heals torn tails,
-remaps its mmap view across appends (with a buffered fallback where
-there is no :mod:`mmap`), holds an advisory lock on appends (with a
-lockless fallback where there is no :mod:`fcntl`), merges by frame
-copy exactly as the decode path would, and the wall-time-driven
+decimals and full-precision floats included), heals torn tails, reads
+frames appended after a scan, holds an advisory lock on appends (and
+appends lockless where the ``flock`` call itself fails), merges by
+frame copy exactly as the decode path would, and the wall-time-driven
 scheduler stays a pure, stable, fail-soft reordering.
 """
 
 from __future__ import annotations
 
+import errno
 import importlib.util
 import json
 import multiprocessing
@@ -43,13 +43,13 @@ from repro.harness.store import (
     _ARR_RAW,
     _hex_key_blob,
     _meta_keys,
-    _array_column,
     _array_kind,
     _array_values,
+    _pack_array_v3,
     _unzigzags,
-    _uvarints,
+    _uvarint,
     _varints,
-    _zigzags,
+    _zigzag,
     decode_frame_v3,
     encode_frame_v3,
 )
@@ -138,7 +138,10 @@ class TestV3Codec:
         ]
         kinds = [_array_kind(elems) for elems in cases]
         kinds = [_ARR_RAW if k is None else k for k in kinds]   # ([])
-        buf = bytes(_array_column(cases, kinds))
+        column = bytearray()
+        for elems, kind in zip(cases, kinds):
+            _pack_array_v3(column, elems, kind)
+        buf = bytes(column)
         # one column's worth: every value, and every byte, accounted for
         assert canon(_array_values(buf, len(cases))) == canon(cases)
         with pytest.raises(ValueError):
@@ -148,13 +151,16 @@ class TestV3Codec:
         rng = random.Random(29)
         values = [0, 1, 127, 128, 2**32, 2**63 - 1] + \
             [rng.randint(0, 2**62) for _ in range(200)]
-        assert _varints(bytes(_uvarints(values))) == values
+        buf = bytearray()
+        for v in values:
+            _uvarint(buf, v)
+        assert _varints(bytes(buf)) == values
         small = bytes(v & 0x7F for v in values)  # the one-byte fast path
         assert _varints(small) == list(small)
         with pytest.raises(ValueError):
             _varints(b"\x01\x80")               # unfinished last value
         signed = [0, 1, -1, 2**40, -(2**40), 2**70, -(2**70)]
-        assert _unzigzags(_zigzags(signed)) == signed
+        assert _unzigzags(map(_zigzag, signed)) == signed
 
     def test_hex_key_blob_roundtrip_and_rejection(self):
         keys = [f"{i:024x}" for i in range(32)]
@@ -180,32 +186,19 @@ class TestV3Codec:
 
 
 # ----------------------------------------------------------------------
-# mmap view lifecycle
+# the segment reader
 # ----------------------------------------------------------------------
-class TestMmapView:
-    def test_view_remaps_after_append(self, tmp_path):
-        store = ColumnarStore(str(tmp_path))
-        store.put_many(batch(8))
-        assert store.get(f"{0:024x}") is not None
-        first_len = store._view_len
-        store.put_many(batch(8, start=8))
-        assert store.get(f"{12:024x}") is not None
-        if store._view is not None:  # mmap platform
-            assert store._view_len > first_len > 0
-
-    def test_disabled_mmap_reads_same_bytes(self, tmp_path,
-                                            monkeypatch):
-        """A platform without :mod:`mmap` reads through buffered
-        preads: same bytes."""
+class TestSegmentReader:
+    def test_reader_sees_frames_appended_after_a_scan(self, tmp_path):
         root = str(tmp_path)
-        ColumnarStore(root).put_many(batch(10))
-        warm = {k: canon(ColumnarStore(root).get(k))
-                for k, _ in batch(10)}
-        monkeypatch.setattr(store_mod, "mmap", None)
-        cold = ColumnarStore(root)
-        assert cold._view is None or cold._view_len == 0
-        for key, payload in batch(10):
-            assert canon(cold.get(key)) == warm[key] == canon(payload)
+        reader = ColumnarStore(root)
+        reader.put_many(batch(8))
+        assert reader.get(f"{0:024x}") is not None     # scanned, cached
+        ColumnarStore(root).put_many(batch(8, start=8))  # another writer
+        reader.put_many(batch(4, start=16))   # and its own, after that
+        for key, payload in batch(20):
+            assert canon(reader.get(key)) == canon(payload)
+        assert reader.stats()["blocks"] == 3
 
 
 # ----------------------------------------------------------------------
@@ -252,15 +245,6 @@ class TestAppendLocking:
         assert store.verify()["ok"]
         for key in keys:
             assert store.get(key)["i"] == int(key, 16)
-
-    def test_lockless_fallback_still_appends(self, tmp_path,
-                                             monkeypatch):
-        """A platform without :mod:`fcntl` appends without the lock."""
-        monkeypatch.setattr(store_mod, "fcntl", None)
-        store = ColumnarStore(str(tmp_path))
-        store.put_many(batch(4))
-        assert not store._flock(0)
-        assert len(ColumnarStore(str(tmp_path))) == 4
 
 
 # ----------------------------------------------------------------------
@@ -475,7 +459,7 @@ class TestMergeCopy:
 
 
 # ----------------------------------------------------------------------
-# platform fallbacks: no mmap, no fcntl, neither — same store
+# a failing flock: appends go lockless — same store
 # ----------------------------------------------------------------------
 def _appends(root):
     store = ColumnarStore(root)
@@ -514,35 +498,33 @@ def _heal_torn_tail(root):
 
 
 FALLBACK_OPS = [_appends, _merge, _compact_prune, _heal_torn_tail]
-PLATFORMS = {"no-mmap": ("mmap",), "no-fcntl": ("fcntl",),
-             "neither": ("mmap", "fcntl")}
 
 
-class TestPlatformFallbacks:
-    """Every store operation, run where :mod:`mmap` and/or
-    :mod:`fcntl` are missing, leaves the store a normal platform
+class TestFailingFlock:
+    """Every store operation, run where the ``flock`` call itself fails
+    (a file system without locks), leaves the store a normal run
     leaves: same keys, same payloads, same manifest, same audit."""
 
     @pytest.mark.parametrize("op", FALLBACK_OPS,
                              ids=[op.__name__[1:] for op in FALLBACK_OPS])
-    @pytest.mark.parametrize("platform", sorted(PLATFORMS))
-    def test_same_store_as_a_full_platform(self, op, platform, tmp_path,
-                                           monkeypatch):
+    def test_same_store_as_a_normal_run(self, op, tmp_path, monkeypatch):
         ref = str(tmp_path / "ref")
         op(ref)
+        refused = []
+
+        def no_locks(fd, operation):
+            refused.append(fd)
+            raise OSError(errno.ENOLCK, "no locks available")
+
         with monkeypatch.context() as patch:
-            for module in PLATFORMS[platform]:
-                patch.setattr(store_mod, module, None)
-            fallback = op(str(tmp_path / "fallback"))
-            if "mmap" in PLATFORMS[platform]:
-                assert fallback._view is None
-            if "fcntl" in PLATFORMS[platform]:
-                assert not fallback._flock(0)
-            # read back through the fallback, then through a full platform
-            _assert_same_store(fallback.root, ref, written_at=False)
-        _assert_same_store(fallback.root, ref, written_at=False)
-        assert ColumnarStore(fallback.root).verify()["ok"]
-        assert [f["keys"] for f in _frames(fallback.root)] == \
+            patch.setattr(store_mod.fcntl, "flock", no_locks)
+            unlocked = op(str(tmp_path / "unlocked"))
+            assert refused and not unlocked._flock(0)
+            # read back while the lock still fails, then normally
+            _assert_same_store(unlocked.root, ref, written_at=False)
+        _assert_same_store(unlocked.root, ref, written_at=False)
+        assert ColumnarStore(unlocked.root).verify()["ok"]
+        assert [f["keys"] for f in _frames(unlocked.root)] == \
             [f["keys"] for f in _frames(ref)]
 
 

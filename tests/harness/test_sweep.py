@@ -370,7 +370,7 @@ class TestManifestAndPrune:
         assert store.get(survivor)["sim"] == simulator_version()
 
     def test_ci95_column_in_table(self):
-        from repro.harness.report import SWEEP_HEADERS
+        from repro.report.text import SWEEP_HEADERS
         results = run_sweep(tiny_grid(lbs=["reps"], seeds=(1, 2, 3)))
         agg = results.aggregate("max_fct_us")
         (group,) = agg

@@ -14,6 +14,7 @@ from repro.report import (
     render_reproduction,
     write_campaign_report,
 )
+from repro.report.provenance import store_throughput
 
 from helpers import stub_registry, stub_spec
 
@@ -42,6 +43,35 @@ class TestProvenance:
         # the test suite runs from a git checkout
         prov = collect_provenance()
         assert prov["git_sha"] != ""
+
+
+class TestStoreThroughput:
+    def test_equals_the_stores_own_fold(self, tmp_path):
+        """Timed and untimed entries (and a shadowed duplicate): the
+        report's numbers are :meth:`ColumnarStore.stats`'s."""
+        store = ColumnarStore(str(tmp_path))
+        payload = {"schema": 1, "metrics": {}}
+        store.put_many([("a", payload), ("b", payload)],
+                       stats={"a": {"wall_s": 0.5, "bytes": 100},
+                              "b": {"wall_s": 1.25, "bytes": 40}})
+        store.put_many([("c", payload), ("d", payload)])   # untimed
+        store.put("a", payload, stats={"wall_s": 0.75, "bytes": 120})
+        stats = store.stats()
+        thr = store_throughput(store)
+        assert (thr["tasks_timed"], thr["task_wall_s"],
+                thr["task_bytes"]) == (stats["tasks_timed"],
+                                       stats["task_wall_s"],
+                                       stats["task_bytes"]) == (2, 2.0, 160)
+        assert thr["tasks_per_s"] == 1.0
+
+    def test_no_store_and_a_failing_store_are_zeros(self):
+        class Broken:
+            def stats(self):
+                raise OSError("gone")
+        zeros = {"tasks_timed": 0, "task_wall_s": 0.0, "task_bytes": 0,
+                 "tasks_per_s": 0.0}
+        assert store_throughput(None) == store_throughput(Broken()) \
+            == zeros
 
 
 class TestRenderReproduction:

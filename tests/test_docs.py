@@ -5,9 +5,10 @@ A backticked ``path.py:symbol`` in ``docs/ARCHITECTURE.md`` or
 ``README.md`` names a module under ``src/repro/`` (relative to it, or
 by a suffix that is unique under it) and an attribute path in that
 module; both must exist.  Every ``REPRO_*`` environment variable the
-docs mention must still be read somewhere in ``src/``.  A PR that
-deletes a module, a symbol or a knob therefore fails here until its
-docs follow.
+docs mention must still be read somewhere in ``src/``, and every
+``python -m repro …`` line in their fenced code blocks must parse with
+the CLI's own parser.  A PR that deletes a module, a symbol, a knob, a
+subcommand or a flag therefore fails here until its docs follow.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import importlib
 import os
 import re
+import shlex
 
 import pytest
 
@@ -27,6 +29,9 @@ DOCS = ("docs/ARCHITECTURE.md", "README.md")
 #: bare ``file:symbol`` prose do not match)
 POINTER = re.compile(r"([\w./]+\.py):([A-Za-z_][\w.]*)")
 ENV_NAME = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*")
+#: a fenced code block's body
+FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+COMMAND = "python -m repro "
 
 
 def doc_text(doc: str) -> str:
@@ -99,3 +104,37 @@ def test_env_vars_exist_in_src(doc):
     names = sorted(set(ENV_NAME.findall(doc_text(doc))))
     missing = [n for n in names if n not in source_text()]
     assert not missing, f"{doc} mentions {missing}, which src/ never reads"
+
+
+def command_lines(doc: str):
+    """The argv of every ``python -m repro …`` line in ``doc``'s fenced
+    blocks: ``\\`` continuations joined, ``#`` comments stripped."""
+    out = []
+    for block in FENCE.findall(doc_text(doc)):
+        for line in block.replace("\\\n", " ").splitlines():
+            at = line.find(COMMAND)
+            if at >= 0:
+                out.append(shlex.split(line[at + len(COMMAND):],
+                                       comments=True))
+    return out
+
+
+COMMANDS = [(doc, argv) for doc in DOCS for argv in command_lines(doc)]
+
+
+def test_the_docs_carry_commands():
+    """The README still shows its command lines (a silent zero would
+    make the parse test vacuous)."""
+    assert len(command_lines("README.md")) >= 17
+
+
+@pytest.mark.parametrize("doc,argv", COMMANDS,
+                         ids=[f"{d.split('/')[-1]}:{' '.join(a)}"
+                              for d, a in COMMANDS])
+def test_command_line_parses(doc, argv, capsys):
+    from repro.cli import _build_parser
+    try:
+        _build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"{doc}: `python -m repro {' '.join(argv)}` does "
+                    f"not parse: {capsys.readouterr().err.strip()}")

@@ -45,6 +45,15 @@ NO_SIMULATION = ("repro.sim.network", "repro.harness.runner",
                  "repro.models", "multiprocessing")
 
 
+#: the describe layer (``docs/ARCHITECTURE.md``): what importing the
+#: figure catalogue may load of the package besides ``repro.scenarios``
+DESCRIBE = {
+    "repro", "repro.core", "repro.core.footprint", "repro.core.reps",
+    "repro.harness", "repro.harness.scale", "repro.harness.stats",
+    "repro.harness.sweep", "repro.sim", "repro.sim.params",
+    "repro.workloads", "repro.workloads.traces"}
+
+
 def loaded_by(*argv, cwd=None):
     """(exit code, set of module names) after ``repro <argv>``."""
     code, *modules = fresh_interpreter(PROBE, *argv, cwd=cwd).split("\n")
@@ -65,6 +74,18 @@ def test_help_loads_only_the_parser(argv):
                and m != "repro" and not m.startswith("repro.cli")]
     assert package == []
     assert under(modules, PARSER_ONLY) == []
+
+
+def test_the_figure_catalogue_loads_only_the_describe_layer():
+    """``scenarios/`` imports describe modules and the stdlib alone: no
+    ``report/`` (a figure table's CDF comes from
+    ``harness/stats.py:cdf_points``) and no simulator past
+    ``sim/params.py``."""
+    modules = fresh_interpreter(
+        "import sys, repro.scenarios; print(*sorted(sys.modules))").split()
+    package = {m for m in modules if m.split(".")[0] == "repro"
+               and not m.startswith("repro.scenarios")}
+    assert package == DESCRIBE
 
 
 @pytest.mark.parametrize("argv", [
