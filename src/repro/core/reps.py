@@ -164,19 +164,8 @@ class RepsSender:
             head += 1
             self._head = head if head < self._n else 0
             self._ever_cached = True
-        # _maybe_exit_freezing, inlined off the per-ACK path
-        if self._freezing and not self._force_frozen and \
-                now > self._exit_freezing_at:
-            self._freezing = False
-            self._explore_counter = max(1, self._cwnd_pkts())
-
-    def _maybe_exit_freezing(self, now: int) -> None:
-        """Time-based exit (Sec. 3.2: "exit freezing mode after a fixed
-        amount of time").  Checked on the ACK path (Algorithm 1) *and*
-        the send path: if every cached EV maps to the dead path, no ACK
-        will ever arrive to run the Algorithm-1 check, and only the
-        send-path check lets the post-freezing random probes discover a
-        healthy path again (the paper's stuck-buffer escape hatch)."""
+        # Sec. 3.2 time-based freezing exit (also checked on the send
+        # path in next_entropy)
         if self._freezing and not self._force_frozen and \
                 now > self._exit_freezing_at:
             self._freezing = False
@@ -225,13 +214,14 @@ class RepsSender:
         self.stats_frozen_reuse += 1
         return self._evs[offset]
 
-    def _random_ev(self) -> int:
-        self.stats_explored += 1
-        return self._randrange(self._evs_size)
-
     def next_entropy(self, now: int) -> int:
         """Choose the EV for the next data packet (Algorithm 2, onSend)."""
-        # _maybe_exit_freezing, inlined off the per-packet path
+        # Time-based freezing exit (Sec. 3.2: "exit freezing mode after a
+        # fixed amount of time"), checked here as well as on the ACK path
+        # (Algorithm 1): if every cached EV maps to the dead path, no ACK
+        # ever arrives to run the Algorithm-1 check, and only this send-
+        # path check lets the post-freezing random probes find a healthy
+        # path again (the paper's stuck-buffer escape hatch).
         if self._freezing and not self._force_frozen and \
                 now > self._exit_freezing_at:
             self._freezing = False

@@ -33,6 +33,8 @@ Invariants:
   reports a congestion loss (no freezing); only an RTO expiry reports
   a possible failure to the LB — the Appendix-A distinction that keeps
   REPS from freezing on mere queue overflow.
+- **Delivery state.**  Each end keeps one byte per packet (a ``bytearray``
+  indexed by seq) plus a count of delivered packets — no per-seq objects.
 - **Determinism.**  All transport state advances only on engine events;
   retransmission order, coalescing boundaries and EV echoes are pure
   functions of the (seeded) run, never of host timing.
@@ -104,7 +106,8 @@ class FlowSender:
         self._inflight_bytes = 0
         self._retx_q: deque = deque()
         self._retx_counts: Dict[int, int] = {}
-        self._acked: set = set()
+        self._acked_map = bytearray(self.n_pkts)
+        self._n_acked = 0
         self._timer = Timer(engine, self._on_timer)
         self.stats = FlowStats()
         self.start_time: Optional[int] = None
@@ -123,13 +126,6 @@ class FlowSender:
     @property
     def done(self) -> bool:
         return self.complete_time is not None
-
-    @property
-    def inflight_bytes(self) -> int:
-        return self._inflight_bytes
-
-    def _pkt_size(self, seq: int) -> int:
-        return self._last_pkt_size if seq == self.n_pkts - 1 else self.mtu
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -161,7 +157,7 @@ class FlowSender:
             self._rearm_timer()
             return
         now = self.engine.now
-        acked = self._acked
+        acked = self._acked_map
         outstanding = self._outstanding
         stats = self.stats
         next_entropy = self.lb.next_entropy
@@ -171,7 +167,7 @@ class FlowSender:
         while inflight < cwnd:
             if retx_q:
                 seq = retx_q.popleft()
-                if seq in acked:
+                if acked[seq]:
                     continue
                 retx = self._retx_counts.get(seq, 0)
             elif self._next_new_seq < n_pkts:
@@ -229,22 +225,23 @@ class FlowSender:
         else:
             self.lb.on_ack(ack.ev, ack.ecn, now)
         acked_bytes = 0
-        acked = self._acked
+        acked = self._acked_map
         outstanding = self._outstanding
         last_seq = self.n_pkts - 1
         mtu = self.mtu
         for seq in (ack.acked_seqs if ack.acked_seqs is not None
                     else (ack.seq,)):
-            if seq in acked:
+            if acked[seq]:
                 continue
-            acked.add(seq)
+            acked[seq] = 1
+            self._n_acked += 1
             entry = outstanding.pop(seq, None)
             if entry is not None:
                 self._inflight_bytes -= entry[1]
             acked_bytes += self._last_pkt_size if seq == last_seq else mtu
         if acked_bytes:
             self.cc.on_ack(acked_bytes, ack.ecn, now)
-        if len(self._acked) == self.n_pkts:
+        if self._n_acked == self.n_pkts:
             self._complete(now)
         else:
             self._try_send()
@@ -266,7 +263,7 @@ class FlowSender:
 
     # ------------------------------------------------------------------
     def _queue_retx(self, seq: int, front: bool = False) -> None:
-        if seq in self._acked:
+        if self._acked_map[seq]:
             return
         self._retx_counts[seq] = self._retx_counts.get(seq, 0) + 1
         if front:
@@ -396,7 +393,8 @@ class FlowReceiver:
         self.coalesce = coalesce
         self.carry_evs = carry_evs
         self.ack_delay_ps = ack_delay_ps
-        self.received: set = set()
+        self.received_map = bytearray(n_pkts)
+        self.n_received = 0
         self.bytes_received = 0
         self.first_arrival: Optional[int] = None
         self.last_arrival: Optional[int] = None
@@ -413,8 +411,9 @@ class FlowReceiver:
         if self.first_arrival is None:
             self.first_arrival = now
         self.last_arrival = now
-        if pkt.seq not in self.received:
-            self.received.add(pkt.seq)
+        if not self.received_map[pkt.seq]:
+            self.received_map[pkt.seq] = 1
+            self.n_received += 1
             self.bytes_received += pkt.size
         if self.coalesce == 1:
             # every packet is its own ACK: nothing pends, no timer runs
@@ -422,7 +421,7 @@ class FlowReceiver:
             return
         self._pending.append(pkt)
         if (len(self._pending) >= self.coalesce
-                or len(self.received) == self.n_pkts):
+                or self.n_received == self.n_pkts):
             self._flush()
         elif self._flush_timer.deadline is None:
             # never hold ACKs hostage to the coalescing ratio: a short
@@ -443,4 +442,4 @@ class FlowReceiver:
 
     @property
     def complete(self) -> bool:
-        return len(self.received) == self.n_pkts
+        return self.n_received == self.n_pkts

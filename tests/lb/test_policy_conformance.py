@@ -96,7 +96,7 @@ class TestConservation:
                 # the losing copy is cancelled mid-flight; only the
                 # winning copy's receiver must have the full message
                 continue
-            assert len(rec.receiver.received) == rec.sender.n_pkts, \
+            assert rec.receiver.n_received == rec.sender.n_pkts, \
                 f"{lb}: flow {flow_id} delivered incompletely"
             assert rec.receiver.bytes_received == rec.sender.size_bytes
             # dedup counter never fired: each packet arrived once

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.engine import Engine
 from repro.sim.network import Network, NetworkConfig
+from repro.sim.packet import Packet, make_ack, make_nack
 from repro.sim.topology import TopologyParams
+from repro.sim.transport import FlowReceiver, FlowSender
 
 from helpers import small_network
 
@@ -121,7 +128,7 @@ class TestRetransmission:
         m = net.run()
         s = net.sender_of(fid)
         assert m.flows_completed == 1
-        assert len(s._acked) == s.n_pkts  # noqa: SLF001
+        assert s._n_acked == s.n_pkts  # noqa: SLF001
 
     def test_ber_lossy_path_still_completes(self):
         net = small_network(n_hosts=16, hosts_per_t0=8, lb="reps", seed=3)
@@ -242,3 +249,285 @@ class TestHostWiring:
         net.run()
         assert net.sender_of(fid).done
         assert seen.count(4) == 8 and seen.count(0) == 8   # data, ACKs
+
+
+class TestDeliveryMapFootprint:
+    def test_delivery_maps_cost_one_byte_per_packet(self, net):
+        """Delivery state is one byte per packet at each end, not a set
+        entry (a 4 096-seq set alone is ~130 KB)."""
+        fid = one_flow(net, size=16 << 20)
+        net.run()
+        rec = net.flows[fid]
+        n_pkts = rec.sender.n_pkts
+        assert n_pkts == 4096 and rec.receiver.complete
+        maps = (sys.getsizeof(rec.sender._acked_map)  # noqa: SLF001
+                + sys.getsizeof(rec.receiver.received_map))
+        assert maps <= 2 * n_pkts + 256, maps
+
+
+# ----------------------------------------------------------------------
+# Differential check of the delivery bookkeeping: the transport against
+# a set-based reference model, on hypothesis-generated schedules.
+# ----------------------------------------------------------------------
+_US = 1_000_000
+_MTU = 4096
+_RTO_PS = 70 * _US
+
+
+class _SetSender(FlowSender):
+    """Reference model: the sender's delivery decisions kept in a
+    ``set`` of acknowledged seqs and tested with ``len(set)``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.ref_acked: set = set()
+
+    def _try_send(self) -> None:
+        if self.complete_time is not None or self.cancelled:
+            return
+        now = self.engine.now
+        burst = []
+        while self._inflight_bytes < self.cc.cwnd:
+            if self._retx_q:
+                seq = self._retx_q.popleft()
+                if seq in self.ref_acked:
+                    continue
+                retx = self._retx_counts.get(seq, 0)
+            elif self._next_new_seq < self.n_pkts:
+                seq, retx = self._next_new_seq, 0
+                self._next_new_seq += 1
+            else:
+                break
+            size = self._last_pkt_size if seq == self.n_pkts - 1 else self.mtu
+            ev = self.lb.next_entropy(now)
+            self._outstanding[seq] = (now, size, ev, retx)
+            self._inflight_bytes += size
+            self.stats.pkts_sent += 1
+            self.stats.retransmissions += bool(retx)
+            burst.append(Packet(self.src, self.dst, self.flow_id, seq, size,
+                                ev, send_time=now, retx=retx))
+        if burst:
+            self.host.port.enqueue_burst(burst)
+        self._rearm_timer()
+
+    def on_ack(self, ack: Packet) -> None:
+        if self.complete_time is not None or self.cancelled:
+            return
+        now = self.engine.now
+        self.stats.acks_received += 1
+        self.stats.ecn_acks += ack.ecn
+        echoes = ack.ev_echoes if ack.ev_echoes is not None \
+            else [(ack.ev, ack.ecn)]
+        for ev, ecn in echoes:
+            self.lb.on_ack(ev, ecn, now)
+        acked_bytes = 0
+        seqs = ack.acked_seqs if ack.acked_seqs is not None else [ack.seq]
+        for seq in seqs:
+            if seq in self.ref_acked:
+                continue
+            self.ref_acked.add(seq)
+            entry = self._outstanding.pop(seq, None)
+            if entry is not None:
+                self._inflight_bytes -= entry[1]
+            acked_bytes += (self._last_pkt_size if seq == self.n_pkts - 1
+                            else self.mtu)
+        if acked_bytes:
+            self.cc.on_ack(acked_bytes, ack.ecn, now)
+        if len(self.ref_acked) == self.n_pkts:
+            self._complete(now)
+        else:
+            self._try_send()
+
+    def _queue_retx(self, seq: int, front: bool = False) -> None:
+        if seq in self.ref_acked:
+            return
+        self._retx_counts[seq] = self._retx_counts.get(seq, 0) + 1
+        if front:
+            self._retx_q.appendleft(seq)
+        else:
+            self._retx_q.append(seq)
+
+
+class _SetReceiver(FlowReceiver):
+    """Reference model: the receiver's dedup and final-packet flush kept
+    in a ``set`` of received seqs and tested with ``len(set)``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.ref_received: set = set()
+
+    def on_data(self, pkt: Packet) -> None:
+        if pkt.trimmed:
+            self.host.port.enqueue(make_nack(pkt))
+            return
+        now = self.engine.now
+        if self.first_arrival is None:
+            self.first_arrival = now
+        self.last_arrival = now
+        if pkt.seq not in self.ref_received:
+            self.ref_received.add(pkt.seq)
+            self.bytes_received += pkt.size
+        if self.coalesce == 1:
+            self.host.port.enqueue(make_ack(pkt))
+            return
+        self._pending.append(pkt)
+        if (len(self._pending) >= self.coalesce
+                or len(self.ref_received) == self.n_pkts):
+            self._flush()
+        elif self._flush_timer.deadline is None:
+            self._flush_timer.arm_after(self.ack_delay_ps)
+
+    @property
+    def complete(self) -> bool:
+        return len(self.ref_received) == self.n_pkts
+
+
+class _Wire:
+    """A host port that applies the schedule's fate to the k-th packet
+    it is handed: lose it, deliver it once or twice, or trim it."""
+
+    def __init__(self, engine, fates, log, tag) -> None:
+        self.engine, self.fates, self.log, self.tag = engine, fates, log, tag
+        self.sent = 0
+        self.deliver = None
+
+    def enqueue(self, pkt: Packet) -> None:
+        k, self.sent = self.sent, self.sent + 1
+        kind, first, second, ecn = (self.fates[k] if k < len(self.fates)
+                                    else ("one", 1, 1, False))
+        if not pkt.is_control:
+            pkt.ecn = ecn
+        self.log.append((self.tag, self.engine.now, pkt.seq, pkt.ev,
+                         pkt.ecn, pkt.is_nack, pkt.retx,
+                         None if pkt.acked_seqs is None
+                         else tuple(pkt.acked_seqs),
+                         None if pkt.ev_echoes is None
+                         else tuple(pkt.ev_echoes)))
+        now = self.engine.now
+        if kind == "trim" and not pkt.is_control:
+            copy = Packet(pkt.src, pkt.dst, pkt.flow_id, pkt.seq, pkt.size,
+                          pkt.ev, send_time=pkt.send_time, retx=pkt.retx)
+            copy.trim()
+            self.engine.at(now + first * 10 * _US, self.deliver, copy)
+        elif kind != "lost":
+            self.engine.at(now + first * 10 * _US, self.deliver, pkt)
+            if kind == "dup":
+                self.engine.at(now + second * 10 * _US, self.deliver, pkt)
+
+    def enqueue_burst(self, pkts) -> None:
+        for pkt in pkts:
+            self.enqueue(pkt)
+
+
+class _Host:
+    def __init__(self, host_id: int, port: _Wire) -> None:
+        self.host_id, self.port = host_id, port
+
+
+class _RecordingCC:
+    """Grows one MTU per ACK up to ``max_cwnd`` and collapses to one MTU
+    on a timeout, so expired packets queue up behind a closed window."""
+
+    def __init__(self, max_cwnd: int, log: list) -> None:
+        self.cwnd = self.max_cwnd = max_cwnd
+        self.log = log
+
+    def on_ack(self, acked_bytes, ecn, now) -> None:
+        self.log.append(("cc.ack", acked_bytes, ecn, now))
+        self.cwnd = min(self.max_cwnd, self.cwnd + _MTU)
+
+    def on_nack(self, now) -> None:
+        self.log.append(("cc.nack", now))
+
+    def on_timeout(self, now) -> None:
+        self.log.append(("cc.timeout", now))
+        self.cwnd = _MTU
+
+
+class _RecordingLB:
+    def __init__(self, log: list) -> None:
+        self.log, self.evs = log, 0
+
+    def next_entropy(self, now) -> int:
+        self.evs += 1
+        return self.evs
+
+    def on_ack(self, ev, ecn, now) -> None:
+        self.log.append(("lb.ack", ev, ecn, now))
+
+    def on_nack(self, ev, now) -> None:
+        self.log.append(("lb.nack", ev, now))
+
+    def on_timeout(self, ev, now) -> None:
+        self.log.append(("lb.timeout", ev, now))
+
+
+def _replay(schedule, sender_cls, receiver_cls):
+    """Run one flow over the scheduled wire; return everything the two
+    ends emitted or called, in order, plus their end state."""
+    engine, log = Engine(), []
+    data_wire = _Wire(engine, schedule["data"], log, "data")
+    ack_wire = _Wire(engine, schedule["acks"], log, "ack")
+    n_pkts = schedule["n_pkts"]
+    sender = sender_cls(
+        engine, _Host(0, data_wire), flow_id=7, dst=1,
+        size_bytes=(n_pkts - 1) * _MTU + schedule["tail"], mtu=_MTU,
+        lb=_RecordingLB(log),
+        cc=_RecordingCC(schedule["window"] * _MTU, log), rto_ps=_RTO_PS,
+        on_complete=lambda s: log.append(("done", s.engine.now)))
+    receiver = receiver_cls(
+        engine, _Host(1, ack_wire), flow_id=7, src=0, n_pkts=n_pkts,
+        coalesce=schedule["coalesce"], carry_evs=schedule["carry_evs"])
+    data_wire.deliver = receiver.on_data
+    ack_wire.deliver = (lambda pkt: sender.on_nack(pkt) if pkt.is_nack
+                        else sender.on_ack(pkt))
+    sender.start()
+    engine.run(until_ps=100_000 * _US)
+    stats = sender.stats
+    return log, {
+        "complete_time": sender.complete_time,
+        "bytes_received": receiver.bytes_received,
+        "receiver_complete": receiver.complete,
+        "arrivals": (receiver.first_arrival, receiver.last_arrival),
+        "stats": (stats.pkts_sent, stats.retransmissions, stats.timeouts,
+                  stats.nacks, stats.acks_received, stats.ecn_acks),
+    }
+
+
+_fates = st.lists(st.tuples(
+    st.sampled_from(["lost", "one", "one", "dup", "trim"]),
+    st.integers(1, 12), st.integers(1, 12), st.booleans()), max_size=40)
+
+
+@st.composite
+def _schedules(draw):
+    n_pkts = draw(st.integers(1, 12))
+    return {
+        "n_pkts": n_pkts,
+        "tail": draw(st.integers(1, _MTU)),
+        "window": draw(st.integers(1, n_pkts)),
+        "coalesce": draw(st.sampled_from([1, 4])),
+        "carry_evs": draw(st.booleans()),
+        "data": draw(_fates),
+        "acks": draw(_fates),
+    }
+
+
+class TestDeliveryBookkeepingEquivalence:
+    """Reordering (per-packet delays on a 10 us grid, so same-instant
+    ties too), duplicated data and ACKs, trims answered by NACKs, lost
+    data and ACKs recovered by RTO retransmits (delays past the 70 us
+    RTO make some of those spurious): the transport and the set-based
+    reference emit the same ACK stream, make the same CC / LB calls
+    and finish at the same instant with the same bytes."""
+
+    @given(schedule=_schedules())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_based_reference(self, schedule):
+        log, end = _replay(schedule, FlowSender, FlowReceiver)
+        ref_log, ref_end = _replay(schedule, _SetSender, _SetReceiver)
+        assert log == ref_log
+        assert end == ref_end
+        size = (schedule["n_pkts"] - 1) * _MTU + schedule["tail"]
+        assert end["complete_time"] is not None
+        assert end["bytes_received"] == size and end["receiver_complete"]
