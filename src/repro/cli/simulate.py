@@ -6,50 +6,49 @@ import argparse
 import os
 
 from ..report.text import format_sweep_table, format_table
+from ..harness.runner import simulate
 from ..harness.store import ColumnarStore
-from ..harness.sweep import SweepGrid, WorkloadSpec, run_sweep
-from ..sim.network import Network, NetworkConfig
-from ..sim.topology import TopologyParams
-from ..workloads.synthetic import incast, permutation, tornado
+from ..harness.sweep import (
+    FailureSpec,
+    SweepGrid,
+    SweepTask,
+    WorkloadSpec,
+    make_task,
+    run_sweep,
+)
+from ..sim.params import TopologyParams
 
 
-def _simulate(args: argparse.Namespace, lb: str):
+def _task(args: argparse.Namespace, lb: str) -> SweepTask:
+    """The ``run`` / ``compare`` flags as one task: the permutation is
+    drawn from ``--seed`` too."""
     topo = TopologyParams(
         n_hosts=args.hosts, hosts_per_t0=args.hosts_per_t0,
         tiers=args.tiers, oversubscription=args.oversubscription,
         trim_enabled=args.trimming,
     )
-    net = Network(NetworkConfig(
-        topo=topo, lb=lb, cc=args.cc, evs_size=args.evs,
-        ack_coalesce=args.ack_coalesce, seed=args.seed,
-    ))
+    workload = WorkloadSpec(
+        kind="synthetic", pattern=args.pattern,
+        msg_bytes=int(args.mib * 1024 * 1024), fan_in=args.fan_in,
+        workload_seed=args.seed)
+    failures = []
     if args.fail_uplink is not None:
-        cables = net.tree.t0_uplink_cables()
-        net.failures.fail_cable(
-            cables[args.fail_uplink % len(cables)],
-            at_ps=int(args.fail_at * 1e6),
-            duration_ps=(int(args.fail_for * 1e6)
-                         if args.fail_for is not None else None))
+        failures.append(FailureSpec.make(
+            "fail_cables", indices=[args.fail_uplink], at_us=args.fail_at,
+            duration_us=args.fail_for))
     if args.degrade_uplink is not None:
-        cables = net.tree.t0_uplink_cables()
-        net.failures.degrade_cable(
-            cables[args.degrade_uplink % len(cables)], args.degrade_gbps)
-    size = int(args.mib * 1024 * 1024)
-    if args.pattern == "tornado":
-        pairs = tornado(args.hosts)
-    elif args.pattern == "incast":
-        pairs = incast(args.hosts, args.fan_in)
-    else:
-        pairs = permutation(args.hosts, seed=args.seed,
-                            cross_tor_only=args.hosts > args.hosts_per_t0,
-                            hosts_per_t0=args.hosts_per_t0)
-    for src, dst in pairs:
-        net.add_flow(src, dst, size)
-    return net.run(max_us=args.max_us)
+        failures.append(FailureSpec.make(
+            "degrade_cables", indices=[args.degrade_uplink],
+            gbps=args.degrade_gbps))
+    return make_task(
+        lb, topo, workload, seed=args.seed,
+        failure=FailureSpec.compose(*failures) if failures else None,
+        cc=args.cc, evs_size=args.evs, ack_coalesce=args.ack_coalesce,
+        max_us=args.max_us)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    metrics = _simulate(args, args.lb)
+    metrics = simulate(_task(args, args.lb)).metrics
     print(f"{args.lb}: {metrics.summary()}")
     return 0 if metrics.flows_completed == metrics.flows_total else 1
 
@@ -59,7 +58,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     ok = True
     for lb in lbs:
-        m = _simulate(args, lb)
+        m = simulate(_task(args, lb)).metrics
         rows.append((lb, round(m.max_fct_us, 1), round(m.avg_fct_us, 1),
                      m.total_drops, m.ecn_marks,
                      f"{m.flows_completed}/{m.flows_total}"))

@@ -3,8 +3,7 @@
 from .. import _lazy_exports
 
 __all__ = [
-    "Scenario", "ScenarioResult", "run_synthetic", "run_trace",
-    "run_collective", "run_mixed_traffic", "run_lb_matrix",
+    "simulate", "ScenarioResult",
     "fail_cables_hook", "fail_cable_schedule_hook",
     "fail_tor_uplinks_hook", "fail_fraction_hook",
     "degrade_cables_hook", "degrade_fraction_hook", "ber_hook",
@@ -26,12 +25,11 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
                       "render_port_series", "sparkline"),
     ".stats": ("Aggregate", "cdf_points", "compare", "repeat"),
     ".model_tasks": ("MODEL_RUNNERS", "run_model"),
-    ".runner": ("RESULT_PROBES", "Scenario", "ScenarioResult", "ber_hook",
+    ".runner": ("RESULT_PROBES", "ScenarioResult", "ber_hook",
                 "degrade_cables_hook", "degrade_fraction_hook",
                 "fail_cable_schedule_hook", "fail_cables_hook",
                 "fail_fraction_hook", "fail_tor_uplinks_hook",
-                "force_freeze_hook", "run_collective", "run_lb_matrix",
-                "run_mixed_traffic", "run_synthetic", "run_trace"),
+                "force_freeze_hook", "simulate"),
     ".scale": ("FULL", "QUICK", "SMOKE", "Scale", "current_scale"),
     ".backends": ("BACKENDS", "Backend", "resolve_backend"),
     ".store": ("ColumnarStore",),

@@ -1,14 +1,20 @@
-"""Experiment runner: one call per paper scenario.
+"""Experiment runner: one :class:`~repro.harness.sweep.SweepTask` in,
+one finished simulation out.
 
-Wraps :class:`~repro.sim.network.Network` construction, workload
-installation, failure injection and metric collection so each benchmark
-file stays a thin description of its figure.
+:func:`simulate` is the only place a task becomes a
+:class:`~repro.sim.network.Network`: it builds the config from the
+task's LB, topology, seed and scenario keys, applies the failure
+schedule, attaches the telemetry the task's probes read, installs the
+workload by kind and runs.  The sweep executor and ``repro run`` /
+``compare`` both call it.  The ``*_hook`` factories below turn a
+:class:`~repro.harness.sweep.FailureSpec` into network events, and
+:data:`RESULT_PROBES` extract telemetry from a finished run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..core.reps import RepsConfig
 from ..sim.metrics import RunMetrics, SeriesRecorder
@@ -24,41 +30,14 @@ from ..workloads.collectives import (
 from ..workloads.synthetic import incast, permutation, tornado
 from ..workloads.traces import generate_trace_flows
 
+if TYPE_CHECKING:
+    from ..workloads.collectives import Collective
+    from .sweep import SweepTask, WorkloadSpec
+
 FailureHook = Callable[[Network], None]
 
-
-@dataclass
-class Scenario:
-    """One simulation run, fully specified."""
-
-    lb: str
-    topo: TopologyParams = field(default_factory=TopologyParams)
-    cc: str = "dctcp"
-    evs_size: int = 65536
-    ack_coalesce: int = 1
-    carry_evs: bool = False
-    reps: Optional[RepsConfig] = None
-    rto_us: float = 70.0
-    seed: int = 1
-    max_us: float = 50_000.0
-    failures: Optional[FailureHook] = None
-    telemetry_bucket_us: Optional[float] = None
-    #: attach the :class:`LbCounterSampler` (EV-source counter series)?
-    #: ``None`` follows ``telemetry_bucket_us``; the sweep layer sets
-    #: this explicitly so only tasks requesting ``ev_recycle_series``
-    #: pay the per-window sampling (and its engine events)
-    sample_lb_series: Optional[bool] = None
-
-    def network(self) -> Network:
-        cfg = NetworkConfig(
-            topo=self.topo, lb=self.lb, cc=self.cc, evs_size=self.evs_size,
-            ack_coalesce=self.ack_coalesce, carry_evs=self.carry_evs,
-            reps=self.reps, rto_us=self.rto_us, seed=self.seed,
-        )
-        net = Network(cfg)
-        if self.failures is not None:
-            self.failures(net)
-        return net
+#: simulated time budget of a task whose scenario sets no ``max_us``
+DEFAULT_MAX_US = 50_000.0
 
 
 class LbCounterSampler:
@@ -109,146 +88,97 @@ class ScenarioResult:
     recorder: Optional[SeriesRecorder] = None
     network: Optional[Network] = None
     lb_sampler: Optional[LbCounterSampler] = None
-
-    @property
-    def max_fct_us(self) -> float:
-        return self.metrics.max_fct_us
-
-    @property
-    def avg_fct_us(self) -> float:
-        return self.metrics.avg_fct_us
+    collective: Optional[Collective] = None
 
 
-def _maybe_record(net: Network, scenario: Scenario):
-    if scenario.telemetry_bucket_us is None:
-        return None
-    ports = net.tree.t0s[0].up_ports
-    return net.record_ports(ports, bucket_us=scenario.telemetry_bucket_us)
+def _pairs(workload: WorkloadSpec, topo: TopologyParams):
+    """The (src, dst) pairs of a synthetic or mixed workload.  A
+    permutation crosses ToRs whenever there are two ToRs to cross."""
+    n = topo.n_hosts
+    if workload.pattern == "incast":
+        return incast(n, workload.fan_in, receiver=0)
+    if workload.pattern == "permutation":
+        return permutation(n, seed=workload.workload_seed,
+                           cross_tor_only=n // topo.hosts_per_t0 >= 2,
+                           hosts_per_t0=topo.hosts_per_t0)
+    if workload.pattern == "tornado":
+        return tornado(n)
+    raise ValueError(f"unknown pattern {workload.pattern!r}")
 
 
-def _maybe_sample_lb(net: Network,
-                     scenario: Scenario) -> Optional[LbCounterSampler]:
-    if scenario.telemetry_bucket_us is None or \
-            scenario.sample_lb_series is False:
-        return None
-    sampler = LbCounterSampler(
-        net, us_to_ps(scenario.telemetry_bucket_us))
-    sampler.start()
-    # registered like a SeriesRecorder so Network.run() stops it
-    net.recorders.append(sampler)
-    return sampler
+def _collective(net: Network, workload: WorkloadSpec,
+                topo: TopologyParams) -> Collective:
+    """An AI collective: ring/butterfly AllReduce or AllToAll(n)."""
+    if workload.pattern == "ring_allreduce":
+        return RingAllReduce(
+            net, workload.msg_bytes,
+            order=spine_heavy_ring(topo.n_hosts, topo.hosts_per_t0))
+    if workload.pattern == "butterfly_allreduce":
+        return ButterflyAllReduce(net, workload.msg_bytes)
+    if workload.pattern == "alltoall":
+        return AllToAll(net, workload.msg_bytes,
+                        n_parallel=workload.n_parallel)
+    raise ValueError(f"unknown collective {workload.pattern!r}")
 
 
-def run_synthetic(
-    scenario: Scenario,
-    pattern: str,
-    msg_bytes: int,
-    *,
-    fan_in: int = 8,
-    workload_seed: int = 2,
-) -> ScenarioResult:
-    """Run one of the Sec. 4.2 synthetic patterns."""
-    net = scenario.network()
-    n = scenario.topo.n_hosts
-    if pattern == "incast":
-        pairs = incast(n, fan_in, receiver=0)
-    elif pattern == "permutation":
-        pairs = permutation(n, seed=workload_seed, cross_tor_only=True,
-                            hosts_per_t0=scenario.topo.hosts_per_t0)
-    elif pattern == "tornado":
-        pairs = tornado(n)
+def simulate(task: SweepTask) -> ScenarioResult:
+    """Build ``task``'s network, install its workload and run it.
+
+    Telemetry costs engine events, so it is attached only on request:
+    the port recorder when the scenario sets ``telemetry_bucket_us``,
+    the :class:`LbCounterSampler` only when the task also probes
+    ``ev_recycle_series``.  A ``mixed`` task tags its flows ``"main"``
+    (the task's LB) and ``"bg"`` (``background_lb``), so
+    ``network.metrics(tag=...)`` splits the run.
+    """
+    kw = dict(task.scenario)
+    max_us = kw.pop("max_us", DEFAULT_MAX_US)
+    bucket_us = kw.pop("telemetry_bucket_us", None)
+    if isinstance(kw.get("reps"), tuple):
+        kw["reps"] = RepsConfig(**dict(kw["reps"]))
+    topo = TopologyParams(**dict(task.topo))
+    net = Network(NetworkConfig(topo=topo, lb=task.lb, seed=task.seed,
+                                **kw))
+    if task.failure is not None:
+        task.failure.hook()(net)
+    recorder = sampler = collective = None
+    if bucket_us is not None:
+        recorder = net.record_ports(net.tree.t0s[0].up_ports,
+                                    bucket_us=bucket_us)
+        if "ev_recycle_series" in task.probes:
+            sampler = LbCounterSampler(net, us_to_ps(bucket_us))
+            sampler.start()
+            # registered like a SeriesRecorder so Network.run() stops it
+            net.recorders.append(sampler)
+    w = task.workload
+    if w.kind == "synthetic":
+        for src, dst in _pairs(w, topo):
+            net.add_flow(src, dst, w.msg_bytes)
+    elif w.kind == "trace":
+        for f in generate_trace_flows(
+                n_hosts=topo.n_hosts, load=w.load,
+                duration_us=w.duration_us,
+                host_gbps=topo.host_link_gbps or topo.link_gbps,
+                trace=w.pattern, seed=w.workload_seed):
+            net.add_flow(f.src, f.dst, f.size_bytes, start_us=f.start_us)
+    elif w.kind == "collective":
+        collective = _collective(net, w, topo)
+        collective.install()
+    elif w.kind == "mixed":
+        if w.pattern == "incast":  # fan_in is no part of a mixed task's key
+            raise ValueError("mixed workloads are permutation or tornado")
+        pairs = _pairs(w, topo)
+        n_bg = max(1, int(len(pairs) * w.background_fraction))
+        for i, (src, dst) in enumerate(pairs):
+            if i < n_bg:
+                net.add_flow(src, dst, w.msg_bytes, lb=w.background_lb,
+                             tag="bg")
+            else:
+                net.add_flow(src, dst, w.msg_bytes, tag="main")
     else:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    recorder = _maybe_record(net, scenario)
-    sampler = _maybe_sample_lb(net, scenario)
-    for src, dst in pairs:
-        net.add_flow(src, dst, msg_bytes)
-    metrics = net.run(max_us=scenario.max_us)
-    return ScenarioResult(metrics, recorder, net, sampler)
-
-
-def run_trace(
-    scenario: Scenario,
-    *,
-    load: float,
-    duration_us: float,
-    trace: str = "websearch",
-    workload_seed: int = 2,
-) -> ScenarioResult:
-    """Replay a DC-trace workload at ``load`` for ``duration_us``."""
-    net = scenario.network()
-    host_gbps = (scenario.topo.host_link_gbps
-                 or scenario.topo.link_gbps)
-    flows = generate_trace_flows(
-        n_hosts=scenario.topo.n_hosts, load=load,
-        duration_us=duration_us, host_gbps=host_gbps,
-        trace=trace, seed=workload_seed,
-    )
-    recorder = _maybe_record(net, scenario)
-    sampler = _maybe_sample_lb(net, scenario)
-    for f in flows:
-        net.add_flow(f.src, f.dst, f.size_bytes, start_us=f.start_us)
-    metrics = net.run(max_us=scenario.max_us)
-    return ScenarioResult(metrics, recorder, net, sampler)
-
-
-def run_collective(
-    scenario: Scenario,
-    kind: str,
-    msg_bytes: int,
-    *,
-    n_parallel: int = 8,
-) -> ScenarioResult:
-    """Run an AI collective: ring/butterfly AllReduce or AllToAll(n)."""
-    net = scenario.network()
-    n = scenario.topo.n_hosts
-    if kind == "ring_allreduce":
-        coll = RingAllReduce(
-            net, msg_bytes,
-            order=spine_heavy_ring(n, scenario.topo.hosts_per_t0))
-    elif kind == "butterfly_allreduce":
-        coll = ButterflyAllReduce(net, msg_bytes)
-    elif kind == "alltoall":
-        coll = AllToAll(net, msg_bytes, n_parallel=n_parallel)
-    else:
-        raise ValueError(f"unknown collective {kind!r}")
-    recorder = _maybe_record(net, scenario)
-    sampler = _maybe_sample_lb(net, scenario)
-    coll.install()
-    metrics = net.run(max_us=scenario.max_us)
-    result = ScenarioResult(metrics, recorder, net, sampler)
-    result.collective = coll  # type: ignore[attr-defined]
-    return result
-
-
-def run_mixed_traffic(
-    scenario: Scenario,
-    pattern: str,
-    msg_bytes: int,
-    *,
-    background_lb: str = "ecmp",
-    background_fraction: float = 0.1,
-    workload_seed: int = 2,
-) -> Tuple[RunMetrics, RunMetrics]:
-    """Fig. 6: main traffic under ``scenario.lb`` sharing the fabric with
-    ECMP background flows.  Returns (main metrics, background metrics)."""
-    net = scenario.network()
-    n = scenario.topo.n_hosts
-    if pattern == "permutation":
-        pairs = permutation(n, seed=workload_seed, cross_tor_only=True,
-                            hosts_per_t0=scenario.topo.hosts_per_t0)
-    elif pattern == "tornado":
-        pairs = tornado(n)
-    else:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    n_bg = max(1, int(len(pairs) * background_fraction))
-    for i, (src, dst) in enumerate(pairs):
-        if i < n_bg:
-            net.add_flow(src, dst, msg_bytes, lb=background_lb, tag="bg")
-        else:
-            net.add_flow(src, dst, msg_bytes, tag="main")
-    net.run(max_us=scenario.max_us)
-    return net.metrics(tag="main"), net.metrics(tag="bg")
+        raise ValueError(f"unknown workload kind {w.kind!r}")
+    metrics = net.run(max_us=max_us)
+    return ScenarioResult(metrics, recorder, net, sampler, collective)
 
 
 # ----------------------------------------------------------------------
@@ -257,15 +187,7 @@ def run_mixed_traffic(
 def fail_cables_hook(indices: Sequence[int], at_us: float,
                      duration_us: Optional[float] = None) -> FailureHook:
     """Fail the i-th T0 uplink cables at ``at_us``."""
-    def hook(net: Network) -> None:
-        cables = net.tree.t0_uplink_cables()
-        for i in indices:
-            net.failures.fail_cable(
-                cables[i % len(cables)],
-                at_ps=int(at_us * 1e6),
-                duration_ps=(int(duration_us * 1e6)
-                             if duration_us is not None else None))
-    return hook
+    return fail_cable_schedule_hook([(i, at_us, duration_us) for i in indices])
 
 
 def fail_cable_schedule_hook(
@@ -394,15 +316,6 @@ def ber_hook(ber: float, *, what: str = "cables",
             switch = rng.choice(net.tree.t1s)
             net.failures.set_switch_ber(switch, ber)
     return hook
-
-
-def run_lb_matrix(
-    lbs: Sequence[str],
-    make_scenario: Callable[[str], Scenario],
-    run: Callable[[Scenario], ScenarioResult],
-) -> Dict[str, ScenarioResult]:
-    """Run the same experiment under each load balancer."""
-    return {lb: run(make_scenario(lb)) for lb in lbs}
 
 
 # ----------------------------------------------------------------------

@@ -96,7 +96,9 @@ SCHEMA_VERSION = 3
 
 KV = Tuple[Tuple[str, object], ...]
 
-#: Scenario fields a sweep task may override (everything picklable)
+#: what ``SweepTask.scenario`` may set: the ``NetworkConfig`` fields a
+#: task overrides, plus the run's time budget and telemetry window that
+#: :func:`~repro.harness.runner.simulate` reads
 _SCENARIO_KEYS = frozenset(
     {"cc", "evs_size", "ack_coalesce", "carry_evs", "reps", "rto_us",
      "max_us", "telemetry_bucket_us"})
@@ -314,10 +316,16 @@ def make_task(lb: str, topo: Union[TopologyParams, Mapping[str, object]],
     if bad_probes:
         raise ValueError(f"unknown probes {sorted(bad_probes)}; "
                          f"one of {sorted(PROBE_NAMES)}")
-    if probes and workload.kind in ("mixed", "model"):
-        # these kinds never produce the ScenarioResult probes read from
-        raise ValueError(
-            f"probes are not supported for {workload.kind!r} workloads")
+    if workload.kind in ("mixed", "model"):
+        # no probe reads these kinds' results (a model simulates
+        # nothing; a mixed run is judged per flow tag), so a probe or
+        # the telemetry one reads would only mint a new content key
+        if probes:
+            raise ValueError(
+                f"probes are not supported for {workload.kind!r} workloads")
+        if "telemetry_bucket_us" in scenario_kw:
+            raise ValueError("telemetry_bucket_us is not supported for "
+                             f"{workload.kind!r} workloads")
     reps = scenario_kw.get("reps")
     if isinstance(reps, RepsConfig):
         scenario_kw["reps"] = _kv(_field_dict(reps))
@@ -470,45 +478,21 @@ def execute_task(task: SweepTask) -> Dict[str, object]:
                             for k, v in outputs.items()}
         return payload
 
-    kw = dict(task.scenario)
-    if isinstance(kw.get("reps"), tuple):
-        kw["reps"] = RepsConfig(**dict(kw["reps"]))
-    scenario = runner.Scenario(
-        lb=task.lb, topo=TopologyParams(**dict(task.topo)), seed=task.seed,
-        failures=task.failure.hook() if task.failure else None,
-        # only tasks that read the LB counter series pay the sampler
-        # (and its engine events); other telemetry figures keep their
-        # pre-existing event counts
-        sample_lb_series="ev_recycle_series" in task.probes, **kw)
+    res = runner.simulate(task)
+    metrics = res.metrics
     extra: Dict[str, float] = {}
-    if w.kind == "synthetic":
-        res = runner.run_synthetic(
-            scenario, w.pattern, w.msg_bytes, fan_in=w.fan_in,
-            workload_seed=w.workload_seed)
-    elif w.kind == "trace":
-        res = runner.run_trace(
-            scenario, load=w.load, duration_us=w.duration_us,
-            trace=w.pattern, workload_seed=w.workload_seed)
-    elif w.kind == "collective":
-        res = runner.run_collective(scenario, w.pattern, w.msg_bytes,
-                                    n_parallel=w.n_parallel)
+    if w.kind == "collective":
         extra["finish_us"] = res.collective.finish_us
     elif w.kind == "mixed":
-        main, bg = runner.run_mixed_traffic(
-            scenario, w.pattern, w.msg_bytes,
-            background_lb=w.background_lb,
-            background_fraction=w.background_fraction,
-            workload_seed=w.workload_seed)
+        # the task's LB is measured on its own flows; the background
+        # flows' outcome rides `extra`
+        metrics = res.network.metrics(tag="main")
+        bg = res.network.metrics(tag="bg")
         for name in ("max_fct_us", "avg_fct_us"):
             extra[f"bg_{name}"] = _finite_or_none(getattr(bg, name))
         extra["bg_total_drops"] = float(bg.total_drops)
         extra["bg_flows_completed"] = float(bg.flows_completed)
         extra["bg_flows_total"] = float(bg.flows_total)
-        payload["metrics"] = _metrics_doc(main)
-        payload["extra"] = extra
-        return payload
-    else:
-        raise ValueError(f"unknown workload kind {w.kind!r}")
     series: Dict[str, List[float]] = {}
     for name in task.probes:
         probed = runner.RESULT_PROBES[name](res)
@@ -520,7 +504,7 @@ def execute_task(task: SweepTask) -> Dict[str, object]:
                 series[k] = [_finite_or_none(float(x)) for x in v]
             else:
                 extra[k] = _finite_or_none(float(v))
-    payload["metrics"] = _metrics_doc(res.metrics)
+    payload["metrics"] = _metrics_doc(metrics)
     payload["extra"] = extra
     if series:
         payload["series"] = series

@@ -35,6 +35,10 @@ from .topology import FatTree, TopologyParams
 from .transport import FlowReceiver, FlowSender, ReplicatedFlow
 from .units import US, us_to_ps
 
+#: a flow's initial and largest congestion window, in fabric BDPs
+INIT_CWND_BDP = 1.0
+MAX_CWND_BDP = 2.0
+
 
 @dataclass
 class NetworkConfig:
@@ -50,8 +54,6 @@ class NetworkConfig:
     reps: Optional[RepsConfig] = None
     routing_update_delay_us: Optional[float] = None
     seed: int = 1
-    init_cwnd_bdp: float = 1.0
-    max_cwnd_bdp: float = 2.0
     #: Appendix-A RTT heuristic: classify timeouts and withhold
     #: congestion-looking losses from the LB's failure detection
     rtt_loss_discrimination: bool = False
@@ -151,9 +153,9 @@ class Network:
             cc_obj = make_cc(
                 cc or cfg.cc,
                 mtu=mtu,
-                init_cwnd=max(mtu, int(bdp * cfg.init_cwnd_bdp)),
+                init_cwnd=max(mtu, int(bdp * INIT_CWND_BDP)),
                 min_cwnd=mtu,
-                max_cwnd=max(2 * mtu, int(bdp * cfg.max_cwnd_bdp)),
+                max_cwnd=max(2 * mtu, int(bdp * MAX_CWND_BDP)),
                 rtt_ps=self.tree.rtt_ps(),
             )
             rng = random.Random(

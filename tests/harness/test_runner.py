@@ -1,59 +1,85 @@
-"""Harness: scenarios, failure hooks, matrix running."""
+"""Harness: one task -> one run, and the failure hooks."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.harness import (
-    Scenario,
+    WorkloadSpec,
     ber_hook,
     degrade_cables_hook,
     degrade_fraction_hook,
     fail_cables_hook,
     fail_fraction_hook,
-    run_collective,
-    run_lb_matrix,
-    run_mixed_traffic,
-    run_synthetic,
-    run_trace,
+    make_task,
+    simulate,
 )
+from repro.harness.sweep import FailureSpec
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.topology import TopologyParams
 
-
-def topo(**kw) -> TopologyParams:
-    kw.setdefault("n_hosts", 8)
-    kw.setdefault("hosts_per_t0", 4)
-    return TopologyParams(**kw)
+TOPO = {"n_hosts": 8, "hosts_per_t0": 4}
 
 
-def scenario(lb="reps", **kw) -> Scenario:
-    kw.setdefault("topo", topo())
+def task(lb="reps", kind="synthetic", pattern="permutation",
+         msg_bytes=64 * 1024, *, failure=None, **kw):
+    """A small task; ``WorkloadSpec`` fields ride ``kw`` next to
+    scenario keys."""
+    spec = {k: kw.pop(k) for k in ("fan_in", "load", "duration_us",
+                                   "n_parallel", "background_fraction")
+            if k in kw}
     kw.setdefault("max_us", 20_000.0)
-    return Scenario(lb=lb, **kw)
+    workload = WorkloadSpec(kind=kind, pattern=pattern,
+                            msg_bytes=msg_bytes, **spec)
+    return make_task(lb, TOPO, workload, seed=1, failure=failure, **kw)
+
+
+def network(hook) -> Network:
+    net = Network(NetworkConfig(topo=TopologyParams(**TOPO), lb="reps"))
+    hook(net)
+    return net
 
 
 class TestSynthetic:
     @pytest.mark.parametrize("pattern", ["incast", "permutation", "tornado"])
     def test_patterns_run_to_completion(self, pattern):
-        res = run_synthetic(scenario(), pattern, 64 * 1024, fan_in=4)
+        res = simulate(task(pattern=pattern, fan_in=4))
         m = res.metrics
         assert m.flows_completed == m.flows_total > 0
 
     def test_unknown_pattern(self):
         with pytest.raises(ValueError):
-            run_synthetic(scenario(), "gather", 1024)
+            simulate(task(pattern="gather", msg_bytes=1024))
 
     def test_telemetry_recorder_attached(self):
-        s = scenario(telemetry_bucket_us=5.0)
-        res = run_synthetic(s, "tornado", 256 * 1024)
+        res = simulate(task(pattern="tornado", msg_bytes=256 * 1024,
+                            telemetry_bucket_us=5.0))
         assert res.recorder is not None
         assert len(res.recorder.times_us) > 0
+        # the LB sampler is paid for only by ev_recycle_series
+        assert res.lb_sampler is None
+
+    def test_omitted_max_us_stops_at_the_default_budget(self):
+        # every uplink dies for good: no cross-ToR flow can finish
+        failure = FailureSpec.make("fail_cables", indices=list(range(8)),
+                                   at_us=0.0)
+        workload = WorkloadSpec(pattern="permutation", msg_bytes=1024)
+        res = simulate(make_task("reps", TOPO, workload, seed=1,
+                                 failure=failure))
+        assert res.metrics.flows_completed == 0
+        assert res.metrics.sim_time_us == 50_000.0
+
+    def test_single_tor_permutation_stays_inside_the_tor(self):
+        workload = WorkloadSpec(pattern="permutation", msg_bytes=1024)
+        res = simulate(make_task("reps", {"n_hosts": 8, "hosts_per_t0": 8},
+                                 workload, seed=3))
+        assert res.metrics.flows_completed == res.metrics.flows_total == 8
 
 
 class TestTrace:
     def test_trace_run(self):
-        res = run_trace(scenario(max_us=5_000.0), load=0.5,
-                        duration_us=50.0)
+        res = simulate(task(kind="trace", pattern="websearch", load=0.5,
+                            duration_us=50.0, max_us=5_000.0))
         assert res.metrics.flows_total > 0
         assert res.metrics.flows_completed > 0
 
@@ -62,43 +88,47 @@ class TestCollective:
     @pytest.mark.parametrize("kind", ["ring_allreduce",
                                       "butterfly_allreduce", "alltoall"])
     def test_collectives_finish(self, kind):
-        res = run_collective(scenario(max_us=100_000.0), kind, 512 * 1024,
-                             n_parallel=4)
+        res = simulate(task(kind="collective", pattern=kind,
+                            msg_bytes=512 * 1024, n_parallel=4,
+                            max_us=100_000.0))
         assert res.collective.done
 
     def test_unknown_collective(self):
         with pytest.raises(ValueError):
-            run_collective(scenario(), "gossip", 1024)
+            simulate(task(kind="collective", pattern="gossip",
+                          msg_bytes=1024))
 
 
 class TestMixedTraffic:
     def test_main_and_background_metrics_split(self):
-        main, bg = run_mixed_traffic(
-            scenario(), "permutation", 128 * 1024,
-            background_fraction=0.25)
+        res = simulate(task(kind="mixed", msg_bytes=128 * 1024,
+                            background_fraction=0.25))
+        main = res.network.metrics(tag="main")
+        bg = res.network.metrics(tag="bg")
         assert main.flows_total == 6
         assert bg.flows_total == 2
         assert main.flows_completed == 6
 
+    def test_incast_rejected(self):
+        """``fan_in`` is not part of a mixed task's content key."""
+        with pytest.raises(ValueError, match="permutation or tornado"):
+            simulate(task(kind="mixed", pattern="incast"))
+
 
 class TestFailureHooks:
     def test_fail_cables_hook(self):
-        s = scenario(failures=fail_cables_hook([0], at_us=1.0))
-        net = s.network()
+        net = network(fail_cables_hook([0], at_us=1.0))
         net.engine.run(until_ps=2_000_000)
         assert net.tree.t0_uplink_cables()[0].down
 
     def test_fail_fraction_cables(self):
-        s = scenario(failures=fail_fraction_hook(0.5, at_us=0.0))
-        net = s.network()
+        net = network(fail_fraction_hook(0.5, at_us=0.0))
         net.engine.run(until_ps=1_000_000)
         down = sum(c.down for c in net.tree.t0_uplink_cables())
         assert down == len(net.tree.t0_uplink_cables()) // 2
 
     def test_fail_fraction_switches_keeps_one(self):
-        s = scenario(failures=fail_fraction_hook(1.0, at_us=0.0,
-                                                 what="switches"))
-        net = s.network()
+        net = network(fail_fraction_hook(1.0, at_us=0.0, what="switches"))
         net.engine.run(until_ps=1_000_000)
         # never fails every T1: the workload must stay completable
         alive = [t1 for t1 in net.tree.t1s
@@ -106,35 +136,20 @@ class TestFailureHooks:
         assert alive
 
     def test_degrade_hooks(self):
-        s = scenario(failures=degrade_cables_hook([0], 200.0))
-        net = s.network()
+        net = network(degrade_cables_hook([0], 200.0))
         assert net.tree.t0_uplink_cables()[0].a_port.rate_gbps == 200.0
-        s2 = scenario(failures=degrade_fraction_hook(0.25, 200.0))
-        net2 = s2.network()
+        net2 = network(degrade_fraction_hook(0.25, 200.0))
         slow = [c for c in net2.tree.t0_uplink_cables()
                 if c.a_port.rate_gbps == 200.0]
         assert len(slow) == 2  # 25% of 8 uplink cables
 
     def test_ber_hook(self):
-        s = scenario(failures=ber_hook(0.01))
-        net = s.network()
+        net = network(ber_hook(0.01))
         assert any(c.ber == 0.01 for c in net.tree.t0_uplink_cables())
 
     def test_failed_run_still_completes(self):
-        s = scenario(lb="reps",
-                     failures=fail_cables_hook([0], at_us=5.0,
-                                               duration_us=50.0))
-        res = run_synthetic(s, "permutation", 256 * 1024)
+        failure = FailureSpec.make("fail_cables", indices=[0], at_us=5.0,
+                                   duration_us=50.0)
+        res = simulate(task(msg_bytes=256 * 1024, failure=failure))
         assert res.metrics.flows_completed == res.metrics.flows_total
-
-
-class TestMatrix:
-    def test_matrix_runs_each_lb(self):
-        results = run_lb_matrix(
-            ["ops", "reps"],
-            lambda lb: scenario(lb=lb),
-            lambda s: run_synthetic(s, "tornado", 128 * 1024),
-        )
-        assert set(results) == {"ops", "reps"}
-        for res in results.values():
-            assert res.metrics.flows_completed > 0
+        assert res.metrics.total_drops > 0

@@ -397,6 +397,14 @@ class TestProbes:
             make_task("model", (), model, seed=1,
                       probes=("freeze_entries",))
 
+    def test_telemetry_rejected_for_mixed(self):
+        """A mixed run attaches no recorder, so the bucket would only
+        mint a second content key for the same simulation."""
+        mixed = WorkloadSpec(kind="mixed", msg_bytes=128 * 1024)
+        with pytest.raises(ValueError, match="telemetry_bucket_us"):
+            make_task("reps", TINY_TOPO, mixed, seed=1,
+                      telemetry_bucket_us=5.0)
+
     def test_telemetry_probe_needs_bucket(self):
         task = make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
                          max_us=2_000_000.0, probes=("queue_telemetry",))

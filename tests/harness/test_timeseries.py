@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.runner import (
-    RESULT_PROBES,
-    Scenario,
-    fail_cable_schedule_hook,
-    run_synthetic,
-)
+from repro.harness.runner import RESULT_PROBES, simulate
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
     FailureSpec,
@@ -24,7 +19,6 @@ from repro.harness.sweep import (
     make_task,
     run_sweep,
 )
-from repro.sim.topology import TopologyParams
 
 SERIES_PROBES = ("goodput_series", "queue_series",
                  "uplink_share_series", "ev_recycle_series")
@@ -34,20 +28,17 @@ TINY_TOPO = {"n_hosts": 8, "hosts_per_t0": 4}
 TINY_MSG = 2 << 20
 
 
-def run_small(lb="reps", *, bucket=5.0, failure=None):
-    scenario = Scenario(
-        lb=lb, topo=TopologyParams(**TINY_TOPO), seed=1,
-        telemetry_bucket_us=bucket, max_us=2_000_000.0,
-        failures=failure)
-    return run_synthetic(scenario, "tornado", TINY_MSG)
-
-
-def series_task(lb="reps", probes=SERIES_PROBES):
+def series_task(lb="reps", probes=SERIES_PROBES, *, bucket=5.0,
+                failure=None):
     return make_task(lb, TINY_TOPO,
                      WorkloadSpec(kind="synthetic", pattern="tornado",
                                   msg_bytes=TINY_MSG),
-                     seed=1, telemetry_bucket_us=5.0, probes=probes,
-                     max_us=2_000_000.0)
+                     seed=1, telemetry_bucket_us=bucket, probes=probes,
+                     max_us=2_000_000.0, failure=failure)
+
+
+def run_small(lb="reps", **kw):
+    return simulate(series_task(lb, **kw))
 
 
 class TestSeriesProbes:
@@ -89,8 +80,9 @@ class TestSeriesProbes:
 
     def test_share_drops_after_uplink_failure(self):
         """The failed uplink's traffic share collapses for REPS."""
-        hook = fail_cable_schedule_hook([(0, 30.0, None)])
-        result = run_small("reps", failure=hook)
+        failure = FailureSpec.make("fail_cable_schedule",
+                                   events=[(0, 30.0, None)])
+        result = run_small("reps", failure=failure)
         share = RESULT_PROBES["uplink_share_series"](result)
         assert share["uplink_share"][-1] <= 0.05
 
@@ -98,6 +90,15 @@ class TestSeriesProbes:
         result = run_small()
         assert result.lb_sampler in result.network.recorders
         assert not result.lb_sampler._running  # stopped by net.run
+
+    def test_sampler_only_for_the_recycle_series(self):
+        """The sampler's engine events are paid only by tasks that read
+        it, so other telemetry tasks keep their event counts."""
+        result = run_small(probes=("goodput_series",))
+        assert result.recorder is not None and result.lb_sampler is None
+        sampled = run_small()
+        assert sampled.metrics.events > result.metrics.events
+        assert sampled.metrics.fct_us == result.metrics.fct_us
 
 
 class TestSeriesThroughSweep:

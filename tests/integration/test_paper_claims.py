@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.reps import RepsConfig
-from repro.harness import Scenario, fail_cables_hook, run_synthetic
+from repro.harness import FailureSpec, WorkloadSpec, make_task, simulate
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.topology import TopologyParams
 from repro.workloads import permutation, tornado
@@ -25,11 +25,17 @@ def topo(**kw) -> TopologyParams:
     return TopologyParams(**kw)
 
 
-def run_pattern(lb, pattern="tornado", mb=2, seed=3, reps=None,
-                failures=None, **topo_kw):
-    s = Scenario(lb=lb, topo=topo(**topo_kw), seed=seed, reps=reps,
-                 max_us=500_000.0, failures=failures)
-    return run_synthetic(s, pattern, mb << 20)
+def run_pattern(lb, pattern="tornado", mb=2, seed=3, failure=None,
+                **scenario_kw):
+    workload = WorkloadSpec(pattern=pattern, msg_bytes=mb << 20)
+    return simulate(make_task(lb, topo(), workload, seed=seed,
+                              failure=failure, max_us=500_000.0,
+                              **scenario_kw))
+
+
+#: the Fig. 7 shape: one uplink down from 50 us to 350 us
+TRANSIENT = FailureSpec.make("fail_cables", indices=[0], at_us=50.0,
+                             duration_us=300.0)
 
 
 class TestSymmetric:
@@ -63,8 +69,7 @@ class TestAsymmetric:
     """Sec. 4.3.2: one uplink degraded to half rate."""
 
     def _run(self, lb):
-        s = Scenario(lb=lb, topo=topo(), seed=5, max_us=500_000.0)
-        res_net = s.network()
+        res_net = Network(NetworkConfig(topo=topo(), lb=lb, seed=5))
         cable = res_net.tree.t0_uplink_cables()[0]
         res_net.failures.degrade_cable(cable, 200.0)
         for src, dst in permutation(16, seed=2, cross_tor_only=True,
@@ -78,8 +83,7 @@ class TestAsymmetric:
         assert reps.max_fct_us < 0.75 * ops.max_fct_us
 
     def test_reps_skews_traffic_off_slow_link(self):
-        s = Scenario(lb="reps", topo=topo(), seed=5, max_us=500_000.0)
-        net = s.network()
+        net = Network(NetworkConfig(topo=topo(), lb="reps", seed=5))
         cables = net.tree.t0_uplink_cables()
         slow = cables[0]
         net.failures.degrade_cable(slow, 200.0)
@@ -98,10 +102,12 @@ class TestAsymmetric:
 class TestFailures:
     """Sec. 4.3.3: transient cable failure mid-run."""
 
-    def _metrics(self, lb, reps_cfg=None):
-        hook = fail_cables_hook([0], at_us=50.0, duration_us=300.0)
+    def _run(self, lb, **scenario_kw):
         return run_pattern(lb, pattern="permutation", mb=4, seed=5,
-                           reps=reps_cfg, failures=hook).metrics
+                           failure=TRANSIENT, **scenario_kw)
+
+    def _metrics(self, lb, **scenario_kw):
+        return self._run(lb, **scenario_kw).metrics
 
     def test_reps_much_faster_than_ops_under_failure(self):
         reps = self._metrics("reps")
@@ -115,14 +121,7 @@ class TestFailures:
         assert ops.total_drops > 2.5 * reps.total_drops > 0
 
     def test_freezing_mode_engages(self):
-        hook = fail_cables_hook([0], at_us=50.0, duration_us=300.0)
-        s = Scenario(lb="reps", topo=topo(), seed=5, max_us=500_000.0,
-                     failures=hook)
-        net = s.network()
-        for src, dst in permutation(16, seed=2, cross_tor_only=True,
-                                    hosts_per_t0=8):
-            net.add_flow(src, dst, 4 << 20)
-        net.run(max_us=500_000.0)
+        net = self._run("reps").network
         freezes = sum(r.sender.lb.stats_freeze_entries
                       for r in net.flows.values())
         assert freezes > 0
@@ -132,7 +131,7 @@ class TestFailures:
         REPS-without-freezing still beats OPS."""
         frozen = self._metrics("reps")
         unfrozen = self._metrics(
-            "reps", RepsConfig(freezing_enabled=False))
+            "reps", reps=RepsConfig(freezing_enabled=False))
         ops = self._metrics("ops")
         assert frozen.max_fct_us <= unfrozen.max_fct_us * 1.1
         assert unfrozen.max_fct_us < ops.max_fct_us
@@ -147,9 +146,7 @@ class TestEvsSizes:
     """Sec. 4.5.2: REPS works with a tiny EVS, OPS needs a large one."""
 
     def _run(self, lb, evs):
-        s = Scenario(lb=lb, topo=topo(), evs_size=evs, seed=3,
-                     max_us=500_000.0)
-        return run_synthetic(s, "permutation", 2 << 20).metrics
+        return run_pattern(lb, "permutation", evs_size=evs).metrics
 
     def test_reps_fine_with_256_evs(self):
         small = self._run("reps", 256)
@@ -168,9 +165,7 @@ class TestCcAgnostic:
     @pytest.mark.parametrize("cc", ["dctcp", "eqds", "internal"])
     def test_reps_never_worse_than_ops(self, cc):
         def run(lb):
-            s = Scenario(lb=lb, topo=topo(), cc=cc, seed=3,
-                         max_us=500_000.0)
-            return run_synthetic(s, "permutation", 2 << 20).metrics
+            return run_pattern(lb, "permutation", cc=cc).metrics
 
         reps, ops = run("reps"), run("ops")
         assert reps.max_fct_us <= ops.max_fct_us * 1.10

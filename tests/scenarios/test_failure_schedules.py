@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 
-from repro.harness.runner import Scenario, run_synthetic
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
     FailureSpec,
@@ -23,7 +22,9 @@ from repro.harness.sweep import (
     run_sweep,
     task_key,
 )
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.topology import TopologyParams
+from repro.workloads import permutation
 
 TOPO = {"n_hosts": 8, "hosts_per_t0": 4}
 MSG = 128 * 1024
@@ -43,10 +44,15 @@ def _spec_metrics(lb: str, failure: FailureSpec) -> dict:
 
 
 def _callable_metrics(lb: str, hook) -> dict:
-    scenario = Scenario(lb=lb, topo=TopologyParams(**TOPO), seed=5,
-                        failures=hook, max_us=MAX_US)
-    res = run_synthetic(scenario, "permutation", MSG)
-    return _metrics_doc(res.metrics)
+    """The same run built by hand, failures from a plain callable."""
+    net = Network(NetworkConfig(topo=TopologyParams(**TOPO), lb=lb, seed=5))
+    hook(net)
+    for src, dst in permutation(TOPO["n_hosts"],
+                                seed=WORKLOAD.workload_seed,
+                                cross_tor_only=True,
+                                hosts_per_t0=TOPO["hosts_per_t0"]):
+        net.add_flow(src, dst, MSG)
+    return _metrics_doc(net.run(max_us=MAX_US))
 
 
 class TestCallableEquivalence:
@@ -65,6 +71,22 @@ class TestCallableEquivalence:
         for lb in ("ops", "reps"):
             assert _spec_metrics(lb, SCHEDULE) == \
                 _callable_metrics(lb, hook), lb
+
+    def test_fail_cables_matches_hand_written_hook(self):
+        """fail_cables (what ``repro run --fail-uplink`` builds) == the
+        CLI's former inline failure."""
+        spec = FailureSpec.make("fail_cables", indices=[0, 5],
+                                at_us=5.0, duration_us=10.0)
+        us = 1_000_000
+
+        def hook(net):
+            cables = net.tree.t0_uplink_cables()
+            for i in (0, 5):
+                net.failures.fail_cable(cables[i], at_ps=5 * us,
+                                        duration_ps=10 * us)
+
+        assert _spec_metrics("reps", spec) == \
+            _callable_metrics("reps", hook)
 
     def test_compose_matches_fig08_style_sequential_hooks(self):
         """compose(cables, switches) == applying both hooks in order

@@ -75,6 +75,30 @@ class TestRun:
         assert code == 1
 
 
+class TestRunIsOneTask:
+    """``repro run`` prints what :func:`simulate` gives for the same
+    task, so the CLI and the sweep executor share one builder."""
+
+    @pytest.mark.parametrize("hosts_per_t0", [4, 8],
+                             ids=["two-tors", "one-tor"])
+    def test_summary_matches_simulate(self, capsys, hosts_per_t0):
+        from repro.harness import WorkloadSpec, make_task, simulate
+        from repro.sim.params import TopologyParams
+
+        code, out = run_cli(
+            capsys, "run", "--lb", "reps", "--hosts", "8",
+            "--hosts-per-t0", str(hosts_per_t0), "--mib", "0.25",
+            "--seed", "3")
+        workload = WorkloadSpec(pattern="permutation",
+                                msg_bytes=256 * 1024, workload_seed=3)
+        task = make_task("reps", TopologyParams(
+            n_hosts=8, hosts_per_t0=hosts_per_t0), workload, seed=3,
+            cc="dctcp", evs_size=65536, ack_coalesce=1,
+            max_us=1_000_000.0)
+        assert code == 0
+        assert out == f"reps: {simulate(task).metrics.summary()}\n"
+
+
 class TestCompare:
     def test_compare_table(self, capsys):
         code, out = run_cli(
