@@ -55,7 +55,7 @@ def run(lb: str) -> None:
         print(f"{t:8.0f}  {dead:17.1f}  "
               f"{sum(others) / len(others):23.1f}{marker}")
     # the same telemetry as a Fig-7-style sparkline panel
-    from repro.harness import render_port_series
+    from repro.report.text import render_port_series
     print("\nper-uplink utilization (sparklines, full scale 400 Gbps):")
     print(render_port_series(recorder.times_us, recorder.util_gbps,
                              max_value=400.0))

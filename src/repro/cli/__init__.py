@@ -10,10 +10,11 @@ nothing of the package and ``figures list`` never loads the simulator:
   under several load balancers; a parallel lb x seed x workload
   campaign with cached results and across-seed aggregation,
 - ``figures`` (:mod:`.figures`): the declarative paper-figure registry
-  — ``list`` the catalogue, ``run`` any figure's matrix through the
-  sweep harness, ``run --all`` to reproduce the whole paper in one
-  campaign that renders ``REPRODUCTION.md`` + ``campaign.json``, or
-  ``trend`` to diff two ``campaign.json`` records for regressions,
+  — ``list`` the catalogue, ``run`` a selection of figures (ids,
+  ``--only/--skip/--tag``, or ``--all``) as one campaign on the shared
+  store, printing each figure's table (``--all`` also renders
+  ``REPRODUCTION.md`` + ``campaign.json``), or ``trend`` to diff two
+  ``campaign.json`` records for regressions,
 - ``orchestrate`` (:mod:`.orchestrate`): a campaign scaled past one
   pool — plan wall-time-balanced shards, fan them out over local (or
   SSH) workers with heartbeats, retry shards whose worker dies, merge
@@ -164,21 +165,18 @@ def _build_parser() -> argparse.ArgumentParser:
     fr_p = fig_sub.add_parser(
         "run", help="run figures through the sweep harness")
     fr_p.add_argument("ids", nargs="*", metavar="FIG_ID",
-                      help="figure ids (see `repro figures list`); "
-                           "with --all they act as an --only filter")
+                      help="figure ids (see `repro figures list`); they "
+                           "join --only")
     fr_p.add_argument("--all", action="store_true",
-                      help="campaign mode: run every registered figure "
-                           "against one shared store and render "
-                           "REPRODUCTION.md + campaign.json")
+                      help="run every registered figure (ids and "
+                           "--only/--skip/--tag narrow it)")
     fr_p.add_argument("--only", default=None, metavar="IDS",
-                      help="campaign filter: comma-separated figure ids "
-                           "to keep")
+                      help="comma-separated figure ids to keep")
     fr_p.add_argument("--skip", default=None, metavar="IDS",
-                      help="campaign filter: comma-separated figure ids "
-                           "to drop")
+                      help="comma-separated figure ids to drop")
     fr_p.add_argument("--tag", default=None, metavar="TAGS",
-                      help="campaign filter: keep figures carrying any "
-                           "of these comma-separated tags")
+                      help="keep figures carrying any of these "
+                           "comma-separated tags")
     fr_p.add_argument("--scale", default=None,
                       choices=("smoke", "quick", "full"),
                       help="set REPRO_BENCH_SCALE for this run")
@@ -187,33 +185,32 @@ def _build_parser() -> argparse.ArgumentParser:
     fr_p.add_argument("--results-dir",
                       default=os.path.join("benchmarks", "results",
                                            "sweeps"),
-                      help="artifact store root (one subdir per figure; "
-                           "campaign mode shares one 'campaign' subdir)")
-    fr_p.add_argument("--report", default="REPRODUCTION.md",
-                      help="campaign mode: markdown report path")
-    fr_p.add_argument("--json", dest="json_path", default="campaign.json",
-                      help="campaign mode: machine-readable record path")
+                      help="artifact store root (every figure shares "
+                           "its 'campaign' subdir)")
+    fr_p.add_argument("--report", default=None,
+                      help="markdown report path (default "
+                           "REPRODUCTION.md, whole-registry runs only)")
+    fr_p.add_argument("--json", dest="json_path", default=None,
+                      help="machine-readable record path (default "
+                           "campaign.json, whole-registry runs only)")
     fr_p.add_argument("--fresh", action="store_true",
                       help="ignore and overwrite cached task results")
     fr_p.add_argument("--no-cache", action="store_true",
                       help="run without any artifact store")
     fr_p.add_argument("--no-check", action="store_true",
                       help="skip the paper-shape assertions")
-    fr_p.add_argument("--prune", action="store_true",
-                      help="drop store artifacts not part of this "
-                           "figure's current matrix")
     fr_p.add_argument("--prune-stale", action="store_true",
-                      help="campaign mode: drop store artifacts whose "
-                           "simulator hash no longer matches the source")
+                      help="drop store artifacts whose simulator hash "
+                           "no longer matches the source")
     fr_p.add_argument("--strict", action="store_true",
-                      help="campaign mode: exit non-zero on shape "
-                           "divergence, not just on figure errors")
+                      help="exit non-zero on shape divergence, not "
+                           "just on figure errors")
     fr_p.add_argument("--policies", default=None, metavar="LBS",
-                      help="campaign mode: also run the cross-policy "
-                           "arena — each selected figure's canonical "
-                           "cells re-targeted onto these comma-"
-                           "separated LB policies (the first one is "
-                           "the pivot whose cells define each arena)")
+                      help="also run the cross-policy arena — each "
+                           "selected figure's canonical cells re-"
+                           "targeted onto these comma-separated LB "
+                           "policies (the first one is the pivot whose "
+                           "cells define each arena)")
     tr_p = fig_sub.add_parser(
         "trend", help="regression deltas between two campaign.json "
                       "records")

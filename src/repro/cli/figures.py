@@ -1,4 +1,4 @@
-"""``figures``: list | run | run --all (the campaign) | trend."""
+"""``figures``: list | run (one campaign on the shared store) | trend."""
 
 from __future__ import annotations
 
@@ -9,23 +9,21 @@ from ..report.text import format_table
 from ._common import campaign_specs, split_csv
 
 
-def _campaign(args: argparse.Namespace) -> int:
-    """``figures run --all``: the whole-paper campaign."""
-    from ..harness.campaign import (
-        STATUSES,
-        run_campaign,
-        shared_store,
-    )
-    from ..report import write_campaign_report
+def _run(args: argparse.Namespace) -> int:
+    """``figures run``: the selection as one campaign on the shared
+    store, each figure's table printed, the report written when asked
+    (by default only for the whole registry)."""
+    from ..harness.campaign import STATUSES, run_campaign, shared_store
+    from ..report import figure_text, write_campaign_report
     from ..scenarios import figure_ids
 
-    if args.prune:
-        # --prune's keep-set semantics are per-figure; on the shared
-        # campaign store it would silently delete other figures'
-        # artifacts — the campaign spelling is --prune-stale
-        raise SystemExit(
-            "repro figures: --prune applies to single-figure runs; "
-            "use --prune-stale for campaigns")
+    if not (args.all or args.ids or args.only or args.skip or args.tag):
+        raise SystemExit("repro figures run: provide FIG_ID(s) or "
+                         "--all (see `repro figures list`)")
+    if args.scale:
+        # matrices resolve the scale lazily at build time; workers
+        # inherit it through the (forked) environment
+        os.environ["REPRO_BENCH_SCALE"] = args.scale
     specs = campaign_specs(
         "repro figures", only=split_csv(args.only) + list(args.ids),
         skip=split_csv(args.skip), tags=split_csv(args.tag),
@@ -48,14 +46,18 @@ def _campaign(args: argparse.Namespace) -> int:
         specs, workers=args.workers, store=store,
         check=not args.no_check, prune_stale=args.prune_stale,
         progress=True)
-    if len(specs) < len(figure_ids()) and \
-            args.report == "REPRODUCTION.md":
-        # the report itself is marked partial, but overwriting the
-        # committed whole-paper report deserves a visible heads-up
-        print("note: partial campaign overwrites REPRODUCTION.md; "
-              "pass --report to write the subset elsewhere")
-    report_path, json_path = write_campaign_report(
-        campaign, report_path=args.report, json_path=args.json_path)
+    for outcome in campaign:
+        print(figure_text(outcome))
+    # the committed REPRODUCTION.md / campaign.json are the default
+    # targets of a whole-registry run only: a narrowed run (every
+    # docs/figures page says `figures run <id>`) must not replace them
+    whole = sum("arena" not in spec.tags for spec in specs) \
+        == len(figure_ids())
+    report_path = args.report or ("REPRODUCTION.md" if whole else None)
+    json_path = args.json_path or ("campaign.json" if whole else None)
+    if report_path or json_path:
+        write_campaign_report(campaign, report_path=report_path,
+                              json_path=json_path)
     counts = campaign.counts()
     slowest = max((r for o in campaign if o.result is not None
                    for r in o.result.sweep if not r.cached),
@@ -69,7 +71,10 @@ def _campaign(args: argparse.Namespace) -> int:
             f"{campaign.store_write_s:.1f}s writing the store"
           + (f"; slowest task {slowest.wall_s:.1f}s: "
              f"{slowest.task.label()}" if slowest is not None else ""))
-    print(f"report: {report_path}; record: {json_path}")
+    written = [f"{name}: {path}" for name, path in
+               (("report", report_path), ("record", json_path)) if path]
+    if written:
+        print("; ".join(written))
     return 0 if campaign.ok(strict=args.strict) else 1
 
 
@@ -92,79 +97,15 @@ def _trend(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     if args.figures_command == "trend":
         return _trend(args)
-    from ..harness.sweep import task_key
-    from ..scenarios import figure_ids, get_figure, run_figure
+    if args.figures_command == "run":
+        return _run(args)
+    from ..scenarios import figure_ids, get_figure
 
-    if args.figures_command == "list":
-        rows = []
-        for fig_id in figure_ids():
-            spec = get_figure(fig_id)
-            rows.append((fig_id, spec.figure, len(spec.build()),
-                         ",".join(spec.tags), spec.title))
-        print(format_table("figure registry (`repro figures run <id>`)",
-                           ["id", "paper", "tasks", "tags", "title"],
-                           rows))
-        return 0
-
-    if args.scale:
-        # matrices resolve the scale lazily at build time; workers
-        # inherit it through the (forked) environment
-        os.environ["REPRO_BENCH_SCALE"] = args.scale
-    if args.all or args.only or args.skip or args.tag:
-        return _campaign(args)
-    if not args.ids:
-        raise SystemExit("repro figures run: provide FIG_ID(s) or "
-                         "--all (see `repro figures list`)")
-    # campaign-only flags must not be silent no-ops on the
-    # single-figure path — a user scripting report generation would
-    # get no file and no error
-    ignored = [flag for flag, is_set in (
-        ("--report", args.report != "REPRODUCTION.md"),
-        ("--json", args.json_path != "campaign.json"),
-        ("--prune-stale", args.prune_stale),
-        ("--strict", args.strict),
-        ("--policies", args.policies is not None),
-    ) if is_set]
-    if ignored:
-        raise SystemExit(
-            f"repro figures: {', '.join(ignored)} only appl"
-            f"{'ies' if len(ignored) == 1 else 'y'} to campaign mode "
-            f"(--all / --only / --skip / --tag)")
-    # resolve every id up front: a typo in the last id must not cost
-    # the minutes the earlier figures take to simulate
-    try:
-        specs = [(fig_id, get_figure(fig_id)) for fig_id in args.ids]
-    except KeyError as exc:
-        raise SystemExit(f"repro figures: {exc.args[0]}")
-    from ..harness.store import ColumnarStore
-
-    ok = True
-    for fig_id, spec in specs:
-        if args.no_cache:
-            store = None
-        else:
-            store = ColumnarStore(os.path.join(args.results_dir, fig_id),
-                                  fresh=args.fresh)
-        result = run_figure(spec, workers=args.workers, store=store,
-                            progress=True)
-        headers, rows, notes = result.table_doc()
-        print(format_table(spec.title, headers, rows))
-        for note in notes:
-            print(note)
-        print(f"tasks: {len(result.sweep)} total, "
-              f"{result.sweep.executed} executed, "
-              f"{result.sweep.cached} from cache")
-        if args.prune and store is not None:
-            keys = [task_key(t) for t in result.tasks.values()]
-            removed = store.prune(keep=keys)
-            print(f"pruned {len(removed)} stale artifact(s)")
-        if not args.no_check and spec.check is not None:
-            try:
-                result.check()
-            except AssertionError as exc:
-                detail = f": {exc}" if str(exc) else ""
-                print(f"[DIVERGES] {fig_id} shape check failed{detail}")
-                ok = False
-            else:
-                print(f"[OK ] {fig_id} paper-shape checks hold")
-    return 0 if ok else 1
+    rows = []
+    for fig_id in figure_ids():
+        spec = get_figure(fig_id)
+        rows.append((fig_id, spec.figure, len(spec.build()),
+                     ",".join(spec.tags), spec.title))
+    print(format_table("figure registry (`repro figures run <id>`)",
+                       ["id", "paper", "tasks", "tags", "title"], rows))
+    return 0

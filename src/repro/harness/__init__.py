@@ -1,4 +1,4 @@
-"""Experiment harness: scenario runner, sweeps, scaling, and reporting."""
+"""Experiment harness: scenario runner, sweeps, scaling, and statistics."""
 
 from .. import _lazy_exports
 
@@ -10,9 +10,7 @@ __all__ = [
     "force_freeze_hook", "RESULT_PROBES",
     "MODEL_RUNNERS", "run_model",
     "Scale", "SMOKE", "QUICK", "FULL", "current_scale",
-    "format_table", "cdf_points", "format_sweep_table",
-    "hbar", "render_port_series", "sparkline",
-    "Aggregate", "compare", "repeat",
+    "Aggregate", "cdf_points",
     "SweepGrid", "SweepTask", "SweepResults", "TaskResult",
     "WorkloadSpec", "FailureSpec", "ColumnarStore",
     "make_task", "make_model_task", "task_key", "run_sweep",
@@ -21,9 +19,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    "..report.text": ("format_sweep_table", "format_table", "hbar",
-                      "render_port_series", "sparkline"),
-    ".stats": ("Aggregate", "cdf_points", "compare", "repeat"),
+    ".stats": ("Aggregate", "cdf_points"),
     ".model_tasks": ("MODEL_RUNNERS", "run_model"),
     ".runner": ("RESULT_PROBES", "ScenarioResult", "ber_hook",
                 "degrade_cables_hook", "degrade_fraction_hook",

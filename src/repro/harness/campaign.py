@@ -1,7 +1,8 @@
-"""Campaign runner: every registered figure through one shared store.
+"""Campaign runner: a figure selection through one shared store.
 
-``repro figures run --all`` reproduces the whole paper in one command.
-This module is the engine behind it:
+Every ``repro figures run`` is a campaign — ``--all`` reproduces the
+whole paper in one command, figure ids or ``--only/--skip/--tag``
+narrow it.  This module is the engine behind it:
 
 1. :func:`select_figures` filters the registry catalogue
    (``--only/--skip/--tag``) into an ordered campaign plan.
@@ -13,7 +14,8 @@ This module is the engine behind it:
    share one worker pool — the campaign, not the figure, is the unit
    of execution, so no figure boundary idles a worker.  An interrupted
    campaign resumes where it stopped.
-3. Each figure is judged and reported the moment its last task lands.
+3. Each figure is judged (:func:`_judge`, the only judge) and reported
+   the moment its last task lands.
 4. Execution is **fail-soft**: a figure whose matrix fails to build or
    that owns a task that raised becomes an ``error`` outcome with the
    traceback captured; every other figure still runs, and everything
@@ -126,7 +128,7 @@ class FigureOutcome:
 
 
 class CampaignResult:
-    """Every outcome of one ``--all`` run, in registry order."""
+    """Every outcome of one campaign, in selection order."""
 
     def __init__(self, outcomes: Sequence[FigureOutcome], *,
                  wall_s: float, store: Optional[ColumnarStore] = None,

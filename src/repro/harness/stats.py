@@ -1,18 +1,17 @@
 """Multi-seed experiment statistics.
 
 The paper runs "each experiment multiple times to account for randomness
-in the initial EVs" (Sec. 4.5.4).  :func:`repeat` runs a scenario
-factory across seeds and aggregates any scalar metric with a mean and a
-t-distribution confidence interval, so benches and users can report
-seed-robust numbers; :func:`cdf_points` downsamples an empirical CDF
-for a figure's table.
+in the initial EVs" (Sec. 4.5.4).  :class:`Aggregate` summarises any
+scalar metric over seeds with a mean and a t-distribution confidence
+interval, so sweeps can report seed-robust numbers; :func:`cdf_points`
+downsamples an empirical CDF for a figure's table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 #: two-sided 95% t-critical values for small sample sizes (df = n - 1)
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
@@ -66,32 +65,6 @@ class Aggregate:
 
     def __str__(self) -> str:
         return f"{self.mean:.2f} +- {self.ci95:.2f} (n={self.n})"
-
-
-def repeat(run: Callable[[int], float],
-           seeds: Sequence[int] = (1, 2, 3)) -> Aggregate:
-    """Run ``run(seed)`` for each seed and aggregate the scalar results.
-
-    >>> repeat(lambda seed: float(seed), seeds=(1, 2, 3)).mean
-    2.0
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return Aggregate([float(run(seed)) for seed in seeds])
-
-
-def compare(run_a: Callable[[int], float], run_b: Callable[[int], float],
-            seeds: Sequence[int] = (1, 2, 3)) -> dict:
-    """Paired comparison of two scenario factories over shared seeds.
-
-    Returns the two aggregates and the per-seed ratio aggregate
-    (``a / b``), which is the seed-robust speedup estimate.
-    """
-    a = repeat(run_a, seeds)
-    b = repeat(run_b, seeds)
-    ratios = [x / y if y else float("inf")
-              for x, y in zip(a.samples, b.samples)]
-    return {"a": a, "b": b, "ratio": Aggregate(ratios)}
 
 
 def cdf_points(values: Sequence[float],

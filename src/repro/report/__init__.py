@@ -29,6 +29,7 @@ __all__ = [
     "collect_provenance",
     "diff_campaigns",
     "docs_drift",
+    "figure_text",
     "load_record",
     "render_figure_page",
     "render_index",
@@ -46,8 +47,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
                      "write_figure_docs"),
     ".live": ("render_live_html", "render_status_text", "write_live_html"),
     ".provenance": ("collect_provenance",),
-    ".reproduction": ("campaign_doc", "render_reproduction",
-                      "write_campaign_report"),
+    ".reproduction": ("campaign_doc", "figure_text",
+                      "render_reproduction", "write_campaign_report"),
     ".trend": ("TrendReport", "diff_campaigns", "load_record",
                "render_trend"),
 })

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..harness.campaign import STATUSES, CampaignResult, FigureOutcome
 from ..scenarios import figure_ids
 from .provenance import collect_provenance, store_throughput
-from .text import bar_chart, format_markdown_table, sparkline
+from .text import bar_chart, format_markdown_table, format_table, sparkline
 
 #: bump when the campaign.json layout changes
 REPORT_SCHEMA = 1
@@ -184,6 +184,24 @@ def _figure_section(outcome: FigureOutcome) -> str:
     return "\n".join(lines)
 
 
+def figure_text(outcome: FigureOutcome) -> str:
+    """One figure as ``figures run`` prints it: the plain-text table
+    (title, rows, notes) through the same fail-soft path as the
+    report, then the divergence or crash the verdict recorded."""
+    table_doc, table_error = _safe_table(outcome)
+    lines = []
+    if table_doc is not None:
+        headers, rows, notes = table_doc
+        lines += [format_table(outcome.spec.title, headers, rows), *notes]
+    elif table_error:
+        lines += [f"{outcome.spec.title}: table renderer failed",
+                  table_error.rstrip()]
+    if outcome.error:
+        lines.append(f"{outcome.badge()} {outcome.fig_id}: "
+                     f"{outcome.error.rstrip()}")
+    return "\n".join(lines)
+
+
 def _arena_outcomes(campaign: CampaignResult) -> List[FigureOutcome]:
     return [o for o in campaign if "arena" in o.spec.tags]
 
@@ -281,22 +299,28 @@ def render_reproduction(campaign: CampaignResult,
                            f"{thr['task_wall_s']:.1f} s task wall, "
                            f"{thr['tasks_per_s']:.1f} tasks/s")
     registered = len(figure_ids())
-    if len(campaign) >= registered:
+    base = [o.fig_id for o in campaign if "arena" not in o.spec.tags]
+    if len(base) >= registered:
         scope = ("Every registered paper figure, reproduced by one "
                  "command (`repro figures run --all`)")
+        selection = "--all"
     else:
         # a filtered campaign must say so, or the committed full
         # report could be silently replaced by a subset that still
         # claims whole-paper coverage
-        scope = (f"**Partial campaign**: {len(campaign)} of the "
+        scope = (f"**Partial campaign**: {len(base)} of the "
                  f"{registered} registered paper figures "
                  "(`--only/--skip/--tag` filters applied), reproduced")
+        selection = f"--only {','.join(base)}"
+    policies = _arena_policies(campaign)
+    if policies:
+        selection += f" --policies {','.join(policies)}"
     head = [
         "# REPS reproduction report", "",
         scope + " through the shared sweep harness and judged against "
         "the paper's shape claims.  Regenerate with:",
         "", "```bash",
-        "PYTHONPATH=src python -m repro figures run --all "
+        f"PYTHONPATH=src python -m repro figures run {selection} "
         f"--scale {prov['scale']}",
         "```", "",
         "## Provenance", "",
@@ -418,20 +442,25 @@ def campaign_doc(campaign: CampaignResult,
     }
 
 
+def _write(path: str, text: str) -> None:
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def write_campaign_report(campaign: CampaignResult, *,
-                          report_path: str = "REPRODUCTION.md",
-                          json_path: str = "campaign.json"
-                          ) -> Tuple[str, str]:
-    """Render and write both artifacts; one provenance snapshot feeds
-    both so they can never disagree about their origin."""
+                          report_path: Optional[str] = "REPRODUCTION.md",
+                          json_path: Optional[str] = "campaign.json"
+                          ) -> Tuple[Optional[str], Optional[str]]:
+    """Render and write each artifact whose path is not ``None``; one
+    provenance snapshot feeds both so they can never disagree about
+    their origin."""
     prov = collect_provenance(backend=getattr(campaign, "backend", None))
-    for path in (report_path, json_path):
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-    with open(report_path, "w") as fh:
-        fh.write(render_reproduction(campaign, prov))
-    with open(json_path, "w") as fh:
-        json.dump(campaign_doc(campaign, prov), fh, indent=2)
-        fh.write("\n")
+    if report_path is not None:
+        _write(report_path, render_reproduction(campaign, prov))
+    if json_path is not None:
+        _write(json_path, json.dumps(campaign_doc(campaign, prov),
+                                     indent=2) + "\n")
     return report_path, json_path

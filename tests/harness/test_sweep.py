@@ -283,7 +283,7 @@ class TestAggregation:
         assert results.executed == 1
 
     def test_table_rows_render(self):
-        from repro.harness import format_sweep_table
+        from repro.report.text import format_sweep_table
         results = run_sweep(tiny_grid(seeds=(1, 2)))
         text = format_sweep_table("t", results, "avg_fct_us")
         assert "avg_fct_us" in text

@@ -140,6 +140,41 @@ class TestRenderReproduction:
         assert "**Partial campaign**" in text
         assert "Every registered paper figure" not in text
 
+    @staticmethod
+    def regenerate_line(text):
+        lines = text.splitlines()
+        return lines[lines.index("```bash") + 1]
+
+    def test_full_campaign_regenerates_with_all(self, tmp_path,
+                                                monkeypatch):
+        from repro.report import reproduction
+        campaign = run_campaign(stub_registry(),
+                                store=ColumnarStore(str(tmp_path)))
+        monkeypatch.setattr(reproduction, "figure_ids",
+                            lambda: ["stub_a", "stub_b", "stub_c"])
+        prov = collect_provenance()
+        assert self.regenerate_line(render_reproduction(campaign, prov)) \
+            == ("PYTHONPATH=src python -m repro figures run --all "
+                f"--scale {prov['scale']}")
+
+    def test_partial_campaign_regenerates_its_selection(self, tmp_path):
+        """The command a report names must rerun the same campaign:
+        its base ids, plus the arena's --policies when it has one."""
+        import dataclasses
+
+        def arena_table(result):
+            return (["policy", "mean", "ratio"],
+                    [["reps", 1.0, 1.0], ["ecmp", 2.0, 2.0]], [])
+        arena = dataclasses.replace(stub_spec("arena_stub_a"),
+                                    tags=("arena",), table=arena_table)
+        campaign = run_campaign(stub_registry()[:2] + [arena],
+                                store=ColumnarStore(str(tmp_path)))
+        prov = collect_provenance()
+        assert self.regenerate_line(render_reproduction(campaign, prov)) \
+            == ("PYTHONPATH=src python -m repro figures run "
+                "--only stub_a,stub_b --policies reps,ecmp "
+                f"--scale {prov['scale']}")
+
     def test_crashing_table_renderer_is_fail_soft(self, tmp_path):
         def bad_table(result):
             raise KeyError("axis missing at this scale")
@@ -279,6 +314,15 @@ class TestCampaignJson:
         doc = campaign_doc(campaign)
         blob = json.dumps(doc)  # must not raise / emit Infinity
         assert "Infinity" not in blob
+
+    def test_write_campaign_report_skips_a_none_path(self, tmp_path):
+        campaign = small_campaign(tmp_path / "store")
+        report = tmp_path / "R.md"
+        assert write_campaign_report(
+            campaign, report_path=str(report), json_path=None) == \
+            (str(report), None)
+        assert [p.name for p in tmp_path.iterdir()
+                if p.is_file()] == ["R.md"]
 
     def test_write_campaign_report(self, tmp_path):
         campaign = small_campaign(tmp_path / "store")

@@ -157,6 +157,9 @@ class TestSweep:
 
 
 class TestFigures:
+    """`figures run <id>`: a narrowed campaign on the shared store,
+    each figure's table printed, no report unless asked for."""
+
     def test_list_enumerates_registry(self, capsys):
         from repro.scenarios import figure_ids
         code, out = run_cli(capsys, "figures", "list")
@@ -169,9 +172,12 @@ class TestFigures:
             capsys, "figures", "run", "table1",
             "--results-dir", str(tmp_path))
         assert code == 0
+        assert "== Table 1: REPS per-connection footprint" in out
         assert "buffer_elems" in out
-        assert "5 executed, 0 from cache" in out
-        assert "[OK ] table1" in out
+        assert re.search(r"\[PASS\] +table1: 5 tasks \(5 executed, "
+                         r"0 cached\)", out)
+        # the table comes before the closing campaign line
+        assert out.index("buffer_elems") < out.index("campaign done")
 
     def test_run_hits_cache_on_rerun(self, capsys, tmp_path):
         run_cli(capsys, "figures", "run", "table1",
@@ -179,7 +185,7 @@ class TestFigures:
         code, out = run_cli(capsys, "figures", "run", "table1",
                             "--results-dir", str(tmp_path))
         assert code == 0
-        assert "0 executed, 5 from cache" in out
+        assert "5 tasks (0 executed, 5 cached)" in out
 
     def test_fresh_ignores_cache(self, capsys, tmp_path):
         run_cli(capsys, "figures", "run", "table1",
@@ -187,29 +193,48 @@ class TestFigures:
         code, out = run_cli(capsys, "figures", "run", "table1",
                             "--fresh", "--results-dir", str(tmp_path))
         assert code == 0
-        assert "5 executed, 0 from cache" in out
+        assert "5 tasks (5 executed, 0 cached)" in out
 
-    def test_prune_drops_stale_artifacts(self, capsys, tmp_path):
-        from repro.harness.store import ColumnarStore
+    def test_figures_share_the_campaign_store(self, capsys, tmp_path):
+        """A figure run by id and the same figure in a wider selection
+        read one store: only the new figure's tasks execute."""
         run_cli(capsys, "figures", "run", "table1",
                 "--results-dir", str(tmp_path))
-        root = str(tmp_path / "table1")
-        ColumnarStore(root).put("feedface", {"schema": 0})
-        code, out = run_cli(capsys, "figures", "run", "table1",
-                            "--prune", "--results-dir", str(tmp_path))
+        code, out = run_cli(capsys, "figures", "run",
+                            "--only", "table1,fig24",
+                            "--results-dir", str(tmp_path))
         assert code == 0
-        assert "pruned 1 stale artifact(s)" in out
-        assert "feedface" not in ColumnarStore(root).keys()
+        assert "7 tasks (2 executed, 5 cached)" in out
 
     def test_no_cache_runs_without_store(self, capsys, tmp_path):
         code, out = run_cli(capsys, "figures", "run", "table1",
                             "--no-cache",
                             "--results-dir", str(tmp_path))
         assert code == 0
+        assert "store=none" in out
         assert not list(tmp_path.iterdir())
+
+    def test_narrowed_run_writes_no_report_unless_asked(
+            self, capsys, tmp_path, monkeypatch):
+        """`figures run <id>` from the repo root must not replace the
+        committed whole-paper REPRODUCTION.md / campaign.json."""
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(capsys, "figures", "run", "table1",
+                            "--results-dir", "store")
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+        assert "report:" not in out
+        code, out = run_cli(capsys, "figures", "run", "table1",
+                            "--results-dir", "store", "--report", "R.md")
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["R.md", "store"]
+        assert "report: R.md" in out and "record:" not in out
 
     def test_failed_check_sets_exit_code(self, capsys, tmp_path,
                                          monkeypatch):
+        """A divergence is a [FAIL] outcome: exit 0, or 1 with
+        --strict."""
         from repro.scenarios import registry
 
         def boom(result):
@@ -221,8 +246,12 @@ class TestFigures:
         code, out = run_cli(capsys, "figures", "run", "table1",
                             "--no-cache",
                             "--results-dir", str(tmp_path))
+        assert code == 0
+        assert "[FAIL] table1: shape off" in out
+        code, out = run_cli(capsys, "figures", "run", "table1",
+                            "--no-cache", "--strict",
+                            "--results-dir", str(tmp_path))
         assert code == 1
-        assert "[DIVERGES] table1" in out
 
     def test_no_check_skips_assertions(self, capsys, tmp_path,
                                        monkeypatch):
@@ -235,9 +264,29 @@ class TestFigures:
             registry.REGISTRY, "table1",
             type(spec)(**{**spec.__dict__, "check": boom}))
         code, out = run_cli(capsys, "figures", "run", "table1",
-                            "--no-check", "--no-cache",
+                            "--no-check", "--no-cache", "--strict",
                             "--results-dir", str(tmp_path))
         assert code == 0
+        assert "shape off" not in out
+        assert "1 warn" in out
+
+    def test_crashing_table_costs_one_table(self, capsys, tmp_path,
+                                            monkeypatch):
+        from repro.scenarios import registry
+
+        def bad_table(result):
+            raise KeyError("axis missing at this scale")
+        spec = registry.get_figure("table1")
+        monkeypatch.setitem(
+            registry.REGISTRY, "table1",
+            type(spec)(**{**spec.__dict__, "table": bad_table}))
+        code, out = run_cli(capsys, "figures", "run", "table1", "fig24",
+                            "--no-cache",
+                            "--results-dir", str(tmp_path))
+        assert code == 0
+        assert "table renderer failed" in out
+        assert "axis missing at this scale" in out
+        assert "== Fig 24: trace flow-size quantiles" in out
 
     def test_unknown_figure_id_fails_before_any_run(self, capsys,
                                                     tmp_path):
@@ -246,19 +295,20 @@ class TestFigures:
         with pytest.raises(SystemExit, match="figures list"):
             run_cli(capsys, "figures", "run", "table1", "fig99",
                     "--results-dir", str(tmp_path))
-        assert not (tmp_path / "table1").exists()
+        assert not list(tmp_path.iterdir())
 
     def test_workers_flag(self, capsys, tmp_path):
         code, out = run_cli(capsys, "figures", "run", "fig24",
                             "--workers", "2",
                             "--results-dir", str(tmp_path))
         assert code == 0
-        assert "2 worker(s) [process backend]" in out
+        assert "campaign: 1 figure(s), workers=2" in out
+        assert "on 2 worker(s)" in out
 
 
 class TestFiguresCampaign:
-    """`figures run --all`: campaign mode over the model figures
-    (cheap) with report/record emission."""
+    """`figures run` selections over the model figures (cheap) with
+    report/record emission."""
 
     def campaign(self, capsys, tmp_path, *extra):
         return run_cli(
@@ -345,24 +395,11 @@ class TestFiguresCampaign:
         code, _out = self.campaign(capsys, tmp_path, "--strict")
         assert code == 1
 
-    def test_campaign_only_flags_rejected_in_single_mode(
-            self, capsys, tmp_path):
-        for flags in (["--strict"], ["--prune-stale"],
-                      ["--report", str(tmp_path / "R.md")]):
-            with pytest.raises(SystemExit, match="campaign mode"):
-                run_cli(capsys, "figures", "run", "table1",
-                        "--results-dir", str(tmp_path), *flags)
-
     def test_prune_stale_needs_a_store(self, capsys, tmp_path):
         with pytest.raises(SystemExit, match="drop --no-cache"):
             run_cli(capsys, "figures", "run", "--only", "table1",
                     "--no-cache", "--prune-stale",
                     "--results-dir", str(tmp_path))
-
-    def test_prune_rejected_in_campaign_mode(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="prune-stale"):
-            run_cli(capsys, "figures", "run", "--only", "table1",
-                    "--prune", "--results-dir", str(tmp_path))
 
     def test_prune_stale_flag(self, capsys, tmp_path):
         from repro.harness.store import ColumnarStore
