@@ -13,9 +13,25 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-#: two-sided 95% t-critical values for small sample sizes (df = n - 1)
+#: two-sided 95% t-critical values by degrees of freedom (df = n - 1)
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
-        6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228}
+        6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
+        11: 2.201, 12: 2.179, 13: 2.160, 14: 2.145, 15: 2.131,
+        16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093, 20: 2.086,
+        21: 2.080, 22: 2.074, 23: 2.069, 24: 2.064, 25: 2.060,
+        26: 2.056, 27: 2.052, 28: 2.048, 29: 2.045, 30: 2.042,
+        40: 2.021, 60: 2.000, 120: 1.980}
+
+
+def _t95(df: int) -> float:
+    """t for ``df``: the largest tabulated df not above it (t falls as
+    df grows, so an untabulated df gets a slightly wider interval), the
+    normal 1.96 past the table."""
+    if df > 120:
+        return 1.96
+    while df not in _T95:
+        df -= 1
+    return _T95[df]
 
 
 @dataclass
@@ -45,8 +61,7 @@ class Aggregate:
         """Half-width of the 95% confidence interval of the mean."""
         if self.n < 2:
             return 0.0
-        t = _T95.get(self.n - 1, 1.96)
-        return t * self.stdev / math.sqrt(self.n)
+        return _t95(self.n - 1) * self.stdev / math.sqrt(self.n)
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile ``p`` in [0, 100] of the samples."""

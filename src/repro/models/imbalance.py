@@ -15,6 +15,10 @@ from statistics import mean
 from struct import iter_unpack
 from typing import Callable, List, Tuple
 
+# the constants of :func:`repro.sim.switch.ecmp_hash`, the public
+# per-ball oracle the lane kernel is property-tested against
+from ..sim.switch import M64, MIX_DST, MIX_EV, MIX_SALT, MIX_SRC
+
 
 @dataclass
 class ImbalanceStats:
@@ -46,12 +50,6 @@ class ImbalanceStats:
         return self.percentile(97.5)
 
 
-#: the constants of :func:`repro.sim.switch.ecmp_hash`, the public
-#: per-ball oracle the lane kernel is property-tested against
-_M64 = (1 << 64) - 1
-_C_SRC, _C_DST = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9
-_C_EV, _C_SALT = 0x94D049BB133111EB, 0xD6E8FEB86659FD93
-
 #: EVs hashed per big-int operation: 4096 lanes of 128 bits keep every
 #: temporary at 64 KiB however large the EVS is
 _BLOCK = 4096
@@ -72,24 +70,24 @@ def _flow_kernel(evs_size: int,
     lanes = min(evs_size, _BLOCK)
     nbytes = 16 * lanes
     ones = ((1 << (8 * nbytes)) - 1) // ((1 << 128) - 1)  # bit 0 per lane
-    mask = ones * _M64
-    ramp = int.from_bytes(b"".join((i * _C_EV).to_bytes(16, "little")
+    mask = ones * M64
+    ramp = int.from_bytes(b"".join((i * MIX_EV).to_bytes(16, "little")
                                    for i in range(lanes)), "little")
     # block to block every lane's ev grows by ``lanes``: unmasked keys
     # gain under 2^64 a block, so 2^128 is out of any EVS's reach
-    stride = (lanes * _C_EV & _M64) * ones
+    stride = (lanes * MIX_EV & M64) * ones
     # a power-of-two uplink count is the low bits of each lane's low
     # byte, which ``table`` keeps; any other needs the whole 64-bit value
     low_byte = n_uplinks <= 256 and not n_uplinks & (n_uplinks - 1)
     table = bytes(i & (n_uplinks - 1) for i in range(256))
 
     def throw(src: int, dst: int, salt: int, loads: List[int]) -> None:
-        flow = src * _C_SRC + dst * _C_DST + salt * _C_SALT
-        keys = ramp + (flow & _M64) * ones
+        flow = src * MIX_SRC + dst * MIX_DST + salt * MIX_SALT
+        keys = ramp + (flow & M64) * ones
         for left in range(evs_size, 0, -lanes):
             x = keys & mask
-            x = ((x ^ (x >> 30)) & mask) * _C_DST & mask
-            x = ((x ^ (x >> 27)) & mask) * _C_EV & mask
+            x = ((x ^ (x >> 30)) & mask) * MIX_DST & mask
+            x = ((x ^ (x >> 27)) & mask) * MIX_EV & mask
             x ^= x >> 31
             # a short last block computes whole and keeps its low lanes
             raw = x.to_bytes(nbytes, "little")[:16 * min(left, lanes)]

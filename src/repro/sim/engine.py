@@ -67,7 +67,7 @@ class Engine:
     __slots__ = (
         "now", "_seq", "_stopped", "events_executed",
         "_wheel", "_overflow", "_cursor", "_window_end",
-        "_last_slot", "_stale",
+        "_last_slot",
     )
 
     def __init__(self) -> None:
@@ -87,8 +87,6 @@ class Engine:
         #: at it, an empty cursor bucket means an empty wheel — a push
         #: pays one compare, a pop nothing, where a count paid two writes
         self._last_slot: int = 0
-        #: cancelled/superseded Timer shells still queued (see Timer)
-        self._stale: int = 0
 
     def at(self, time_ps: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``time_ps``."""
@@ -103,24 +101,13 @@ class Engine:
                 fn, arg = None, fn
             case _:
                 fn, arg = _spread, (fn, args)
-        # _push, inlined: a nested call here costs the scheduler-only
-        # micro-runs (engine.chain_events_per_s) 10-20 %
-        self._seq = seq = self._seq + 1
-        if time_ps < self._window_end:
-            slot = time_ps >> _SLOT_BITS
-            if slot < self._cursor:
-                slot = self._cursor
-            elif slot > self._last_slot:
-                self._last_slot = slot
-            heappush(self._wheel[slot & _MASK], (time_ps, seq, fn, arg))
-        else:
-            heappush(self._overflow, (time_ps, seq, fn, arg))
+        self._push(time_ps, fn, arg)
 
     def _push(self, time_ps: int, fn, arg, seq: int = 0) -> None:
         """Queue ``fn(arg)`` at ``time_ps >= now`` (unchecked: the caller
-        owns that invariant) — the one-argument primitive the port hot
-        path and ``Timer`` schedule through, skipping ``at``'s argument
-        packing.
+        owns that invariant) — the one place an event is queued.  ``at``
+        ends here; the port hot path and ``Timer`` call it directly,
+        skipping ``at``'s past-check and argument packing.
 
         ``seq`` is for ``Timer``, which allocates a sequence number at
         arm time but queues lazily; keeping allocation and queueing
@@ -231,15 +218,6 @@ class Engine:
         so it is exact even in the middle of a bucket's drain."""
         return sum(map(len, self._wheel)) + len(self._overflow)
 
-    def pending_live(self) -> int:
-        """Queued events excluding cancelled/superseded Timer shells.
-
-        This is the depth harness probes should report: under RTO-heavy
-        runs :meth:`pending` over-reads by the stale shells Timers leave
-        behind until the wheel drains them.
-        """
-        return self.pending() - self._stale
-
 
 class Timer:
     """Re-armable one-shot timer that recycles its queued event.
@@ -249,10 +227,11 @@ class Timer:
     **later** deadline — the common case for RTO timers, whose deadline
     moves forward with every ACK — just records the new deadline and
     lets the already-queued shell re-queue itself when it fires early.
-    Only re-arming *earlier* pushes a new shell (the old one becomes
-    stale and is ignored when drained).  The engine's ``_stale`` count
-    tracks exactly the queued shells that no longer represent a live
-    arming, so ``Engine.pending_live()`` stays accurate.
+    Only re-arming *earlier* pushes a new shell; the old one is stale
+    (its id is no longer the newest) and does nothing when drained.  A
+    cancel only clears the deadline, so the queued shell drains as a
+    no-op unless a later arming reuses it.  :meth:`Engine.pending`
+    counts such shells: it is the physical queue depth.
 
     Determinism: every ``arm_at`` consumes one engine sequence number —
     whether or not it queues anything — and a deferred shell is queued
@@ -264,7 +243,7 @@ class Timer:
     """
 
     __slots__ = ("_engine", "_fn", "deadline", "_armed_seq",
-                 "_shell_at", "_shell_live", "_shell_id")
+                 "_shell_at", "_shell_id")
 
     def __init__(self, engine: Engine, fn: Callable[[], Any]) -> None:
         self._engine = engine
@@ -276,8 +255,6 @@ class Timer:
         self._armed_seq: int = 0
         #: time of the queued shell event (None = no shell queued)
         self._shell_at: Optional[int] = None
-        #: does the queued shell represent the current arming?
-        self._shell_live: bool = False
         #: id of the newest shell; older shells are stale on arrival
         self._shell_id: int = 0
 
@@ -296,20 +273,12 @@ class Timer:
         self.deadline = time_ps
         self._armed_seq = seq
         shell_at = self._shell_at
-        if shell_at is not None:
-            if shell_at <= time_ps:
-                # reuse the queued shell: it fires no later than needed
-                # and will defer itself to the recorded deadline
-                if not self._shell_live:
-                    engine._stale -= 1
-                    self._shell_live = True
-                return
-            if self._shell_live:
-                # the queued shell fires too late: supersede it
-                engine._stale += 1
+        if shell_at is not None and shell_at <= time_ps:
+            # reuse the queued shell: it fires no later than needed
+            # and will defer itself to the recorded deadline
+            return
         self._shell_id += 1
         self._shell_at = time_ps
-        self._shell_live = True
         engine._push(time_ps, self._fire, self._shell_id, seq)
 
     def arm_after(self, delay_ps: int) -> None:
@@ -317,29 +286,21 @@ class Timer:
 
     def cancel(self) -> None:
         self.deadline = None
-        if self._shell_at is not None and self._shell_live:
-            self._engine._stale += 1
-            self._shell_live = False
 
     def _fire(self, shell_id: int) -> None:
         if shell_id != self._shell_id:
             # a superseded shell draining out of the queue
-            self._engine._stale -= 1
-            return
-        if not self._shell_live:
-            # cancelled (and not re-armed) since scheduling
-            self._engine._stale -= 1
-            self._shell_at = None
             return
         self._shell_at = None
-        self._shell_live = False
         deadline = self.deadline
-        if deadline is not None and deadline > self._engine.now:
+        if deadline is None:
+            # cancelled (and not re-armed) since scheduling
+            return
+        if deadline > self._engine.now:
             # armed later than this shell: defer by re-queueing under
             # the seq the arming reserved
             self._shell_id += 1
             self._shell_at = deadline
-            self._shell_live = True
             self._engine._push(deadline, self._fire, self._shell_id,
                                self._armed_seq)
             return

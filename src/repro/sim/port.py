@@ -263,50 +263,11 @@ class EgressPort:
         engine._push(engine.now + self._tx_cache[size], self._tx_done, pkt)
 
     def enqueue_burst(self, pkts) -> None:
-        """Enqueue several packets handed over at the same instant.
-
-        Semantically identical to calling :meth:`enqueue` per packet
-        (same drop/trim/mark decisions in the same order); exists so a
-        sender flushing a window's worth of packets pays the attribute
-        lookups once.
-        """
-        c = self._c
-        ctrl_cap = self.ctrl_capacity_bytes
-        capacity = self.capacity_bytes
-        data_q = self._data_q
-        ctrl_q = self._ctrl_q
-        ecn_on = self.ecn_enabled
+        """Enqueue several packets handed over at the same instant, in
+        order: one :meth:`enqueue` each.  The simulator itself calls
+        :meth:`enqueue`; this is for callers that hand over a batch."""
         for pkt in pkts:
-            c[_PKTS_ENQUEUED] += 1
-            size = pkt.size
-            if pkt.is_control:
-                if c[_CTRL_BYTES] + size > ctrl_cap:
-                    self._drop(pkt, "overflow")
-                    continue
-                queue, held = ctrl_q, _CTRL_BYTES
-            elif c[_DATA_BYTES] + size > capacity:
-                if not self.trim_enabled or (
-                        c[_CTRL_BYTES] + CONTROL_PACKET_BYTES > ctrl_cap):
-                    self._drop(pkt, "overflow")
-                    continue
-                pkt.trim()
-                c[_TRIMS] += 1
-                size = pkt.size
-                queue, held = ctrl_q, _CTRL_BYTES
-            else:
-                if ecn_on and not pkt.ecn \
-                        and c[_DATA_BYTES] > self._mark_floor:
-                    self._maybe_mark(pkt)
-                queue, held = data_q, _DATA_BYTES
-            if self._busy:
-                queue.append(pkt)
-                c[held] += size
-            else:
-                # the burst's first accepted packet starts the transmitter
-                self._busy = True
-                engine = self.engine
-                engine._push(engine.now + self._tx_cache[size],
-                             self._tx_done, pkt)
+            self.enqueue(pkt)
 
     def _maybe_mark(self, pkt: Packet) -> None:
         """RED-style linear marking on instantaneous occupancy."""

@@ -21,7 +21,11 @@ from typing import Callable, Dict, List, Optional
 from .packet import Packet
 from .port import EgressPort
 
-_M64 = (1 << 64) - 1
+M64 = (1 << 64) - 1
+#: :func:`ecmp_hash`'s multipliers, one per key field; the finalizer
+#: reuses the dst and ev ones
+MIX_SRC, MIX_DST = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9
+MIX_EV, MIX_SALT = 0x94D049BB133111EB, 0xD6E8FEB86659FD93
 
 #: Switch forwarding modes.
 #:
@@ -44,14 +48,12 @@ def ecmp_hash(src: int, dst: int, ev: int, salt: int) -> int:
     near-uniformly over uplinks, while identical 5-tuples always take the
     same path — both properties Sec. 2.2 relies on.
     """
-    x = (src * 0x9E3779B97F4A7C15
-         + dst * 0xBF58476D1CE4E5B9
-         + ev * 0x94D049BB133111EB
-         + salt * 0xD6E8FEB86659FD93) & _M64
+    x = (src * MIX_SRC + dst * MIX_DST + ev * MIX_EV
+         + salt * MIX_SALT) & M64
     x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _M64
+    x = (x * MIX_DST) & M64
     x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _M64
+    x = (x * MIX_EV) & M64
     x ^= x >> 31
     return x
 
@@ -108,37 +110,15 @@ class Switch(Node):
 
     # ------------------------------------------------------------------
     def receive(self, pkt: Packet) -> None:
-        port = self.down_route.get(pkt.dst)
-        if port is None:
-            if self.mode == "ecmp" and self.up_ports:
-                # hot path: cached group + inlined ecmp_hash (same mix as
-                # the public function; keep the two in sync)
-                if self._healthy_cache_dirty:
-                    self._rebuild_group_caches()
-                group, n = self._ecmp_group
-                x = (pkt.src * 0x9E3779B97F4A7C15
-                     + pkt.dst * 0xBF58476D1CE4E5B9
-                     + pkt.ev * 0x94D049BB133111EB
-                     + self.salt * 0xD6E8FEB86659FD93) & _M64
-                x ^= x >> 30
-                x = (x * 0xBF58476D1CE4E5B9) & _M64
-                x ^= x >> 27
-                x = (x * 0x94D049BB133111EB) & _M64
-                x ^= x >> 31
-                port = group[x % n]
-            else:
-                port = self._pick_uplink(pkt)
-                if port is None:
-                    # no usable uplink at all: blackhole the packet
-                    return
-        port.enqueue(pkt)
+        port = self.down_route.get(pkt.dst) or self._pick_uplink(pkt)
+        if port is not None:
+            port.enqueue(pkt)
+        # else no usable uplink at all: the packet is blackholed
 
     def route(self, pkt: Packet) -> Optional[EgressPort]:
-        """Pick the egress port for ``pkt``."""
-        down = self.down_route.get(pkt.dst)
-        if down is not None:
-            return down
-        return self._pick_uplink(pkt)
+        """Pick the egress port for ``pkt`` — the port ``receive``
+        enqueues on (None: no usable uplink)."""
+        return self.down_route.get(pkt.dst) or self._pick_uplink(pkt)
 
     # ------------------------------------------------------------------
     def _rebuild_group_caches(self) -> None:
@@ -179,28 +159,25 @@ class Switch(Node):
             # every uplink is dead: fall through to hashing
         if self.mode == "source":
             return ports[pkt.ev % len(ports)]
+        if self._healthy_cache_dirty:
+            self._rebuild_group_caches()
+        h = ecmp_hash(pkt.src, pkt.dst, pkt.ev, self.salt)
         if self.mode == "wcmp":
             # WCMP: hash into the group with per-port weights proportional
             # to the current link rate, so a 200G member of a 400G group
             # draws half the flows (Zhou et al., EuroSys '14)
-            if self._healthy_cache_dirty:
-                self._rebuild_group_caches()
             weights, total = self._wcmp_weights
-            slot = ecmp_hash(pkt.src, pkt.dst, pkt.ev, self.salt) % total
+            slot = h % total
             for port, w in zip(ports, weights):
                 if slot < w:
                     return port
                 slot -= w
             return ports[-1]  # unreachable; guards float quirks
-        # plain ECMP (`receive` inlines this for its hot path), or an
-        # "ideal"-mode fallthrough (every uplink dead): exclude ports the
-        # control plane removed from the group (after
+        # plain ECMP, or an "ideal"-mode fallthrough (every uplink dead):
+        # exclude ports the control plane removed from the group (after
         # routing_update_delay), exactly like a real ECMP group shrink.
         # Until then failed ports still attract traffic.
-        if self._healthy_cache_dirty:
-            self._rebuild_group_caches()
         group, n = self._ecmp_group
-        h = ecmp_hash(pkt.src, pkt.dst, pkt.ev, self.salt)
         return group[h % n]
 
     @staticmethod

@@ -187,13 +187,9 @@ class FlowSender:
                 stats.retransmissions += 1
             burst.append(pkt)
         self._inflight_bytes = inflight
-        if burst:
-            # all same-instant: hand the window over in one batch
-            port = self.host.port
-            if len(burst) == 1:
-                port.enqueue(burst[0])
-            else:
-                port.enqueue_burst(burst)
+        enqueue = self.host.port.enqueue
+        for pkt in burst:
+            enqueue(pkt)
         self._rearm_timer()
 
     # ------------------------------------------------------------------

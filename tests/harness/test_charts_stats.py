@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.harness.stats import Aggregate
 from repro.report.text import hbar, render_port_series, sparkline
 
@@ -82,6 +84,15 @@ class TestAggregate:
 
     def test_str(self):
         assert "n=2" in str(Aggregate([1.0, 2.0]))
+
+    @pytest.mark.parametrize("n, t", [
+        (11, 2.228), (12, 2.201), (31, 2.042), (36, 2.042),
+        (41, 2.021), (100, 2.000), (121, 1.980), (122, 1.96)])
+    def test_ci_uses_t_for_its_df(self, n, t):
+        """Past df 10 the interval still uses Student's t, taken at the
+        largest tabulated df not above n - 1; 1.96 only past df 120."""
+        a = Aggregate([float(i % 2) for i in range(n)])
+        assert a.ci95 == pytest.approx(t * a.stdev / n ** 0.5)
 
 
 class TestSeedRobustness:

@@ -230,43 +230,52 @@ class TestWheelGeometry:
 
 
 class TestPendingAccounting:
-    """Regression: ``pending()`` counted cancelled Timer shells, so
-    queue-depth probes over-read under RTO-heavy runs.  ``pending()``
-    stays the physical queue depth; ``pending_live()`` excludes stale
-    shells."""
+    """``pending()`` is the physical queue depth: a cancelled or
+    superseded Timer shell stays counted until the wheel drains it as a
+    no-op, and re-arming later queues nothing new."""
 
-    def test_cancelled_shell_counted_physical_not_live(self, engine):
-        t = Timer(engine, lambda: None)
+    def test_cancelled_shell_stays_queued_until_drained(self, engine):
+        fired = []
+        t = Timer(engine, lambda: fired.append(engine.now))
         t.arm_at(10)
         t.cancel()
         assert engine.pending() == 1      # the shell is still queued
-        assert engine.pending_live() == 0  # but represents nothing
         engine.run()
-        assert engine.pending() == 0
-        assert engine.pending_live() == 0
+        assert (engine.pending(), fired) == (0, [])
+
+    def test_cancel_then_rearm_reuses_the_shell(self, engine):
+        fired = []
+        t = Timer(engine, lambda: fired.append(engine.now))
+        t.arm_at(10)
+        t.cancel()
+        t.arm_at(20)  # later than the queued shell: reused, deferred
+        assert engine.pending() == 1
+        engine.run()
+        assert (engine.pending(), fired) == (0, [20])
 
     def test_rearm_later_keeps_single_shell(self, engine):
-        t = Timer(engine, lambda: None)
+        fired = []
+        t = Timer(engine, lambda: fired.append(engine.now))
         t.arm_at(10)
         for deadline in (20, 30, 40, 50):
             t.arm_at(deadline)  # deferred, not re-pushed
         assert engine.pending() == 1
-        assert engine.pending_live() == 1
         engine.run()
-        assert engine.pending() == 0
+        assert (engine.pending(), fired) == (0, [50])
 
     def test_rearm_earlier_supersedes_shell(self, engine):
-        t = Timer(engine, lambda: None)
+        fired = []
+        t = Timer(engine, lambda: fired.append(engine.now))
         t.arm_at(100)
         t.arm_at(50)  # earlier: must push a fresh shell
         assert engine.pending() == 2
-        assert engine.pending_live() == 1
         engine.run()
-        assert engine.pending() == 0
-        assert engine.pending_live() == 0
+        assert (engine.pending(), fired) == (0, [50])
 
     def test_cancel_rearm_storm_drains_clean(self, engine):
-        timers = [Timer(engine, lambda: None) for _ in range(32)]
+        fired = []
+        timers = [Timer(engine, lambda i=i: fired.append(i))
+                  for i in range(32)]
         for i, t in enumerate(timers):
             t.arm_at(100 + i)
             if i % 3 == 0:
@@ -275,12 +284,13 @@ class TestPendingAccounting:
                 t.arm_at(10 + i)  # earlier: supersede
             else:
                 t.arm_at(1000 + i)  # later: defer
-        live = sum(1 for t in timers if t.armed)
-        assert engine.pending_live() == live
-        assert engine.pending() >= live
+        live = [i for i, t in enumerate(timers) if t.armed]
+        superseded = sum(1 for i in range(32) if i % 3 == 1)
+        # one shell per timer, plus the one each superseding arm pushed
+        assert engine.pending() == 32 + superseded
         engine.run()
         assert engine.pending() == 0
-        assert engine.pending_live() == 0
+        assert sorted(fired) == live
 
 
 class TestEventContract:
@@ -307,7 +317,7 @@ class TestEventContract:
         seen = []
 
         def probe():
-            seen.append((engine.pending(), engine.pending_live()))
+            seen.append(engine.pending())
 
         engine.at(5, probe)
         engine.at(5, probe)
@@ -318,8 +328,9 @@ class TestEventContract:
         engine.at(5, lambda: engine.at(6, probe))   # pushes mid-drain
         engine.at(10**12, probe)                    # waits in overflow
         engine.run()
-        # each probe sees exactly what is queued behind it
-        assert seen == [(5, 4), (4, 3), (2, 2), (1, 1), (0, 0)]
+        # each probe sees exactly what is queued behind it, the dead
+        # shell included until it drains
+        assert seen == [5, 4, 2, 1, 0]
 
     def test_max_events_stops_mid_bucket_and_resumes(self, engine):
         order = []

@@ -8,9 +8,7 @@ from collections import Counter
 import pytest
 
 from helpers import make_switch, pkt
-from repro.sim.switch import Switch, ecmp_hash
-
-
+from repro.sim.switch import SWITCH_MODES, Switch, ecmp_hash
 
 
 class TestEcmpHash:
@@ -71,6 +69,42 @@ class TestEcmpRouting:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             Switch("x", 0, salt=1, rng=random.Random(1), mode="wat")
+
+
+class TestReceiveFollowsRoute:
+    """``receive`` and ``route`` share one pick: a switch enqueues on
+    exactly the port its twin's ``route`` names for the same packet."""
+
+    @pytest.mark.parametrize("mode", SWITCH_MODES)
+    def test_receive_enqueues_on_the_routed_port(self, engine, mode):
+        # twins seeded alike: adaptive and ideal draw from the switch rng,
+        # and the twin mirrors every enqueue so their queues stay equal
+        twins = [make_switch(engine, mode=mode) for _ in range(2)]
+        for sw, ports in twins:
+            for p in ports:
+                p.owner = sw
+            sw.down_route[5] = ports[3]
+        (sw, ports), (twin, twin_ports) = twins
+
+        def check(n_pkts):
+            for ev in range(n_pkts):
+                fields = {"src": ev % 3, "dst": 5 if ev % 7 == 0 else 100,
+                          "ev": ev}
+                before = [p.stats.pkts_enqueued for p in ports]
+                sw.receive(pkt(**fields))
+                hit = [i for i, p in enumerate(ports)
+                       if p.stats.pkts_enqueued != before[i]]
+                routed = twin.route(pkt(**fields))
+                assert hit == [twin_ports.index(routed)]
+                routed.enqueue(pkt(**fields))
+
+        check(64)
+        # an exclusion rebuilds the ECMP group; a dead cable steers ideal
+        for _, up in twins:
+            up[2].excluded = True
+            up[4].cable.fail()
+        assert sw._healthy_cache_dirty and twin._healthy_cache_dirty
+        check(64)
 
 
 class TestAdaptiveMode:
