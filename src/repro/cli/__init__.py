@@ -197,14 +197,12 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="ignore and overwrite cached task results")
     fr_p.add_argument("--no-cache", action="store_true",
                       help="run without any artifact store")
-    fr_p.add_argument("--no-check", action="store_true",
-                      help="skip the paper-shape assertions")
     fr_p.add_argument("--prune-stale", action="store_true",
                       help="drop store artifacts whose simulator hash "
                            "no longer matches the source")
     fr_p.add_argument("--strict", action="store_true",
-                      help="exit non-zero on shape divergence, not "
-                           "just on figure errors")
+                      help="exit non-zero on an unmet paper claim, "
+                           "not just on figure errors")
     fr_p.add_argument("--policies", default=None, metavar="LBS",
                       help="also run the cross-policy arena — each "
                            "selected figure's canonical cells re-"
@@ -287,11 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="python interpreter on the ssh hosts")
     orc_p.add_argument("--fresh", action="store_true",
                        help="ignore and overwrite cached task results")
-    orc_p.add_argument("--no-check", action="store_true",
-                       help="skip the paper-shape assertions")
     orc_p.add_argument("--strict", action="store_true",
-                       help="exit non-zero on shape divergence, not "
-                            "just on figure errors")
+                       help="exit non-zero on an unmet paper claim, "
+                            "not just on figure errors")
     orc_p.add_argument("--chaos-kill", type=int, default=0,
                        metavar="N",
                        help="failure drill: SIGKILL N live workers "

@@ -44,8 +44,7 @@ def _run(args: argparse.Namespace) -> int:
           f"store={store.root if store is not None else 'none'}")
     campaign = run_campaign(
         specs, workers=args.workers, store=store,
-        check=not args.no_check, prune_stale=args.prune_stale,
-        progress=True)
+        prune_stale=args.prune_stale, progress=True)
     for outcome in campaign:
         print(figure_text(outcome))
     # the committed REPRODUCTION.md / campaign.json are the default

@@ -52,7 +52,7 @@ def cmd_orchestrate(args: argparse.Namespace) -> int:
                 shard_deadline_s=args.shard_deadline,
                 max_retries=args.max_retries,
                 chaos_kills=args.chaos_kill,
-                check=not args.no_check, fresh=args.fresh,
+                fresh=args.fresh,
                 progress=True, report_path=args.report,
                 json_path=args.json_path, html_path=args.html_path)
         except ValueError as exc:

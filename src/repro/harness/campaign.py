@@ -21,14 +21,14 @@ narrow it.  This module is the engine behind it:
    traceback captured; every other figure still runs, and everything
    that finished is persisted.
 
-Each outcome carries a fidelity *status* derived from the spec's
-paper-shape checks:
+Each outcome carries a fidelity *status*, read from the
+:class:`~repro.scenarios.registry.Expectation` records the spec's check
+leaves (every paper claim with its measured value, gate and margin):
 
-- ``pass``  — the shape assertions hold,
-- ``fail``  — the assertions diverge from the paper's claim,
-- ``warn``  — no check declared (or checks disabled): numbers are
-  measured but unverified,
-- ``error`` — the figure did not execute.
+- ``pass``  — every recorded claim holds,
+- ``fail``  — at least one claim is unmet; ``error`` lists each one,
+- ``error`` — the figure did not execute, its check raised, or the
+  check recorded no claim.
 
 :mod:`repro.report` turns a :class:`CampaignResult` into
 ``REPRODUCTION.md`` + ``campaign.json``.
@@ -42,7 +42,8 @@ import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
-from ..scenarios import FigureResult, FigureSpec, figure_ids, get_figure
+from ..scenarios import Expectation, FigureResult, FigureSpec, \
+    figure_ids, get_figure
 # run_figure is re-exported: the perf ledger wraps it by this name
 from ..scenarios.registry import FigureRun, run_figure, run_figures  # noqa: F401,E501
 from .backends import resolve_backend
@@ -55,7 +56,7 @@ if TYPE_CHECKING:  # describe -> persist: the codec loads with a store
 CAMPAIGN_STORE_DIR = "campaign"
 
 #: every outcome status, in report order
-STATUSES = ("pass", "warn", "fail", "error")
+STATUSES = ("pass", "fail", "error")
 
 
 def shared_store(results_dir: str, *, fresh: bool = False
@@ -101,10 +102,12 @@ class FigureOutcome:
     failure, plus the fidelity verdict."""
 
     spec: FigureSpec
-    status: str                      # pass | warn | fail | error
+    status: str                      # pass | fail | error
     result: Optional[FigureResult] = None
-    error: str = ""                  # divergence message / traceback
+    error: str = ""                  # unmet claims / traceback
     wall_s: float = 0.0
+    #: every paper claim the check recorded, met or not
+    expectations: Sequence[Expectation] = ()
 
     @property
     def fig_id(self) -> str:
@@ -188,14 +191,14 @@ class CampaignResult:
         return sum(o.cached for o in self.outcomes)
 
     def ok(self, strict: bool = False) -> bool:
-        """No figure crashed; with ``strict`` also no shape divergence."""
+        """No figure crashed; with ``strict`` also no unmet claim."""
         counts = self.counts()
         if counts["error"]:
             return False
         return not (strict and counts["fail"])
 
 
-def _judge(spec: FigureSpec, ran: FigureRun, check: bool) -> FigureOutcome:
+def _judge(spec: FigureSpec, ran: FigureRun) -> FigureOutcome:
     """One executed (or failed) figure's fidelity verdict."""
     if isinstance(ran, Exception):
         return FigureOutcome(spec, "error", error="".join(
@@ -203,23 +206,24 @@ def _judge(spec: FigureSpec, ran: FigureRun, check: bool) -> FigureOutcome:
                                        limit=8)))
     # a figure's wall is the task wall of the keys it executed itself
     wall_s = sum(r.wall_s for r in ran.sweep)
-    if not check or spec.check is None:
-        return FigureOutcome(spec, "warn", result=ran, wall_s=wall_s)
     try:
-        ran.check()
-    except AssertionError as exc:
-        detail = str(exc) or "shape assertion failed"
-        return FigureOutcome(spec, "fail", result=ran, error=detail,
-                             wall_s=wall_s)
+        expectations = tuple(ran.check())
     except Exception:
         return FigureOutcome(spec, "error", result=ran,
                              error=traceback.format_exc(limit=8),
                              wall_s=wall_s)
-    return FigureOutcome(spec, "pass", result=ran, wall_s=wall_s)
+    if not expectations:
+        return FigureOutcome(spec, "error", result=ran,
+                             error="the check recorded no paper claim",
+                             wall_s=wall_s)
+    missed = [e.describe() for e in expectations if not e.held]
+    return FigureOutcome(spec, "fail" if missed else "pass", result=ran,
+                         error="; ".join(missed), wall_s=wall_s,
+                         expectations=expectations)
 
 
 def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
-                 store: Optional[ColumnarStore] = None, check: bool = True,
+                 store: Optional[ColumnarStore] = None,
                  prune_stale: bool = False,
                  progress: bool = False,
                  backend=None) -> CampaignResult:
@@ -242,7 +246,7 @@ def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
     outcomes: List[Optional[FigureOutcome]] = [None] * len(specs)
 
     def on_figure(index: int, ran: FigureRun) -> None:
-        outcomes[index] = outcome = _judge(specs[index], ran, check)
+        outcomes[index] = outcome = _judge(specs[index], ran)
         if progress:
             done = sum(o is not None for o in outcomes)
             print(f"[{done}/{len(specs)}] {outcome.badge():7s} "

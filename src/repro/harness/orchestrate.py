@@ -406,7 +406,7 @@ class Orchestrator:
                  heartbeat_timeout_s: float = 60.0,
                  shard_deadline_s: Optional[float] = None,
                  max_retries: int = 2, poll_interval_s: float = 0.15,
-                 chaos_kills: int = 0, check: bool = True,
+                 chaos_kills: int = 0,
                  fresh: bool = False, progress: bool = False,
                  report_path: str = "REPRODUCTION.md",
                  json_path: str = "campaign.json",
@@ -430,7 +430,6 @@ class Orchestrator:
         self.max_retries = max(0, int(max_retries))
         self.poll_interval_s = poll_interval_s
         self.chaos_kills = max(0, int(chaos_kills))
-        self.check = check
         self.progress = progress
         self.report_path = report_path
         self.json_path = json_path
@@ -733,7 +732,7 @@ class Orchestrator:
         # any shard straggler would simply execute here — the report
         # can be late, never wrong
         return run_campaign(self.specs, workers=1, store=self.store,
-                            check=self.check, progress=self.progress)
+                            progress=self.progress)
 
     def _write_report(self, campaign) -> Tuple[str, str]:
         from ..report import write_campaign_report

@@ -115,8 +115,6 @@ def render_figure_page(spec: FigureSpec,
     lines += [
         f"- **Tags:** {', '.join(spec.tags) or '—'}",
         f"- **Metric:** `{spec.metric}`",
-        f"- **Shape check:** "
-        f"{'declared' if spec.check is not None else 'none (warn)'}",
         f"- **Tasks at `{DOC_SCALE}` scale:** {summary['tasks']}",
         "",
         "Reproduce:",
@@ -140,12 +138,6 @@ def render_figure_page(spec: FigureSpec,
             f"`{p}`" for p in summary["probes"])])
     lines.append(format_markdown_table(["axis", "values"], rows))
     lines.append("")
-    if spec.notes:
-        lines.append("## Notes")
-        lines.append("")
-        for note in spec.notes:
-            lines.append(f"- {note}")
-        lines.append("")
     return "\n".join(lines)
 
 

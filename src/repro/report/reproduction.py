@@ -4,7 +4,7 @@ The markdown report is the human-auditable artifact: a provenance
 header, a campaign summary table, then one fidelity-badged section per
 figure with the measured-vs-paper table (95% CIs where the figure
 aggregates seeds), an ASCII chart of the headline metric, and the
-spec's notes.  ``campaign.json`` carries the same content
+table's notes.  ``campaign.json`` carries the same content
 machine-readable, for CI trend tracking and external tooling.
 """
 
@@ -21,13 +21,12 @@ from .provenance import collect_provenance, store_throughput
 from .text import bar_chart, format_markdown_table, format_table, sparkline
 
 #: bump when the campaign.json layout changes
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 #: status -> short explanation used in the report legend
 _LEGEND = {
-    "pass": "paper-shape checks hold",
-    "warn": "measured, but no shape check to verify against",
-    "fail": "measured numbers diverge from the paper's claimed shape",
+    "pass": "every paper claim holds",
+    "fail": "measured numbers miss a paper claim (each one listed)",
     "error": "figure did not execute (crash captured below)",
 }
 
@@ -396,6 +395,11 @@ def campaign_doc(campaign: CampaignResult,
             "executed": outcome.executed,
             "cached": outcome.cached,
             "table": None,
+            "expectations": [
+                {"claim": e.claim, "measured": _finite(e.measured),
+                 "op": e.op, "bound": _finite(e.bound),
+                 "margin": _finite(e.margin), "held": e.held}
+                for e in outcome.expectations],
         }
         table_doc, table_error = _safe_table(outcome)
         if table_doc is not None:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: fidelity badges ranked: higher is worse (transition up = regression)
-_STATUS_RANK = {"pass": 0, "warn": 1, "fail": 2, "error": 3}
+_STATUS_RANK = {"pass": 0, "fail": 1, "error": 2}
 
 
 def load_record(path: str) -> Dict[str, object]:
@@ -194,13 +194,13 @@ class FigureTrend:
 
     @property
     def regressed(self) -> bool:
-        return _STATUS_RANK.get(self.new_status, 3) > \
-            _STATUS_RANK.get(self.old_status, 3)
+        return _STATUS_RANK.get(self.new_status, 2) > \
+            _STATUS_RANK.get(self.old_status, 2)
 
     @property
     def improved(self) -> bool:
-        return _STATUS_RANK.get(self.new_status, 3) < \
-            _STATUS_RANK.get(self.old_status, 3)
+        return _STATUS_RANK.get(self.new_status, 2) < \
+            _STATUS_RANK.get(self.old_status, 2)
 
     @property
     def changed(self) -> bool:

@@ -13,6 +13,7 @@ into sweep tasks and executes through
 
 from .registry import (
     REGISTRY,
+    Expectation,
     FigureResult,
     FigureSpec,
     TableDoc,
@@ -33,7 +34,7 @@ from . import analytic  # noqa: F401  (figs 14, 17-18, 20, 24, table 1)
 from .arena import DEFAULT_POLICIES, arena_spec, arena_specs  # noqa: E402
 
 __all__ = [
-    "REGISTRY", "FigureSpec", "FigureResult", "TableDoc",
+    "REGISTRY", "Expectation", "FigureSpec", "FigureResult", "TableDoc",
     "register", "get_figure", "figure_ids", "run_figure",
     "DEFAULT_POLICIES", "arena_spec", "arena_specs",
 ]

@@ -17,6 +17,7 @@ from ..harness.sweep import (
     make_task,
 )
 from ..sim.params import TopologyParams
+from .registry import FigureResult, Key
 
 #: the full Sec. 4.1 baseline suite, in the paper's legend order
 ALL_LBS = ["ecmp", "ops", "flowlet", "bitmap", "mprdma", "plb",
@@ -61,6 +62,14 @@ def task(lb: str, topo: TopologyParams, workload: WorkloadSpec, *,
     scenario_kw.setdefault("max_us", DEFAULT_MAX_US)
     return make_task(lb, topo, workload, seed=seed, failure=failure,
                      probes=probes, **scenario_kw)
+
+
+def expect_completes(res: FigureResult, key: Key,
+                     who: str = "REPS") -> None:
+    """The completion claim: ``key``'s run finished every flow."""
+    res.expect(f"{who} completes every flow",
+               res.value(key, "flows_completed"), "==",
+               res.value(key, "flows_total"))
 
 
 def synthetic(pattern: str, msg_bytes: int, *, fan_in: int = 8,

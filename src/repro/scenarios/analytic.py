@@ -11,14 +11,9 @@ same process pool, same content-keyed artifact caching.
 
 from __future__ import annotations
 
-import random
 from typing import Dict
 
-from ..core.footprint import compute_footprint
-from ..core.reps import RepsConfig
 from ..harness.sweep import SweepTask, make_model_task
-from ..workloads.traces import WEBSEARCH_CDF, empirical_cdf, \
-    sample_flow_size
 from .registry import FigureResult, FigureSpec, TableDoc, register
 
 # ----------------------------------------------------------------------
@@ -58,14 +53,19 @@ def _fig14_table(res: FigureResult) -> TableDoc:
 def _fig14_check(res: FigureResult) -> None:
     for e in _FIG14_EXPONENTS:
         one, many = res.value((e, 1)), res.value((e, 32))
-        # within ~2x of the paper's reported average at every point
-        assert 0.4 * _PAPER_1FLOW[e] < one < 2.5 * _PAPER_1FLOW[e]
-        assert many < one + 1e-9
-    # headline thresholds
-    assert res.value((16, 1)) < 0.10
-    assert res.value((8, 32)) > 0.05
-    # monotone decrease overall
-    assert res.value((5, 1)) > res.value((16, 1)) * 10
+        paper = _PAPER_1FLOW[e]
+        res.expect(f"2^{e} EVs, 1 flow: > 0.4x the paper's {paper}",
+                   one, ">", 0.4 * paper)
+        res.expect(f"2^{e} EVs, 1 flow: < 2.5x the paper's {paper}",
+                   one, "<", 2.5 * paper)
+        res.expect(f"2^{e} EVs: 32 flows no more imbalanced than 1",
+                   many, "<", one + 1e-9)
+    res.expect("2^16 EVs, 1 flow: imbalance < 0.10 (paper: 0.05)",
+               res.value((16, 1)), "<", 0.10)
+    res.expect("2^8 EVs, 32 flows: imbalance > 0.05 (paper: 0.13)",
+               res.value((8, 32)), ">", 0.05)
+    res.expect("1 flow: imbalance falls > 10x from 2^5 to 2^16 EVs",
+               res.value((5, 1)), ">", res.value((16, 1)) * 10)
 
 
 register(FigureSpec(
@@ -102,13 +102,16 @@ def _fig17_table(res: FigureResult) -> TableDoc:
 
 def _fig17_check(res: FigureResult) -> None:
     for n in _FIG17_PORTS:
-        # queues grow over the run
-        assert res.value(n, "round_1000") > res.value(n, "round_100")
-    # overall trend: more ports -> larger final max queue (adjacent
-    # points may jitter at 3 repeats; the endpoints must not)
+        res.expect(f"{n} ports: the max queue grows from round 100 to "
+                   "1000", res.value(n, "round_1000"), ">",
+                   res.value(n, "round_100"))
+    # adjacent points may jitter at 3 repeats; the endpoints must not
     finals = [res.value(n, "round_1000") for n in _FIG17_PORTS]
-    assert finals[-1] > 2 * finals[0]
-    assert max(finals[-2:]) >= max(finals[:2])
+    res.expect(f"{_FIG17_PORTS[-1]} ports end > 2x {_FIG17_PORTS[0]} "
+               "ports (more ports grow faster)", finals[-1], ">",
+               2 * finals[0])
+    res.expect("the two largest port counts end >= the two smallest",
+               max(finals[-2:]), ">=", max(finals[:2]))
 
 
 register(FigureSpec(
@@ -150,12 +153,15 @@ def _fig18_table(res: FigureResult) -> TableDoc:
 
 
 def _fig18_check(res: FigureResult) -> None:
-    # OPS diverges...
-    assert res.value("ops", "round_2000") > res.value("ops", "round_100")
-    assert res.value("ops", "round_2000") > 2 * _FIG18_TAU
-    # ...recycling converges to tau and stays there
-    assert res.value("recycled", "tail_peak") <= _FIG18_TAU + 1
-    assert res.value("recycled", "remembered_fraction") == 1.0
+    ops = res.value("ops", "round_2000")
+    res.expect("OPS max queue grows from round 100 to 2000 (paper: "
+               "unbounded)", ops, ">", res.value("ops", "round_100"))
+    res.expect("OPS max queue at round 2000 > 2 tau", ops, ">",
+               2 * _FIG18_TAU)
+    res.expect("recycled tail peak <= tau + 1 (paper: <= tau)",
+               res.value("recycled", "tail_peak"), "<=", _FIG18_TAU + 1)
+    res.expect("recycling remembers every ball",
+               res.value("recycled", "remembered_fraction"), "==", 1.0)
 
 
 register(FigureSpec(
@@ -198,15 +204,19 @@ def _fig20_table(res: FigureResult) -> TableDoc:
 
 def _fig20_check(res: FigureResult) -> None:
     ops = res.value("ops", "tail_avg")
-    # 2:1 and 4:1 stay far below the OPS queue level
-    assert res.value(2, "tail_avg") < 0.35 * ops
-    assert res.value(4, "tail_avg") < 0.5 * ops
-    # 8:1 degrades but still clearly beats OPS (paper: "still slightly
-    # more advantageous than OPS")
-    assert res.value(8, "tail_avg") < 0.6 * ops
-    # monotone degradation with the coalescing ratio
-    assert res.value(2, "tail_avg") <= res.value(4, "tail_avg") + 1e-9
-    assert res.value(4, "tail_avg") <= res.value(8, "tail_avg") + 1e-9
+    res.expect("recycle 1/2 tail queue < 0.35x OPS",
+               res.value(2, "tail_avg"), "<", 0.35 * ops)
+    res.expect("recycle 1/4 tail queue < 0.5x OPS",
+               res.value(4, "tail_avg"), "<", 0.5 * ops)
+    res.expect("recycle 1/8 tail queue < 0.6x OPS (paper: still "
+               "slightly more advantageous than OPS)",
+               res.value(8, "tail_avg"), "<", 0.6 * ops)
+    res.expect("recycle 1/2 <= 1/4 (degrades with the ratio)",
+               res.value(2, "tail_avg"), "<=",
+               res.value(4, "tail_avg") + 1e-9)
+    res.expect("recycle 1/4 <= 1/8 (degrades with the ratio)",
+               res.value(4, "tail_avg"), "<=",
+               res.value(8, "tail_avg") + 1e-9)
 
 
 register(FigureSpec(
@@ -239,19 +249,14 @@ def _fig24_table(res: FigureResult) -> TableDoc:
 
 
 def _fig24_check(res: FigureResult) -> None:
-    # WebSearch: most flows < 100 KB, tail in the MBs
-    assert res.value("websearch", "p50") < 100_000
-    assert res.value("websearch", "p99") > 1_000_000
-    # Facebook flows sit left of WebSearch at every quantile
+    res.expect("WebSearch median flow < 100 KB",
+               res.value("websearch", "p50"), "<", 100_000)
+    res.expect("WebSearch p99 flow > 1 MB (tail in the MBs)",
+               res.value("websearch", "p99"), ">", 1_000_000)
     for q in _FIG24_QUANTILES:
-        assert res.value("facebook", f"p{q}") <= \
-            res.value("websearch", f"p{q}")
-    # the empirical CDF helper reproduces a monotone curve
-    rng = random.Random(7)
-    pts = empirical_cdf([sample_flow_size(WEBSEARCH_CDF, rng)
-                         for _ in range(500)])
-    probs = [q for _, q in pts]
-    assert probs == sorted(probs) and probs[-1] == 1.0
+        res.expect(f"p{q}: Facebook <= WebSearch",
+                   res.value("facebook", f"p{q}"), "<=",
+                   res.value("websearch", f"p{q}"))
 
 
 register(FigureSpec(
@@ -293,16 +298,14 @@ def _table1_table(res: FigureResult) -> TableDoc:
 
 
 def _table1_check(res: FigureResult) -> None:
-    assert res.value(1, "total_bits") == 74
-    assert res.value(1, "total_bytes") == 10
-    assert res.value(8, "total_bits") == 193
-    assert res.value(8, "total_bytes") == 25
-    # small EVS shaves a byte per element (Sec. 3.3)
-    small = compute_footprint(RepsConfig(evs_size=256))
-    assert compute_footprint(RepsConfig()).total_bits - small.total_bits \
-        == 8 * 8
-    # REPS is orders of magnitude below per-EV state
-    assert res.value(8, "total_bits") * 100 < _BITMAP_BITS
+    for elements, (bits, nbytes) in _TABLE1_PAPER.items():
+        res.expect(f"{elements}-element buffer: {bits} bits",
+                   res.value(elements, "total_bits"), "==", bits)
+        res.expect(f"{elements}-element buffer: {nbytes} bytes",
+                   res.value(elements, "total_bytes"), "==", nbytes)
+    res.expect("REPS state x 100 < the BitMap strawman's "
+               f"{_BITMAP_BITS} bits", res.value(8, "total_bits") * 100,
+               "<", _BITMAP_BITS)
 
 
 register(FigureSpec(

@@ -20,7 +20,7 @@ horizon — which means:
 
 Derived specs are ordinary :class:`FigureSpec` objects (ids
 ``arena_<fig_id>``, tag ``arena``) and run through the normal campaign
-machinery; their check asserts that every policy finished every cell,
+machinery; their check claims that every policy finished every cell,
 so a policy that cannot survive a figure's scenario shows up as a
 ``[FAIL]`` badge in REPRODUCTION.md rather than a silent ``inf``.
 """
@@ -120,15 +120,19 @@ def _arena_check(policies: Sequence[str],
         # *finished* flows, so a DNF policy can still read finite
         dnf = sorted({key[0] for key in result.keys()
                       if not _cell_done(result, key)})
-        assert not dnf, (
-            f"policies {dnf} did not finish every cell within the "
-            f"arena horizon ({ARENA_HORIZON_US:.0f} us simulated)")
+        result.expect(
+            "every policy finishes every cell within the arena horizon "
+            f"({ARENA_HORIZON_US:.0f} us simulated)"
+            + (f"; DNF: {', '.join(dnf)}" if dnf else ""),
+            len(dnf), "==", 0)
         incomplete = sorted({
             key[0] for key in result.keys()
             if not math.isfinite(result.value(key))})
-        assert not incomplete, (
-            f"policies {incomplete} failed to complete every cell "
-            f"(non-finite {metric})")
+        result.expect(
+            f"every policy has a finite {metric} in every cell"
+            + (f"; non-finite: {', '.join(incomplete)}"
+               if incomplete else ""),
+            len(incomplete), "==", 0)
     return check
 
 
@@ -172,7 +176,6 @@ def arena_spec(base: FigureSpec,
         metric=base.metric,
         table=_arena_table(policies, base.metric),
         check=_arena_check(policies, base.metric),
-        notes=base.notes,
         tags=("arena",) + tuple(t for t in base.tags if t != "arena"),
         doc=(f"Head-to-head derived from `{base.fig_id}`: its "
              f"{len(cells)} `{pivot}` cell(s) re-run under "

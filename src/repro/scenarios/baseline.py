@@ -42,20 +42,19 @@ def _fig02_table(res: FigureResult) -> TableDoc:
 def _fig02_check(res: FigureResult) -> None:
     kmin_kb = res.value("ops", "kmin_kb")
     reps_q = res.value("reps", "steady_queue_kb")
-    ops_q = res.value("ops", "steady_queue_kb")
-    # shape: after convergence REPS holds every uplink queue around/below
-    # Kmin while OPS keeps colliding well past it
-    assert reps_q <= kmin_kb * 1.2
-    assert ops_q > 1.5 * reps_q
-    # REPS completes at least as fast (paper: ~4% faster)
-    assert res.value("reps", "max_fct_us") <= \
-        res.value("ops", "max_fct_us") * 1.02
-    # port utilization swings: OPS steady spread well above REPS's
-    assert res.value("reps", "util_spread_gbps") < \
-        res.value("ops", "util_spread_gbps")
-    # ECN marks: REPS near zero, OPS abundant
-    assert res.value("reps", "ecn_marks") < \
-        res.value("ops", "ecn_marks") / 10
+    res.expect("REPS steady queue <= 1.2x Kmin (paper: < Kmin)",
+               reps_q, "<=", kmin_kb * 1.2)
+    res.expect("OPS steady queue > 1.5x REPS (paper: OPS crosses Kmin)",
+               res.value("ops", "steady_queue_kb"), ">", 1.5 * reps_q)
+    res.expect("REPS max FCT <= 1.02x OPS (paper: ~4% faster)",
+               res.value("reps", "max_fct_us"), "<=",
+               res.value("ops", "max_fct_us") * 1.02)
+    res.expect("REPS port-utilization spread < OPS",
+               res.value("reps", "util_spread_gbps"), "<",
+               res.value("ops", "util_spread_gbps"))
+    res.expect("REPS ECN marks < OPS / 10 (paper: REPS near zero)",
+               res.value("reps", "ecn_marks"), "<",
+               res.value("ops", "ecn_marks") / 10)
 
 
 register(FigureSpec(
@@ -104,22 +103,24 @@ def _fig03_synthetic_table(res: FigureResult) -> TableDoc:
 def _fig03_synthetic_check(res: FigureResult) -> None:
     data = res.values()
     for mib in _FIG03_SIZES_MIB:
-        # incast is CC-bound: every LB within ~35% of ECMP
         spread = [data[("incast", mib, lb)] for lb in ALL_LBS]
-        assert max(spread) / min(spread) < 1.35
-        # permutation/tornado: REPS strictly beats ECMP, matches/beats OPS
+        res.expect(f"incast {mib} MiB is CC-bound: slowest LB < 1.35x "
+                   "fastest", max(spread) / min(spread), "<", 1.35)
         for pattern in ("permutation", "tornado"):
-            assert data[(pattern, mib, "reps")] < \
-                data[(pattern, mib, "ecmp")]
-            assert data[(pattern, mib, "reps")] <= \
-                data[(pattern, mib, "ops")] * 1.05
-    # tornado: Adaptive RoCE matches REPS (its ideal scenario)
+            reps = data[(pattern, mib, "reps")]
+            res.expect(f"{pattern} {mib} MiB: REPS < ECMP", reps, "<",
+                       data[(pattern, mib, "ecmp")])
+            res.expect(f"{pattern} {mib} MiB: REPS <= 1.05x OPS", reps,
+                       "<=", data[(pattern, mib, "ops")] * 1.05)
     t16 = {lb: data[("tornado", 16, lb)] for lb in ALL_LBS}
-    assert abs(t16["adaptive_roce"] - t16["reps"]) / t16["reps"] < 0.15
-    # permutation: REPS at least matches Adaptive RoCE (local optima are
-    # not globally optimal there — Sec. 4.3.1)
+    res.expect("tornado 16 MiB: Adaptive RoCE (its ideal scenario) "
+               "within 15% of REPS",
+               abs(t16["adaptive_roce"] - t16["reps"]) / t16["reps"],
+               "<", 0.15)
+    # local optima are not globally optimal there (Sec. 4.3.1)
     p16 = {lb: data[("permutation", 16, lb)] for lb in ALL_LBS}
-    assert p16["reps"] <= p16["adaptive_roce"] * 1.05
+    res.expect("permutation 16 MiB: REPS <= 1.05x Adaptive RoCE",
+               p16["reps"], "<=", p16["adaptive_roce"] * 1.05)
 
 
 register(FigureSpec(
@@ -150,14 +151,16 @@ def _fig03_traces_table(res: FigureResult) -> TableDoc:
 def _fig03_traces_check(res: FigureResult) -> None:
     for load in _FIG03_LOADS:
         data = {lb: res.value((load, lb)) for lb in CORE_LBS}
+        pct = f"{int(load * 100)}% load"
         if load < 0.9:
-            # low/medium load: the paper shows all LBs bunched together
-            assert max(data.values()) <= min(data.values()) * 1.5
+            res.expect(f"{pct}: every LB within 1.5x of the best "
+                       "(paper: bunched together)",
+                       max(data.values()), "<=", min(data.values()) * 1.5)
         else:
-            # at 100% load per-packet spraying pulls ahead of ECMP
-            assert data["reps"] <= data["ecmp"]
-        # REPS stays near the best at any load
-        assert data["reps"] <= min(data.values()) * 1.15
+            res.expect(f"{pct}: REPS <= ECMP (spraying pulls ahead)",
+                       data["reps"], "<=", data["ecmp"])
+        res.expect(f"{pct}: REPS within 15% of the best LB",
+                   data["reps"], "<=", min(data.values()) * 1.15)
 
 
 register(FigureSpec(
@@ -196,10 +199,11 @@ def _fig03_collectives_check(res: FigureResult) -> None:
     for k in kinds:
         vals = {lb: res.value((k, lb)) for lb in CORE_LBS}
         if "ring" in k:
-            # ring AllReduce: no congestion accumulates; all LBs similar
-            assert max(vals.values()) / min(vals.values()) < 1.4
-        # REPS leads or ties every collective
-        assert vals["reps"] <= min(vals.values()) * 1.12
+            res.expect(f"{k}: no congestion accumulates, slowest LB < "
+                       "1.4x fastest",
+                       max(vals.values()) / min(vals.values()), "<", 1.4)
+        res.expect(f"{k}: REPS within 12% of the best LB", vals["reps"],
+                   "<=", min(vals.values()) * 1.12)
 
 
 register(FigureSpec(
@@ -233,12 +237,16 @@ def _fig04_table(res: FigureResult) -> TableDoc:
 
 
 def _fig04_check(res: FigureResult) -> None:
-    # paper factor ~1.75x; require a clear win
-    assert res.value("reps", "max_fct_us") < \
-        0.75 * res.value("ops", "max_fct_us")
-    # OPS uses the slow link as much as the others; REPS skews away
-    assert 0.8 < res.value("ops", "slow_uplink_share") < 1.2
-    assert res.value("reps", "slow_uplink_share") < 0.8
+    res.expect("REPS max FCT < 0.75x OPS (paper: ~1.75x faster)",
+               res.value("reps", "max_fct_us"), "<",
+               0.75 * res.value("ops", "max_fct_us"))
+    ops_share = res.value("ops", "slow_uplink_share")
+    res.expect("OPS slow-link share > 0.8 (uses it like the others)",
+               ops_share, ">", 0.8)
+    res.expect("OPS slow-link share < 1.2 (uses it like the others)",
+               ops_share, "<", 1.2)
+    res.expect("REPS slow-link share < 0.8 (skews off the slow link)",
+               res.value("reps", "slow_uplink_share"), "<", 0.8)
 
 
 register(FigureSpec(
@@ -281,11 +289,13 @@ def _fig05_synthetic_table(res: FigureResult) -> TableDoc:
 def _fig05_synthetic_check(res: FigureResult) -> None:
     for pattern in ("permutation", "tornado"):
         vals = {lb: res.value((pattern, lb)) for lb in ALL_LBS}
-        assert vals["reps"] < vals["ecmp"]
-        assert vals["reps"] < vals["ops"]
-        # REPS within 10% of the best adaptive alternative
+        res.expect(f"{pattern}: REPS < ECMP", vals["reps"], "<",
+                   vals["ecmp"])
+        res.expect(f"{pattern}: REPS < OPS", vals["reps"], "<",
+                   vals["ops"])
         best_other = min(v for lb, v in vals.items() if lb != "reps")
-        assert vals["reps"] <= best_other * 1.10
+        res.expect(f"{pattern}: REPS within 10% of the best other LB",
+                   vals["reps"], "<=", best_other * 1.10)
 
 
 register(FigureSpec(
@@ -311,8 +321,9 @@ def _fig05_traces_table(res: FigureResult) -> TableDoc:
 
 def _fig05_traces_check(res: FigureResult) -> None:
     data = res.values()
-    assert data["reps"] <= data["ecmp"]
-    assert data["reps"] <= min(data.values()) * 1.15
+    res.expect("REPS <= ECMP", data["reps"], "<=", data["ecmp"])
+    res.expect("REPS within 15% of the best LB", data["reps"], "<=",
+               min(data.values()) * 1.15)
 
 
 register(FigureSpec(
@@ -345,7 +356,8 @@ def _fig05_collectives_table(res: FigureResult) -> TableDoc:
 def _fig05_collectives_check(res: FigureResult) -> None:
     for k in sorted({k for k, _ in res.keys()}):
         vals = {lb: res.value((k, lb)) for lb in CORE_LBS}
-        assert vals["reps"] <= min(vals.values()) * 1.10
+        res.expect(f"{k}: REPS within 10% of the best LB", vals["reps"],
+                   "<=", min(vals.values()) * 1.10)
 
 
 register(FigureSpec(
@@ -376,14 +388,14 @@ def _fig06_table(res: FigureResult) -> TableDoc:
 
 
 def _fig06_check(res: FigureResult) -> None:
-    # REPS main traffic beats an all-ECMP world and at least ties OPS
-    assert res.value("reps", "max_fct_us") < \
-        res.value("ecmp", "max_fct_us")
-    assert res.value("reps", "max_fct_us") <= \
-        res.value("ops", "max_fct_us") * 1.05
-    # the ECMP background is not worse off under REPS than under OPS
-    assert res.value("reps", "bg_max_fct_us") <= \
-        res.value("ops", "bg_max_fct_us") * 1.10
+    reps = res.value("reps", "max_fct_us")
+    res.expect("REPS main traffic < all-ECMP", reps, "<",
+               res.value("ecmp", "max_fct_us"))
+    res.expect("REPS main traffic <= 1.05x OPS", reps, "<=",
+               res.value("ops", "max_fct_us") * 1.05)
+    res.expect("ECMP background under REPS <= 1.1x under OPS (paper: "
+               "both sides win)", res.value("reps", "bg_max_fct_us"),
+               "<=", res.value("ops", "bg_max_fct_us") * 1.10)
 
 
 register(FigureSpec(

@@ -16,8 +16,8 @@ from typing import Dict
 from ..harness.stats import cdf_points
 from ..harness.sweep import FailureSpec, SweepTask, WorkloadSpec
 from ..sim.params import TopologyParams
-from ._shared import msg, scaled_topo, small_topo, synthetic, task, \
-    testbed_topo
+from ._shared import expect_completes, msg, scaled_topo, small_topo, \
+    synthetic, task, testbed_topo
 from .registry import FigureResult, FigureSpec, TableDoc, register
 
 # ----------------------------------------------------------------------
@@ -47,14 +47,14 @@ def _fig07_table(res: FigureResult) -> TableDoc:
 
 
 def _fig07_check(res: FigureResult) -> None:
-    assert res.value("reps", "max_fct_us") < \
-        0.75 * res.value("ops", "max_fct_us")
-    assert res.value("ops", "total_drops") >= \
-        2.0 * res.value("reps", "total_drops")
-    # both workloads recover fully once the failures clear
+    res.expect("REPS max FCT < 0.75x OPS (paper: >35% faster)",
+               res.value("reps", "max_fct_us"), "<",
+               0.75 * res.value("ops", "max_fct_us"))
+    res.expect("OPS drops >= 2x REPS (paper: ~2.5x fewer drops)",
+               res.value("ops", "total_drops"), ">=",
+               2.0 * res.value("reps", "total_drops"))
     for lb in res.keys():
-        assert res.value(lb, "flows_completed") == \
-            res.value(lb, "flows_total")
+        expect_completes(res, lb, f"{lb}, once the failures clear,")
 
 
 register(FigureSpec(
@@ -111,22 +111,20 @@ def _fig08_permutation_table(res: FigureResult) -> TableDoc:
 
 def _fig08_permutation_check(res: FigureResult) -> None:
     for mode in FIG08_MODES:
-        vals = {lb: res.value((mode, lb)) for lb in _FIG08_LBS}
-        # REPS at least matches OPS in every mode...
-        assert vals["reps"] <= vals["ops"] * 1.05, mode
-        # ... and everything completes despite the failures
-        assert res.value((mode, "reps"), "flows_completed") == \
-            res.value((mode, "reps"), "flows_total"), mode
-    # hard failures (not BER) show a clear REPS win
+        res.expect(f"{mode}: REPS <= 1.05x OPS", res.value((mode, "reps")),
+                   "<=", res.value((mode, "ops")) * 1.05)
+        expect_completes(res, (mode, "reps"), f"{mode}: REPS")
     for mode in ("one_cable", "5pct_cables", "5pct_both"):
-        assert res.value((mode, "reps")) < \
-            0.8 * res.value((mode, "ops")), mode
-    # the REPS advantage grows with the failure count (paper note)
+        res.expect(f"{mode} (a hard failure): REPS < 0.8x OPS",
+                   res.value((mode, "reps")), "<",
+                   0.8 * res.value((mode, "ops")))
     gain_one = res.value(("one_cable", "ops")) / \
         res.value(("one_cable", "reps"))
     gain_five = res.value(("5pct_cables", "ops")) / \
         res.value(("5pct_cables", "reps"))
-    assert gain_five >= gain_one * 0.9
+    res.expect("the REPS speedup over OPS grows with the failure count: "
+               "5pct_cables >= 0.9x one_cable", gain_five, ">=",
+               gain_one * 0.9)
 
 
 register(FigureSpec(
@@ -160,7 +158,9 @@ def _fig08_allreduce_table(res: FigureResult) -> TableDoc:
 
 def _fig08_allreduce_check(res: FigureResult) -> None:
     for mode in _FIG08_ALLREDUCE_MODES:
-        assert res.value((mode, "reps")) <= res.value((mode, "ops"))
+        res.expect(f"{mode}: REPS AllReduce <= OPS",
+                   res.value((mode, "reps")), "<=",
+                   res.value((mode, "ops")))
 
 
 register(FigureSpec(
@@ -210,17 +210,19 @@ def _fig09_check(res: FigureResult) -> None:
     for f in _FIG09_FRACTIONS:
         ideal = res.value(("ideal", f))
         reps = res.value(("reps", f))
-        plb = res.value(("plb", f))
-        # REPS tracks the oracle closely (paper: 2-19% on a 1024-node
-        # tree; our 8-uplink testbed has far less path diversity, so the
-        # 50% point is allowed up to 3x); PLB does not track it at all
-        assert reps <= ideal * (3.0 if f >= 0.5 else 1.5)
-        assert reps <= plb
-        # everything still completes
-        assert res.value(("reps", f), "flows_completed") == \
-            res.value(("reps", f), "flows_total")
-    # at heavy failure rates the PLB gap is dramatic
-    assert res.value(("plb", 0.5)) > 1.5 * res.value(("reps", 0.5))
+        failed = f"{int(f * 100)}% failed"
+        # the paper's 2-19% is on a 1024-node tree; our 8-uplink
+        # testbed has far less path diversity, so the 50% point is
+        # allowed up to 3x
+        slack = 3.0 if f >= 0.5 else 1.5
+        res.expect(f"{failed}: REPS <= {slack:g}x Theoretical Best "
+                   "(paper: within 2-19%)", reps, "<=", ideal * slack)
+        res.expect(f"{failed}: REPS <= PLB (PLB does not track the "
+                   "oracle)", reps, "<=", res.value(("plb", f)))
+        expect_completes(res, ("reps", f), f"{failed}: REPS")
+    res.expect("50% failed: PLB > 1.5x REPS (paper: PLB 186-304% "
+               "behind)", res.value(("plb", 0.5)), ">",
+               1.5 * res.value(("reps", 0.5)))
 
 
 register(FigureSpec(
@@ -258,15 +260,15 @@ def _fig10_table(res: FigureResult) -> TableDoc:
 def _fig10_check(res: FigureResult) -> None:
     sym_ops = res.value(("ops", "symmetric"))
     sym_reps = res.value(("reps", "symmetric"))
-    # (a) symmetric: both within ~25% of each other, both high
-    assert abs(sym_ops - sym_reps) / sym_reps < 0.25
-    assert sym_reps > 50.0
-    # (b) asymmetric: REPS clearly ahead of OPS
+    res.expect("symmetric: OPS and REPS goodput within 25%",
+               abs(sym_ops - sym_reps) / sym_reps, "<", 0.25)
+    res.expect("symmetric: REPS goodput > 50 Gbps", sym_reps, ">", 50.0)
     asy_ops = res.value(("ops", "asymmetric"))
     asy_reps = res.value(("reps", "asymmetric"))
-    assert asy_reps > 1.2 * asy_ops
-    # REPS loses little goodput to the asymmetry; OPS is capped hard
-    assert asy_reps > 0.75 * sym_reps
+    res.expect("asymmetric: REPS goodput > 1.2x OPS", asy_reps, ">",
+               1.2 * asy_ops)
+    res.expect("asymmetric: REPS keeps > 0.75x its symmetric goodput",
+               asy_reps, ">", 0.75 * sym_reps)
 
 
 register(FigureSpec(
@@ -297,10 +299,11 @@ def _fig11a_table(res: FigureResult) -> TableDoc:
 
 
 def _fig11a_check(res: FigureResult) -> None:
-    assert res.value("reps", "p50_fct_us") <= \
-        res.value("ops", "p50_fct_us")
-    assert res.value("reps", "max_fct_us") < \
-        res.value("ops", "max_fct_us")
+    res.expect("REPS median FCT <= OPS (paper: CDF left of OPS)",
+               res.value("reps", "p50_fct_us"), "<=",
+               res.value("ops", "p50_fct_us"))
+    res.expect("REPS max FCT < OPS", res.value("reps", "max_fct_us"),
+               "<", res.value("ops", "max_fct_us"))
 
 
 register(FigureSpec(
@@ -332,12 +335,12 @@ def _fig11b_table(res: FigureResult) -> TableDoc:
 
 
 def _fig11b_check(res: FigureResult) -> None:
-    assert res.value("reps", "flows_completed") == \
-        res.value("reps", "flows_total")
-    # the paper's 70x comes from 100s-of-ms exposure; even over our much
-    # shorter run the factor must be large
-    assert res.value("ops", "total_drops") > \
-        2.5 * res.value("reps", "total_drops")
+    expect_completes(res, "reps")
+    # the paper's 70x comes from 100s-of-ms exposure; our run is far
+    # shorter
+    res.expect("OPS drops > 2.5x REPS (paper: >70x)",
+               res.value("ops", "total_drops"), ">",
+               2.5 * res.value("reps", "total_drops"))
 
 
 register(FigureSpec(
@@ -378,15 +381,14 @@ def _fig22_table(res: FigureResult) -> TableDoc:
 
 
 def _fig22_check(res: FigureResult) -> None:
-    assert res.value("reps", "flows_completed") == \
-        res.value("reps", "flows_total")
-    # a dramatic win — the paper reports ~40x; require >3x at our scale
-    assert res.value("ops", "max_fct_us") > \
-        3.0 * res.value("reps", "max_fct_us")
-    assert res.value("ops", "total_drops") > \
-        2.0 * res.value("reps", "total_drops")
-    # freezing engaged, and REPS kept probing (frozen reuse happened)
-    assert res.value("reps", "freeze_entries") > 0
+    expect_completes(res, "reps")
+    res.expect("OPS max FCT > 3x REPS (paper: ~40x)",
+               res.value("ops", "max_fct_us"), ">",
+               3.0 * res.value("reps", "max_fct_us"))
+    res.expect("OPS drops > 2x REPS", res.value("ops", "total_drops"),
+               ">", 2.0 * res.value("reps", "total_drops"))
+    res.expect("REPS freezing engaged (freeze entries > 0)",
+               res.value("reps", "freeze_entries"), ">", 0)
 
 
 register(FigureSpec(

@@ -3,7 +3,7 @@
 Every paper figure/table/ablation is a :class:`FigureSpec`: a named
 builder that expands the figure's scenario matrix into
 :class:`~repro.harness.sweep.SweepTask`s, the metric each cell reports,
-a table renderer, and the paper's shape assertions.  The one executor,
+a table renderer, and the paper's claims.  The one executor,
 :func:`run_figures`, pushes any number of specs through a single
 :func:`~repro.harness.sweep.run_sweep` — so every figure gets the same
 parallelism, deterministic seeding, and content-keyed artifact caching,
@@ -30,13 +30,18 @@ Invariants:
   artifact's ``extra`` mapping.  ``FigureResult.value`` reads metrics
   and probe outputs through one namespace, so tables and shape checks
   do not care which side produced a number.
-- **Checks assert shape, not absolute numbers** (orderings and rough
-  factors vs the paper); a failing check raises :class:`AssertionError`
-  and is reported as a fidelity divergence, not a crash.
+- **Claims are records, not asserts.**  A spec's ``check`` states the
+  paper's shape claims (orderings and rough factors, not absolute
+  numbers) as :meth:`FigureResult.expect` calls; each becomes an
+  :class:`Expectation` with its measured value, gate and margin.  The
+  campaign judges a figure from those records, so a verdict names
+  every claim it missed and does not depend on ``python -O``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -65,6 +70,47 @@ Key = Hashable
 #: (headers, rows, notes) — what a figure prints/persists as its table
 TableDoc = Tuple[Sequence[str], Sequence[Sequence[object]], Sequence[str]]
 
+#: the comparisons a claim may make, measured on the left
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Expectation:
+    """One paper claim as measured: ``measured op bound`` held or not."""
+
+    claim: str
+    measured: float
+    op: str
+    bound: float
+
+    def __post_init__(self) -> None:
+        if self.op not in _OPS:
+            raise ValueError(f"unknown op {self.op!r} in claim "
+                             f"{self.claim!r} (one of {', '.join(_OPS)})")
+
+    @property
+    def held(self) -> bool:
+        """A non-finite measurement meets no claim."""
+        return (math.isfinite(self.measured)
+                and _OPS[self.op](self.measured, self.bound))
+
+    @property
+    def margin(self) -> float:
+        """Signed relative clearance: > 0 held with room to spare,
+        < 0 missed by that share of the bound (absolute when the bound
+        is 0); ``==`` is never better than 0."""
+        gap = self.bound - self.measured
+        if self.op in (">", ">="):
+            gap = -gap
+        elif self.op == "==":
+            gap = -abs(gap)
+        return gap / abs(self.bound) if self.bound else gap
+
+    def describe(self) -> str:
+        return (f"{self.claim} ({self.measured:g} {self.op} "
+                f"{self.bound:g})")
+
 
 class FigureResult:
     """One executed figure: benchmark keys -> task results."""
@@ -74,6 +120,7 @@ class FigureResult:
         self.spec = spec
         self.tasks = tasks
         self.sweep = sweep
+        self.expectations: List[Expectation] = []
         self._by_key: Dict[Key, TaskResult] = {
             key: sweep[task] for key, task in tasks.items()}
 
@@ -118,31 +165,18 @@ class FigureResult:
 
     def table_doc(self) -> TableDoc:
         """The figure's report table (headers, rows, notes)."""
-        if self.spec.table is not None:
-            return self.spec.table(self)
-        if self.spec.metric_kind == "timeseries":
-            # fallback for series figures: summary stats per row (the
-            # full trajectory renders as the section's sparkline)
-            rows = []
-            for key, result in self._by_key.items():
-                values = [v for v in result.series.get(self.spec.metric,
-                                                       [])
-                          if v is not None]
-                rows.append((str(key), len(values),
-                             round(sum(values) / len(values), 2)
-                             if values else 0.0,
-                             round(values[-1], 2) if values else 0.0))
-            return (["scenario", "windows", f"mean_{self.spec.metric}",
-                     f"last_{self.spec.metric}"], rows,
-                    list(self.spec.notes))
-        rows = [(str(key), round(self.value(key), 2))
-                for key in self._by_key]
-        return (["scenario", self.spec.metric], rows, list(self.spec.notes))
+        return self.spec.table(self)
 
-    def check(self) -> None:
-        """Run the spec's paper-shape assertions (no-op if none)."""
-        if self.spec.check is not None:
-            self.spec.check(self)
+    def expect(self, claim: str, measured: float, op: str,
+               bound: float) -> None:
+        """Record one paper claim: ``measured op bound``."""
+        self.expectations.append(Expectation(claim, measured, op, bound))
+
+    def check(self) -> List[Expectation]:
+        """Run the spec's paper claims; every record, met or not."""
+        self.expectations = []
+        self.spec.check(self)
+        return self.expectations
 
 
 #: what executing a figure yields: its result, or what stopped it
@@ -155,22 +189,21 @@ class FigureSpec:
 
     ``build`` returns the figure's matrix as ``{key: SweepTask}`` —
     evaluated lazily so the matrix can honour ``REPRO_BENCH_SCALE`` at
-    run time.  ``check`` raises :class:`AssertionError` when the
-    measured shape diverges from the paper's claim.
+    run time.  ``table`` renders the report table; ``check`` records
+    the paper's claims through :meth:`FigureResult.expect`.
     """
 
     fig_id: str
     figure: str                # the paper's name, e.g. "Fig. 7"
     title: str
     build: Callable[[], Dict[Key, SweepTask]]
+    table: Callable[[FigureResult], TableDoc]
+    check: Callable[[FigureResult], None]
     metric: str = "max_fct_us"
     #: how ``metric`` reads: ``"scalar"`` (a table cell) or
     #: ``"timeseries"`` (a windowed series probe output — the report
     #: renders the trajectory and campaign.json carries the arrays)
     metric_kind: str = "scalar"
-    table: Optional[Callable[[FigureResult], TableDoc]] = None
-    check: Optional[Callable[[FigureResult], None]] = None
-    notes: Tuple[str, ...] = ()
     #: campaign filter labels (``repro figures run --all --tag sim``);
     #: by convention the first tag is the figure kind (sim | model)
     tags: Tuple[str, ...] = ()

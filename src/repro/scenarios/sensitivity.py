@@ -15,8 +15,8 @@ from ..core.footprint import compute_footprint
 from ..core.reps import RepsConfig
 from ..harness.sweep import FailureSpec, SweepTask, WorkloadSpec
 from ..sim.params import TopologyParams
-from ._shared import ALL_LBS, msg, scaled_topo, small_topo, synthetic, \
-    task
+from ._shared import ALL_LBS, expect_completes, msg, scaled_topo, \
+    small_topo, synthetic, task
 from .registry import FigureResult, FigureSpec, TableDoc, register
 
 # ----------------------------------------------------------------------
@@ -49,10 +49,11 @@ def _fig12_healthy_table(res: FigureResult) -> TableDoc:
 
 def _fig12_healthy_check(res: FigureResult) -> None:
     for r in (1, 2, 4, 8):
-        assert res.value(("reps", r)) <= \
-            res.value(("ops", r)) * 1.05, f"ratio {r}:1"
-    # at 16:1 REPS falls back to roughly OPS behaviour (parity +-15%)
-    assert res.value(("reps", 16)) <= res.value(("ops", 16)) * 1.15
+        res.expect(f"ratio {r}:1: REPS <= 1.05x OPS (paper: REPS ahead)",
+                   res.value(("reps", r)), "<=",
+                   res.value(("ops", r)) * 1.05)
+    res.expect("ratio 16:1: REPS <= 1.15x OPS (paper: parity)",
+               res.value(("reps", 16)), "<=", res.value(("ops", 16)) * 1.15)
 
 
 register(FigureSpec(
@@ -79,8 +80,9 @@ def _fig12_failures_table(res: FigureResult) -> TableDoc:
 
 def _fig12_failures_check(res: FigureResult) -> None:
     for r in _FIG12_FAILURE_RATIOS:
-        assert res.value(("reps", r)) < \
-            0.8 * res.value(("ops", r)), f"ratio {r}:1"
+        res.expect(f"ratio {r}:1: REPS < 0.8x OPS (paper: ~5x faster)",
+                   res.value(("reps", r)), "<",
+                   0.8 * res.value(("ops", r)))
 
 
 register(FigureSpec(
@@ -136,14 +138,14 @@ def _fig13_table(res: FigureResult) -> TableDoc:
 def _fig13_check(res: FigureResult) -> None:
     for sc in ("asymmetric", "failures"):
         base = res.value(("reps", sc))
-        ops = res.value(("ops", sc))
         carry = res.value(("reps+carry", sc))
         reuse = res.value(("reps+reuse", sc))
-        # the variants at least match plain REPS under coalescing...
-        assert carry <= base * 1.05, sc
-        assert reuse <= base * 1.10, sc
-        # ...and beat OPS where adaptivity matters
-        assert min(carry, reuse) < ops, sc
+        res.expect(f"{sc}: Carry EVs <= 1.05x plain REPS", carry, "<=",
+                   base * 1.05)
+        res.expect(f"{sc}: Reuse EVs <= 1.1x plain REPS", reuse, "<=",
+                   base * 1.10)
+        res.expect(f"{sc}: the better variant < OPS",
+                   min(carry, reuse), "<", res.value(("ops", sc)))
 
 
 register(FigureSpec(
@@ -178,14 +180,14 @@ def _fig15_evs_table(res: FigureResult) -> TableDoc:
 def _fig15_evs_check(res: FigureResult) -> None:
     reps64k = res.value(("reps", 65536))
     ops64k = res.value(("ops", 65536))
-    # REPS with 256 EVs ~ REPS with 64K EVs
-    assert res.value(("reps", 256)) <= reps64k * 1.10
-    # REPS with only 32 EVs stays within ~15%
-    assert res.value(("reps", 32)) <= reps64k * 1.20
-    # OPS degrades much more with a tiny EVS
-    assert res.value(("ops", 32)) > ops64k * 1.25
-    # headline: REPS@32 EVs performs like OPS@64K
-    assert res.value(("reps", 32)) <= ops64k * 1.10
+    res.expect("REPS@256 EVs <= 1.1x REPS@64K (paper: fine at 256)",
+               res.value(("reps", 256)), "<=", reps64k * 1.10)
+    res.expect("REPS@32 EVs <= 1.2x REPS@64K (paper: ~8% off)",
+               res.value(("reps", 32)), "<=", reps64k * 1.20)
+    res.expect("OPS@32 EVs > 1.25x OPS@64K (paper: 64% slower)",
+               res.value(("ops", 32)), ">", ops64k * 1.25)
+    res.expect("REPS@32 EVs <= 1.1x OPS@64K", res.value(("reps", 32)),
+               "<=", ops64k * 1.10)
 
 
 register(FigureSpec(
@@ -212,8 +214,8 @@ def _fig15_cc_table(res: FigureResult) -> TableDoc:
 
 def _fig15_cc_check(res: FigureResult) -> None:
     for cc in _FIG15_CCS:
-        assert res.value(("reps", cc)) <= \
-            res.value(("ops", cc)) * 1.05, cc
+        res.expect(f"{cc}: REPS <= 1.05x OPS", res.value(("reps", cc)),
+                   "<=", res.value(("ops", cc)) * 1.05)
 
 
 register(FigureSpec(
@@ -261,16 +263,15 @@ def _fig16_table(res: FigureResult) -> TableDoc:
 
 def _fig16_check(res: FigureResult) -> None:
     for n in FIG16_TOPOS:
-        reps_full = res.value(("reps", n, 65536))
-        # REPS with 64 EVs ~ full EVS at every scale
-        assert res.value(("reps", n, 64)) <= reps_full * 1.15, n
-        # REPS with 64 EVs beats OPS with the full 16-bit EVS (headline)
-        assert res.value(("reps", n, 64)) <= \
-            res.value(("ops", n, 65536)) * 1.05, n
-    # OPS with 16 EVs degrades well beyond OPS with 64K at the largest
+        reps64 = res.value(("reps", n, 64))
+        res.expect(f"{n} hosts: REPS@64 EVs <= 1.15x REPS@64K", reps64,
+                   "<=", res.value(("reps", n, 65536)) * 1.15)
+        res.expect(f"{n} hosts: REPS@64 EVs <= 1.05x OPS@64K", reps64,
+                   "<=", res.value(("ops", n, 65536)) * 1.05)
     n = max(FIG16_TOPOS)
-    assert res.value(("ops", n, 16)) > \
-        1.3 * res.value(("ops", n, 65536))
+    res.expect(f"{n} hosts: OPS@16 EVs > 1.3x OPS@64K",
+               res.value(("ops", n, 16)), ">",
+               1.3 * res.value(("ops", n, 65536)))
 
 
 register(FigureSpec(
@@ -311,11 +312,10 @@ def _fig19_check(res: FigureResult) -> None:
     reps = res.value("reps")
     forced = res.value("reps_forced")
     ops = res.value("ops")
-    # forced freezing costs only minor instability
-    assert forced <= reps * 1.10
-    # both REPS variants complete at least as fast as OPS
-    assert forced <= ops * 1.02
-    assert reps <= ops * 1.02
+    res.expect("forced freezing <= 1.1x standard REPS", forced, "<=",
+               reps * 1.10)
+    res.expect("forced freezing <= 1.02x OPS", forced, "<=", ops * 1.02)
+    res.expect("standard REPS <= 1.02x OPS", reps, "<=", ops * 1.02)
 
 
 register(FigureSpec(
@@ -353,11 +353,12 @@ def _fig21_table(res: FigureResult) -> TableDoc:
 
 def _fig21_check(res: FigureResult) -> None:
     for pattern in ("permutation", "tornado"):
-        vals = {lb: res.value((pattern, lb)) for lb in ALL_LBS}
-        assert vals["reps"] < vals["ecmp"], pattern
-        assert vals["reps"] <= vals["ops"] * 1.05, pattern
-        assert res.value((pattern, "reps"), "flows_completed") == \
-            res.value((pattern, "reps"), "flows_total")
+        reps = res.value((pattern, "reps"))
+        res.expect(f"{pattern}: REPS < ECMP", reps, "<",
+                   res.value((pattern, "ecmp")))
+        res.expect(f"{pattern}: REPS <= 1.05x OPS", reps, "<=",
+                   res.value((pattern, "ops")) * 1.05)
+        expect_completes(res, (pattern, "reps"), f"{pattern}: REPS")
 
 
 register(FigureSpec(
@@ -399,15 +400,16 @@ def _fig23_table(res: FigureResult) -> TableDoc:
 
 
 def _fig23_check(res: FigureResult) -> None:
-    # no failures: freezing changes nothing measurable
     for sc in ("symmetric", "asymmetric"):
         a = res.value(("reps", sc))
         b = res.value(("reps_no_freezing", sc))
-        assert abs(a - b) / a < 0.10, sc
-    # failures: freezing helps; no-freezing REPS still beats OPS
+        res.expect(f"{sc}: freezing moves REPS by < 10% (paper: none "
+                   "needed)", abs(a - b) / a, "<", 0.10)
     f = {v: res.value((v, "failures")) for v in _FIG23_VARIANTS}
-    assert f["reps"] <= f["reps_no_freezing"] * 1.05
-    assert f["reps_no_freezing"] < f["ops"]
+    res.expect("failures: REPS <= 1.05x REPS without freezing (paper: "
+               "~25% gain)", f["reps"], "<=", f["reps_no_freezing"] * 1.05)
+    res.expect("failures: REPS without freezing < OPS",
+               f["reps_no_freezing"], "<", f["ops"])
 
 
 register(FigureSpec(
@@ -449,17 +451,14 @@ def _ablation_buffer_table(res: FigureResult) -> TableDoc:
 
 
 def _ablation_buffer_check(res: FigureResult) -> None:
-    # every depth still completes the workload
-    for key in res.keys():
-        assert res.value(key, "flows_completed") == \
-            res.value(key, "flows_total"), key
-    # the paper's depth-8 choice is within 10% of the best depth in both
-    # scenarios — deeper buffers buy nothing
+    for depth, failures in res.keys():
+        expect_completes(res, (depth, failures), f"depth {depth}"
+                         f"{' with failures' if failures else ''}: REPS")
     for failures in (False, True):
         best = min(res.value((d, failures)) for d in _DEPTHS)
-        assert res.value((8, failures)) <= best * 1.10
-    # and the state stays ~25 bytes (the paper's headline)
-    assert compute_footprint(RepsConfig(buffer_size=8)).total_bytes == 25
+        res.expect(f"{'failures' if failures else 'healthy'}: the "
+                   "paper's depth 8 within 10% of the best depth",
+                   res.value((8, failures)), "<=", best * 1.10)
 
 
 register(FigureSpec(
@@ -504,12 +503,11 @@ def _ablation_deploy_table(res: FigureResult) -> TableDoc:
 def _ablation_deploy_check(res: FigureResult) -> None:
     pure = res.value(0.0)
     for frac in _DEPLOY_FRACTIONS[1:]:
-        assert res.value(frac, "flows_completed") == \
-            res.value(frac, "flows_total")
-        # REPS traffic degrades gracefully as legacy share grows, never
-        # catastrophically (stays within ~4x of an all-REPS fabric even
-        # at 75% legacy traffic)
-        assert res.value(frac) < 4.0 * pure, frac
+        share = f"{int(frac * 100)}% ECMP"
+        expect_completes(res, frac, f"{share}: the fabric")
+        res.expect(f"{share}: REPS traffic < 4x an all-REPS fabric "
+                   "(degrades gracefully)", res.value(frac), "<",
+                   4.0 * pure)
 
 
 register(FigureSpec(
@@ -543,12 +541,13 @@ def _ablation_oversub_table(res: FigureResult) -> TableDoc:
 
 def _ablation_oversub_check(res: FigureResult) -> None:
     for r in _OVERSUB_RATIOS:
-        # REPS keeps its edge at every oversubscription level
-        assert res.value(("reps", r)) <= \
-            res.value(("ops", r)) * 1.05, r
-        assert res.value(("reps", r)) < res.value(("ecmp", r)), r
-    # tighter fabrics take longer (sanity of the sweep itself)
-    assert res.value(("reps", 4)) > res.value(("reps", 1))
+        reps = res.value(("reps", r))
+        res.expect(f"{r}:1: REPS <= 1.05x OPS", reps, "<=",
+                   res.value(("ops", r)) * 1.05)
+        res.expect(f"{r}:1: REPS < ECMP", reps, "<",
+                   res.value(("ecmp", r)))
+    res.expect("4:1 takes longer than 1:1 (sanity of the sweep)",
+               res.value(("reps", 4)), ">", res.value(("reps", 1)))
 
 
 register(FigureSpec(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..harness.sweep import FailureSpec, SweepTask
-from ._shared import scaled_topo, synthetic, task
+from ._shared import expect_completes, scaled_topo, synthetic, task
 from .registry import FigureResult, FigureSpec, TableDoc, register
 
 #: like fig02: a long telemetry trace needs the real 16 MiB at every
@@ -94,20 +94,24 @@ def _table(res: FigureResult) -> TableDoc:
 
 def _check(res: FigureResult) -> None:
     reps, ops = _summary(res, "reps"), _summary(res, "ops")
-    # the failed uplink costs REPS little: it keeps most of its
-    # pre-failure goodput through the outage and finishes first
-    assert res.value("reps", "flows_completed") == \
-        res.value("reps", "flows_total")
-    assert res.value("reps", "max_fct_us") < \
-        0.75 * res.value("ops", "max_fct_us")
-    assert reps["retained"] >= 0.4
-    assert reps["retained"] > 2.0 * ops["retained"]
-    # the recovery is *recycling-driven*: by the end of the run nearly
-    # every REPS EV comes from the recycle buffer, and its spray has
-    # skewed off the dead uplink; OPS never recycles at all
-    assert reps["recycle_end"] >= 0.5
-    assert max(res.series("ops", "ev_recycle_rate"), default=0.0) == 0.0
-    assert reps["share_fail"] <= 0.05
+    expect_completes(res, "reps")
+    res.expect("REPS max FCT < 0.75x OPS (finishes first)",
+               res.value("reps", "max_fct_us"), "<",
+               0.75 * res.value("ops", "max_fct_us"))
+    res.expect("REPS keeps >= 0.4 of its pre-failure goodput through "
+               "the outage", reps["retained"], ">=", 0.4)
+    res.expect("REPS retains > 2x the goodput share OPS does",
+               reps["retained"], ">", 2.0 * ops["retained"])
+    # the recovery is recycling-driven: by the end nearly every REPS
+    # EV comes from the recycle buffer and its spray has skewed off
+    # the dead uplink
+    res.expect("REPS EV recycle rate at the end >= 0.5",
+               reps["recycle_end"], ">=", 0.5)
+    res.expect("OPS never recycles an EV",
+               max(res.series("ops", "ev_recycle_rate"), default=0.0),
+               "==", 0.0)
+    res.expect("REPS share on the dead uplink during the outage <= 0.05",
+               reps["share_fail"], "<=", 0.05)
 
 
 register(FigureSpec(

@@ -70,10 +70,8 @@ class TestRunCampaign:
         campaign = run_campaign(stub_registry(), store=store)
         assert [o.fig_id for o in campaign] == \
             ["stub_a", "stub_b", "stub_c"]
-        assert campaign.counts() == \
-            {"pass": 2, "warn": 1, "fail": 0, "error": 0}
+        assert campaign.counts() == {"pass": 3, "fail": 0, "error": 0}
         assert campaign.ok() and campaign.ok(strict=True)
-        assert campaign["stub_c"].status == "warn"
 
     def test_backend_recorded_for_provenance(self, tmp_path):
         store = ColumnarStore(str(tmp_path))
@@ -121,12 +119,13 @@ class TestRunCampaign:
         assert "matrix exploded" in campaign["stub_bad"].error
         # the broken spec did not abort the campaign
         assert campaign["stub_a"].status == "pass"
-        assert campaign["stub_c"].status == "warn"
+        assert campaign["stub_c"].status == "pass"
         assert not campaign.ok()
 
     def test_shape_divergence_is_fail_not_error(self, tmp_path):
         def check_bad(result):
-            assert result.value(1) > result.value(8), "shape off"
+            result.expect("shape off", result.value(1), ">",
+                          result.value(8))
         specs = [stub_spec("stub_div", check=check_bad)] \
             + stub_registry()
         campaign = run_campaign(specs, store=ColumnarStore(str(tmp_path)))
@@ -135,12 +134,6 @@ class TestRunCampaign:
         assert "shape off" in outcome.error
         assert outcome.result is not None  # numbers still reported
         assert campaign.ok() and not campaign.ok(strict=True)
-
-    def test_checks_disabled_means_warn(self, tmp_path):
-        campaign = run_campaign(stub_registry(),
-                                store=ColumnarStore(str(tmp_path)),
-                                check=False)
-        assert {o.status for o in campaign} == {"warn"}
 
     def test_no_store_still_runs(self):
         campaign = run_campaign(stub_registry())
@@ -256,7 +249,7 @@ class TestOnePool:
         specs = self.failing_registry()
         campaign = run_campaign(specs, store=store, workers=workers)
         assert [o.status for o in campaign] == \
-            ["pass", "pass", "error", "warn", "error"]
+            ["pass", "pass", "error", "pass", "error"]
         for fig_id in ("bad_1", "bad_2"):
             # the traceback from the process that ran the task
             assert "unknown model 'not_yet'" in campaign[fig_id].error
@@ -286,7 +279,7 @@ class TestOnePool:
         campaign = run_campaign(specs, backend=backend,
                                 store=ColumnarStore(str(tmp_path)))
         assert [o.status for o in campaign] == \
-            ["error", "pass", "pass", "warn"]
+            ["error", "pass", "pass", "pass"]
         assert len(backend.runs) == 1 and len(backend.runs[0]) == 4
 
     def test_summary_reports_where_the_wall_went(self, tmp_path):

@@ -158,6 +158,8 @@ class TestFig02TimeseriesSpec:
         spec = FigureSpec(
             fig_id="stub_series", figure="stub", title="stub",
             build=lambda: {"reps": series_task()},
+            table=lambda result: ([], [], []),
+            check=lambda result: None,
             metric="goodput_gbps", metric_kind="timeseries")
         result = run_figure(spec, store=ColumnarStore(str(tmp_path)))
         assert len(result.series("reps")) > 0

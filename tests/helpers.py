@@ -84,7 +84,20 @@ def footprint_task(buffer_size: int, seed: int = 1):
                            buffer_size=buffer_size, evs_size=65536)
 
 
-def stub_spec(fig_id: str, buffers=(1, 8), check=None, build=None):
+def stub_table(result):
+    """A stub figure's table: one row per cell."""
+    rows = [(str(key), round(result.value(key), 2))
+            for key in result.keys()]
+    return (["scenario", result.spec.metric], rows, [])
+
+
+def stub_check(result):
+    """A stub figure's one claim: every cell costs some bits."""
+    result.expect("every cell costs bits",
+                  min(result.values().values()), ">", 0)
+
+
+def stub_spec(fig_id: str, buffers=(1, 8), check=stub_check, build=None):
     """A tiny, fast FigureSpec over the footprint model."""
     from repro.scenarios import FigureSpec
 
@@ -93,17 +106,18 @@ def stub_spec(fig_id: str, buffers=(1, 8), check=None, build=None):
     return FigureSpec(
         fig_id=fig_id, figure="Stub", title=f"stub {fig_id}",
         build=build or default_build, metric="total_bits",
-        check=check, tags=("stub",))
+        table=stub_table, check=check, tags=("stub",))
 
 
 def stub_registry():
     """Three healthy figures; the middle one shares a task with the
-    first (cross-figure dedup), the last declares no check (warn)."""
+    first (cross-figure dedup), the last has a single cell."""
     def check_ok(result):
         keys = sorted(result.keys())
-        assert result.value(keys[-1]) > result.value(keys[0])
+        result.expect("more buffer elements cost more bits",
+                      result.value(keys[-1]), ">", result.value(keys[0]))
     return [
         stub_spec("stub_a", buffers=(1, 8), check=check_ok),
         stub_spec("stub_b", buffers=(8, 16), check=check_ok),
-        stub_spec("stub_c", buffers=(2,)),  # no check -> warn
+        stub_spec("stub_c", buffers=(2,)),
     ]

@@ -35,6 +35,8 @@ def test_failure_figure_end_to_end_at_smoke_scale(monkeypatch):
     even at smoke scale — the full figure path minus the cost."""
     monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
     result = run_figure(get_figure("fig11b"), workers=1)
-    result.check()
+    records = result.check()
+    assert records and all(e.held for e in records), \
+        [e.describe() for e in records if not e.held]
     assert result.value("ops", "total_drops") > \
         result.value("reps", "total_drops")

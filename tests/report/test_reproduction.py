@@ -80,8 +80,8 @@ class TestRenderReproduction:
         text = render_reproduction(campaign)
         for outcome in campaign:
             assert f"## {outcome.fig_id} — " in text
-        assert "`[PASS]`" in text and "`[WARN]`" in text
-        assert "`[ERROR]`" in text
+        assert "`[PASS]`" in text and "`[ERROR]`" in text
+        assert "WARN" not in text
 
     def test_provenance_header(self, tmp_path):
         campaign = small_campaign(tmp_path)
@@ -221,12 +221,15 @@ class TestRenderReproduction:
 
     def test_divergence_called_out(self, tmp_path):
         def check_bad(result):
-            assert False, "factor off by 2x"
+            result.expect("factor off by 2x", 2.0, "<", 1.0)
+            result.expect("a claim that holds", 1.0, "<", 2.0)
+            result.expect("second miss", 3.0, "==", 4.0)
         campaign = run_campaign(
             [stub_spec("stub_div", check=check_bad)],
             store=ColumnarStore(str(tmp_path)))
         text = render_reproduction(campaign)
-        assert "**Diverges from the paper:** factor off by 2x" in text
+        assert ("**Diverges from the paper:** factor off by 2x "
+                "(2 < 1); second miss (3 == 4)\n") in text
 
 
 def ts_spec(fig_id="stub_ts"):
@@ -243,10 +246,20 @@ def ts_spec(fig_id="stub_ts"):
                               probes=("goodput_series",),
                               max_us=2_000_000.0)
                 for lb in ("ops", "reps")}
+
+    def table(result):
+        return (["lb", "windows"],
+                [(lb, len(result.series(lb))) for lb in result.keys()],
+                [])
+
+    def check(result):
+        for lb in result.keys():
+            result.expect(f"{lb} has goodput windows",
+                          len(result.series(lb)), ">", 3)
     return FigureSpec(
         fig_id=fig_id, figure="Stub TS", title=f"stub {fig_id}",
         build=build, metric="goodput_gbps", metric_kind="timeseries",
-        tags=("stub", "timeseries"))
+        table=table, check=check, tags=("stub", "timeseries"))
 
 
 class TestTimeseriesReport:
@@ -286,12 +299,13 @@ class TestCampaignJson:
     def test_document_structure(self, tmp_path):
         campaign = small_campaign(tmp_path)
         doc = campaign_doc(campaign)
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         for field in PROVENANCE_FIELDS:
             assert field in doc["provenance"]
         summary = doc["summary"]
         assert summary["figures"] == len(campaign)
-        assert summary["pass"] == 2 and summary["error"] == 1
+        assert summary["pass"] == 3 and summary["error"] == 1
+        assert "warn" not in summary
         assert summary["tasks"] == campaign.tasks
         assert summary["store"] == str(tmp_path)
         by_id = {f["fig_id"]: f for f in doc["figures"]}
@@ -300,6 +314,12 @@ class TestCampaignJson:
         assert by_id["stub_a"]["tags"] == ["stub"]
         assert by_id["stub_bad"]["table"] is None
         assert "matrix exploded" in by_id["stub_bad"]["error"]
+        (claim,) = by_id["stub_a"]["expectations"]
+        assert claim == {"claim": "more buffer elements cost more bits",
+                         "measured": 193.0, "op": ">", "bound": 74.0,
+                         "margin": pytest.approx(119 / 74),
+                         "held": True}
+        assert by_id["stub_bad"]["expectations"] == []
 
     def test_json_serializable_with_inf_sanitized(self, tmp_path):
         campaign = small_campaign(tmp_path)
@@ -314,6 +334,22 @@ class TestCampaignJson:
         doc = campaign_doc(campaign)
         blob = json.dumps(doc)  # must not raise / emit Infinity
         assert "Infinity" not in blob
+
+    def test_non_finite_claim_is_unmet_and_written_as_null(self,
+                                                           tmp_path):
+        def check_inf(result):
+            result.expect("finishes", float("inf"), ">", 1.0)
+            result.expect("finite", float("nan"), "<", 1.0)
+        campaign = run_campaign(
+            [stub_spec("stub_inf", check=check_inf)],
+            store=ColumnarStore(str(tmp_path)))
+        assert campaign["stub_inf"].status == "fail"
+        blob = json.dumps(campaign_doc(campaign))
+        assert "Infinity" not in blob and "NaN" not in blob
+        records = json.loads(blob)["figures"][0]["expectations"]
+        assert [(r["measured"], r["margin"], r["held"])
+                for r in records] == [(None, None, False),
+                                      (None, None, False)]
 
     def test_write_campaign_report_skips_a_none_path(self, tmp_path):
         campaign = small_campaign(tmp_path / "store")

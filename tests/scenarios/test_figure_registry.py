@@ -7,7 +7,6 @@ import pytest
 from repro.harness.sweep import SweepTask, task_key
 from repro.scenarios import (
     REGISTRY,
-    FigureSpec,
     figure_ids,
     get_figure,
     register,
@@ -70,7 +69,9 @@ class TestExecution:
         from repro.harness.store import ColumnarStore
         store = ColumnarStore(str(tmp_path))
         result = run_figure("table1", store=store)
-        result.check()
+        records = result.check()
+        assert records and all(e.held for e in records), \
+            [e.describe() for e in records if not e.held]
         assert result.value(8, "total_bytes") == 25
         headers, rows, notes = result.table_doc()
         assert "buffer_elems" in headers
@@ -79,17 +80,6 @@ class TestExecution:
         again = run_figure("table1", store=store)
         assert again.sweep.cached == len(again)
         assert again.values() == result.values()
-
-    def test_default_table_doc(self):
-        spec = FigureSpec(
-            fig_id="__tmp__", figure="-", title="tmp",
-            build=lambda: {8: get_figure("table1").build()[8]},
-            metric="total_bits")
-        result = run_figure(spec)
-        headers, rows, _notes = result.table_doc()
-        assert headers == ["scenario", "total_bits"]
-        assert rows == [("8", 193.0)]
-        result.check()  # no check declared -> no-op
 
     def test_run_figure_accepts_spec_or_id(self):
         by_id = run_figure("fig24")

@@ -238,7 +238,7 @@ class TestFigures:
         from repro.scenarios import registry
 
         def boom(result):
-            raise AssertionError("shape off")
+            result.expect("shape off", 1.0, "<", 0.0)
         spec = registry.get_figure("table1")
         monkeypatch.setitem(
             registry.REGISTRY, "table1",
@@ -247,28 +247,11 @@ class TestFigures:
                             "--no-cache",
                             "--results-dir", str(tmp_path))
         assert code == 0
-        assert "[FAIL] table1: shape off" in out
+        assert "[FAIL] table1: shape off (1 < 0)" in out
         code, out = run_cli(capsys, "figures", "run", "table1",
                             "--no-cache", "--strict",
                             "--results-dir", str(tmp_path))
         assert code == 1
-
-    def test_no_check_skips_assertions(self, capsys, tmp_path,
-                                       monkeypatch):
-        from repro.scenarios import registry
-
-        def boom(result):
-            raise AssertionError("shape off")
-        spec = registry.get_figure("table1")
-        monkeypatch.setitem(
-            registry.REGISTRY, "table1",
-            type(spec)(**{**spec.__dict__, "check": boom}))
-        code, out = run_cli(capsys, "figures", "run", "table1",
-                            "--no-check", "--no-cache", "--strict",
-                            "--results-dir", str(tmp_path))
-        assert code == 0
-        assert "shape off" not in out
-        assert "1 warn" in out
 
     def test_crashing_table_costs_one_table(self, capsys, tmp_path,
                                             monkeypatch):
@@ -382,7 +365,7 @@ class TestFiguresCampaign:
         from repro.scenarios import registry
 
         def boom(result):
-            raise AssertionError("shape off")
+            result.expect("shape off", 1.0, "<", 0.0)
         spec = registry.get_figure("table1")
         monkeypatch.setitem(
             registry.REGISTRY, "table1",

@@ -50,8 +50,7 @@ NO_SIMULATION = ("repro.sim.network", "repro.harness.runner",
 DESCRIBE = {
     "repro", "repro.core", "repro.core.footprint", "repro.core.reps",
     "repro.harness", "repro.harness.scale", "repro.harness.stats",
-    "repro.harness.sweep", "repro.sim", "repro.sim.params",
-    "repro.workloads", "repro.workloads.traces"}
+    "repro.harness.sweep", "repro.sim", "repro.sim.params"}
 
 
 def loaded_by(*argv, cwd=None):
