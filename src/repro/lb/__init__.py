@@ -9,14 +9,13 @@ Importing this package registers every algorithm with the factory:
 """
 
 from .base import (
-    ORDERING_PROMISE_FOR_LB,
-    REPLICATION_FOR_LB,
-    SWITCH_MODE_FOR_LB,
     LbContext,
+    Policy,
     ReplicationSpec,
     SenderLoadBalancer,
     available,
     make_lb,
+    policy,
     register,
 )
 from .bitmap import BitmapLb
@@ -36,9 +35,8 @@ from .simple import (
 from .sprinklers import SprinklersLb
 
 __all__ = [
-    "LbContext", "SenderLoadBalancer", "SWITCH_MODE_FOR_LB",
-    "ORDERING_PROMISE_FOR_LB", "REPLICATION_FOR_LB", "ReplicationSpec",
-    "available", "make_lb", "register",
+    "LbContext", "Policy", "ReplicationSpec", "SenderLoadBalancer",
+    "available", "make_lb", "policy", "register",
     "BitmapLb", "FlowletLb", "MprdmaLb", "MptcpLb", "PlbLb",
     "PrimeLb", "RepflowCopyLb", "SprinklersLb",
     "AdaptiveRoceSenderLb", "EcmpLb", "IdealSenderLb", "OpsLb",

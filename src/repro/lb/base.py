@@ -8,14 +8,15 @@ drives:
 - ``on_nack(ev, now)``   — a trimmed-packet NACK (congestion loss),
 - ``on_timeout(ev, now)`` — an RTO fired (possible failure).
 
-Switch-side schemes (Adaptive RoCE, the Fig. 9 oracle) are configured via
-the topology's ``switch_mode``; their sender half is plain spraying.
+Each policy registers once with its whole contract (:class:`Policy`):
+switch-side schemes (Adaptive RoCE, the Fig. 9 oracle) name the switch
+mode they need and register plain spraying as their sender half.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional
 
 from ..core.reps import RepsConfig, RepsSender
@@ -38,8 +39,6 @@ class LbContext:
 class SenderLoadBalancer:
     """Base class: OPS-like behaviour (random EV, ignore feedback)."""
 
-    name = "base"
-
     def __init__(self, ctx: LbContext) -> None:
         self.ctx = ctx
 
@@ -58,16 +57,6 @@ class SenderLoadBalancer:
 
 LbFactory = Callable[[LbContext], object]
 
-_REGISTRY: Dict[str, LbFactory] = {}
-
-#: LB names that require a non-default switch forwarding mode.
-SWITCH_MODE_FOR_LB = {
-    "adaptive_roce": "adaptive",
-    "ideal": "ideal",
-    "wcmp": "wcmp",
-    "reps_source": "source",
-}
-
 
 @dataclass(frozen=True)
 class ReplicationSpec:
@@ -85,42 +74,62 @@ class ReplicationSpec:
     max_bytes: Optional[int] = 100 * 1024
 
 
-#: LB names whose flows the transport replicates.  Policy modules
-#: register themselves here at import time (see ``repflow.py``), and
-#: ``sim.network.Network.add_flow`` consults it per flow.
-REPLICATION_FOR_LB: Dict[str, ReplicationSpec] = {}
+@dataclass(frozen=True)
+class Policy:
+    """Everything a registered load-balancing policy is.
 
-#: Delivery-order promises the conformance suite holds policies to
-#: (``tests/lb/test_policy_conformance.py``).  Values:
-#:
-#: - ``"flow_fifo"``   — on a lossless fabric every packet of a flow
-#:   arrives in send order (single-path policies: ECMP, WCMP, and each
-#:   RepFlow copy),
-#: - ``"stripe_fifo"`` — packets sharing an entropy value arrive in
-#:   send order (Sprinklers: path changes only at stripe boundaries).
-#:
-#: Policies absent from this mapping promise nothing about ordering.
-ORDERING_PROMISE_FOR_LB: Dict[str, str] = {}
+    - ``factory`` builds the sender half for one flow (``make_lb``);
+    - ``switch_mode`` names the switch forwarding mode the policy needs
+      (``"adaptive"``, ``"ideal"``, ``"wcmp"``, ``"source"``); ``None``
+      is plain ECMP hashing.  ``sim.network.Network`` applies it unless
+      the topology already names a non-ECMP mode;
+    - ``replication`` makes the transport clone the policy's flows
+      (``sim.network.Network.add_flow`` builds the copies);
+    - ``ordering`` is the delivery-order promise the conformance suite
+      (``tests/lb/test_policy_conformance.py``) holds the policy to:
+      ``"flow_fifo"`` — on a lossless fabric every packet of a flow
+      arrives in send order (single-path policies) — or
+      ``"stripe_fifo"`` — packets sharing an entropy value arrive in
+      send order (Sprinklers).  ``None`` promises nothing.
+    """
+
+    factory: LbFactory
+    switch_mode: Optional[str] = None
+    replication: Optional[ReplicationSpec] = None
+    ordering: Optional[str] = None
 
 
-def register(name: str) -> Callable[[LbFactory], LbFactory]:
+_REGISTRY: Dict[str, Policy] = {}
+
+
+def register(name: str, *, switch_mode: Optional[str] = None,
+             replication: Optional[ReplicationSpec] = None,
+             ordering: Optional[str] = None,
+             ) -> Callable[[LbFactory], LbFactory]:
+    """Register ``factory`` under ``name`` with its :class:`Policy`
+    contract (used as a decorator)."""
     def deco(factory: LbFactory) -> LbFactory:
         if name in _REGISTRY:
             raise ValueError(f"duplicate load balancer {name!r}")
-        _REGISTRY[name] = factory
+        _REGISTRY[name] = Policy(factory, switch_mode, replication,
+                                 ordering)
         return factory
     return deco
 
 
-def make_lb(name: str, ctx: LbContext):
-    """Instantiate a registered load balancer for one flow."""
+def policy(name: str) -> Policy:
+    """The registered :class:`Policy` called ``name``."""
     try:
-        factory = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown load balancer {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
-    return factory(ctx)
+
+
+def make_lb(name: str, ctx: LbContext):
+    """Instantiate a registered load balancer for one flow."""
+    return policy(name).factory(ctx)
 
 
 def available() -> list:
@@ -128,10 +137,12 @@ def available() -> list:
 
 
 def _make_reps(ctx: LbContext) -> RepsSender:
-    cfg = ctx.reps_config or RepsConfig(evs_size=ctx.evs_size)
-    if cfg.evs_size != ctx.evs_size and ctx.reps_config is None:
-        cfg.evs_size = ctx.evs_size
+    """REPS over the flow's EV space; ``reps_source`` is the same sender
+    over source routing (Sec. 3.3), where the EV is the path id."""
+    cfg = (RepsConfig(evs_size=ctx.evs_size) if ctx.reps_config is None
+           else replace(ctx.reps_config, evs_size=ctx.evs_size))
     return RepsSender(cfg, rng=ctx.rng, cwnd_pkts=ctx.cwnd_pkts)
 
 
 register("reps")(_make_reps)
+register("reps_source", switch_mode="source")(_make_reps)

@@ -29,8 +29,6 @@ DEFAULT_TABLE_SIZE = 256
 class BitmapLb(SenderLoadBalancer):
     """Random spraying that avoids EVs marked congested."""
 
-    name = "bitmap"
-
     def __init__(self, ctx: LbContext) -> None:
         super().__init__(ctx)
         self._table_size = min(ctx.evs_size, DEFAULT_TABLE_SIZE)

@@ -14,8 +14,6 @@ from .base import LbContext, SenderLoadBalancer, register
 class FlowletLb(SenderLoadBalancer):
     """Flowlet switching with gap = RTT/2."""
 
-    name = "flowlet"
-
     def __init__(self, ctx: LbContext) -> None:
         super().__init__(ctx)
         self._ev = ctx.rng.randrange(ctx.evs_size)

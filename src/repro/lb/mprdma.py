@@ -17,8 +17,6 @@ from .base import LbContext, SenderLoadBalancer, register
 class MprdmaLb(SenderLoadBalancer):
     """Self-clocked per-packet path selection with a single-EV memory."""
 
-    name = "mprdma"
-
     def __init__(self, ctx: LbContext) -> None:
         super().__init__(ctx)
         self._granted_ev = None  # at most one credit, no deeper cache

@@ -20,8 +20,6 @@ SUBFLOWS = 8
 class MptcpLb(SenderLoadBalancer):
     """8-subflow striping with congestion-weighted selection."""
 
-    name = "mptcp"
-
     def __init__(self, ctx: LbContext) -> None:
         super().__init__(ctx)
         self._evs = [ctx.rng.randrange(ctx.evs_size)

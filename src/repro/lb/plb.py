@@ -16,8 +16,6 @@ from .base import LbContext, SenderLoadBalancer, register
 class PlbLb(SenderLoadBalancer):
     """PLB with FlowBender-aggressive parameters."""
 
-    name = "plb"
-
     #: fraction of ECN-marked ACKs in a round that marks it congested
     ecn_threshold = 0.5
     #: consecutive congested rounds before repathing

@@ -27,8 +27,6 @@ class PrimeLb(SenderLoadBalancer):
     """Multi-part entropy: shuffled path-offset table over a mobile
     flowlet base."""
 
-    name = "prime"
-
     #: size of the per-flow path-part permutation (distinct hashes the
     #: short-term spray cycles through)
     PATH_PARTS = 16

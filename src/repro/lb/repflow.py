@@ -14,22 +14,21 @@ The sender half of one copy is plain ECMP (each replica is its own
 replication itself is transport machinery —
 :class:`~repro.sim.transport.ReplicatedFlow` wires first-finish-wins
 completion and loser cancellation, and ``Network.add_flow`` builds the
-copies when the flow's LB name appears in
-:data:`~repro.lb.base.REPLICATION_FOR_LB`.
+copies because the policy registers a
+:class:`~repro.lb.base.ReplicationSpec`.
 """
 
 from __future__ import annotations
 
-from .base import (
-    ORDERING_PROMISE_FOR_LB,
-    REPLICATION_FOR_LB,
-    ReplicationSpec,
-    register,
-)
+from .base import ReplicationSpec, register
 from .simple import EcmpLb
 
 
-@register("repflow")
+# replicate short flows twice (RepFlow's 100 KB threshold); each copy is
+# ECMP-pinned, so per (copy) flow delivery is FIFO
+@register("repflow",
+          replication=ReplicationSpec(copies=2, max_bytes=100 * 1024),
+          ordering="flow_fifo")
 class RepflowCopyLb(EcmpLb):
     """Sender half of one RepFlow copy: a static per-copy EV.
 
@@ -37,13 +36,3 @@ class RepflowCopyLb(EcmpLb):
     of a message hash independently — almost always onto distinct
     paths, which is the entire point.
     """
-
-    name = "repflow"
-
-
-#: replicate short flows twice, RepFlow's 100 KB threshold
-REPLICATION_FOR_LB["repflow"] = ReplicationSpec(copies=2,
-                                                max_bytes=100 * 1024)
-
-# each copy is ECMP-pinned, so per (copy) flow delivery is FIFO
-ORDERING_PROMISE_FOR_LB["repflow"] = "flow_fifo"

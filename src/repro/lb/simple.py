@@ -6,23 +6,18 @@ Fig. 9 oracle spray randomly at the sender and let the switch decide.
 
 from __future__ import annotations
 
-from .base import (
-    ORDERING_PROMISE_FOR_LB,
-    LbContext,
-    SenderLoadBalancer,
-    register,
-)
+from .base import LbContext, SenderLoadBalancer, register
 
 
-@register("ecmp")
+@register("ecmp", ordering="flow_fifo")
 class EcmpLb(SenderLoadBalancer):
     """Classic ECMP: one static EV for the whole flow.
 
     All packets of the connection hash identically, so the flow is pinned
-    to a single path — the hash-collision failure mode of Sec. 2.2.
+    to a single path — the hash-collision failure mode of Sec. 2.2.  One
+    path is one FIFO queue chain, so on a lossless fabric the flow
+    arrives strictly in order (``flow_fifo``).
     """
-
-    name = "ecmp"
 
     def __init__(self, ctx: LbContext) -> None:
         super().__init__(ctx)
@@ -36,8 +31,6 @@ class EcmpLb(SenderLoadBalancer):
 class OpsLb(SenderLoadBalancer):
     """Oblivious Packet Spraying: a fresh random EV per packet."""
 
-    name = "ops"
-
     def __init__(self, ctx: LbContext) -> None:
         super().__init__(ctx)
         # per-packet path: one bound-method call, no ctx hops
@@ -48,40 +41,17 @@ class OpsLb(SenderLoadBalancer):
         return self._randrange(self._evs_size)
 
 
-@register("adaptive_roce")
+@register("adaptive_roce", switch_mode="adaptive")
 class AdaptiveRoceSenderLb(OpsLb):
     """Sender half of Adaptive RoCE: spray; switches pick least-queue."""
 
-    name = "adaptive_roce"
 
-
-@register("ideal")
+@register("ideal", switch_mode="ideal")
 class IdealSenderLb(OpsLb):
     """Sender half of the Fig. 9 'Theoretical Best' oracle."""
 
-    name = "ideal"
 
-
-@register("wcmp")
+@register("wcmp", switch_mode="wcmp", ordering="flow_fifo")
 class WcmpSenderLb(EcmpLb):
     """Sender half of WCMP: per-flow static EV; switches weight the
     group by link rate (Sec. 4.3.2's known-asymmetry alternative)."""
-
-    name = "wcmp"
-
-
-# one static EV = one path = one FIFO queue chain: on a lossless
-# fabric these deliver strictly in order (conformance-suite contract)
-ORDERING_PROMISE_FOR_LB["ecmp"] = "flow_fifo"
-ORDERING_PROMISE_FOR_LB["wcmp"] = "flow_fifo"
-
-
-def _make_reps_source(ctx):
-    """REPS over source routing (Sec. 3.3): the EV is the path id, so a
-    modest EVS suffices; the algorithm itself is unchanged."""
-    from ..core.reps import RepsConfig, RepsSender
-    cfg = ctx.reps_config or RepsConfig(evs_size=ctx.evs_size)
-    return RepsSender(cfg, rng=ctx.rng, cwnd_pkts=ctx.cwnd_pkts)
-
-
-register("reps_source")(_make_reps_source)

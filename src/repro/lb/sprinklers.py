@@ -11,25 +11,18 @@ remaining budget, a trim or timeout ends the stripe immediately (the
 next packet opens a fresh stripe on a fresh hash).
 
 The conformance suite holds the policy to its construction: packets
-sharing an EV must arrive in send order (``"stripe_fifo"`` in
-:data:`~repro.lb.base.ORDERING_PROMISE_FOR_LB`).
+sharing an EV must arrive in send order (it registers
+``ordering="stripe_fifo"``).
 """
 
 from __future__ import annotations
 
-from .base import (
-    ORDERING_PROMISE_FOR_LB,
-    LbContext,
-    SenderLoadBalancer,
-    register,
-)
+from .base import LbContext, SenderLoadBalancer, register
 
 
-@register("sprinklers")
+@register("sprinklers", ordering="stripe_fifo")
 class SprinklersLb(SenderLoadBalancer):
     """Variable-size striping: one random EV per stripe of packets."""
-
-    name = "sprinklers"
 
     MIN_STRIPE = 4
     MAX_STRIPE = 64
@@ -66,6 +59,3 @@ class SprinklersLb(SenderLoadBalancer):
     def on_timeout(self, ev: int, now: int) -> None:
         if ev == self._ev:
             self._left = 0
-
-
-ORDERING_PROMISE_FOR_LB["sprinklers"] = "stripe_fifo"

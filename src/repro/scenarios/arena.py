@@ -140,9 +140,9 @@ def arena_spec(base: FigureSpec,
                policies: Sequence[str] = DEFAULT_POLICIES, *,
                pivot: str = DEFAULT_PIVOT) -> Optional[FigureSpec]:
     """Derive ``base``'s cross-policy variant, or ``None`` when the
-    figure has no policy axis (opted out, time-series metric, or no
-    ``pivot`` cell in its matrix at the current scale)."""
-    if not base.policy_axis or base.metric_kind != "scalar":
+    figure has no policy axis (an arena spec itself, time-series
+    metric, or no ``pivot`` cell in its matrix at the current scale)."""
+    if "arena" in base.tags or base.metric_kind != "scalar":
         return None
     try:
         matrix = base.build()
@@ -183,7 +183,6 @@ def arena_spec(base: FigureSpec,
              "unchanged (competitor horizons capped at "
              f"{ARENA_HORIZON_US / 1e6:.0f} s simulated — a cell "
              "still incomplete there scores DNF)."),
-        policy_axis=False,
     )
 
 

@@ -210,12 +210,6 @@ class FigureSpec:
     #: optional prose for the generated ``docs/figures/`` page — what
     #: the figure demonstrates beyond what the title already says
     doc: str = ""
-    #: may the cross-policy arena (``--policies``) re-target this
-    #: figure's matrix across sender policies?  Arena derivation
-    #: (:mod:`repro.scenarios.arena`) additionally skips figures
-    #: without a pivot-LB cell (analytic models) and time-series
-    #: metrics, so ``False`` is only needed to opt a figure out.
-    policy_axis: bool = True
 
 
 REGISTRY: Dict[str, FigureSpec] = {}

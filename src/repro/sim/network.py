@@ -20,12 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from ..core.reps import RepsConfig
-from ..lb.base import (
-    REPLICATION_FOR_LB,
-    SWITCH_MODE_FOR_LB,
-    LbContext,
-    make_lb,
-)
+from ..lb.base import LbContext, policy
 from .cc.base import make_cc
 from .engine import Engine
 from .failures import FailureInjector
@@ -83,8 +78,9 @@ class Network:
         self.config = config
         topo = config.topo
         # switch-side schemes (Adaptive RoCE / Fig-9 oracle) are selected
-        # through the default LB name
-        mode = SWITCH_MODE_FOR_LB.get(config.lb)
+        # through the default LB's policy; an explicit non-ECMP topology
+        # mode wins
+        mode = policy(config.lb).switch_mode
         if mode is not None and topo.switch_mode == "ecmp":
             topo = replace(topo, switch_mode=mode)
         self.engine = Engine()
@@ -118,9 +114,9 @@ class Network:
     ) -> int:
         """Register a message flow; returns its flow id.
 
-        A flow whose LB name appears in
-        :data:`~repro.lb.base.REPLICATION_FOR_LB` (and fits the spec's
-        size bound) is built as that many independent sender/receiver
+        A flow whose LB policy registers a
+        :class:`~repro.lb.base.ReplicationSpec` (and fits its size
+        bound) is built as that many independent sender/receiver
         copies under one :class:`~repro.sim.transport.ReplicatedFlow` —
         first copy to finish wins, the rest are cancelled.  The
         returned id is the primary copy's; replicas occupy their own
@@ -136,8 +132,8 @@ class Network:
             if host.port is None or host.dispatch is None:
                 raise ValueError(f"host {host.host_id} is not wired")
         cfg = self.config
-        lb_name = lb or cfg.lb
-        replication = REPLICATION_FOR_LB.get(lb_name)
+        lb_policy = policy(lb or cfg.lb)
+        replication = lb_policy.replication
         n_copies = 1
         if replication is not None and (replication.max_bytes is None
                                         or size_bytes
@@ -170,7 +166,7 @@ class Network:
                 cwnd_pkts=lambda c=cc_obj: c.cwnd_pkts,
                 reps_config=cfg.reps,
             )
-            lb_obj = make_lb(lb_name, ctx)
+            lb_obj = lb_policy.factory(ctx)
             classifier = None
             if cfg.rtt_loss_discrimination:
                 from .loss_discrimination import RttLossClassifier

@@ -9,7 +9,7 @@ policy — and previously under-tested ones like ``bitmap`` and
    every flow completes, every receiver sees every byte exactly once,
    and no drop/retransmission counter moves.
 2. **Bounded reordering where promised** —
-   :data:`repro.lb.ORDERING_PROMISE_FOR_LB` policies deliver in the
+   policies registered with an ``ordering`` promise deliver in the
    order their construction guarantees (per-flow FIFO for single-path
    policies, per-stripe FIFO for Sprinklers), verified against the
    actual arrival stream under cross-ToR contention.
@@ -27,11 +27,7 @@ import json
 
 import pytest
 
-from repro.lb import (
-    ORDERING_PROMISE_FOR_LB,
-    REPLICATION_FOR_LB,
-    available,
-)
+from repro.lb import available, policy
 from repro.harness.backends import ProcessBackend, SerialBackend
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
@@ -45,6 +41,8 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.topology import TopologyParams
 
 POLICIES = available()
+REPLICATED = [lb for lb in POLICIES if policy(lb).replication]
+ORDERED = [lb for lb in POLICIES if policy(lb).ordering]
 
 #: 8 hosts / 2 ToRs: the smallest fabric with real multipath
 TOPO = {"n_hosts": 8, "hosts_per_t0": 4}
@@ -90,7 +88,7 @@ class TestConservation:
             f"{lb}: dropped {metrics.total_drops} on a lossless run"
         assert metrics.retransmissions == 0 and metrics.timeouts == 0, \
             f"{lb}: spurious loss recovery on a lossless run"
-        replicated = lb in REPLICATION_FOR_LB
+        replicated = policy(lb).replication is not None
         for flow_id, rec in net.flows.items():
             if replicated:
                 # the losing copy is cancelled mid-flight; only the
@@ -103,7 +101,7 @@ class TestConservation:
             assert len(arrivals[flow_id]) == rec.sender.n_pkts, \
                 f"{lb}: flow {flow_id} saw duplicate/extra arrivals"
 
-    @pytest.mark.parametrize("lb", sorted(REPLICATION_FOR_LB))
+    @pytest.mark.parametrize("lb", REPLICATED)
     def test_replicated_winner_is_complete(self, lb):
         net, metrics, _ = _run_traced(lb)
         primaries = {fid: rec for fid, rec in net.flows.items()
@@ -113,7 +111,7 @@ class TestConservation:
             if rec.replica_of is not None:
                 by_primary[rec.replica_of].append(rec)
         for fid, copies in by_primary.items():
-            assert len(copies) == REPLICATION_FOR_LB[lb].copies
+            assert len(copies) == policy(lb).replication.copies
             assert any(r.receiver.complete for r in copies), \
                 f"{lb}: logical flow {fid} has no completely received copy"
             assert copies[0].sender.fct_ps() is not None
@@ -122,10 +120,9 @@ class TestConservation:
 class TestOrdering:
     """Invariant 2: policies keep the delivery order they promise."""
 
-    @pytest.mark.parametrize(
-        "lb", sorted(ORDERING_PROMISE_FOR_LB))
+    @pytest.mark.parametrize("lb", ORDERED)
     def test_ordering_promise_held(self, lb):
-        promise = ORDERING_PROMISE_FOR_LB[lb]
+        promise = policy(lb).ordering
         _, metrics, arrivals = _run_traced(lb)
         assert metrics.retransmissions == 0  # order claim needs lossless
         for flow_id, events in arrivals.items():
@@ -145,8 +142,12 @@ class TestOrdering:
                 pytest.fail(f"unknown ordering promise {promise!r}")
 
     def test_every_promise_names_a_registered_policy(self):
-        assert set(ORDERING_PROMISE_FOR_LB) <= set(POLICIES)
-        assert set(REPLICATION_FOR_LB) <= set(POLICIES)
+        # the contracts ride each policy's register call: pin who makes
+        # one, so a dropped keyword cannot silently shrink this suite
+        assert ORDERED == ["ecmp", "repflow", "sprinklers", "wcmp"]
+        assert REPLICATED == ["repflow"]
+        assert {policy(lb).ordering for lb in ORDERED} == {
+            "flow_fifo", "stripe_fifo"}
 
 
 class TestBackendDeterminism:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core.reps import RepsSender
+from repro.core.reps import RepsConfig, RepsSender
 from repro.lb import LbContext, available, make_lb
 
 ALL_LBS = ["reps", "ops", "ecmp", "plb", "mprdma", "flowlet",
@@ -14,8 +14,9 @@ ALL_LBS = ["reps", "ops", "ecmp", "plb", "mprdma", "flowlet",
            "repflow", "prime", "sprinklers"]
 
 
-def ctx(seed=1, evs=65536) -> LbContext:
-    return LbContext(rng=random.Random(seed), evs_size=evs)
+def ctx(seed=1, evs=65536, reps_config=None) -> LbContext:
+    return LbContext(rng=random.Random(seed), evs_size=evs,
+                     reps_config=reps_config)
 
 
 class TestRegistry:
@@ -36,9 +37,14 @@ class TestRegistry:
 
 
 class TestSharedInterface:
-    @pytest.mark.parametrize("name", ALL_LBS)
-    def test_entropy_in_range(self, name):
-        lb = make_lb(name, ctx(evs=512))
+    # the ``reps_config`` case: a task's REPS tunables must not replace
+    # its EV space with RepsConfig's default 65 536
+    @pytest.mark.parametrize("name,reps_config", [
+        *(pytest.param(name, None, id=name) for name in ALL_LBS),
+        pytest.param("reps", RepsConfig(buffer_size=4), id="reps_config"),
+    ])
+    def test_entropy_in_range(self, name, reps_config):
+        lb = make_lb(name, ctx(evs=512, reps_config=reps_config))
         for now in range(0, 200_000_000, 1_000_000):
             assert 0 <= lb.next_entropy(now) < 512
 

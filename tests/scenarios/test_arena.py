@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.harness.sweep import task_key
@@ -33,7 +31,7 @@ class TestDerivation:
         assert spec.figure == "Arena"
         assert "arena" in spec.tags
         assert spec.metric == base.metric
-        assert not spec.policy_axis  # no arena-of-arena
+        assert arena_spec(spec, POLICIES) is None  # no arena-of-arena
 
     def test_matrix_covers_every_policy(self):
         base = get_figure("fig02")
@@ -99,11 +97,6 @@ class TestSkips:
     def test_timeseries_skipped(self):
         assert arena_spec(get_figure("fig02_timeseries"),
                           POLICIES) is None
-
-    def test_policy_axis_opt_out(self):
-        opted_out = dataclasses.replace(get_figure("fig02"),
-                                        policy_axis=False)
-        assert arena_spec(opted_out, POLICIES) is None
 
     def test_arena_specs_walks_registry_in_order(self):
         specs = arena_specs(POLICIES)
