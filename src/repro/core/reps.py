@@ -247,6 +247,13 @@ class RepsSender:
         """RTO expiry: indirect failure evidence (Sec. 2.1 heuristic)."""
         self.on_failure_detection(now)
 
+    def release(self) -> None:
+        """The flow is over and no send or ACK hook runs again: drop
+        the RNG, the window callback and the EV buffer.  The counters
+        stay, and ``force_freeze`` still counts an entry."""
+        self._rng = self._randrange = self._cwnd_pkts = None
+        self._evs = self._uses = None
+
     def on_nack(self, ev: int, now: int) -> None:
         """Trimmed-packet NACK: a *congestion* loss, so no freezing.
 

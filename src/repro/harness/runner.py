@@ -47,9 +47,11 @@ class LbCounterSampler:
     (recycled / random exploration / frozen reuse); sampling the sums
     across every flow per telemetry window is what turns those
     counters into the Fig.-2-style recycling-rate trajectory.  Purely
-    observational: it reads counters on its own engine events and
-    never touches packets or RNG state, so simulation results are
-    unchanged (only ``RunMetrics.events`` grows by the sample count).
+    observational: it reads counters on its own engine events, only
+    from flows already built (an unbuilt flow's counters are 0, and
+    reading it would build it), and never touches packets or RNG
+    state, so simulation results are unchanged (only
+    ``RunMetrics.events`` grows by the sample count).
     """
 
     COUNTERS = ("stats_recycled", "stats_explored", "stats_frozen_reuse")
@@ -75,10 +77,11 @@ class LbCounterSampler:
         if not self._running:
             return
         self.times_us.append(self.net.engine.now / US)
-        flows = self.net.flows.values()
+        lbs = [rec.sender.lb for rec in self.net.flows.values()
+               if rec.built]
         for counter in self.COUNTERS:
             self.totals[counter].append(float(sum(
-                getattr(rec.sender.lb, counter, 0) for rec in flows)))
+                getattr(lb, counter, 0) for lb in lbs)))
         self.net.engine.after(self.bucket_ps, self._sample)
 
 
@@ -237,6 +240,8 @@ def force_freeze_hook(at_us: float) -> FailureHook:
         at_ps = int(at_us * 1e6)
 
         def freeze() -> None:
+            # reading ``sender`` builds a flow that has not started yet:
+            # it starts frozen, as every registered flow always has
             for rec in net.flows.values():
                 lb = rec.sender.lb
                 if hasattr(lb, "force_freeze"):
@@ -357,7 +362,7 @@ def probe_uplink_share(result: ScenarioResult) -> Dict[str, float]:
 def probe_freeze_entries(result: ScenarioResult) -> Dict[str, float]:
     """Figs. 7/22: how often REPS senders entered freezing mode."""
     total = sum(getattr(rec.sender.lb, "stats_freeze_entries", 0)
-                for rec in result.network.flows.values())
+                for rec in result.network.flows.values() if rec.built)
     return {"freeze_entries": float(total)}
 
 

@@ -8,6 +8,11 @@ drives:
 - ``on_nack(ev, now)``   — a trimmed-packet NACK (congestion loss),
 - ``on_timeout(ev, now)`` — an RTO fired (possible failure).
 
+and, if it has one, ``release()``, called once when the flow finishes
+or is cancelled: no hook above runs after it, so the LB drops its RNG
+(and whatever else only sending needs) and keeps what post-run readers
+take, its ``stats_*`` counters.
+
 Each policy registers once with its whole contract (:class:`Policy`):
 switch-side schemes (Adaptive RoCE, the Fig. 9 oracle) name the switch
 mode they need and register plain spraying as their sender half.
@@ -53,6 +58,10 @@ class SenderLoadBalancer:
 
     def on_timeout(self, ev: int, now: int) -> None:
         return
+
+    def release(self) -> None:
+        # the context holds the flow RNG and (through ``cwnd_pkts``) the CC
+        self.ctx = None
 
 
 LbFactory = Callable[[LbContext], object]

@@ -82,3 +82,7 @@ class PrimeLb(SenderLoadBalancer):
     def on_timeout(self, ev: int, now: int) -> None:
         # possible failure in the current spray window: move it now
         self._reroll()
+
+    def release(self) -> None:
+        super().release()
+        self._rng = None

@@ -40,6 +40,10 @@ class OpsLb(SenderLoadBalancer):
     def next_entropy(self, now: int) -> int:
         return self._randrange(self._evs_size)
 
+    def release(self) -> None:
+        super().release()
+        self._randrange = None
+
 
 @register("adaptive_roce", switch_mode="adaptive")
 class AdaptiveRoceSenderLb(OpsLb):

@@ -59,3 +59,7 @@ class SprinklersLb(SenderLoadBalancer):
     def on_timeout(self, ev: int, now: int) -> None:
         if ev == self._ev:
             self._left = 0
+
+    def release(self) -> None:
+        super().release()
+        self._rng = None

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..core.reps import RepsConfig
-from ..lb.base import LbContext, policy
-from .cc.base import make_cc
+from ..lb.base import LbContext, Policy, policy
+from .cc.base import available as available_cc, make_cc
 from .engine import Engine
 from .failures import FailureInjector
 from .metrics import RunMetrics, SeriesRecorder
@@ -58,17 +59,46 @@ class NetworkConfig:
 
 
 class _FlowRecord:
-    __slots__ = ("sender", "receiver", "tag", "replica_of")
+    """One flow copy across its three stages.
 
-    def __init__(self, sender: FlowSender, receiver: FlowReceiver,
-                 tag: Optional[str],
+    Until its start event it holds only its parameters: ``_make`` builds
+    the sender and receiver of every copy of its logical flow.  The
+    start event builds them, and so does an earlier read of ``sender``
+    or ``receiver`` (every draw is a pure function of the seed and the
+    flow id, so building early changes nothing).  At completion or
+    cancellation the sender and receiver release their working state;
+    the record keeps what post-run readers need.  ``built`` tells a
+    reader whether reading ``sender`` would build the flow.
+    """
+
+    __slots__ = ("sender", "receiver", "tag", "replica_of", "_make")
+
+    def __init__(self, make: Callable[[], None], tag: Optional[str],
                  replica_of: Optional[int] = None) -> None:
-        self.sender = sender
-        self.receiver = receiver
+        self._make: Optional[Callable[[], None]] = make
         self.tag = tag
         #: primary flow id when this record is a RepFlow replica copy;
         #: replica traffic counts in the metrics, its completion does not
         self.replica_of = replica_of
+
+    @property
+    def built(self) -> bool:
+        return self._make is None
+
+    def __getattr__(self, name: str):
+        # reached only while the ``sender`` / ``receiver`` slots are unset
+        if name not in ("sender", "receiver") or self._make is None:
+            raise AttributeError(name)
+        self._make()
+        return object.__getattribute__(self, name)
+
+    def attach(self, sender: FlowSender, receiver: FlowReceiver) -> None:
+        self.sender = sender
+        self.receiver = receiver
+        self._make = None
+
+    def start(self) -> None:
+        self.sender.start()
 
 
 class Network:
@@ -89,6 +119,9 @@ class Network:
                  if config.routing_update_delay_us is not None else None)
         self.failures = FailureInjector(self.engine, self.tree, delay)
         self._flows: Dict[int, _FlowRecord] = {}
+        # one int each for every flow built here, not one per flow
+        self._rto_ps = us_to_ps(config.rto_us)
+        self._ack_delay_ps = max(1, self.tree.rtt_ps() // 4)
         self._next_flow_id = 0
         self._added = 0
         self._completed = 0
@@ -114,7 +147,9 @@ class Network:
     ) -> int:
         """Register a message flow; returns its flow id.
 
-        A flow whose LB policy registers a
+        Only the parameters are stored now: the flow's start event
+        builds its sender and receiver (see :class:`_FlowRecord`).  A
+        flow whose LB policy registers a
         :class:`~repro.lb.base.ReplicationSpec` (and fits its size
         bound) is built as that many independent sender/receiver
         copies under one :class:`~repro.sim.transport.ReplicatedFlow` —
@@ -124,6 +159,8 @@ class Network:
         """
         if src == dst:
             raise ValueError("src and dst must differ")
+        if size_bytes <= 0:
+            raise ValueError("flow size must be positive")
         if not (0 <= src < len(self.tree.hosts)
                 and 0 <= dst < len(self.tree.hosts)):
             raise ValueError("host id out of range")
@@ -131,8 +168,11 @@ class Network:
             # once per flow: the per-packet paths assume port + dispatcher
             if host.port is None or host.dispatch is None:
                 raise ValueError(f"host {host.host_id} is not wired")
-        cfg = self.config
-        lb_policy = policy(lb or cfg.lb)
+        lb_policy = policy(lb or self.config.lb)
+        cc = cc or self.config.cc
+        if cc not in available_cc():
+            raise KeyError(f"unknown congestion control {cc!r}; "
+                           f"known: {available_cc()}")
         replication = lb_policy.replication
         n_copies = 1
         if replication is not None and (replication.max_bytes is None
@@ -140,26 +180,43 @@ class Network:
                                         <= replication.max_bytes):
             n_copies = replication.copies
         primary_id = self._next_flow_id
+        self._next_flow_id += n_copies
+        self._added += 1
+        make = partial(self._build_flow, primary_id, n_copies, src, dst,
+                       size_bytes, lb_policy, cc, on_complete)
+        start_ps = max(self.engine.now, us_to_ps(start_us))
+        for i in range(n_copies):
+            rec = _FlowRecord(make, tag,
+                              replica_of=None if i == 0 else primary_id)
+            self._flows[primary_id + i] = rec
+            self.engine.at(start_ps, rec.start)
+        return primary_id
+
+    def _build_flow(self, primary_id: int, n_copies: int, src: int,
+                    dst: int, size_bytes: int, lb_policy: Policy,
+                    cc: str, on_complete) -> None:
+        """Build the sender and receiver of every copy of one logical
+        flow into its records."""
+        cfg = self.config
+        mtu = cfg.topo.mtu_bytes
+        bdp = self.tree.bdp_bytes()
+        rtt_ps = self.tree.rtt_ps()
         senders = []
-        for copy_idx in range(n_copies):
-            flow_id = self._next_flow_id
-            self._next_flow_id += 1
-            mtu = cfg.topo.mtu_bytes
-            bdp = self.tree.bdp_bytes()
+        for flow_id in range(primary_id, primary_id + n_copies):
             cc_obj = make_cc(
-                cc or cfg.cc,
+                cc,
                 mtu=mtu,
                 init_cwnd=max(mtu, int(bdp * INIT_CWND_BDP)),
                 min_cwnd=mtu,
                 max_cwnd=max(2 * mtu, int(bdp * MAX_CWND_BDP)),
-                rtt_ps=self.tree.rtt_ps(),
+                rtt_ps=rtt_ps,
             )
             rng = random.Random(
                 (cfg.seed * 1_000_003) ^ (flow_id * 7_919) ^ 0xA5)
             ctx = LbContext(
                 rng=rng,
                 evs_size=cfg.evs_size,
-                rtt_ps=self.tree.rtt_ps(),
+                rtt_ps=rtt_ps,
                 flow_id=flow_id,
                 src=src,
                 dst=dst,
@@ -170,38 +227,29 @@ class Network:
             classifier = None
             if cfg.rtt_loss_discrimination:
                 from .loss_discrimination import RttLossClassifier
-                classifier = RttLossClassifier(self.tree.rtt_ps())
+                classifier = RttLossClassifier(rtt_ps)
             delay_threshold = None
             if cfg.delay_signal_factor is not None:
-                delay_threshold = int(cfg.delay_signal_factor
-                                      * self.tree.rtt_ps())
+                delay_threshold = int(cfg.delay_signal_factor * rtt_ps)
             sender = FlowSender(
                 self.engine, self.tree.hosts[src],
                 flow_id=flow_id, dst=dst, size_bytes=size_bytes, mtu=mtu,
-                lb=lb_obj, cc=cc_obj, rto_ps=us_to_ps(cfg.rto_us),
+                lb=lb_obj, cc=cc_obj, rto_ps=self._rto_ps,
                 on_complete=(self._make_completion(on_complete)
                              if n_copies == 1 else None),
                 loss_classifier=classifier,
                 delay_signal_threshold_ps=delay_threshold,
             )
-            receiver = FlowReceiver(
+            self._flows[flow_id].attach(sender, FlowReceiver(
                 self.engine, self.tree.hosts[dst],
                 flow_id=flow_id, src=src, n_pkts=sender.n_pkts,
                 coalesce=cfg.ack_coalesce, carry_evs=cfg.carry_evs,
-                ack_delay_ps=max(1, self.tree.rtt_ps() // 4),
-            )
-            self._flows[flow_id] = _FlowRecord(
-                sender, receiver, tag,
-                replica_of=None if copy_idx == 0 else primary_id)
+                ack_delay_ps=self._ack_delay_ps,
+            ))
             senders.append(sender)
         if n_copies > 1:
             ReplicatedFlow(senders,
                            on_complete=self._make_completion(on_complete))
-        self._added += 1
-        start_ps = max(self.engine.now, us_to_ps(start_us))
-        for sender in senders:
-            self.engine.at(start_ps, sender.start)
-        return primary_id
 
     def _make_completion(self, user_cb):
         def done(sender: FlowSender) -> None:
@@ -272,6 +320,11 @@ class Network:
         for rec in self._flows.values():
             if tag is not None and rec.tag != tag:
                 continue
+            if rec.replica_of is None:
+                m.flows_total += 1
+            if not rec.built:
+                # never started: nothing sent, nothing finished
+                continue
             s = rec.sender
             m.pkts_sent += s.stats.pkts_sent
             m.retransmissions += s.stats.retransmissions
@@ -281,7 +334,6 @@ class Network:
                 # above) but the logical flow's completion/FCT lives on
                 # the primary record
                 continue
-            m.flows_total += 1
             fct = s.fct_ps()
             if fct is not None:
                 m.flows_completed += 1

@@ -33,8 +33,12 @@ Invariants:
   reports a congestion loss (no freezing); only an RTO expiry reports
   a possible failure to the LB — the Appendix-A distinction that keeps
   REPS from freezing on mere queue overflow.
-- **Delivery state.**  Each end keeps one byte per packet (a ``bytearray``
-  indexed by seq) plus a count of delivered packets — no per-seq objects.
+- **Delivery state.**  While a flow runs, each end keeps one byte per
+  packet (a ``bytearray`` indexed by seq) plus a count of delivered
+  packets — no per-seq objects.  A finished or cancelled sender and a
+  complete receiver drop that map with the rest of their working state
+  (window, outstanding packets, retransmit queue, timers, the LB's RNG);
+  the counts, ``FlowStats``, times and ``lb.stats_*`` counters stay.
 - **Determinism.**  All transport state advances only on engine events;
   retransmission order, coalescing boundaries and EV echoes are pure
   functions of the (seeded) run, never of host timing.
@@ -68,6 +72,14 @@ class FlowStats:
 
 class FlowSender:
     """Sends one message of ``size_bytes`` from ``host`` to ``dst``."""
+
+    # slots: a finished flow keeps this object for the post-run readers
+    __slots__ = ("engine", "host", "flow_id", "src", "dst", "size_bytes",
+                 "mtu", "lb", "cc", "rto_ps", "on_complete", "n_pkts",
+                 "_last_pkt_size", "_next_new_seq", "_outstanding",
+                 "_inflight_bytes", "_retx_q", "_retx_counts", "_acked_map",
+                 "_n_acked", "_timer", "stats", "start_time", "complete_time",
+                 "cancelled", "loss_classifier", "delay_signal_threshold_ps")
 
     def __init__(
         self,
@@ -137,13 +149,13 @@ class FlowSender:
 
     def cancel(self) -> None:
         """Stop transmitting without completing (the losing copy of a
-        replicated flow).  Idempotent; late ACKs/NACKs for packets
-        still in flight are ignored from here on."""
+        replicated flow) and release the working state.  Idempotent;
+        late ACKs/NACKs for packets still in flight are ignored from
+        here on."""
         if self.cancelled or self.done:
             return
         self.cancelled = True
-        self._timer.cancel()
-        self._retx_q.clear()
+        self._release()
 
     def _try_send(self) -> None:
         if self.complete_time is not None or self.cancelled:
@@ -310,9 +322,23 @@ class FlowSender:
 
     def _complete(self, now: int) -> None:
         self.complete_time = now
-        self._timer.cancel()
         if self.on_complete is not None:
             self.on_complete(self)
+        # only after the callback: it may read the flow or stop the run
+        self._release()
+
+    def _release(self) -> None:
+        """Drop the working state a finished or cancelled flow never
+        touches again; keep ``stats``, the times and the LB's counters.
+        The timer is cancelled first, so its queued shell drains as a
+        no-op."""
+        self._timer.cancel()
+        self.cc = self.on_complete = self.loss_classifier = None
+        self._outstanding = self._retx_q = self._retx_counts = None
+        self._acked_map = self._timer = None
+        release = getattr(self.lb, "release", None)
+        if release is not None:
+            release()
 
     # ------------------------------------------------------------------
     def fct_ps(self) -> Optional[int]:
@@ -367,6 +393,11 @@ class ReplicatedFlow:
 class FlowReceiver:
     """Receives one message; generates (possibly coalesced) ACKs."""
 
+    __slots__ = ("engine", "host", "flow_id", "src", "n_pkts", "coalesce",
+                 "carry_evs", "ack_delay_ps", "received_map", "n_received",
+                 "bytes_received", "first_arrival", "last_arrival",
+                 "_pending", "_flush_timer")
+
     def __init__(
         self,
         engine: Engine,
@@ -407,32 +438,48 @@ class FlowReceiver:
         if self.first_arrival is None:
             self.first_arrival = now
         self.last_arrival = now
-        if not self.received_map[pkt.seq]:
-            self.received_map[pkt.seq] = 1
+        received = self.received_map
+        if received is None:
+            # complete and released: a late duplicate is acknowledged on
+            # its own, as the completing flush left nothing pending
+            self.host.port.enqueue(self._ack_for([pkt]))
+            return
+        if not received[pkt.seq]:
+            received[pkt.seq] = 1
             self.n_received += 1
             self.bytes_received += pkt.size
         if self.coalesce == 1:
             # every packet is its own ACK: nothing pends, no timer runs
             self.host.port.enqueue(make_ack(pkt))
-            return
-        self._pending.append(pkt)
-        if (len(self._pending) >= self.coalesce
-                or self.n_received == self.n_pkts):
-            self._flush()
-        elif self._flush_timer.deadline is None:
-            # never hold ACKs hostage to the coalescing ratio: a short
-            # delayed-ACK timer bounds the feedback delay
-            self._flush_timer.arm_after(self.ack_delay_ps)
+        else:
+            self._pending.append(pkt)
+            if (len(self._pending) >= self.coalesce
+                    or self.n_received == self.n_pkts):
+                self._flush()
+            elif self._flush_timer.deadline is None:
+                # never hold ACKs hostage to the coalescing ratio: a
+                # short delayed-ACK timer bounds the feedback delay
+                self._flush_timer.arm_after(self.ack_delay_ps)
+        if self.n_received == self.n_pkts:
+            # complete: the map, pending list and (cancelled) timer go
+            self.received_map = self._pending = self._flush_timer = None
+
+    def _ack_for(self, pkts: List[Packet]) -> Packet:
+        """The one ACK covering ``pkts``: the last packet's echo, plus
+        every covered seq (and EV, with ``carry_evs``) when coalescing."""
+        last = pkts[-1]
+        if self.coalesce == 1:
+            return make_ack(last)
+        echoes = ([(p.ev, p.ecn) for p in pkts]
+                  if self.carry_evs else None)
+        return make_ack(last, acked_seqs=[p.seq for p in pkts],
+                        ev_echoes=echoes)
 
     def _flush(self) -> None:
         if not self._pending:
             return
         self._flush_timer.cancel()
-        last = self._pending[-1]
-        acked_seqs = [p.seq for p in self._pending]
-        echoes = ([(p.ev, p.ecn) for p in self._pending]
-                  if self.carry_evs else None)
-        ack = make_ack(last, acked_seqs=acked_seqs, ev_echoes=echoes)
+        ack = self._ack_for(self._pending)
         self._pending.clear()
         self.host.port.enqueue(ack)
 
