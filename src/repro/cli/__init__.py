@@ -7,8 +7,10 @@ nothing of the package and ``figures list`` never loads the simulator:
 
 - ``run`` | ``compare`` | ``sweep`` (:mod:`.simulate`): one simulation
   (pattern x load balancer) with a metrics line; the same workload
-  under several load balancers; a parallel lb x seed x workload
-  campaign with cached results and across-seed aggregation,
+  under several load balancers; a parallel lb x seed x EVS-size
+  campaign with cached results and across-seed aggregation.  The three
+  take one set of scenario flags (failures included) and differ only
+  in their axis flags,
 - ``figures`` (:mod:`.figures`): the declarative paper-figure registry
   — ``list`` the catalogue, ``run`` a selection of figures (ids,
   ``--only/--skip/--tag``, or ``--all``) as one campaign on the shared
@@ -19,7 +21,8 @@ nothing of the package and ``figures list`` never loads the simulator:
   pool — plan wall-time-balanced shards, fan them out over local (or
   SSH) workers with heartbeats, retry shards whose worker dies, merge
   each shard as it lands, and render the same REPRODUCTION.md +
-  campaign.json a single-host run produces,
+  campaign.json a single-host run produces; it takes the campaign
+  flags of ``figures run``,
 - ``store`` (:mod:`.store`): artifact-store maintenance — ``compact``
   a store's segment file (dropping shadowed duplicates), ``inspect``
   its statistics, ``verify`` its integrity, ``merge`` stores written
@@ -37,6 +40,7 @@ Examples::
     python -m repro compare --lbs ecmp,ops,reps --pattern permutation
     python -m repro sweep --lbs ecmp,ops,reps --pattern tornado \\
         --seeds 1,2,3,4 --workers 4 --name tornado-demo
+    python -m repro sweep --lbs ops,reps --seeds 1,2 --fail-uplink 0
     python -m repro figures list
     python -m repro figures run fig07 fig08_permutation --workers 4
     python -m repro figures run --all --scale smoke --workers 4
@@ -75,66 +79,99 @@ DISPATCH = {
 }
 
 
+def _scenario_args(p: argparse.ArgumentParser) -> None:
+    """The scenario flags of ``run``, ``compare`` and ``sweep``: one
+    topology, workload, transport and failure schedule."""
+    g = p.add_argument_group("scenario")
+    g.add_argument("--hosts", type=int, default=16)
+    g.add_argument("--hosts-per-t0", type=int, default=8)
+    g.add_argument("--tiers", type=int, default=2, choices=(2, 3))
+    g.add_argument("--oversubscription", type=int, default=1)
+    g.add_argument("--pattern", default="permutation",
+                   choices=("permutation", "tornado", "incast"))
+    g.add_argument("--mib", type=float, default=2.0,
+                   help="message size in MiB")
+    g.add_argument("--fan-in", type=int, default=8, help="incast fan-in")
+    g.add_argument("--cc", default="dctcp",
+                   choices=("dctcp", "eqds", "internal"))
+    g.add_argument("--ack-coalesce", type=int, default=1)
+    g.add_argument("--max-us", type=float, default=1_000_000.0)
+    g.add_argument("--trimming", action="store_true")
+    g.add_argument("--fail-uplink", type=int, default=None,
+                   metavar="INDEX", help="fail the i-th ToR uplink cable")
+    g.add_argument("--fail-at", type=float, default=50.0,
+                   help="failure start (us)")
+    g.add_argument("--fail-for", type=float, default=None,
+                   help="failure duration (us); default permanent")
+    g.add_argument("--degrade-uplink", type=int, default=None,
+                   metavar="INDEX",
+                   help="downgrade the i-th ToR uplink to --degrade-gbps")
+    g.add_argument("--degrade-gbps", type=float, default=200.0)
+
+
+def _store_args(p: argparse.ArgumentParser) -> None:
+    """Where a campaign's results persist: ``sweep`` and the campaign
+    commands."""
+    g = p.add_argument_group("store")
+    g.add_argument("--results-dir",
+                   default=os.path.join("benchmarks", "results", "sweeps"),
+                   help="artifact store root (figure campaigns share "
+                        "its 'campaign' subdir)")
+    g.add_argument("--fresh", action="store_true",
+                   help="ignore and overwrite cached task results")
+
+
+def _campaign_args(p: argparse.ArgumentParser) -> None:
+    """The figure selection of ``figures run`` and ``orchestrate``:
+    both must mean the same campaign by the same flags."""
+    g = p.add_argument_group("campaign")
+    g.add_argument("--only", default=None, metavar="IDS",
+                   help="comma-separated figure ids to keep")
+    g.add_argument("--skip", default=None, metavar="IDS",
+                   help="comma-separated figure ids to drop")
+    g.add_argument("--tag", default=None, metavar="TAGS",
+                   help="keep figures carrying any of these "
+                        "comma-separated tags")
+    g.add_argument("--scale", default=None,
+                   choices=("smoke", "quick", "full"),
+                   help="campaign scale (default: REPRO_BENCH_SCALE, "
+                        "else quick)")
+    g.add_argument("--policies", default=None, metavar="LBS",
+                   help="also run the cross-policy arena — each "
+                        "selected figure's canonical cells re-targeted "
+                        "onto these comma-separated LB policies (the "
+                        "first one is the pivot whose cells define "
+                        "each arena)")
+    _strict_arg(g, "an unmet paper claim, not just on figure errors")
+    _store_args(p)
+
+
+def _strict_arg(p, gated: str) -> None:
+    """``--strict``: exit non-zero on ``gated`` too."""
+    p.add_argument("--strict", action="store_true",
+                   help=f"exit non-zero on {gated}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="REPS reproduction (Bonato et al., EuroSys '26)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sim_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--hosts", type=int, default=16)
-        p.add_argument("--hosts-per-t0", type=int, default=8)
-        p.add_argument("--tiers", type=int, default=2, choices=(2, 3))
-        p.add_argument("--oversubscription", type=int, default=1)
-        p.add_argument("--pattern", default="permutation",
-                       choices=("permutation", "tornado", "incast"))
-        p.add_argument("--mib", type=float, default=2.0,
-                       help="message size in MiB")
-        p.add_argument("--fan-in", type=int, default=8,
-                       help="incast fan-in")
-        p.add_argument("--evs", type=int, default=65536)
-        p.add_argument("--cc", default="dctcp",
-                       choices=("dctcp", "eqds", "internal"))
-        p.add_argument("--ack-coalesce", type=int, default=1)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--max-us", type=float, default=1_000_000.0)
-        p.add_argument("--trimming", action="store_true")
-        p.add_argument("--fail-uplink", type=int, default=None,
-                       metavar="INDEX",
-                       help="fail the i-th ToR uplink cable")
-        p.add_argument("--fail-at", type=float, default=50.0,
-                       help="failure start (us)")
-        p.add_argument("--fail-for", type=float, default=None,
-                       help="failure duration (us); default permanent")
-        p.add_argument("--degrade-uplink", type=int, default=None,
-                       metavar="INDEX",
-                       help="downgrade the i-th ToR uplink to --degrade-gbps")
-        p.add_argument("--degrade-gbps", type=float, default=200.0)
-
     run_p = sub.add_parser("run", help="run one simulation")
-    add_sim_args(run_p)
     run_p.add_argument("--lb", default="reps")
-
     cmp_p = sub.add_parser("compare", help="compare load balancers")
-    add_sim_args(cmp_p)
-    cmp_p.add_argument("--lbs", default="ecmp,ops,reps",
-                       help="comma-separated load balancer names")
-
     sw_p = sub.add_parser(
         "sweep", help="parallel multi-seed campaign with cached results")
-    sw_p.add_argument("--lbs", default="ecmp,ops,reps",
-                      help="comma-separated load balancer names")
-    sw_p.add_argument("--pattern", default="permutation",
-                      choices=("permutation", "tornado", "incast"))
-    sw_p.add_argument("--mib", type=float, default=1.0,
-                      help="message size in MiB")
-    sw_p.add_argument("--fan-in", type=int, default=8)
-    sw_p.add_argument("--hosts", type=int, default=16)
-    sw_p.add_argument("--hosts-per-t0", type=int, default=8)
-    sw_p.add_argument("--tiers", type=int, default=2, choices=(2, 3))
-    sw_p.add_argument("--oversubscription", type=int, default=1)
-    sw_p.add_argument("--cc", default="dctcp",
-                      choices=("dctcp", "eqds", "internal"))
+    for p in (run_p, cmp_p, sw_p):
+        _scenario_args(p)
+    for p in (cmp_p, sw_p):
+        p.add_argument("--lbs", default="ecmp,ops,reps",
+                       help="comma-separated load balancer names")
+    for p in (run_p, cmp_p):
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--evs", type=int, default=65536)
+
     sw_p.add_argument("--evs", default="65536",
                       help="comma-separated EVS sizes (extra grid axis)")
     sw_p.add_argument("--seeds", default=None,
@@ -144,19 +181,11 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="root seed the per-task seeds are spawned from")
     sw_p.add_argument("--n-seeds", type=int, default=4,
                       help="number of seeds spawned from --root-seed")
-    sw_p.add_argument("--workers", type=int, default=1,
-                      help="worker processes (1 = serial)")
-    sw_p.add_argument("--max-us", type=float, default=2_000_000.0)
     sw_p.add_argument("--metric", default="max_fct_us",
                       help="metric to aggregate across seeds")
     sw_p.add_argument("--name", default="cli",
                       help="campaign name (artifact subdirectory)")
-    sw_p.add_argument("--results-dir",
-                      default=os.path.join("benchmarks", "results",
-                                           "sweeps"),
-                      help="artifact store root")
-    sw_p.add_argument("--fresh", action="store_true",
-                      help="ignore and overwrite cached task results")
+    _store_args(sw_p)
 
     fig_p = sub.add_parser(
         "figures", help="the declarative paper-figure registry")
@@ -170,45 +199,21 @@ def _build_parser() -> argparse.ArgumentParser:
     fr_p.add_argument("--all", action="store_true",
                       help="run every registered figure (ids and "
                            "--only/--skip/--tag narrow it)")
-    fr_p.add_argument("--only", default=None, metavar="IDS",
-                      help="comma-separated figure ids to keep")
-    fr_p.add_argument("--skip", default=None, metavar="IDS",
-                      help="comma-separated figure ids to drop")
-    fr_p.add_argument("--tag", default=None, metavar="TAGS",
-                      help="keep figures carrying any of these "
-                           "comma-separated tags")
-    fr_p.add_argument("--scale", default=None,
-                      choices=("smoke", "quick", "full"),
-                      help="set REPRO_BENCH_SCALE for this run")
-    fr_p.add_argument("--workers", type=int, default=1,
-                      help="worker processes (1 = serial)")
-    fr_p.add_argument("--results-dir",
-                      default=os.path.join("benchmarks", "results",
-                                           "sweeps"),
-                      help="artifact store root (every figure shares "
-                           "its 'campaign' subdir)")
+    _campaign_args(fr_p)
+    for p in (sw_p, fr_p):
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes (1 = serial)")
     fr_p.add_argument("--report", default=None,
                       help="markdown report path (default "
                            "REPRODUCTION.md, whole-registry runs only)")
     fr_p.add_argument("--json", dest="json_path", default=None,
                       help="machine-readable record path (default "
                            "campaign.json, whole-registry runs only)")
-    fr_p.add_argument("--fresh", action="store_true",
-                      help="ignore and overwrite cached task results")
     fr_p.add_argument("--no-cache", action="store_true",
                       help="run without any artifact store")
     fr_p.add_argument("--prune-stale", action="store_true",
                       help="drop store artifacts whose simulator hash "
                            "no longer matches the source")
-    fr_p.add_argument("--strict", action="store_true",
-                      help="exit non-zero on an unmet paper claim, "
-                           "not just on figure errors")
-    fr_p.add_argument("--policies", default=None, metavar="LBS",
-                      help="also run the cross-policy arena — each "
-                           "selected figure's canonical cells re-"
-                           "targeted onto these comma-separated LB "
-                           "policies (the first one is the pivot whose "
-                           "cells define each arena)")
     tr_p = fig_sub.add_parser(
         "trend", help="regression deltas between two campaign.json "
                       "records")
@@ -217,29 +222,14 @@ def _build_parser() -> argparse.ArgumentParser:
     tr_p.add_argument("--tol", type=float, default=0.0,
                       help="relative metric-drift tolerance "
                            "(default 0: byte-exact gate)")
-    tr_p.add_argument("--strict", action="store_true",
-                      help="exit non-zero on any regression (worse "
-                           "badge, metric drift, lost coverage)")
+    _strict_arg(tr_p, "any regression (worse badge, metric drift, lost "
+                      "coverage)")
 
     orc_p = sub.add_parser(
         "orchestrate",
         help="elastic campaign: plan balanced shards, fan out "
              "workers, retry dead shards, merge, report")
-    orc_p.add_argument("--only", default=None, metavar="IDS",
-                       help="comma-separated figure ids to keep")
-    orc_p.add_argument("--skip", default=None, metavar="IDS",
-                       help="comma-separated figure ids to drop")
-    orc_p.add_argument("--tag", default=None, metavar="TAGS",
-                       help="keep figures carrying any of these tags")
-    orc_p.add_argument("--scale", default=None,
-                       choices=("smoke", "quick", "full"),
-                       help="campaign scale (scoped to this command; "
-                            "the orchestrator's environment is "
-                            "restored afterwards)")
-    orc_p.add_argument("--policies", default=None, metavar="LBS",
-                       help="also run the cross-policy arena (same "
-                            "semantics as `figures run --all "
-                            "--policies`)")
+    _campaign_args(orc_p)
     orc_p.add_argument("--fan-out", type=int, default=2,
                        help="concurrent worker slots (default 2; "
                             "--runner ssh uses one slot per host)")
@@ -248,11 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "work-stealing margin)")
     orc_p.add_argument("--shard-workers", type=int, default=1,
                        help="sweep processes inside each worker")
-    orc_p.add_argument("--results-dir",
-                       default=os.path.join("benchmarks", "results",
-                                            "sweeps"),
-                       help="campaign store root (shards merge into "
-                            "<results-dir>/campaign)")
     orc_p.add_argument("--work-dir", default=None,
                        help="scratch root for manifests, shard "
                             "stores, heartbeats and worker logs "
@@ -283,11 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "it)")
     orc_p.add_argument("--ssh-python", default="python3",
                        help="python interpreter on the ssh hosts")
-    orc_p.add_argument("--fresh", action="store_true",
-                       help="ignore and overwrite cached task results")
-    orc_p.add_argument("--strict", action="store_true",
-                       help="exit non-zero on an unmet paper claim, "
-                            "not just on figure errors")
     orc_p.add_argument("--chaos-kill", type=int, default=0,
                        metavar="N",
                        help="failure drill: SIGKILL N live workers "

@@ -1,12 +1,27 @@
-"""What the command groups share: the campaign figure selection."""
+"""What the command groups share: the policy-name check and the
+campaign figure selection."""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 
 def split_csv(raw: Optional[str]) -> List[str]:
     return [s.strip() for s in raw.split(",") if s.strip()] if raw else []
+
+
+def known_policies(prog: str, flag: str, names: Sequence[str]) -> List[str]:
+    """``names`` once every one is a registered load balancer; else
+    exit with one line naming the unknown ones and the registered."""
+    from ..lb import available
+
+    unknown = sorted(set(names) - set(available()))
+    if unknown:
+        raise SystemExit(
+            f"{prog}: unknown polic{'y' if len(unknown) == 1 else 'ies'} "
+            f"{', '.join(unknown)} in {flag} "
+            f"(registered: {', '.join(available())})")
+    return list(names)
 
 
 def campaign_specs(prog: str, *, only: List[str] = (),
@@ -31,16 +46,9 @@ def campaign_specs(prog: str, *, only: List[str] = (),
         raise SystemExit(f"{prog}: the --only/--skip/--tag "
                          f"filters selected no figures")
     if policies:
-        from ..lb import available
         from ..scenarios import arena_specs
 
-        unknown = sorted(set(policies) - set(available()))
-        if unknown:
-            raise SystemExit(
-                f"{prog}: unknown polic"
-                f"{'y' if len(unknown) == 1 else 'ies'} "
-                f"{', '.join(unknown)} in --policies "
-                f"(registered: {', '.join(available())})")
+        known_policies(prog, "--policies", policies)
         arena = arena_specs(policies, bases=specs, pivot=policies[0])
         if not arena:
             raise SystemExit(

@@ -10,18 +10,21 @@ from ..harness.runner import simulate
 from ..harness.store import ColumnarStore
 from ..harness.sweep import (
     FailureSpec,
-    SweepGrid,
     SweepTask,
     WorkloadSpec,
     make_task,
     run_sweep,
+    spawn_seeds,
 )
 from ..sim.params import TopologyParams
+from ._common import known_policies, split_csv
 
 
-def _task(args: argparse.Namespace, lb: str) -> SweepTask:
-    """The ``run`` / ``compare`` flags as one task: the permutation is
-    drawn from ``--seed`` too."""
+def _task(args: argparse.Namespace, lb: str, *, seed: int, evs: int,
+          workload_seed: int) -> SweepTask:
+    """The scenario flags as one task under ``lb``: the one builder of
+    ``run``, ``compare`` and ``sweep``, which differ only in their
+    axes."""
     topo = TopologyParams(
         n_hosts=args.hosts, hosts_per_t0=args.hosts_per_t0,
         tiers=args.tiers, oversubscription=args.oversubscription,
@@ -30,7 +33,7 @@ def _task(args: argparse.Namespace, lb: str) -> SweepTask:
     workload = WorkloadSpec(
         kind="synthetic", pattern=args.pattern,
         msg_bytes=int(args.mib * 1024 * 1024), fan_in=args.fan_in,
-        workload_seed=args.seed)
+        workload_seed=workload_seed)
     failures = []
     if args.fail_uplink is not None:
         failures.append(FailureSpec.make(
@@ -41,24 +44,28 @@ def _task(args: argparse.Namespace, lb: str) -> SweepTask:
             "degrade_cables", indices=[args.degrade_uplink],
             gbps=args.degrade_gbps))
     return make_task(
-        lb, topo, workload, seed=args.seed,
+        lb, topo, workload, seed=seed,
         failure=FailureSpec.compose(*failures) if failures else None,
-        cc=args.cc, evs_size=args.evs, ack_coalesce=args.ack_coalesce,
+        cc=args.cc, evs_size=evs, ack_coalesce=args.ack_coalesce,
         max_us=args.max_us)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    metrics = simulate(_task(args, args.lb)).metrics
+    known_policies("repro run", "--lb", [args.lb])
+    # the permutation is drawn from --seed too
+    metrics = simulate(_task(args, args.lb, seed=args.seed, evs=args.evs,
+                             workload_seed=args.seed)).metrics
     print(f"{args.lb}: {metrics.summary()}")
     return 0 if metrics.flows_completed == metrics.flows_total else 1
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    lbs = [s.strip() for s in args.lbs.split(",") if s.strip()]
+    lbs = known_policies("repro compare", "--lbs", split_csv(args.lbs))
     rows = []
     ok = True
     for lb in lbs:
-        m = simulate(_task(args, lb)).metrics
+        m = simulate(_task(args, lb, seed=args.seed, evs=args.evs,
+                           workload_seed=args.seed)).metrics
         rows.append((lb, round(m.max_fct_us, 1), round(m.avg_fct_us, 1),
                      m.total_drops, m.ecn_marks,
                      f"{m.flows_completed}/{m.flows_total}"))
@@ -70,28 +77,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    workload = WorkloadSpec(
-        kind="synthetic", pattern=args.pattern,
-        msg_bytes=int(args.mib * 1024 * 1024), fan_in=args.fan_in)
-    seeds = ([int(s) for s in args.seeds.split(",") if s.strip()]
-             if args.seeds else ())
-    evs_sizes = [int(s) for s in args.evs.split(",") if s.strip()]
-    grid = SweepGrid(
-        lbs=[s.strip() for s in args.lbs.split(",") if s.strip()],
-        workloads=[workload],
-        topos=[{"n_hosts": args.hosts, "hosts_per_t0": args.hosts_per_t0,
-                "tiers": args.tiers,
-                "oversubscription": args.oversubscription}],
-        seeds=seeds, root_seed=args.root_seed, n_seeds=args.n_seeds,
-        scenario_kw={"cc": args.cc, "max_us": args.max_us},
-        # always an explicit axis so the content key is canonical: the
-        # default EVS cached under `--evs 65536` also hits from a later
-        # `--evs 64,65536` run
-        axes={"evs_size": evs_sizes},
-    )
+    lbs = known_policies("repro sweep", "--lbs", split_csv(args.lbs))
+    seeds = ([int(s) for s in split_csv(args.seeds)] if args.seeds
+             else spawn_seeds(args.root_seed, args.n_seeds))
+    # the workload keeps WorkloadSpec's seed: a seed varies the
+    # simulation, not the permutation
+    tasks = [_task(args, lb, seed=seed, evs=int(evs),
+                   workload_seed=WorkloadSpec.workload_seed)
+             for evs in split_csv(args.evs) for lb in lbs
+             for seed in seeds]
     store = ColumnarStore(os.path.join(args.results_dir, args.name),
                           fresh=args.fresh)
-    results = run_sweep(grid, workers=args.workers, store=store,
+    results = run_sweep(tasks, workers=args.workers, store=store,
                         progress=True)
     print(format_sweep_table(
         f"sweep '{args.name}': {args.pattern} {args.mib} MiB on "

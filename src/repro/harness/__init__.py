@@ -11,7 +11,7 @@ __all__ = [
     "MODEL_RUNNERS", "run_model",
     "Scale", "SMOKE", "QUICK", "FULL", "current_scale",
     "Aggregate", "cdf_points",
-    "SweepGrid", "SweepTask", "SweepResults", "TaskResult",
+    "SweepTask", "SweepResults", "TaskResult",
     "WorkloadSpec", "FailureSpec", "ColumnarStore",
     "make_task", "make_model_task", "task_key", "run_sweep",
     "spawn_seeds", "execute_task", "simulator_version",
@@ -29,8 +29,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     ".scale": ("FULL", "QUICK", "SMOKE", "Scale", "current_scale"),
     ".backends": ("BACKENDS", "Backend", "resolve_backend"),
     ".store": ("ColumnarStore",),
-    ".sweep": ("FailureSpec", "SweepGrid", "SweepResults",
-               "SweepTask", "TaskResult", "WorkloadSpec", "execute_task",
-               "make_model_task", "make_task", "run_sweep",
+    ".sweep": ("FailureSpec", "SweepResults", "SweepTask", "TaskResult",
+               "WorkloadSpec", "execute_task", "make_model_task", "make_task", "run_sweep",
                "simulator_version", "spawn_seeds", "task_key"),
 })

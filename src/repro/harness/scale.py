@@ -31,8 +31,6 @@ class Scale:
     n_hosts: int
     hosts_per_t0: int
     msg_scale: float          # multiplies the paper's message sizes
-    trace_duration_us: float
-    repeats: int
 
     def msg_bytes(self, paper_mib: float) -> int:
         """Scale a paper-quoted message size (MiB) to this operating
@@ -45,12 +43,9 @@ class Scale:
         return TopologyParams(**params)
 
 
-SMOKE = Scale(name="smoke", n_hosts=8, hosts_per_t0=4, msg_scale=1 / 64,
-              trace_duration_us=40.0, repeats=1)
-QUICK = Scale(name="quick", n_hosts=32, hosts_per_t0=8, msg_scale=0.25,
-              trace_duration_us=120.0, repeats=1)
-FULL = Scale(name="full", n_hosts=128, hosts_per_t0=16, msg_scale=1.0,
-             trace_duration_us=400.0, repeats=3)
+SMOKE = Scale(name="smoke", n_hosts=8, hosts_per_t0=4, msg_scale=1 / 64)
+QUICK = Scale(name="quick", n_hosts=32, hosts_per_t0=8, msg_scale=0.25)
+FULL = Scale(name="full", n_hosts=128, hosts_per_t0=16, msg_scale=1.0)
 
 _SCALES = {"smoke": SMOKE, "quick": QUICK, "full": FULL}
 

@@ -5,17 +5,18 @@ evaluates load balancers over large ``lb x topology x seed x workload``
 grids.  This module turns such a grid into an embarrassingly parallel
 campaign:
 
-1. :class:`SweepGrid` (or a hand-built list of :class:`SweepTask`)
-   declares the matrix.  Every axis value is plain data — topology
-   kwargs, a :class:`WorkloadSpec`, a :class:`FailureSpec` — so tasks
-   pickle cleanly and hash stably.
+1. A list of :class:`SweepTask` — each built by :func:`make_task`,
+   usually as a comprehension over the axes — declares the matrix.
+   Every axis value is plain data — topology kwargs, a
+   :class:`WorkloadSpec`, a :class:`FailureSpec` — so tasks pickle
+   cleanly and hash stably.
 2. :func:`run_sweep` executes the tasks through an *execution
    backend* (:mod:`repro.harness.backends`) picked by the worker
    count: ``serial`` for one, one ``process`` pool for more.  Each
    task carries its own seed (listed explicitly or spawned
    deterministically from a root seed via :func:`spawn_seeds`), and
    the simulator is deterministic given a seed, so serial and pooled
-   runs produce byte-identical metrics for the same grid.
+   runs produce byte-identical metrics for the same tasks.
 3. Results persist in a :class:`~repro.harness.store.ColumnarStore`,
    keyed by a content hash of the task parameters: re-running a
    campaign skips every finished task and recomputes aggregation
@@ -23,13 +24,13 @@ campaign:
 
 Example::
 
-    grid = SweepGrid(lbs=["ecmp", "ops", "reps"],
-                     workloads=[WorkloadSpec(kind="synthetic",
-                                             pattern="tornado",
-                                             msg_bytes=1 << 20)],
-                     topos=[{"n_hosts": 16, "hosts_per_t0": 8}],
-                     root_seed=7, n_seeds=4)
-    results = run_sweep(grid, workers=4,
+    workload = WorkloadSpec(kind="synthetic", pattern="tornado",
+                            msg_bytes=1 << 20)
+    tasks = [make_task(lb, {"n_hosts": 16, "hosts_per_t0": 8}, workload,
+                       seed=seed)
+             for lb in ("ecmp", "ops", "reps")
+             for seed in spawn_seeds(7, 4)]
+    results = run_sweep(tasks, workers=4,
                         store=ColumnarStore("benchmarks/results/sweeps/demo"))
     for group, agg in results.aggregate("max_fct_us").items():
         print(group, agg.mean, agg.percentile(99))
@@ -512,54 +513,8 @@ def execute_task(task: SweepTask) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# grids and results
+# results
 # ----------------------------------------------------------------------
-@dataclass
-class SweepGrid:
-    """A declarative campaign: the cross product of every axis.
-
-    ``seeds`` wins when non-empty; otherwise ``n_seeds`` seeds are
-    spawned from ``root_seed``.  ``axes`` adds extra scenario axes
-    (e.g. ``{"evs_size": [16, 64, 65536]}``) to the product, and
-    ``scenario_kw`` applies shared scenario overrides to every task.
-    """
-
-    lbs: Sequence[str]
-    workloads: Sequence[WorkloadSpec]
-    topos: Sequence[Mapping[str, object]] = \
-        field(default_factory=lambda: [{"n_hosts": 16, "hosts_per_t0": 8}])
-    seeds: Sequence[int] = ()
-    root_seed: int = 1
-    n_seeds: int = 1
-    scenario_kw: Mapping[str, object] = field(default_factory=dict)
-    axes: Mapping[str, Sequence[object]] = field(default_factory=dict)
-    failure: Optional[FailureSpec] = None
-
-    def grid_seeds(self) -> List[int]:
-        if self.seeds:
-            return [int(s) for s in self.seeds]
-        return spawn_seeds(self.root_seed, self.n_seeds)
-
-    def tasks(self) -> List[SweepTask]:
-        axis_names = sorted(self.axes)
-        combos: List[Dict[str, object]] = [{}]
-        for name in axis_names:
-            combos = [dict(c, **{name: v})
-                      for c in combos for v in self.axes[name]]
-        out = []
-        for topo in self.topos:
-            for workload in self.workloads:
-                for combo in combos:
-                    for lb in self.lbs:
-                        for seed in self.grid_seeds():
-                            kw = dict(self.scenario_kw)
-                            kw.update(combo)
-                            out.append(make_task(
-                                lb, topo, workload, seed=seed,
-                                failure=self.failure, **kw))
-        return out
-
-
 class TaskFailed(RuntimeError):
     """A task raised while executing; the message is the traceback
     from the process that ran it.  Backends hand one back *as the
@@ -646,7 +601,7 @@ class SweepResults:
         return rows
 
 
-def run_sweep(grid: Union[SweepGrid, Iterable[SweepTask]], *,
+def run_sweep(tasks: Iterable[SweepTask], *,
               workers: int = 1, store: Optional[ColumnarStore] = None,
               progress: bool = False, backend=None,
               on_result: Optional[Callable[[int, TaskResult], None]] = None
@@ -672,7 +627,7 @@ def run_sweep(grid: Union[SweepGrid, Iterable[SweepTask]], *,
     # lazy: backends import execute_task from here
     from .backends import resolve_backend
 
-    tasks = grid.tasks() if isinstance(grid, SweepGrid) else list(grid)
+    tasks = list(tasks)
     slots: Dict[str, List[int]] = {}
     for index, task in enumerate(tasks):
         slots.setdefault(task_key(task), []).append(index)

@@ -17,7 +17,7 @@ from ..harness.sweep import (
     make_task,
 )
 from ..sim.params import TopologyParams
-from .registry import FigureResult, Key
+from .registry import FigureResult, Key, TableDoc
 
 #: the full Sec. 4.1 baseline suite, in the paper's legend order
 ALL_LBS = ["ecmp", "ops", "flowlet", "bitmap", "mprdma", "plb",
@@ -77,3 +77,15 @@ def synthetic(pattern: str, msg_bytes: int, *, fan_in: int = 8,
     return WorkloadSpec(kind="synthetic", pattern=pattern,
                         msg_bytes=msg_bytes, fan_in=fan_in,
                         workload_seed=workload_seed)
+
+
+def speedup_vs_ecmp_table(res: FigureResult) -> TableDoc:
+    """ECMP's FCT over each LB's, per ``(pattern, lb)`` cell of an
+    8 MiB permutation / tornado matrix."""
+    rows = []
+    for pattern in ("permutation", "tornado"):
+        base = res.value((pattern, "ecmp"))
+        rows.append([f"{pattern} 8MiB"] +
+                    [round(base / res.value((pattern, lb)), 2)
+                     for lb in ALL_LBS])
+    return (["workload"] + ALL_LBS, rows, [])

@@ -10,7 +10,7 @@ from typing import Dict
 
 from ..harness.sweep import FailureSpec, SweepTask, WorkloadSpec
 from ._shared import ALL_LBS, CORE_LBS, msg, scaled_topo, small_topo, \
-    synthetic, task
+    speedup_vs_ecmp_table, synthetic, task
 from .registry import FigureResult, FigureSpec, TableDoc, register
 
 # ----------------------------------------------------------------------
@@ -187,7 +187,7 @@ def _fig03_collectives_build() -> Dict[tuple, SweepTask]:
     return tasks
 
 
-def _fig03_collectives_table(res: FigureResult) -> TableDoc:
+def _collectives_table(res: FigureResult) -> TableDoc:
     kinds = sorted({k for k, _ in res.keys()})
     rows = [[k] + [round(res.value((k, lb)), 1) for lb in CORE_LBS]
             for k in kinds]
@@ -210,7 +210,7 @@ register(FigureSpec(
     fig_id="fig03_collectives", figure="Fig. 3 (right)",
     title="Fig 3 (right): collective runtimes (us)",
     build=_fig03_collectives_build, metric="finish_us",
-    table=_fig03_collectives_table, check=_fig03_collectives_check,
+    table=_collectives_table, check=_fig03_collectives_check,
     tags=("sim", "baseline", "collectives")))
 
 
@@ -276,16 +276,6 @@ def _fig05_synthetic_build() -> Dict[tuple, SweepTask]:
     return tasks
 
 
-def _fig05_synthetic_table(res: FigureResult) -> TableDoc:
-    rows = []
-    for pattern in ("permutation", "tornado"):
-        base = res.value((pattern, "ecmp"))
-        rows.append([f"{pattern} 8MiB"] +
-                    [round(base / res.value((pattern, lb)), 2)
-                     for lb in ALL_LBS])
-    return (["workload"] + ALL_LBS, rows, [])
-
-
 def _fig05_synthetic_check(res: FigureResult) -> None:
     for pattern in ("permutation", "tornado"):
         vals = {lb: res.value((pattern, lb)) for lb in ALL_LBS}
@@ -301,7 +291,7 @@ def _fig05_synthetic_check(res: FigureResult) -> None:
 register(FigureSpec(
     fig_id="fig05_synthetic", figure="Fig. 5 (left)",
     title="Fig 5 (left): speedup vs ECMP, 200G-degraded uplinks",
-    build=_fig05_synthetic_build, table=_fig05_synthetic_table,
+    build=_fig05_synthetic_build, table=speedup_vs_ecmp_table,
     check=_fig05_synthetic_check,
     tags=("sim", "asymmetry")))
 
@@ -346,13 +336,6 @@ def _fig05_collectives_build() -> Dict[tuple, SweepTask]:
     return tasks
 
 
-def _fig05_collectives_table(res: FigureResult) -> TableDoc:
-    kinds = sorted({k for k, _ in res.keys()})
-    rows = [[k] + [round(res.value((k, lb)), 1) for lb in CORE_LBS]
-            for k in kinds]
-    return (["collective"] + CORE_LBS, rows, [])
-
-
 def _fig05_collectives_check(res: FigureResult) -> None:
     for k in sorted({k for k, _ in res.keys()}):
         vals = {lb: res.value((k, lb)) for lb in CORE_LBS}
@@ -364,7 +347,7 @@ register(FigureSpec(
     fig_id="fig05_collectives", figure="Fig. 5 (right)",
     title="Fig 5 (right): collective runtimes (us), degraded",
     build=_fig05_collectives_build, metric="finish_us",
-    table=_fig05_collectives_table, check=_fig05_collectives_check,
+    table=_collectives_table, check=_fig05_collectives_check,
     tags=("sim", "asymmetry", "collectives")))
 
 

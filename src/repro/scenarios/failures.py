@@ -36,7 +36,7 @@ def _fig07_build() -> Dict[str, SweepTask]:
             for lb in ("ops", "reps")}
 
 
-def _fig07_table(res: FigureResult) -> TableDoc:
+def _failure_table(res: FigureResult) -> TableDoc:
     rows = [(lb, round(res.value(lb, "max_fct_us"), 1),
              int(res.value(lb, "total_drops")),
              int(res.value(lb, "retransmissions")),
@@ -61,7 +61,7 @@ register(FigureSpec(
     fig_id="fig07", figure="Fig. 7",
     title="Fig 7: two transient cable failures (paper: REPS >35% "
           "faster, ~2.5x fewer drops)",
-    build=_fig07_build, table=_fig07_table, check=_fig07_check,
+    build=_fig07_build, table=_failure_table, check=_fig07_check,
     tags=("sim", "failures")))
 
 
@@ -370,16 +370,6 @@ def _fig22_build() -> Dict[str, SweepTask]:
             for lb in ("ops", "reps")}
 
 
-def _fig22_table(res: FigureResult) -> TableDoc:
-    rows = [(lb, round(res.value(lb, "max_fct_us"), 1),
-             int(res.value(lb, "total_drops")),
-             int(res.value(lb, "retransmissions")),
-             int(res.value(lb, "freeze_entries")))
-            for lb in res.keys()]
-    return (["lb", "max_fct_us", "drops", "retx", "freeze_entries"],
-            rows, [])
-
-
 def _fig22_check(res: FigureResult) -> None:
     expect_completes(res, "reps")
     res.expect("OPS max FCT > 3x REPS (paper: ~40x)",
@@ -395,5 +385,5 @@ register(FigureSpec(
     fig_id="fig22", figure="Fig. 22",
     title="Fig 22: incremental persistent failures, 3 of 4 uplinks die "
           "(paper: OPS ~40x worse)",
-    build=_fig22_build, table=_fig22_table, check=_fig22_check,
+    build=_fig22_build, table=_failure_table, check=_fig22_check,
     tags=("sim", "failures")))

@@ -16,7 +16,7 @@ from ..core.reps import RepsConfig
 from ..harness.sweep import FailureSpec, SweepTask, WorkloadSpec
 from ..sim.params import TopologyParams
 from ._shared import ALL_LBS, expect_completes, msg, scaled_topo, \
-    small_topo, synthetic, task
+    small_topo, speedup_vs_ecmp_table, synthetic, task
 from .registry import FigureResult, FigureSpec, TableDoc, register
 
 # ----------------------------------------------------------------------
@@ -341,16 +341,6 @@ def _fig21_build() -> Dict[tuple, SweepTask]:
             for lb in ALL_LBS}
 
 
-def _fig21_table(res: FigureResult) -> TableDoc:
-    rows = []
-    for pattern in ("permutation", "tornado"):
-        base = res.value((pattern, "ecmp"))
-        rows.append([f"{pattern} 8MiB"] +
-                    [round(base / res.value((pattern, lb)), 2)
-                     for lb in ALL_LBS])
-    return (["workload"] + ALL_LBS, rows, [])
-
-
 def _fig21_check(res: FigureResult) -> None:
     for pattern in ("permutation", "tornado"):
         reps = res.value((pattern, "reps"))
@@ -365,7 +355,7 @@ register(FigureSpec(
     fig_id="fig21", figure="Fig. 21",
     title="Fig 21: 3-tier fat tree, speedup vs ECMP (paper: comparable "
           "to the 2-tier results)",
-    build=_fig21_build, table=_fig21_table, check=_fig21_check,
+    build=_fig21_build, table=speedup_vs_ecmp_table, check=_fig21_check,
     tags=("sim", "sensitivity", "scaling")))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from typing import List
 
 import pytest
 
@@ -12,7 +13,7 @@ import repro.harness.sweep as sweep_mod
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
     FailureSpec,
-    SweepGrid,
+    SweepTask,
     WorkloadSpec,
     execute_task,
     make_model_task,
@@ -29,34 +30,13 @@ TINY_WORKLOAD = WorkloadSpec(kind="synthetic", pattern="permutation",
                              msg_bytes=128 * 1024)
 
 
-def tiny_grid(**overrides) -> SweepGrid:
-    kw = dict(lbs=["ops", "reps"], workloads=[TINY_WORKLOAD],
-              topos=[TINY_TOPO], seeds=(1, 2),
-              scenario_kw={"max_us": 2_000_000.0})
-    kw.update(overrides)
-    return SweepGrid(**kw)
+def tiny_grid(lbs=("ops", "reps"), seeds=(1, 2)) -> List[SweepTask]:
+    return [make_task(lb, TINY_TOPO, TINY_WORKLOAD, seed=seed,
+                      max_us=2_000_000.0)
+            for lb in lbs for seed in seeds]
 
 
 class TestGridExpansion:
-    def test_cross_product_size(self):
-        grid = tiny_grid(lbs=["ecmp", "ops", "reps"], seeds=(1, 2, 3, 4),
-                         axes={"evs_size": [16, 64]})
-        assert len(grid.tasks()) == 3 * 4 * 2
-
-    def test_axis_values_reach_scenario(self):
-        grid = tiny_grid(axes={"evs_size": [16, 64]})
-        evs = {dict(t.scenario)["evs_size"] for t in grid.tasks()}
-        assert evs == {16, 64}
-
-    def test_explicit_seeds_win_over_root_seed(self):
-        grid = tiny_grid(seeds=(5, 6), root_seed=1, n_seeds=4)
-        assert {t.seed for t in grid.tasks()} == {5, 6}
-
-    def test_seeds_spawned_from_root(self):
-        grid = tiny_grid(seeds=(), root_seed=42, n_seeds=3)
-        assert sorted({t.seed for t in grid.tasks()}) == \
-            sorted(spawn_seeds(42, 3))
-
     def test_topology_params_accepted(self):
         task = make_task("reps", TopologyParams(n_hosts=8, hosts_per_t0=4),
                          TINY_WORKLOAD, seed=1)

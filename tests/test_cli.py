@@ -66,6 +66,13 @@ class TestRun:
             "--degrade-uplink", "0", "--degrade-gbps", "200")
         assert code == 0
 
+    def test_unknown_lb_exits_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--lb", "bogus"])
+        message = str(exc.value.code)
+        assert message.startswith("repro run: unknown policy bogus in --lb")
+        assert "reps" in message and "\n" not in message
+
     def test_unfinished_run_fails(self, capsys):
         # permanent blackhole of every uplink + tiny time budget
         code, out = run_cli(
@@ -154,6 +161,92 @@ class TestSweep:
             "--results-dir", str(tmp_path))
         assert code == 0
         assert "3 to run" in out
+
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        """The tasks ``sweep`` hands to ``run_sweep``; none runs."""
+        import repro.cli.simulate as simulate_mod
+        from repro.harness.sweep import SweepResults
+
+        tasks = []
+
+        def plan_only(batch, **_kw):
+            tasks.extend(batch)
+            return SweepResults([])
+        monkeypatch.setattr(simulate_mod, "run_sweep", plan_only)
+        return tasks
+
+    def plan(self, capsys, tmp_path, *flags):
+        code, _ = run_cli(capsys, "sweep", "--hosts", "8",
+                          "--hosts-per-t0", "4", "--mib", "0.125",
+                          "--results-dir", str(tmp_path), *flags)
+        assert code == 0
+
+    def test_task_count_is_the_product(self, capsys, tmp_path, planned):
+        self.plan(capsys, tmp_path, "--lbs", "ecmp,ops,reps",
+                  "--seeds", "1,2,3,4", "--evs", "16,64")
+        assert len(planned) == 3 * 4 * 2
+
+    def test_each_evs_reaches_the_scenario(self, capsys, tmp_path,
+                                           planned):
+        self.plan(capsys, tmp_path, "--evs", "16,64")
+        assert {dict(t.scenario)["evs_size"] for t in planned} == {16, 64}
+
+    def test_explicit_seeds_win_over_root_seed(self, capsys, tmp_path,
+                                               planned):
+        self.plan(capsys, tmp_path, "--seeds", "5,6", "--root-seed", "1",
+                  "--n-seeds", "4")
+        assert {t.seed for t in planned} == {5, 6}
+
+    def test_seeds_spawned_from_root(self, capsys, tmp_path, planned):
+        from repro.harness.sweep import spawn_seeds
+
+        self.plan(capsys, tmp_path, "--root-seed", "42", "--n-seeds", "3")
+        assert sorted({t.seed for t in planned}) == \
+            sorted(spawn_seeds(42, 3))
+
+    def test_failure_flags_reach_the_task(self, capsys, tmp_path,
+                                          planned):
+        from repro.harness.sweep import FailureSpec
+
+        self.plan(capsys, tmp_path, "--fail-uplink", "0")
+        cut = FailureSpec.make("fail_cables", indices=[0], at_us=50.0,
+                               duration_us=None)
+        assert {t.failure for t in planned} == {FailureSpec.compose(cut)}
+
+    def test_compare_and_sweep_build_one_task(self, capsys, tmp_path,
+                                              planned, monkeypatch):
+        """``compare --seed 2`` and ``sweep --seeds 2`` share one task
+        builder: the same scenario flags give the same content keys."""
+        import repro.cli.simulate as simulate_mod
+        from repro.harness.sweep import task_key
+
+        scenario = ("--lbs", "ops,reps", "--hosts", "8",
+                    "--hosts-per-t0", "4", "--mib", "0.125",
+                    "--fail-uplink", "0", "--ack-coalesce", "2")
+        compared = []
+        real = simulate_mod.simulate
+        monkeypatch.setattr(simulate_mod, "simulate",
+                            lambda task: compared.append(task) or real(task))
+        code, _ = run_cli(capsys, "compare", *scenario, "--seed", "2")
+        assert code == 0
+        code, _ = run_cli(capsys, "sweep", *scenario, "--seeds", "2",
+                          "--results-dir", str(tmp_path))
+        assert code == 0
+        assert [(t.lb, task_key(t)) for t in compared] == \
+            [(t.lb, task_key(t)) for t in planned]
+
+    def test_unknown_lb_exits_before_any_task(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--lbs", "reps,bogus", "--hosts", "8",
+                  "--hosts-per-t0", "4", "--mib", "0.125", "--seeds", "1",
+                  "--results-dir", str(tmp_path)])
+        message = str(exc.value.code)
+        assert message.startswith(
+            "repro sweep: unknown policy bogus in --lbs (registered: ")
+        assert capsys.readouterr().out == ""
+        assert not any(tmp_path.iterdir())
 
 
 class TestFigures:
