@@ -4,10 +4,6 @@ from .. import _lazy_exports
 
 __all__ = [
     "simulate", "ScenarioResult",
-    "fail_cables_hook", "fail_cable_schedule_hook",
-    "fail_tor_uplinks_hook", "fail_fraction_hook",
-    "degrade_cables_hook", "degrade_fraction_hook", "ber_hook",
-    "force_freeze_hook", "RESULT_PROBES",
     "MODEL_RUNNERS", "run_model",
     "Scale", "SMOKE", "QUICK", "FULL", "current_scale",
     "Aggregate", "cdf_points",
@@ -21,11 +17,7 @@ __all__ = [
 __getattr__, __dir__ = _lazy_exports(globals(), {
     ".stats": ("Aggregate", "cdf_points"),
     ".model_tasks": ("MODEL_RUNNERS", "run_model"),
-    ".runner": ("RESULT_PROBES", "ScenarioResult", "ber_hook",
-                "degrade_cables_hook", "degrade_fraction_hook",
-                "fail_cable_schedule_hook", "fail_cables_hook",
-                "fail_fraction_hook", "fail_tor_uplinks_hook",
-                "force_freeze_hook", "simulate"),
+    ".runner": ("ScenarioResult", "simulate"),
     ".scale": ("FULL", "QUICK", "SMOKE", "Scale", "current_scale"),
     ".backends": ("BACKENDS", "Backend", "resolve_backend"),
     ".store": ("ColumnarStore",),

@@ -52,10 +52,13 @@ Invariants:
   byte-identical metrics, and duplicate tasks in one sweep execute
   exactly once.
 - **Probe lifecycle.**  ``SweepTask.probes`` names entries of
-  :data:`~repro.harness.runner.RESULT_PROBES`; each probe runs once in
-  the worker that simulated the task, immediately after the run, and
-  its scalar outputs are persisted in the artifact's ``extra`` mapping
-  (probes are part of the content key: adding one re-runs the task).
+  :data:`PROBES`; each probe runs once in the worker that simulated
+  the task, immediately after the run, and its scalar outputs are
+  persisted in the artifact's ``extra`` mapping (probes are part of
+  the content key: adding one re-runs the task).
+- **Checked when described.**  :meth:`FailureSpec.make` and
+  :func:`make_task` check parameters and telemetry windows against the
+  functions that use them, so a task that describes cleanly also runs.
 - **Stores converge.**  Content keys make concurrent campaigns
   sharing a store harmless and
   :meth:`~repro.harness.store.ColumnarStore.merge_from` idempotent,
@@ -66,9 +69,11 @@ Invariants:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import os
+import random
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (
     TYPE_CHECKING,
@@ -89,6 +94,8 @@ from .stats import Aggregate
 
 if TYPE_CHECKING:  # annotations only: none loads with the describe layer
     from ..sim.metrics import RunMetrics
+    from ..sim.network import Network
+    from .runner import ScenarioResult
     from .store import ColumnarStore
 
 #: bump to invalidate stored artifacts when the result format changes
@@ -103,21 +110,6 @@ KV = Tuple[Tuple[str, object], ...]
 _SCENARIO_KEYS = frozenset(
     {"cc", "evs_size", "ack_coalesce", "carry_evs", "reps", "rto_us",
      "max_us", "telemetry_bucket_us"})
-
-#: declarative failure kinds; kind ``k`` is built by the runner's
-#: ``<k>_hook`` factory (:meth:`FailureSpec.hook`)
-FAILURE_KINDS = (
-    "fail_cables", "fail_cable_schedule", "fail_tor_uplinks",
-    "fail_fraction", "degrade_cables", "degrade_fraction", "ber",
-    "force_freeze")
-
-#: the names ``SweepTask.probes`` may carry — the keys of
-#: :data:`~repro.harness.runner.RESULT_PROBES`, declared on this side
-#: so building a task does not import the simulator
-PROBE_NAMES = (
-    "queue_telemetry", "uplink_share", "freeze_entries",
-    "goodput_series", "queue_series", "uplink_share_series",
-    "ev_recycle_series")
 
 #: packages/modules whose source defines simulation results (or the
 #: shape of stored artifacts) — hashed into :func:`simulator_version`
@@ -222,13 +214,136 @@ class WorkloadSpec:
         return f"{self.pattern}/{self.msg_bytes >> 10}KiB"
 
 
+# ----------------------------------------------------------------------
+# failure kinds (Sec. 4.3.3 failure modes)
+# ----------------------------------------------------------------------
+# Each kind is one function ``kind(net, **params)`` scheduling events
+# on the network it is handed; none imports the simulator.
+
+def fail_cables(net: Network, indices: Sequence[int], at_us: float,
+                duration_us: Optional[float] = None) -> None:
+    """Fail the i-th T0 uplink cables at ``at_us``."""
+    fail_cable_schedule(net, [(i, at_us, duration_us) for i in indices])
+
+
+def fail_cable_schedule(net: Network,
+                        events: Sequence[Sequence[float]]) -> None:
+    """A timed schedule of T0-uplink failures (Figs. 7 / 11b): ``events``
+    are ``(index, at_us, duration_us)`` triples, ``duration_us`` ``None``
+    meaning permanent."""
+    cables = net.tree.t0_uplink_cables()
+    for index, at_us, duration_us in events:
+        net.failures.fail_cable(
+            cables[int(index) % len(cables)],
+            at_ps=int(at_us * 1e6),
+            duration_ps=(int(duration_us * 1e6)
+                         if duration_us is not None else None))
+
+
+def fail_tor_uplinks(net: Network, *, tor: int = 0, keep: int = 1,
+                     at_us: float = 100.0,
+                     stagger_us: float = 200.0) -> None:
+    """Incrementally fail one ToR's uplinks (Fig. 22, Appendix C.3).
+
+    All but ``keep`` of T0 ``tor``'s uplink cables die permanently, one
+    every ``stagger_us`` starting at ``at_us``.
+    """
+    t0_name = net.tree.t0s[tor % len(net.tree.t0s)].name
+    uplinks = [c for c in net.tree.t0_uplink_cables()
+               if c.name.startswith(f"{t0_name}<->")]
+    victims = uplinks[:-keep] if keep > 0 else uplinks
+    for i, cable in enumerate(victims):
+        net.failures.fail_cable(
+            cable, at_ps=int((at_us + stagger_us * i) * 1e6))
+
+
+def force_freeze(net: Network, at_us: float) -> None:
+    """Force every freeze-capable flow LB into freezing mode at
+    ``at_us`` without any actual failure (Fig. 19, Appendix A)."""
+    at_ps = int(at_us * 1e6)
+
+    def freeze() -> None:
+        # reading ``sender`` builds a flow that has not started yet:
+        # it starts frozen, as every registered flow always has
+        for rec in net.flows.values():
+            lb = rec.sender.lb
+            if hasattr(lb, "force_freeze"):
+                lb.force_freeze(at_ps)
+    net.engine.at(at_ps, freeze)
+
+
+def fail_fraction(net: Network, fraction: float, at_us: float, *,
+                  seed: int = 0, what: str = "cables") -> None:
+    """Fail a random fraction of T0 uplink cables or T1 switches.
+
+    Mirrors the paper's constraint (Sec. 4.3.3): failures never include a
+    single point of failure that would make the workload uncompletable —
+    one spine switch keeps all its cables, so every ToR pair stays
+    connected.
+    """
+    rng = random.Random(seed)
+    at_ps = int(at_us * 1e6)
+    if what == "cables":
+        cables = net.tree.t0_uplink_cables()
+        protected = rng.choice(net.tree.t1s).name
+        pool = [c for c in cables if f"<->{protected}" not in c.name]
+        k = max(1, min(len(pool), int(len(cables) * fraction)))
+        for c in rng.sample(pool, k):
+            net.failures.fail_cable(c, at_ps=at_ps)
+    elif what == "switches":
+        switches = net.tree.t1s
+        k = max(1, min(len(switches) - 1,
+                       int(round(len(switches) * fraction))))
+        for s in rng.sample(switches, k):
+            net.failures.fail_switch(s, at_ps=at_ps)
+    else:
+        raise ValueError(f"unknown failure target {what!r}")
+
+
+def degrade_cables(net: Network, indices: Sequence[int], gbps: float,
+                   at_us: float = 0.0) -> None:
+    """Downgrade T0 uplink cables (asymmetry, Sec. 4.3.2)."""
+    cables = net.tree.t0_uplink_cables()
+    for i in indices:
+        net.failures.degrade_cable(cables[i % len(cables)], gbps,
+                                   at_ps=int(at_us * 1e6))
+
+
+def degrade_fraction(net: Network, fraction: float, gbps: float, *,
+                     seed: int = 0) -> None:
+    """Downgrade a random fraction of T0 uplinks (Fig. 5's 3%)."""
+    rng = random.Random(seed)
+    cables = net.tree.t0_uplink_cables()
+    k = max(1, int(round(len(cables) * fraction)))
+    for c in rng.sample(cables, k):
+        net.failures.degrade_cable(c, gbps, at_ps=0)
+
+
+def ber(net: Network, ber: float, *, what: str = "cables",
+        seed: int = 0) -> None:
+    """Random per-packet loss on one uplink cable or one T1 switch."""
+    rng = random.Random(seed)
+    if what == "cables":
+        cable = rng.choice(net.tree.t0_uplink_cables())
+        net.failures.set_ber(cable, ber)
+    else:
+        switch = rng.choice(net.tree.t1s)
+        net.failures.set_switch_ber(switch, ber)
+
+
+#: failure kind -> the function applying it (:meth:`FailureSpec.apply`)
+FAILURE_KINDS: Dict[str, Callable[..., None]] = {fn.__name__: fn for fn in (
+    fail_cables, fail_cable_schedule, fail_tor_uplinks, fail_fraction,
+    degrade_cables, degrade_fraction, ber, force_freeze)}
+
+
 @dataclass(frozen=True)
 class FailureSpec:
-    """A named failure hook plus kwargs, in canonical tuple form.
+    """A named failure kind plus kwargs, in canonical tuple form.
 
-    Besides the single-hook kinds in ``FAILURE_KINDS``, the special
-    kind ``"compose"`` holds a tuple of sub-specs applied in order —
-    the declarative form of Fig. 8's combined cable+switch modes.
+    Besides the kinds in :data:`FAILURE_KINDS`, the special kind
+    ``"compose"`` holds a tuple of sub-specs applied in order — the
+    declarative form of Fig. 8's combined cable+switch modes.
     """
 
     kind: str
@@ -236,9 +351,17 @@ class FailureSpec:
 
     @classmethod
     def make(cls, kind: str, **params) -> "FailureSpec":
-        if kind not in FAILURE_KINDS:
+        fn = FAILURE_KINDS.get(kind)
+        if fn is None:
             raise ValueError(f"unknown failure kind {kind!r}; "
                              f"one of {sorted(FAILURE_KINDS)}")
+        signature = inspect.signature(fn)
+        try:
+            # a misspelt name is reported before the one it replaced
+            signature.bind_partial(None, **params)
+            signature.bind(None, **params)
+        except TypeError as exc:
+            raise ValueError(f"failure kind {kind!r}: {exc}") from None
         return cls(kind, _kv(params))
 
     @classmethod
@@ -250,20 +373,13 @@ class FailureSpec:
             raise TypeError("compose takes FailureSpec instances")
         return cls("compose", (("specs", tuple(specs)),))
 
-    def hook(self):
+    def apply(self, net: Network) -> None:
+        """Schedule this spec's failures on ``net``."""
         if self.kind == "compose":
-            hooks = [s.hook() for s in dict(self.params)["specs"]]
-
-            def composite(net) -> None:
-                for h in hooks:
-                    h(net)
-            return composite
-        # describe -> execute: building the hook needs the simulator
-        from . import runner
-
-        kwargs = {k: (list(v) if isinstance(v, tuple) else v)
-                  for k, v in self.params}
-        return getattr(runner, f"{self.kind}_hook")(**kwargs)
+            for spec in dict(self.params)["specs"]:
+                spec.apply(net)
+        else:
+            FAILURE_KINDS[self.kind](net, **dict(self.params))
 
 
 @dataclass(frozen=True)
@@ -276,8 +392,8 @@ class SweepTask:
     seed: int
     scenario: KV = ()
     failure: Optional[FailureSpec] = None
-    #: named :data:`~repro.harness.runner.RESULT_PROBES` applied to the
-    #: finished run; their outputs land in the artifact's ``extra``
+    #: named :data:`PROBES` applied to the finished run; their outputs
+    #: land in the artifact's ``extra`` (series in ``series``)
     probes: Tuple[str, ...] = ()
 
     def group(self) -> "SweepTask":
@@ -301,6 +417,108 @@ class SweepTask:
         return " ".join(str(b) for b in bits)
 
 
+# ----------------------------------------------------------------------
+# result probes
+# ----------------------------------------------------------------------
+# Functions of a finished ScenarioResult, run in the task's worker:
+# scalars land in ``extra``, lists (one sample per telemetry window, on
+# the grid ``t_us``) in ``series``.
+
+def probe_queue_telemetry(result: ScenarioResult) -> Dict[str, float]:
+    """Fig. 2-style steady-state queue/utilization stats."""
+    rec = result.recorder
+    kmin_kb = (result.network.tree.queue_capacity()
+               * result.network.tree.params.kmin_fraction / 1024.0)
+    return {
+        "steady_queue_kb": rec.max_queue_kb(0.3, 0.9),
+        "util_spread_gbps": rec.utilization_spread(),
+        "kmin_kb": kmin_kb,
+    }
+
+
+def probe_uplink_share(result: ScenarioResult) -> Dict[str, float]:
+    """Fig. 4: bytes the first (degraded) T0 uplink carried relative to
+    the average of its siblings."""
+    t0 = result.network.tree.t0s[0]
+    slow = t0.up_ports[0]
+    other = [p.stats.bytes_tx for p in t0.up_ports if p is not slow]
+    avg = sum(other) / len(other) if other else 0.0
+    share = slow.stats.bytes_tx / avg if avg else float("inf")
+    return {"slow_uplink_share": share}
+
+
+def probe_freeze_entries(result: ScenarioResult) -> Dict[str, float]:
+    """Figs. 7/22: how often REPS senders entered freezing mode."""
+    total = sum(getattr(rec.sender.lb, "stats_freeze_entries", 0)
+                for rec in result.network.flows.values() if rec.built)
+    return {"freeze_entries": float(total)}
+
+
+def probe_goodput_series(result: ScenarioResult) -> Dict[str, object]:
+    """Per-window aggregate goodput (Gbps) across the recorded T0
+    uplinks — the Fig. 2 left axis, and the failure-recovery curve."""
+    rec = result.recorder
+    names = list(rec.util_gbps)
+    total = [sum(rec.util_gbps[p][i] for p in names)
+             for i in range(len(rec.times_us))]
+    return {"t_us": list(rec.times_us), "goodput_gbps": total}
+
+
+def probe_queue_series(result: ScenarioResult) -> Dict[str, object]:
+    """Per-window worst queue occupancy (KB) across the recorded T0
+    uplinks — the Fig. 2 right axis."""
+    rec = result.recorder
+    worst = [max(rec.queue_kb[p][i] for p in rec.queue_kb)
+             for i in range(len(rec.times_us))]
+    return {"t_us": list(rec.times_us), "queue_kb": worst}
+
+
+def probe_uplink_share_series(result: ScenarioResult) -> Dict[str, object]:
+    """Per-window share of uplink traffic carried by the first T0
+    uplink (the one failure schedules hit first).  A fair spray holds
+    1/n; a dead or skewed-away-from link drops toward 0."""
+    rec = result.recorder
+    first = result.network.tree.t0s[0].up_ports[0].name
+    names = list(rec.util_gbps)
+    shares = []
+    for i in range(len(rec.times_us)):
+        total = sum(rec.util_gbps[p][i] for p in names)
+        shares.append(rec.util_gbps[first][i] / total if total > 0
+                      else 0.0)
+    return {"t_us": list(rec.times_us), "uplink_share": shares}
+
+
+def probe_ev_recycle_series(result: ScenarioResult) -> Dict[str, object]:
+    """Per-window EV-recycling hit rate: the fraction of transmitted
+    EVs drawn from the recycle buffer (vs random exploration or frozen
+    reuse).  Zero throughout for non-REPS senders."""
+    sampler = result.lb_sampler
+    prev = {c: 0.0 for c in sampler.COUNTERS}
+    rates = []
+    for i in range(len(sampler.times_us)):
+        deltas = {c: sampler.totals[c][i] - prev[c]
+                  for c in sampler.COUNTERS}
+        prev = {c: sampler.totals[c][i] for c in sampler.COUNTERS}
+        sends = sum(deltas.values())
+        rates.append(deltas["stats_recycled"] / sends if sends > 0
+                     else 0.0)
+    return {"t_us": list(sampler.times_us), "ev_recycle_rate": rates}
+
+
+#: probe name -> (extractor, the telemetry it reads): ``None``,
+#: ``"ports"`` (the first ToR's uplink recorder) or ``"lbs"`` (the
+#: EV-source sampler); telemetry needs the task's ``telemetry_bucket_us``
+PROBES: Dict[str, Tuple[Callable, Optional[str]]] = {
+    "queue_telemetry": (probe_queue_telemetry, "ports"),
+    "uplink_share": (probe_uplink_share, None),
+    "freeze_entries": (probe_freeze_entries, None),
+    "goodput_series": (probe_goodput_series, "ports"),
+    "queue_series": (probe_queue_series, "ports"),
+    "uplink_share_series": (probe_uplink_share_series, "ports"),
+    "ev_recycle_series": (probe_ev_recycle_series, "lbs"),
+}
+
+
 def make_task(lb: str, topo: Union[TopologyParams, Mapping[str, object]],
               workload: WorkloadSpec, *, seed: int,
               failure: Optional[FailureSpec] = None,
@@ -313,10 +531,10 @@ def make_task(lb: str, topo: Union[TopologyParams, Mapping[str, object]],
     if unknown:
         raise ValueError(f"unsupported scenario keys {sorted(unknown)}; "
                          f"allowed: {sorted(_SCENARIO_KEYS)}")
-    bad_probes = set(probes) - set(PROBE_NAMES)
+    bad_probes = set(probes) - set(PROBES)
     if bad_probes:
         raise ValueError(f"unknown probes {sorted(bad_probes)}; "
-                         f"one of {sorted(PROBE_NAMES)}")
+                         f"one of {sorted(PROBES)}")
     if workload.kind in ("mixed", "model"):
         # no probe reads these kinds' results (a model simulates
         # nothing; a mixed run is judged per flow tag), so a probe or
@@ -327,6 +545,10 @@ def make_task(lb: str, topo: Union[TopologyParams, Mapping[str, object]],
         if "telemetry_bucket_us" in scenario_kw:
             raise ValueError("telemetry_bucket_us is not supported for "
                              f"{workload.kind!r} workloads")
+    reading = sorted(p for p in probes if PROBES[p][1])
+    if reading and scenario_kw.get("telemetry_bucket_us") is None:
+        raise ValueError(f"probes {reading} read telemetry and need "
+                         "telemetry_bucket_us")
     reps = scenario_kw.get("reps")
     if isinstance(reps, RepsConfig):
         scenario_kw["reps"] = _kv(_field_dict(reps))
@@ -496,7 +718,7 @@ def execute_task(task: SweepTask) -> Dict[str, object]:
         extra["bg_flows_total"] = float(bg.flows_total)
     series: Dict[str, List[float]] = {}
     for name in task.probes:
-        probed = runner.RESULT_PROBES[name](res)
+        probed = PROBES[name][0](res)
         for k, v in probed.items():
             if isinstance(v, (list, tuple)):
                 # windowed time-series output: a dedicated artifact

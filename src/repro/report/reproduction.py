@@ -19,6 +19,7 @@ from ..harness.campaign import STATUSES, CampaignResult, FigureOutcome
 from ..scenarios import figure_ids
 from .provenance import collect_provenance, store_throughput
 from .text import bar_chart, format_markdown_table, format_table, sparkline
+from .trend import is_number
 
 #: bump when the campaign.json layout changes
 REPORT_SCHEMA = 2
@@ -73,10 +74,6 @@ def _distinct_seeds(campaign: CampaignResult) -> int:
     return len(seeds)
 
 
-def _is_number(cell) -> bool:
-    return isinstance(cell, (int, float)) and not isinstance(cell, bool)
-
-
 def _chart_column(headers: Sequence[str],
                   rows: Sequence[Sequence[object]]
                   ) -> Tuple[Optional[str], List[Tuple]]:
@@ -90,12 +87,12 @@ def _chart_column(headers: Sequence[str],
     headers = list(headers)
     rows = [list(r) for r in rows]
     col = next((j for j in range(1, len(headers))
-                if any(len(r) > j and _is_number(r[j]) for r in rows)),
+                if any(len(r) > j and is_number(r[j]) for r in rows)),
                None)
     if col is None:
         return None, []
     items = [(str(r[0]), float(r[col])) for r in rows
-             if len(r) > col and r and _is_number(r[col])]
+             if len(r) > col and r and is_number(r[col])]
     return str(headers[col]) if col < len(headers) else None, items
 
 
@@ -235,7 +232,7 @@ def _arena_rollup(campaign: CampaignResult) -> List[str]:
         cells = []
         for policy in policies:
             row = by_policy.get(policy)
-            if row is None or not _is_number(row[1]) \
+            if row is None or not is_number(row[1]) \
                     or not math.isfinite(float(row[1])):
                 cells.append("—")
                 continue

@@ -81,7 +81,7 @@ def load_record(path: str) -> Dict[str, object]:
     return doc
 
 
-def _is_number(cell) -> bool:
+def is_number(cell) -> bool:
     return isinstance(cell, (int, float)) and not isinstance(cell, bool)
 
 
@@ -92,7 +92,7 @@ def _row_label(row: Sequence[object]) -> str:
     load level × one row per lb), so the first cell alone would make
     duplicate rows shadow each other and hide their regressions.
     """
-    cats = [str(c) for c in row if not _is_number(c)]
+    cats = [str(c) for c in row if not is_number(c)]
     return " · ".join(cats) if cats else str(row[0])
 
 
@@ -118,7 +118,7 @@ def _table_index(figure: Dict[str, object]
         label = base if k == 0 else f"{base} #{k + 1}"
         labels.append(label)
         for j, cell in enumerate(row):
-            if not _is_number(cell):
+            if not is_number(cell):
                 continue  # categorical: part of the label, not a metric
             header = headers[j] if j < len(headers) else f"col{j}"
             cells[(label, header)] = cell
@@ -146,7 +146,7 @@ def _merge_series_stats(figure: Dict[str, object], labels: List[str],
         for name, values in sorted(named.items()):
             if not isinstance(values, list):
                 continue
-            finite = [v for v in values if _is_number(v)]
+            finite = [v for v in values if is_number(v)]
             stats = {"n": len(values)}
             if finite:
                 stats.update(mean=round(sum(finite) / len(finite), 4),

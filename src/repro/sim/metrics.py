@@ -125,13 +125,17 @@ class SeriesRecorder:
         if not self._running:
             return
         self.times_us.append(self.engine.now / US)
+        self._read()
+        self.engine.after(self.bucket_ps, self._sample)
+
+    def _read(self) -> None:
+        """Append this window's sample of every port."""
         for p in self.ports:
             delta = p.stats.bytes_tx - self._last_bytes[p.name]
             self._last_bytes[p.name] = p.stats.bytes_tx
             # Gbps = bits / ns; bucket_ps/1000 ns per bucket
             self.util_gbps[p.name].append(delta * 8000.0 / self.bucket_ps)
             self.queue_kb[p.name].append(p.total_queue_bytes / 1024.0)
-        self.engine.after(self.bucket_ps, self._sample)
 
     # ------------------------------------------------------------------
     def max_queue_kb(self, lo: float = 0.0, hi: float = 1.0) -> float:

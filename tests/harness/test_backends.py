@@ -77,14 +77,6 @@ class TestExecuteBoundary:
     """Describing work loads no simulator; a pool's parent loads it
     once, before forking (docs/ARCHITECTURE.md, "Layers")."""
 
-    def test_name_sets_match_across_the_boundary(self):
-        from repro.harness import runner, sweep
-
-        assert set(runner.RESULT_PROBES) == set(sweep.PROBE_NAMES)
-        hooks = {name[:-len("_hook")] for name in vars(runner)
-                 if name.endswith("_hook")}
-        assert hooks == set(sweep.FAILURE_KINDS)
-
     def test_describing_tasks_does_not_import_the_runner(self):
         out = fresh_interpreter("""
 import sys

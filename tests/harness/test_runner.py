@@ -1,20 +1,18 @@
-"""Harness: one task -> one run, and the failure hooks."""
+"""Harness: one task -> one run, and the failure kinds."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.harness import (
-    WorkloadSpec,
-    ber_hook,
-    degrade_cables_hook,
-    degrade_fraction_hook,
-    fail_cables_hook,
-    fail_fraction_hook,
-    make_task,
-    simulate,
+from repro.harness import WorkloadSpec, make_task, simulate
+from repro.harness.sweep import (
+    FailureSpec,
+    ber,
+    degrade_cables,
+    degrade_fraction,
+    fail_cables,
+    fail_fraction,
 )
-from repro.harness.sweep import FailureSpec
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.topology import TopologyParams
 
@@ -34,9 +32,9 @@ def task(lb="reps", kind="synthetic", pattern="permutation",
     return make_task(lb, TOPO, workload, seed=1, failure=failure, **kw)
 
 
-def network(hook) -> Network:
+def network(kind, *args, **kw) -> Network:
     net = Network(NetworkConfig(topo=TopologyParams(**TOPO), lb="reps"))
-    hook(net)
+    kind(net, *args, **kw)
     return net
 
 
@@ -115,20 +113,20 @@ class TestMixedTraffic:
             simulate(task(kind="mixed", pattern="incast"))
 
 
-class TestFailureHooks:
+class TestFailureKinds:
     def test_fail_cables_hook(self):
-        net = network(fail_cables_hook([0], at_us=1.0))
+        net = network(fail_cables, [0], at_us=1.0)
         net.engine.run(until_ps=2_000_000)
         assert net.tree.t0_uplink_cables()[0].down
 
     def test_fail_fraction_cables(self):
-        net = network(fail_fraction_hook(0.5, at_us=0.0))
+        net = network(fail_fraction, 0.5, at_us=0.0)
         net.engine.run(until_ps=1_000_000)
         down = sum(c.down for c in net.tree.t0_uplink_cables())
         assert down == len(net.tree.t0_uplink_cables()) // 2
 
     def test_fail_fraction_switches_keeps_one(self):
-        net = network(fail_fraction_hook(1.0, at_us=0.0, what="switches"))
+        net = network(fail_fraction, 1.0, at_us=0.0, what="switches")
         net.engine.run(until_ps=1_000_000)
         # never fails every T1: the workload must stay completable
         alive = [t1 for t1 in net.tree.t1s
@@ -136,15 +134,15 @@ class TestFailureHooks:
         assert alive
 
     def test_degrade_hooks(self):
-        net = network(degrade_cables_hook([0], 200.0))
+        net = network(degrade_cables, [0], 200.0)
         assert net.tree.t0_uplink_cables()[0].a_port.rate_gbps == 200.0
-        net2 = network(degrade_fraction_hook(0.25, 200.0))
+        net2 = network(degrade_fraction, 0.25, 200.0)
         slow = [c for c in net2.tree.t0_uplink_cables()
                 if c.a_port.rate_gbps == 200.0]
         assert len(slow) == 2  # 25% of 8 uplink cables
 
     def test_ber_hook(self):
-        net = network(ber_hook(0.01))
+        net = network(ber, 0.01)
         assert any(c.ber == 0.01 for c in net.tree.t0_uplink_cables())
 
     def test_failed_run_still_completes(self):

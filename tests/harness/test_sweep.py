@@ -113,6 +113,16 @@ class TestTaskKey:
         with pytest.raises(ValueError, match="unknown failure kind"):
             FailureSpec.make("meteor_strike", fraction=1.0)
 
+    def test_failure_spec_unknown_parameter(self):
+        """Checked against the kind's signature when the spec is made,
+        not when a worker applies it."""
+        with pytest.raises(ValueError, match="'fail_cables'.*'index'"):
+            FailureSpec.make("fail_cables", index=(0,), at_us=5.0)
+
+    def test_failure_spec_missing_parameter(self):
+        with pytest.raises(ValueError, match="'degrade_cables'.*'gbps'"):
+            FailureSpec.make("degrade_cables", indices=(0,))
+
     def test_probes_change_key(self):
         plain = make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1)
         probed = make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
@@ -386,10 +396,14 @@ class TestProbes:
                       telemetry_bucket_us=5.0)
 
     def test_telemetry_probe_needs_bucket(self):
-        task = make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
-                         max_us=2_000_000.0, probes=("queue_telemetry",))
         with pytest.raises(ValueError, match="telemetry_bucket_us"):
-            execute_task(task)
+            make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
+                      max_us=2_000_000.0, probes=("queue_telemetry",))
+
+    def test_series_probe_needs_bucket(self):
+        with pytest.raises(ValueError, match="telemetry_bucket_us"):
+            make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
+                      probes=("goodput_series",))
 
     def test_telemetry_probe_outputs(self):
         task = make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.runner import RESULT_PROBES, simulate
+from repro.harness.runner import simulate
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
+    PROBES,
     FailureSpec,
     WorkloadSpec,
     execute_task,
@@ -43,17 +44,16 @@ def run_small(lb="reps", **kw):
 
 class TestSeriesProbes:
     def test_every_series_probe_needs_telemetry(self):
-        result = run_small(bucket=None)
         for name in SERIES_PROBES:
             with pytest.raises(ValueError,
                                match="telemetry_bucket_us"):
-                RESULT_PROBES[name](result)
+                series_task(probes=(name,), bucket=None)
 
     def test_shared_window_grid(self):
         result = run_small()
         lengths = set()
         for name in SERIES_PROBES:
-            out = RESULT_PROBES[name](result)
+            out = PROBES[name][0](result)
             assert "t_us" in out
             for values in out.values():
                 lengths.add(len(values))
@@ -61,21 +61,21 @@ class TestSeriesProbes:
 
     def test_value_ranges(self):
         result = run_small()
-        goodput = RESULT_PROBES["goodput_series"](result)
+        goodput = PROBES["goodput_series"][0](result)
         assert all(v >= 0 for v in goodput["goodput_gbps"])
         assert max(goodput["goodput_gbps"]) > 0
-        queue = RESULT_PROBES["queue_series"](result)
+        queue = PROBES["queue_series"][0](result)
         assert all(v >= 0 for v in queue["queue_kb"])
-        share = RESULT_PROBES["uplink_share_series"](result)
+        share = PROBES["uplink_share_series"][0](result)
         assert all(0.0 <= v <= 1.0 for v in share["uplink_share"])
-        recycle = RESULT_PROBES["ev_recycle_series"](result)
+        recycle = PROBES["ev_recycle_series"][0](result)
         assert all(0.0 <= v <= 1.0 for v in recycle["ev_recycle_rate"])
 
     def test_recycle_rate_is_lb_aware(self):
         """REPS recycles (rate climbs above zero); OPS never does."""
-        reps = RESULT_PROBES["ev_recycle_series"](run_small("reps"))
+        reps = PROBES["ev_recycle_series"][0](run_small("reps"))
         assert max(reps["ev_recycle_rate"]) > 0.5
-        ops = RESULT_PROBES["ev_recycle_series"](run_small("ops"))
+        ops = PROBES["ev_recycle_series"][0](run_small("ops"))
         assert max(ops["ev_recycle_rate"], default=0.0) == 0.0
 
     def test_share_drops_after_uplink_failure(self):
@@ -83,7 +83,7 @@ class TestSeriesProbes:
         failure = FailureSpec.make("fail_cable_schedule",
                                    events=[(0, 30.0, None)])
         result = run_small("reps", failure=failure)
-        share = RESULT_PROBES["uplink_share_series"](result)
+        share = PROBES["uplink_share_series"][0](result)
         assert share["uplink_share"][-1] <= 0.05
 
     def test_sampler_registered_and_stopped(self):

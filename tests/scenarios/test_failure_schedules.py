@@ -10,6 +10,7 @@ content keys and artifacts, and behave the same on 1 or N workers.
 from __future__ import annotations
 
 import json
+import random
 
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
@@ -91,7 +92,7 @@ class TestCallableEquivalence:
     def test_compose_matches_fig08_style_sequential_hooks(self):
         """compose(cables, switches) == applying both hooks in order
         (the Fig. 8 'one_switch_cable' / '5pct_both' modes)."""
-        from repro.harness.runner import fail_fraction_hook
+        from repro.harness.sweep import fail_fraction
         cables = FailureSpec.make("fail_fraction", fraction=0.3,
                                   at_us=5.0, seed=3)
         switches = FailureSpec.make("fail_fraction", fraction=0.3,
@@ -99,8 +100,8 @@ class TestCallableEquivalence:
         composed = FailureSpec.compose(cables, switches)
 
         def hook(net):
-            fail_fraction_hook(0.3, 5.0, seed=3)(net)
-            fail_fraction_hook(0.3, 5.0, seed=3, what="switches")(net)
+            fail_fraction(net, 0.3, 5.0, seed=3)
+            fail_fraction(net, 0.3, 5.0, seed=3, what="switches")
 
         assert _spec_metrics("reps", composed) == \
             _callable_metrics("reps", hook)
@@ -138,6 +139,60 @@ class TestCallableEquivalence:
         assert with_spec == _callable_metrics("reps", hook)
         # and it is a real intervention, not a no-op
         assert with_spec != _spec_metrics("reps", None)
+
+
+    def test_degrade_cables_matches_hand_written_hook(self):
+        """degrade_cables (what ``repro run --degrade-uplink`` builds)
+        == downgrading the cables by hand."""
+        spec = FailureSpec.make("degrade_cables", indices=[0, 5],
+                                gbps=100.0, at_us=5.0)
+
+        def hook(net):
+            cables = net.tree.t0_uplink_cables()
+            for i in (0, 5):
+                net.failures.degrade_cable(cables[i], 100.0,
+                                           at_ps=5_000_000)
+
+        with_spec = _spec_metrics("reps", spec)
+        assert with_spec == _callable_metrics("reps", hook)
+        assert with_spec != _spec_metrics("reps", None)
+
+    def test_degrade_fraction_matches_hand_written_hook(self):
+        """degrade_fraction == downgrading the cables a ``Random(seed)``
+        sample picks, from time zero (the Fig. 5 asymmetry)."""
+        spec = FailureSpec.make("degrade_fraction", fraction=0.25,
+                                gbps=100.0, seed=3)
+
+        def hook(net):
+            cables = net.tree.t0_uplink_cables()
+            for c in random.Random(3).sample(cables, 2):  # 25% of 8
+                net.failures.degrade_cable(c, 100.0, at_ps=0)
+
+        with_spec = _spec_metrics("reps", spec)
+        assert with_spec == _callable_metrics("reps", hook)
+        assert with_spec != _spec_metrics("reps", None)
+
+    def test_ber_matches_hand_written_hook(self):
+        """ber == per-packet loss on the cable (or T1 switch) that a
+        ``Random(seed)`` choice picks."""
+        cable = FailureSpec.make("ber", ber=0.01, seed=5)
+        switch = FailureSpec.make("ber", ber=0.01, seed=5,
+                                  what="switches")
+
+        def on_cable(net):
+            rng = random.Random(5)
+            net.failures.set_ber(rng.choice(net.tree.t0_uplink_cables()),
+                                 0.01)
+
+        def on_switch(net):
+            rng = random.Random(5)
+            net.failures.set_switch_ber(rng.choice(net.tree.t1s), 0.01)
+
+        with_cable = _spec_metrics("reps", cable)
+        assert with_cable == _callable_metrics("reps", on_cable)
+        assert with_cable["drops_ber"] > 0
+        assert _spec_metrics("reps", switch) == \
+            _callable_metrics("reps", on_switch)
 
 
 class TestStoreRoundTrip:

@@ -17,7 +17,8 @@ import gc
 import tracemalloc
 import weakref
 
-from repro.harness.runner import LbCounterSampler, force_freeze_hook
+from repro.harness.runner import LbCounterSampler
+from repro.harness.sweep import force_freeze
 from repro.sim.engine import Engine
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.packet import Packet
@@ -132,7 +133,7 @@ class TestBuildOnFirstUse:
         assert run(read_early=True) == run(read_early=False)
 
     def test_force_freeze_before_a_flow_starts(self):
-        """``force_freeze_hook`` builds the flows that start after the
+        """``force_freeze`` builds the flows that start after the
         freeze instant and freezes them too: 4 running + 4 later REPS
         flows (the OPS flow cannot freeze), as before flows were built
         lazily."""
@@ -142,7 +143,7 @@ class TestBuildOnFirstUse:
         late = [net.add_flow(src + 4, src, 128 * 1024, start_us=20.0)
                 for src in range(4)]
         net.add_flow(0, 5, 64 * 1024, lb="ops", start_us=30.0)
-        force_freeze_hook(5.0)(net)
+        force_freeze(net, 5.0)
         m = net.run()
         assert m.flows_completed == 9
         freeze_entries = sum(getattr(rec.sender.lb, "stats_freeze_entries", 0)
