@@ -14,7 +14,7 @@ def _run(args: argparse.Namespace) -> int:
     store, each figure's table printed, the report written when asked
     (by default only for the whole registry)."""
     from ..harness.campaign import STATUSES, run_campaign, shared_store
-    from ..report import figure_text, write_campaign_report
+    from ..report import campaign_doc, figure_text, write_campaign_report
     from ..scenarios import figure_ids
 
     if not (args.all or args.ids or args.only or args.skip or args.tag):
@@ -45,8 +45,8 @@ def _run(args: argparse.Namespace) -> int:
     campaign = run_campaign(
         specs, workers=args.workers, store=store,
         prune_stale=args.prune_stale, progress=True)
-    for outcome in campaign:
-        print(figure_text(outcome))
+    for fig in campaign_doc(campaign)["figures"]:
+        print(figure_text(fig))
     # the committed REPRODUCTION.md / campaign.json are the default
     # targets of a whole-registry run only: a narrowed run (every
     # docs/figures page says `figures run <id>`) must not replace them
@@ -58,9 +58,8 @@ def _run(args: argparse.Namespace) -> int:
         write_campaign_report(campaign, report_path=report_path,
                               json_path=json_path)
     counts = campaign.counts()
-    slowest = max((r for o in campaign if o.result is not None
-                   for r in o.result.sweep if not r.cached),
-                  key=lambda r: r.wall_s, default=None)
+    slowest = max((o.slowest for o in campaign if o.slowest),
+                  key=lambda s: s[0], default=None)
     print(f"campaign done in {campaign.wall_s:.1f}s: "
           + ", ".join(f"{counts[s]} {s}" for s in STATUSES)
           + f"; {campaign.tasks} tasks ({campaign.executed} executed, "
@@ -68,8 +67,8 @@ def _run(args: argparse.Namespace) -> int:
             f"task wall on {campaign.workers} worker(s) = parallel "
             f"efficiency {campaign.parallel_efficiency:.2f}, "
             f"{campaign.store_write_s:.1f}s writing the store"
-          + (f"; slowest task {slowest.wall_s:.1f}s: "
-             f"{slowest.task.label()}" if slowest is not None else ""))
+          + (f"; slowest task {slowest[0]:.1f}s: {slowest[1]}"
+             if slowest is not None else ""))
     written = [f"{name}: {path}" for name, path in
                (("report", report_path), ("record", json_path)) if path]
     if written:

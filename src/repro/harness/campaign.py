@@ -30,8 +30,13 @@ leaves (every paper claim with its measured value, gate and margin):
 - ``error`` — the figure did not execute, its check raised, or the
   check recorded no claim.
 
-:mod:`repro.report` turns a :class:`CampaignResult` into
-``REPRODUCTION.md`` + ``campaign.json``.
+The judge also takes every other fact the report shows (task counts,
+task wall, seeds, series, the slowest executed task, the table) from
+the executed figure once, so a :class:`FigureOutcome` holds plain
+fields, never the live ``FigureResult``; a table that raises is kept
+as ``table_error`` and leaves the verdict alone.
+:func:`repro.report.campaign_doc` turns a :class:`CampaignResult` into
+the ``campaign.json`` record that ``REPRODUCTION.md`` is rendered from.
 """
 
 from __future__ import annotations
@@ -39,11 +44,12 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, \
+    Optional, Sequence, Tuple
 
-from ..scenarios import Expectation, FigureResult, FigureSpec, \
-    figure_ids, get_figure
+from ..scenarios import Expectation, FigureSpec, TableDoc, figure_ids, \
+    get_figure
 # run_figure is re-exported: the perf ledger wraps it by this name
 from ..scenarios.registry import FigureRun, run_figure, run_figures  # noqa: F401,E501
 from .backends import resolve_backend
@@ -98,33 +104,33 @@ def select_figures(only: Sequence[str] = (), skip: Sequence[str] = (),
 
 @dataclass
 class FigureOutcome:
-    """One figure's campaign result: measured numbers or a captured
-    failure, plus the fidelity verdict."""
+    """One figure's campaign result: the fidelity verdict plus every
+    fact the report shows, taken from the executed figure by
+    :func:`_judge`."""
 
     spec: FigureSpec
     status: str                      # pass | fail | error
-    result: Optional[FigureResult] = None
     error: str = ""                  # unmet claims / traceback
     wall_s: float = 0.0
     #: every paper claim the check recorded, met or not
     expectations: Sequence[Expectation] = ()
+    n_tasks: int = 0
+    executed: int = 0
+    cached: int = 0
+    #: the seeds the figure's tasks ran with
+    seeds: FrozenSet[int] = frozenset()
+    #: row label -> series name -> samples (time-series figures only)
+    series: Dict[str, Dict[str, list]] = field(default_factory=dict)
+    #: ``(seconds, label)`` of the slowest task this figure executed
+    slowest: Optional[Tuple[float, str]] = None
+    #: ``spec.table``'s ``(headers, rows, notes)``; ``None`` when the
+    #: figure never executed or the table raised (``table_error``)
+    table: Optional[TableDoc] = None
+    table_error: str = ""
 
     @property
     def fig_id(self) -> str:
         return self.spec.fig_id
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.result.sweep) if self.result is not None else 0
-
-    @property
-    def executed(self) -> int:
-        return self.result.sweep.executed if self.result is not None \
-            else 0
-
-    @property
-    def cached(self) -> int:
-        return self.result.sweep.cached if self.result is not None else 0
 
     def badge(self) -> str:
         return f"[{self.status.upper()}]"
@@ -199,27 +205,41 @@ class CampaignResult:
 
 
 def _judge(spec: FigureSpec, ran: FigureRun) -> FigureOutcome:
-    """One executed (or failed) figure's fidelity verdict."""
+    """One executed (or failed) figure's verdict and report facts."""
     if isinstance(ran, Exception):
         return FigureOutcome(spec, "error", error="".join(
             traceback.format_exception(type(ran), ran, ran.__traceback__,
                                        limit=8)))
-    # a figure's wall is the task wall of the keys it executed itself
-    wall_s = sum(r.wall_s for r in ran.sweep)
+    results = list(ran.sweep)
+    mine = [r for r in results if not r.cached]
+    slowest = max(mine, key=lambda r: r.wall_s, default=None)
     try:
         expectations = tuple(ran.check())
     except Exception:
-        return FigureOutcome(spec, "error", result=ran,
-                             error=traceback.format_exc(limit=8),
-                             wall_s=wall_s)
-    if not expectations:
-        return FigureOutcome(spec, "error", result=ran,
-                             error="the check recorded no paper claim",
-                             wall_s=wall_s)
-    missed = [e.describe() for e in expectations if not e.held]
-    return FigureOutcome(spec, "fail" if missed else "pass", result=ran,
-                         error="; ".join(missed), wall_s=wall_s,
-                         expectations=expectations)
+        status, error, expectations = \
+            "error", traceback.format_exc(limit=8), ()
+    else:
+        missed = [e.describe() for e in expectations if not e.held]
+        status, error = ("fail" if missed else "pass"), "; ".join(missed)
+        if not expectations:
+            status, error = "error", "the check recorded no paper claim"
+    # a table that raises costs its own section, never the verdict
+    table, table_error = None, ""
+    try:
+        table = ran.table_doc()
+    except Exception:
+        table_error = traceback.format_exc(limit=4)
+    return FigureOutcome(
+        spec, status, error=error, expectations=expectations,
+        # a figure's wall is the task wall of the keys it executed itself
+        wall_s=sum(r.wall_s for r in results), n_tasks=len(results),
+        executed=len(mine), cached=len(results) - len(mine),
+        seeds=frozenset(r.task.seed for r in results),
+        series={str(key): dict(ran[key].series) for key in ran.keys()
+                if ran[key].series},
+        slowest=None if slowest is None
+        else (slowest.wall_s, slowest.task.label()),
+        table=table, table_error=table_error)
 
 
 def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,

@@ -1,24 +1,23 @@
 """Report generation: the self-documenting reproduction artifacts.
 
-One campaign run (:func:`repro.harness.campaign.run_campaign`) feeds
-two generators:
-
-- :mod:`repro.report.reproduction` renders ``REPRODUCTION.md`` — the
-  consolidated measured-vs-paper report with per-figure fidelity badges
-  and a provenance header — plus the machine-readable
-  ``campaign.json``.
+- :mod:`repro.report.reproduction` turns one campaign run
+  (:func:`repro.harness.campaign.run_campaign`) into its record,
+  ``campaign.json``, and renders ``REPRODUCTION.md`` — the consolidated
+  measured-vs-paper report with per-figure fidelity badges and a
+  provenance header — as a view of that record alone.
 - :mod:`repro.report.figure_docs` renders ``docs/figures/`` straight
-  from the figure registry (no execution), so figure documentation is
-  a pure function of the specs and can never drift from code.
+  from the figure registry (no campaign, no execution), so figure
+  documentation is a pure function of the specs and can never drift
+  from code.
 - :mod:`repro.report.trend` compares two ``campaign.json`` records
   (``repro figures trend``): badge transitions, metric drift, and
   coverage changes between runs, the CI regression gate.
 - :mod:`repro.report.live` renders the self-refreshing status page
   ``repro orchestrate`` rewrites as shards launch, merge and retry.
 
-All of them share :mod:`repro.report.provenance` for the environment
-header, and :mod:`repro.report.text` for the plain-text tables and
-terminal charts (which the CLI prints too).
+:mod:`repro.report.provenance` collects the environment header the
+record carries, and :mod:`repro.report.text` holds the plain-text
+tables and terminal charts (which the CLI prints too).
 """
 
 from .. import _lazy_exports

@@ -2,18 +2,20 @@
 
 ``repro docs figures`` writes one page per :class:`FigureSpec` — the
 scenario matrix (load balancers, workloads, topologies, scenario axes,
-failure schedules, probes, seeds), the reported metric, the shape
-claims, and the command that reproduces the figure — plus an index.
-Because every page is a pure function of the registry (matrices are
-expanded under a **pinned scale**, so the committed pages do not depend
-on the caller's ``REPRO_BENCH_SCALE``), CI can regenerate the tree and
-fail on any diff: figure documentation cannot drift from code.
+failure schedules, probes, seeds), the reported metric, the spec's
+prose, and the command that reproduces the figure — plus an index.
+The paper claims are not on the pages: a check records them when the
+figure runs, and ``campaign.json`` carries them.  Because every page
+is a pure function of the registry (each matrix is expanded once, in
+:func:`_render_tree`, under a **pinned scale**, so the committed pages
+do not depend on the caller's ``REPRO_BENCH_SCALE``), CI can
+regenerate the tree and fail on any diff: figure documentation cannot
+drift from code.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .text import format_markdown_table
@@ -28,20 +30,6 @@ _INDEX = "index.md"
 _GENERATED_BANNER = (
     "<!-- GENERATED by `repro docs figures` — do not edit by hand; "
     "regenerate after changing any FigureSpec. -->")
-
-
-@contextmanager
-def _pinned_scale(name: str = DOC_SCALE):
-    """Build matrices under a fixed ``REPRO_BENCH_SCALE``."""
-    prev = os.environ.get("REPRO_BENCH_SCALE")
-    os.environ["REPRO_BENCH_SCALE"] = name
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_BENCH_SCALE", None)
-        else:
-            os.environ["REPRO_BENCH_SCALE"] = prev
 
 
 def _is_kv(value) -> bool:
@@ -99,14 +87,10 @@ def matrix_summary(tasks: Iterable[SweepTask]) -> Dict[str, object]:
     }
 
 
-def render_figure_page(spec: FigureSpec,
-                       summary: Optional[Dict[str, object]] = None
+def render_figure_page(spec: FigureSpec, summary: Dict[str, object]
                        ) -> str:
-    """One figure's markdown page (matrix expanded at the pinned
-    scale unless a prebuilt ``summary`` is passed in)."""
-    if summary is None:
-        with _pinned_scale():
-            summary = matrix_summary(spec.build().values())
+    """One figure's markdown page from its :func:`matrix_summary` at
+    the pinned scale."""
     lines = [_GENERATED_BANNER, "",
              f"# `{spec.fig_id}` — {spec.figure}", "",
              spec.title, ""]
@@ -141,14 +125,9 @@ def render_figure_page(spec: FigureSpec,
     return "\n".join(lines)
 
 
-def render_index(specs: Optional[Sequence[FigureSpec]] = None,
-                 task_counts: Optional[Dict[str, int]] = None) -> str:
+def render_index(specs: Sequence[FigureSpec],
+                 task_counts: Dict[str, int]) -> str:
     """The ``docs/figures/index.md`` catalogue table."""
-    specs = list(specs) if specs is not None \
-        else list(REGISTRY.values())
-    if task_counts is None:
-        with _pinned_scale():
-            task_counts = {s.fig_id: len(s.build()) for s in specs}
     rows = [[f"[`{s.fig_id}`]({s.fig_id}.md)", s.figure,
              task_counts[s.fig_id], f"`{s.metric}`",
              ", ".join(s.tags), s.title] for s in specs]
@@ -170,9 +149,18 @@ def _render_tree(specs: Optional[Sequence[FigureSpec]] = None
     matrix expanded exactly once)."""
     specs = list(specs) if specs is not None \
         else list(REGISTRY.values())
-    with _pinned_scale():
+    # the one place the scale is swapped: matrices read it at build
+    # time, so pin it for the expansion and restore the caller's
+    prev = os.environ.get("REPRO_BENCH_SCALE")
+    os.environ["REPRO_BENCH_SCALE"] = DOC_SCALE
+    try:
         summaries = {s.fig_id: matrix_summary(s.build().values())
                      for s in specs}
+    finally:
+        if prev is None:
+            del os.environ["REPRO_BENCH_SCALE"]
+        else:
+            os.environ["REPRO_BENCH_SCALE"] = prev
     tree = {_INDEX: render_index(
         specs, {fid: s["tasks"] for fid, s in summaries.items()})}
     for spec in specs:

@@ -1,11 +1,12 @@
-"""``REPRODUCTION.md`` + ``campaign.json`` from one campaign run.
+"""``campaign.json`` — one campaign's record — and its views.
 
-The markdown report is the human-auditable artifact: a provenance
-header, a campaign summary table, then one fidelity-badged section per
-figure with the measured-vs-paper table (95% CIs where the figure
-aggregates seeds), an ASCII chart of the headline metric, and the
-table's notes.  ``campaign.json`` carries the same content
-machine-readable, for CI trend tracking and external tooling.
+:func:`campaign_doc` is the one reader of a campaign's outcomes.
+``REPRODUCTION.md`` (:func:`render_reproduction`: provenance header,
+campaign summary, one fidelity-badged section per figure with the
+measured-vs-paper table, an ASCII chart of the headline metric and the
+table's notes) and the per-figure text of ``figures run``
+(:func:`figure_text`) read nothing but that record, so a
+``campaign.json`` re-renders its ``REPRODUCTION.md`` byte for byte.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .text import bar_chart, format_markdown_table, format_table, sparkline
 from .trend import is_number
 
 #: bump when the campaign.json layout changes
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 #: status -> short explanation used in the report legend
 _LEGEND = {
@@ -31,31 +32,7 @@ _LEGEND = {
     "error": "figure did not execute (crash captured below)",
 }
 
-
-def _safe_table(outcome: FigureOutcome):
-    """The figure's table doc, fail-soft and computed once.
-
-    The campaign itself is fail-soft, but ``spec.table`` callables run
-    only at render time; a table that crashes (e.g. a hardcoded axis
-    key missing from a scale-reduced matrix) must cost one section's
-    table, never the whole report after the simulations already ran.
-    The result is memoized on the outcome so the markdown and JSON
-    renderers don't re-aggregate every figure's sweep.  Returns
-    ``(table_doc | None, error_message)``.
-    """
-    cached = getattr(outcome, "_table_cache", None)
-    if cached is not None:
-        return cached
-    if outcome.result is None:
-        value = (None, "")
-    else:
-        try:
-            value = (outcome.result.table_doc(), "")
-        except Exception:
-            import traceback
-            value = (None, traceback.format_exc(limit=4))
-    outcome._table_cache = value
-    return value
+Record = Dict[str, object]
 
 
 def _finite(value):
@@ -64,14 +41,108 @@ def _finite(value):
     return value
 
 
-def _distinct_seeds(campaign: CampaignResult) -> int:
-    seeds = set()
-    for outcome in campaign:
-        if outcome.result is None:
-            continue
-        for task_result in outcome.result.sweep:
-            seeds.add(task_result.task.seed)
-    return len(seeds)
+def _figure_doc(outcome: FigureOutcome) -> Record:
+    spec = outcome.spec
+    doc = {
+        "fig_id": outcome.fig_id,
+        "figure": spec.figure,
+        "title": spec.title,
+        "doc": spec.doc,
+        "tags": list(spec.tags),
+        "metric": spec.metric,
+        "metric_kind": spec.metric_kind,
+        "status": outcome.status,
+        "error": outcome.error,
+        "wall_s": round(outcome.wall_s, 3),
+        "tasks": outcome.n_tasks,
+        "executed": outcome.executed,
+        "cached": outcome.cached,
+        "table": None,
+        "table_error": outcome.table_error,
+        "expectations": [
+            {"claim": e.claim, "measured": _finite(e.measured),
+             "op": e.op, "bound": _finite(e.bound),
+             "margin": _finite(e.margin), "held": e.held}
+            for e in outcome.expectations],
+    }
+    if outcome.table is not None:
+        headers, rows, notes = outcome.table
+        doc["table"] = {
+            "headers": [str(h) for h in headers],
+            "rows": [[_finite(c) for c in row] for row in rows],
+            "notes": [str(n) for n in notes],
+        }
+    if outcome.series:
+        # the raw trajectories, machine-readable; trend gating reads
+        # these back as summary statistics
+        doc["series"] = {
+            row: {name: [None if v is None else round(float(v), 4)
+                         for v in values]
+                  for name, values in series.items()}
+            for row, series in outcome.series.items()}
+    return doc
+
+
+def _arena_policies(figures: Sequence[Record]) -> List[str]:
+    """The arena's policy set, in the order the run requested it
+    (read back from the first arena table — its rows are one per
+    policy, pivot first)."""
+    for fig in figures:
+        if "arena" in fig["tags"] and fig["table"] is not None:
+            return [str(row[0]) for row in fig["table"]["rows"]]
+    return []
+
+
+def campaign_doc(campaign: CampaignResult,
+                 provenance: Optional[Dict[str, object]] = None
+                 ) -> Record:
+    """The campaign record (``campaign.json``) — the one reader of the
+    campaign's outcomes; both artifacts are views of what it returns."""
+    prov = provenance if provenance is not None else collect_provenance()
+    figures = [_figure_doc(outcome) for outcome in campaign]
+    store = campaign.store
+    return {
+        "schema": REPORT_SCHEMA,
+        "provenance": prov,
+        "summary": {
+            "figures": len(campaign),
+            "registered": len(figure_ids()),
+            **campaign.counts(),
+            "tasks": campaign.tasks,
+            "executed": campaign.executed,
+            "cached": campaign.cached,
+            "distinct_seeds": len(frozenset().union(
+                *(o.seeds for o in campaign))),
+            "policies": _arena_policies(figures),
+            "wall_s": round(campaign.wall_s, 3),
+            "workers": campaign.workers,
+            "task_wall_s": round(campaign.task_wall_s, 3),
+            "parallel_efficiency": round(campaign.parallel_efficiency, 3),
+            "store_write_s": round(campaign.store_write_s, 3),
+            "pruned": len(campaign.pruned),
+            "store": store.root if store is not None else None,
+            "store_artifacts": len(store) if store is not None else 0,
+            # recorded execution accounting (manifest-carried wall
+            # times): what the adaptive scheduler had to work with
+            "store_throughput": store_throughput(store),
+        },
+        "figures": figures,
+    }
+
+
+def _badge(fig: Record) -> str:
+    return f"[{fig['status'].upper()}]"
+
+
+def _table(fig: Record):
+    """A figure entry's ``(headers, rows, notes)``, or ``None``; a null
+    cell is the record's spelling of a non-finite number."""
+    table = fig["table"]
+    if table is None:
+        return None
+    rows = [[math.inf if c is None else c for c in row]
+            for row in table["rows"]]
+    return table["headers"], rows, table["notes"]
 
 
 def _chart_column(headers: Sequence[str],
@@ -96,27 +167,13 @@ def _chart_column(headers: Sequence[str],
     return str(headers[col]) if col < len(headers) else None, items
 
 
-def _figure_series(outcome: FigureOutcome) -> Dict[str, Dict[str, list]]:
-    """``row label -> series name -> samples`` for one outcome (empty
-    for scalar figures / unexecuted ones)."""
-    if outcome.result is None:
-        return {}
-    out: Dict[str, Dict[str, list]] = {}
-    for key in outcome.result.keys():
-        series = outcome.result[key].series
-        if series:
-            out[str(key)] = dict(series)
-    return out
-
-
-def _series_panel(outcome: FigureOutcome) -> List[str]:
+def _series_panel(fig: Record) -> List[str]:
     """The time-series figure's "plot": one sparkline per row of the
     headline series, on a shared scale, with the window grid range."""
-    by_row = _figure_series(outcome)
-    name = outcome.spec.metric
+    name = fig["metric"]
     curves = {}
     t_range = ""
-    for row, series in by_row.items():
+    for row, series in fig.get("series", {}).items():
         values = series.get(name)
         if not values:
             continue
@@ -137,98 +194,82 @@ def _series_panel(outcome: FigureOutcome) -> List[str]:
     return lines
 
 
-def _figure_section(outcome: FigureOutcome) -> str:
-    spec = outcome.spec
-    lines = [f"## {spec.fig_id} — {spec.figure} `{outcome.badge()}`", "",
-             spec.title, ""]
-    meta = (f"tags: {', '.join(spec.tags) or '—'} · metric: "
-            f"`{spec.metric}` · {outcome.n_tasks} tasks "
-            f"({outcome.executed} executed, {outcome.cached} cached) "
-            f"· {outcome.wall_s:.1f} s task wall")
+def _figure_section(fig: Record) -> str:
+    lines = [f"## {fig['fig_id']} — {fig['figure']} `{_badge(fig)}`", "",
+             fig["title"], ""]
+    meta = (f"tags: {', '.join(fig['tags']) or '—'} · metric: "
+            f"`{fig['metric']}` · {fig['tasks']} tasks "
+            f"({fig['executed']} executed, {fig['cached']} cached) "
+            f"· {fig['wall_s']:.1f} s task wall")
     lines += [meta, ""]
-    if spec.doc:
-        lines += [spec.doc, ""]
-    if outcome.status == "error":
-        # a crash in the shape check still leaves measured results;
-        # only a figure that never executed has nothing to show
-        intro = "Figure did not execute:" if outcome.result is None \
-            else "Shape check crashed (measured results below):"
-        lines += [intro, "", "```text", outcome.error.rstrip(), "```",
-                  ""]
-        if outcome.result is None:
+    if fig["doc"]:
+        lines += [fig["doc"], ""]
+    table = _table(fig)
+    # only a figure that never executed has neither table nor table crash
+    ran = table is not None or bool(fig["table_error"])
+    if fig["status"] == "error":
+        # a crash in the shape check still leaves measured results
+        intro = "Shape check crashed (measured results below):" \
+            if ran else "Figure did not execute:"
+        lines += [intro, "", "```text", fig["error"].rstrip(), "```", ""]
+        if not ran:
             return "\n".join(lines)
-    if outcome.status == "fail":
-        lines += [f"> **Diverges from the paper:** {outcome.error}", ""]
-    table_doc, table_error = _safe_table(outcome)
-    if table_doc is None:
+    if fig["status"] == "fail":
+        lines += [f"> **Diverges from the paper:** {fig['error']}", ""]
+    if table is None:
         lines += ["Table renderer failed:", "", "```text",
-                  table_error.rstrip(), "```", ""]
+                  fig["table_error"].rstrip(), "```", ""]
         return "\n".join(lines)
-    headers, rows, notes = table_doc
+    headers, rows, notes = table
     lines += [format_markdown_table(headers, rows), ""]
-    if spec.metric_kind == "timeseries":
+    if fig["metric_kind"] == "timeseries":
         # the trajectory *is* the figure: sparkline the headline
         # series instead of bar-charting a summary column
-        lines += _series_panel(outcome)
+        lines += _series_panel(fig)
     else:
         value_header, chart = _chart_column(headers, rows)
         if len(chart) >= 2:
-            lines += ["```text", value_header or spec.metric,
+            lines += ["```text", value_header or fig["metric"],
                       bar_chart(chart), "```", ""]
     for note in notes:
         lines += [f"*{note}*", ""]
     return "\n".join(lines)
 
 
-def figure_text(outcome: FigureOutcome) -> str:
-    """One figure as ``figures run`` prints it: the plain-text table
-    (title, rows, notes) through the same fail-soft path as the
-    report, then the divergence or crash the verdict recorded."""
-    table_doc, table_error = _safe_table(outcome)
+def figure_text(fig: Record) -> str:
+    """One figure entry of the record as ``figures run`` prints it: the
+    plain-text table (title, rows, notes) or the table's crash, then
+    the divergence or crash the verdict recorded."""
+    table = _table(fig)
     lines = []
-    if table_doc is not None:
-        headers, rows, notes = table_doc
-        lines += [format_table(outcome.spec.title, headers, rows), *notes]
-    elif table_error:
-        lines += [f"{outcome.spec.title}: table renderer failed",
-                  table_error.rstrip()]
-    if outcome.error:
-        lines.append(f"{outcome.badge()} {outcome.fig_id}: "
-                     f"{outcome.error.rstrip()}")
+    if table is not None:
+        headers, rows, notes = table
+        lines += [format_table(fig["title"], headers, rows), *notes]
+    elif fig["table_error"]:
+        lines += [f"{fig['title']}: table renderer failed",
+                  fig["table_error"].rstrip()]
+    if fig["error"]:
+        lines.append(f"{_badge(fig)} {fig['fig_id']}: "
+                     f"{fig['error'].rstrip()}")
     return "\n".join(lines)
 
 
-def _arena_outcomes(campaign: CampaignResult) -> List[FigureOutcome]:
-    return [o for o in campaign if "arena" in o.spec.tags]
-
-
-def _arena_policies(campaign: CampaignResult) -> List[str]:
-    """The arena's policy set, in the order the run requested it
-    (read back from the first arena table — its rows are one per
-    policy, pivot first)."""
-    for outcome in _arena_outcomes(campaign):
-        table_doc, _ = _safe_table(outcome)
-        if table_doc is not None:
-            return [str(row[0]) for row in table_doc[1]]
-    return []
-
-
-def _arena_rollup(campaign: CampaignResult) -> List[str]:
+def _arena_rollup(figures: Sequence[Record],
+                  policies: Sequence[str]) -> List[str]:
     """The cross-policy rollup: every arena figure's per-policy means
     side by side, plus each policy's geometric-mean ratio vs the
     pivot.  Empty when the campaign ran without ``--policies``."""
-    arena = _arena_outcomes(campaign)
-    policies = _arena_policies(campaign)
+    arena = [fig for fig in figures if "arena" in fig["tags"]]
     if not arena or not policies:
         return []
     pivot = policies[0]
     rows = []
     ratios: Dict[str, List[float]] = {p: [] for p in policies}
-    for outcome in arena:
-        table_doc, _ = _safe_table(outcome)
-        if table_doc is None:
+    for fig in arena:
+        table = _table(fig)
+        if table is None:
             continue
-        by_policy = {str(r[0]): r for r in table_doc[1]}
+        by_policy = {str(r[0]): r for r in table[1]}
         cells = []
         for policy in policies:
             row = by_policy.get(policy)
@@ -244,17 +285,18 @@ def _arena_rollup(campaign: CampaignResult) -> List[str]:
                 ratios[policy].append(ratio)
             else:
                 cells.append(f"{mean:,.2f}")
-        rows.append([f"[`{outcome.fig_id}`](#{_anchor(outcome)})",
-                     f"`{outcome.badge()}`", outcome.spec.metric]
-                    + cells)
+        rows.append([f"[`{fig['fig_id']}`](#{_anchor(fig)})",
+                     f"`{_badge(fig)}`", fig["metric"]] + cells)
     geo = []
     for policy in policies:
         if policy == pivot:
             geo.append("1.00×")
         elif ratios[policy]:
-            logsum = sum(math.log(r) for r in ratios[policy]
-                         if r > 0)
-            geo.append(f"{math.exp(logsum / len(ratios[policy])):.2f}×")
+            rs = ratios[policy]
+            # a zero ratio makes the geometric mean zero
+            mean = math.exp(sum(map(math.log, rs)) / len(rs)) \
+                if min(rs) > 0 else 0.0
+            geo.append(f"{mean:.2f}×")
         else:
             geo.append("—")
     rows.append(["**geomean vs pivot**", "", ""] + geo)
@@ -269,33 +311,34 @@ def _arena_rollup(campaign: CampaignResult) -> List[str]:
         "figure's metric (ratio vs the pivot in parentheses; below "
         "1× beats it on a lower-is-better metric).", "",
         format_markdown_table(
-            ["figure", "status", "metric"] + policies, rows),
+            ["figure", "status", "metric"] + list(policies), rows),
         "",
     ]
 
 
-def render_reproduction(campaign: CampaignResult,
-                        provenance: Optional[Dict[str, object]] = None
-                        ) -> str:
-    """The full ``REPRODUCTION.md`` body."""
-    prov = provenance if provenance is not None else collect_provenance()
-    counts = campaign.counts()
+def render_reproduction(record: Record) -> str:
+    """The full ``REPRODUCTION.md`` body: a view of one campaign
+    record (:func:`campaign_doc`, or ``campaign.json`` loaded back)."""
+    if record.get("schema") != REPORT_SCHEMA:
+        raise ValueError(
+            f"campaign record schema {record.get('schema')!r} is not "
+            f"{REPORT_SCHEMA}: re-run the campaign to render it")
+    prov, summary = record["provenance"], record["summary"]
+    figures = record["figures"]
     store_line = "(no artifact store)"
-    if campaign.store is not None:
-        store_line = (f"`{campaign.store.root}` "
-                      f"({len(campaign.store)} artifacts"
-                      + (f", {len(campaign.pruned)} pruned"
-                         if campaign.pruned else "") + ")")
-        # recorded execution accounting (manifest-carried wall times)
-        # — stated when present so the report shows what the adaptive
-        # scheduler had to work with
-        thr = store_throughput(campaign.store)
+    if summary["store"] is not None:
+        store_line = (f"`{summary['store']}` "
+                      f"({summary['store_artifacts']} artifacts"
+                      + (f", {summary['pruned']} pruned"
+                         if summary["pruned"] else "") + ")")
+        thr = summary["store_throughput"]
         if thr["tasks_timed"]:
             store_line += (f"; {thr['tasks_timed']} timed tasks, "
                            f"{thr['task_wall_s']:.1f} s task wall, "
                            f"{thr['tasks_per_s']:.1f} tasks/s")
-    registered = len(figure_ids())
-    base = [o.fig_id for o in campaign if "arena" not in o.spec.tags]
+    registered = summary["registered"]
+    base = [fig["fig_id"] for fig in figures
+            if "arena" not in fig["tags"]]
     if len(base) >= registered:
         scope = ("Every registered paper figure, reproduced by one "
                  "command (`repro figures run --all`)")
@@ -308,7 +351,7 @@ def render_reproduction(campaign: CampaignResult,
                  f"{registered} registered paper figures "
                  "(`--only/--skip/--tag` filters applied), reproduced")
         selection = f"--only {','.join(base)}"
-    policies = _arena_policies(campaign)
+    policies = summary["policies"]
     if policies:
         selection += f" --policies {','.join(policies)}"
     head = [
@@ -330,117 +373,44 @@ def render_reproduction(campaign: CampaignResult,
              ["execution backend", f"`{prov.get('backend', 'serial')}`"],
              ["python", prov["python"]],
              ["platform", prov["platform"]],
-             ["campaign wall time", f"{campaign.wall_s:.1f} s"],
-             ["distinct seeds", _distinct_seeds(campaign)],
+             ["campaign wall time", f"{summary['wall_s']:.1f} s"],
+             ["distinct seeds", summary["distinct_seeds"]],
              ["artifact store", store_line]]),
         "",
         "## Campaign summary", "",
         format_markdown_table(
             ["outcome", "figures", "meaning"],
-            [[f"`[{s.upper()}]`", counts[s], _LEGEND.get(s, s)]
+            [[f"`[{s.upper()}]`", summary[s], _LEGEND.get(s, s)]
              for s in STATUSES]),
         "",
-        f"{len(campaign)} figures · {campaign.tasks} tasks "
-        f"({campaign.executed} executed, {campaign.cached} served from "
-        "the content-keyed store — cross-figure dedup included).", "",
-        f"{campaign.workers} worker(s) · {campaign.task_wall_s:.1f} s "
-        f"task wall in {campaign.wall_s:.1f} s campaign wall — parallel "
-        f"efficiency {campaign.parallel_efficiency:.2f} (task wall ÷ "
-        f"(campaign wall × workers)) · {campaign.store_write_s:.1f} s "
+        f"{summary['figures']} figures · {summary['tasks']} tasks "
+        f"({summary['executed']} executed, {summary['cached']} served "
+        "from the content-keyed store — cross-figure dedup included).",
+        "",
+        f"{summary['workers']} worker(s) · {summary['task_wall_s']:.1f} s "
+        f"task wall in {summary['wall_s']:.1f} s campaign wall — parallel "
+        f"efficiency {summary['parallel_efficiency']:.2f} (task wall ÷ "
+        f"(campaign wall × workers)) · {summary['store_write_s']:.1f} s "
         "writing the store.", "",
         format_markdown_table(
             ["figure", "paper", "status", "tasks", "executed", "cached",
              "task wall (s)"],
-            [[f"[`{o.fig_id}`](#{_anchor(o)})", o.spec.figure,
-              f"`{o.badge()}`", o.n_tasks, o.executed, o.cached,
-              round(o.wall_s, 1)] for o in campaign]),
+            [[f"[`{fig['fig_id']}`](#{_anchor(fig)})", fig["figure"],
+              f"`{_badge(fig)}`", fig["tasks"], fig["executed"],
+              fig["cached"], round(fig["wall_s"], 1)] for fig in figures]),
         "",
     ]
-    head += _arena_rollup(campaign)
-    sections = [_figure_section(outcome) for outcome in campaign]
+    head += _arena_rollup(figures, policies)
+    sections = [_figure_section(fig) for fig in figures]
     return "\n".join(head) + "\n" + "\n".join(sections)
 
 
-def _anchor(outcome: FigureOutcome) -> str:
+def _anchor(fig: Record) -> str:
     """GitHub anchor for a figure's section heading."""
-    text = (f"{outcome.spec.fig_id} — {outcome.spec.figure} "
-            f"{outcome.badge()}")
+    text = f"{fig['fig_id']} — {fig['figure']} {_badge(fig)}"
     keep = [c for c in text.lower().replace(" ", "-")
             if c.isalnum() or c in "-_"]
     return "".join(keep)
-
-
-def campaign_doc(campaign: CampaignResult,
-                 provenance: Optional[Dict[str, object]] = None
-                 ) -> Dict[str, object]:
-    """The machine-readable campaign record (``campaign.json``)."""
-    prov = provenance if provenance is not None else collect_provenance()
-    counts = campaign.counts()
-    figures = []
-    for outcome in campaign:
-        doc = {
-            "fig_id": outcome.fig_id,
-            "figure": outcome.spec.figure,
-            "title": outcome.spec.title,
-            "tags": list(outcome.spec.tags),
-            "metric": outcome.spec.metric,
-            "metric_kind": outcome.spec.metric_kind,
-            "status": outcome.status,
-            "error": outcome.error,
-            "wall_s": round(outcome.wall_s, 3),
-            "tasks": outcome.n_tasks,
-            "executed": outcome.executed,
-            "cached": outcome.cached,
-            "table": None,
-            "expectations": [
-                {"claim": e.claim, "measured": _finite(e.measured),
-                 "op": e.op, "bound": _finite(e.bound),
-                 "margin": _finite(e.margin), "held": e.held}
-                for e in outcome.expectations],
-        }
-        table_doc, table_error = _safe_table(outcome)
-        if table_doc is not None:
-            headers, rows, notes = table_doc
-            doc["table"] = {
-                "headers": [str(h) for h in headers],
-                "rows": [[_finite(c) for c in row] for row in rows],
-                "notes": [str(n) for n in notes],
-            }
-        elif table_error and not doc["error"]:
-            doc["error"] = table_error
-        by_row = _figure_series(outcome)
-        if by_row:
-            # the raw trajectories, machine-readable; trend gating
-            # reads these back as summary statistics
-            doc["series"] = {
-                row: {name: [None if v is None else round(float(v), 4)
-                             for v in values]
-                      for name, values in series.items()}
-                for row, series in by_row.items()}
-        figures.append(doc)
-    return {
-        "schema": REPORT_SCHEMA,
-        "provenance": prov,
-        "summary": {
-            "figures": len(campaign),
-            "registered": len(figure_ids()),
-            **counts,
-            "tasks": campaign.tasks,
-            "executed": campaign.executed,
-            "cached": campaign.cached,
-            "distinct_seeds": _distinct_seeds(campaign),
-            "policies": _arena_policies(campaign),
-            "wall_s": round(campaign.wall_s, 3),
-            "workers": campaign.workers,
-            "task_wall_s": round(campaign.task_wall_s, 3),
-            "parallel_efficiency": round(campaign.parallel_efficiency, 3),
-            "store_write_s": round(campaign.store_write_s, 3),
-            "pruned": len(campaign.pruned),
-            "store": (campaign.store.root
-                      if campaign.store is not None else None),
-        },
-        "figures": figures,
-    }
 
 
 def _write(path: str, text: str) -> None:
@@ -455,13 +425,13 @@ def write_campaign_report(campaign: CampaignResult, *,
                           report_path: Optional[str] = "REPRODUCTION.md",
                           json_path: Optional[str] = "campaign.json"
                           ) -> Tuple[Optional[str], Optional[str]]:
-    """Render and write each artifact whose path is not ``None``; one
-    provenance snapshot feeds both so they can never disagree about
-    their origin."""
-    prov = collect_provenance(backend=getattr(campaign, "backend", None))
+    """Build the campaign record once and write each artifact whose
+    path is not ``None`` from it: the record itself and its markdown
+    view."""
+    record = campaign_doc(campaign,
+                          collect_provenance(backend=campaign.backend))
     if report_path is not None:
-        _write(report_path, render_reproduction(campaign, prov))
+        _write(report_path, render_reproduction(record))
     if json_path is not None:
-        _write(json_path, json.dumps(campaign_doc(campaign, prov),
-                                     indent=2) + "\n")
+        _write(json_path, json.dumps(record, indent=2) + "\n")
     return report_path, json_path

@@ -132,7 +132,7 @@ class TestRunCampaign:
         outcome = campaign["stub_div"]
         assert outcome.status == "fail"
         assert "shape off" in outcome.error
-        assert outcome.result is not None  # numbers still reported
+        assert outcome.table is not None  # numbers still reported
         assert campaign.ok() and not campaign.ok(strict=True)
 
     def test_no_store_still_runs(self):

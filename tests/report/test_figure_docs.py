@@ -4,43 +4,45 @@ from __future__ import annotations
 
 import os
 
-from repro.report import (
-    docs_drift,
-    render_figure_page,
-    render_index,
-    write_figure_docs,
-)
-from repro.report.figure_docs import matrix_summary
+from repro.report import docs_drift, write_figure_docs
+from repro.report.figure_docs import _render_tree, matrix_summary
 from repro.scenarios import REGISTRY, figure_ids, get_figure
 
 from helpers import stub_registry
 
 
+def page(fig_id):
+    """One figure's page as the docs tree renders it."""
+    return _render_tree([get_figure(fig_id)])[f"{fig_id}.md"]
+
+
 class TestRenderPage:
     def test_sim_figure_page_states_the_matrix(self):
-        page = render_figure_page(get_figure("fig07"))
-        assert "# `fig07` — Fig. 7" in page
-        assert "`max_fct_us`" in page
-        assert "sim, failures" in page
-        assert "fail_cable_schedule" in page
-        assert "repro figures run fig07" in page
-        assert "GENERATED" in page.splitlines()[0]
+        text = page("fig07")
+        assert "# `fig07` — Fig. 7" in text
+        assert "`max_fct_us`" in text
+        assert "sim, failures" in text
+        assert "fail_cable_schedule" in text
+        assert "repro figures run fig07" in text
+        assert "GENERATED" in text.splitlines()[0]
 
     def test_model_figure_page(self):
-        page = render_figure_page(get_figure("table1"))
-        assert "`total_bits`" in page
-        assert "model" in page
+        text = page("table1")
+        assert "`total_bits`" in text
+        assert "model" in text
 
     def test_pages_independent_of_caller_scale(self, monkeypatch):
-        baseline = render_figure_page(get_figure("fig03_synthetic"))
+        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+        baseline = page("fig03_synthetic")
+        # an unset scale stays unset after the pinned expansion
+        assert "REPRO_BENCH_SCALE" not in os.environ
         monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
-        assert render_figure_page(get_figure("fig03_synthetic")) \
-            == baseline
+        assert page("fig03_synthetic") == baseline
         # the pinned scale is restored afterwards
         assert os.environ["REPRO_BENCH_SCALE"] == "smoke"
 
     def test_index_links_every_figure(self):
-        index = render_index()
+        index = _render_tree()["index.md"]
         for fig_id in figure_ids():
             assert f"[`{fig_id}`]({fig_id}.md)" in index
 

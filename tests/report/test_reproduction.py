@@ -11,6 +11,7 @@ from repro.harness.store import ColumnarStore
 from repro.report import (
     campaign_doc,
     collect_provenance,
+    figure_text,
     render_reproduction,
     write_campaign_report,
 )
@@ -29,6 +30,11 @@ def small_campaign(tmp_path, extra_specs=()):
     specs = stub_registry() + list(extra_specs) \
         + [stub_spec("stub_bad", build=boom)]
     return run_campaign(specs, store=ColumnarStore(str(tmp_path)))
+
+
+def report(campaign, prov=None):
+    """REPRODUCTION.md as a view of the campaign's record."""
+    return render_reproduction(campaign_doc(campaign, prov))
 
 
 class TestProvenance:
@@ -77,7 +83,7 @@ class TestStoreThroughput:
 class TestRenderReproduction:
     def test_one_badged_section_per_figure(self, tmp_path):
         campaign = small_campaign(tmp_path)
-        text = render_reproduction(campaign)
+        text = report(campaign)
         for outcome in campaign:
             assert f"## {outcome.fig_id} — " in text
         assert "`[PASS]`" in text and "`[ERROR]`" in text
@@ -86,7 +92,7 @@ class TestRenderReproduction:
     def test_provenance_header(self, tmp_path):
         campaign = small_campaign(tmp_path)
         prov = collect_provenance()
-        text = render_reproduction(campaign, prov)
+        text = report(campaign, prov)
         assert text.startswith("# REPS reproduction report")
         assert "## Provenance" in text
         assert prov["git_sha"] in text
@@ -101,12 +107,12 @@ class TestRenderReproduction:
         assert prov["backend"] == "process"
         assert "shard" not in prov
         campaign = small_campaign(tmp_path)
-        text = render_reproduction(campaign, prov)
+        text = report(campaign, prov)
         assert "| execution backend | `process` |" in text
 
     def test_summary_table_and_chart(self, tmp_path):
         campaign = small_campaign(tmp_path)
-        text = render_reproduction(campaign)
+        text = report(campaign)
         assert "## Campaign summary" in text
         # a measured figure renders a markdown table and an ASCII chart
         assert "| total_bits |" in text or "total_bits" in text
@@ -119,7 +125,7 @@ class TestRenderReproduction:
         efficiency and store-write seconds, in both artifacts, from
         numbers the campaign already holds."""
         campaign = small_campaign(tmp_path)
-        text = render_reproduction(campaign)
+        text = report(campaign)
         assert (f"1 worker(s) · {campaign.task_wall_s:.1f} s task wall "
                 f"in {campaign.wall_s:.1f} s campaign wall — parallel "
                 f"efficiency {campaign.parallel_efficiency:.2f}") in text
@@ -136,7 +142,7 @@ class TestRenderReproduction:
     def test_partial_campaign_is_labelled(self, tmp_path):
         campaign = run_campaign([stub_spec("stub_a")],
                                 store=ColumnarStore(str(tmp_path)))
-        text = render_reproduction(campaign)
+        text = report(campaign)
         assert "**Partial campaign**" in text
         assert "Every registered paper figure" not in text
 
@@ -153,7 +159,7 @@ class TestRenderReproduction:
         monkeypatch.setattr(reproduction, "figure_ids",
                             lambda: ["stub_a", "stub_b", "stub_c"])
         prov = collect_provenance()
-        assert self.regenerate_line(render_reproduction(campaign, prov)) \
+        assert self.regenerate_line(report(campaign, prov)) \
             == ("PYTHONPATH=src python -m repro figures run --all "
                 f"--scale {prov['scale']}")
 
@@ -170,7 +176,7 @@ class TestRenderReproduction:
         campaign = run_campaign(stub_registry()[:2] + [arena],
                                 store=ColumnarStore(str(tmp_path)))
         prov = collect_provenance()
-        assert self.regenerate_line(render_reproduction(campaign, prov)) \
+        assert self.regenerate_line(report(campaign, prov)) \
             == ("PYTHONPATH=src python -m repro figures run "
                 "--only stub_a,stub_b --policies reps,ecmp "
                 f"--scale {prov['scale']}")
@@ -182,13 +188,16 @@ class TestRenderReproduction:
         object.__setattr__(spec, "table", bad_table)
         campaign = run_campaign([spec] + stub_registry(),
                                 store=ColumnarStore(str(tmp_path)))
-        text = render_reproduction(campaign)  # must not raise
+        text = report(campaign)  # must not raise
         assert "Table renderer failed:" in text
         assert "axis missing at this scale" in text
         doc = campaign_doc(campaign)
         by_id = {f["fig_id"]: f for f in doc["figures"]}
         assert by_id["stub_t"]["table"] is None
-        assert "axis missing" in by_id["stub_t"]["error"]
+        assert "axis missing" in by_id["stub_t"]["table_error"]
+        # the table's crash is its own field: the verdict is untouched
+        assert (by_id["stub_t"]["status"], by_id["stub_t"]["error"]) \
+            == ("pass", "")
         # the healthy figures still render their tables
         assert by_id["stub_a"]["table"] is not None
 
@@ -212,7 +221,7 @@ class TestRenderReproduction:
             [stub_spec("stub_ck", check=check_crash)],
             store=ColumnarStore(str(tmp_path)))
         assert campaign["stub_ck"].status == "error"
-        text = render_reproduction(campaign)
+        text = report(campaign)
         assert "Shape check crashed (measured results below):" in text
         assert "Figure did not execute" not in text
         assert "| total_bits |" in text or "total_bits" in text
@@ -227,7 +236,7 @@ class TestRenderReproduction:
         campaign = run_campaign(
             [stub_spec("stub_div", check=check_bad)],
             store=ColumnarStore(str(tmp_path)))
-        text = render_reproduction(campaign)
+        text = report(campaign)
         assert ("**Diverges from the paper:** factor off by 2x "
                 "(2 < 1); second miss (3 == 4)\n") in text
 
@@ -270,7 +279,7 @@ class TestTimeseriesReport:
             store=ColumnarStore(str(tmp_path_factory.mktemp("ts"))))
 
     def test_sparkline_panel_replaces_bar_chart(self, ts_campaign):
-        text = render_reproduction(ts_campaign)
+        text = report(ts_campaign)
         assert "goodput_gbps per window" in text
         assert "full scale =" in text
         # one sparkline row per matrix key
@@ -299,7 +308,7 @@ class TestCampaignJson:
     def test_document_structure(self, tmp_path):
         campaign = small_campaign(tmp_path)
         doc = campaign_doc(campaign)
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         for field in PROVENANCE_FIELDS:
             assert field in doc["provenance"]
         summary = doc["summary"]
@@ -308,11 +317,15 @@ class TestCampaignJson:
         assert "warn" not in summary
         assert summary["tasks"] == campaign.tasks
         assert summary["store"] == str(tmp_path)
+        assert summary["store_artifacts"] == len(campaign.store)
+        assert summary["store_throughput"] == \
+            store_throughput(campaign.store)
         by_id = {f["fig_id"]: f for f in doc["figures"]}
         assert by_id["stub_a"]["status"] == "pass"
         assert by_id["stub_a"]["table"]["headers"]
         assert by_id["stub_a"]["tags"] == ["stub"]
         assert by_id["stub_bad"]["table"] is None
+        assert by_id["stub_bad"]["table_error"] == ""
         assert "matrix exploded" in by_id["stub_bad"]["error"]
         (claim,) = by_id["stub_a"]["expectations"]
         assert claim == {"claim": "more buffer elements cost more bits",
@@ -322,18 +335,19 @@ class TestCampaignJson:
         assert by_id["stub_bad"]["expectations"] == []
 
     def test_json_serializable_with_inf_sanitized(self, tmp_path):
-        campaign = small_campaign(tmp_path)
-        # smuggle a non-finite value into a table row
-        outcome = campaign["stub_a"]
-        headers, rows, notes = outcome.result.table_doc()
-        spec = outcome.spec
-        object.__setattr__(
-            spec, "table",
-            lambda res: (headers, [[r[0], float("inf")] for r in rows],
-                         notes))
+        import dataclasses
+
+        def inf_table(result):
+            return (["buffer_elems", "total_bits"],
+                    [[key, float("inf")] for key in result.keys()], [])
+        # a figure whose table carries a non-finite cell
+        spec = dataclasses.replace(stub_spec("stub_inf_table"),
+                                   table=inf_table)
+        campaign = run_campaign([spec], store=ColumnarStore(str(tmp_path)))
         doc = campaign_doc(campaign)
         blob = json.dumps(doc)  # must not raise / emit Infinity
         assert "Infinity" not in blob
+        assert doc["figures"][0]["table"]["rows"] == [[1, None], [8, None]]
 
     def test_non_finite_claim_is_unmet_and_written_as_null(self,
                                                            tmp_path):
@@ -372,3 +386,196 @@ class TestCampaignJson:
         # one provenance snapshot feeds both artifacts
         assert doc["provenance"]["git_sha"] in text
         assert doc["provenance"]["generated_at"] in text
+
+
+def fig_record(**fields):
+    """A hand-built campaign.json figure entry (a passing one unless
+    ``fields`` say otherwise)."""
+    fig = {"fig_id": "stub_f", "figure": "Stub", "title": "stub stub_f",
+           "doc": "", "tags": ["stub"], "metric": "total_bits",
+           "metric_kind": "scalar", "status": "pass", "error": "",
+           "wall_s": 0.0, "tasks": 2, "executed": 2, "cached": 0,
+           "table": {"headers": ["scenario", "total_bits"],
+                     "rows": [["1", 74.0], ["8", 193.0]],
+                     "notes": ["bits per connection"]},
+           "table_error": "", "expectations": []}
+    fig.update(fields)
+    return fig
+
+
+TRACEBACK = ("Traceback (most recent call last):\n"
+             "KeyError: 'axis missing at this scale'\n")
+
+FIGURE_TEXT_CASES = {
+    "pass": (fig_record(),
+             "== stub stub_f ==\n"
+             "scenario  total_bits\n"
+             "--------  ----------\n"
+             "1         74.00     \n"
+             "8         193       \n"
+             "bits per connection"),
+    "fail": (fig_record(status="fail", error="shape off (1 < 0)"),
+             "== stub stub_f ==\n"
+             "scenario  total_bits\n"
+             "--------  ----------\n"
+             "1         74.00     \n"
+             "8         193       \n"
+             "bits per connection\n"
+             "[FAIL] stub_f: shape off (1 < 0)"),
+    "never executed": (
+        fig_record(status="error", error=TRACEBACK, table=None, tasks=0,
+                   executed=0),
+        "[ERROR] stub_f: Traceback (most recent call last):\n"
+        "KeyError: 'axis missing at this scale'"),
+    "table crash": (
+        fig_record(table=None, table_error=TRACEBACK),
+        "stub stub_f: table renderer failed\n"
+        "Traceback (most recent call last):\n"
+        "KeyError: 'axis missing at this scale'"),
+    "null cell": (
+        fig_record(table={"headers": ["lb", "max_fct_us"],
+                          "rows": [["reps", 31.8], ["prime", None]],
+                          "notes": []}),
+        "== stub stub_f ==\n"
+        "lb     max_fct_us\n"
+        "-----  ----------\n"
+        "reps   31.80     \n"
+        "prime  inf       "),
+}
+
+
+class TestFigureText:
+    """``figure_text`` is a pure function of one figure entry: the same
+    text from the dict in memory and from it read back as JSON."""
+
+    @pytest.mark.parametrize("roundtrip", [False, True],
+                             ids=["record", "json"])
+    @pytest.mark.parametrize("case", sorted(FIGURE_TEXT_CASES))
+    def test_text_of_a_figure_record(self, case, roundtrip):
+        fig, expected = FIGURE_TEXT_CASES[case]
+        if roundtrip:
+            fig = json.loads(json.dumps(fig))
+        assert figure_text(fig) == expected
+
+
+class TestArenaRollup:
+    def test_a_zero_ratio_makes_the_geomean_zero(self):
+        """A policy mean of 0 on one arena figure is a ratio of 0 to the
+        pivot; the geometric mean over it is 0, not the other ratios'."""
+        from repro.report.reproduction import _arena_rollup
+
+        def arena_fig(fig_id, rows):
+            return fig_record(fig_id=fig_id, tags=["arena"], table={
+                "headers": ["policy", "mean", "vs reps"], "rows": rows,
+                "notes": []})
+        figures = [
+            arena_fig("arena_a", [["reps", 10.0, 1.0], ["ecmp", 0.0, 0.0],
+                                  ["prime", 20.0, 2.0]]),
+            arena_fig("arena_b", [["reps", 10.0, 1.0], ["ecmp", 40.0, 4.0],
+                                  ["prime", 80.0, 8.0]]),
+        ]
+        lines = _arena_rollup(figures, ["reps", "ecmp", "prime"])
+        geomean = next(line for line in "\n".join(lines).splitlines()
+                       if "geomean" in line)
+        assert geomean == ("| **geomean vs pivot** |  |  | 1.00× | 0.00× "
+                           "| 4.00× |")
+
+
+def counted_tables(specs, calls):
+    """``specs`` whose tables count their calls into ``calls``."""
+    import dataclasses
+
+    def counting(spec):
+        def table(result):
+            calls[spec.fig_id] = calls.get(spec.fig_id, 0) + 1
+            return spec.table(result)
+        return dataclasses.replace(spec, table=table)
+    return [counting(spec) for spec in specs]
+
+
+class TestRecordIsTheModel:
+    """One campaign with every kind of figure: both artifacts are
+    written from its record, the markdown re-renders from the JSON
+    alone, and each figure's table ran once."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        import dataclasses
+
+        def boom():
+            raise RuntimeError("matrix exploded")
+
+        def check_fail(result):
+            result.expect("shape off", 1.0, "<", 0.0)
+
+        def check_crash(result):
+            raise KeyError("check axis missing")
+
+        def table_crash(result):
+            raise KeyError("table axis missing")
+
+        def arena_table(result):
+            return (["policy", "mean", "vs reps"],
+                    [["reps", 10.0, 1.0], ["ecmp", 20.0, 2.0],
+                     ["prime", float("inf"), float("inf")]], [])
+        specs = [
+            stub_spec("k_pass"),
+            stub_spec("k_fail", check=check_fail),
+            stub_spec("k_never", build=boom),
+            stub_spec("k_check_crash", check=check_crash),
+            dataclasses.replace(stub_spec("k_table_crash"),
+                                table=table_crash),
+            ts_spec("k_ts"),
+            dataclasses.replace(stub_spec("k_arena"), tags=("arena",),
+                                table=arena_table),
+        ]
+        calls = {}
+        out = tmp_path_factory.mktemp("record")
+        campaign = run_campaign(counted_tables(specs, calls),
+                                store=ColumnarStore(str(out / "store")))
+        write_campaign_report(campaign,
+                              report_path=str(out / "REPRODUCTION.md"),
+                              json_path=str(out / "campaign.json"))
+        for fig in campaign_doc(campaign)["figures"]:
+            figure_text(fig)
+        return campaign, calls, out
+
+    def test_every_kind_of_figure_ran(self, written):
+        campaign, _calls, _out = written
+        assert {o.fig_id: o.status for o in campaign} == {
+            "k_pass": "pass", "k_fail": "fail", "k_never": "error",
+            "k_check_crash": "error", "k_table_crash": "pass",
+            "k_ts": "pass", "k_arena": "pass"}
+
+    def test_markdown_rerenders_from_the_json_byte_for_byte(self, written):
+        from repro.report import load_record
+        _campaign, _calls, out = written
+        record = load_record(str(out / "campaign.json"))
+        text = (out / "REPRODUCTION.md").read_text()
+        assert render_reproduction(record) == text
+        # the view shows what each kind of figure left in the record
+        assert "Figure did not execute:" in text
+        assert "Shape check crashed (measured results below):" in text
+        assert "Table renderer failed:" in text
+        assert "goodput_gbps per window" in text
+        assert "## Cross-policy arena" in text
+        # a null cell in the record renders as inf, in the figure's
+        # table and in the arena rollup (a DNF mean is "—")
+        assert "| prime | inf | inf |" in text
+        assert "| 10.00 | 20.00 (2.00×) | — |" in text
+
+    def test_an_older_record_is_refused_by_name(self, written):
+        from repro.report import load_record
+        _campaign, _calls, out = written
+        record = load_record(str(out / "campaign.json"))
+        record["schema"] = 2
+        with pytest.raises(ValueError, match="schema 2 is not 3"):
+            render_reproduction(record)
+
+    def test_each_table_runs_once_per_campaign(self, written):
+        """Judged once, then serialized, written twice and printed: the
+        spec's table is called exactly once per executed figure."""
+        _campaign, calls, _out = written
+        assert calls == {fid: 1 for fid in (
+            "k_pass", "k_fail", "k_check_crash", "k_table_crash", "k_ts",
+            "k_arena")}

@@ -12,7 +12,7 @@ import pytest
 
 import repro
 from repro.harness.campaign import run_campaign
-from repro.scenarios import Expectation
+from repro.scenarios import Expectation, run_figure
 
 from helpers import stub_spec
 
@@ -107,12 +107,12 @@ class TestJudge:
         outcome = judged(check)
         assert outcome.status == "error"
         assert "a bare assert slipped in" in outcome.error
-        assert outcome.result is not None  # the numbers still report
+        assert outcome.table is not None  # the numbers still report
 
     def test_check_reruns_from_an_empty_record(self):
         def check(result):
             result.expect("holds", 1.0, "<", 2.0)
-        result = judged(check).result
+        result = run_figure(stub_spec("stub_j", check=check))
         assert len(result.check()) == len(result.check()) == 1
 
 
