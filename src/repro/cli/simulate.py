@@ -21,19 +21,19 @@ from ._common import known_policies, split_csv
 
 
 def _task(args: argparse.Namespace, lb: str, *, seed: int, evs: int,
-          workload_seed: int) -> SweepTask:
+          **workload_kw) -> SweepTask:
     """The scenario flags as one task under ``lb``: the one builder of
     ``run``, ``compare`` and ``sweep``, which differ only in their
-    axes."""
+    axes (``run`` / ``compare`` pass ``workload_seed``)."""
     topo = TopologyParams(
         n_hosts=args.hosts, hosts_per_t0=args.hosts_per_t0,
         tiers=args.tiers, oversubscription=args.oversubscription,
         trim_enabled=args.trimming,
     )
-    workload = WorkloadSpec(
-        kind="synthetic", pattern=args.pattern,
+    workload = WorkloadSpec.make(
+        "synthetic", pattern=args.pattern,
         msg_bytes=int(args.mib * 1024 * 1024), fan_in=args.fan_in,
-        workload_seed=workload_seed)
+        **workload_kw)
     failures = []
     if args.fail_uplink is not None:
         failures.append(FailureSpec.make(
@@ -80,10 +80,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lbs = known_policies("repro sweep", "--lbs", split_csv(args.lbs))
     seeds = ([int(s) for s in split_csv(args.seeds)] if args.seeds
              else spawn_seeds(args.root_seed, args.n_seeds))
-    # the workload keeps WorkloadSpec's seed: a seed varies the
+    # the workload keeps its default seed: a seed varies the
     # simulation, not the permutation
-    tasks = [_task(args, lb, seed=seed, evs=int(evs),
-                   workload_seed=WorkloadSpec.workload_seed)
+    tasks = [_task(args, lb, seed=seed, evs=int(evs))
              for evs in split_csv(args.evs) for lb in lbs
              for seed in seeds]
     store = ColumnarStore(os.path.join(args.results_dir, args.name),

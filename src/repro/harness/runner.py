@@ -5,15 +5,15 @@ one finished simulation out.
 :class:`~repro.sim.network.Network`: it builds the config from the
 task's LB, topology, seed and scenario keys, applies the failure
 schedule, attaches the telemetry the task's probes read, installs the
-workload by kind and runs.  The sweep executor and ``repro run`` /
-``compare`` both call it.  The failure kinds and the result probes are
-plain functions declared beside the specs that name them, in
-:mod:`repro.harness.sweep`.
+workload and runs.  The sweep executor and ``repro run`` / ``compare``
+both call it.  The workload kinds, the failure kinds and the result
+probes are plain functions declared beside the specs that name them,
+in :mod:`repro.harness.sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.reps import RepsConfig
@@ -21,19 +21,10 @@ from ..sim.metrics import RunMetrics, SeriesRecorder
 from ..sim.network import Network, NetworkConfig
 from ..sim.topology import TopologyParams
 from ..sim.units import us_to_ps
-from ..workloads.collectives import (
-    AllToAll,
-    ButterflyAllReduce,
-    RingAllReduce,
-    spine_heavy_ring,
-)
-from ..workloads.synthetic import incast, permutation, tornado
-from ..workloads.traces import generate_trace_flows
 from .sweep import PROBES
 
 if TYPE_CHECKING:
-    from ..workloads.collectives import Collective
-    from .sweep import SweepTask, WorkloadSpec
+    from .sweep import SweepTask
 
 #: simulated time budget of a task whose scenario sets no ``max_us``
 DEFAULT_MAX_US = 50_000.0
@@ -75,37 +66,8 @@ class ScenarioResult:
     recorder: Optional[SeriesRecorder] = None
     network: Optional[Network] = None
     lb_sampler: Optional[LbCounterSampler] = None
-    collective: Optional[Collective] = None
-
-
-def _pairs(workload: WorkloadSpec, topo: TopologyParams):
-    """The (src, dst) pairs of a synthetic or mixed workload.  A
-    permutation crosses ToRs whenever there are two ToRs to cross."""
-    n = topo.n_hosts
-    if workload.pattern == "incast":
-        return incast(n, workload.fan_in, receiver=0)
-    if workload.pattern == "permutation":
-        return permutation(n, seed=workload.workload_seed,
-                           cross_tor_only=n // topo.hosts_per_t0 >= 2,
-                           hosts_per_t0=topo.hosts_per_t0)
-    if workload.pattern == "tornado":
-        return tornado(n)
-    raise ValueError(f"unknown pattern {workload.pattern!r}")
-
-
-def _collective(net: Network, workload: WorkloadSpec,
-                topo: TopologyParams) -> Collective:
-    """An AI collective: ring/butterfly AllReduce or AllToAll(n)."""
-    if workload.pattern == "ring_allreduce":
-        return RingAllReduce(
-            net, workload.msg_bytes,
-            order=spine_heavy_ring(topo.n_hosts, topo.hosts_per_t0))
-    if workload.pattern == "butterfly_allreduce":
-        return ButterflyAllReduce(net, workload.msg_bytes)
-    if workload.pattern == "alltoall":
-        return AllToAll(net, workload.msg_bytes,
-                        n_parallel=workload.n_parallel)
-    raise ValueError(f"unknown collective {workload.pattern!r}")
+    #: what the workload kind reports beyond ``metrics``
+    extra: Dict[str, object] = field(default_factory=dict)
 
 
 def simulate(task: SweepTask) -> ScenarioResult:
@@ -114,9 +76,9 @@ def simulate(task: SweepTask) -> ScenarioResult:
     Telemetry costs engine events, so it is attached only on request:
     the port recorder when the scenario sets ``telemetry_bucket_us``,
     the :class:`LbCounterSampler` only when a probe also reads
-    ``"lbs"`` (:data:`~repro.harness.sweep.PROBES`).  A ``mixed`` task
-    tags its flows ``"main"`` (the task's LB) and ``"bg"``
-    (``background_lb``), so ``network.metrics(tag=...)`` splits the run.
+    ``"lbs"`` (:data:`~repro.harness.sweep.PROBES`).  A workload kind
+    that reports (:data:`~repro.harness.sweep.WORKLOAD_KINDS`) sets the
+    result's ``metrics`` and ``extra`` from the finished run.
     """
     kw = dict(task.scenario)
     max_us = kw.pop("max_us", DEFAULT_MAX_US)
@@ -128,7 +90,7 @@ def simulate(task: SweepTask) -> ScenarioResult:
                                 **kw))
     if task.failure is not None:
         task.failure.apply(net)
-    recorder = sampler = collective = None
+    recorder = sampler = None
     if bucket_us is not None:
         recorder = net.record_ports(net.tree.t0s[0].up_ports,
                                     bucket_us=bucket_us)
@@ -137,32 +99,8 @@ def simulate(task: SweepTask) -> ScenarioResult:
             sampler.start()
             # a registered SeriesRecorder: Network.run() stops it
             net.recorders.append(sampler)
-    w = task.workload
-    if w.kind == "synthetic":
-        for src, dst in _pairs(w, topo):
-            net.add_flow(src, dst, w.msg_bytes)
-    elif w.kind == "trace":
-        for f in generate_trace_flows(
-                n_hosts=topo.n_hosts, load=w.load,
-                duration_us=w.duration_us,
-                host_gbps=topo.host_link_gbps or topo.link_gbps,
-                trace=w.pattern, seed=w.workload_seed):
-            net.add_flow(f.src, f.dst, f.size_bytes, start_us=f.start_us)
-    elif w.kind == "collective":
-        collective = _collective(net, w, topo)
-        collective.install()
-    elif w.kind == "mixed":
-        if w.pattern == "incast":  # fan_in is no part of a mixed task's key
-            raise ValueError("mixed workloads are permutation or tornado")
-        pairs = _pairs(w, topo)
-        n_bg = max(1, int(len(pairs) * w.background_fraction))
-        for i, (src, dst) in enumerate(pairs):
-            if i < n_bg:
-                net.add_flow(src, dst, w.msg_bytes, lb=w.background_lb,
-                             tag="bg")
-            else:
-                net.add_flow(src, dst, w.msg_bytes, tag="main")
-    else:
-        raise ValueError(f"unknown workload kind {w.kind!r}")
-    metrics = net.run(max_us=max_us)
-    return ScenarioResult(metrics, recorder, net, sampler, collective)
+    report = task.workload.run(net)
+    metrics, extra = net.run(max_us=max_us), {}
+    if report is not None:
+        metrics, extra = report(metrics)
+    return ScenarioResult(metrics, recorder, net, sampler, extra)

@@ -24,8 +24,8 @@ campaign:
 
 Example::
 
-    workload = WorkloadSpec(kind="synthetic", pattern="tornado",
-                            msg_bytes=1 << 20)
+    workload = WorkloadSpec.make("synthetic", pattern="tornado",
+                                 msg_bytes=1 << 20)
     tasks = [make_task(lb, {"n_hosts": 16, "hosts_per_t0": 8}, workload,
                        seed=seed)
              for lb in ("ecmp", "ops", "reps")
@@ -38,9 +38,8 @@ Example::
 Invariants:
 
 - **Content-key semantics.**  :func:`task_key` hashes the *complete*
-  identity of a result: the task parameters (with per-kind
-  ``WorkloadSpec`` field filtering, so inapplicable fields cannot mint
-  distinct keys for byte-identical runs), the artifact
+  identity of a result: the task parameters (a workload's are exactly
+  its kind function's keywords, defaults filled in), the artifact
   ``SCHEMA_VERSION``, and :func:`simulator_version` — a content hash
   of the simulator source tree.  Equal key ⟺ byte-identical payload;
   editing the simulator silently invalidates every stored artifact.
@@ -56,9 +55,11 @@ Invariants:
   the task, immediately after the run, and its scalar outputs are
   persisted in the artifact's ``extra`` mapping (probes are part of
   the content key: adding one re-runs the task).
-- **Checked when described.**  :meth:`FailureSpec.make` and
-  :func:`make_task` check parameters and telemetry windows against the
-  functions that use them, so a task that describes cleanly also runs.
+- **Checked when described.**  :meth:`WorkloadSpec.make`,
+  :meth:`FailureSpec.make` and :func:`make_task` check parameters and
+  telemetry windows against the functions that use them, so a task
+  that describes cleanly also runs (a model's keywords, execute-side,
+  are checked when it runs).
 - **Stores converge.**  Content keys make concurrent campaigns
   sharing a store harmless and
   :meth:`~repro.harness.store.ColumnarStore.merge_from` idempotent,
@@ -147,6 +148,10 @@ def simulator_version() -> str:
                           if f.endswith(".py")]
         elif os.path.isfile(path):
             files.append(path)
+        else:
+            # a renamed source would otherwise stop invalidating results
+            raise FileNotFoundError(f"versioned source {entry!r} is "
+                                    f"missing under {pkg_root}")
         for fname in sorted(files):
             digest.update(os.path.relpath(fname, pkg_root).encode())
             digest.update(b"\0")
@@ -175,43 +180,23 @@ def _field_dict(spec) -> Dict[str, object]:
     return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """One declarative workload: picklable, hashable, content-keyable.
-
-    ``kind`` selects the runner entry point; ``pattern`` names the
-    synthetic pattern, the collective kind, the DC trace, or — for
-    ``kind="model"`` — an analytical model from
-    :mod:`repro.harness.model_tasks` (parameterized via ``params``).
-    ``kind="mixed"`` runs the Fig.-6 split: the task's LB shares the
-    fabric with ``background_fraction`` legacy ``background_lb`` flows.
-    """
-
-    kind: str = "synthetic"  # synthetic | trace | collective | mixed | model
-    pattern: str = "permutation"
-    msg_bytes: int = 1 << 20
-    fan_in: int = 8                  # synthetic incast only
-    load: float = 0.6                # trace only
-    duration_us: float = 100.0       # trace only
-    n_parallel: int = 8              # AllToAll only
-    workload_seed: int = 2           # synthetic/trace only (collectives
-    #                                  are fully determined by the net)
-    background_lb: str = "ecmp"      # mixed only
-    background_fraction: float = 0.1  # mixed only
-    params: KV = ()                  # model only
-
-    def label(self) -> str:
-        if self.kind == "trace":
-            return f"{self.pattern}@{int(self.load * 100)}%"
-        if self.kind == "collective":
-            return self.pattern
-        if self.kind == "model":
-            return f"model:{self.pattern}"
-        if self.kind == "mixed":
-            return (f"{self.pattern}/{self.msg_bytes >> 10}KiB+"
-                    f"{int(self.background_fraction * 100)}%"
-                    f"{self.background_lb}")
-        return f"{self.pattern}/{self.msg_bytes >> 10}KiB"
+def _bind(what: str, kind: str, fn: Optional[Callable],
+          known: Iterable[str],
+          params: Mapping[str, object]) -> Dict[str, object]:
+    """``params`` checked against ``fn(first, **params)`` when a spec is
+    described, not in a worker; returned with every default filled in."""
+    if fn is None:
+        raise ValueError(f"unknown {what} kind {kind!r}; "
+                         f"one of {sorted(known)}")
+    signature = inspect.signature(fn)
+    try:
+        # a misspelt name is reported before the one it replaced
+        signature.bind_partial(None, **params)
+        bound = signature.bind(None, **params)
+    except TypeError as exc:
+        raise ValueError(f"{what} kind {kind!r}: {exc}") from None
+    bound.apply_defaults()
+    return dict(list(bound.arguments.items())[1:])
 
 
 # ----------------------------------------------------------------------
@@ -351,17 +336,10 @@ class FailureSpec:
 
     @classmethod
     def make(cls, kind: str, **params) -> "FailureSpec":
-        fn = FAILURE_KINDS.get(kind)
-        if fn is None:
-            raise ValueError(f"unknown failure kind {kind!r}; "
-                             f"one of {sorted(FAILURE_KINDS)}")
-        signature = inspect.signature(fn)
-        try:
-            # a misspelt name is reported before the one it replaced
-            signature.bind_partial(None, **params)
-            signature.bind(None, **params)
-        except TypeError as exc:
-            raise ValueError(f"failure kind {kind!r}: {exc}") from None
+        """Checked against the kind's function; only the parameters
+        given are kept (a default is no part of the content key)."""
+        _bind("failure", kind, FAILURE_KINDS.get(kind), FAILURE_KINDS,
+              params)
         return cls(kind, _kv(params))
 
     @classmethod
@@ -380,6 +358,147 @@ class FailureSpec:
                 spec.apply(net)
         else:
             FAILURE_KINDS[self.kind](net, **dict(self.params))
+
+
+# ----------------------------------------------------------------------
+# workload kinds (the traffic of Secs. 4-5)
+# ----------------------------------------------------------------------
+# Each simulated kind is one function ``kind(net, **params)`` adding its
+# flows to the network it is handed (its generator loads in the worker)
+# and returning what its task reports beyond the run's RunMetrics:
+# ``None``, or a function of the finished run's metrics returning
+# ``(metrics, extra)``.
+
+def _pairs(net: Network, pattern: str, fan_in: int,
+           workload_seed: int) -> List[Tuple[int, int]]:
+    """The (src, dst) pairs of a synthetic or mixed workload.  A
+    permutation crosses ToRs whenever there are two ToRs to cross."""
+    from ..workloads import synthetic as s  # describe -> execute
+    topo = net.tree.params
+    n = topo.n_hosts
+    if pattern == "incast":
+        return s.incast(n, fan_in, receiver=0)
+    if pattern == "permutation":
+        return s.permutation(n, seed=workload_seed,
+                             cross_tor_only=n // topo.hosts_per_t0 >= 2,
+                             hosts_per_t0=topo.hosts_per_t0)
+    if pattern == "tornado":
+        return s.tornado(n)
+    raise ValueError(f"unknown pattern {pattern!r}")
+
+
+def synthetic(net: Network, pattern: str = "permutation",
+              msg_bytes: int = 1 << 20, fan_in: int = 8,
+              workload_seed: int = 2) -> None:
+    """One ``msg_bytes`` flow per pair of a permutation, tornado or
+    ``fan_in``-to-one incast (Figs. 3 / 5)."""
+    for src, dst in _pairs(net, pattern, fan_in, workload_seed):
+        net.add_flow(src, dst, msg_bytes)
+
+
+def trace(net: Network, pattern: str, load: float = 0.6,
+          duration_us: float = 100.0, workload_seed: int = 2) -> None:
+    """Websearch / Facebook flows arriving at ``load`` of the host links
+    for ``duration_us``."""
+    from ..workloads.traces import generate_trace_flows  # describe -> execute
+    topo = net.tree.params
+    for f in generate_trace_flows(
+            n_hosts=topo.n_hosts, load=load, duration_us=duration_us,
+            host_gbps=topo.host_link_gbps or topo.link_gbps,
+            trace=pattern, seed=workload_seed):
+        net.add_flow(f.src, f.dst, f.size_bytes, start_us=f.start_us)
+
+
+def collective(net: Network, pattern: str, msg_bytes: int = 1 << 20,
+               n_parallel: int = 8) -> Callable:
+    """An AI collective — ring / butterfly AllReduce or AllToAll(n),
+    fully determined by the network — reporting its ``finish_us``."""
+    from ..workloads import collectives as c  # describe -> execute
+    topo = net.tree.params
+    if pattern == "ring_allreduce":
+        coll = c.RingAllReduce(net, msg_bytes, order=c.spine_heavy_ring(
+            topo.n_hosts, topo.hosts_per_t0))
+    elif pattern == "butterfly_allreduce":
+        coll = c.ButterflyAllReduce(net, msg_bytes)
+    elif pattern == "alltoall":
+        coll = c.AllToAll(net, msg_bytes, n_parallel=n_parallel)
+    else:
+        raise ValueError(f"unknown collective {pattern!r}")
+    coll.install()
+    return lambda metrics: (metrics, {"finish_us": coll.finish_us})
+
+
+def mixed(net: Network, pattern: str = "permutation",
+          msg_bytes: int = 1 << 20, workload_seed: int = 2,
+          background_lb: str = "ecmp",
+          background_fraction: float = 0.1) -> Callable:
+    """Fig. 6: the task's LB (flows tagged ``"main"``, its metrics) shares
+    the fabric with ``background_fraction`` legacy ``background_lb``
+    flows (``"bg"``, reported in ``extra``)."""
+    if pattern == "incast":  # a mixed kind takes no fan_in
+        raise ValueError("mixed workloads are permutation or tornado")
+    pairs = _pairs(net, pattern, 0, workload_seed)
+    n_bg = max(1, int(len(pairs) * background_fraction))
+    for i, (src, dst) in enumerate(pairs):
+        if i < n_bg:
+            net.add_flow(src, dst, msg_bytes, lb=background_lb, tag="bg")
+        else:
+            net.add_flow(src, dst, msg_bytes, tag="main")
+
+    def report(_metrics: RunMetrics):
+        main, bg = net.metrics(tag="main"), net.metrics(tag="bg")
+        extra = {f"bg_{k}": _finite_or_none(getattr(bg, k))
+                 for k in ("max_fct_us", "avg_fct_us")}
+        extra.update((f"bg_{k}", float(getattr(bg, k))) for k in
+                     ("total_drops", "flows_completed", "flows_total"))
+        return main, extra
+    return report
+
+
+def model(seed: int, pattern: str, params: KV = ()) -> Dict[str, float]:
+    """Sec. 5 / Table 1: the analytic model ``pattern`` of
+    :mod:`repro.harness.model_tasks`, handed the seed, not a network."""
+    from . import model_tasks  # describe -> execute
+    return model_tasks.run_model(pattern, dict(params), seed)
+
+
+#: workload kind -> (the function running it, its label from its
+#: parameters); a kind's parameters are its function's keywords
+WORKLOAD_KINDS: Dict[str, Tuple[Callable, Callable[..., str]]] = {
+    fn.__name__: (fn, label) for fn, label in (
+        (synthetic,
+         lambda pattern, msg_bytes, **_: f"{pattern}/{msg_bytes >> 10}KiB"),
+        (trace, lambda pattern, load, **_: f"{pattern}@{int(load * 100)}%"),
+        (collective, lambda pattern, **_: pattern),
+        (mixed, lambda pattern, msg_bytes, background_fraction,
+         background_lb, **_: (f"{pattern}/{msg_bytes >> 10}KiB+"
+                              f"{int(background_fraction * 100)}%"
+                              f"{background_lb}")),
+        (model, lambda pattern, **_: f"model:{pattern}"),
+    )}
+
+
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """A kind of :data:`WORKLOAD_KINDS` plus its parameters, every
+    default filled in, in canonical tuple form: picklable, hashable,
+    content-keyable.  Build one with :meth:`make`."""
+
+    kind: str
+    params: KV = ()
+
+    @classmethod
+    def make(cls, kind: str, **params) -> "WorkloadSpec":
+        fn = WORKLOAD_KINDS.get(kind, (None,))[0]
+        return cls(kind, _kv(_bind("workload", kind, fn, WORKLOAD_KINDS,
+                                   params)))
+
+    def label(self) -> str:
+        return WORKLOAD_KINDS[self.kind][1](**dict(self.params))
+
+    def run(self, target):
+        """The kind's function on ``target``: a network, or a seed."""
+        return WORKLOAD_KINDS[self.kind][0](target, **dict(self.params))
 
 
 @dataclass(frozen=True)
@@ -407,7 +526,7 @@ class SweepTask:
             # a model's params set its cost (fig14: 0.3 ms .. seconds),
             # and the label is the wall-time history's join key
             return " ".join([self.workload.label(), *(
-                f"{k}={v}" for k, v in self.workload.params)])
+                f"{k}={v}" for k, v in dict(self.workload.params)["params"])])
         topo = dict(self.topo)
         bits = [self.lb, self.workload.label(),
                 f"{topo.get('n_hosts', '?')}h"]
@@ -535,16 +654,13 @@ def make_task(lb: str, topo: Union[TopologyParams, Mapping[str, object]],
     if bad_probes:
         raise ValueError(f"unknown probes {sorted(bad_probes)}; "
                          f"one of {sorted(PROBES)}")
-    if workload.kind in ("mixed", "model"):
+    if workload.kind in ("mixed", "model") and (
+            probes or "telemetry_bucket_us" in scenario_kw):
         # no probe reads these kinds' results (a model simulates
         # nothing; a mixed run is judged per flow tag), so a probe or
         # the telemetry one reads would only mint a new content key
-        if probes:
-            raise ValueError(
-                f"probes are not supported for {workload.kind!r} workloads")
-        if "telemetry_bucket_us" in scenario_kw:
-            raise ValueError("telemetry_bucket_us is not supported for "
-                             f"{workload.kind!r} workloads")
+        raise ValueError("probes and telemetry_bucket_us are not "
+                         f"supported for {workload.kind!r} workloads")
     reading = sorted(p for p in probes if PROBES[p][1])
     if reading and scenario_kw.get("telemetry_bucket_us") is None:
         raise ValueError(f"probes {reading} read telemetry and need "
@@ -575,14 +691,13 @@ def replace_lb(task: SweepTask, lb: str) -> SweepTask:
 
 def make_model_task(pattern: str, *, seed: int,
                     **params) -> SweepTask:
-    """Build an analytical-model task (``WorkloadSpec(kind="model")``).
+    """Build an analytical-model task (workload kind ``model``).
 
-    ``params`` parameterize the model runner; they are canonicalized the
-    same way scenario keys are, so model tasks hash and cache like
-    simulator tasks.
+    ``params``, the model function's keywords, are canonicalized like
+    scenario keys; one the model does not take raises when it runs.
     """
-    workload = WorkloadSpec(kind="model", pattern=pattern,
-                            params=_kv(params))
+    workload = WorkloadSpec.make("model", pattern=pattern,
+                                 params=_kv(params))
     return SweepTask(lb="model", topo=(), workload=workload,
                      seed=int(seed))
 
@@ -612,35 +727,7 @@ def _jsonify(obj):
         return [_jsonify(x) for x in obj]
     if isinstance(obj, FailureSpec):
         return {"kind": obj.kind, "params": _jsonify(obj.params)}
-    if isinstance(obj, WorkloadSpec):
-        return _field_dict(obj)
     return obj
-
-
-#: WorkloadSpec fields that actually reach each runner entry point —
-#: everything else is excluded from the content key, so e.g. two
-#: collective specs differing only in the (inapplicable) workload_seed
-#: cannot mint distinct cache entries for byte-identical simulations
-_WORKLOAD_KEY_FIELDS = {
-    "synthetic": ("kind", "pattern", "msg_bytes", "fan_in",
-                  "workload_seed"),
-    "trace": ("kind", "pattern", "load", "duration_us", "workload_seed"),
-    "collective": ("kind", "pattern", "msg_bytes", "n_parallel"),
-    "mixed": ("kind", "pattern", "msg_bytes", "workload_seed",
-              "background_lb", "background_fraction"),
-    "model": ("kind", "pattern", "params"),
-}
-
-
-def _workload_doc(workload: WorkloadSpec) -> Dict[str, object]:
-    names = _WORKLOAD_KEY_FIELDS.get(workload.kind)
-    if not names:
-        return _jsonify_mapping(_field_dict(workload))
-    return {k: _jsonify(getattr(workload, k)) for k in names}
-
-
-def _jsonify_mapping(doc: Mapping[str, object]) -> Dict[str, object]:
-    return {k: _jsonify(v) for k, v in doc.items()}
 
 
 def task_key(task: SweepTask) -> str:
@@ -650,19 +737,24 @@ def task_key(task: SweepTask) -> str:
     version and :func:`simulator_version`, so a stored result is only
     ever reused by the exact simulator revision that produced it.
     """
-    doc = {
+    blob = json.dumps(_key_doc(task), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+def _key_doc(task: SweepTask) -> Dict[str, object]:
+    """What :func:`task_key` hashes."""
+    return {
         "schema": SCHEMA_VERSION,
         "sim": simulator_version(),
         "lb": task.lb,
         "topo": _jsonify(task.topo),
-        "workload": _workload_doc(task.workload),
+        "workload": {"kind": task.workload.kind,
+                     **{k: _jsonify(v) for k, v in task.workload.params}},
         "seed": task.seed,
         "scenario": _jsonify(task.scenario),
         "failure": _jsonify(task.failure),
         "probes": list(task.probes),
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
 # ----------------------------------------------------------------------
@@ -672,11 +764,10 @@ def _metrics_doc(metrics: RunMetrics) -> Dict[str, object]:
     doc = asdict(metrics)
     for name in ("max_fct_us", "avg_fct_us", "p50_fct_us", "p99_fct_us",
                  "total_drops", "avg_goodput_gbps"):
-        value = getattr(metrics, name)
         # inf (no flow finished) serializes as null — json.dump would
         # otherwise emit the non-standard `Infinity` literal and break
         # strict JSON consumers of the artifact files
-        doc[name] = value if math.isfinite(value) else None
+        doc[name] = _finite_or_none(getattr(metrics, name))
     return doc
 
 
@@ -686,36 +777,22 @@ def _finite_or_none(value: float):
 
 def execute_task(task: SweepTask) -> Dict[str, object]:
     """Run one task to completion and return its JSON-ready payload."""
-    # describe -> execute: the models and the simulator load with the
-    # first task that runs, not with the task's description
-    from . import model_tasks, runner
+    # describe -> execute: the simulator loads with the first task
+    # that runs, not with the task's description
+    from . import runner
 
-    w = task.workload
     payload = {"schema": SCHEMA_VERSION, "sim": simulator_version(),
                "key": task_key(task),
                "task": {"label": task.label(), "seed": task.seed}}
-    if w.kind == "model":
-        outputs = model_tasks.run_model(w.pattern, dict(w.params), task.seed)
+    if task.workload.kind == "model":
+        outputs = task.workload.run(task.seed)
         payload["metrics"] = {}
         payload["extra"] = {k: _finite_or_none(float(v))
                             for k, v in outputs.items()}
         return payload
 
     res = runner.simulate(task)
-    metrics = res.metrics
-    extra: Dict[str, float] = {}
-    if w.kind == "collective":
-        extra["finish_us"] = res.collective.finish_us
-    elif w.kind == "mixed":
-        # the task's LB is measured on its own flows; the background
-        # flows' outcome rides `extra`
-        metrics = res.network.metrics(tag="main")
-        bg = res.network.metrics(tag="bg")
-        for name in ("max_fct_us", "avg_fct_us"):
-            extra[f"bg_{name}"] = _finite_or_none(getattr(bg, name))
-        extra["bg_total_drops"] = float(bg.total_drops)
-        extra["bg_flows_completed"] = float(bg.flows_completed)
-        extra["bg_flows_total"] = float(bg.flows_total)
+    extra = dict(res.extra)
     series: Dict[str, List[float]] = {}
     for name in task.probes:
         probed = PROBES[name][0](res)
@@ -727,7 +804,7 @@ def execute_task(task: SweepTask) -> Dict[str, object]:
                 series[k] = [_finite_or_none(float(x)) for x in v]
             else:
                 extra[k] = _finite_or_none(float(v))
-    payload["metrics"] = _metrics_doc(metrics)
+    payload["metrics"] = _metrics_doc(res.metrics)
     payload["extra"] = extra
     if series:
         payload["series"] = series

@@ -74,9 +74,9 @@ def expect_completes(res: FigureResult, key: Key,
 
 def synthetic(pattern: str, msg_bytes: int, *, fan_in: int = 8,
               workload_seed: int = 2) -> WorkloadSpec:
-    return WorkloadSpec(kind="synthetic", pattern=pattern,
-                        msg_bytes=msg_bytes, fan_in=fan_in,
-                        workload_seed=workload_seed)
+    return WorkloadSpec.make("synthetic", pattern=pattern,
+                             msg_bytes=msg_bytes, fan_in=fan_in,
+                             workload_seed=workload_seed)
 
 
 def speedup_vs_ecmp_table(res: FigureResult) -> TableDoc:

@@ -5,7 +5,7 @@ Fig. 14 (EVS imbalance), Fig. 17 (batched balls-into-bins), Fig. 18
 Fig. 24 (trace flow-size CDFs), Table 1 (memory footprint).
 
 These figures never touch the packet simulator, but they run through
-the exact same sweep pipeline as ``WorkloadSpec(kind="model")`` tasks —
+the exact same sweep pipeline as workload-kind ``model`` tasks —
 same process pool, same content-keyed artifact caching.
 """
 

@@ -134,8 +134,8 @@ register(FigureSpec(
 def _fig03_traces_build() -> Dict[tuple, SweepTask]:
     tasks = {}
     for load in _FIG03_LOADS:
-        workload = WorkloadSpec(kind="trace", pattern="websearch",
-                                load=load, duration_us=100.0)
+        workload = WorkloadSpec.make("trace", pattern="websearch",
+                                     load=load, duration_us=100.0)
         for lb in CORE_LBS:
             tasks[(load, lb)] = task(lb, small_topo(), workload, seed=3,
                                      max_us=5_000_000.0)
@@ -178,8 +178,8 @@ _FIG03_COLLECTIVES = (("alltoall", 4), ("alltoall", 8),
 def _fig03_collectives_build() -> Dict[tuple, SweepTask]:
     tasks = {}
     for kind, n_par in _FIG03_COLLECTIVES:
-        workload = WorkloadSpec(kind="collective", pattern=kind,
-                                msg_bytes=msg(4), n_parallel=n_par or 8)
+        workload = WorkloadSpec.make("collective", pattern=kind,
+                                     msg_bytes=msg(4), n_parallel=n_par or 8)
         key = kind if not n_par else f"{kind}(n={n_par})"
         for lb in CORE_LBS:
             tasks[(key, lb)] = task(lb, small_topo(), workload, seed=3,
@@ -297,8 +297,8 @@ register(FigureSpec(
 
 
 def _fig05_traces_build() -> Dict[str, SweepTask]:
-    workload = WorkloadSpec(kind="trace", pattern="websearch",
-                            load=1.0, duration_us=100.0)
+    workload = WorkloadSpec.make("trace", pattern="websearch",
+                                 load=1.0, duration_us=100.0)
     return {lb: task(lb, small_topo(), workload, seed=5,
                      failure=_FIG05_DEGRADE, max_us=10_000_000.0)
             for lb in CORE_LBS}
@@ -327,8 +327,8 @@ register(FigureSpec(
 def _fig05_collectives_build() -> Dict[tuple, SweepTask]:
     tasks = {}
     for kind in ("ring_allreduce", "alltoall"):
-        workload = WorkloadSpec(kind="collective", pattern=kind,
-                                msg_bytes=msg(4), n_parallel=8)
+        workload = WorkloadSpec.make("collective", pattern=kind,
+                                     msg_bytes=msg(4), n_parallel=8)
         for lb in CORE_LBS:
             tasks[(kind, lb)] = task(lb, small_topo(), workload, seed=5,
                                      failure=_FIG05_DEGRADE,
@@ -355,9 +355,9 @@ register(FigureSpec(
 # Fig. 6 — REPS coexisting with ECMP background traffic
 # ----------------------------------------------------------------------
 def _fig06_build() -> Dict[str, SweepTask]:
-    workload = WorkloadSpec(kind="mixed", pattern="permutation",
-                            msg_bytes=msg(8), background_lb="ecmp",
-                            background_fraction=0.1)
+    workload = WorkloadSpec.make("mixed", pattern="permutation",
+                                 msg_bytes=msg(8), background_lb="ecmp",
+                                 background_fraction=0.1)
     return {lb: task(lb, small_topo(), workload, seed=7)
             for lb in ("ops", "reps", "ecmp")}
 

@@ -139,8 +139,8 @@ _FIG08_ALLREDUCE_MODES = ("one_cable", "5pct_cables")
 
 
 def _fig08_allreduce_build() -> Dict[tuple, SweepTask]:
-    workload = WorkloadSpec(kind="collective", pattern="ring_allreduce",
-                            msg_bytes=msg(4))
+    workload = WorkloadSpec.make("collective", pattern="ring_allreduce",
+                                 msg_bytes=msg(4))
     return {(mode, lb): task(lb, small_topo(), workload, seed=5,
                              failure=FIG08_MODES[mode],
                              max_us=50_000_000.0)

@@ -32,8 +32,8 @@ from repro.harness.sweep import (
 from helpers import fresh_interpreter
 
 TINY_TOPO = {"n_hosts": 8, "hosts_per_t0": 4}
-TINY_WORKLOAD = WorkloadSpec(kind="synthetic", pattern="permutation",
-                             msg_bytes=128 * 1024)
+TINY_WORKLOAD = WorkloadSpec.make("synthetic", pattern="permutation",
+                                  msg_bytes=128 * 1024)
 
 
 def mixed_grid():
@@ -82,7 +82,7 @@ class TestExecuteBoundary:
 import sys
 from repro.harness.sweep import FailureSpec, make_task, task_key
 from repro.harness.sweep import WorkloadSpec
-w = WorkloadSpec(kind="synthetic", pattern="permutation")
+w = WorkloadSpec.make("synthetic", pattern="permutation")
 task_key(make_task("reps", {"n_hosts": 8}, w, seed=1, probes=(
     "freeze_entries",), failure=FailureSpec.make("ber", ber=1e-6)))
 for bad in (lambda: make_task("reps", {}, w, seed=1, probes=("nope",)),

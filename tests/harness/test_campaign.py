@@ -261,7 +261,7 @@ class TestOnePool:
         # once the task can run, the re-run executes exactly that key
         monkeypatch.setitem(
             MODEL_RUNNERS, "not_yet",
-            lambda params, seed: {"total_bits": 1.0})
+            lambda *, seed: {"total_bits": 1.0})
         backend = CountingBackend()
         again = run_campaign(specs, store=store, backend=backend)
         assert backend.runs == [[task_key(make_model_task(

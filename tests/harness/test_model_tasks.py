@@ -1,4 +1,4 @@
-"""Analytical-model runners behind ``WorkloadSpec(kind="model")``."""
+"""Analytical-model runners behind workload kind ``model``."""
 
 from __future__ import annotations
 

@@ -143,7 +143,7 @@ class TestModelLabelsCarryTheirParams:
         # one recorded run: each cell cost what its ball count says
         entries = {}
         for key, task in pending:
-            p = dict(task.workload.params)
+            p = dict(dict(task.workload.params)["params"])
             balls = (1 << p["evs_exponent"]) * p["n_flows"] * p["repeats"]
             entries[key] = {"label": task.label(), "wall_s": 1e-7 * balls}
         recorded = _FakeStore(entries)

@@ -26,8 +26,8 @@ from repro.harness.sweep import (
 from repro.sim.topology import TopologyParams
 
 TINY_TOPO = {"n_hosts": 8, "hosts_per_t0": 4}
-TINY_WORKLOAD = WorkloadSpec(kind="synthetic", pattern="permutation",
-                             msg_bytes=128 * 1024)
+TINY_WORKLOAD = WorkloadSpec.make("synthetic", pattern="permutation",
+                                  msg_bytes=128 * 1024)
 
 
 def tiny_grid(lbs=("ops", "reps"), seeds=(1, 2)) -> List[SweepTask]:
@@ -81,8 +81,8 @@ class TestTaskKey:
             make_task("reps", {"n_hosts": 16, "hosts_per_t0": 4},
                       TINY_WORKLOAD, seed=1),
             make_task("reps", TINY_TOPO,
-                      WorkloadSpec(kind="synthetic", pattern="tornado",
-                                   msg_bytes=128 * 1024), seed=1),
+                      WorkloadSpec.make("synthetic", pattern="tornado",
+                                        msg_bytes=128 * 1024), seed=1),
             make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
                       evs_size=64),
             make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
@@ -92,21 +92,13 @@ class TestTaskKey:
             keys.add(task_key(v))
         assert len(keys) == 7
 
-    def test_inapplicable_workload_fields_share_key(self):
-        """workload_seed never reaches a collective run, so it must not
-        mint distinct cache entries for identical simulations."""
-        def coll(seed):
-            return make_task(
-                "reps", TINY_TOPO,
-                WorkloadSpec(kind="collective", pattern="ring_allreduce",
-                             msg_bytes=128 * 1024, workload_seed=seed),
-                seed=1)
-        assert task_key(coll(1)) == task_key(coll(2))
-        # but for synthetic workloads it is real entropy
+    def test_workload_seed_is_synthetic_entropy(self):
         syn1 = make_task("reps", TINY_TOPO,
-                         WorkloadSpec(workload_seed=1), seed=1)
+                         WorkloadSpec.make("synthetic", workload_seed=1),
+                         seed=1)
         syn2 = make_task("reps", TINY_TOPO,
-                         WorkloadSpec(workload_seed=2), seed=1)
+                         WorkloadSpec.make("synthetic", workload_seed=2),
+                         seed=1)
         assert task_key(syn1) != task_key(syn2)
 
     def test_failure_spec_unknown_kind(self):
@@ -156,7 +148,122 @@ def test_catalogue_keys_pinned(scale, monkeypatch):
         CATALOGUE_KEY_DIGESTS[scale]
 
 
+#: one task per workload kind -> its key document (``sim`` pinned) and
+#: label, as literals: a renamed parameter or a moved default must show
+#: up here, not as a silent split of every cached result
+KIND_PINS = {
+    "synthetic": (
+        lambda: make_task("reps", TINY_TOPO, WorkloadSpec.make(
+            "synthetic", pattern="incast", msg_bytes=64 * 1024,
+            fan_in=4), seed=1, max_us=1000.0),
+        {"schema": 3, "sim": "pinned", "lb": "reps",
+         "topo": [["hosts_per_t0", 4], ["n_hosts", 8]],
+         "workload": {"kind": "synthetic", "pattern": "incast",
+                      "msg_bytes": 65536, "fan_in": 4,
+                      "workload_seed": 2},
+         "seed": 1, "scenario": [["max_us", 1000.0]], "failure": None,
+         "probes": []},
+        "reps incast/64KiB 8h"),
+    "trace": (
+        lambda: make_task("ops", TINY_TOPO, WorkloadSpec.make(
+            "trace", pattern="websearch", load=0.3), seed=3,
+            evs_size=64),
+        {"schema": 3, "sim": "pinned", "lb": "ops",
+         "topo": [["hosts_per_t0", 4], ["n_hosts", 8]],
+         "workload": {"kind": "trace", "pattern": "websearch",
+                      "load": 0.3, "duration_us": 100.0,
+                      "workload_seed": 2},
+         "seed": 3, "scenario": [["evs_size", 64]], "failure": None,
+         "probes": []},
+        "ops websearch@30% 8h evs_size=64"),
+    "collective": (
+        lambda: make_task("reps", TINY_TOPO, WorkloadSpec.make(
+            "collective", pattern="alltoall", msg_bytes=1 << 22),
+            seed=5, failure=FailureSpec.make("fail_cables", indices=[0],
+                                             at_us=5.0)),
+        {"schema": 3, "sim": "pinned", "lb": "reps",
+         "topo": [["hosts_per_t0", 4], ["n_hosts", 8]],
+         "workload": {"kind": "collective", "pattern": "alltoall",
+                      "msg_bytes": 4194304, "n_parallel": 8},
+         "seed": 5, "scenario": [],
+         "failure": {"kind": "fail_cables",
+                     "params": [["at_us", 5.0], ["indices", [0]]]},
+         "probes": []},
+        "reps alltoall 8h fail_cables"),
+    "mixed": (
+        lambda: make_task("ecmp", TINY_TOPO, WorkloadSpec.make(
+            "mixed", pattern="tornado", msg_bytes=1 << 23,
+            background_fraction=0.25), seed=7),
+        {"schema": 3, "sim": "pinned", "lb": "ecmp",
+         "topo": [["hosts_per_t0", 4], ["n_hosts", 8]],
+         "workload": {"kind": "mixed", "pattern": "tornado",
+                      "msg_bytes": 8388608, "workload_seed": 2,
+                      "background_lb": "ecmp",
+                      "background_fraction": 0.25},
+         "seed": 7, "scenario": [], "failure": None, "probes": []},
+        "ecmp tornado/8192KiB+25%ecmp 8h"),
+    "model": (
+        lambda: make_model_task("imbalance", seed=19, evs_exponent=5,
+                                n_flows=32, repeats=6),
+        {"schema": 3, "sim": "pinned", "lb": "model", "topo": [],
+         "workload": {"kind": "model", "pattern": "imbalance",
+                      "params": [["evs_exponent", 5], ["n_flows", 32],
+                                 ["repeats", 6]]},
+         "seed": 19, "scenario": [], "failure": None, "probes": []},
+        "model:imbalance evs_exponent=5 n_flows=32 repeats=6"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PINS))
+def test_workload_kind_key_and_label_pinned(kind, monkeypatch):
+    build, doc, label = KIND_PINS[kind]
+    monkeypatch.setattr(sweep_mod, "simulator_version", lambda: "pinned")
+    task = build()
+    assert task.workload.kind == kind
+    assert sweep_mod._key_doc(task) == doc
+    assert task.label() == label
+
+
+class TestWorkloadParams:
+    """A workload's parameters are its kind function's keywords."""
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("trace", {"pattern": "websearch", "fan_in": 4}, "fan_in"),
+        ("collective", {"pattern": "alltoall", "workload_seed": 1},
+         "workload_seed"),
+    ])
+    def test_make_rejects_what_the_kind_does_not_take(self, kind, params,
+                                                      name):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            WorkloadSpec.make(kind, **params)
+
+    def test_make_rejects_a_missing_parameter(self):
+        with pytest.raises(ValueError, match="'trace'.*'pattern'"):
+            WorkloadSpec.make("trace", load=0.5)
+
+    def test_defaults_are_filled_in(self):
+        assert WorkloadSpec.make("synthetic") == WorkloadSpec.make(
+            "synthetic", pattern="permutation", msg_bytes=1 << 20,
+            fan_in=8, workload_seed=2)
+
+    def test_unknown_model_keyword_raises_when_run(self):
+        task = make_model_task("imbalance", seed=1, evs_exponent=5,
+                               n_flow=32)
+        with pytest.raises(TypeError, match="'n_flow'"):
+            execute_task(task)
+
+
 class TestSimulatorVersion:
+    def test_missing_versioned_source_raises(self, monkeypatch):
+        """A renamed executor must not silently stop invalidating
+        results."""
+        monkeypatch.setattr(sweep_mod, "_sim_version_cache", None)
+        monkeypatch.setattr(sweep_mod, "_VERSIONED_SOURCES", (
+            *sweep_mod._VERSIONED_SOURCES,
+            os.path.join("harness", "renamed_runner.py")))
+        with pytest.raises(FileNotFoundError, match="renamed_runner.py"):
+            simulator_version()
+
     def test_stable_and_hexish(self):
         v = simulator_version()
         assert v == simulator_version()
@@ -378,11 +485,11 @@ class TestProbes:
         assert payload["extra"]["freeze_entries"] == 0.0
 
     def test_probes_rejected_for_mixed_and_model(self):
-        mixed = WorkloadSpec(kind="mixed", msg_bytes=128 * 1024)
+        mixed = WorkloadSpec.make("mixed", msg_bytes=128 * 1024)
         with pytest.raises(ValueError, match="not supported"):
             make_task("reps", TINY_TOPO, mixed, seed=1,
                       probes=("freeze_entries",))
-        model = WorkloadSpec(kind="model", pattern="footprint")
+        model = WorkloadSpec.make("model", pattern="footprint")
         with pytest.raises(ValueError, match="not supported"):
             make_task("model", (), model, seed=1,
                       probes=("freeze_entries",))
@@ -390,7 +497,7 @@ class TestProbes:
     def test_telemetry_rejected_for_mixed(self):
         """A mixed run attaches no recorder, so the bucket would only
         mint a second content key for the same simulation."""
-        mixed = WorkloadSpec(kind="mixed", msg_bytes=128 * 1024)
+        mixed = WorkloadSpec.make("mixed", msg_bytes=128 * 1024)
         with pytest.raises(ValueError, match="telemetry_bucket_us"):
             make_task("reps", TINY_TOPO, mixed, seed=1,
                       telemetry_bucket_us=5.0)
@@ -419,8 +526,8 @@ class TestWorkloadKinds:
     def test_collective_reports_finish_us(self):
         task = make_task(
             "reps", TINY_TOPO,
-            WorkloadSpec(kind="collective", pattern="ring_allreduce",
-                         msg_bytes=128 * 1024),
+            WorkloadSpec.make("collective", pattern="ring_allreduce",
+                              msg_bytes=128 * 1024),
             seed=1, max_us=20_000_000.0)
         payload = execute_task(task)
         assert payload["extra"]["finish_us"] > 0
@@ -428,17 +535,16 @@ class TestWorkloadKinds:
     def test_trace_workload_runs(self):
         task = make_task(
             "reps", TINY_TOPO,
-            WorkloadSpec(kind="trace", pattern="websearch", load=0.4,
-                         duration_us=20.0),
+            WorkloadSpec.make("trace", pattern="websearch", load=0.4,
+                              duration_us=20.0),
             seed=1, max_us=5_000_000.0)
         payload = execute_task(task)
         assert payload["metrics"]["flows_total"] > 0
 
     def test_unknown_kind_rejected(self):
-        task = make_task("reps", TINY_TOPO,
-                         WorkloadSpec(kind="quantum"), seed=1)
-        with pytest.raises(ValueError, match="unknown workload kind"):
-            execute_task(task)
+        with pytest.raises(ValueError,
+                           match="unknown workload kind 'quantum'"):
+            WorkloadSpec.make("quantum")
 
     def test_failure_spec_applies(self):
         spec = FailureSpec.make("degrade_fraction", fraction=0.5,
@@ -455,9 +561,9 @@ class TestWorkloadKinds:
     def test_mixed_workload_reports_background(self):
         task = make_task(
             "reps", TINY_TOPO,
-            WorkloadSpec(kind="mixed", pattern="permutation",
-                         msg_bytes=128 * 1024, background_lb="ecmp",
-                         background_fraction=0.25),
+            WorkloadSpec.make("mixed", pattern="permutation",
+                              msg_bytes=128 * 1024, background_lb="ecmp",
+                              background_fraction=0.25),
             seed=7, max_us=5_000_000.0)
         payload = execute_task(task)
         assert payload["extra"]["bg_flows_total"] == 2.0

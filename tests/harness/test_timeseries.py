@@ -32,8 +32,8 @@ TINY_MSG = 2 << 20
 def series_task(lb="reps", probes=SERIES_PROBES, *, bucket=5.0,
                 failure=None):
     return make_task(lb, TINY_TOPO,
-                     WorkloadSpec(kind="synthetic", pattern="tornado",
-                                  msg_bytes=TINY_MSG),
+                     WorkloadSpec.make("synthetic", pattern="tornado",
+                                       msg_bytes=TINY_MSG),
                      seed=1, telemetry_bucket_us=bucket, probes=probes,
                      max_us=2_000_000.0, failure=failure)
 

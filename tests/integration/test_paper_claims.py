@@ -27,7 +27,8 @@ def topo(**kw) -> TopologyParams:
 
 def run_pattern(lb, pattern="tornado", mb=2, seed=3, failure=None,
                 **scenario_kw):
-    workload = WorkloadSpec(pattern=pattern, msg_bytes=mb << 20)
+    workload = WorkloadSpec.make("synthetic", pattern=pattern,
+                                 msg_bytes=mb << 20)
     return simulate(make_task(lb, topo(), workload, seed=seed,
                               failure=failure, max_us=500_000.0,
                               **scenario_kw))

@@ -158,8 +158,8 @@ class TestBackendDeterminism:
 
     @staticmethod
     def _grid(lb):
-        workload = WorkloadSpec(kind="synthetic", pattern="permutation",
-                                msg_bytes=MSG_BYTES)
+        workload = WorkloadSpec.make("synthetic", pattern="permutation",
+                                     msg_bytes=MSG_BYTES)
         return [make_task(lb, TOPO, workload, seed=seed,
                           max_us=100_000.0) for seed in (3, 11)]
 
@@ -206,8 +206,8 @@ class TestFailureSurvival:
     @pytest.mark.parametrize("lb", POLICIES)
     @pytest.mark.parametrize("schedule", sorted(FAILURE_SCHEDULES))
     def test_flows_complete_under_schedule(self, lb, schedule):
-        workload = WorkloadSpec(kind="synthetic", pattern="permutation",
-                                msg_bytes=MSG_BYTES)
+        workload = WorkloadSpec.make("synthetic", pattern="permutation",
+                                     msg_bytes=MSG_BYTES)
         task = make_task(lb, TOPO, workload, seed=9,
                          failure=FAILURE_SCHEDULES[schedule],
                          max_us=20_000.0)

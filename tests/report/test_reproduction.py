@@ -248,8 +248,8 @@ def ts_spec(fig_id="stub_ts"):
     from repro.scenarios import FigureSpec
 
     def build():
-        workload = WorkloadSpec(kind="synthetic", pattern="tornado",
-                                msg_bytes=2 << 20)
+        workload = WorkloadSpec.make("synthetic", pattern="tornado",
+                                     msg_bytes=2 << 20)
         return {lb: make_task(lb, {"n_hosts": 8, "hosts_per_t0": 4},
                               workload, seed=1, telemetry_bucket_us=5.0,
                               probes=("goodput_series",),

@@ -29,8 +29,8 @@ from repro.workloads import permutation
 
 TOPO = {"n_hosts": 8, "hosts_per_t0": 4}
 MSG = 128 * 1024
-WORKLOAD = WorkloadSpec(kind="synthetic", pattern="permutation",
-                        msg_bytes=MSG)
+WORKLOAD = WorkloadSpec.make("synthetic", pattern="permutation",
+                             msg_bytes=MSG)
 MAX_US = 20_000_000.0
 
 #: the Fig. 7 shape at tiny scale: two transient failures mid-run
@@ -49,7 +49,7 @@ def _callable_metrics(lb: str, hook) -> dict:
     net = Network(NetworkConfig(topo=TopologyParams(**TOPO), lb=lb, seed=5))
     hook(net)
     for src, dst in permutation(TOPO["n_hosts"],
-                                seed=WORKLOAD.workload_seed,
+                                seed=dict(WORKLOAD.params)["workload_seed"],
                                 cross_tor_only=True,
                                 hosts_per_t0=TOPO["hosts_per_t0"]):
         net.add_flow(src, dst, MSG)

@@ -32,8 +32,8 @@ TOPO = {"n_hosts": 8, "hosts_per_t0": 4}
 #: big enough that the permutation is still in flight (tens of us)
 #: when the injected failures land — the property must be exercised
 #: on live traffic, not on an already-drained fabric
-WORKLOAD = WorkloadSpec(kind="synthetic", pattern="permutation",
-                        msg_bytes=256 * 1024)
+WORKLOAD = WorkloadSpec.make("synthetic", pattern="permutation",
+                             msg_bytes=256 * 1024)
 
 
 def _grid_time(rng: random.Random, ending: float) -> float:

@@ -96,8 +96,8 @@ class TestRunIsOneTask:
             capsys, "run", "--lb", "reps", "--hosts", "8",
             "--hosts-per-t0", str(hosts_per_t0), "--mib", "0.25",
             "--seed", "3")
-        workload = WorkloadSpec(pattern="permutation",
-                                msg_bytes=256 * 1024, workload_seed=3)
+        workload = WorkloadSpec.make("synthetic", pattern="permutation",
+                                     msg_bytes=256 * 1024, workload_seed=3)
         task = make_task("reps", TopologyParams(
             n_hosts=8, hosts_per_t0=hosts_per_t0), workload, seed=3,
             cc="dctcp", evs_size=65536, ack_coalesce=1,
