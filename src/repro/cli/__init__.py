@@ -24,7 +24,7 @@ nothing of the package and ``figures list`` never loads the simulator:
   campaign.json a single-host run produces; it takes the campaign
   flags of ``figures run``,
 - ``store`` (:mod:`.store`): artifact-store maintenance — ``compact``
-  a store's segment file (dropping shadowed duplicates), ``inspect``
+  a store's file (dropping shadowed duplicates), ``inspect``
   its statistics, ``verify`` its integrity, ``merge`` stores written
   elsewhere into one,
 - ``docs`` | ``footprint`` (:mod:`.tools`): regenerate (or
@@ -279,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       "/ verify / merge")
     store_sub = store_p.add_subparsers(dest="store_command", required=True)
     cp_p = store_sub.add_parser(
-        "compact", help="rewrite the store's segment file (drops "
+        "compact", help="rewrite the store's file (drops "
                         "shadowed duplicate records)")
     cp_p.add_argument("root", help="store directory (e.g. "
                                    "<results-dir>/campaign)")

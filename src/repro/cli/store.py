@@ -15,8 +15,7 @@ def _compact(store: ColumnarStore, root: str) -> int:
     before = stats["before"]["segment_bytes"]
     after = stats["after"]["segment_bytes"]
     pct = ((before - after) / before * 100) if before else 0.0
-    print(f"compacted {root}: {stats['records_written']} record(s) in "
-          f"{stats['after']['blocks']} block(s)")
+    print(f"compacted {root}: {stats['records_written']} record(s)")
     print(f"bytes: {before:,} -> {after:,} ({pct:+.0f}% saved)")
     return 0
 
@@ -24,10 +23,9 @@ def _compact(store: ColumnarStore, root: str) -> int:
 def _inspect(store: ColumnarStore, root: str) -> int:
     stats = store.stats()
     rows = [["keys", stats["keys"]],
-            ["segment records", stats["records"]],
+            ["records", stats["records"]],
             ["shadowed duplicates", stats["duplicates"]],
-            ["segment blocks", stats["blocks"]],
-            ["segment bytes", f"{stats['segment_bytes']:,}"],
+            ["file bytes", f"{stats['segment_bytes']:,}"],
             ["manifest entries", len(store.manifest())]]
     if stats["tasks_timed"]:
         rows.append(["timed tasks",
@@ -35,23 +33,10 @@ def _inspect(store: ColumnarStore, root: str) -> int:
                      f"({stats['task_wall_s']:.1f}s wall, "
                      f"{stats['task_bytes']:,} payload bytes)"])
     print(format_table(f"store {root}", ["field", "value"], rows))
-    sections = {name: nbytes
-                for name, nbytes in stats["sections"].items() if nbytes}
-    if sections:
-        print(format_table(
-            "compressed sections (header-only scan)",
-            ["section", "bytes"],
-            [[name, f"{sections[name]:,}"] for name in sorted(sections)]))
-    columns = stats["columns"]
-    if columns:
-        top = sorted(columns, key=lambda k: -columns[k])[:10]
-        print(format_table(
-            "top columns by encoded bytes", ["column", "bytes"],
-            [[name, f"{columns[name]:,}"] for name in top]))
-    if stats["tail_dirty"]:
-        print("[TORN] the segment has an unreadable tail — the "
-              "counts above cover only the readable prefix; run "
-              "`repro store verify` for details")
+    if stats["tail_dirty"] or stats["bad_lines"]:
+        print("[TORN] the file has an incomplete last line or lines that "
+              "are not records — the counts above cover only the "
+              "readable records; run `repro store verify` for details")
     if stats["duplicates"]:
         print("hint: `repro store compact` drops shadowed duplicates")
     return 0
@@ -59,18 +44,17 @@ def _inspect(store: ColumnarStore, root: str) -> int:
 
 def _verify(store: ColumnarStore, root: str) -> int:
     report = store.verify()
-    print(f"store {root}: {report['blocks']} block(s), "
-          f"{report['records']} record(s), {report['unique_keys']} "
-          f"unique key(s), {report['duplicate_records']} shadowed "
-          f"duplicate(s)")
+    print(f"store {root}: {report['records']} record(s), "
+          f"{report['unique_keys']} unique key(s), "
+          f"{report['duplicate_records']} shadowed duplicate(s)")
     for message in report["errors"]:
         print(f"[CORRUPT] {message}")
     for key in report["key_mismatches"]:
         print(f"[CORRUPT] record {key} embeds a different content key")
     if report["truncated_tail_bytes"]:
         print(f"[TORN] {report['truncated_tail_bytes']} trailing "
-              f"byte(s) are not a complete block (dropped on read, "
-              f"truncated on the next write)")
+              f"byte(s) are not a complete line (not read, truncated "
+              f"on the next write)")
     print("store verify: OK" if report["ok"]
           else "store verify: FAILED")
     return 0 if report["ok"] else 1
@@ -78,16 +62,14 @@ def _verify(store: ColumnarStore, root: str) -> int:
 
 def _looks_like_store(path: str) -> bool:
     """Heuristic pre-flight for ``merge`` sources: an empty directory
-    is a valid (empty) store — a shard with no tasks leaves one, or,
-    from an older version, one holding only a manifest — and any other
-    store carries a segment file; a directory with neither (someone's
+    is a valid (empty) store — a shard with no tasks leaves one — and
+    any other store carries its file; a directory without it (someone's
     results dir, a typo'd path) is not a store."""
     try:
         names = os.listdir(path)
     except OSError:
         return False
-    return (not names or ColumnarStore.SEGMENT in names
-            or ColumnarStore.MANIFEST in names)
+    return not names or ColumnarStore.SEGMENT in names
 
 
 def _merge(sources: Sequence[str], into: str) -> int:
@@ -133,5 +115,5 @@ def cmd_store(args: argparse.Namespace) -> int:
                "verify": _verify}[args.store_command]
     try:
         return command(ColumnarStore(args.root), args.root)
-    except ValueError as exc:   # a store older than segment format 3
+    except ValueError as exc:   # a store of the old segment format
         raise SystemExit(f"repro store {args.store_command}: {exc}")

@@ -53,7 +53,7 @@ def _figure_doc(outcome: FigureOutcome) -> Record:
         "metric_kind": spec.metric_kind,
         "status": outcome.status,
         "error": outcome.error,
-        "wall_s": round(outcome.wall_s, 3),
+        "wall_s": round(outcome.wall_s, 1),     # as the view prints it
         "tasks": outcome.n_tasks,
         "executed": outcome.executed,
         "cached": outcome.cached,
@@ -114,11 +114,13 @@ def campaign_doc(campaign: CampaignResult,
             "distinct_seeds": len(frozenset().union(
                 *(o.seeds for o in campaign))),
             "policies": _arena_policies(figures),
-            "wall_s": round(campaign.wall_s, 3),
+            # rounded once, to the places the view prints: a value
+            # rounded again by the view's format can move a digit
+            "wall_s": round(campaign.wall_s, 1),
             "workers": campaign.workers,
-            "task_wall_s": round(campaign.task_wall_s, 3),
-            "parallel_efficiency": round(campaign.parallel_efficiency, 3),
-            "store_write_s": round(campaign.store_write_s, 3),
+            "task_wall_s": round(campaign.task_wall_s, 1),
+            "parallel_efficiency": round(campaign.parallel_efficiency, 2),
+            "store_write_s": round(campaign.store_write_s, 1),
             "pruned": len(campaign.pruned),
             "store": store.root if store is not None else None,
             "store_artifacts": len(store) if store is not None else 0,
@@ -397,7 +399,7 @@ def render_reproduction(record: Record) -> str:
              "task wall (s)"],
             [[f"[`{fig['fig_id']}`](#{_anchor(fig)})", fig["figure"],
               f"`{_badge(fig)}`", fig["tasks"], fig["executed"],
-              fig["cached"], round(fig["wall_s"], 1)] for fig in figures]),
+              fig["cached"], fig["wall_s"]] for fig in figures]),
         "",
     ]
     head += _arena_rollup(figures, policies)

@@ -7,7 +7,7 @@ into the dead link.  The steady-state probes cannot show that, so this
 spec runs the tornado microbenchmark under a timed uplink failure with
 the windowed time-series probes attached: per-window goodput, worst
 queue depth, the failed uplink's traffic share, and the EV-recycling
-hit rate all travel through the artifact store as columnar arrays
+hit rate all travel through the artifact store as JSON arrays
 (``metric_kind="timeseries"``), and the campaign report renders the
 recovery curve as a sparkline.
 """

@@ -179,16 +179,16 @@ class TestEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS, ids=IDS)
     def test_compacted_store_keeps_payloads_and_hits(self, backend,
                                                      tmp_path, reference):
-        """Whatever frame layout a backend leaves (write-behind
-        windows in arrival order), one compaction rewrites it to the
-        same payloads and a re-run is all cache hits."""
+        """Whatever line order a backend leaves (write-behind windows
+        in arrival order), one compaction rewrites it to the same
+        payloads and a re-run is all cache hits."""
         ref_store, _ref_results = reference
         store = ColumnarStore(str(tmp_path))
         run_sweep(mixed_grid(), store=store, backend=backend)
         manifest = store.manifest()
         stats = store.compact()
         assert stats["records_written"] == len(mixed_grid())
-        assert stats["after"]["blocks"] == 1
+        assert stats["after"]["records"] == len(mixed_grid())
         reopened = ColumnarStore(str(tmp_path))
         assert store_snapshot(reopened) == store_snapshot(ref_store)
         assert reopened.manifest() == manifest
@@ -273,13 +273,13 @@ class TestAdaptiveScheduling:
 
 
 class CountingStore:
-    """Mixin: count segment appends (one per ``put_many`` window)."""
+    """Mixin: count store appends (one per ``put_many`` window)."""
 
-    frame_appends = 0
+    appends = 0
 
-    def _append_frame(self, records, entries):
-        self.frame_appends += 1
-        super()._append_frame(records, entries)
+    def _append(self, data):
+        self.appends += 1
+        super()._append(data)
 
 
 def footprint_grid(n):
@@ -297,7 +297,7 @@ class TestWriteBehind:
     value, not the end of the run."""
 
     @pytest.mark.parametrize("make", POOLS, ids=POOL_IDS)
-    def test_frames_per_window_not_per_task(self, make, tmp_path):
+    def test_appends_per_window_not_per_task(self, make, tmp_path):
         class Store(CountingStore, ColumnarStore):
             pass
         n = 200
@@ -307,7 +307,7 @@ class TestWriteBehind:
         assert results.executed == n == len(store.keys())
         # ceil(N/32) full windows, plus whatever a >1 s run flushed by
         # time (generous: these tasks take microseconds)
-        assert -(-n // FLUSH_EVERY) <= store.frame_appends \
+        assert -(-n // FLUSH_EVERY) <= store.appends \
             <= -(-n // FLUSH_EVERY) + 5
 
     @pytest.mark.parametrize("make", POOLS, ids=POOL_IDS)

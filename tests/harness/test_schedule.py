@@ -151,3 +151,67 @@ class TestModelLabelsCarryTheirParams:
         assert first is plan[(16, 32)]
         assert "evs_exponent=16" in first.label()
         assert "n_flows=32" in first.label()
+
+
+class _LabelledTask:
+    def __init__(self, label):
+        self.label = label
+
+
+class _ManifestStore:
+    def __init__(self, entries):
+        self._entries = entries
+
+    def manifest(self):
+        return self._entries
+
+
+class _BrokenStore:
+    def manifest(self):
+        raise RuntimeError("no manifest for you")
+
+
+def _pending(*labels):
+    return [(f"k{i}", _LabelledTask(label))
+            for i, label in enumerate(labels)]
+
+
+class TestLongestFirst:
+    """The wall-time-driven schedule is a pure, stable, fail-soft
+    reordering of the pending tasks."""
+
+    STORE = _ManifestStore({
+        "a1": {"label": "slow", "wall_s": 9.0},
+        "a2": {"label": "slow", "wall_s": 11.0},
+        "b1": {"label": "fast", "wall_s": 1.0},
+        "c1": {"label": "untimed"},
+    })
+
+    def test_mean_wall_per_label(self):
+        # (mean wall, observations); untimed entries are not history
+        assert wall_time_history(self.STORE) == \
+            {"slow": (10.0, 2), "fast": (1.0, 1)}
+
+    def test_longest_expected_first_and_stable(self):
+        pending = _pending("fast", "slow", "fast", "slow")
+        ordered = longest_first(pending, self.STORE)
+        assert [t.label for _, t in ordered] == \
+            ["slow", "slow", "fast", "fast"]
+        # stable: ties keep submission order; pure: same multiset
+        assert [k for k, _ in ordered] == ["k1", "k3", "k0", "k2"]
+        assert sorted(ordered) == sorted(pending)
+
+    def test_unseen_label_gets_overall_mean(self):
+        ordered = longest_first(
+            _pending("fast", "novel", "slow"), self.STORE)
+        # observation-weighted default (9+11+1)/3 = 7.0: novel slots
+        # between slow and fast
+        assert [t.label for _, t in ordered] == \
+            ["slow", "novel", "fast"]
+
+    def test_no_history_and_failures_keep_order(self):
+        pending = _pending("b", "a")
+        assert longest_first(pending, None) == pending
+        assert longest_first(pending, _ManifestStore({})) == pending
+        assert longest_first(pending, _BrokenStore()) == pending
+        assert wall_time_history(_BrokenStore()) == {}

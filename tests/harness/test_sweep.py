@@ -426,10 +426,10 @@ class TestManifestAndPrune:
         assert len(manifest) == 2
 
     def test_manifest_never_reads_the_index_file(self, tmp_path):
-        """The segment is the manifest's only source: a leftover
+        """The store file is the manifest's only source: a leftover
         ``manifest.json`` (an entry gone, a ghost entry without a
-        record) changes nothing the store reports, no store call
-        writes one, and ``compact`` and ``prune`` each remove it."""
+        record) changes nothing the store reports, and no store call
+        writes, reads or removes it."""
         store = ColumnarStore(str(tmp_path))
         run_sweep(tiny_grid(lbs=["ops", "reps"], seeds=(1,)),
                   store=store)
@@ -446,10 +446,9 @@ class TestManifestAndPrune:
         with open(index_path) as fh:                # never rewritten
             assert set(json.load(fh)) == {kept_key, "feedface"}
         for maintain in (store.compact, store.prune):
-            with open(index_path, "w") as fh:
-                fh.write("{}")
             maintain()
-            assert os.listdir(str(tmp_path)) == [store.SEGMENT]
+            assert sorted(os.listdir(str(tmp_path))) == \
+                ["manifest.json", store.SEGMENT]
         assert ColumnarStore(str(tmp_path)).manifest() == truth
 
     def test_prune_stale_sim_versions(self, tmp_path, monkeypatch):

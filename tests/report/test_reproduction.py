@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.harness.campaign import run_campaign
+from repro.harness.campaign import CampaignResult, run_campaign
 from repro.harness.store import ColumnarStore
 from repro.report import (
     campaign_doc,
@@ -126,18 +126,28 @@ class TestRenderReproduction:
         numbers the campaign already holds."""
         campaign = small_campaign(tmp_path)
         text = report(campaign)
-        assert (f"1 worker(s) · {campaign.task_wall_s:.1f} s task wall "
-                f"in {campaign.wall_s:.1f} s campaign wall — parallel "
-                f"efficiency {campaign.parallel_efficiency:.2f}") in text
-        assert (f"{campaign.store_write_s:.1f} s writing the store."
-                in text)
+        # the view prints the record's values, rounded once
         summary = campaign_doc(campaign)["summary"]
+        assert (f"1 worker(s) · {summary['task_wall_s']:.1f} s task wall "
+                f"in {summary['wall_s']:.1f} s campaign wall — parallel "
+                f"efficiency {summary['parallel_efficiency']:.2f}") in text
+        assert (f"{summary['store_write_s']:.1f} s writing the store."
+                in text)
         assert summary["workers"] == 1
-        assert summary["task_wall_s"] == round(campaign.task_wall_s, 3)
+        assert summary["task_wall_s"] == round(campaign.task_wall_s, 1)
         assert summary["parallel_efficiency"] == \
-            round(campaign.parallel_efficiency, 3)
+            round(campaign.parallel_efficiency, 2)
         assert summary["store_write_s"] == \
-            round(campaign.store_write_s, 3)
+            round(campaign.store_write_s, 1)
+
+    def test_efficiency_is_rounded_once(self, tmp_path):
+        """0.08496 prints "0.08"; rounded to three places first (0.085)
+        it printed "0.09", so the summary test failed at random."""
+        outcomes = small_campaign(tmp_path).outcomes
+        task_wall = sum(o.wall_s for o in outcomes)
+        assert task_wall > 0
+        campaign = CampaignResult(outcomes, wall_s=task_wall / 0.08496)
+        assert "parallel efficiency 0.08 (" in report(campaign)
 
     def test_partial_campaign_is_labelled(self, tmp_path):
         campaign = run_campaign([stub_spec("stub_a")],
