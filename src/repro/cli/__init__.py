@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-One parser, eight commands in five groups.  A command imports the layer
+One parser, seven commands in four groups.  A command imports the layer
 it runs (describe / execute / persist / present, see
 ``docs/ARCHITECTURE.md``) when it is dispatched, so ``repro -h`` loads
 nothing of the package and ``figures list`` never loads the simulator:
@@ -17,16 +17,12 @@ nothing of the package and ``figures list`` never loads the simulator:
   store, printing each figure's table (``--all`` also renders
   ``REPRODUCTION.md`` + ``campaign.json``), or ``trend`` to diff two
   ``campaign.json`` records for regressions,
-- ``orchestrate`` (:mod:`.orchestrate`): a campaign scaled past one
-  pool — plan wall-time-balanced shards, fan them out over local (or
-  SSH) workers with heartbeats, retry shards whose worker dies, merge
-  each shard as it lands, and render the same REPRODUCTION.md +
-  campaign.json a single-host run produces; it takes the campaign
-  flags of ``figures run``,
 - ``store`` (:mod:`.store`): artifact-store maintenance — ``compact``
   a store's file (dropping shadowed duplicates), ``inspect``
   its statistics, ``verify`` its integrity, ``merge`` stores written
-  elsewhere into one,
+  elsewhere into one (a campaign split across hosts is one
+  ``figures run --only`` per host, a merge, then a cached
+  ``figures run --all`` that renders),
 - ``docs`` | ``footprint`` (:mod:`.tools`): regenerate (or
   drift-check) the ``docs/figures/`` pages from the registry; print
   the Table-1 memory accounting.
@@ -46,10 +42,9 @@ Examples::
     python -m repro figures run --all --scale smoke --workers 4
     python -m repro figures run --all --tag failures --skip fig09
     python -m repro figures trend old-campaign.json campaign.json --strict
-    python -m repro orchestrate --scale smoke --fan-out 4 \\
-        --results-dir /tmp/orch --html /tmp/orch/status.html
     python -m repro store compact benchmarks/results/sweeps/campaign
     python -m repro store verify benchmarks/results/sweeps/campaign
+    python -m repro figures run --only fig02,fig07 --results-dir hostA
     python -m repro store merge --into merged/campaign \\
         hostA/campaign hostB/campaign
     python -m repro docs figures --check
@@ -72,7 +67,6 @@ DISPATCH = {
     "compare": ("simulate", "cmd_compare"),
     "sweep": ("simulate", "cmd_sweep"),
     "figures": ("figures", "cmd_figures"),
-    "orchestrate": ("orchestrate", "cmd_orchestrate"),
     "store": ("store", "cmd_store"),
     "docs": ("tools", "cmd_docs"),
     "footprint": ("tools", "cmd_footprint"),
@@ -122,8 +116,7 @@ def _store_args(p: argparse.ArgumentParser) -> None:
 
 
 def _campaign_args(p: argparse.ArgumentParser) -> None:
-    """The figure selection of ``figures run`` and ``orchestrate``:
-    both must mean the same campaign by the same flags."""
+    """The figure selection and store of ``figures run``."""
     g = p.add_argument_group("campaign")
     g.add_argument("--only", default=None, metavar="IDS",
                    help="comma-separated figure ids to keep")
@@ -224,55 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "(default 0: byte-exact gate)")
     _strict_arg(tr_p, "any regression (worse badge, metric drift, lost "
                       "coverage)")
-
-    orc_p = sub.add_parser(
-        "orchestrate",
-        help="elastic campaign: plan balanced shards, fan out "
-             "workers, retry dead shards, merge, report")
-    _campaign_args(orc_p)
-    orc_p.add_argument("--fan-out", type=int, default=2,
-                       help="concurrent worker slots (default 2; "
-                            "--runner ssh uses one slot per host)")
-    orc_p.add_argument("--shards", type=int, default=None,
-                       help="shards to plan (default 2x fan-out: the "
-                            "work-stealing margin)")
-    orc_p.add_argument("--shard-workers", type=int, default=1,
-                       help="sweep processes inside each worker")
-    orc_p.add_argument("--work-dir", default=None,
-                       help="scratch root for manifests, shard "
-                            "stores, heartbeats and worker logs "
-                            "(default <results-dir>/orchestrate)")
-    orc_p.add_argument("--report", default="REPRODUCTION.md",
-                       help="markdown report path")
-    orc_p.add_argument("--json", dest="json_path",
-                       default="campaign.json",
-                       help="machine-readable record path")
-    orc_p.add_argument("--html", dest="html_path", default=None,
-                       help="live self-refreshing status page "
-                            "(rewritten on every state change)")
-    orc_p.add_argument("--heartbeat-timeout", type=float, default=60.0,
-                       help="seconds of worker silence before the "
-                            "shard is declared dead and reassigned")
-    orc_p.add_argument("--shard-deadline", type=float, default=None,
-                       help="hard per-attempt wall limit in seconds")
-    orc_p.add_argument("--max-retries", type=int, default=2,
-                       help="re-executions per shard after a worker "
-                            "death (default 2)")
-    orc_p.add_argument("--runner", default="local",
-                       choices=("local", "ssh"),
-                       help="worker transport: local process groups, "
-                            "or ssh to hosts sharing this filesystem")
-    orc_p.add_argument("--ssh-hosts", default=None, metavar="HOSTS",
-                       help="comma-separated hosts for --runner ssh "
-                            "(repeat a host to run more workers on "
-                            "it)")
-    orc_p.add_argument("--ssh-python", default="python3",
-                       help="python interpreter on the ssh hosts")
-    orc_p.add_argument("--chaos-kill", type=int, default=0,
-                       metavar="N",
-                       help="failure drill: SIGKILL N live workers "
-                            "mid-shard and require the retry path to "
-                            "recover (fails if the drill never fires)")
 
     store_p = sub.add_parser(
         "store", help="artifact-store maintenance: compact / inspect "

@@ -4,9 +4,44 @@ from __future__ import annotations
 
 import argparse
 import os
+from typing import List
 
 from ..report.text import format_table
-from ._common import campaign_specs, split_csv
+from ._common import known_policies, split_csv
+
+PROG = "repro figures"
+
+
+def campaign_specs(*, only: List[str] = (), skip: List[str] = (),
+                   tags: List[str] = (), policies: List[str] = ()):
+    """The figures a ``figures run`` selection names, with the
+    ``--policies`` arena derived from them.
+
+    A campaign split across hosts is one ``--only`` selection per host:
+    the arena figures derive from each host's own base figures, so the
+    halves' stores merge into exactly what ``--all`` asks for.
+    """
+    from ..harness.campaign import select_figures
+
+    try:
+        specs = select_figures(only=list(only), skip=list(skip),
+                               tags=list(tags))
+    except KeyError as exc:
+        raise SystemExit(f"{PROG}: {exc.args[0]}")
+    if not specs:
+        raise SystemExit(f"{PROG}: the --only/--skip/--tag "
+                         f"filters selected no figures")
+    if policies:
+        from ..scenarios import arena_specs
+
+        known_policies(PROG, "--policies", policies)
+        arena = arena_specs(policies, bases=specs, pivot=policies[0])
+        if not arena:
+            raise SystemExit(
+                f"{PROG}: --policies derived no arena figures "
+                f"(no selected figure has {policies[0]!r} cells)")
+        specs = list(specs) + arena
+    return specs
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -25,7 +60,7 @@ def _run(args: argparse.Namespace) -> int:
         # inherit it through the (forked) environment
         os.environ["REPRO_BENCH_SCALE"] = args.scale
     specs = campaign_specs(
-        "repro figures", only=split_csv(args.only) + list(args.ids),
+        only=split_csv(args.only) + list(args.ids),
         skip=split_csv(args.skip), tags=split_csv(args.tag),
         policies=split_csv(args.policies))
     if args.no_cache:

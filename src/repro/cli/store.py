@@ -62,7 +62,7 @@ def _verify(store: ColumnarStore, root: str) -> int:
 
 def _looks_like_store(path: str) -> bool:
     """Heuristic pre-flight for ``merge`` sources: an empty directory
-    is a valid (empty) store — a shard with no tasks leaves one — and
+    is a valid (empty) store — a run that wrote nothing leaves one — and
     any other store carries its file; a directory without it (someone's
     results dir, a typo'd path) is not a store."""
     try:

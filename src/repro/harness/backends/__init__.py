@@ -1,8 +1,8 @@
 """Execution backends for the sweep harness.
 
-``run_sweep`` (and everything above it: figures, campaigns, shard
-workers) runs its cache misses through one of two backends, chosen by
-the worker count alone:
+``run_sweep`` (and everything above it: figures, campaigns) runs its
+cache misses through one of two backends, chosen by the worker count
+alone:
 
 - ``serial``  — in-process, in order; the debuggable reference
   (``workers <= 1``).
@@ -10,9 +10,11 @@ the worker count alone:
   dispatch per task (``workers > 1``).
 
 A library caller may hand over a ready :class:`~.base.Backend` instead
-(tests substitute spies).  A campaign that outgrows one machine is
-``repro orchestrate`` (:mod:`repro.harness.orchestrate`), whose shard
-workers (:mod:`.worker`) run through these same two backends.
+(tests substitute spies).  A campaign that outgrows one machine runs
+one ``figures run --only`` per host, each through these same two
+backends, and ``repro store merge`` folds the hosts' stores into one;
+a killed run resumes by re-running over its store, losing at most one
+write-behind window (:mod:`.base`).
 
 Both produce byte-identical artifacts for the same grid (the
 equivalence suite in ``tests/harness/test_backends.py`` enforces it),

@@ -63,8 +63,9 @@ Invariants:
 - **Stores converge.**  Content keys make concurrent campaigns
   sharing a store harmless and
   :meth:`~repro.harness.store.ColumnarStore.merge_from` idempotent,
-  which is what lets ``repro orchestrate``'s independently-executed
-  shards reassemble into one campaign store.
+  which is what lets a campaign split across hosts (one ``figures run
+  --only`` per host, then ``repro store merge``) reassemble into one
+  campaign store, and a killed run resume by re-running.
 """
 
 from __future__ import annotations

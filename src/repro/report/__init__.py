@@ -12,8 +12,6 @@
 - :mod:`repro.report.trend` compares two ``campaign.json`` records
   (``repro figures trend``): badge transitions, metric drift, and
   coverage changes between runs, the CI regression gate.
-- :mod:`repro.report.live` renders the self-refreshing status page
-  ``repro orchestrate`` rewrites as shards launch, merge and retry.
 
 :mod:`repro.report.provenance` collects the environment header the
 record carries, and :mod:`repro.report.text` holds the plain-text
@@ -32,19 +30,15 @@ __all__ = [
     "load_record",
     "render_figure_page",
     "render_index",
-    "render_live_html",
     "render_reproduction",
-    "render_status_text",
     "render_trend",
     "write_campaign_report",
     "write_figure_docs",
-    "write_live_html",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
     ".figure_docs": ("docs_drift", "render_figure_page", "render_index",
                      "write_figure_docs"),
-    ".live": ("render_live_html", "render_status_text", "write_live_html"),
     ".provenance": ("collect_provenance",),
     ".reproduction": ("campaign_doc", "figure_text",
                       "render_reproduction", "write_campaign_report"),

@@ -124,6 +124,6 @@ register(FigureSpec(
     tags=("sim", "failures", "telemetry", "timeseries"),
     doc="Windowed series probes persist the full trajectories "
         "(per-window goodput, worst queue depth, failed-uplink share, "
-        "EV-recycling hit rate) as columnar arrays in the artifact "
+        "EV-recycling hit rate) as JSON arrays in the artifact "
         "store; the report renders the recovery curve and "
         "campaign.json carries the raw arrays."))

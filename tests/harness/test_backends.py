@@ -9,16 +9,23 @@ from __future__ import annotations
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
+import repro.harness.backends.base as base
 from repro.harness.backends import (
     BACKENDS,
     ProcessBackend,
     SerialBackend,
     resolve_backend,
 )
-from repro.harness.backends.base import FLUSH_EVERY
+from repro.harness.backends.base import (
+    FLUSH_AFTER_S,
+    FLUSH_EVERY,
+    task_stats,
+    timed_task,
+)
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
     TaskFailed,
@@ -71,6 +78,12 @@ class TestResolution:
         assert sorted(BACKENDS) == ["process", "serial"]
         for name, cls in BACKENDS.items():
             assert cls.name == name
+
+    @pytest.mark.parametrize("workers, expected",
+                             [(-4, 1), (0, 1), (1, 1), (3, 3)])
+    def test_process_backend_has_at_least_one_worker(self, workers,
+                                                     expected):
+        assert ProcessBackend(workers).workers == expected
 
 
 class TestExecuteBoundary:
@@ -476,3 +489,236 @@ class TestStoreMerge:
         merged = dest.merge_from(a)
         assert len(merged) == 1
         assert "feedface" not in dest.keys()
+
+
+class WindowStore:
+    """Records each ``put_many`` window and its stats (``drain`` clears
+    its buffers after the call, so both are copied)."""
+
+    def __init__(self, clock=None, write_s=0.0):
+        self.windows, self.stats = [], []
+        self.clock, self.write_s = clock, write_s
+
+    def put_many(self, items, stats=None):
+        self.windows.append([key for key, _payload in items])
+        self.stats.append(dict(stats or {}))
+        if self.clock is not None:
+            self.clock.now += self.write_s
+
+
+class FakeClock:
+    """Stands in for ``time`` in :mod:`repro.harness.backends.base`."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def read(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(base, "time", SimpleNamespace(
+        monotonic=fake.read, perf_counter=fake.read))
+    return fake
+
+
+def arrivals(n, *, clock=None, step=0.0, fail=(), die_after=None):
+    """``n`` finished tasks as a backend's pool hands them back, the
+    clock advancing ``step`` seconds before each; the indices in
+    ``fail`` raised, and the stream itself dies after ``die_after``."""
+    for i in range(n):
+        if i == die_after:
+            raise RuntimeError("the pool died")
+        if clock is not None:
+            clock.now += step
+        outcome = TaskFailed("boom") if i in fail else {"i": i}
+        yield f"k{i:03d}", outcome, 0.5
+
+
+def keys(n):
+    return [f"k{i:03d}" for i in range(n)]
+
+
+class TestDrain:
+    """``Backend.drain`` alone, on a fake store and a fake clock: the
+    write-behind window that bounds what a killed run loses (a re-run
+    recomputes exactly the unflushed rest)."""
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 64, 65, 97])
+    def test_a_window_is_every_flush_every_results(self, n, clock):
+        store = WindowStore()
+        outcomes = SerialBackend().drain(arrivals(n), store, None)
+        assert list(outcomes) == keys(n)
+        full, rest = divmod(n, FLUSH_EVERY)
+        assert [len(w) for w in store.windows] == \
+            [FLUSH_EVERY] * full + ([rest] if rest else [])
+        assert [k for w in store.windows for k in w] == keys(n)
+
+    @pytest.mark.parametrize("share, sizes", [
+        (0.0, [7]), (0.4, [3, 3, 1]), (0.5, [2, 2, 2, 1]),
+        (1.0, [1] * 7)])
+    def test_a_window_closes_flush_after_s_after_the_last(
+            self, share, sizes, clock):
+        store = WindowStore()
+        SerialBackend().drain(
+            arrivals(7, clock=clock, step=share * FLUSH_AFTER_S),
+            store, None)
+        assert [len(w) for w in store.windows] == sizes
+        assert [k for w in store.windows for k in w] == keys(7)
+
+    def test_failures_are_returned_and_never_stored(self, clock):
+        store = WindowStore()
+        outcomes = SerialBackend().drain(
+            arrivals(10, fail={2, 5}), store, None)
+        assert list(outcomes) == keys(10)
+        assert [k for k, v in outcomes.items()
+                if isinstance(v, TaskFailed)] == ["k002", "k005"]
+        assert store.windows == [
+            [k for k in keys(10) if k not in ("k002", "k005")]]
+
+    def test_a_window_of_failures_writes_nothing(self, clock):
+        store = WindowStore()
+        outcomes = SerialBackend().drain(
+            arrivals(5, clock=clock, step=FLUSH_AFTER_S,
+                     fail=set(range(5))), store, None)
+        assert len(outcomes) == 5
+        assert store.windows == []
+
+    def test_without_a_store_every_outcome_still_arrives(self, clock):
+        seen = []
+        outcomes = SerialBackend().drain(
+            arrivals(40, clock=clock, step=FLUSH_AFTER_S), None,
+            lambda key, outcome, wall_s: seen.append((key, wall_s)))
+        assert list(outcomes) == keys(40)
+        assert seen == [(key, 0.5) for key in keys(40)]
+
+    def test_progress_sees_every_arrival_in_arrival_order(self, clock):
+        seen = []
+        SerialBackend().drain(
+            arrivals(6, fail={4}), WindowStore(),
+            lambda key, outcome, wall_s: seen.append((key, outcome)))
+        assert [key for key, _ in seen] == keys(6)
+        assert isinstance(seen[4][1], TaskFailed)
+        assert seen[0][1] == {"i": 0}
+
+    def test_each_window_carries_the_stats_of_its_results(self, clock):
+        store = WindowStore()
+        SerialBackend().drain(arrivals(40), store, None)
+        assert [sorted(s) for s in store.stats] == \
+            [sorted(w) for w in store.windows]
+        for stats in store.stats:
+            for key, entry in stats.items():
+                assert entry == task_stats({"i": int(key[1:])}, 0.5)
+
+    def test_a_dying_stream_still_flushes_what_arrived(self, clock):
+        store = WindowStore()
+        with pytest.raises(RuntimeError, match="the pool died"):
+            SerialBackend().drain(arrivals(40, die_after=5), store, None)
+        assert store.windows == [keys(5)]
+
+    def test_a_store_that_cannot_write_stops_the_run(self, clock):
+        class FullDisk(WindowStore):
+            def put_many(self, items, stats=None):
+                raise OSError("no space left on the device")
+
+        with pytest.raises(OSError, match="no space left"):
+            SerialBackend().drain(arrivals(40), FullDisk(), None)
+
+    def test_write_time_accumulates_across_windows(self, clock):
+        backend = SerialBackend()
+        store = WindowStore(clock, write_s=0.25)
+        backend.drain(arrivals(65), store, None)
+        assert len(store.windows) == 3
+        assert backend.store_write_s == pytest.approx(0.75)
+        backend.drain(arrivals(1), store, None)
+        assert backend.store_write_s == pytest.approx(1.0)
+
+
+class TestTimedTask:
+    """The unit a pool worker runs: one task, timed, never raising."""
+
+    def test_returns_the_key_payload_and_wall(self):
+        from repro.harness.sweep import execute_task
+        task = make_model_task("footprint", seed=1, buffer_size=8)
+        key, outcome, wall_s = timed_task(("the-key", task))
+        assert key == "the-key"
+        assert outcome == execute_task(task)
+        assert wall_s >= 0
+
+    def test_a_raising_task_becomes_a_failure_value(self):
+        key, outcome, wall_s = timed_task(
+            ("bad", make_model_task("no_such_model", seed=1)))
+        assert key == "bad" and wall_s >= 0
+        assert isinstance(outcome, TaskFailed)
+        assert "Traceback" in str(outcome)
+        assert "unknown model 'no_such_model'" in str(outcome)
+
+    def test_stats_bytes_is_the_canonical_json_size(self):
+        payload = {"b": [1, 2.5], "a": {"y": None, "x": "z"}}
+        reordered = {"a": {"x": "z", "y": None}, "b": [1, 2.5]}
+        stats = task_stats(payload, 1.25)
+        assert stats == {"wall_s": 1.25, "bytes": len(json.dumps(
+            payload, sort_keys=True).encode())}
+        assert task_stats(reordered, 1.25) == stats
+
+
+class HistoryStore:
+    """A store whose manifest says which labels ran long; it keeps
+    what ``drain`` writes to it."""
+
+    def __init__(self, walls):
+        self.walls, self.written = walls, []
+
+    def manifest(self):
+        return {f"old-{label}": {"label": label, "wall_s": wall}
+                for label, wall in self.walls.items()}
+
+    def put_many(self, items, stats=None):
+        self.written.extend(key for key, _payload in items)
+
+
+class TestDispatch:
+    """What each backend does with a pending list before any pool."""
+
+    @pytest.mark.parametrize("make", POOLS, ids=POOL_IDS)
+    def test_nothing_pending_runs_nothing(self, make, tmp_path):
+        store = ColumnarStore(str(tmp_path / "store"))
+        assert make().run([], store) == {}
+        assert len(store) == 0
+        assert not (tmp_path / "store").exists()
+
+    def test_one_pending_task_needs_no_pool(self, monkeypatch):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool for one task")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        task = make_model_task("footprint", seed=1, buffer_size=8)
+        outcomes = ProcessBackend(workers=4).run([(task_key(task), task)])
+        assert list(outcomes) == [task_key(task)]
+        assert not isinstance(outcomes[task_key(task)], TaskFailed)
+
+    def test_serial_runs_in_submission_order(self):
+        tasks = footprint_grid(6)
+        pending = [(task_key(t), t) for t in tasks]
+        seen = []
+        SerialBackend().run(pending, None,
+                            lambda key, outcome, wall_s: seen.append(key))
+        assert seen == [key for key, _task in pending]
+
+    def test_process_dispatch_is_longest_expected_first(self):
+        """A one-worker pool runs in-process, so its arrival order is
+        its dispatch order: the store's history, longest first."""
+        tasks = [make_model_task("footprint", seed=1, buffer_size=b)
+                 for b in (1, 2, 4, 8)]
+        store = HistoryStore({t.label(): float(i)
+                              for i, t in enumerate(tasks)})
+        pending = [(task_key(t), t) for t in tasks]
+        seen = []
+        ProcessBackend(workers=1).run(
+            pending, store, lambda key, outcome, wall_s: seen.append(key))
+        assert seen == [key for key, _task in reversed(pending)]
+        assert sorted(store.written) == sorted(seen)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.harness.backends.schedule import (
     default_expectation,
     longest_first,
+    task_label,
     wall_time_history,
 )
 
@@ -215,3 +216,77 @@ class TestLongestFirst:
         assert longest_first(pending, _ManifestStore({})) == pending
         assert longest_first(pending, _BrokenStore()) == pending
         assert wall_time_history(_BrokenStore()) == {}
+
+
+class _RaisingLabel:
+    def label(self):
+        raise RuntimeError("no label today")
+
+
+class TestTaskLabel:
+    """The join key against the manifest, from real tasks and fakes."""
+
+    CASES = {
+        "method": (_FakeTask("slow"), "slow"),
+        "attribute": (_LabelledTask("fast"), "fast"),
+        "raising-method": (_RaisingLabel(), ""),
+        "no-label": (object(), ""),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_task_label(self, case):
+        task, expected = self.CASES[case]
+        assert task_label(task) == expected
+
+    def test_an_unlabelled_task_still_gets_dispatched(self):
+        pending = [("k0", object()), ("k1", _FakeTask("slow"))]
+        ordered = longest_first(pending, _ManifestStore(
+            {"a": {"label": "slow", "wall_s": 2.0},
+             "b": {"label": "", "wall_s": 1.0}}))
+        assert [key for key, _ in ordered] == ["k1", "k0"]
+
+
+class TestHistoryIsFailSoft:
+    """Manifest entries that carry no usable wall time are not
+    history; they never raise and never skew a label's mean."""
+
+    @pytest.mark.parametrize("wall", [True, "9.0", None, [1.0]],
+                             ids=["bool", "str", "none", "list"])
+    def test_a_non_numeric_wall_is_not_history(self, wall):
+        store = _ManifestStore({
+            "a": {"label": "slow", "wall_s": 4.0},
+            "b": {"label": "slow", "wall_s": wall}})
+        assert wall_time_history(store) == {"slow": (4.0, 1)}
+
+    def test_non_dict_entries_are_skipped(self):
+        store = _ManifestStore({
+            "a": {"label": "slow", "wall_s": 4.0},
+            "b": "not an entry", "c": None, "d": [1, 2]})
+        assert wall_time_history(store) == {"slow": (4.0, 1)}
+
+    def test_integer_walls_count(self):
+        store = _ManifestStore({"a": {"label": "x", "wall_s": 3},
+                                "b": {"label": "x", "wall_s": 1}})
+        assert wall_time_history(store) == {"x": (2.0, 2)}
+
+
+class TestPendingShapes:
+    """``longest_first`` takes whatever sequence a backend hands it."""
+
+    STORE = TestLongestFirst.STORE
+
+    def test_a_single_task_comes_back_alone(self):
+        pending = _pending("fast")
+        assert longest_first(pending, self.STORE) == pending
+
+    def test_an_iterator_of_pending_is_accepted(self):
+        ordered = longest_first(iter(_pending("fast", "slow")),
+                                self.STORE)
+        assert [t.label for _, t in ordered] == ["slow", "fast"]
+
+    def test_the_callers_list_is_left_as_it_was(self):
+        pending = _pending("fast", "slow")
+        before = list(pending)
+        ordered = longest_first(pending, self.STORE)
+        assert pending == before
+        assert ordered is not pending

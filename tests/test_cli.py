@@ -497,72 +497,85 @@ class TestFiguresCampaign:
         assert "| bench scale | `smoke` |" in text
 
 
+#: what ``figures run`` prints around the figure tables: the campaign
+#: header, per-figure progress lines, the summary and the written paths
+RUN_CHATTER = re.compile(r"^(campaign[: ]|\[\d+/\d+\] |report: |record: )")
+
+
+def printed_tables(out: str) -> str:
+    """``figures run``'s stdout without its progress and timing lines:
+    the figure tables, notes and verdict errors."""
+    return "\n".join(line for line in out.splitlines()
+                     if not RUN_CHATTER.match(line))
+
+
+def executed_and_cached(out: str):
+    """``(executed, cached)`` from ``figures run``'s summary line."""
+    match = re.search(r"^campaign done .* tasks \((\d+) executed, "
+                      r"(\d+) cached\)", out, re.M)
+    assert match, out
+    return int(match.group(1)), int(match.group(2))
+
+
 class TestStoreMerge:
-    """`repro store merge`: shard stores written by orchestrate's
-    workers (or on other hosts) folded into one campaign store,
+    """`repro store merge` in the multi-host recipe: each host runs its
+    own `figures run --only` half into its own results dir, the stores
+    merge into one, and a cached run over the selection renders it —
     rehearsed over the (cheap) model figures."""
 
     SELECTION = "table1,fig24"
+    HALVES = (("host-a", "table1"), ("host-b", "fig24"))
 
-    def shard_stores(self, tmp_path, n_shards=2, only=SELECTION):
-        """Shard stores as orchestrate's workers leave them: planned by
-        ``plan_campaign_shards``, each run by ``run_shard_worker``."""
-        import io
-        import os
+    def store_dirs(self, tmp_path):
+        return [str(tmp_path / host / "campaign")
+                for host, _only in self.HALVES]
 
-        from repro.harness.backends.worker import (
-            run_shard_worker,
-            scoped_env,
-        )
-        from repro.harness.campaign import select_figures
-        from repro.harness.orchestrate import (
-            plan_campaign_shards,
-            write_shard_plan,
-        )
-        with scoped_env(REPRO_BENCH_SCALE="smoke"):
-            manifests, _ = plan_campaign_shards(
-                select_figures(only=only.split(",")), n_shards)
-        stores = []
-        for path in write_shard_plan(str(tmp_path / "plan"), manifests):
-            store = str(tmp_path / os.path.basename(path)[:-5])
-            assert run_shard_worker(path, store, out=io.StringIO()) == 0
-            stores.append(store)
-        return stores
+    def host_stores(self, capsys, tmp_path):
+        """Each host's store, as its ``figures run --only`` leaves it."""
+        for host, only in self.HALVES:
+            code, _ = run_cli(capsys, "figures", "run", "--only", only,
+                              "--scale", "smoke",
+                              "--results-dir", str(tmp_path / host))
+            assert code == 0
+        return self.store_dirs(tmp_path)
 
     def full_flow(self, capsys, tmp_path):
         return run_cli(
             capsys, "store", "merge",
             "--into", str(tmp_path / "merged" / "campaign"),
-            *self.shard_stores(tmp_path))
+            *self.host_stores(capsys, tmp_path))
 
-    def test_merged_shards_reproduce_single_host_run(
+    def test_merged_halves_reproduce_single_host_run(
             self, capsys, tmp_path):
         import json
         code, out = self.full_flow(capsys, tmp_path)
         assert code == 0
         assert "7 artifact(s) (7 newly merged)" in out
-        # the merged store serves a whole campaign without executing
-        code, out = run_cli(
+        # the merged store serves the whole selection without executing
+        code, merged_out = run_cli(
             capsys, "figures", "run", "--only", self.SELECTION,
             "--scale", "smoke",
             "--results-dir", str(tmp_path / "merged"),
-            "--report", str(tmp_path / "R-sharded.md"),
-            "--json", str(tmp_path / "c-sharded.json"))
+            "--report", str(tmp_path / "R-merged.md"),
+            "--json", str(tmp_path / "c-merged.json"))
         assert code == 0
-        assert "7 tasks (0 executed, 7 cached)" in out
-        # and its tables match a from-scratch single-host campaign
-        code, _ = run_cli(
+        assert "7 tasks (0 executed, 7 cached)" in merged_out
+        # and prints the tables of a from-scratch single-store run
+        code, single_out = run_cli(
             capsys, "figures", "run", "--only", self.SELECTION,
             "--scale", "smoke",
             "--results-dir", str(tmp_path / "single"),
             "--report", str(tmp_path / "R-single.md"),
             "--json", str(tmp_path / "c-single.json"))
         assert code == 0
-        sharded = json.loads((tmp_path / "c-sharded.json").read_text())
+        assert executed_and_cached(single_out) == (7, 0)
+        assert printed_tables(merged_out) == printed_tables(single_out)
+        assert printed_tables(merged_out).strip()
+        merged = json.loads((tmp_path / "c-merged.json").read_text())
         single = json.loads((tmp_path / "c-single.json").read_text())
-        assert [f["table"] for f in sharded["figures"]] == \
+        assert [f["table"] for f in merged["figures"]] == \
             [f["table"] for f in single["figures"]]
-        assert [f["status"] for f in sharded["figures"]] == \
+        assert [f["status"] for f in merged["figures"]] == \
             [f["status"] for f in single["figures"]]
 
     def test_merge_is_idempotent(self, capsys, tmp_path):
@@ -570,32 +583,35 @@ class TestStoreMerge:
         code, out = run_cli(
             capsys, "store", "merge",
             "--into", str(tmp_path / "merged" / "campaign"),
-            str(tmp_path / "shard-0"), str(tmp_path / "shard-1"))
+            *self.store_dirs(tmp_path))
         assert code == 0
         assert "(0 newly merged)" in out
 
-    def test_merged_manifest_records_shard_origin(self, capsys,
-                                                  tmp_path):
+    def test_merged_manifest_is_the_union_of_the_halves(self, capsys,
+                                                        tmp_path):
+        """Each merged entry is its host's entry, unchanged: the merge
+        copies lines, so the accounting travels with the artifact."""
         from repro.harness.store import ColumnarStore
         self.full_flow(capsys, tmp_path)
-        manifest = ColumnarStore(
+        merged = ColumnarStore(
             str(tmp_path / "merged" / "campaign")).manifest()
-        assert len(manifest) == 7
-        assert {e["origin"] for e in manifest.values()} == \
-            {"shard-0/2", "shard-1/2"}
+        halves = {}
+        for root in self.store_dirs(tmp_path):
+            halves.update(ColumnarStore(root).manifest())
+        assert len(merged) == 7
+        assert merged == halves
 
-    def test_empty_shard_still_merges(self, capsys, tmp_path):
-        """More shards than tasks: the planner drops empty bins, and an
-        empty shard store (a worker given no keys) is a valid source."""
-        stores = self.shard_stores(tmp_path, n_shards=8, only="table1")
-        assert len(stores) == 5
-        empty = tmp_path / "shard-7"
+    def test_an_empty_host_store_still_merges(self, capsys, tmp_path):
+        """A host that wrote nothing leaves an empty directory, which
+        is a valid source beside the real ones."""
+        stores = self.host_stores(capsys, tmp_path)
+        empty = tmp_path / "host-c"
         empty.mkdir()
         code, out = run_cli(capsys, "store", "merge",
                             "--into", str(tmp_path / "m"),
                             *stores, str(empty))
         assert code == 0
-        assert "5 artifact(s) (5 newly merged)" in out
+        assert "7 artifact(s) (7 newly merged)" in out
 
     def test_merge_rejects_missing_source(self, capsys, tmp_path):
         with pytest.raises(SystemExit, match="not a.*store"):
@@ -624,7 +640,7 @@ class TestStoreMerge:
                     "--into", str(tmp_path / "m"), str(bogus))
 
     def test_merge_accepts_an_empty_source(self, capsys, tmp_path):
-        """An empty shard leaves an empty directory."""
+        """A host that wrote nothing leaves an empty directory."""
         empty = tmp_path / "empty"
         empty.mkdir()
         code, out = run_cli(capsys, "store", "merge",
@@ -684,14 +700,13 @@ class TestStoreMerge:
         """A bad source anywhere in the list fails the merge before
         source 0 lands — no half-merged destination."""
         import os
-        self.shard_stores(tmp_path)
+        first, _second = self.host_stores(capsys, tmp_path)
         bogus = tmp_path / "junk"
         bogus.mkdir()
         (bogus / "data.bin").write_text("x")
         with pytest.raises(SystemExit, match="junk is not a"):
             run_cli(capsys, "store", "merge",
-                    "--into", str(tmp_path / "m"),
-                    str(tmp_path / "shard-0"), str(bogus))
+                    "--into", str(tmp_path / "m"), first, str(bogus))
         dest = tmp_path / "m"
         assert not dest.exists() or not os.listdir(dest)
 
@@ -702,7 +717,7 @@ class TestStoreMerge:
         from unittest import mock
 
         from repro.harness.store import ColumnarStore
-        self.shard_stores(tmp_path)
+        stores = self.host_stores(capsys, tmp_path)
         real = ColumnarStore.merge_from
         calls = {"n": 0}
 
@@ -715,114 +730,240 @@ class TestStoreMerge:
         with mock.patch.object(ColumnarStore, "merge_from", flaky):
             with pytest.raises(SystemExit) as err:
                 run_cli(capsys, "store", "merge",
-                        "--into", str(tmp_path / "m"),
-                        str(tmp_path / "shard-0"),
-                        str(tmp_path / "shard-1"))
+                        "--into", str(tmp_path / "m"), *stores)
         message = str(err.value)
-        assert "shard-1 failed" in message
+        assert f"{stores[1]} failed" in message
         assert "merged 1/2 source(s)" in message
         assert "disk on fire" in message
         # the partial merge is safe: re-running the same command
         # completes the destination
         code, out = run_cli(capsys, "store", "merge",
-                            "--into", str(tmp_path / "m"),
-                            str(tmp_path / "shard-0"),
-                            str(tmp_path / "shard-1"))
+                            "--into", str(tmp_path / "m"), *stores)
         assert code == 0
         assert "7 artifact(s)" in out
 
+    def test_merge_order_does_not_matter(self, capsys, tmp_path):
+        from repro.harness.store import ColumnarStore
+        a, b = self.host_stores(capsys, tmp_path)
+        for dest, sources in (("ab", (a, b)), ("ba", (b, a))):
+            code, _ = run_cli(capsys, "store", "merge",
+                              "--into", str(tmp_path / dest), *sources)
+            assert code == 0
+        ab = ColumnarStore(str(tmp_path / "ab"))
+        ba = ColumnarStore(str(tmp_path / "ba"))
+        assert sorted(ab.keys()) == sorted(ba.keys())
+        assert ab.manifest() == ba.manifest()
+        assert all(ab.get(key) == ba.get(key) for key in ab.keys())
 
-class TestOrchestrate:
-    """`repro orchestrate`: the elastic campaign, end-to-end with real
-    subprocess workers."""
-
-    SELECTION = "table1,fig24"
-
-    def test_chaos_kill_recovers_and_matches_single_host(
-            self, capsys, tmp_path, monkeypatch):
-        """The ISSUE 10 acceptance drill: SIGKILL one worker mid-shard;
-        the campaign completes via retry, its record matches a
-        single-host run, and the orchestrator's environment is
-        untouched afterwards."""
-        import json
-        import os
-
-        # hold workers mid-shard long enough for the drill to fire
-        monkeypatch.setenv("REPRO_WORKER_THROTTLE_S", "0.4")
-        code, out = run_cli(
-            capsys, "orchestrate", "--scale", "smoke",
-            "--only", self.SELECTION, "--fan-out", "2",
-            "--chaos-kill", "1", "--heartbeat-timeout", "60",
-            "--results-dir", str(tmp_path / "orch"),
-            "--work-dir", str(tmp_path / "work"),
-            "--report", str(tmp_path / "R-orch.md"),
-            "--json", str(tmp_path / "c-orch.json"),
-            "--html", str(tmp_path / "status.html"))
+    def test_a_host_store_can_be_the_destination(self, capsys, tmp_path):
+        """The last host merges the others into its own store and
+        renders there: nothing executes."""
+        a, b = self.host_stores(capsys, tmp_path)
+        code, out = run_cli(capsys, "store", "merge", "--into", a, b)
         assert code == 0
-        assert "1 chaos kill(s)" in out
-        assert "1 retry" in out
-        assert "4 merged" in out
-        # a killed worker costs only its shard's remainder plus at most
-        # one unflushed write-behind window (32 results or a second;
-        # with the 0.4 s throttle, the last two or three tasks) — the
-        # retry recomputed that, so the final render executes nothing
-        assert "7 tasks (0 executed, 7 cached)" in out
-        assert "slowest task" not in out  # nothing ran, nothing to name
-        # the acceptance contract: nothing leaked into this process
-        assert "REPRO_BENCH_SCALE" not in os.environ
-        page = (tmp_path / "status.html").read_text()
-        assert "complete" in page
-        monkeypatch.delenv("REPRO_WORKER_THROTTLE_S")
-        code, _ = run_cli(
+        assert "store " + a + ": 7 artifact(s)" in out
+        code, out = run_cli(
             capsys, "figures", "run", "--only", self.SELECTION,
             "--scale", "smoke",
-            "--results-dir", str(tmp_path / "single"),
-            "--report", str(tmp_path / "R-single.md"),
-            "--json", str(tmp_path / "c-single.json"))
+            "--results-dir", str(tmp_path / self.HALVES[0][0]),
+            "--report", str(tmp_path / "R.md"),
+            "--json", str(tmp_path / "c.json"))
         assert code == 0
-        orch = json.loads((tmp_path / "c-orch.json").read_text())
-        single = json.loads((tmp_path / "c-single.json").read_text())
-        assert [f["table"] for f in orch["figures"]] == \
-            [f["table"] for f in single["figures"]]
-        assert [f["status"] for f in orch["figures"]] == \
-            [f["status"] for f in single["figures"]]
+        assert executed_and_cached(out) == (0, 7)
 
-    def test_rerun_is_fully_cached(self, capsys, tmp_path):
-        """Shards of a warm campaign store execute nothing."""
-        for _ in range(2):
-            code, out = run_cli(
-                capsys, "orchestrate", "--scale", "smoke",
-                "--only", "table1", "--fan-out", "2",
-                "--results-dir", str(tmp_path / "orch"),
-                "--work-dir", str(tmp_path / "work"),
-                "--report", str(tmp_path / "R.md"),
-                "--json", str(tmp_path / "c.json"))
+    def test_overlapping_selections_land_once(self, capsys, tmp_path):
+        """Two hosts that both ran a figure hold the same content keys;
+        the merge keeps one record of each."""
+        from repro.harness.store import ColumnarStore
+        for host, only in (("host-a", "table1"),
+                           ("host-b", self.SELECTION)):
+            code, _ = run_cli(capsys, "figures", "run", "--only", only,
+                              "--scale", "smoke",
+                              "--results-dir", str(tmp_path / host))
             assert code == 0
-        assert "5 tasks (0 executed, 5 cached)" in out
-        # the second plan ran against a warm store: the balancer had
-        # wall-time history to weigh shards with
-        assert "warm wall-time history" in out
+        a, b = self.store_dirs(tmp_path)
+        only_a = len(ColumnarStore(a))
+        code, out = run_cli(capsys, "store", "merge",
+                            "--into", str(tmp_path / "m"), a, b)
+        assert code == 0
+        assert f"merged {only_a} artifact(s) from {a}" in out
+        assert f"merged {7 - only_a} artifact(s) from {b}" in out
+        merged = ColumnarStore(str(tmp_path / "m"))
+        assert len(merged) == 7
+        assert merged.stats()["duplicates"] == 0
 
-    def test_rejects_empty_selection(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="selected no figures"):
-            run_cli(capsys, "orchestrate", "--only", "table1",
-                    "--skip", "table1",
-                    "--results-dir", str(tmp_path / "r"))
 
-    def test_rejects_unknown_figure(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="figures list"):
-            run_cli(capsys, "orchestrate", "--only", "fig99",
-                    "--results-dir", str(tmp_path / "r"))
+class TestCampaignSplit:
+    """The premise of the multi-host recipe, checked on the plan alone:
+    any split of the catalogue into per-host ``--only`` selections
+    describes, together, exactly the figures and tasks of ``--all`` —
+    with ``--policies`` too, since each host derives the arena figures
+    of its own base figures."""
 
-    def test_ssh_runner_needs_hosts(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="needs --ssh-hosts"):
-            run_cli(capsys, "orchestrate", "--runner", "ssh",
-                    "--results-dir", str(tmp_path / "r"))
+    POLICIES = ("reps", "ecmp", "repflow", "prime", "sprinklers")
 
-    def test_ssh_hosts_require_ssh_runner(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="only applies"):
-            run_cli(capsys, "orchestrate", "--ssh-hosts", "h1",
-                    "--results-dir", str(tmp_path / "r"))
+    # how the catalogue (in registry order) is cut into host selections
+    SPLITS = {
+        "first-and-rest": lambda ids: [ids[:1], ids[1:]],
+        "quarter": lambda ids: [ids[:len(ids) // 4],
+                                ids[len(ids) // 4:]],
+        "halves": lambda ids: [ids[:len(ids) // 2],
+                               ids[len(ids) // 2:]],
+        "three-quarters": lambda ids: [ids[:3 * len(ids) // 4],
+                                       ids[3 * len(ids) // 4:]],
+        "interleaved": lambda ids: [ids[::2], ids[1::2]],
+        "three-hosts": lambda ids: [ids[0::3], ids[1::3], ids[2::3]],
+    }
+
+    @staticmethod
+    def plan(specs):
+        """``(figure ids, task keys)`` of a selection, not executed."""
+        from repro.harness.sweep import task_key
+        return ([spec.fig_id for spec in specs],
+                {task_key(task) for spec in specs
+                 for task in spec.build().values()})
+
+    @pytest.mark.parametrize("arena", [False, True],
+                             ids=["base", "arena"])
+    @pytest.mark.parametrize("split", list(SPLITS))
+    def test_host_selections_cover_the_whole_campaign(self, split,
+                                                      arena):
+        from repro.cli.figures import campaign_specs
+        from repro.scenarios import figure_ids
+        policies = list(self.POLICIES) if arena else []
+        ids = figure_ids()
+        whole_ids, whole_keys = self.plan(
+            campaign_specs(only=ids, policies=policies))
+        host_ids, host_keys = [], set()
+        selections = self.SPLITS[split](ids)
+        assert sorted(sum(selections, [])) == sorted(ids)
+        for only in selections:
+            fig_ids, keys = self.plan(
+                campaign_specs(only=only, policies=policies))
+            host_ids += fig_ids
+            host_keys |= keys
+        assert sorted(host_ids) == sorted(whole_ids)
+        assert len(set(host_ids)) == len(host_ids)
+        assert host_keys == whole_keys
+
+    @pytest.mark.parametrize("arena", [False, True],
+                             ids=["base", "arena"])
+    def test_only_and_skip_of_one_list_are_complementary(self, arena):
+        from repro.cli.figures import campaign_specs
+        from repro.scenarios import figure_ids
+        policies = list(self.POLICIES) if arena else []
+        ids = figure_ids()
+        first = ids[:len(ids) // 2]
+        a_ids, a_keys = self.plan(
+            campaign_specs(only=first, policies=policies))
+        b_ids, b_keys = self.plan(
+            campaign_specs(skip=first, policies=policies))
+        whole_ids, whole_keys = self.plan(
+            campaign_specs(only=ids, policies=policies))
+        assert sorted(a_ids + b_ids) == sorted(whole_ids)
+        assert a_keys | b_keys == whole_keys
+
+    def test_a_model_only_host_runs_without_policies(self):
+        """The analytic figures have no policy axis, so their host
+        omits ``--policies``; the other host's arena still completes
+        what ``--all --policies`` asks for."""
+        from repro.cli.figures import campaign_specs
+        from repro.scenarios import figure_ids
+        policies = list(self.POLICIES)
+        sim_ids, sim_keys = self.plan(
+            campaign_specs(tags=["sim"], policies=policies))
+        model_ids, model_keys = self.plan(campaign_specs(tags=["model"]))
+        whole_ids, whole_keys = self.plan(
+            campaign_specs(only=figure_ids(), policies=policies))
+        assert sorted(sim_ids + model_ids) == sorted(whole_ids)
+        assert sim_keys | model_keys == whole_keys
+
+    def test_a_host_without_policy_cells_is_refused_by_name(self):
+        from repro.cli.figures import campaign_specs
+        with pytest.raises(SystemExit,
+                           match="derived no arena figures"):
+            campaign_specs(tags=["model"], policies=list(self.POLICIES))
+
+
+class TestKillAndResume:
+    """A `figures run` SIGKILLed mid-campaign resumes by re-running it:
+    the write-behind store keeps every flushed result, the re-run
+    executes exactly the tasks the store lacks, and its cells equal an
+    unkilled run's."""
+
+    SELECTION = ("fig03_collectives,fig05_synthetic,fig08_permutation,"
+                 "fig12_healthy,fig16,fig21")
+
+    def command(self, results_dir):
+        import sys
+        return [sys.executable, "-m", "repro", "figures", "run",
+                "--only", self.SELECTION, "--scale", "smoke",
+                "--workers", "2", "--results-dir", str(results_dir),
+                "--report", str(results_dir / "R.md"),
+                "--json", str(results_dir / "c.json")]
+
+    def run(self, results_dir, *, kill_once_stored=False):
+        """stdout of one ``figures run`` in its own process group; with
+        ``kill_once_stored``, the group is SIGKILLed as soon as the
+        store file holds one complete record."""
+        import os
+        import signal
+        import subprocess
+        import time
+
+        import repro
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        env.pop("REPRO_BENCH_SCALE", None)
+        proc = subprocess.Popen(self.command(results_dir), env=env,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT, text=True,
+                                start_new_session=True)
+        if kill_once_stored:
+            seg = results_dir / "campaign" / "store.seg"
+            deadline = time.monotonic() + 120
+            while proc.poll() is None and time.monotonic() < deadline:
+                if seg.exists() and b"\n" in seg.read_bytes():
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    break
+                time.sleep(0.02)
+        out, _ = proc.communicate(timeout=300)
+        if kill_once_stored:
+            assert proc.returncode == -signal.SIGKILL, \
+                f"the run ended before the kill:\n{out}"
+        else:
+            assert proc.returncode in (0, 1), out
+        return out
+
+    def test_a_killed_run_resumes_by_rerunning(self, tmp_path):
+        import json
+
+        from repro.harness.store import ColumnarStore
+
+        whole = tmp_path / "whole"
+        whole_out = self.run(whole)
+        executed, _ = executed_and_cached(whole_out)
+        # every executed result reached the store, the last window too
+        whole_keys = ColumnarStore(str(whole / "campaign")).keys()
+        assert len(whole_keys) == executed
+
+        resumed = tmp_path / "resumed"
+        self.run(resumed, kill_once_stored=True)
+        kept = ColumnarStore(str(resumed / "campaign")).keys()
+        assert 0 < len(kept) < executed
+        assert set(kept) <= set(whole_keys)
+        out = self.run(resumed)
+        assert executed_and_cached(out)[0] == executed - len(kept)
+        assert ColumnarStore(
+            str(resumed / "campaign")).keys() == whole_keys
+        assert printed_tables(out) == printed_tables(whole_out)
+
+        def cells(results_dir):
+            doc = json.loads((results_dir / "c.json").read_text())
+            return [(f["fig_id"], f["status"], f["table"])
+                    for f in doc["figures"]]
+
+        assert cells(resumed) == cells(whole)
 
 
 class TestStore:
@@ -989,6 +1130,16 @@ class TestParser:
     def test_rejects_unknown_pattern(self):
         with pytest.raises(SystemExit):
             main(["run", "--pattern", "gather"])
+
+    def test_orchestrate_is_an_unknown_command(self, capsys):
+        """Fan-out is ``figures run --workers``, multi-host is the
+        ``--only`` + ``store merge`` recipe: there is no second runner."""
+        import repro.cli as cli
+        with pytest.raises(SystemExit) as exc:
+            main(["orchestrate", "--scale", "smoke"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'orchestrate'" in capsys.readouterr().err
+        assert "orchestrate" not in cli.DISPATCH
 
     def test_overview_help_and_dispatch_agree(self, capsys):
         """One overview: every dispatched command is in ``repro -h``

@@ -37,9 +37,7 @@ PARSER_ONLY = ("multiprocessing", "socket", "statistics")
 NO_EXECUTION = (
     "repro.sim.network", "repro.sim.transport", "repro.lb",
     "repro.models", "repro.harness.runner", "repro.harness.store",
-    "repro.harness.backends.process",
-    "repro.harness.backends.worker", "repro.harness.orchestrate",
-    "multiprocessing")
+    "repro.harness.backends.process", "multiprocessing")
 #: a campaign served from its store: persist loads, execute does not
 NO_SIMULATION = ("repro.sim.network", "repro.harness.runner",
                  "repro.models", "multiprocessing")
