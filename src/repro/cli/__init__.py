@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-One parser, seven commands in four groups.  A command imports the layer
+One parser, six commands in four groups.  A command imports the layer
 it runs (describe / execute / persist / present, see
 ``docs/ARCHITECTURE.md``) when it is dispatched, so ``repro -h`` loads
 nothing of the package and ``figures list`` never loads the simulator:
@@ -23,9 +23,7 @@ nothing of the package and ``figures list`` never loads the simulator:
   elsewhere into one (a campaign split across hosts is one
   ``figures run --only`` per host, a merge, then a cached
   ``figures run --all`` that renders),
-- ``docs`` | ``footprint`` (:mod:`.tools`): regenerate (or
-  drift-check) the ``docs/figures/`` pages from the registry; print
-  the Table-1 memory accounting.
+- ``footprint`` (:mod:`.tools`): print the Table-1 memory accounting.
 
 ``--workers`` alone picks how a sweep runs: in-process for 1, one
 ``multiprocessing`` pool for more (see :mod:`repro.harness.backends`).
@@ -47,7 +45,6 @@ Examples::
     python -m repro figures run --only fig02,fig07 --results-dir hostA
     python -m repro store merge --into merged/campaign \\
         hostA/campaign hostB/campaign
-    python -m repro docs figures --check
     python -m repro run --lb reps --fail-uplink 0 --fail-at 50 --fail-for 200
     python -m repro footprint --buffer 8 --evs 65536
 """
@@ -68,7 +65,6 @@ DISPATCH = {
     "sweep": ("simulate", "cmd_sweep"),
     "figures": ("figures", "cmd_figures"),
     "store": ("store", "cmd_store"),
-    "docs": ("tools", "cmd_docs"),
     "footprint": ("tools", "cmd_footprint"),
 }
 
@@ -242,17 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "<results-dir>/campaign so `repro figures "
                            "run --all --results-dir <results-dir>` "
                            "finds it)")
-
-    docs_p = sub.add_parser(
-        "docs", help="generate documentation from the registry")
-    docs_sub = docs_p.add_subparsers(dest="docs_command", required=True)
-    df_p = docs_sub.add_parser(
-        "figures", help="write docs/figures/ pages from the registry")
-    df_p.add_argument("--out", default=os.path.join("docs", "figures"),
-                      help="output directory (default docs/figures)")
-    df_p.add_argument("--check", action="store_true",
-                      help="verify the committed pages match a fresh "
-                           "render; exit 1 on drift (CI mode)")
 
     fp_p = sub.add_parser("footprint", help="Table-1 memory accounting")
     fp_p.add_argument("--buffer", type=int, default=8)

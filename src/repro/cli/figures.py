@@ -83,8 +83,8 @@ def _run(args: argparse.Namespace) -> int:
     for fig in campaign_doc(campaign)["figures"]:
         print(figure_text(fig))
     # the committed REPRODUCTION.md / campaign.json are the default
-    # targets of a whole-registry run only: a narrowed run (every
-    # docs/figures page says `figures run <id>`) must not replace them
+    # targets of a whole-registry run only: a narrowed run
+    # (`figures run <id>`) must not replace them
     whole = sum("arena" not in spec.tags for spec in specs) \
         == len(figure_ids())
     report_path = args.report or ("REPRODUCTION.md" if whole else None)

@@ -1,28 +1,8 @@
-"""``docs`` | ``footprint``: registry docs, Table 1."""
+"""``footprint``: the Table-1 memory accounting."""
 
 from __future__ import annotations
 
 import argparse
-import os
-
-
-def cmd_docs(args: argparse.Namespace) -> int:
-    from ..report import docs_drift, write_figure_docs
-
-    if args.check:
-        drift = docs_drift(args.out)
-        if drift:
-            for name in sorted(drift):
-                print(f"[DRIFT] {os.path.join(args.out, name)}: "
-                      f"{drift[name]}")
-            print(f"docs drift: {len(drift)} page(s) out of date — "
-                  f"run `repro docs figures` and commit the result")
-            return 1
-        print(f"docs check: {args.out} matches the registry")
-        return 0
-    written = write_figure_docs(args.out)
-    print(f"wrote {len(written)} page(s) under {args.out}")
-    return 0
 
 
 def cmd_footprint(args: argparse.Namespace) -> int:

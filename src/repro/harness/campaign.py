@@ -31,10 +31,10 @@ leaves (every paper claim with its measured value, gate and margin):
   check recorded no claim.
 
 The judge also takes every other fact the report shows (task counts,
-task wall, seeds, series, the slowest executed task, the table) from
-the executed figure once, so a :class:`FigureOutcome` holds plain
-fields, never the live ``FigureResult``; a table that raises is kept
-as ``table_error`` and leaves the verdict alone.
+task wall, the scenario matrix, series, the slowest executed task, the
+table) from the executed figure once, so a :class:`FigureOutcome`
+holds plain fields, never the live ``FigureResult``; a table that
+raises is kept as ``table_error`` and leaves the verdict alone.
 :func:`repro.report.campaign_doc` turns a :class:`CampaignResult` into
 the ``campaign.json`` record that ``REPRODUCTION.md`` is rendered from.
 """
@@ -44,15 +44,17 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, \
-    Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, \
+    Sequence, Tuple
 
 from ..scenarios import Expectation, FigureSpec, TableDoc, figure_ids, \
     get_figure
 # run_figure is re-exported: the perf ledger wraps it by this name
 from ..scenarios.registry import FigureRun, run_figure, run_figures  # noqa: F401,E501
+from ..sim.params import TopologyParams
 from .backends import resolve_backend
+from .sweep import FailureSpec, SweepTask
 
 if TYPE_CHECKING:  # describe -> persist: the codec loads with a store
     from .store import ColumnarStore
@@ -102,6 +104,72 @@ def select_figures(only: Sequence[str] = (), skip: Sequence[str] = (),
     return [get_figure(fid) for fid in selected]
 
 
+def _is_kv(value) -> bool:
+    """True for the canonical ``((key, value), ...)`` mapping tuples."""
+    return (isinstance(value, tuple) and bool(value)
+            and all(isinstance(item, tuple) and len(item) == 2
+                    and isinstance(item[0], str) for item in value))
+
+
+def _fmt_value(value) -> str:
+    if _is_kv(value):
+        return "{" + ", ".join(f"{k}={_fmt_value(v)}"
+                               for k, v in value) + "}"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(_fmt_value(v) for v in value) + ")"
+    return str(value)
+
+
+def _fmt_failure(spec: FailureSpec) -> str:
+    if spec.kind == "compose":
+        subs = dict(spec.params)["specs"]
+        return " + ".join(_fmt_failure(s) for s in subs)
+    params = ", ".join(f"{k}={_fmt_value(v)}" for k, v in spec.params)
+    return f"`{spec.kind}({params})`"
+
+
+def _fmt_topology(topo: Dict[str, object]) -> str:
+    """``N hosts / M per T0``, then every other fabric parameter the
+    task sets away from its :class:`TopologyParams` default."""
+    default = TopologyParams()
+    cell = [f"{topo.get('n_hosts')} hosts / "
+            f"{topo.get('hosts_per_t0')} per T0"]
+    cell += [f"{f.name}={_fmt_value(topo[f.name])}"
+             for f in fields(TopologyParams)
+             if f.name not in ("n_hosts", "hosts_per_t0") and f.name in topo
+             and topo[f.name] != getattr(default, f.name)]
+    return ", ".join(cell)
+
+
+def matrix_summary(tasks: Iterable[SweepTask]) -> Dict[str, object]:
+    """A deterministic digest of a figure's expanded matrix."""
+    tasks = list(tasks)
+    lbs, workloads, topos, seeds = set(), set(), set(), set()
+    probes, failures = set(), set()
+    axes: Dict[str, set] = {}
+    for task in tasks:
+        lbs.add(task.lb)
+        workloads.add(f"{task.workload.kind}: {task.workload.label()}")
+        topos.add(task.topo)
+        seeds.add(task.seed)
+        probes.update(task.probes)
+        if task.failure is not None:
+            failures.add(_fmt_failure(task.failure))
+        for key, value in task.scenario:
+            axes.setdefault(key, set()).add(_fmt_value(value))
+    return {
+        "tasks": len(tasks),
+        "lbs": sorted(lbs),
+        "workloads": sorted(workloads),
+        "topologies": sorted(_fmt_topology(dict(topo))
+                             for topo in topos if topo),
+        "seeds": sorted(seeds),
+        "probes": sorted(probes),
+        "failures": sorted(failures),
+        "axes": {k: sorted(v) for k, v in sorted(axes.items())},
+    }
+
+
 @dataclass
 class FigureOutcome:
     """One figure's campaign result: the fidelity verdict plus every
@@ -117,8 +185,9 @@ class FigureOutcome:
     n_tasks: int = 0
     executed: int = 0
     cached: int = 0
-    #: the seeds the figure's tasks ran with
-    seeds: FrozenSet[int] = frozenset()
+    #: :func:`matrix_summary` of the tasks the figure ran; ``None``
+    #: when it never executed
+    matrix: Optional[Dict[str, object]] = None
     #: row label -> series name -> samples (time-series figures only)
     series: Dict[str, Dict[str, list]] = field(default_factory=dict)
     #: ``(seconds, label)`` of the slowest task this figure executed
@@ -234,7 +303,7 @@ def _judge(spec: FigureSpec, ran: FigureRun) -> FigureOutcome:
         # a figure's wall is the task wall of the keys it executed itself
         wall_s=sum(r.wall_s for r in results), n_tasks=len(results),
         executed=len(mine), cached=len(results) - len(mine),
-        seeds=frozenset(r.task.seed for r in results),
+        matrix=matrix_summary(r.task for r in results),
         series={str(key): dict(ran[key].series) for key in ran.keys()
                 if ran[key].series},
         slowest=None if slowest is None

@@ -3,12 +3,8 @@
 - :mod:`repro.report.reproduction` turns one campaign run
   (:func:`repro.harness.campaign.run_campaign`) into its record,
   ``campaign.json``, and renders ``REPRODUCTION.md`` — the consolidated
-  measured-vs-paper report with per-figure fidelity badges and a
-  provenance header — as a view of that record alone.
-- :mod:`repro.report.figure_docs` renders ``docs/figures/`` straight
-  from the figure registry (no campaign, no execution), so figure
-  documentation is a pure function of the specs and can never drift
-  from code.
+  measured-vs-paper report with per-figure fidelity badges, scenario
+  matrices and a provenance header — as a view of that record alone.
 - :mod:`repro.report.trend` compares two ``campaign.json`` records
   (``repro figures trend``): badge transitions, metric drift, and
   coverage changes between runs, the CI regression gate.
@@ -25,20 +21,14 @@ __all__ = [
     "campaign_doc",
     "collect_provenance",
     "diff_campaigns",
-    "docs_drift",
     "figure_text",
     "load_record",
-    "render_figure_page",
-    "render_index",
     "render_reproduction",
     "render_trend",
     "write_campaign_report",
-    "write_figure_docs",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    ".figure_docs": ("docs_drift", "render_figure_page", "render_index",
-                     "write_figure_docs"),
     ".provenance": ("collect_provenance",),
     ".reproduction": ("campaign_doc", "figure_text",
                       "render_reproduction", "write_campaign_report"),

@@ -2,10 +2,10 @@
 
 :func:`campaign_doc` is the one reader of a campaign's outcomes.
 ``REPRODUCTION.md`` (:func:`render_reproduction`: provenance header,
-campaign summary, one fidelity-badged section per figure with the
-measured-vs-paper table, an ASCII chart of the headline metric and the
-table's notes) and the per-figure text of ``figures run``
-(:func:`figure_text`) read nothing but that record, so a
+campaign summary, one fidelity-badged section per figure with its
+scenario matrix, the measured-vs-paper table, an ASCII chart of the
+headline metric and the table's notes) and the per-figure text of
+``figures run`` (:func:`figure_text`) read nothing but that record, so a
 ``campaign.json`` re-renders its ``REPRODUCTION.md`` byte for byte.
 """
 
@@ -23,7 +23,7 @@ from .text import bar_chart, format_markdown_table, format_table, sparkline
 from .trend import is_number
 
 #: bump when the campaign.json layout changes
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 
 #: status -> short explanation used in the report legend
 _LEGEND = {
@@ -57,6 +57,7 @@ def _figure_doc(outcome: FigureOutcome) -> Record:
         "tasks": outcome.n_tasks,
         "executed": outcome.executed,
         "cached": outcome.cached,
+        "matrix": outcome.matrix,
         "table": None,
         "table_error": outcome.table_error,
         "expectations": [
@@ -112,7 +113,7 @@ def campaign_doc(campaign: CampaignResult,
             "executed": campaign.executed,
             "cached": campaign.cached,
             "distinct_seeds": len(frozenset().union(
-                *(o.seeds for o in campaign))),
+                *(o.matrix["seeds"] for o in campaign if o.matrix))),
             "policies": _arena_policies(figures),
             # rounded once, to the places the view prints: a value
             # rounded again by the view's format can move a digit
@@ -196,6 +197,26 @@ def _series_panel(fig: Record) -> List[str]:
     return lines
 
 
+def _matrix_table(matrix: Record) -> str:
+    """A figure's scenario matrix
+    (:func:`~repro.harness.campaign.matrix_summary`) as an axis/values
+    table."""
+    rows = [["load balancers",
+             ", ".join(f"`{lb}`" for lb in matrix["lbs"])],
+            ["workloads", "; ".join(matrix["workloads"])]]
+    if matrix["topologies"]:
+        rows.append(["topologies", "; ".join(matrix["topologies"])])
+    rows.append(["seeds", ", ".join(str(s) for s in matrix["seeds"])])
+    rows += [[f"scenario `{key}`", ", ".join(values)]
+             for key, values in matrix["axes"].items()]
+    if matrix["failures"]:
+        rows.append(["failure schedule", "; ".join(matrix["failures"])])
+    if matrix["probes"]:
+        rows.append(["result probes",
+                     ", ".join(f"`{p}`" for p in matrix["probes"])])
+    return format_markdown_table(["axis", "values"], rows)
+
+
 def _figure_section(fig: Record) -> str:
     lines = [f"## {fig['fig_id']} — {fig['figure']} `{_badge(fig)}`", "",
              fig["title"], ""]
@@ -204,6 +225,8 @@ def _figure_section(fig: Record) -> str:
             f"({fig['executed']} executed, {fig['cached']} cached) "
             f"· {fig['wall_s']:.1f} s task wall")
     lines += [meta, ""]
+    if fig["matrix"] is not None:
+        lines += [_matrix_table(fig["matrix"]), ""]
     if fig["doc"]:
         lines += [fig["doc"], ""]
     table = _table(fig)

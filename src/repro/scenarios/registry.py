@@ -16,14 +16,13 @@ Invariants:
 
 - **Registration order is paper order.**  ``REGISTRY`` iterates in the
   order the spec modules register, which follows the paper's figure
-  numbering; campaign reports and generated docs rely on that order.
+  numbering; campaign reports rely on that order.
 - **Matrices are lazy and deterministic.**  ``FigureSpec.build`` runs at
-  execution (or doc-generation) time, so it resolves the current
-  ``REPRO_BENCH_SCALE``; for a fixed scale the same spec always expands
-  to the same tasks with the same content keys.  Nothing about a
-  figure's identity lives outside its spec — which is why
-  ``docs/figures/`` pages generated from the registry cannot drift from
-  the code.
+  execution time, so it resolves the current ``REPRO_BENCH_SCALE``; for
+  a fixed scale the same spec always expands to the same tasks with the
+  same content keys.  Nothing about a figure's identity lives outside
+  its spec, and the campaign record describes each figure's matrix
+  from the tasks it ran, at the scale it ran.
 - **Probe lifecycle.**  A spec that needs telemetry names result probes
   on its tasks (``SweepTask.probes``); the probes run once, inside the
   worker that simulated the task, and their scalar outputs ride the
@@ -207,8 +206,8 @@ class FigureSpec:
     #: campaign filter labels (``repro figures run --all --tag sim``);
     #: by convention the first tag is the figure kind (sim | model)
     tags: Tuple[str, ...] = ()
-    #: optional prose for the generated ``docs/figures/`` page — what
-    #: the figure demonstrates beyond what the title already says
+    #: optional prose for the figure's ``REPRODUCTION.md`` section —
+    #: what it demonstrates beyond what the title already says
     doc: str = ""
 
 

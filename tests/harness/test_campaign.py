@@ -12,6 +12,7 @@ from repro.harness.backends import ProcessBackend, SerialBackend
 from repro.harness.campaign import (
     CampaignResult,
     FigureOutcome,
+    matrix_summary,
     run_campaign,
     select_figures,
     shared_store,
@@ -24,7 +25,7 @@ from repro.harness.sweep import (
     task_key,
 )
 from repro.report import campaign_doc
-from repro.scenarios import figure_ids
+from repro.scenarios import figure_ids, get_figure
 
 from helpers import (
     footprint_task,
@@ -400,3 +401,98 @@ class TestSharedStore:
         campaign = CampaignResult([], wall_s=0.0)
         with pytest.raises(KeyError):
             campaign["nope"]
+
+
+def matrix_of(fig_id):
+    return matrix_summary(get_figure(fig_id).build().values())
+
+
+class TestMatrixSummary:
+    def test_digest_of_probed_failure_matrix(self):
+        summary = matrix_of("fig07")
+        assert summary["lbs"] == ["ops", "reps"]
+        assert summary["probes"] == ["freeze_entries"]
+        assert summary["failures"]
+        assert summary["tasks"] == len(get_figure("fig07").build())
+
+    def test_model_tasks_have_no_topology(self):
+        summary = matrix_of("table1")
+        assert summary["topologies"] == []
+        assert summary["lbs"] == ["model"]
+
+    def test_a_three_tier_fabric_says_so(self):
+        """Fabric parameters away from their defaults follow the host
+        counts: fig21's 3-tier, 2:1 tree does not read as 2 tiers."""
+        (topo,) = matrix_of("fig21")["topologies"]
+        assert topo.startswith("32 hosts / 4 per T0, ")
+        assert "tiers=3" in topo.split(", ")
+        assert "oversubscription=2" in topo.split(", ")
+
+    def test_one_topology_per_oversubscription(self):
+        tasks = get_figure("ablation_oversubscription").build().values()
+        ratios = {dict(task.topo)["oversubscription"] for task in tasks}
+        topos = matrix_summary(tasks)["topologies"]
+        assert len(ratios) > 1 and len(topos) == len(ratios)
+        for ratio in ratios - {1}:
+            assert sum(f"oversubscription={ratio}" in topo.split(", ")
+                       for topo in topos) == 1
+
+    def test_a_composed_failure_reads_as_its_parts(self):
+        """Fig. 8's combined modes are one schedule cell joining both
+        sub-specs, cables then switches."""
+        composed = [cell for cell in matrix_of("fig08_permutation")
+                    ["failures"] if " + " in cell]
+        assert composed
+        for cell in composed:
+            cables, switches = cell.split(" + ")
+            assert cables.startswith("`fail_fraction(")
+            assert "what=cables" in cables and "what=switches" in switches
+
+    def test_the_digest_ignores_task_order(self):
+        tasks = list(get_figure("fig08_permutation").build().values())
+        summary = matrix_summary(tasks)
+        assert matrix_summary(reversed(tasks)) == summary
+        # the record stores it as JSON and reads it back unchanged
+        assert json.loads(json.dumps(summary)) == summary
+
+    def test_the_matrix_is_the_scale_the_tasks_ran_at(self, monkeypatch):
+        """Built under each scale, the same figure describes the fabric
+        and transfer sizes of that scale; a fabric left at its defaults
+        names only its host counts."""
+        seen = {}
+        for scale in ("smoke", "quick"):
+            monkeypatch.setenv("REPRO_BENCH_SCALE", scale)
+            seen[scale] = matrix_of("fig07")
+        assert seen["smoke"]["topologies"] == ["8 hosts / 4 per T0"]
+        assert seen["quick"]["topologies"] == ["32 hosts / 8 per T0"]
+        assert seen["smoke"]["workloads"] != seen["quick"]["workloads"]
+        assert seen["smoke"]["lbs"] == seen["quick"]["lbs"]
+
+
+class TestOutcomeMatrix:
+    """Every figure that ran records the matrix of the tasks it ran;
+    the campaign job's cold run asserts the same on campaign.json."""
+
+    def test_each_figure_that_ran_records_its_tasks(self, tmp_path):
+        def boom():
+            raise RuntimeError("matrix exploded")
+        specs = stub_registry() + [stub_spec("stub_bad", build=boom)]
+        campaign = run_campaign(specs, store=ColumnarStore(str(tmp_path)))
+        for spec, outcome in zip(specs, campaign):
+            if outcome.status == "error":
+                assert outcome.matrix is None
+                continue
+            assert outcome.matrix == matrix_summary(spec.build().values())
+            assert outcome.matrix["tasks"] == outcome.n_tasks
+        assert campaign["stub_bad"].matrix is None
+        # a task shared with stub_a still counts in stub_b's matrix
+        assert campaign["stub_b"].matrix["tasks"] == 2
+
+    def test_a_cached_rerun_records_the_same_matrices(self, tmp_path):
+        store = ColumnarStore(str(tmp_path))
+        cold = run_campaign(stub_registry(), store=store)
+        warm = run_campaign(stub_registry(), store=store)
+        assert warm.executed == 0
+        assert [o.matrix for o in warm] == [o.matrix for o in cold]
+        assert [f["matrix"] for f in campaign_doc(warm)["figures"]] == \
+            [o.matrix for o in cold]

@@ -6,7 +6,11 @@ import json
 
 import pytest
 
-from repro.harness.campaign import CampaignResult, run_campaign
+from repro.harness.campaign import (
+    CampaignResult,
+    matrix_summary,
+    run_campaign,
+)
 from repro.harness.store import ColumnarStore
 from repro.report import (
     campaign_doc,
@@ -16,6 +20,8 @@ from repro.report import (
     write_campaign_report,
 )
 from repro.report.provenance import store_throughput
+from repro.report.reproduction import _matrix_table
+from repro.scenarios import get_figure
 
 from helpers import stub_registry, stub_spec
 
@@ -30,6 +36,10 @@ def small_campaign(tmp_path, extra_specs=()):
     specs = stub_registry() + list(extra_specs) \
         + [stub_spec("stub_bad", build=boom)]
     return run_campaign(specs, store=ColumnarStore(str(tmp_path)))
+
+
+def matrix_of(fig_id):
+    return matrix_summary(get_figure(fig_id).build().values())
 
 
 def report(campaign, prov=None):
@@ -251,6 +261,45 @@ class TestRenderReproduction:
                 "(2 < 1); second miss (3 == 4)\n") in text
 
 
+class TestMatrixTable:
+    """The axis/values table each figure's section shows, from the
+    matrix of the catalogue's own figures."""
+
+    def test_a_sim_figure_states_its_matrix(self):
+        table = _matrix_table(matrix_of("fig07")).splitlines()
+        assert table[:2] == ["| axis | values |", "|---|---|"]
+        rows = {row.split(" | ")[0].lstrip("| "): row for row in table[2:]}
+        assert rows["load balancers"] == \
+            "| load balancers | `ops`, `reps` |"
+        assert "fail_cable_schedule(events=" in rows["failure schedule"]
+        assert rows["result probes"] == \
+            "| result probes | `freeze_entries` |"
+        assert rows["scenario `max_us`"].startswith("| scenario `max_us` | ")
+        assert list(rows) == ["load balancers", "workloads", "topologies",
+                              "seeds", "scenario `max_us`",
+                              "failure schedule", "result probes"]
+
+    def test_a_model_figure_has_no_fabric_rows(self):
+        table = _matrix_table(matrix_of("table1"))
+        assert "| load balancers | `model` |" in table
+        assert "footprint" in table
+        for absent in ("| topologies |", "| failure schedule |",
+                       "| result probes |", "| scenario "):
+            assert absent not in table
+
+    def test_the_table_sits_between_meta_line_and_prose(self, tmp_path):
+        import dataclasses
+        spec = dataclasses.replace(get_figure("table1"),
+                                   doc="What the footprint model counts.")
+        campaign = run_campaign([spec], store=ColumnarStore(str(tmp_path)))
+        (fig,) = campaign_doc(campaign)["figures"]
+        paragraphs = render_reproduction(campaign_doc(campaign)).split(
+            f"\n## {spec.fig_id} — ")[1].split("\n\n")
+        assert paragraphs[2].startswith("tags: ")
+        assert paragraphs[3] == _matrix_table(fig["matrix"])
+        assert paragraphs[4] == spec.doc
+
+
 def ts_spec(fig_id="stub_ts"):
     """A tiny *real* time-series figure: two fast sim tasks with the
     windowed probes attached."""
@@ -318,7 +367,7 @@ class TestCampaignJson:
     def test_document_structure(self, tmp_path):
         campaign = small_campaign(tmp_path)
         doc = campaign_doc(campaign)
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
         for field in PROVENANCE_FIELDS:
             assert field in doc["provenance"]
         summary = doc["summary"]
@@ -343,6 +392,11 @@ class TestCampaignJson:
                          "margin": pytest.approx(119 / 74),
                          "held": True}
         assert by_id["stub_bad"]["expectations"] == []
+        assert by_id["stub_a"]["matrix"]["tasks"] == \
+            by_id["stub_a"]["tasks"] == 2
+        assert by_id["stub_a"]["matrix"]["lbs"] == ["model"]
+        assert by_id["stub_bad"]["matrix"] is None
+        assert summary["distinct_seeds"] == 1
 
     def test_json_serializable_with_inf_sanitized(self, tmp_path):
         import dataclasses
@@ -405,6 +459,7 @@ def fig_record(**fields):
            "doc": "", "tags": ["stub"], "metric": "total_bits",
            "metric_kind": "scalar", "status": "pass", "error": "",
            "wall_s": 0.0, "tasks": 2, "executed": 2, "cached": 0,
+           "matrix": None,
            "table": {"headers": ["scenario", "total_bits"],
                      "rows": [["1", 74.0], ["8", 193.0]],
                      "notes": ["bits per connection"]},
@@ -578,9 +633,37 @@ class TestRecordIsTheModel:
         from repro.report import load_record
         _campaign, _calls, out = written
         record = load_record(str(out / "campaign.json"))
-        record["schema"] = 2
-        with pytest.raises(ValueError, match="schema 2 is not 3"):
+        record["schema"] = 3
+        with pytest.raises(ValueError, match="schema 3 is not 4"):
             render_reproduction(record)
+
+    def test_each_figure_that_ran_shows_its_matrix(self, written):
+        """An axis/values table under the meta line of every figure that
+        ran, from the tasks it ran; a figure whose build raised has
+        ``matrix: null`` and no table."""
+        from repro.report import load_record
+        _campaign, _calls, out = written
+        record = load_record(str(out / "campaign.json"))
+        text = (out / "REPRODUCTION.md").read_text()
+        sections = {}
+        for fig in record["figures"]:
+            start = text.index(f"\n## {fig['fig_id']} — ")
+            sections[fig["fig_id"]] = section = \
+                text[start:text.find("\n## ", start + 1)]
+            if fig["fig_id"] == "k_never":
+                assert fig["matrix"] is None
+                assert "| axis | values |" not in section
+                continue
+            matrix = fig["matrix"]
+            assert matrix["tasks"] == fig["tasks"]
+            meta, table = section.split("\n\n")[2:4]
+            assert meta.startswith("tags: ")
+            assert table.splitlines()[0] == "| axis | values |"
+            assert "| load balancers | " + ", ".join(
+                f"`{lb}`" for lb in matrix["lbs"]) + " |" in table
+            assert "| seeds | " + ", ".join(
+                map(str, matrix["seeds"])) + " |" in table
+        assert "| result probes | `goodput_series` |" in sections["k_ts"]
 
     def test_each_table_runs_once_per_campaign(self, written):
         """Judged once, then serialized, written twice and printed: the

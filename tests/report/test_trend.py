@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import pytest
 
+from repro.harness.campaign import matrix_summary
 from repro.report import diff_campaigns, load_record, render_trend
+
+#: the committed campaign record: the trend baseline CI gates against
+COMMITTED = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))), "campaign.json")
 
 
 def record(**figures):
@@ -314,3 +320,28 @@ class TestLoadRecord:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(BASE))
         assert load_record(str(path))["figures"][0]["fig_id"] == "fig07"
+
+
+def test_a_matrix_field_moves_no_committed_result(monkeypatch):
+    """The committed record against the same figures, each carrying its
+    scenario matrix at the record's scale: what the ledger's campaign
+    judge and CI's trend gate compute finds no drift, no vanished row
+    and the same badges."""
+    from repro.scenarios import REGISTRY, arena_specs
+
+    old = load_record(COMMITTED)
+    monkeypatch.setenv("REPRO_BENCH_SCALE", old["provenance"]["scale"])
+    policies = old["summary"]["policies"]
+    specs = {s.fig_id: s for s in list(REGISTRY.values()) + arena_specs(
+        policies, pivot=policies[0])}
+    new = json.loads(json.dumps(old))
+    for fig in new["figures"]:
+        fig["matrix"] = matrix_summary(specs[fig["fig_id"]].build().values())
+        assert fig["matrix"]["tasks"] == fig["tasks"], fig["fig_id"]
+    report = diff_campaigns(old, new, tol=0.0)
+    assert report.clean and not report.added and not report.removed
+    assert len(report.figures) == len(old["figures"])
+    for fig in report.figures:
+        assert fig.drifts == [] and fig.vanished_rows == []
+        assert fig.old_status == fig.new_status
+        assert not fig.changed

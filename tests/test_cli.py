@@ -260,6 +260,21 @@ class TestFigures:
         for fig_id in figure_ids():
             assert fig_id in out
 
+    def test_list_counts_each_figures_tasks(self, capsys):
+        """With REPRODUCTION.md's matrices, the list is the catalogue:
+        each row's task count is the size of the figure's matrix."""
+        from repro.harness.campaign import matrix_summary
+        from repro.scenarios import figure_ids, get_figure
+        code, out = run_cli(capsys, "figures", "list")
+        assert code == 0
+        rows = {line.split()[0]: line for line in out.splitlines()
+                if line.split() and line.split()[0] in figure_ids()}
+        assert sorted(rows) == sorted(figure_ids())
+        for fig_id in ("table1", "fig07", "fig21"):
+            tasks = matrix_summary(
+                get_figure(fig_id).build().values())["tasks"]
+            assert re.search(rf"\s{tasks}\s", rows[fig_id])
+
     def test_run_model_figure(self, capsys, tmp_path):
         code, out = run_cli(
             capsys, "figures", "run", "table1",
@@ -1088,27 +1103,6 @@ class TestFiguresTrend:
             run_cli(capsys, "figures", "trend", str(bogus), str(bogus))
 
 
-class TestDocs:
-    def test_generate_then_check_clean(self, capsys, tmp_path):
-        code, out = run_cli(capsys, "docs", "figures",
-                            "--out", str(tmp_path))
-        assert code == 0
-        from repro.scenarios import REGISTRY
-        assert f"wrote {len(REGISTRY) + 1} page(s)" in out
-        code, out = run_cli(capsys, "docs", "figures",
-                            "--out", str(tmp_path), "--check")
-        assert code == 0
-        assert "matches the registry" in out
-
-    def test_check_flags_drift(self, capsys, tmp_path):
-        run_cli(capsys, "docs", "figures", "--out", str(tmp_path))
-        (tmp_path / "fig07.md").write_text("hand edited\n")
-        code, out = run_cli(capsys, "docs", "figures",
-                            "--out", str(tmp_path), "--check")
-        assert code == 1
-        assert "[DRIFT]" in out and "fig07.md: stale" in out
-
-
 class TestFootprint:
     def test_table1_defaults(self, capsys):
         code, out = run_cli(capsys, "footprint")
@@ -1140,6 +1134,16 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice: 'orchestrate'" in capsys.readouterr().err
         assert "orchestrate" not in cli.DISPATCH
+
+    def test_docs_is_an_unknown_command(self, capsys):
+        """A figure's page is its REPRODUCTION.md section, written from
+        the campaign record: there is no second, generated docs tree."""
+        import repro.cli as cli
+        with pytest.raises(SystemExit) as exc:
+            main(["docs", "figures", "--check"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'docs'" in capsys.readouterr().err
+        assert "docs" not in cli.DISPATCH
 
     def test_overview_help_and_dispatch_agree(self, capsys):
         """One overview: every dispatched command is in ``repro -h``

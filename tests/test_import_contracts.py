@@ -89,7 +89,6 @@ def test_the_figure_catalogue_loads_only_the_describe_layer():
     ("figures", "list"),
     ("figures", "trend", RECORD, RECORD),
     ("footprint",),
-    ("docs", "figures", "--check"),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_describe_and_present_commands_skip_execution(argv):
     code, modules = loaded_by(*argv, cwd=ROOT)
