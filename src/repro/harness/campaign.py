@@ -149,7 +149,10 @@ def matrix_summary(tasks: Iterable[SweepTask]) -> Dict[str, object]:
     axes: Dict[str, set] = {}
     for task in tasks:
         lbs.add(task.lb)
-        workloads.add(f"{task.workload.kind}: {task.workload.label()}")
+        label = task.workload.label()
+        # a model's label already names its kind (``model:footprint``)
+        workloads.add(label if task.workload.kind == "model"
+                      else f"{task.workload.kind}: {label}")
         topos.add(task.topo)
         seeds.add(task.seed)
         probes.update(task.probes)

@@ -50,12 +50,6 @@ class NetworkConfig:
     reps: Optional[RepsConfig] = None
     routing_update_delay_us: Optional[float] = None
     seed: int = 1
-    #: Appendix-A RTT heuristic: classify timeouts and withhold
-    #: congestion-looking losses from the LB's failure detection
-    rtt_loss_discrimination: bool = False
-    #: Sec. 4.5.3 delay-based signal: the LB sees ``rtt > factor * base
-    #: RTT`` instead of the ECN bit (for fabrics without ECN)
-    delay_signal_factor: Optional[float] = None
 
 
 class _FlowRecord:
@@ -125,7 +119,6 @@ class Network:
         self._next_flow_id = 0
         self._added = 0
         self._completed = 0
-        self._stop_on_complete = True
         self.recorders: List[SeriesRecorder] = []
         for host in self.tree.hosts:
             host.dispatch = self._make_dispatch(host)
@@ -224,21 +217,12 @@ class Network:
                 reps_config=cfg.reps,
             )
             lb_obj = lb_policy.factory(ctx)
-            classifier = None
-            if cfg.rtt_loss_discrimination:
-                from .loss_discrimination import RttLossClassifier
-                classifier = RttLossClassifier(rtt_ps)
-            delay_threshold = None
-            if cfg.delay_signal_factor is not None:
-                delay_threshold = int(cfg.delay_signal_factor * rtt_ps)
             sender = FlowSender(
                 self.engine, self.tree.hosts[src],
                 flow_id=flow_id, dst=dst, size_bytes=size_bytes, mtu=mtu,
                 lb=lb_obj, cc=cc_obj, rto_ps=self._rto_ps,
                 on_complete=(self._make_completion(on_complete)
                              if n_copies == 1 else None),
-                loss_classifier=classifier,
-                delay_signal_threshold_ps=delay_threshold,
             )
             self._flows[flow_id].attach(sender, FlowReceiver(
                 self.engine, self.tree.hosts[dst],
@@ -256,7 +240,7 @@ class Network:
             self._completed += 1
             if user_cb is not None:
                 user_cb(sender)
-            if self._stop_on_complete and self._completed == self._added:
+            if self._completed == self._added:
                 self.engine.stop()
         return done
 
@@ -289,12 +273,8 @@ class Network:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def run(self, max_us: Optional[float] = None,
-            stop_on_complete: bool = True) -> RunMetrics:
+    def run(self, max_us: Optional[float] = None) -> RunMetrics:
         """Run until all flows complete (or ``max_us``); return metrics."""
-        if max_us is None and not stop_on_complete:
-            raise ValueError("provide max_us when not stopping on completion")
-        self._stop_on_complete = stop_on_complete
         until = us_to_ps(max_us) if max_us is not None else None
         self.engine.run(until_ps=until)
         for rec in self.recorders:

@@ -36,14 +36,13 @@ class Packet:
         acked_seqs: sequence numbers acknowledged (coalesced ACKs carry >1).
         ev_echoes:  for Carry-EVs ACK coalescing: list of (ev, ecn) pairs of
                     every data packet covered by this ACK, oldest first.
-        send_time:  sender timestamp of the (data) transmission, ps.
         retx:       retransmission count of this seq when it was sent.
     """
 
     __slots__ = (
         "src", "dst", "flow_id", "seq", "size", "ev", "ecn",
         "is_ack", "is_nack", "trimmed", "is_control", "acked_seqs",
-        "ev_echoes", "send_time", "retx",
+        "ev_echoes", "retx",
     )
 
     def __init__(
@@ -57,7 +56,6 @@ class Packet:
         *,
         is_ack: bool = False,
         is_nack: bool = False,
-        send_time: int = 0,
         retx: int = 0,
     ) -> None:
         self.src = src
@@ -73,7 +71,6 @@ class Packet:
         self.is_control = is_ack or is_nack
         self.acked_seqs: Optional[List[int]] = None
         self.ev_echoes: Optional[List[Tuple[int, bool]]] = None
-        self.send_time = send_time
         self.retx = retx
 
     def trim(self) -> None:
@@ -101,7 +98,7 @@ def make_ack(
     """
     ack = Packet(data_pkt.dst, data_pkt.src, data_pkt.flow_id,
                  data_pkt.seq, CONTROL_PACKET_BYTES, data_pkt.ev,
-                 is_ack=True, send_time=data_pkt.send_time)
+                 is_ack=True)
     ack.ecn = data_pkt.ecn
     ack.acked_seqs = acked_seqs
     ack.ev_echoes = ev_echoes
@@ -112,4 +109,4 @@ def make_nack(trimmed_pkt: Packet) -> Packet:
     """Build a NACK in response to a trimmed data packet (Appendix A)."""
     return Packet(trimmed_pkt.dst, trimmed_pkt.src, trimmed_pkt.flow_id,
                   trimmed_pkt.seq, CONTROL_PACKET_BYTES, trimmed_pkt.ev,
-                  is_nack=True, send_time=trimmed_pkt.send_time)
+                  is_nack=True)

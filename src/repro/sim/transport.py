@@ -79,7 +79,7 @@ class FlowSender:
                  "_last_pkt_size", "_next_new_seq", "_outstanding",
                  "_inflight_bytes", "_retx_q", "_retx_counts", "_acked_map",
                  "_n_acked", "_timer", "stats", "start_time", "complete_time",
-                 "cancelled", "loss_classifier", "delay_signal_threshold_ps")
+                 "cancelled")
 
     def __init__(
         self,
@@ -94,8 +94,6 @@ class FlowSender:
         cc: CongestionControl,
         rto_ps: int,
         on_complete: Optional[Callable[["FlowSender"], None]] = None,
-        loss_classifier=None,
-        delay_signal_threshold_ps: Optional[int] = None,
     ) -> None:
         if size_bytes <= 0:
             raise ValueError("flow size must be positive")
@@ -126,13 +124,6 @@ class FlowSender:
         self.complete_time: Optional[int] = None
         #: a RepFlow loser copy: transmission stopped without completing
         self.cancelled = False
-        #: optional Appendix-A RTT heuristic: timeouts classified as
-        #: congestion losses are NOT reported to the LB as failures
-        self.loss_classifier = loss_classifier
-        #: optional delay-as-congestion-signal (Sec. 4.5.3's "version of
-        #: REPS that works just with delay if ECN is not supported"):
-        #: when set, the LB sees rtt > threshold instead of the ECN bit
-        self.delay_signal_threshold_ps = delay_signal_threshold_ps
 
     # ------------------------------------------------------------------
     @property
@@ -190,8 +181,7 @@ class FlowSender:
                 break
             size = self._last_pkt_size if seq == n_pkts - 1 else mtu
             ev = next_entropy(now)
-            pkt = Packet(src, dst, flow_id, seq, size, ev,
-                         send_time=now, retx=retx)
+            pkt = Packet(src, dst, flow_id, seq, size, ev, retx=retx)
             outstanding[seq] = (now, size, ev, retx)
             inflight += size
             stats.pkts_sent += 1
@@ -213,21 +203,9 @@ class FlowSender:
         self.stats.acks_received += 1
         if ack.ecn:
             self.stats.ecn_acks += 1
-        rtt = now - ack.send_time
-        if self.loss_classifier is not None:
-            self.loss_classifier.observe(now, rtt)
         # feed the load balancer: the Carry-EVs variant echoes every
-        # covered packet's (ev, ecn); standard ACKs echo only their own.
-        # With a delay threshold configured, the measured RTT substitutes
-        # for the ECN bit as the congestion signal.
-        if self.delay_signal_threshold_ps is not None:
-            signal = rtt > self.delay_signal_threshold_ps
-            if ack.ev_echoes is not None:
-                for ev, _ in ack.ev_echoes:
-                    self.lb.on_ack(ev, signal, now)
-            else:
-                self.lb.on_ack(ack.ev, signal, now)
-        elif ack.ev_echoes is not None:
+        # covered packet's (ev, ecn); standard ACKs echo only their own
+        if ack.ev_echoes is not None:
             for ev, ecn in ack.ev_echoes:
                 self.lb.on_ack(ev, ecn, now)
         else:
@@ -287,19 +265,11 @@ class FlowSender:
                    if t + self.rto_ps <= now]
         if expired:
             self.stats.timeouts += len(expired)
-            # Appendix A: with the RTT heuristic, timeouts that look like
-            # congestion drops (deep queues just observed) are kept away
-            # from the LB so REPS does not freeze needlessly
-            report_failure = True
-            if self.loss_classifier is not None:
-                report_failure = \
-                    self.loss_classifier.classify_timeout(now) == "failure"
             for seq in sorted(expired):
                 _, size, ev, _ = self._outstanding.pop(seq)
                 self._inflight_bytes -= size
                 self._queue_retx(seq)
-                if report_failure:
-                    self.lb.on_timeout(ev, now)
+                self.lb.on_timeout(ev, now)
             self.cc.on_timeout(now)
             self._try_send()
         else:
@@ -333,7 +303,7 @@ class FlowSender:
         The timer is cancelled first, so its queued shell drains as a
         no-op."""
         self._timer.cancel()
-        self.cc = self.on_complete = self.loss_classifier = None
+        self.cc = self.on_complete = None
         self._outstanding = self._retx_q = self._retx_counts = None
         self._acked_map = self._timer = None
         release = getattr(self.lb, "release", None)

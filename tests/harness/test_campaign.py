@@ -420,6 +420,16 @@ class TestMatrixSummary:
         assert summary["topologies"] == []
         assert summary["lbs"] == ["model"]
 
+    def test_a_model_workload_names_its_kind_once(self):
+        """A model's label already starts with ``model:``; the cell
+        does not prefix the kind a second time."""
+        assert matrix_of("table1")["workloads"] == ["model:footprint"]
+        assert all(cell.startswith("model:") and ": " not in cell
+                   for cell in matrix_of("fig14")["workloads"])
+        # a simulated kind still leads with its kind
+        assert all(cell.startswith("synthetic: ")
+                   for cell in matrix_of("fig07")["workloads"])
+
     def test_a_three_tier_fabric_says_so(self):
         """Fabric parameters away from their defaults follow the host
         counts: fig21's 3-tier, 2:1 tree does not read as 2 tiers."""

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.metrics import RunMetrics
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.topology import TopologyParams
@@ -18,6 +16,14 @@ class TestRunSemantics:
         assert m.flows_completed == 1
         assert net.engine.pending() >= 0  # leftover cancelled timers ok
 
+    def test_run_ends_at_the_last_completion(self, net):
+        net.add_flow(0, 4, 64 * 1024)
+        net.add_flow(1, 5, 256 * 1024, start_us=5.0)
+        m = net.run()
+        last = max(r.sender.complete_time for r in net.flows.values())
+        assert m.flows_completed == 2
+        assert net.engine.now == last
+
     def test_max_us_bounds_stuck_run(self):
         net = small_network(lb="ops")
         for c in net.tree.t0_uplink_cables():
@@ -26,10 +32,6 @@ class TestRunSemantics:
         m = net.run(max_us=500.0)
         assert m.flows_completed == 0
         assert m.sim_time_us <= 500.0 + 1e-6
-
-    def test_requires_bound_when_not_stopping(self, net):
-        with pytest.raises(ValueError):
-            net.run(stop_on_complete=False)
 
     def test_dynamic_flow_addition_from_callback(self, net):
         added = []

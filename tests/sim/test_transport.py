@@ -139,6 +139,69 @@ class TestRetransmission:
         assert m.flows_completed == 1
 
 
+def freeze_entries(net: Network) -> int:
+    return sum(r.sender.lb.stats_freeze_entries for r in net.flows.values())
+
+
+class TestTimeoutReachesTheLb:
+    """An RTO expiry is reported to the LB as a possible failure
+    (``lb.on_timeout``), which is what freezes REPS (Sec. 3.2)."""
+
+    def test_incast_timeouts_freeze_reps(self):
+        """8:1 incast on the default (1-BDP) queues: the receiver's
+        downlink overflows, the drops expire as timeouts, and without
+        trimming each one reaches REPS as a failure."""
+        topo = TopologyParams(n_hosts=16, hosts_per_t0=8)
+        net = Network(NetworkConfig(topo=topo, lb="reps", seed=3))
+        for src in range(8, 16):
+            net.add_flow(src, 0, 2 << 20)
+        net.run(max_us=500_000)
+        timeouts = sum(r.sender.stats.timeouts for r in net.flows.values())
+        assert timeouts > 0, "scenario must actually drop packets"
+        assert freeze_entries(net) > 0
+
+    def test_every_expiry_reaches_on_timeout(self):
+        """Each expired packet is one ``lb.on_timeout`` call, carrying
+        the entropy the packet was sent on."""
+        net = small_network(n_hosts=16, hosts_per_t0=8, lb="reps")
+        for c in net.tree.t0_uplink_cables():
+            net.failures.fail_cable(c, at_ps=0, duration_ps=150_000_000)
+        fid = net.add_flow(0, 8, 32 * 1024)
+        sender = net.sender_of(fid)
+        sent_evs = set()
+        on_timeout = sender.lb.on_timeout
+        next_entropy = sender.lb.next_entropy
+        reported = []
+
+        def record_send(now):
+            ev = next_entropy(now)
+            sent_evs.add(ev)
+            return ev
+
+        def record_timeout(ev, now):
+            reported.append(ev)
+            on_timeout(ev, now)
+
+        sender.lb.next_entropy = record_send
+        sender.lb.on_timeout = record_timeout
+        m = net.run(max_us=100_000)
+        assert m.flows_completed == 1
+        assert sender.stats.timeouts > 0
+        assert len(reported) == sender.stats.timeouts
+        assert set(reported) <= sent_evs
+
+    def test_cable_failure_freezes_reps(self):
+        topo = TopologyParams(n_hosts=8, hosts_per_t0=4)
+        net = Network(NetworkConfig(topo=topo, lb="reps", seed=3))
+        net.failures.fail_cable(net.tree.t0_uplink_cables()[0],
+                                at_ps=30_000_000, duration_ps=300_000_000)
+        for src in range(4):
+            net.add_flow(src, 4 + src, 2 << 20)
+        m = net.run(max_us=2_000_000)
+        assert m.flows_completed == 4
+        assert freeze_entries(net) > 0
+
+
 class TestAckCoalescing:
     @pytest.mark.parametrize("ratio", [1, 2, 4, 8, 16])
     def test_flow_completes_at_any_ratio(self, ratio):
@@ -314,7 +377,7 @@ class _SetSender(FlowSender):
             self.stats.pkts_sent += 1
             self.stats.retransmissions += bool(retx)
             burst.append(Packet(self.src, self.dst, self.flow_id, seq, size,
-                                ev, send_time=now, retx=retx))
+                                ev, retx=retx))
         if burst:
             self.host.port.enqueue_burst(burst)
         self._rearm_timer()
@@ -415,7 +478,7 @@ class _Wire:
         now = self.engine.now
         if kind == "trim" and not pkt.is_control:
             copy = Packet(pkt.src, pkt.dst, pkt.flow_id, pkt.seq, pkt.size,
-                          pkt.ev, send_time=pkt.send_time, retx=pkt.retx)
+                          pkt.ev, retx=pkt.retx)
             copy.trim()
             self.engine.at(now + first * 10 * _US, self.deliver, copy)
         elif kind != "lost":
