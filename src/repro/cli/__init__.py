@@ -26,7 +26,7 @@ nothing of the package and ``figures list`` never loads the simulator:
 - ``footprint`` (:mod:`.tools`): print the Table-1 memory accounting.
 
 ``--workers`` alone picks how a sweep runs: in-process for 1, one
-``multiprocessing`` pool for more (see :mod:`repro.harness.backends`).
+``multiprocessing`` pool for more (:class:`repro.harness.backends.Pool`).
 
 Examples::
 

@@ -11,7 +11,7 @@ __all__ = [
     "WorkloadSpec", "FailureSpec", "ColumnarStore",
     "make_task", "make_model_task", "task_key", "run_sweep",
     "spawn_seeds", "execute_task", "simulator_version",
-    "BACKENDS", "Backend", "resolve_backend",
+    "Pool",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
@@ -19,7 +19,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     ".model_tasks": ("MODEL_RUNNERS", "run_model"),
     ".runner": ("ScenarioResult", "simulate"),
     ".scale": ("FULL", "QUICK", "SMOKE", "Scale", "current_scale"),
-    ".backends": ("BACKENDS", "Backend", "resolve_backend"),
+    ".backends": ("Pool",),
     ".store": ("ColumnarStore",),
     ".sweep": ("FailureSpec", "SweepResults", "SweepTask", "TaskResult",
                "WorkloadSpec", "execute_task", "make_model_task", "make_task", "run_sweep",

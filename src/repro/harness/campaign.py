@@ -53,7 +53,6 @@ from ..scenarios import Expectation, FigureSpec, TableDoc, figure_ids, \
 # run_figure is re-exported: the perf ledger wraps it by this name
 from ..scenarios.registry import FigureRun, run_figure, run_figures  # noqa: F401,E501
 from ..sim.params import TopologyParams
-from .backends import resolve_backend
 from .sweep import FailureSpec, SweepTask
 
 if TYPE_CHECKING:  # describe -> persist: the codec loads with a store
@@ -213,16 +212,12 @@ class CampaignResult:
 
     def __init__(self, outcomes: Sequence[FigureOutcome], *,
                  wall_s: float, store: Optional[ColumnarStore] = None,
-                 pruned: Sequence[str] = (),
-                 backend: str = "serial", workers: int = 1,
+                 pruned: Sequence[str] = (), workers: int = 1,
                  store_write_s: float = 0.0) -> None:
         self.outcomes = list(outcomes)
         self.wall_s = wall_s
         self.store = store
         self.pruned = list(pruned)
-        #: resolved execution-backend name, recorded in the report's
-        #: provenance header
-        self.backend = backend
         self.workers = max(1, workers)
         #: seconds the parent spent appending results to the store
         self.store_write_s = store_write_s
@@ -317,14 +312,11 @@ def _judge(spec: FigureSpec, ran: FigureRun) -> FigureOutcome:
 def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
                  store: Optional[ColumnarStore] = None,
                  prune_stale: bool = False,
-                 progress: bool = False,
-                 backend=None) -> CampaignResult:
+                 progress: bool = False) -> CampaignResult:
     """Run ``specs`` as one sweep, fail-soft, and return every outcome.
 
-    ``store`` is shared across figures (see :func:`shared_store`).
-    ``workers`` picks the execution backend (serial, or one pool) unless
-    a ready ``backend`` instance is given; its name is recorded on the
-    result for report provenance.  With
+    ``store`` is shared across figures (see :func:`shared_store`); the
+    misses run on ``workers`` processes (in-process for one).  With
     ``prune_stale`` the store drops artifacts whose recorded simulator
     hash (or schema) no longer matches the current source tree after
     the campaign finishes.
@@ -333,8 +325,6 @@ def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
     if not specs:
         raise ValueError("empty campaign: no figures selected")
     start = time.monotonic()
-    executor = resolve_backend(backend, workers=workers)
-    write_s_before = executor.store_write_s
     outcomes: List[Optional[FigureOutcome]] = [None] * len(specs)
 
     def on_figure(index: int, ran: FigureRun) -> None:
@@ -347,8 +337,8 @@ def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
                   f"cached), {outcome.wall_s:.1f}s task wall",
                   flush=True)
 
-    run_figures(specs, workers=workers, store=store, backend=executor,
-                on_figure=on_figure)
+    _runs, store_write_s = run_figures(specs, workers=workers,
+                                       store=store, on_figure=on_figure)
     pruned: List[str] = []
     if store is not None:
         if prune_stale:
@@ -358,6 +348,4 @@ def run_campaign(specs: Iterable[FigureSpec], *, workers: int = 1,
                       f"{store.root}")
     return CampaignResult(
         outcomes, wall_s=time.monotonic() - start, store=store,
-        pruned=pruned, backend=executor.name,
-        workers=getattr(executor, "workers", 1),
-        store_write_s=executor.store_write_s - write_s_before)
+        pruned=pruned, workers=workers, store_write_s=store_write_s)

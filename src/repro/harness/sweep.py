@@ -10,11 +10,11 @@ campaign:
    Every axis value is plain data — topology kwargs, a
    :class:`WorkloadSpec`, a :class:`FailureSpec` — so tasks pickle
    cleanly and hash stably.
-2. :func:`run_sweep` executes the tasks through an *execution
-   backend* (:mod:`repro.harness.backends`) picked by the worker
-   count: ``serial`` for one, one ``process`` pool for more.  Each
-   task carries its own seed (listed explicitly or spawned
-   deterministically from a root seed via :func:`spawn_seeds`), and
+2. :func:`run_sweep` executes the tasks through one
+   :class:`~repro.harness.backends.Pool` of ``workers`` processes
+   (in-process for one).  Each task carries its own seed (listed
+   explicitly or spawned deterministically from a root seed via
+   :func:`spawn_seeds`), and
    the simulator is deterministic given a seed, so serial and pooled
    runs produce byte-identical metrics for the same tasks.
 3. Results persist in a :class:`~repro.harness.store.ColumnarStore`,
@@ -817,9 +817,14 @@ def execute_task(task: SweepTask) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 class TaskFailed(RuntimeError):
     """A task raised while executing; the message is the traceback
-    from the process that ran it.  Backends hand one back *as the
+    from the process that ran it.  The pool hands one back *as the
     task's result* instead of letting it propagate, so one bad task
-    never costs the results of the others."""
+    never costs the results of the others.  Raised by
+    :func:`run_sweep` once the sweep is over, it carries that sweep's
+    results as ``sweep``."""
+
+    #: the finished sweep, when :func:`run_sweep` raised this
+    sweep: Optional["SweepResults"] = None
 
 
 @dataclass
@@ -856,9 +861,12 @@ class TaskResult:
 class SweepResults:
     """Ordered task results with across-seed aggregation."""
 
-    def __init__(self, results: Sequence[TaskResult]) -> None:
+    def __init__(self, results: Sequence[TaskResult], *,
+                 store_write_s: float = 0.0) -> None:
         self.results = list(results)
         self._by_task = {r.task: r for r in self.results}
+        #: seconds the sweep spent appending results to its store
+        self.store_write_s = store_write_s
 
     def __len__(self) -> int:
         return len(self.results)
@@ -903,18 +911,18 @@ class SweepResults:
 
 def run_sweep(tasks: Iterable[SweepTask], *,
               workers: int = 1, store: Optional[ColumnarStore] = None,
-              progress: bool = False, backend=None,
+              progress: bool = False,
               on_result: Optional[Callable[[int, TaskResult], None]] = None
               ) -> SweepResults:
     """Execute a campaign and return its (possibly cached) results.
 
     Every task is keyed once, distinct keys are looked up in ``store``
-    once, and all cache misses go to **one** ``Backend.run``:
-    ``serial`` for ``workers <= 1``, a ``workers``-process pool
-    otherwise, or the ready ``Backend`` passed as ``backend``.  Results
-    are identical across backends because each task's RNG state
-    depends only on the task itself.  With a ``store``, finished tasks are
-    skipped on re-runs and new results are persisted as they arrive.
+    once, and all cache misses go to **one** ``Pool(workers).run``:
+    in-process for ``workers <= 1``, a ``workers``-process pool
+    otherwise.  Results are identical at any worker count because each
+    task's RNG state depends only on the task itself.  With a
+    ``store``, finished tasks are skipped on re-runs and new results
+    are persisted as they arrive.
 
     ``on_result(index, result)`` fires once per input task — during
     the lookups for cache hits, as the payload lands for the rest — so
@@ -925,7 +933,7 @@ def run_sweep(tasks: Iterable[SweepTask], *,
     traceback is raised as :class:`TaskFailed`.
     """
     # lazy: backends import execute_task from here
-    from .backends import resolve_backend
+    from .backends import Pool
 
     tasks = list(tasks)
     slots: Dict[str, List[int]] = {}
@@ -959,14 +967,17 @@ def run_sweep(tasks: Iterable[SweepTask], *,
             land(key, hit, cached=True)
         else:
             pending.append((key, tasks[indexes[0]]))
-    executor = resolve_backend(backend, workers=workers)
+    pool = Pool(workers)
     if progress:
         print(f"sweep: {len(tasks)} tasks, {len(slots) - len(pending)} "
-              f"cached, {len(pending)} to run on {max(1, workers)} "
-              f"worker(s) [{executor.name} backend]")
+              f"cached, {len(pending)} to run on {pool.workers} "
+              f"worker(s)")
     if pending:
-        executor.run(pending, store, progress_cb=land)
-    for result in results:
-        if result.error:
-            raise TaskFailed(result.error)
-    return SweepResults(results)
+        pool.run(pending, store, progress_cb=land)
+    sweep = SweepResults(results, store_write_s=pool.store_write_s)
+    error = next((r.error for r in results if r.error), "")
+    if error:
+        failed = TaskFailed(error)
+        failed.sweep = sweep
+        raise failed
+    return sweep

@@ -12,7 +12,7 @@ from __future__ import annotations
 import platform
 import subprocess
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from ..harness.scale import current_scale
 from ..harness.sweep import SCHEMA_VERSION, simulator_version
@@ -27,13 +27,8 @@ def _git(*args: str) -> str:
     return out.stdout.strip() if out.returncode == 0 else ""
 
 
-def collect_provenance(backend: Optional[str] = None
-                       ) -> Dict[str, object]:
-    """Everything the report header states about this run's origin.
-
-    ``backend`` is the execution-backend name the campaign actually
-    ran with (``serial`` when absent).
-    """
+def collect_provenance() -> Dict[str, object]:
+    """Everything the report header states about this run's origin."""
     sha = _git("rev-parse", "--short", "HEAD") or "unknown"
     dirty = bool(_git("status", "--porcelain")) if sha != "unknown" \
         else False
@@ -44,7 +39,6 @@ def collect_provenance(backend: Optional[str] = None
         "simulator_version": simulator_version(),
         "schema_version": SCHEMA_VERSION,
         "scale": current_scale().name,
-        "backend": backend or "serial",
         "python": platform.python_version(),
         "platform": platform.platform(),
     }
@@ -53,12 +47,12 @@ def collect_provenance(backend: Optional[str] = None
 def store_throughput(store) -> Dict[str, object]:
     """Recorded execution accounting for ``store``, report-safe.
 
-    The per-task wall times and payload sizes that execution backends
-    record on the store's manifest entries, as :meth:`ColumnarStore.stats
+    The per-task wall times and payload sizes that the sweep's pool
+    records on the store's manifest entries, as :meth:`ColumnarStore.stats
     <repro.harness.store.ColumnarStore.stats>` folds them, plus a
     throughput (``tasks_per_s`` is aggregate compute throughput: timed
-    tasks over summed task wall — not wall-clock, which parallel
-    backends compress).  Stores without timed entries — legacy
+    tasks over summed task wall — not wall-clock, which more than one
+    worker compresses).  Stores without timed entries — legacy
     manifests, ``--no-cache`` runs — degrade to zeros rather than
     failing the report.
     """

@@ -395,7 +395,6 @@ def render_reproduction(record: Record) -> str:
              ["simulator hash", f"`{prov['simulator_version']}`"],
              ["artifact schema", prov["schema_version"]],
              ["bench scale", f"`{prov['scale']}`"],
-             ["execution backend", f"`{prov.get('backend', 'serial')}`"],
              ["python", prov["python"]],
              ["platform", prov["platform"]],
              ["campaign wall time", f"{summary['wall_s']:.1f} s"],
@@ -453,8 +452,7 @@ def write_campaign_report(campaign: CampaignResult, *,
     """Build the campaign record once and write each artifact whose
     path is not ``None`` from it: the record itself and its markdown
     view."""
-    record = campaign_doc(campaign,
-                          collect_provenance(backend=campaign.backend))
+    record = campaign_doc(campaign)
     if report_path is not None:
         _write(report_path, render_reproduction(record))
     if json_path is not None:

@@ -238,9 +238,9 @@ def figure_ids() -> List[str]:
 
 def run_figures(specs: Sequence[FigureSpec], *, workers: int = 1,
                 store: Optional[ColumnarStore] = None,
-                progress: bool = False, backend=None,
+                progress: bool = False,
                 on_figure: Optional[Callable[[int, FigureRun], None]] = None
-                ) -> List[FigureRun]:
+                ) -> Tuple[List[FigureRun], float]:
     """The one executor: plan -> run -> assemble, for any number of
     figures.
 
@@ -248,14 +248,15 @@ def run_figures(specs: Sequence[FigureSpec], *, workers: int = 1,
     in ``specs`` order.  *Run*: the whole list goes through **one**
     :func:`~repro.harness.sweep.run_sweep` — a key shared by several
     figures is "executed" by the first that needs it and "cached" for
-    the rest, and all misses share one ``Backend.run``, so no figure
+    the rest, and all misses share one ``Pool.run``, so no figure
     boundary is a scheduling barrier.  *Assemble*: a figure becomes a
     :class:`FigureResult` the moment its last task lands, and
     ``on_figure(index, outcome)`` fires right then.
 
     Fail-soft: a figure whose ``build`` raised, or that owns a task
     that raised, yields that exception instead of a result; the others
-    are unaffected.  Outcomes come back in ``specs`` order.
+    are unaffected.  Outcomes come back in ``specs`` order, with the
+    seconds the sweep spent writing the store.
     """
     outcomes: List[Optional[FigureRun]] = [None] * len(specs)
 
@@ -296,29 +297,34 @@ def run_figures(specs: Sequence[FigureSpec], *, workers: int = 1,
         finish(fig, TaskFailed(error) if error else
                FigureResult(specs[fig], matrices[fig], SweepResults(mine)))
 
+    store_write_s = 0.0
     try:
-        run_sweep(flat, workers=workers, store=store, progress=progress,
-                  backend=backend, on_result=on_result)
-    except Exception as exc:
+        store_write_s = run_sweep(flat, workers=workers, store=store,
+                                  progress=progress,
+                                  on_result=on_result).store_write_s
+    except TaskFailed as exc:
         # a task that raised has already failed exactly the figures
-        # owning it (every result landed); anything else — a store that
-        # cannot be written — fails the figures still waiting
+        # owning it: every result landed
+        store_write_s = exc.sweep.store_write_s
+    except Exception as exc:
+        # anything else — a store that cannot be written — fails the
+        # figures still waiting
         for fig, outcome in enumerate(outcomes):
             if outcome is None:
                 finish(fig, exc)
-    return outcomes
+    return outcomes, store_write_s
 
 
 def run_figure(spec, *, workers: int = 1,
                store: Optional[ColumnarStore] = None,
-               progress: bool = False, backend=None) -> FigureResult:
+               progress: bool = False) -> FigureResult:
     """Run one figure — a campaign of one through :func:`run_figures`
     (``spec`` may be a :class:`FigureSpec` or a registry id); whatever
     stopped it from executing is raised."""
     if isinstance(spec, str):
         spec = get_figure(spec)
-    (outcome,) = run_figures([spec], workers=workers, store=store,
-                             progress=progress, backend=backend)
+    (outcome,), _write_s = run_figures([spec], workers=workers,
+                                       store=store, progress=progress)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -36,13 +36,12 @@ class Packet:
         acked_seqs: sequence numbers acknowledged (coalesced ACKs carry >1).
         ev_echoes:  for Carry-EVs ACK coalescing: list of (ev, ecn) pairs of
                     every data packet covered by this ACK, oldest first.
-        retx:       retransmission count of this seq when it was sent.
     """
 
     __slots__ = (
         "src", "dst", "flow_id", "seq", "size", "ev", "ecn",
         "is_ack", "is_nack", "trimmed", "is_control", "acked_seqs",
-        "ev_echoes", "retx",
+        "ev_echoes",
     )
 
     def __init__(
@@ -56,7 +55,6 @@ class Packet:
         *,
         is_ack: bool = False,
         is_nack: bool = False,
-        retx: int = 0,
     ) -> None:
         self.src = src
         self.dst = dst
@@ -71,7 +69,6 @@ class Packet:
         self.is_control = is_ack or is_nack
         self.acked_seqs: Optional[List[int]] = None
         self.ev_echoes: Optional[List[Tuple[int, bool]]] = None
-        self.retx = retx
 
     def trim(self) -> None:
         """Truncate the payload to a header, as a trimming switch would."""

@@ -77,7 +77,7 @@ class FlowSender:
     __slots__ = ("engine", "host", "flow_id", "src", "dst", "size_bytes",
                  "mtu", "lb", "cc", "rto_ps", "on_complete", "n_pkts",
                  "_last_pkt_size", "_next_new_seq", "_outstanding",
-                 "_inflight_bytes", "_retx_q", "_retx_counts", "_acked_map",
+                 "_inflight_bytes", "_retx_q", "_acked_map",
                  "_n_acked", "_timer", "stats", "start_time", "complete_time",
                  "cancelled")
 
@@ -111,11 +111,10 @@ class FlowSender:
         self.n_pkts = (size_bytes + mtu - 1) // mtu
         self._last_pkt_size = size_bytes - (self.n_pkts - 1) * mtu
         self._next_new_seq = 0
-        #: seq -> (send_time_ps, size, ev, retx_count)
-        self._outstanding: Dict[int, Tuple[int, int, int, int]] = {}
+        #: seq -> (send_time_ps, size, ev)
+        self._outstanding: Dict[int, Tuple[int, int, int]] = {}
         self._inflight_bytes = 0
         self._retx_q: deque = deque()
-        self._retx_counts: Dict[int, int] = {}
         self._acked_map = bytearray(self.n_pkts)
         self._n_acked = 0
         self._timer = Timer(engine, self._on_timer)
@@ -172,21 +171,18 @@ class FlowSender:
                 seq = retx_q.popleft()
                 if acked[seq]:
                     continue
-                retx = self._retx_counts.get(seq, 0)
+                stats.retransmissions += 1
             elif self._next_new_seq < n_pkts:
                 seq = self._next_new_seq
                 self._next_new_seq += 1
-                retx = 0
             else:
                 break
             size = self._last_pkt_size if seq == n_pkts - 1 else mtu
             ev = next_entropy(now)
-            pkt = Packet(src, dst, flow_id, seq, size, ev, retx=retx)
-            outstanding[seq] = (now, size, ev, retx)
+            pkt = Packet(src, dst, flow_id, seq, size, ev)
+            outstanding[seq] = (now, size, ev)
             inflight += size
             stats.pkts_sent += 1
-            if retx:
-                stats.retransmissions += 1
             burst.append(pkt)
         self._inflight_bytes = inflight
         enqueue = self.host.port.enqueue
@@ -251,7 +247,6 @@ class FlowSender:
     def _queue_retx(self, seq: int, front: bool = False) -> None:
         if self._acked_map[seq]:
             return
-        self._retx_counts[seq] = self._retx_counts.get(seq, 0) + 1
         if front:
             self._retx_q.appendleft(seq)
         else:
@@ -261,12 +256,12 @@ class FlowSender:
         if self.complete_time is not None or self.cancelled:
             return
         now = self.engine.now
-        expired = [seq for seq, (t, _, _, _) in self._outstanding.items()
+        expired = [seq for seq, (t, _, _) in self._outstanding.items()
                    if t + self.rto_ps <= now]
         if expired:
             self.stats.timeouts += len(expired)
             for seq in sorted(expired):
-                _, size, ev, _ = self._outstanding.pop(seq)
+                _, size, ev = self._outstanding.pop(seq)
                 self._inflight_bytes -= size
                 self._queue_retx(seq)
                 self.lb.on_timeout(ev, now)
@@ -304,7 +299,7 @@ class FlowSender:
         no-op."""
         self._timer.cancel()
         self.cc = self.on_complete = None
-        self._outstanding = self._retx_q = self._retx_counts = None
+        self._outstanding = self._retx_q = None
         self._acked_map = self._timer = None
         release = getattr(self.lb, "release", None)
         if release is not None:

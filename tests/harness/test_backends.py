@@ -1,8 +1,9 @@
-"""Execution backends: equivalence, resolution, write-behind, merging.
+"""The sweep's pool: equivalence, write-behind, dispatch, merging.
 
-The acceptance bar for the backend layer: **serial and pooled runs
-produce byte-identical artifacts for the same grid**, so the worker
-count can never invalidate a store and shard stores merge losslessly.
+The acceptance bar for :class:`~repro.harness.backends.Pool`: **one
+worker and two produce byte-identical artifacts for the same grid**, so
+the worker count can never invalidate a store and shard stores merge
+losslessly.
 """
 
 from __future__ import annotations
@@ -13,18 +14,16 @@ from types import SimpleNamespace
 
 import pytest
 
-import repro.harness.backends.base as base
+import repro.harness.backends as backends
 from repro.harness.backends import (
     BACKENDS,
-    ProcessBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from repro.harness.backends.base import (
     FLUSH_AFTER_S,
     FLUSH_EVERY,
+    Pool,
+    longest_first,
     task_stats,
     timed_task,
+    wall_time_history,
 )
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
@@ -43,9 +42,13 @@ TINY_WORKLOAD = WorkloadSpec.make("synthetic", pattern="permutation",
                                   msg_bytes=128 * 1024)
 
 
+#: the two ways a pool runs: in-process, and one two-process pool
+WORKERS = [1, 2]
+
+
 def mixed_grid():
     """Two real simulations + three analytic models: every executor
-    path (sim, model) under every backend, still fast."""
+    path (sim, model) at every worker count, still fast."""
     tasks = [make_task(lb, TINY_TOPO, TINY_WORKLOAD, seed=1,
                        max_us=2_000_000.0) for lb in ("ops", "reps")]
     tasks += [make_model_task("footprint", seed=1, buffer_size=b)
@@ -60,30 +63,14 @@ def store_snapshot(store: ColumnarStore):
             for key in store.keys()}
 
 
-class TestResolution:
-    def test_default_is_serial_then_process(self):
-        assert resolve_backend(None, workers=1).name == "serial"
-        assert resolve_backend(None, workers=0).name == "serial"
-        backend = resolve_backend(None, workers=4)
-        assert backend.name == "process"
-        assert backend.workers == 4
-
-    def test_instance_passes_through(self):
-        ready = SerialBackend()
-        assert resolve_backend(ready) is ready
-        pool = ProcessBackend(workers=3)
-        assert resolve_backend(pool, workers=1) is pool
-
-    def test_registry_is_serial_and_process(self):
-        assert sorted(BACKENDS) == ["process", "serial"]
-        for name, cls in BACKENDS.items():
-            assert cls.name == name
+class TestPool:
+    def test_the_ledger_names_the_one_pool(self):
+        assert BACKENDS == {"pool": Pool}
 
     @pytest.mark.parametrize("workers, expected",
                              [(-4, 1), (0, 1), (1, 1), (3, 3)])
-    def test_process_backend_has_at_least_one_worker(self, workers,
-                                                     expected):
-        assert ProcessBackend(workers).workers == expected
+    def test_a_pool_has_at_least_one_worker(self, workers, expected):
+        assert Pool(workers).workers == expected
 
 
 class TestExecuteBoundary:
@@ -123,7 +110,7 @@ print("repro.harness.runner" in sys.modules,
         them), and one ``run`` is still one pool."""
         out = fresh_interpreter("""
 import multiprocessing, sys
-from repro.harness.backends import ProcessBackend
+from repro.harness.backends import Pool
 from repro.harness.sweep import make_model_task, task_key
 seen = []
 real = multiprocessing.Pool
@@ -135,7 +122,7 @@ multiprocessing.Pool = spy
 tasks = [make_model_task("footprint", seed=1, buffer_size=b)
          for b in (1, 2, 4)]
 print("repro.harness.runner" in sys.modules)
-outcomes = ProcessBackend(workers=2).run(
+outcomes = Pool(workers=2).run(
     [(task_key(t), t) for t in tasks])
 print(seen, len(outcomes))
 """)
@@ -143,25 +130,21 @@ print(seen, len(outcomes))
 
 
 class TestEquivalence:
-    """Serial and pooled runs of one grid yield identical key ->
+    """One-worker and pooled runs of one grid yield identical key ->
     payload mappings and identical aggregate tables."""
-
-    BACKENDS = [SerialBackend(), ProcessBackend(workers=2)]
-    IDS = ["serial", "process"]
 
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
         store = ColumnarStore(str(tmp_path_factory.mktemp("ref")))
-        results = run_sweep(mixed_grid(), store=store,
-                            backend=SerialBackend())
+        results = run_sweep(mixed_grid(), store=store)
         return store, results
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=IDS)
-    def test_identical_artifacts_and_aggregates(self, backend, tmp_path,
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_identical_artifacts_and_aggregates(self, workers, tmp_path,
                                                 reference):
         ref_store, ref_results = reference
         store = ColumnarStore(str(tmp_path))
-        results = run_sweep(mixed_grid(), store=store, backend=backend)
+        results = run_sweep(mixed_grid(), store=store, workers=workers)
         assert results.executed == len(mixed_grid())
         # byte-identical artifacts under identical content keys
         assert store_snapshot(store) == store_snapshot(ref_store)
@@ -179,25 +162,23 @@ class TestEquivalence:
 
         assert sim_table(results) == sim_table(ref_results)
 
-    @pytest.mark.parametrize("backend", BACKENDS[1:], ids=IDS[1:])
-    def test_cache_hits_after_any_backend(self, backend, tmp_path):
+    def test_cache_hits_after_a_pool(self, tmp_path):
         store = ColumnarStore(str(tmp_path))
-        run_sweep(mixed_grid(), store=store, backend=backend)
+        run_sweep(mixed_grid(), store=store, workers=2)
         again = run_sweep(mixed_grid(),
-                          store=ColumnarStore(str(tmp_path)),
-                          backend=SerialBackend())
+                          store=ColumnarStore(str(tmp_path)))
         assert again.executed == 0
         assert again.cached == len(mixed_grid())
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=IDS)
-    def test_compacted_store_keeps_payloads_and_hits(self, backend,
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_compacted_store_keeps_payloads_and_hits(self, workers,
                                                      tmp_path, reference):
-        """Whatever line order a backend leaves (write-behind windows
-        in arrival order), one compaction rewrites it to the same
+        """Whatever line order a run leaves (write-behind windows in
+        arrival order), one compaction rewrites it to the same
         payloads and a re-run is all cache hits."""
         ref_store, _ref_results = reference
         store = ColumnarStore(str(tmp_path))
-        run_sweep(mixed_grid(), store=store, backend=backend)
+        run_sweep(mixed_grid(), store=store, workers=workers)
         manifest = store.manifest()
         stats = store.compact()
         assert stats["records_written"] == len(mixed_grid())
@@ -206,8 +187,7 @@ class TestEquivalence:
         assert store_snapshot(reopened) == store_snapshot(ref_store)
         assert reopened.manifest() == manifest
         assert reopened.verify()["ok"]
-        again = run_sweep(mixed_grid(), store=reopened,
-                          backend=SerialBackend())
+        again = run_sweep(mixed_grid(), store=reopened)
         assert again.executed == 0
         assert again.cached == len(mixed_grid())
 
@@ -215,10 +195,7 @@ class TestEquivalence:
 class TestAdaptiveScheduling:
     """Longest-expected-first dispatch is live in the pool once the
     store carries wall-time history — and stays byte-identical to the
-    serial reference."""
-
-    BACKENDS = TestEquivalence.BACKENDS
-    IDS = TestEquivalence.IDS
+    one-worker reference."""
 
     @staticmethod
     def second_wave():
@@ -234,7 +211,7 @@ class TestAdaptiveScheduling:
     def warm(self, tmp_path_factory):
         """A store whose manifest carries recorded wall times."""
         store = ColumnarStore(str(tmp_path_factory.mktemp("warm")))
-        run_sweep(mixed_grid(), store=store, backend=SerialBackend())
+        run_sweep(mixed_grid(), store=store)
         return store
 
     def test_execution_accounting_rides_the_manifest(self, warm):
@@ -247,22 +224,20 @@ class TestAdaptiveScheduling:
             assert "wall_s" not in warm.get(task_key(task))
 
     def test_scheduler_reorders_from_recorded_history(self, warm):
-        from repro.harness.backends.schedule import (
-            longest_first, task_label, wall_time_history)
         by_label = {label: mean for label, (mean, _n)
                     in wall_time_history(warm).items()}
-        sims = [task_label(t) for t in mixed_grid() if t.lb != "model"]
+        sims = [t.label() for t in mixed_grid() if t.lb != "model"]
         assert all(label in by_label for label in sims)
         pending = [(task_key(t), t) for t in self.second_wave()]
         ordered = longest_first(pending, warm)
         assert sorted(ordered) == sorted(pending)  # pure reordering
         walls = [by_label.get(
-            task_label(t), sum(by_label.values()) / len(by_label))
+            t.label(), sum(by_label.values()) / len(by_label))
             for _, t in ordered]
         assert walls == sorted(walls, reverse=True)
 
-    @pytest.mark.parametrize("backend", BACKENDS, ids=IDS)
-    def test_warm_history_keeps_byte_identity(self, backend, tmp_path,
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_warm_history_keeps_byte_identity(self, workers, tmp_path,
                                               warm):
         import shutil
 
@@ -270,16 +245,15 @@ class TestAdaptiveScheduling:
         shutil.copytree(warm.root, root)
         store = ColumnarStore(root)
         results = run_sweep(self.second_wave(), store=store,
-                            backend=backend)
+                            workers=workers)
         assert results.executed == len(self.second_wave())
         snapshot = {r.key: json.dumps(store.get(r.key), sort_keys=True)
                     for r in results}
-        # the serial run against the same warm history is the oracle
+        # the one-worker run against the same warm history is the oracle
         ref_root = str(tmp_path / "ref")
         shutil.copytree(warm.root, ref_root)
         ref_store = ColumnarStore(ref_root)
-        run_sweep(self.second_wave(), store=ref_store,
-                  backend=SerialBackend())
+        run_sweep(self.second_wave(), store=ref_store)
         assert snapshot == {
             key: json.dumps(ref_store.get(key), sort_keys=True)
             for key in snapshot}
@@ -300,33 +274,29 @@ def footprint_grid(n):
             for i in range(n)]
 
 
-POOLS = [SerialBackend, lambda: ProcessBackend(workers=2)]
-POOL_IDS = ["serial", "process"]
-
-
 class TestWriteBehind:
     """Results reach the store one ``put_many`` per window (32 results
     or a second) and always on the way out; a task that raises is a
     value, not the end of the run."""
 
-    @pytest.mark.parametrize("make", POOLS, ids=POOL_IDS)
-    def test_appends_per_window_not_per_task(self, make, tmp_path):
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_appends_per_window_not_per_task(self, workers, tmp_path):
         class Store(CountingStore, ColumnarStore):
             pass
         n = 200
         store = Store(str(tmp_path))
         results = run_sweep(footprint_grid(n), store=store,
-                            backend=make())
+                            workers=workers)
         assert results.executed == n == len(store.keys())
         # ceil(N/32) full windows, plus whatever a >1 s run flushed by
         # time (generous: these tasks take microseconds)
         assert -(-n // FLUSH_EVERY) <= store.appends \
             <= -(-n // FLUSH_EVERY) + 5
 
-    @pytest.mark.parametrize("make", POOLS, ids=POOL_IDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("stop", [KeyboardInterrupt, RuntimeError])
     def test_interrupt_leaves_every_received_result_readable(
-            self, make, stop, tmp_path):
+            self, workers, stop, tmp_path):
         store = ColumnarStore(str(tmp_path))
         pending = [(task_key(t), t) for t in footprint_grid(40)]
         received = {}
@@ -336,7 +306,7 @@ class TestWriteBehind:
             if len(received) == 11:
                 raise stop("stop the run")
         with pytest.raises(stop, match="stop the run"):
-            make().run(pending, store, progress_cb=cb)
+            Pool(workers).run(pending, store, progress_cb=cb)
         # the `finally` flush: nothing received was left in the buffer
         reopened = ColumnarStore(str(tmp_path))
         assert set(received) <= set(reopened.keys())
@@ -348,15 +318,15 @@ class TestWriteBehind:
         assert again.cached == len(persisted)
         assert again.executed == 40 - len(persisted)
 
-    @pytest.mark.parametrize("make", POOLS, ids=POOL_IDS)
+    @pytest.mark.parametrize("workers", WORKERS)
     def test_raising_task_is_a_value_and_the_rest_persist(
-            self, make, tmp_path):
+            self, workers, tmp_path):
         store = ColumnarStore(str(tmp_path))
         bad = make_model_task("no_such_model", seed=1)
         tasks = footprint_grid(9)
         tasks.insert(3, bad)
         seen = []
-        outcomes = make().run(
+        outcomes = Pool(workers).run(
             [(task_key(t), t) for t in tasks], store,
             progress_cb=lambda key, outcome, wall_s: seen.append(key))
         assert sorted(seen) == sorted(outcomes) == \
@@ -369,6 +339,20 @@ class TestWriteBehind:
         assert sorted(store.keys()) == sorted(outcomes)
         assert all(store.get(k) == v for k, v in outcomes.items())
 
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_a_sweep_reports_its_store_write_seconds(self, workers,
+                                                     tmp_path):
+        """What the campaign's "writing the store" line adds up: the
+        seconds this sweep's pool spent in ``put_many``, none for a
+        sweep that wrote nothing."""
+        grid = footprint_grid(40)
+        assert run_sweep(grid, workers=workers).store_write_s == 0.0
+        store = ColumnarStore(str(tmp_path))
+        cold = run_sweep(grid, store=store, workers=workers)
+        assert cold.executed == 40 and cold.store_write_s > 0
+        again = run_sweep(grid, store=store, workers=workers)
+        assert (again.cached, again.store_write_s) == (40, 0.0)
+
     def test_hard_kill_loses_at_most_one_window(self, tmp_path):
         """The loss bound: a process that dies without unwinding
         (SIGKILL; here ``os._exit`` in a child) has everything but its
@@ -380,7 +364,7 @@ class TestWriteBehind:
 
         script = textwrap.dedent("""
             import os, sys
-            from repro.harness.backends import SerialBackend
+            from repro.harness.backends import Pool
             from repro.harness.store import ColumnarStore
             from repro.harness.sweep import make_model_task, task_key
             tasks = [make_model_task("footprint", seed=i, buffer_size=8)
@@ -390,8 +374,8 @@ class TestWriteBehind:
                 seen.append(key)
                 if len(seen) == 70:
                     os._exit(9)
-            SerialBackend().run([(task_key(t), t) for t in tasks],
-                                ColumnarStore(sys.argv[1]), cb)
+            Pool().run([(task_key(t), t) for t in tasks],
+                       ColumnarStore(sys.argv[1]), cb)
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run(
@@ -416,10 +400,14 @@ class TestWriteBehind:
         tasks = footprint_grid(5) + [
             make_model_task("no_such_model", seed=1)]
         landed = []
-        with pytest.raises(TaskFailed, match="no_such_model"):
-            run_sweep(tasks, store=store, backend=ProcessBackend(2),
+        with pytest.raises(TaskFailed, match="no_such_model") as raised:
+            run_sweep(tasks, store=store, workers=2,
                       on_result=lambda i, r: landed.append((i, r.error)))
         assert len(store) == 5
+        # the finished sweep rides the exception, write time included
+        sweep = raised.value.sweep
+        assert (len(sweep), sweep.executed) == (6, 6)
+        assert sweep.store_write_s > 0
         assert sorted(i for i, _ in landed) == list(range(6))
         assert [bool(err) for _i, err in sorted(landed)] == \
             [False] * 5 + [True]
@@ -507,7 +495,7 @@ class WindowStore:
 
 
 class FakeClock:
-    """Stands in for ``time`` in :mod:`repro.harness.backends.base`."""
+    """Stands in for ``time`` in :mod:`repro.harness.backends`."""
 
     def __init__(self):
         self.now = 0.0
@@ -519,13 +507,13 @@ class FakeClock:
 @pytest.fixture
 def clock(monkeypatch):
     fake = FakeClock()
-    monkeypatch.setattr(base, "time", SimpleNamespace(
+    monkeypatch.setattr(backends, "time", SimpleNamespace(
         monotonic=fake.read, perf_counter=fake.read))
     return fake
 
 
 def arrivals(n, *, clock=None, step=0.0, fail=(), die_after=None):
-    """``n`` finished tasks as a backend's pool hands them back, the
+    """``n`` finished tasks as a worker pool hands them back, the
     clock advancing ``step`` seconds before each; the indices in
     ``fail`` raised, and the stream itself dies after ``die_after``."""
     for i in range(n):
@@ -542,14 +530,14 @@ def keys(n):
 
 
 class TestDrain:
-    """``Backend.drain`` alone, on a fake store and a fake clock: the
+    """``Pool.drain`` alone, on a fake store and a fake clock: the
     write-behind window that bounds what a killed run loses (a re-run
     recomputes exactly the unflushed rest)."""
 
     @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 64, 65, 97])
     def test_a_window_is_every_flush_every_results(self, n, clock):
         store = WindowStore()
-        outcomes = SerialBackend().drain(arrivals(n), store, None)
+        outcomes = Pool().drain(arrivals(n), store, None)
         assert list(outcomes) == keys(n)
         full, rest = divmod(n, FLUSH_EVERY)
         assert [len(w) for w in store.windows] == \
@@ -562,7 +550,7 @@ class TestDrain:
     def test_a_window_closes_flush_after_s_after_the_last(
             self, share, sizes, clock):
         store = WindowStore()
-        SerialBackend().drain(
+        Pool().drain(
             arrivals(7, clock=clock, step=share * FLUSH_AFTER_S),
             store, None)
         assert [len(w) for w in store.windows] == sizes
@@ -570,7 +558,7 @@ class TestDrain:
 
     def test_failures_are_returned_and_never_stored(self, clock):
         store = WindowStore()
-        outcomes = SerialBackend().drain(
+        outcomes = Pool().drain(
             arrivals(10, fail={2, 5}), store, None)
         assert list(outcomes) == keys(10)
         assert [k for k, v in outcomes.items()
@@ -580,7 +568,7 @@ class TestDrain:
 
     def test_a_window_of_failures_writes_nothing(self, clock):
         store = WindowStore()
-        outcomes = SerialBackend().drain(
+        outcomes = Pool().drain(
             arrivals(5, clock=clock, step=FLUSH_AFTER_S,
                      fail=set(range(5))), store, None)
         assert len(outcomes) == 5
@@ -588,7 +576,7 @@ class TestDrain:
 
     def test_without_a_store_every_outcome_still_arrives(self, clock):
         seen = []
-        outcomes = SerialBackend().drain(
+        outcomes = Pool().drain(
             arrivals(40, clock=clock, step=FLUSH_AFTER_S), None,
             lambda key, outcome, wall_s: seen.append((key, wall_s)))
         assert list(outcomes) == keys(40)
@@ -596,7 +584,7 @@ class TestDrain:
 
     def test_progress_sees_every_arrival_in_arrival_order(self, clock):
         seen = []
-        SerialBackend().drain(
+        Pool().drain(
             arrivals(6, fail={4}), WindowStore(),
             lambda key, outcome, wall_s: seen.append((key, outcome)))
         assert [key for key, _ in seen] == keys(6)
@@ -605,7 +593,7 @@ class TestDrain:
 
     def test_each_window_carries_the_stats_of_its_results(self, clock):
         store = WindowStore()
-        SerialBackend().drain(arrivals(40), store, None)
+        Pool().drain(arrivals(40), store, None)
         assert [sorted(s) for s in store.stats] == \
             [sorted(w) for w in store.windows]
         for stats in store.stats:
@@ -615,7 +603,7 @@ class TestDrain:
     def test_a_dying_stream_still_flushes_what_arrived(self, clock):
         store = WindowStore()
         with pytest.raises(RuntimeError, match="the pool died"):
-            SerialBackend().drain(arrivals(40, die_after=5), store, None)
+            Pool().drain(arrivals(40, die_after=5), store, None)
         assert store.windows == [keys(5)]
 
     def test_a_store_that_cannot_write_stops_the_run(self, clock):
@@ -624,16 +612,16 @@ class TestDrain:
                 raise OSError("no space left on the device")
 
         with pytest.raises(OSError, match="no space left"):
-            SerialBackend().drain(arrivals(40), FullDisk(), None)
+            Pool().drain(arrivals(40), FullDisk(), None)
 
     def test_write_time_accumulates_across_windows(self, clock):
-        backend = SerialBackend()
+        pool = Pool()
         store = WindowStore(clock, write_s=0.25)
-        backend.drain(arrivals(65), store, None)
+        pool.drain(arrivals(65), store, None)
         assert len(store.windows) == 3
-        assert backend.store_write_s == pytest.approx(0.75)
-        backend.drain(arrivals(1), store, None)
-        assert backend.store_write_s == pytest.approx(1.0)
+        assert pool.store_write_s == pytest.approx(0.75)
+        pool.drain(arrivals(1), store, None)
+        assert pool.store_write_s == pytest.approx(1.0)
 
 
 class TestTimedTask:
@@ -665,13 +653,14 @@ class TestTimedTask:
 
 
 class HistoryStore:
-    """A store whose manifest says which labels ran long; it keeps
-    what ``drain`` writes to it."""
+    """A store whose manifest says which labels ran long; it counts
+    manifest reads and keeps what ``drain`` writes to it."""
 
     def __init__(self, walls):
-        self.walls, self.written = walls, []
+        self.walls, self.written, self.reads = walls, [], 0
 
     def manifest(self):
+        self.reads += 1
         return {f"old-{label}": {"label": label, "wall_s": wall}
                 for label, wall in self.walls.items()}
 
@@ -679,13 +668,42 @@ class HistoryStore:
         self.written.extend(key for key, _payload in items)
 
 
-class TestDispatch:
-    """What each backend does with a pending list before any pool."""
+def history_case():
+    """Four tasks and a store whose history ranks them last-first."""
+    tasks = [make_model_task("footprint", seed=1, buffer_size=b)
+             for b in (1, 2, 4, 8)]
+    store = HistoryStore({t.label(): float(i) for i, t in enumerate(tasks)})
+    return [(task_key(t), t) for t in tasks], store
 
-    @pytest.mark.parametrize("make", POOLS, ids=POOL_IDS)
-    def test_nothing_pending_runs_nothing(self, make, tmp_path):
+
+class InProcessPool:
+    """Stands in for ``multiprocessing.Pool``: records what
+    ``imap_unordered`` is handed and runs it in order, in-process."""
+
+    fed = []
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, items, chunksize=1):
+        items = list(items)
+        InProcessPool.fed.append(items)
+        return map(fn, items)
+
+
+class TestDispatch:
+    """What a pool does with a pending list before any worker runs."""
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_nothing_pending_runs_nothing(self, workers, tmp_path):
         store = ColumnarStore(str(tmp_path / "store"))
-        assert make().run([], store) == {}
+        assert Pool(workers).run([], store) == {}
         assert len(store) == 0
         assert not (tmp_path / "store").exists()
 
@@ -697,28 +715,34 @@ class TestDispatch:
 
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         task = make_model_task("footprint", seed=1, buffer_size=8)
-        outcomes = ProcessBackend(workers=4).run([(task_key(task), task)])
+        outcomes = Pool(workers=4).run([(task_key(task), task)])
         assert list(outcomes) == [task_key(task)]
         assert not isinstance(outcomes[task_key(task)], TaskFailed)
 
-    def test_serial_runs_in_submission_order(self):
-        tasks = footprint_grid(6)
-        pending = [(task_key(t), t) for t in tasks]
-        seen = []
-        SerialBackend().run(pending, None,
-                            lambda key, outcome, wall_s: seen.append(key))
-        assert seen == [key for key, _task in pending]
+    def test_one_pending_task_reads_no_history(self):
+        pending, store = history_case()
+        outcomes = Pool(workers=4).run(pending[:1], store)
+        assert list(outcomes) == [pending[0][0]]
+        assert (store.reads, store.written) == (0, [pending[0][0]])
 
-    def test_process_dispatch_is_longest_expected_first(self):
-        """A one-worker pool runs in-process, so its arrival order is
-        its dispatch order: the store's history, longest first."""
-        tasks = [make_model_task("footprint", seed=1, buffer_size=b)
-                 for b in (1, 2, 4, 8)]
-        store = HistoryStore({t.label(): float(i)
-                              for i, t in enumerate(tasks)})
-        pending = [(task_key(t), t) for t in tasks]
+    def test_one_worker_runs_in_submission_order_unread_history(self):
+        pending, store = history_case()
         seen = []
-        ProcessBackend(workers=1).run(
-            pending, store, lambda key, outcome, wall_s: seen.append(key))
-        assert seen == [key for key, _task in reversed(pending)]
+        Pool(1).run(pending, store,
+                    lambda key, outcome, wall_s: seen.append(key))
+        assert seen == [key for key, _task in pending]
+        assert store.reads == 0
         assert sorted(store.written) == sorted(seen)
+
+    def test_a_pool_is_fed_longest_expected_first(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(InProcessPool, "fed", [])
+        pending, store = history_case()
+        expected = longest_first(pending, store)
+        assert expected == pending[::-1]
+        outcomes = Pool(2).run(pending, store)
+        assert InProcessPool.fed == [expected]
+        assert list(outcomes) == [key for key, _task in expected]
+        assert sorted(store.written) == sorted(outcomes)

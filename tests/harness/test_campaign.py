@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro.harness.backends import ProcessBackend, SerialBackend
+from repro.harness.backends import Pool
 from repro.harness.campaign import (
     CampaignResult,
     FigureOutcome,
@@ -74,20 +74,13 @@ class TestRunCampaign:
         assert campaign.counts() == {"pass": 3, "fail": 0, "error": 0}
         assert campaign.ok() and campaign.ok(strict=True)
 
-    def test_backend_recorded_for_provenance(self, tmp_path):
-        store = ColumnarStore(str(tmp_path))
-        campaign = run_campaign(stub_registry(), store=store)
-        assert (campaign.backend, campaign.workers) == ("serial", 1)
-        campaign = run_campaign(stub_registry(), store=store, workers=2)
-        assert (campaign.backend, campaign.workers) == ("process", 2)
-
-    def test_backend_instance_runs_figures(self, tmp_path):
-        store = ColumnarStore(str(tmp_path))
-        campaign = run_campaign(stub_registry(), store=store,
-                                backend=ProcessBackend(workers=2))
-        assert campaign.ok()
-        assert (campaign.backend, campaign.workers) == ("process", 2)
-        assert campaign.executed > 0
+    @pytest.mark.parametrize("workers, recorded",
+                             [(0, 1), (1, 1), (2, 2)])
+    def test_workers_recorded(self, tmp_path, workers, recorded):
+        campaign = run_campaign(stub_registry(), workers=workers,
+                                store=ColumnarStore(str(tmp_path)))
+        assert campaign.ok() and campaign.executed == 4
+        assert campaign.workers == recorded
 
     def test_empty_campaign_rejected(self):
         with pytest.raises(ValueError, match="empty campaign"):
@@ -144,16 +137,20 @@ class TestRunCampaign:
         assert (campaign.executed, campaign.cached) == (4, 1)
 
 
-class CountingBackend(SerialBackend):
-    """Serial execution that records what each ``run`` was handed."""
+@pytest.fixture
+def pool_runs(monkeypatch):
+    """The keys each ``Pool.run`` was handed, call by call (a spy on
+    the seam the perf ledger wraps)."""
+    runs = []
+    real = Pool.run
 
-    def __init__(self):
-        self.runs = []
-
-    def run(self, pending, store=None, progress_cb=None):
+    def run(self, pending, *args, **kwargs):
         pending = list(pending)
-        self.runs.append([key for key, _task in pending])
-        return super().run(pending, store, progress_cb)
+        runs.append([key for key, _task in pending])
+        return real(self, pending, *args, **kwargs)
+
+    monkeypatch.setattr(Pool, "run", run)
+    return runs
 
 
 def payload_bytes(store):
@@ -169,16 +166,15 @@ def figures_doc(campaign):
 
 class TestOnePool:
     """ISSUE 12: the campaign, not the figure, is the unit of
-    execution — one plan, one round of lookups, one ``Backend.run``."""
+    execution — one plan, one round of lookups, one ``Pool.run``."""
 
     def test_pool_matches_serial_bytes_record_and_counts(self, tmp_path):
         serial = run_campaign(
-            stub_registry(), backend=SerialBackend(),
-            store=ColumnarStore(str(tmp_path / "serial")))
+            stub_registry(), store=ColumnarStore(str(tmp_path / "serial")))
         pooled = run_campaign(
             stub_registry(), workers=2,
             store=ColumnarStore(str(tmp_path / "pooled")))
-        assert pooled.backend == "process" and pooled.workers == 2
+        assert (serial.workers, pooled.workers) == (1, 2)
         assert payload_bytes(pooled.store) == payload_bytes(serial.store)
         assert figures_doc(pooled) == figures_doc(serial)
         # first-owner rule: stub_a executes the shared buffer=8 task,
@@ -205,18 +201,16 @@ class TestOnePool:
         run_campaign(specs, store=store)  # cached: still one build each
         assert built == ["stub_a", "stub_b", "stub_c"] * 2
 
-    def test_one_run_for_all_misses_and_none_when_cached(self, tmp_path):
+    def test_one_run_for_all_misses_and_none_when_cached(self, tmp_path,
+                                                        pool_runs):
         store = ColumnarStore(str(tmp_path))
-        backend = CountingBackend()
-        cold = run_campaign(stub_registry(), store=store,
-                            backend=backend)
+        cold = run_campaign(stub_registry(), store=store)
         # every figure's cache misses, deduplicated, in ONE run
-        assert len(backend.runs) == 1
-        assert sorted(backend.runs[0]) == sorted(store.keys())
-        assert cold.executed == len(backend.runs[0]) == 4
-        again = run_campaign(stub_registry(), store=store,
-                             backend=backend)
-        assert len(backend.runs) == 1  # fully cached: nothing started
+        assert len(pool_runs) == 1
+        assert sorted(pool_runs[0]) == sorted(store.keys())
+        assert cold.executed == len(pool_runs[0]) == 4
+        again = run_campaign(stub_registry(), store=store)
+        assert len(pool_runs) == 1  # fully cached: nothing started
         assert (again.executed, again.cached) == (0, 5)
 
     def test_figures_finish_as_their_last_task_lands(self, tmp_path,
@@ -245,12 +239,14 @@ class TestOnePool:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_raising_task_errors_only_its_owner_figures(
-            self, tmp_path, monkeypatch, workers):
+            self, tmp_path, monkeypatch, pool_runs, workers):
         store = ColumnarStore(str(tmp_path))
         specs = self.failing_registry()
         campaign = run_campaign(specs, store=store, workers=workers)
         assert [o.status for o in campaign] == \
             ["pass", "pass", "error", "pass", "error"]
+        # the healthy tasks' writes count though the sweep raised
+        assert campaign.store_write_s > 0
         for fig_id in ("bad_1", "bad_2"):
             # the traceback from the process that ran the task
             assert "unknown model 'not_yet'" in campaign[fig_id].error
@@ -263,25 +259,23 @@ class TestOnePool:
         monkeypatch.setitem(
             MODEL_RUNNERS, "not_yet",
             lambda *, seed: {"total_bits": 1.0})
-        backend = CountingBackend()
-        again = run_campaign(specs, store=store, backend=backend)
-        assert backend.runs == [[task_key(make_model_task(
+        del pool_runs[:]
+        again = run_campaign(specs, store=store)
+        assert pool_runs == [[task_key(make_model_task(
             "not_yet", seed=1))]]
         assert again.ok()
         assert (again["bad_1"].executed, again["bad_1"].cached) == (1, 1)
         assert (again["bad_2"].executed, again["bad_2"].cached) == (0, 1)
 
     def test_build_crash_does_not_stop_planning_of_the_rest(
-            self, tmp_path):
+            self, tmp_path, pool_runs):
         def boom():
             raise RuntimeError("matrix exploded")
-        backend = CountingBackend()
         specs = [stub_spec("stub_bad", build=boom)] + stub_registry()
-        campaign = run_campaign(specs, backend=backend,
-                                store=ColumnarStore(str(tmp_path)))
+        campaign = run_campaign(specs, store=ColumnarStore(str(tmp_path)))
         assert [o.status for o in campaign] == \
             ["error", "pass", "pass", "pass"]
-        assert len(backend.runs) == 1 and len(backend.runs[0]) == 4
+        assert len(pool_runs) == 1 and len(pool_runs[0]) == 4
 
     def test_summary_reports_where_the_wall_went(self, tmp_path):
         campaign = run_campaign(stub_registry(), workers=2,

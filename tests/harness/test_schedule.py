@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.backends.schedule import (
+from repro.harness.backends import (
     default_expectation,
     longest_first,
-    task_label,
     wall_time_history,
 )
 
@@ -154,11 +153,6 @@ class TestModelLabelsCarryTheirParams:
         assert "n_flows=32" in first.label()
 
 
-class _LabelledTask:
-    def __init__(self, label):
-        self.label = label
-
-
 class _ManifestStore:
     def __init__(self, entries):
         self._entries = entries
@@ -173,7 +167,7 @@ class _BrokenStore:
 
 
 def _pending(*labels):
-    return [(f"k{i}", _LabelledTask(label))
+    return [(f"k{i}", _FakeTask(label))
             for i, label in enumerate(labels)]
 
 
@@ -196,7 +190,7 @@ class TestLongestFirst:
     def test_longest_expected_first_and_stable(self):
         pending = _pending("fast", "slow", "fast", "slow")
         ordered = longest_first(pending, self.STORE)
-        assert [t.label for _, t in ordered] == \
+        assert [t.label() for _, t in ordered] == \
             ["slow", "slow", "fast", "fast"]
         # stable: ties keep submission order; pure: same multiset
         assert [k for k, _ in ordered] == ["k1", "k3", "k0", "k2"]
@@ -207,7 +201,7 @@ class TestLongestFirst:
             _pending("fast", "novel", "slow"), self.STORE)
         # observation-weighted default (9+11+1)/3 = 7.0: novel slots
         # between slow and fast
-        assert [t.label for _, t in ordered] == \
+        assert [t.label() for _, t in ordered] == \
             ["slow", "novel", "fast"]
 
     def test_no_history_and_failures_keep_order(self):
@@ -216,34 +210,6 @@ class TestLongestFirst:
         assert longest_first(pending, _ManifestStore({})) == pending
         assert longest_first(pending, _BrokenStore()) == pending
         assert wall_time_history(_BrokenStore()) == {}
-
-
-class _RaisingLabel:
-    def label(self):
-        raise RuntimeError("no label today")
-
-
-class TestTaskLabel:
-    """The join key against the manifest, from real tasks and fakes."""
-
-    CASES = {
-        "method": (_FakeTask("slow"), "slow"),
-        "attribute": (_LabelledTask("fast"), "fast"),
-        "raising-method": (_RaisingLabel(), ""),
-        "no-label": (object(), ""),
-    }
-
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_task_label(self, case):
-        task, expected = self.CASES[case]
-        assert task_label(task) == expected
-
-    def test_an_unlabelled_task_still_gets_dispatched(self):
-        pending = [("k0", object()), ("k1", _FakeTask("slow"))]
-        ordered = longest_first(pending, _ManifestStore(
-            {"a": {"label": "slow", "wall_s": 2.0},
-             "b": {"label": "", "wall_s": 1.0}}))
-        assert [key for key, _ in ordered] == ["k1", "k0"]
 
 
 class TestHistoryIsFailSoft:
@@ -271,7 +237,7 @@ class TestHistoryIsFailSoft:
 
 
 class TestPendingShapes:
-    """``longest_first`` takes whatever sequence a backend hands it."""
+    """``longest_first`` takes whatever sequence a pool hands it."""
 
     STORE = TestLongestFirst.STORE
 
@@ -282,7 +248,7 @@ class TestPendingShapes:
     def test_an_iterator_of_pending_is_accepted(self):
         ordered = longest_first(iter(_pending("fast", "slow")),
                                 self.STORE)
-        assert [t.label for _, t in ordered] == ["slow", "fast"]
+        assert [t.label() for _, t in ordered] == ["slow", "fast"]
 
     def test_the_callers_list_is_left_as_it_was(self):
         pending = _pending("fast", "slow")

@@ -1,8 +1,8 @@
-"""The store at campaign scale: 5k tasks, serial + process backends.
+"""The store at campaign scale: 5k tasks, one worker and two.
 
 A 5000-task campaign costs one store append per write-behind window
 (32 results, or a second) and *zero* manifest rewrites (entries ride
-the lines), whether the **serial** backend or a two-worker **process**
+the lines), whether **one** worker in-process or a **two**-worker
 pool delivers the results.  Both runs must stay equivalence-suite
 identical — byte-identical payload reads for every key — and a re-run
 must be fully cached.
@@ -15,7 +15,6 @@ import os
 
 import pytest
 
-from repro.harness.backends import ProcessBackend, SerialBackend
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import make_model_task, run_sweep
 
@@ -45,15 +44,14 @@ class CountingStore(ColumnarStore):
 @pytest.fixture(scope="module")
 def serial_store(tmp_path_factory):
     store = CountingStore(str(tmp_path_factory.mktemp("serial")))
-    results = run_sweep(grid(), store=store, backend=SerialBackend())
+    results = run_sweep(grid(), store=store)
     return store, results
 
 
 @pytest.fixture(scope="module")
 def process_store(tmp_path_factory):
     store = CountingStore(str(tmp_path_factory.mktemp("process")))
-    results = run_sweep(grid(), store=store,
-                        backend=ProcessBackend(workers=2))
+    results = run_sweep(grid(), store=store, workers=2)
     return store, results
 
 
@@ -89,8 +87,7 @@ class TestStress5k:
 
     def test_rerun_is_fully_cached(self, process_store):
         store, _ = process_store
-        again = run_sweep(grid(), store=ColumnarStore(store.root),
-                          backend=SerialBackend())
+        again = run_sweep(grid(), store=ColumnarStore(store.root))
         assert again.executed == 0 and again.cached == N_TASKS
 
     def test_compact_keeps_every_record(self, serial_store):

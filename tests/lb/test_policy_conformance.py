@@ -14,8 +14,8 @@ policy — and previously under-tested ones like ``bitmap`` and
    policies, per-stripe FIFO for Sprinklers), verified against the
    actual arrival stream under cross-ToR contention.
 3. **Determinism / byte-identical artifacts** — the same tasks produce
-   byte-identical stored artifacts on both execution backends
-   (serial and process).
+   byte-identical stored artifacts on one worker and on a pool of
+   two.
 4. **Failure-schedule survival** — declarative cable and ToR-uplink
    :class:`~repro.harness.sweep.FailureSpec` schedules (the Fig. 7 /
    Fig. 22 shapes) never leave a policy unable to finish its flows.
@@ -28,7 +28,6 @@ import json
 import pytest
 
 from repro.lb import available, policy
-from repro.harness.backends import ProcessBackend, SerialBackend
 from repro.harness.store import ColumnarStore
 from repro.harness.sweep import (
     FailureSpec,
@@ -151,10 +150,7 @@ class TestOrdering:
 
 
 class TestBackendDeterminism:
-    """Invariant 3: byte-identical artifacts, serial or pooled."""
-
-    BACKENDS = [ProcessBackend(workers=2)]
-    IDS = ["process"]
+    """Invariant 3: byte-identical artifacts, in-process or pooled."""
 
     @staticmethod
     def _grid(lb):
@@ -172,14 +168,13 @@ class TestBackendDeterminism:
     def test_all_backends_byte_identical(self, lb, tmp_path):
         grid = self._grid(lb)
         ref_store = ColumnarStore(str(tmp_path / "serial"))
-        run_sweep(grid, store=ref_store, backend=SerialBackend())
+        run_sweep(grid, store=ref_store)
         reference = self._snapshot(ref_store)
         assert len(reference) == len(grid)
-        for backend, name in zip(self.BACKENDS, self.IDS):
-            store = ColumnarStore(str(tmp_path / name))
-            run_sweep(grid, store=store, backend=backend)
-            assert self._snapshot(store) == reference, \
-                f"{lb}: {name} backend artifacts diverge from serial"
+        store = ColumnarStore(str(tmp_path / "pool"))
+        run_sweep(grid, store=store, workers=2)
+        assert self._snapshot(store) == reference, \
+            f"{lb}: pooled artifacts diverge from one worker's"
 
     @pytest.mark.parametrize("lb", POLICIES)
     def test_fixed_seed_reruns_identical(self, lb):

@@ -109,16 +109,16 @@ class TestRenderReproduction:
         assert prov["simulator_version"] in text
         assert "campaign wall time" in text
         assert "distinct seeds" in text
-        assert "| execution backend | `serial` |" in text
 
-    def test_backend_in_provenance(self, tmp_path):
-        assert collect_provenance()["backend"] == "serial"
-        prov = collect_provenance(backend="process")
-        assert prov["backend"] == "process"
-        assert "shard" not in prov
+    def test_workers_alone_say_how_it_ran(self, tmp_path):
+        """The summary's worker count is the whole execution story:
+        no backend name rides the provenance or its table."""
+        prov = collect_provenance()
+        assert "backend" not in prov and "shard" not in prov
         campaign = small_campaign(tmp_path)
         text = report(campaign, prov)
-        assert "| execution backend | `process` |" in text
+        assert "execution backend" not in text
+        assert f"{campaign.workers} worker(s) · " in text
 
     def test_summary_table_and_chart(self, tmp_path):
         campaign = small_campaign(tmp_path)

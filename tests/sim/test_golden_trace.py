@@ -10,7 +10,7 @@ event order**: same arrival times, same EV draws, same ECN marks, same
 ACK interleavings.
 
 Everything downstream rests on this — the sweep harness's content-keyed
-artifact cache, serial==parallel backend equivalence, and ``repro
+artifact cache, one-worker==pooled equivalence, and ``repro
 figures trend --strict`` against the committed campaign all assume the
 simulator is a pure function of its configuration.
 

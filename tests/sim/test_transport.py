@@ -138,6 +138,26 @@ class TestRetransmission:
         m = net.run(max_us=200_000)
         assert m.flows_completed == 1
 
+    @pytest.mark.parametrize("trim", [True, False],
+                             ids=["nacks", "timeouts"])
+    def test_a_retransmission_is_every_send_past_a_seqs_first(self, trim):
+        """8:1 incast on 64 KiB queues, its losses recovered by NACKs
+        (trimming) or by RTO expiries: each flow sends every seq once
+        plus its retransmissions, and each retransmission answers one
+        NACK or one expiry."""
+        net = small_network(n_hosts=16, hosts_per_t0=8, lb="ops",
+                            trim_enabled=trim,
+                            queue_capacity_bytes=64 * 1024)
+        for src in range(8, 16):
+            net.add_flow(src, 0, 256 * 1024)
+        assert net.run(max_us=100_000).flows_completed == 8
+        senders = [r.sender for r in net.flows.values()]
+        assert sum(s.stats.retransmissions for s in senders) > 0
+        for s in senders:
+            stats = s.stats
+            assert stats.pkts_sent == s.n_pkts + stats.retransmissions
+            assert stats.retransmissions <= stats.timeouts + stats.nacks
+
 
 def freeze_entries(net: Network) -> int:
     return sum(r.sender.lb.stats_freeze_entries for r in net.flows.values())
@@ -364,20 +384,19 @@ class _SetSender(FlowSender):
                 seq = self._retx_q.popleft()
                 if seq in self.ref_acked:
                     continue
-                retx = self._retx_counts.get(seq, 0)
+                self.stats.retransmissions += 1
             elif self._next_new_seq < self.n_pkts:
-                seq, retx = self._next_new_seq, 0
+                seq = self._next_new_seq
                 self._next_new_seq += 1
             else:
                 break
             size = self._last_pkt_size if seq == self.n_pkts - 1 else self.mtu
             ev = self.lb.next_entropy(now)
-            self._outstanding[seq] = (now, size, ev, retx)
+            self._outstanding[seq] = (now, size, ev)
             self._inflight_bytes += size
             self.stats.pkts_sent += 1
-            self.stats.retransmissions += bool(retx)
             burst.append(Packet(self.src, self.dst, self.flow_id, seq, size,
-                                ev, retx=retx))
+                                ev))
         if burst:
             self.host.port.enqueue_burst(burst)
         self._rearm_timer()
@@ -413,7 +432,6 @@ class _SetSender(FlowSender):
     def _queue_retx(self, seq: int, front: bool = False) -> None:
         if seq in self.ref_acked:
             return
-        self._retx_counts[seq] = self._retx_counts.get(seq, 0) + 1
         if front:
             self._retx_q.appendleft(seq)
         else:
@@ -470,7 +488,7 @@ class _Wire:
         if not pkt.is_control:
             pkt.ecn = ecn
         self.log.append((self.tag, self.engine.now, pkt.seq, pkt.ev,
-                         pkt.ecn, pkt.is_nack, pkt.retx,
+                         pkt.ecn, pkt.is_nack,
                          None if pkt.acked_seqs is None
                          else tuple(pkt.acked_seqs),
                          None if pkt.ev_echoes is None
@@ -478,7 +496,7 @@ class _Wire:
         now = self.engine.now
         if kind == "trim" and not pkt.is_control:
             copy = Packet(pkt.src, pkt.dst, pkt.flow_id, pkt.seq, pkt.size,
-                          pkt.ev, retx=pkt.retx)
+                          pkt.ev)
             copy.trim()
             self.engine.at(now + first * 10 * _US, self.deliver, copy)
         elif kind != "lost":
@@ -603,3 +621,15 @@ class TestDeliveryBookkeepingEquivalence:
         size = (schedule["n_pkts"] - 1) * _MTU + schedule["tail"]
         assert end["complete_time"] is not None
         assert end["bytes_received"] == size and end["receiver_complete"]
+
+    @given(schedule=_schedules())
+    @settings(max_examples=100, deadline=None)
+    def test_each_resend_counts_once(self, schedule):
+        """Whatever the wire does, a finished flow sent each seq once
+        plus its retransmissions, and no more of those than NACKs and
+        expiries put a seq back in the queue."""
+        _log, end = _replay(schedule, FlowSender, FlowReceiver)
+        sent, retx, timeouts, nacks = end["stats"][:4]
+        assert end["complete_time"] is not None
+        assert sent == schedule["n_pkts"] + retx
+        assert retx <= timeouts + nacks

@@ -145,13 +145,12 @@ class TestSweep:
     def test_workers_flag(self, capsys, tmp_path):
         code, out = self.sweep(capsys, tmp_path, "--workers", "2")
         assert code == 0
-        assert "2 worker(s)" in out
-        assert "[process backend]" in out
+        assert "to run on 2 worker(s)\n" in out
 
     def test_one_worker_runs_serially(self, capsys, tmp_path):
         code, out = self.sweep(capsys, tmp_path)
         assert code == 0
-        assert "1 worker(s) [serial backend]" in out
+        assert "to run on 1 worker(s)\n" in out
 
     def test_root_seed_spawning(self, capsys, tmp_path):
         code, out = run_cli(

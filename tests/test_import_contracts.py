@@ -37,7 +37,7 @@ PARSER_ONLY = ("multiprocessing", "socket", "statistics")
 NO_EXECUTION = (
     "repro.sim.network", "repro.sim.transport", "repro.lb",
     "repro.models", "repro.harness.runner", "repro.harness.store",
-    "repro.harness.backends.process", "multiprocessing")
+    "repro.harness.backends", "multiprocessing")
 #: a campaign served from its store: persist loads, execute does not
 NO_SIMULATION = ("repro.sim.network", "repro.harness.runner",
                  "repro.models", "multiprocessing")
