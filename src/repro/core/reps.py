@@ -47,9 +47,6 @@ class RepsConfig:
         ev_lifespan: number of sends each cached EV is good for.  1 is
             standard REPS; >1 is the *Reuse EVs* coalescing variant
             (Sec. 4.5.1).
-        explore_every: during the post-freeze explore phase, one packet in
-            every ``explore_every`` uses a random EV (Algorithm 2 uses the
-            buffer size).
     """
 
     buffer_size: int = 8
@@ -57,7 +54,6 @@ class RepsConfig:
     freezing_enabled: bool = True
     freezing_timeout_ps: int = 100_000_000  # 100 us
     ev_lifespan: int = 1
-    explore_every: Optional[int] = None
 
     def validate(self) -> None:
         if self.buffer_size < 1:
@@ -66,10 +62,6 @@ class RepsConfig:
             raise ValueError("evs_size must be >= 1")
         if self.ev_lifespan < 1:
             raise ValueError("ev_lifespan must be >= 1")
-
-    @property
-    def explore_period(self) -> int:
-        return self.explore_every or self.buffer_size
 
 
 class RepsSender:
@@ -105,7 +97,6 @@ class RepsSender:
         self._n = n
         self._lifespan = self.config.ev_lifespan
         self._evs_size = self.config.evs_size
-        self._explore_period = self.config.explore_period
         self._head = 0
         self._num_valid = 0
         self._freezing = False
@@ -230,7 +221,8 @@ class RepsSender:
         if counter > 0:
             counter -= 1
             self._explore_counter = counter
-            if counter % self._explore_period == 0:
+            # Algorithm 2: one probe in every ``buffer_size`` packets
+            if counter % self._n == 0:
                 self.stats_explored += 1
                 return self._randrange(self._evs_size)
             # otherwise fall through to the normal selection logic

@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, \
     Sequence, Tuple
 
@@ -52,8 +52,7 @@ from ..scenarios import Expectation, FigureSpec, TableDoc, figure_ids, \
     get_figure
 # run_figure is re-exported: the perf ledger wraps it by this name
 from ..scenarios.registry import FigureRun, run_figure, run_figures  # noqa: F401,E501
-from ..sim.params import TopologyParams
-from .sweep import FailureSpec, SweepTask
+from .sweep import FailureSpec, SweepTask, topology_extras
 
 if TYPE_CHECKING:  # describe -> persist: the codec loads with a store
     from .store import ColumnarStore
@@ -130,13 +129,9 @@ def _fmt_failure(spec: FailureSpec) -> str:
 def _fmt_topology(topo: Dict[str, object]) -> str:
     """``N hosts / M per T0``, then every other fabric parameter the
     task sets away from its :class:`TopologyParams` default."""
-    default = TopologyParams()
     cell = [f"{topo.get('n_hosts')} hosts / "
             f"{topo.get('hosts_per_t0')} per T0"]
-    cell += [f"{f.name}={_fmt_value(topo[f.name])}"
-             for f in fields(TopologyParams)
-             if f.name not in ("n_hosts", "hosts_per_t0") and f.name in topo
-             and topo[f.name] != getattr(default, f.name)]
+    cell += [f"{k}={_fmt_value(v)}" for k, v in topology_extras(topo)]
     return ", ".join(cell)
 
 

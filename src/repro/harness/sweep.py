@@ -352,6 +352,15 @@ class FailureSpec:
             raise TypeError("compose takes FailureSpec instances")
         return cls("compose", (("specs", tuple(specs)),))
 
+    def label(self) -> str:
+        """The kind and the parameters that pick and size what fails;
+        when it fails, and cables picked by index, are left out."""
+        if self.kind == "compose":
+            return "+".join(sub.label() for sub in dict(self.params)["specs"])
+        shown = [f"{k}={v}" for k, v in self.params if k not in
+                 ("at_us", "duration_us", "stagger_us", "indices", "events")]
+        return f"{self.kind}({','.join(shown)})" if shown else self.kind
+
     def apply(self, net: Network) -> None:
         """Schedule this spec's failures on ``net``."""
         if self.kind == "compose":
@@ -470,7 +479,9 @@ WORKLOAD_KINDS: Dict[str, Tuple[Callable, Callable[..., str]]] = {
         (synthetic,
          lambda pattern, msg_bytes, **_: f"{pattern}/{msg_bytes >> 10}KiB"),
         (trace, lambda pattern, load, **_: f"{pattern}@{int(load * 100)}%"),
-        (collective, lambda pattern, **_: pattern),
+        # AllToAll(n) names its parallelism when it is not the default 8
+        (collective, lambda pattern, n_parallel, **_: (
+            pattern if n_parallel == 8 else f"{pattern}(n={n_parallel})")),
         (mixed, lambda pattern, msg_bytes, background_fraction,
          background_lb, **_: (f"{pattern}/{msg_bytes >> 10}KiB+"
                               f"{int(background_fraction * 100)}%"
@@ -531,9 +542,10 @@ class SweepTask:
         topo = dict(self.topo)
         bits = [self.lb, self.workload.label(),
                 f"{topo.get('n_hosts', '?')}h"]
+        bits += [f"{k}={v}" for k, v in topology_extras(topo)]
         bits += [f"{k}={v}" for k, v in self.scenario if k != "max_us"]
         if self.failure is not None:
-            bits.append(self.failure.kind)
+            bits.append(self.failure.label())
         return " ".join(str(b) for b in bits)
 
 
@@ -547,12 +559,10 @@ class SweepTask:
 def probe_queue_telemetry(result: ScenarioResult) -> Dict[str, float]:
     """Fig. 2-style steady-state queue/utilization stats."""
     rec = result.recorder
-    kmin_kb = (result.network.tree.queue_capacity()
-               * result.network.tree.params.kmin_fraction / 1024.0)
     return {
         "steady_queue_kb": rec.max_queue_kb(0.3, 0.9),
         "util_spread_gbps": rec.utilization_spread(),
-        "kmin_kb": kmin_kb,
+        "kmin_kb": result.network.tree.ecn_kmin() / 1024.0,
     }
 
 
@@ -637,6 +647,15 @@ PROBES: Dict[str, Tuple[Callable, Optional[str]]] = {
     "uplink_share_series": (probe_uplink_share_series, "ports"),
     "ev_recycle_series": (probe_ev_recycle_series, "lbs"),
 }
+
+
+def topology_extras(topo: Mapping[str, object]) -> List[Tuple[str, object]]:
+    """The fields of ``topo`` beyond its two host counts that differ
+    from their :class:`TopologyParams` defaults, in field order."""
+    default = TopologyParams()
+    return [(f.name, topo[f.name]) for f in fields(TopologyParams)
+            if f.name not in ("n_hosts", "hosts_per_t0") and f.name in topo
+            and topo[f.name] != getattr(default, f.name)]
 
 
 def make_task(lb: str, topo: Union[TopologyParams, Mapping[str, object]],

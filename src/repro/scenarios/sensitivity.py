@@ -330,7 +330,7 @@ register(FigureSpec(
 # Fig. 21 (Appendix C.2) — 3-tier fat tree, symmetric synthetic suite
 # ----------------------------------------------------------------------
 _FIG21_TOPO = dict(n_hosts=32, hosts_per_t0=4, tiers=3,
-                   oversubscription=2, t0s_per_pod=2, t2s_per_t1=2)
+                   oversubscription=2)
 
 
 def _fig21_build() -> Dict[tuple, SweepTask]:

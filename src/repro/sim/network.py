@@ -16,7 +16,7 @@ This is the main entry point for running simulations:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
@@ -100,15 +100,11 @@ class Network:
 
     def __init__(self, config: NetworkConfig) -> None:
         self.config = config
-        topo = config.topo
-        # switch-side schemes (Adaptive RoCE / Fig-9 oracle) are selected
-        # through the default LB's policy; an explicit non-ECMP topology
-        # mode wins
-        mode = policy(config.lb).switch_mode
-        if mode is not None and topo.switch_mode == "ecmp":
-            topo = replace(topo, switch_mode=mode)
         self.engine = Engine()
-        self.tree = FatTree(self.engine, topo)
+        # switch-side schemes (Adaptive RoCE / Fig-9 oracle) are selected
+        # through the default LB's policy
+        self.tree = FatTree(self.engine, config.topo,
+                            policy(config.lb).switch_mode or "ecmp")
         delay = (us_to_ps(config.routing_update_delay_us)
                  if config.routing_update_delay_us is not None else None)
         self.failures = FailureInjector(self.engine, self.tree, delay)

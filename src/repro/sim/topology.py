@@ -19,17 +19,32 @@ from .link import Cable
 from .params import TopologyParams
 from .port import EgressPort
 from .switch import Host, Node, Switch
-from .units import NS, US, gbps_to_bytes_per_us
+from .units import NS, US, gbps_to_bytes_per_us, tx_time_ps
+
+# What Sec. 4.1 holds fixed for every fabric it evaluates:
+HOP_LATENCY_NS = 1000  # 500 ns propagation + 500 ns switch traversal
+KMIN_FRACTION = 0.2    # ECN marks from Kmin, every packet from Kmax:
+KMAX_FRACTION = 0.8    # fractions of a port's one-BDP buffer
+T0S_PER_POD = 2        # a 3-tier pod's ToRs (one T1 per ToR uplink) and
+T2S_PER_T1 = 2         # each T1's core uplinks (Appendix C.2's tree)
+FABRIC_SEED = 1        # the fabric RNG: switch hash salts, ECN draws
 
 
 class FatTree:
-    """A built fat tree: hosts, switches, cables and wired ports."""
+    """A built fat tree: hosts, switches, cables and wired ports.  Every
+    switch forwards in ``mode``, which ``Network`` takes from the policy."""
 
-    def __init__(self, engine: Engine, params: TopologyParams) -> None:
+    def __init__(self, engine: Engine, params: TopologyParams,
+                 mode: str = "ecmp") -> None:
         params.validate()
+        if params.tiers == 3 and \
+                (params.n_hosts // params.hosts_per_t0) % T0S_PER_POD:
+            raise ValueError(
+                f"a 3-tier tree needs a multiple of {T0S_PER_POD} ToRs")
         self.engine = engine
         self.params = params
-        self.rng = random.Random(params.seed)
+        self.mode = mode
+        self.rng = random.Random(FABRIC_SEED)
         self.hosts: List[Host] = []
         self.t0s: List[Switch] = []
         self.t1s: List[Switch] = []
@@ -43,9 +58,9 @@ class FatTree:
     def rtt_ps(self) -> int:
         """Network-wide base RTT (no queueing), ps."""
         one_way_hops = 4 if self.params.tiers == 2 else 6
-        prop = 2 * one_way_hops * self.params.hop_latency_ns * NS
+        prop = 2 * one_way_hops * HOP_LATENCY_NS * NS
         # add serialization of one MTU each way plus the returning ACK
-        data_ser = _tx_ps(self.params.mtu_bytes, self._rate())
+        data_ser = tx_time_ps(self.params.mtu_bytes, self.params.link_gbps)
         return prop + 2 * data_ser
 
     def bdp_bytes(self) -> int:
@@ -53,13 +68,13 @@ class FatTree:
         rate = self.params.host_link_gbps or self.params.link_gbps
         return int(gbps_to_bytes_per_us(rate) * self.rtt_ps() / US)
 
-    def _rate(self) -> float:
-        return self.params.link_gbps
-
     def queue_capacity(self) -> int:
-        if self.params.queue_capacity_bytes is not None:
-            return self.params.queue_capacity_bytes
+        """A fabric port's buffer: one BDP, at least eight MTUs."""
         return max(self.bdp_bytes(), 8 * self.params.mtu_bytes)
+
+    def ecn_kmin(self) -> float:
+        """A fabric port's Kmin in bytes, before the port rounds it down."""
+        return self.queue_capacity() * KMIN_FRACTION
 
     # ------------------------------------------------------------------
     # construction
@@ -69,12 +84,11 @@ class FatTree:
         return EgressPort(
             self.engine, name,
             rate_gbps=rate,
-            latency_ps=self.params.hop_latency_ns * NS,
+            latency_ps=HOP_LATENCY_NS * NS,
             capacity_bytes=cap,
-            kmin_bytes=int(cap * self.params.kmin_fraction),
-            kmax_bytes=int(cap * self.params.kmax_fraction),
+            kmin_bytes=int(cap * KMIN_FRACTION),
+            kmax_bytes=int(cap * KMAX_FRACTION),
             rng=self.rng,
-            ecn_enabled=self.params.ecn_enabled,
             trim_enabled=self.params.trim_enabled,
         )
 
@@ -97,7 +111,7 @@ class FatTree:
         self.hosts = [Host(i) for i in range(p.n_hosts)]
         self.t0s = [
             Switch(f"t0_{i}", 0, salt=self.rng.getrandbits(63),
-                   rng=self.rng, mode=p.switch_mode)
+                   rng=self.rng, mode=self.mode)
             for i in range(n_t0)
         ]
 
@@ -126,7 +140,7 @@ class FatTree:
         n_t1 = p.uplinks_per_t0
         self.t1s = [
             Switch(f"t1_{j}", 1, salt=self.rng.getrandbits(63),
-                   rng=self.rng, mode=p.switch_mode)
+                   rng=self.rng, mode=self.mode)
             for j in range(n_t1)
         ]
         for t0 in self.t0s:
@@ -142,22 +156,22 @@ class FatTree:
 
     def _build_tier3(self, n_t0: int) -> None:
         p = self.params
-        n_pods = n_t0 // p.t0s_per_pod
+        n_pods = n_t0 // T0S_PER_POD
         t1s_per_pod = p.uplinks_per_t0
-        n_t2 = t1s_per_pod * p.t2s_per_t1
+        n_t2 = t1s_per_pod * T2S_PER_T1
 
         self.t2s = [
             Switch(f"t2_{c}", 2, salt=self.rng.getrandbits(63),
-                   rng=self.rng, mode=p.switch_mode)
+                   rng=self.rng, mode=self.mode)
             for c in range(n_t2)
         ]
         for pod in range(n_pods):
-            pod_t0s = self.t0s[pod * p.t0s_per_pod:(pod + 1) * p.t0s_per_pod]
+            pod_t0s = self.t0s[pod * T0S_PER_POD:(pod + 1) * T0S_PER_POD]
             pod_hosts = [h for t0 in pod_t0s for h in self._hosts_of_t0(t0)]
             for k in range(t1s_per_pod):
                 t1 = Switch(f"t1_{pod}_{k}", 1,
                             salt=self.rng.getrandbits(63),
-                            rng=self.rng, mode=p.switch_mode)
+                            rng=self.rng, mode=self.mode)
                 self.t1s.append(t1)
                 # T0 <-> T1 inside the pod
                 for t0 in pod_t0s:
@@ -171,8 +185,8 @@ class FatTree:
                         t1.down_route[h] = cable.b_port
                 # T1 <-> its T2 group (classic fat-tree striping: T1 #k in
                 # every pod shares the same group of cores).
-                for u in range(p.t2s_per_t1):
-                    t2 = self.t2s[k * p.t2s_per_t1 + u]
+                for u in range(T2S_PER_T1):
+                    t2 = self.t2s[k * T2S_PER_T1 + u]
                     cable = self._wire(
                         t1, t2, f"{t1.name}->{t2.name}",
                         f"{t2.name}->{t1.name}",
@@ -223,8 +237,3 @@ class FatTree:
 
     def all_switches(self) -> List[Switch]:
         return self.t0s + self.t1s + self.t2s
-
-
-def _tx_ps(size_bytes: int, gbps: float) -> int:
-    from .units import tx_time_ps
-    return tx_time_ps(size_bytes, gbps)

@@ -25,6 +25,8 @@ from repro.harness.sweep import (
 )
 from repro.sim.topology import TopologyParams
 
+from helpers import catalogue
+
 TINY_TOPO = {"n_hosts": 8, "hosts_per_t0": 4}
 TINY_WORKLOAD = WorkloadSpec.make("synthetic", pattern="permutation",
                                   msg_bytes=128 * 1024)
@@ -123,13 +125,15 @@ class TestTaskKey:
 
 
 #: sha256 over the sorted task keys of every registered figure's
-#: matrix, per scale, with ``simulator_version`` pinned — computed at
-#: the commit before ``task_key`` stopped going through ``asdict``
+#: matrix, per scale, with ``simulator_version`` pinned — re-pinned when
+#: the nine fixed fabric constants left ``TopologyParams`` and
+#: ``explore_every`` left ``RepsConfig`` (every key document carries
+#: the topology whole); no other part of any key document moved
 CATALOGUE_KEY_DIGESTS = {
-    "smoke": "056a624a0f2d8b7e88f2f65a23d0a487"
-             "52cf2b6b875a6dfeb94bad0288ac6c2c",
-    "quick": "426a0af2215002c3e3a1166398f72af9"
-             "560e91f6a8e27ef942035417e5a4250e",
+    "smoke": "c367108ed708aa3eaeec02b518b570f6"
+             "079a38f36345b87cf362463eb94edb0c",
+    "quick": "192cacc3ca0da7aa58963820e0534515"
+             "5cd5ac06ea3a0b3efdfac6670c16511a",
 }
 
 
@@ -222,6 +226,45 @@ def test_workload_kind_key_and_label_pinned(kind, monkeypatch):
     assert task.workload.kind == kind
     assert sweep_mod._key_doc(task) == doc
     assert task.label() == label
+
+
+def _key_doc_but_cap(task: SweepTask) -> str:
+    doc = sweep_mod._key_doc(task)
+    doc["scenario"] = [kv for kv in doc["scenario"] if kv[0] != "max_us"]
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize("scale", ["smoke", "quick"])
+def test_a_label_and_seed_name_one_task(scale, monkeypatch):
+    """The label is the wall-time history's join key and names the task
+    in its payload: in the catalogue at one scale (base figures and the
+    default arena), two tasks sharing ``(label, seed)`` have equal key
+    documents but for ``max_us``, the simulated-time cap the label
+    leaves out."""
+    monkeypatch.setattr(sweep_mod, "simulator_version", lambda: "pinned")
+    named: dict = {}
+    for task in catalogue((scale,)):
+        named.setdefault((task.label(), task.seed), set()).add(
+            _key_doc_but_cap(task))
+    shared = {name: docs for name, docs in named.items() if len(docs) > 1}
+    assert not shared, f"labels naming 2+ tasks: {sorted(shared)}"
+
+
+def test_a_label_names_what_the_figures_vary():
+    base = make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1)
+    assert base.label() == "reps permutation/128KiB 8h"
+    fabric = make_task("reps", {**TINY_TOPO, "oversubscription": 2},
+                       TINY_WORKLOAD, seed=1)
+    assert fabric.label() == "reps permutation/128KiB 8h oversubscription=2"
+    failed = make_task("reps", TINY_TOPO, TINY_WORKLOAD, seed=1,
+                       failure=FailureSpec.compose(
+                           FailureSpec.make("fail_fraction", fraction=0.1,
+                                            at_us=30.0, seed=4),
+                           FailureSpec.make("ber", ber=0.01)))
+    assert failed.label().endswith(
+        " fail_fraction(fraction=0.1,seed=4)+ber(ber=0.01)")
+    four = WorkloadSpec.make("collective", pattern="alltoall", n_parallel=4)
+    assert four.label() == "alltoall(n=4)"
 
 
 class TestWorkloadParams:

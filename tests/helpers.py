@@ -12,6 +12,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.sim.engine import Engine
 from repro.sim.link import Cable
@@ -37,17 +39,26 @@ def fresh_interpreter(code: str, *argv: str, cwd=None) -> str:
 
 def small_network(lb: str = "reps", *, n_hosts: int = 8,
                   hosts_per_t0: int = 4, seed: int = 1,
-                  **cfg_kwargs) -> Network:
+                  trim_enabled: bool = False, **cfg_kwargs) -> Network:
     """An 8-host, 2-ToR network — big enough for multipath, fast to run."""
-    topo_kwargs = {}
-    for key in ("tiers", "oversubscription", "trim_enabled", "mtu_bytes",
-                "link_gbps", "host_link_gbps", "switch_mode",
-                "t0s_per_pod", "t2s_per_t1", "queue_capacity_bytes"):
-        if key in cfg_kwargs:
-            topo_kwargs[key] = cfg_kwargs.pop(key)
     topo = TopologyParams(n_hosts=n_hosts, hosts_per_t0=hosts_per_t0,
-                          **topo_kwargs)
+                          trim_enabled=trim_enabled)
     return Network(NetworkConfig(topo=topo, lb=lb, seed=seed, **cfg_kwargs))
+
+
+def catalogue(scales=("smoke", "quick")) -> list:
+    """Every task of every registered figure and of the cross-policy
+    arena over ``DEFAULT_POLICIES``, at each of ``scales``."""
+    from repro.scenarios import DEFAULT_POLICIES, REGISTRY, arena_specs
+
+    tasks = []
+    with pytest.MonkeyPatch.context() as mp:
+        for scale in scales:
+            mp.setenv("REPRO_BENCH_SCALE", scale)
+            specs = list(REGISTRY.values()) + arena_specs(DEFAULT_POLICIES)
+            for spec in specs:
+                tasks.extend(spec.build().values())
+    return tasks
 
 
 def make_switch(engine: Engine, n_up: int = 8, mode: str = "ecmp",

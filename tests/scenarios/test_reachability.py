@@ -5,14 +5,15 @@ registered figure's matrix at ``smoke`` and ``quick``, plus the
 cross-policy arena over :data:`~repro.scenarios.arena.DEFAULT_POLICIES`,
 and asks of each name a task can name — a load-balancer policy, a switch
 mode, a failure kind, a probe, a workload kind, a model runner, a field
-of :class:`~repro.sim.network.NetworkConfig` or of
+of :class:`~repro.sim.network.NetworkConfig`, of
+:class:`~repro.sim.params.TopologyParams` or of
 :class:`~repro.core.reps.RepsConfig` — whether some task reaches it.
 
 A name is reached when some task uses it, or, for a config field, when
-some task's scenario holds the field away from its default (``topo``,
-``lb`` and ``seed`` are set by every task).  A name nothing reaches
-either goes or is listed in :data:`KEEP` with a one-line reason; a KEEP
-entry that is reached, or names nothing registered, is stale.
+some task's scenario or topology holds the field away from its default
+(``topo``, ``lb`` and ``seed`` are set by every task).  A name nothing
+reaches either goes or is listed in :data:`KEEP` with a one-line reason;
+a KEEP entry that is reached, or names nothing registered, is stale.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from repro.harness.sweep import (
 )
 from repro.lb import available
 from repro.lb.base import _REGISTRY, policy
-from repro.scenarios import DEFAULT_POLICIES, REGISTRY, arena_specs
 from repro.sim.network import NetworkConfig
 from repro.sim.params import TopologyParams
 from repro.sim.switch import SWITCH_MODES
+
+from helpers import catalogue
 
 SCALES = ("smoke", "quick")
 
@@ -60,9 +62,8 @@ KEEP: Dict[str, str] = {
     "RepsConfig.evs_size": "lb/base.py:_make_reps overrides it with the "
                            "flow's EVS, but Table 1's footprint reads it",
     "RepsConfig.freezing_timeout_ps": "Algorithm 2's freezing constant",
-    "RepsConfig.explore_every": "deleting it moves the key document of "
-                                "every task carrying a RepsConfig, which "
-                                "test_catalogue_keys_pinned pins",
+    "TopologyParams.link_gbps": "the perf ledger's fabrics run at 200 G",
+    "TopologyParams.trim_enabled": "the CLI's --trimming sets it",
 }
 
 #: the NetworkConfig fields every task sets
@@ -78,6 +79,7 @@ def registered() -> Set[str]:
             | {f"workload:{kind}" for kind in WORKLOAD_KINDS}
             | {f"model:{name}" for name in MODEL_RUNNERS}
             | {f"NetworkConfig.{f.name}" for f in fields(NetworkConfig)}
+            | {f"TopologyParams.{f.name}" for f in fields(TopologyParams)}
             | {f"RepsConfig.{f.name}" for f in fields(RepsConfig)})
 
 
@@ -89,18 +91,10 @@ def _failure_kinds(spec: FailureSpec) -> Iterable[str]:
         yield spec.kind
 
 
-def _switch_mode(task: SweepTask) -> str:
-    """The mode the task's switches run in, as ``Network`` picks it:
-    an explicit non-ECMP topology mode wins over the policy's."""
-    topo_mode = dict(task.topo).get("switch_mode", "ecmp")
-    lb_mode = policy(task.lb).switch_mode
-    return lb_mode if lb_mode is not None and topo_mode == "ecmp" \
-        else topo_mode
-
-
 def reached(tasks: Iterable[SweepTask]) -> Set[str]:
     """The names ``tasks`` use, or hold away from their defaults."""
     net_defaults = NetworkConfig()
+    topo_defaults = TopologyParams()
     reps_defaults = RepsConfig()
     out: Set[str] = set()
     for task in tasks:
@@ -113,7 +107,10 @@ def reached(tasks: Iterable[SweepTask]) -> Set[str]:
         out.add(f"lb:{task.lb}")
         if "background_lb" in workload:
             out.add(f"lb:{workload['background_lb']}")
-        out.add(f"switch_mode:{_switch_mode(task)}")
+        # the mode ``Network`` builds the fabric in
+        out.add(f"switch_mode:{policy(task.lb).switch_mode or 'ecmp'}")
+        out.update(f"TopologyParams.{name}" for name, value in task.topo
+                   if value != getattr(topo_defaults, name))
         out.update(f"probe:{name}" for name in task.probes)
         if task.failure is not None:
             out.update(f"failure:{kind}"
@@ -144,14 +141,7 @@ def stale(tasks: Iterable[SweepTask]) -> Set[str]:
 def catalogue_tasks():
     """Every task of every registered figure and of the default arena,
     at each scale in :data:`SCALES`."""
-    tasks = []
-    with pytest.MonkeyPatch.context() as mp:
-        for scale in SCALES:
-            mp.setenv("REPRO_BENCH_SCALE", scale)
-            specs = list(REGISTRY.values()) + arena_specs(DEFAULT_POLICIES)
-            for spec in specs:
-                tasks.extend(spec.build().values())
-    return tasks
+    return catalogue(SCALES)
 
 
 class TestCatalogue:
@@ -223,6 +213,16 @@ class TestReached:
         hit = reached([self.task(evs_size=256,
                                  reps=RepsConfig(buffer_size=4))])
         assert {"NetworkConfig.evs_size", "RepsConfig.buffer_size"} <= hit
+
+    def test_a_topology_field_is_reached_off_its_default_only(self):
+        hit = reached([self.task()])
+        assert {"TopologyParams.n_hosts",
+                "TopologyParams.hosts_per_t0"} <= hit
+        assert "TopologyParams.tiers" not in hit
+        assert "TopologyParams.tiers" in reached([make_task(
+            "reps", TopologyParams(n_hosts=16, hosts_per_t0=4, tiers=3,
+                                   oversubscription=2),
+            WorkloadSpec.make("synthetic"), seed=1)])
 
     def test_a_model_task_reaches_its_runner_only(self):
         hit = reached([make_model_task("footprint", seed=1)])

@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.topology import FatTree, TopologyParams
+from repro.sim.topology import (
+    HOP_LATENCY_NS,
+    KMAX_FRACTION,
+    KMIN_FRACTION,
+    FatTree,
+    TopologyParams,
+)
+from repro.sim.units import NS
 
 
 def build(**kw) -> FatTree:
@@ -27,8 +34,8 @@ class TestValidation:
             build(n_hosts=16, hosts_per_t0=8, tiers=4)
 
     def test_pods_must_divide(self):
-        with pytest.raises(ValueError):
-            build(n_hosts=24, hosts_per_t0=4, tiers=3, t0s_per_pod=4)
+        with pytest.raises(ValueError, match="multiple of 2 ToRs"):
+            build(n_hosts=12, hosts_per_t0=4, tiers=3)
 
 
 class TestTwoTier:
@@ -91,15 +98,15 @@ class TestTwoTier:
 class TestThreeTier:
     def test_counts(self):
         tree = build(n_hosts=32, hosts_per_t0=4, tiers=3,
-                     oversubscription=2, t0s_per_pod=2, t2s_per_t1=2)
+                     oversubscription=2)
         # 8 T0s, 4 pods, uplinks per T0 = 2 -> 2 T1s per pod = 8 T1s
         assert len(tree.t0s) == 8
         assert len(tree.t1s) == 8
-        assert len(tree.t2s) == 4  # t1s_per_pod(2) * t2s_per_t1(2)
+        assert len(tree.t2s) == 4  # t1s_per_pod(2) * T2S_PER_T1(2)
 
     def test_t1_down_routes_are_pod_local(self):
         tree = build(n_hosts=32, hosts_per_t0=4, tiers=3,
-                     oversubscription=2, t0s_per_pod=2, t2s_per_t1=2)
+                     oversubscription=2)
         pod0_hosts = set(range(8))
         t1 = tree.t1s[0]
         assert set(t1.down_route) == pod0_hosts
@@ -107,13 +114,13 @@ class TestThreeTier:
 
     def test_t2_down_routes_cover_everything(self):
         tree = build(n_hosts=32, hosts_per_t0=4, tiers=3,
-                     oversubscription=2, t0s_per_pod=2, t2s_per_t1=2)
+                     oversubscription=2)
         for t2 in tree.t2s:
             assert set(t2.down_route) == set(range(32))
 
     def test_core_cables_selector(self):
         tree = build(n_hosts=32, hosts_per_t0=4, tiers=3,
-                     oversubscription=2, t0s_per_pod=2, t2s_per_t1=2)
+                     oversubscription=2)
         assert len(tree.core_cables()) == 8 * 2  # each T1 x uplinks
 
 
@@ -134,13 +141,37 @@ class TestDerived:
         tree = build(n_hosts=16, hosts_per_t0=8)
         assert tree.queue_capacity() == max(tree.bdp_bytes(), 8 * 4096)
 
-    def test_explicit_queue_capacity_respected(self):
-        tree = build(n_hosts=16, hosts_per_t0=8,
-                     queue_capacity_bytes=12345)
-        assert tree.queue_capacity() == 12345
-
     def test_three_tier_rtt_longer(self):
         two = build(n_hosts=16, hosts_per_t0=8)
         three = build(n_hosts=16, hosts_per_t0=4, tiers=3,
-                      oversubscription=2, t0s_per_pod=2, t2s_per_t1=1)
+                      oversubscription=2)
         assert three.rtt_ps() > two.rtt_ps()
+
+
+class TestFabricConstants:
+    """What Sec. 4.1 holds fixed is the same on every port and switch."""
+
+    def test_every_port_has_the_hop_latency_and_ecn_thresholds(self):
+        tree = build(n_hosts=16, hosts_per_t0=4, tiers=3,
+                     oversubscription=2)
+        cap = tree.queue_capacity()
+        nics = {h.port for h in tree.hosts}
+        for cable in tree.cables.values():
+            for port in (cable.a_port, cable.b_port):
+                assert port.latency_ps == HOP_LATENCY_NS * NS
+                assert port.kmin_bytes == int(cap * KMIN_FRACTION)
+                assert port.kmax_bytes == int(cap * KMAX_FRACTION)
+                if port not in nics:
+                    assert port.capacity_bytes == cap
+                    assert port.ecn_enabled
+
+    def test_the_unrounded_kmin_is_a_fraction_of_the_buffer(self):
+        tree = build(n_hosts=16, hosts_per_t0=8)
+        assert tree.ecn_kmin() == tree.queue_capacity() * KMIN_FRACTION
+
+    def test_every_switch_runs_the_mode_it_is_built_with(self):
+        tree = FatTree(Engine(), TopologyParams(n_hosts=8, hosts_per_t0=4),
+                       "adaptive")
+        assert {sw.mode for sw in tree.all_switches()} == {"adaptive"}
+        assert {sw.mode for sw in build(n_hosts=8, hosts_per_t0=4)
+                .all_switches()} == {"ecmp"}

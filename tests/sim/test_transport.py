@@ -146,8 +146,8 @@ class TestRetransmission:
         plus its retransmissions, and each retransmission answers one
         NACK or one expiry."""
         net = small_network(n_hosts=16, hosts_per_t0=8, lb="ops",
-                            trim_enabled=trim,
-                            queue_capacity_bytes=64 * 1024)
+                            trim_enabled=trim)
+        shallow_buffers(net)
         for src in range(8, 16):
             net.add_flow(src, 0, 256 * 1024)
         assert net.run(max_us=100_000).flows_completed == 8
@@ -157,6 +157,16 @@ class TestRetransmission:
             stats = s.stats
             assert stats.pkts_sent == s.n_pkts + stats.retransmissions
             assert stats.retransmissions <= stats.timeouts + stats.nacks
+
+
+def shallow_buffers(net: Network, capacity: int = 64 * 1024) -> None:
+    """Cut every fabric port's buffer to ``capacity`` bytes; the host
+    NICs keep theirs (as :class:`~repro.sim.topology.FatTree` sets it)."""
+    nics = {host.port for host in net.tree.hosts}
+    for cable in net.tree.cables.values():
+        for port in (cable.a_port, cable.b_port):
+            if port not in nics:
+                port.capacity_bytes = capacity
 
 
 def freeze_entries(net: Network) -> int:
@@ -267,8 +277,8 @@ class TestAckCoalescing:
 class TestTrimming:
     def _incast_net(self, trim: bool) -> Network:
         net = small_network(n_hosts=16, hosts_per_t0=8, lb="ops",
-                            trim_enabled=trim,
-                            queue_capacity_bytes=64 * 1024)
+                            trim_enabled=trim)
+        shallow_buffers(net)
         for src in range(8, 16):
             net.add_flow(src, 0, 256 * 1024)
         return net
