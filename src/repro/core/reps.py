@@ -174,11 +174,11 @@ class RepsSender:
             self._exit_freezing_at = now + self.config.freezing_timeout_ps
             self.stats_freeze_entries += 1
 
-    def force_freeze(self, now: int, permanent: bool = True) -> None:
-        """Force freezing mode regardless of failures (Appendix A, Fig 19)."""
+    def force_freeze(self) -> None:
+        """Freeze for the rest of the flow, regardless of failures
+        (Appendix A, Fig 19)."""
         self._freezing = True
-        self._force_frozen = permanent
-        self._exit_freezing_at = now + self.config.freezing_timeout_ps
+        self._force_frozen = True
         self.stats_freeze_entries += 1
 
     # ------------------------------------------------------------------

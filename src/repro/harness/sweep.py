@@ -254,7 +254,7 @@ def force_freeze(net: Network, at_us: float) -> None:
         for rec in net.flows.values():
             lb = rec.sender.lb
             if hasattr(lb, "force_freeze"):
-                lb.force_freeze(at_ps)
+                lb.force_freeze()
     net.engine.at(at_ps, freeze)
 
 
@@ -271,8 +271,8 @@ def fail_fraction(net: Network, fraction: float, at_us: float, *,
     at_ps = int(at_us * 1e6)
     if what == "cables":
         cables = net.tree.t0_uplink_cables()
-        protected = rng.choice(net.tree.t1s).name
-        pool = [c for c in cables if f"<->{protected}" not in c.name]
+        protected = rng.choice(net.tree.t1s)
+        pool = [c for c in cables if c.a_port.peer is not protected]
         k = max(1, min(len(pool), int(len(cables) * fraction)))
         for c in rng.sample(pool, k):
             net.failures.fail_cable(c, at_ps=at_ps)
@@ -286,13 +286,12 @@ def fail_fraction(net: Network, fraction: float, at_us: float, *,
         raise ValueError(f"unknown failure target {what!r}")
 
 
-def degrade_cables(net: Network, indices: Sequence[int], gbps: float,
-                   at_us: float = 0.0) -> None:
-    """Downgrade T0 uplink cables (asymmetry, Sec. 4.3.2)."""
+def degrade_cables(net: Network, indices: Sequence[int],
+                   gbps: float) -> None:
+    """Downgrade T0 uplink cables from the start (asymmetry, Sec. 4.3.2)."""
     cables = net.tree.t0_uplink_cables()
     for i in indices:
-        net.failures.degrade_cable(cables[i % len(cables)], gbps,
-                                   at_ps=int(at_us * 1e6))
+        net.failures.degrade_cable(cables[i % len(cables)], gbps)
 
 
 def degrade_fraction(net: Network, fraction: float, gbps: float, *,
@@ -302,7 +301,7 @@ def degrade_fraction(net: Network, fraction: float, gbps: float, *,
     cables = net.tree.t0_uplink_cables()
     k = max(1, int(round(len(cables) * fraction)))
     for c in rng.sample(cables, k):
-        net.failures.degrade_cable(c, gbps, at_ps=0)
+        net.failures.degrade_cable(c, gbps)
 
 
 def ber(net: Network, ber: float, *, what: str = "cables",
@@ -379,6 +378,16 @@ class FailureSpec:
 # ``None``, or a function of the finished run's metrics returning
 # ``(metrics, extra)``.
 
+#: the seed of every workload draw (a synthetic permutation, a trace's
+#: arrivals, a mixed workload's pairs) that a task does not set
+WORKLOAD_SEED = 2
+#: how long a trace workload's flows keep arriving
+TRACE_DURATION_US = 100.0
+#: a mixed workload's pattern and its legacy background policy (Fig. 6)
+MIXED_PATTERN = "permutation"
+MIXED_BACKGROUND_LB = "ecmp"
+
+
 def _pairs(net: Network, pattern: str, fan_in: int,
            workload_seed: int) -> List[Tuple[int, int]]:
     """The (src, dst) pairs of a synthetic or mixed workload.  A
@@ -399,23 +408,22 @@ def _pairs(net: Network, pattern: str, fan_in: int,
 
 def synthetic(net: Network, pattern: str = "permutation",
               msg_bytes: int = 1 << 20, fan_in: int = 8,
-              workload_seed: int = 2) -> None:
+              workload_seed: int = WORKLOAD_SEED) -> None:
     """One ``msg_bytes`` flow per pair of a permutation, tornado or
     ``fan_in``-to-one incast (Figs. 3 / 5)."""
     for src, dst in _pairs(net, pattern, fan_in, workload_seed):
         net.add_flow(src, dst, msg_bytes)
 
 
-def trace(net: Network, pattern: str, load: float = 0.6,
-          duration_us: float = 100.0, workload_seed: int = 2) -> None:
+def trace(net: Network, pattern: str, load: float = 0.6) -> None:
     """Websearch / Facebook flows arriving at ``load`` of the host links
-    for ``duration_us``."""
+    for :data:`TRACE_DURATION_US`."""
     from ..workloads.traces import generate_trace_flows  # describe -> execute
     topo = net.tree.params
     for f in generate_trace_flows(
-            n_hosts=topo.n_hosts, load=load, duration_us=duration_us,
+            n_hosts=topo.n_hosts, load=load, duration_us=TRACE_DURATION_US,
             host_gbps=topo.host_link_gbps or topo.link_gbps,
-            trace=pattern, seed=workload_seed):
+            trace=pattern, seed=WORKLOAD_SEED):
         net.add_flow(f.src, f.dst, f.size_bytes, start_us=f.start_us)
 
 
@@ -438,20 +446,17 @@ def collective(net: Network, pattern: str, msg_bytes: int = 1 << 20,
     return lambda metrics: (metrics, {"finish_us": coll.finish_us})
 
 
-def mixed(net: Network, pattern: str = "permutation",
-          msg_bytes: int = 1 << 20, workload_seed: int = 2,
-          background_lb: str = "ecmp",
+def mixed(net: Network, msg_bytes: int = 1 << 20,
           background_fraction: float = 0.1) -> Callable:
-    """Fig. 6: the task's LB (flows tagged ``"main"``, its metrics) shares
-    the fabric with ``background_fraction`` legacy ``background_lb``
+    """Fig. 6: a permutation whose flows run the task's LB (tagged
+    ``"main"``, its metrics) beside ``background_fraction`` legacy ECMP
     flows (``"bg"``, reported in ``extra``)."""
-    if pattern == "incast":  # a mixed kind takes no fan_in
-        raise ValueError("mixed workloads are permutation or tornado")
-    pairs = _pairs(net, pattern, 0, workload_seed)
+    pairs = _pairs(net, MIXED_PATTERN, 0, WORKLOAD_SEED)
     n_bg = max(1, int(len(pairs) * background_fraction))
     for i, (src, dst) in enumerate(pairs):
         if i < n_bg:
-            net.add_flow(src, dst, msg_bytes, lb=background_lb, tag="bg")
+            net.add_flow(src, dst, msg_bytes, lb=MIXED_BACKGROUND_LB,
+                         tag="bg")
         else:
             net.add_flow(src, dst, msg_bytes, tag="main")
 
@@ -478,14 +483,14 @@ WORKLOAD_KINDS: Dict[str, Tuple[Callable, Callable[..., str]]] = {
     fn.__name__: (fn, label) for fn, label in (
         (synthetic,
          lambda pattern, msg_bytes, **_: f"{pattern}/{msg_bytes >> 10}KiB"),
-        (trace, lambda pattern, load, **_: f"{pattern}@{int(load * 100)}%"),
+        (trace, lambda pattern, load: f"{pattern}@{int(load * 100)}%"),
         # AllToAll(n) names its parallelism when it is not the default 8
-        (collective, lambda pattern, n_parallel, **_: (
-            pattern if n_parallel == 8 else f"{pattern}(n={n_parallel})")),
-        (mixed, lambda pattern, msg_bytes, background_fraction,
-         background_lb, **_: (f"{pattern}/{msg_bytes >> 10}KiB+"
-                              f"{int(background_fraction * 100)}%"
-                              f"{background_lb}")),
+        (collective, lambda pattern, msg_bytes, n_parallel: (
+            (pattern if n_parallel == 8 else f"{pattern}(n={n_parallel})")
+            + f"/{msg_bytes >> 10}KiB")),
+        (mixed, lambda msg_bytes, background_fraction: (
+            f"{MIXED_PATTERN}/{msg_bytes >> 10}KiB+"
+            f"{int(background_fraction * 100)}%{MIXED_BACKGROUND_LB}")),
         (model, lambda pattern, **_: f"model:{pattern}"),
     )}
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
 @dataclass
@@ -41,19 +41,16 @@ def batched_balls_into_bins(
     *,
     lam: float = 1.0,
     rng: Optional[random.Random] = None,
-    initial_loads: Optional[Sequence[int]] = None,
 ) -> BinsTrace:
-    """Simulate the OPS model for ``rounds`` steps at injection rate
-    ``lam`` (fraction of full throughput; 1.0 = n balls per round)."""
+    """Simulate the OPS model for ``rounds`` steps from empty bins at
+    injection rate ``lam`` (fraction of full throughput; 1.0 = n balls
+    per round)."""
     if n_bins < 1:
         raise ValueError("need at least one bin")
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
     rng = rng or random.Random()
-    loads = list(initial_loads) if initial_loads is not None \
-        else [0] * n_bins
-    if len(loads) != n_bins:
-        raise ValueError("initial_loads length must equal n_bins")
+    loads = [0] * n_bins
     trace = BinsTrace(n_bins)
     carry = 0.0
     for _ in range(rounds):

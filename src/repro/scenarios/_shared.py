@@ -72,11 +72,10 @@ def expect_completes(res: FigureResult, key: Key,
                res.value(key, "flows_total"))
 
 
-def synthetic(pattern: str, msg_bytes: int, *, fan_in: int = 8,
-              workload_seed: int = 2) -> WorkloadSpec:
+def synthetic(pattern: str, msg_bytes: int, *,
+              fan_in: int = 8) -> WorkloadSpec:
     return WorkloadSpec.make("synthetic", pattern=pattern,
-                             msg_bytes=msg_bytes, fan_in=fan_in,
-                             workload_seed=workload_seed)
+                             msg_bytes=msg_bytes, fan_in=fan_in)
 
 
 def speedup_vs_ecmp_table(res: FigureResult) -> TableDoc:

@@ -135,7 +135,7 @@ def _fig03_traces_build() -> Dict[tuple, SweepTask]:
     tasks = {}
     for load in _FIG03_LOADS:
         workload = WorkloadSpec.make("trace", pattern="websearch",
-                                     load=load, duration_us=100.0)
+                                     load=load)
         for lb in CORE_LBS:
             tasks[(load, lb)] = task(lb, small_topo(), workload, seed=3,
                                      max_us=5_000_000.0)
@@ -297,8 +297,7 @@ register(FigureSpec(
 
 
 def _fig05_traces_build() -> Dict[str, SweepTask]:
-    workload = WorkloadSpec.make("trace", pattern="websearch",
-                                 load=1.0, duration_us=100.0)
+    workload = WorkloadSpec.make("trace", pattern="websearch", load=1.0)
     return {lb: task(lb, small_topo(), workload, seed=5,
                      failure=_FIG05_DEGRADE, max_us=10_000_000.0)
             for lb in CORE_LBS}
@@ -355,8 +354,7 @@ register(FigureSpec(
 # Fig. 6 — REPS coexisting with ECMP background traffic
 # ----------------------------------------------------------------------
 def _fig06_build() -> Dict[str, SweepTask]:
-    workload = WorkloadSpec.make("mixed", pattern="permutation",
-                                 msg_bytes=msg(8), background_lb="ecmp",
+    workload = WorkloadSpec.make("mixed", msg_bytes=msg(8),
                                  background_fraction=0.1)
     return {lb: task(lb, small_topo(), workload, seed=7)
             for lb in ("ops", "reps", "ecmp")}

@@ -472,8 +472,7 @@ def _ablation_deploy_build() -> Dict[float, SweepTask]:
             workload = synthetic("permutation", msg(8))
         else:
             workload = WorkloadSpec.make(
-                "mixed", pattern="permutation", msg_bytes=msg(8),
-                background_lb="ecmp", background_fraction=frac)
+                "mixed", msg_bytes=msg(8), background_fraction=frac)
         tasks[frac] = task("reps", small_topo(), workload, seed=7,
                            max_us=50_000_000.0)
     return tasks

@@ -1,15 +1,17 @@
 """Failure injection (Sec. 4.3.3): cable/switch failures, degradation, BER.
 
-All injections are scheduled on the engine so they fire mid-run, exactly
-like the paper's forced worst-case failures.  ECMP routing groups keep
-hashing onto failed ports unless a ``routing_update_delay`` is configured,
-modelling the slow control-plane reconvergence (Sec. 3.2 assumes ~10 ms to
-exclude a failed cable — far longer than REPS's reaction).
+Cable and switch failures are scheduled on the engine so they fire
+mid-run, exactly like the paper's forced worst-case failures; a
+degradation or a bit-error rate holds from the moment it is set.  ECMP
+routing groups keep hashing onto failed ports unless a
+``routing_update_delay`` is configured, modelling the slow control-plane
+reconvergence (Sec. 3.2 assumes ~10 ms to exclude a failed cable — far
+longer than REPS's reaction).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from .engine import Engine
 from .link import Cable
@@ -25,64 +27,36 @@ class FailureInjector:
         self.engine = engine
         self.tree = tree
         self.routing_update_delay_ps = routing_update_delay_ps
-        self.log: List[tuple] = []
 
     # ------------------------------------------------------------------
-    def _resolve_cable(self, cable) -> Cable:
-        if isinstance(cable, Cable):
-            return cable
-        return self.tree.cables[cable]
-
-    def fail_cable(self, cable, at_ps: int,
+    def fail_cable(self, cable: Cable, at_ps: int,
                    duration_ps: Optional[int] = None) -> None:
         """Take a cable down at ``at_ps``; recover after ``duration_ps``
         (None = permanent for the rest of the run)."""
-        c = self._resolve_cable(cable)
-        self.engine.at(at_ps, self._do_fail, c)
+        self.engine.at(at_ps, self._do_fail, cable)
         if duration_ps is not None:
-            self.engine.at(at_ps + duration_ps, self._do_recover, c)
-        self.log.append(("cable", c.name, at_ps, duration_ps))
+            self.engine.at(at_ps + duration_ps, self._do_recover, cable)
 
-    def fail_switch(self, switch: Switch, at_ps: int,
-                    duration_ps: Optional[int] = None) -> None:
-        """Fail every cable attached to ``switch`` (switch crash)."""
+    def fail_switch(self, switch: Switch, at_ps: int) -> None:
+        """Fail every cable attached to ``switch`` for good (switch
+        crash)."""
         for c in self.tree.cables_of_switch(switch):
-            self.fail_cable(c, at_ps, duration_ps)
-        self.log.append(("switch", switch.name, at_ps, duration_ps))
+            self.fail_cable(c, at_ps)
 
-    def degrade_cable(self, cable, gbps: float, at_ps: int = 0,
-                      duration_ps: Optional[int] = None,
-                      restore_gbps: Optional[float] = None) -> None:
-        """Downgrade a cable's bandwidth (e.g. 400 -> 200 Gbps, Sec. 4.3.2)."""
-        c = self._resolve_cable(cable)
-        if at_ps <= self.engine.now:
-            c.set_rate(gbps)
-        else:
-            self.engine.at(at_ps, c.set_rate, gbps)
-        if duration_ps is not None:
-            self.engine.at(at_ps + duration_ps, c.set_rate,
-                           restore_gbps or self.tree.params.link_gbps)
-        self.log.append(("degrade", c.name, at_ps, gbps))
+    def degrade_cable(self, cable: Cable, gbps: float) -> None:
+        """Downgrade a cable's bandwidth now (e.g. 400 -> 200 Gbps,
+        Sec. 4.3.2)."""
+        cable.set_rate(gbps)
 
-    def set_ber(self, cable, drop_probability: float,
-                at_ps: int = 0) -> None:
-        """Bernoulli per-packet loss on a cable (bit-error rate)."""
-        c = self._resolve_cable(cable)
+    def set_ber(self, cable: Cable, drop_probability: float) -> None:
+        """Bernoulli per-packet loss on a cable (bit-error rate), now."""
+        cable.ber = drop_probability
 
-        def apply() -> None:
-            c.ber = drop_probability
-
-        if at_ps <= self.engine.now:
-            apply()
-        else:
-            self.engine.at(at_ps, apply)
-        self.log.append(("ber", c.name, at_ps, drop_probability))
-
-    def set_switch_ber(self, switch: Switch, drop_probability: float,
-                       at_ps: int = 0) -> None:
+    def set_switch_ber(self, switch: Switch,
+                       drop_probability: float) -> None:
         """BER on every cable of a switch (faulty ASIC / optics shelf)."""
         for c in self.tree.cables_of_switch(switch):
-            self.set_ber(c, drop_probability, at_ps)
+            self.set_ber(c, drop_probability)
 
     # ------------------------------------------------------------------
     def _do_fail(self, cable: Cable) -> None:

@@ -99,6 +99,9 @@ class Network:
     """A built network ready to accept flows and run."""
 
     def __init__(self, config: NetworkConfig) -> None:
+        if config.cc not in available_cc():
+            raise KeyError(f"unknown congestion control {config.cc!r}; "
+                           f"known: {available_cc()}")
         self.config = config
         self.engine = Engine()
         # switch-side schemes (Adaptive RoCE / Fig-9 oracle) are selected
@@ -130,7 +133,6 @@ class Network:
         *,
         start_us: float = 0.0,
         lb: Optional[str] = None,
-        cc: Optional[str] = None,
         on_complete: Optional[Callable[[FlowSender], None]] = None,
         tag: Optional[str] = None,
     ) -> int:
@@ -158,10 +160,6 @@ class Network:
             if host.port is None or host.dispatch is None:
                 raise ValueError(f"host {host.host_id} is not wired")
         lb_policy = policy(lb or self.config.lb)
-        cc = cc or self.config.cc
-        if cc not in available_cc():
-            raise KeyError(f"unknown congestion control {cc!r}; "
-                           f"known: {available_cc()}")
         replication = lb_policy.replication
         n_copies = 1
         if replication is not None and (replication.max_bytes is None
@@ -172,7 +170,7 @@ class Network:
         self._next_flow_id += n_copies
         self._added += 1
         make = partial(self._build_flow, primary_id, n_copies, src, dst,
-                       size_bytes, lb_policy, cc, on_complete)
+                       size_bytes, lb_policy, on_complete)
         start_ps = max(self.engine.now, us_to_ps(start_us))
         for i in range(n_copies):
             rec = _FlowRecord(make, tag,
@@ -183,7 +181,7 @@ class Network:
 
     def _build_flow(self, primary_id: int, n_copies: int, src: int,
                     dst: int, size_bytes: int, lb_policy: Policy,
-                    cc: str, on_complete) -> None:
+                    on_complete) -> None:
         """Build the sender and receiver of every copy of one logical
         flow into its records."""
         cfg = self.config
@@ -193,7 +191,7 @@ class Network:
         senders = []
         for flow_id in range(primary_id, primary_id + n_copies):
             cc_obj = make_cc(
-                cc,
+                cfg.cc,
                 mtu=mtu,
                 init_cwnd=max(mtu, int(bdp * INIT_CWND_BDP)),
                 min_cwnd=mtu,

@@ -74,7 +74,8 @@ class Switch(Node):
         tier:      0 (ToR), 1 (aggregation) or 2 (core).
         up_ports:  uplink egress ports (multipath choice happens here).
         down_route: maps a destination host id to the correct down port.
-        mode:      "ecmp" | "adaptive" | "ideal".
+        mode:      one of :data:`SWITCH_MODES` ("ecmp" | "adaptive" |
+                   "ideal" | "wcmp" | "source").
     """
 
     __slots__ = (

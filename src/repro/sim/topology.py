@@ -222,18 +222,9 @@ class FatTree:
 
     def cables_of_switch(self, switch: Switch) -> List[Cable]:
         """Every cable with one end at ``switch`` (for switch failures)."""
-        out = []
-        for cable in self.cables.values():
-            for port in (cable.a_port, cable.b_port):
-                if port is not None and port.peer is switch:
-                    out.append(cable)
-                    break
-            else:
-                # also match by name prefix (port.peer is the *other* end)
-                if f"{switch.name}<->" in cable.name or \
-                        f"<->{switch.name}" in cable.name:
-                    out.append(cable)
-        return out
+        return [cable for cable in self.cables.values()
+                if cable.a_port.peer is switch
+                or cable.b_port.peer is switch]
 
     def all_switches(self) -> List[Switch]:
         return self.t0s + self.t1s + self.t2s

@@ -23,7 +23,7 @@ the *Carry EVs* variant.
 Invariants:
 
 - **EV lifecycle.**  Every data packet leaves the sender with exactly
-  one entropy value drawn from the load balancer (``lb.next_ev``); the
+  one entropy value drawn from the load balancer (``lb.next_entropy``); the
   receiver echoes that EV (plus the observed ECN mark) on the covering
   ACK, and the sender feeds the echo back through ``lb.on_ack`` — for
   REPS this is the *recycling* step that turns a congestion-free path

@@ -51,7 +51,7 @@ class Collective:
             self.done = True
             self.finish_us = self.net.engine.now / 1_000_000
 
-    def install(self, start_us: float = 0.0) -> None:  # pragma: no cover
+    def install(self) -> None:  # pragma: no cover
         raise NotImplementedError
 
 
@@ -71,16 +71,16 @@ class RingAllReduce(Collective):
         self.chunk = max(1, message_bytes // n)
         self._expected = n * self.steps
 
-    def install(self, start_us: float = 0.0) -> None:
+    def install(self) -> None:
         for idx in range(self.n):
-            self._send(idx, 0, start_us)
+            self._send(idx, 0)
 
-    def _send(self, idx: int, step: int, start_us: float = 0.0) -> None:
+    def _send(self, idx: int, step: int) -> None:
         src = self.order[idx]
         dst = self.order[(idx + 1) % self.n]
         self.flows_issued += 1
         self.net.add_flow(
-            src, dst, self.chunk, start_us=start_us,
+            src, dst, self.chunk,
             on_complete=lambda s, i=idx, st=step: self._chunk_done(i, st),
             tag="collective",
         )
@@ -93,14 +93,12 @@ class RingAllReduce(Collective):
 
 
 class ButterflyAllReduce(Collective):
-    """Recursive-doubling AllReduce: log2(N) full-message exchanges."""
+    """Recursive-doubling AllReduce over every host: log2(N)
+    full-message exchanges."""
 
-    def __init__(self, net: Network, message_bytes: int,
-                 hosts: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, net: Network, message_bytes: int) -> None:
         super().__init__(net)
-        self.hosts = list(hosts) if hosts is not None \
-            else list(range(len(net.tree.hosts)))
-        n = len(self.hosts)
+        n = len(net.tree.hosts)
         if n < 2 or n & (n - 1):
             raise ValueError("butterfly needs a power-of-two participant count")
         self.n = n
@@ -108,16 +106,15 @@ class ButterflyAllReduce(Collective):
         self.message_bytes = message_bytes
         self._expected = n * self.rounds
 
-    def install(self, start_us: float = 0.0) -> None:
+    def install(self) -> None:
         for i in range(self.n):
-            self._send(i, 0, start_us)
+            self._send(i, 0)
 
-    def _send(self, i: int, rnd: int, start_us: float = 0.0) -> None:
+    def _send(self, i: int, rnd: int) -> None:
         partner = i ^ (1 << rnd)
         self.flows_issued += 1
         self.net.add_flow(
-            self.hosts[i], self.hosts[partner], self.message_bytes,
-            start_us=start_us,
+            i, partner, self.message_bytes,
             on_complete=lambda s, p=partner, r=rnd: self._round_done(p, r),
             tag="collective",
         )
@@ -130,14 +127,13 @@ class ButterflyAllReduce(Collective):
 
 
 class AllToAll(Collective):
-    """AllToAll with at most ``n_parallel`` connections per node."""
+    """AllToAll over every host, with at most ``n_parallel``
+    connections per node."""
 
-    def __init__(self, net: Network, message_bytes: int, n_parallel: int,
-                 hosts: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, net: Network, message_bytes: int,
+                 n_parallel: int) -> None:
         super().__init__(net)
-        self.hosts = list(hosts) if hosts is not None \
-            else list(range(len(net.tree.hosts)))
-        n = len(self.hosts)
+        n = len(net.tree.hosts)
         if n < 2:
             raise ValueError("alltoall needs at least 2 participants")
         if n_parallel < 1:
@@ -152,19 +148,18 @@ class AllToAll(Collective):
             i: [(i + k) % n for k in range(1, n)] for i in range(n)
         }
 
-    def install(self, start_us: float = 0.0) -> None:
+    def install(self) -> None:
         for i in range(self.n):
             for _ in range(min(self.n_parallel, len(self._queues[i]))):
-                self._send_next(i, start_us)
+                self._send_next(i)
 
-    def _send_next(self, i: int, start_us: float = 0.0) -> None:
+    def _send_next(self, i: int) -> None:
         if not self._queues[i]:
             return
         j = self._queues[i].pop(0)
         self.flows_issued += 1
         self.net.add_flow(
-            self.hosts[i], self.hosts[j], self.bytes_per_pair,
-            start_us=start_us,
+            i, j, self.bytes_per_pair,
             on_complete=lambda s, src=i: self._pair_done(src),
             tag="collective",
         )

@@ -14,19 +14,13 @@ from typing import List, Optional, Tuple
 Pair = Tuple[int, int]
 
 
-def incast(n_hosts: int, fan_in: int, *, receiver: int = 0,
-           seed: Optional[int] = None) -> List[Pair]:
-    """``fan_in`` senders all target one receiver (e.g. 8:1 incast)."""
+def incast(n_hosts: int, fan_in: int, *, receiver: int = 0) -> List[Pair]:
+    """``fan_in`` senders all target one receiver (e.g. 8:1 incast): the
+    ``fan_in`` hosts farthest from it by host id."""
     if not 1 <= fan_in < n_hosts:
         raise ValueError("fan_in must be in [1, n_hosts)")
-    rng = random.Random(seed)
     candidates = [h for h in range(n_hosts) if h != receiver]
-    if seed is not None:
-        senders = rng.sample(candidates, fan_in)
-    else:
-        # deterministic default: the fan_in hosts farthest from receiver
-        senders = candidates[-fan_in:]
-    return [(s, receiver) for s in senders]
+    return [(s, receiver) for s in candidates[-fan_in:]]
 
 
 def permutation(n_hosts: int, *, seed: int = 0,

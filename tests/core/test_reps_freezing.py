@@ -165,12 +165,6 @@ class TestForcedFreezing:
     def test_force_freeze_is_sticky(self):
         """Fig. 19: forced freezing persists past the normal timeout."""
         r = make()
-        r.force_freeze(now=0)
+        r.force_freeze()
         r.on_ack(ev=1, ecn=False, now=500 * US)
         assert r.freezing
-
-    def test_force_freeze_temporary(self):
-        r = make()
-        r.force_freeze(now=0, permanent=False)
-        r.on_ack(ev=1, ecn=False, now=500 * US)
-        assert not r.freezing

@@ -100,11 +100,11 @@ def test_expired_freezing_never_hands_out_stale_evs(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_forced_freeze_ignores_timeout(seed):
-    """force_freeze(permanent=True) (Fig. 19) never thaws on its own."""
+    """force_freeze (Fig. 19) never thaws on its own."""
     config = RepsConfig(buffer_size=4, evs_size=64,
                         freezing_timeout_ps=1)
     walk = Walk(config, seed)
-    walk.sender.force_freeze(walk.now, permanent=True)
+    walk.sender.force_freeze()
     for _ in range(300):
         walk.step()
         assert walk.sender.freezing

@@ -126,14 +126,15 @@ class TestTaskKey:
 
 #: sha256 over the sorted task keys of every registered figure's
 #: matrix, per scale, with ``simulator_version`` pinned — re-pinned when
-#: the nine fixed fabric constants left ``TopologyParams`` and
-#: ``explore_every`` left ``RepsConfig`` (every key document carries
-#: the topology whole); no other part of any key document moved
+#: the trace kind's ``duration_us`` / ``workload_seed`` and the mixed
+#: kind's ``pattern`` / ``workload_seed`` / ``background_lb`` became
+#: constants (those two kinds' key documents lose them); no other part
+#: of any key document moved
 CATALOGUE_KEY_DIGESTS = {
-    "smoke": "c367108ed708aa3eaeec02b518b570f6"
-             "079a38f36345b87cf362463eb94edb0c",
-    "quick": "192cacc3ca0da7aa58963820e0534515"
-             "5cd5ac06ea3a0b3efdfac6670c16511a",
+    "smoke": "c1ec3b58fad53897caa4b1f7d4a5bb36"
+             "b9afdebef6a3b7922b065c4ff53bec66",
+    "quick": "f07a86a6879bd4597ebe0de085bdcfa1"
+             "39739e4791a392605da1072dc874f569",
 }
 
 
@@ -175,8 +176,7 @@ KIND_PINS = {
         {"schema": 3, "sim": "pinned", "lb": "ops",
          "topo": [["hosts_per_t0", 4], ["n_hosts", 8]],
          "workload": {"kind": "trace", "pattern": "websearch",
-                      "load": 0.3, "duration_us": 100.0,
-                      "workload_seed": 2},
+                      "load": 0.3},
          "seed": 3, "scenario": [["evs_size", 64]], "failure": None,
          "probes": []},
         "ops websearch@30% 8h evs_size=64"),
@@ -193,19 +193,16 @@ KIND_PINS = {
          "failure": {"kind": "fail_cables",
                      "params": [["at_us", 5.0], ["indices", [0]]]},
          "probes": []},
-        "reps alltoall 8h fail_cables"),
+        "reps alltoall/4096KiB 8h fail_cables"),
     "mixed": (
         lambda: make_task("ecmp", TINY_TOPO, WorkloadSpec.make(
-            "mixed", pattern="tornado", msg_bytes=1 << 23,
-            background_fraction=0.25), seed=7),
+            "mixed", msg_bytes=1 << 23, background_fraction=0.25), seed=7),
         {"schema": 3, "sim": "pinned", "lb": "ecmp",
          "topo": [["hosts_per_t0", 4], ["n_hosts", 8]],
-         "workload": {"kind": "mixed", "pattern": "tornado",
-                      "msg_bytes": 8388608, "workload_seed": 2,
-                      "background_lb": "ecmp",
+         "workload": {"kind": "mixed", "msg_bytes": 8388608,
                       "background_fraction": 0.25},
          "seed": 7, "scenario": [], "failure": None, "probes": []},
-        "ecmp tornado/8192KiB+25%ecmp 8h"),
+        "ecmp permutation/8192KiB+25%ecmp 8h"),
     "model": (
         lambda: make_model_task("imbalance", seed=19, evs_exponent=5,
                                 n_flows=32, repeats=6),
@@ -264,7 +261,7 @@ def test_a_label_names_what_the_figures_vary():
     assert failed.label().endswith(
         " fail_fraction(fraction=0.1,seed=4)+ber(ber=0.01)")
     four = WorkloadSpec.make("collective", pattern="alltoall", n_parallel=4)
-    assert four.label() == "alltoall(n=4)"
+    assert four.label() == "alltoall(n=4)/1024KiB"
 
 
 class TestWorkloadParams:
@@ -577,8 +574,7 @@ class TestWorkloadKinds:
     def test_trace_workload_runs(self):
         task = make_task(
             "reps", TINY_TOPO,
-            WorkloadSpec.make("trace", pattern="websearch", load=0.4,
-                              duration_us=20.0),
+            WorkloadSpec.make("trace", pattern="websearch", load=0.4),
             seed=1, max_us=5_000_000.0)
         payload = execute_task(task)
         assert payload["metrics"]["flows_total"] > 0
@@ -603,8 +599,7 @@ class TestWorkloadKinds:
     def test_mixed_workload_reports_background(self):
         task = make_task(
             "reps", TINY_TOPO,
-            WorkloadSpec.make("mixed", pattern="permutation",
-                              msg_bytes=128 * 1024, background_lb="ecmp",
+            WorkloadSpec.make("mixed", msg_bytes=128 * 1024,
                               background_fraction=0.25),
             seed=7, max_us=5_000_000.0)
         payload = execute_task(task)

@@ -92,7 +92,7 @@ def pkt(src: int = 0, dst: int = 100, ev: int = 0) -> Packet:
 def footprint_task(buffer_size: int, seed: int = 1):
     from repro.harness.sweep import make_model_task
     return make_model_task("footprint", seed=seed,
-                           buffer_size=buffer_size, evs_size=65536)
+                           buffer_size=buffer_size)
 
 
 def stub_table(result):

@@ -25,8 +25,6 @@ class TestMechanics:
             batched_balls_into_bins(0, 10)
         with pytest.raises(ValueError):
             batched_balls_into_bins(4, -1)
-        with pytest.raises(ValueError):
-            batched_balls_into_bins(4, 1, initial_loads=[1, 2])
 
     @given(n=st.integers(1, 32), rounds=st.integers(1, 50),
            lam=st.floats(0.1, 1.0))
@@ -44,13 +42,6 @@ class TestMechanics:
         a = batched_balls_into_bins(8, 100, rng=random.Random(5))
         b = batched_balls_into_bins(8, 100, rng=random.Random(5))
         assert a.max_load == b.max_load
-
-    def test_initial_loads_respected(self):
-        t = batched_balls_into_bins(3, 1, lam=0.0,
-                                    initial_loads=[5, 0, 0],
-                                    rng=random.Random(0))
-        # one served from the non-empty bin, nothing arrives (lam=0)
-        assert t.total_balls[0] == 4
 
 
 class TestPaperClaims:

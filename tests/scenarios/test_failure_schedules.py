@@ -132,7 +132,7 @@ class TestCallableEquivalence:
         def hook(net):
             def freeze():
                 for rec in net.flows.values():
-                    rec.sender.lb.force_freeze(5 * us)
+                    rec.sender.lb.force_freeze()
             net.engine.at(5 * us, freeze)
 
         with_spec = _spec_metrics("reps", spec)
@@ -143,15 +143,14 @@ class TestCallableEquivalence:
 
     def test_degrade_cables_matches_hand_written_hook(self):
         """degrade_cables (what ``repro run --degrade-uplink`` builds)
-        == downgrading the cables by hand."""
+        == downgrading the cables by hand, from time zero."""
         spec = FailureSpec.make("degrade_cables", indices=[0, 5],
-                                gbps=100.0, at_us=5.0)
+                                gbps=100.0)
 
         def hook(net):
             cables = net.tree.t0_uplink_cables()
             for i in (0, 5):
-                net.failures.degrade_cable(cables[i], 100.0,
-                                           at_ps=5_000_000)
+                net.failures.degrade_cable(cables[i], 100.0)
 
         with_spec = _spec_metrics("reps", spec)
         assert with_spec == _callable_metrics("reps", hook)
@@ -166,7 +165,7 @@ class TestCallableEquivalence:
         def hook(net):
             cables = net.tree.t0_uplink_cables()
             for c in random.Random(3).sample(cables, 2):  # 25% of 8
-                net.failures.degrade_cable(c, 100.0, at_ps=0)
+                net.failures.degrade_cable(c, 100.0)
 
         with_spec = _spec_metrics("reps", spec)
         assert with_spec == _callable_metrics("reps", hook)

@@ -4,22 +4,29 @@ The catalogue is what the paper's claims reach.  This test builds every
 registered figure's matrix at ``smoke`` and ``quick``, plus the
 cross-policy arena over :data:`~repro.scenarios.arena.DEFAULT_POLICIES`,
 and asks of each name a task can name — a load-balancer policy, a switch
-mode, a failure kind, a probe, a workload kind, a model runner, a field
-of :class:`~repro.sim.network.NetworkConfig`, of
+mode, a failure kind, a probe, a workload kind, a model runner, a
+parameter of one of those kinds, a field of
+:class:`~repro.sim.network.NetworkConfig`, of
 :class:`~repro.sim.params.TopologyParams` or of
 :class:`~repro.core.reps.RepsConfig` — whether some task reaches it.
 
 A name is reached when some task uses it, or, for a config field, when
 some task's scenario or topology holds the field away from its default
-(``topo``, ``lb`` and ``seed`` are set by every task).  A name nothing
-reaches either goes or is listed in :data:`KEEP` with a one-line reason;
-a KEEP entry that is reached, or names nothing registered, is stale.
+(``topo``, ``lb`` and ``seed`` are set by every task).  A kind's
+parameter (``failure:fail_cables.at_us``, ``workload:trace.load``,
+``model:footprint.buffer_size``) is reached when some task gives it — a
+failure spec and a model task keep only the parameters given — or, for
+a workload kind, whose spec is filled with its defaults, when some task
+holds it away from its default.  A name nothing reaches either goes or
+is listed in :data:`KEEP` with a one-line reason; a KEEP entry that is
+reached, or names nothing registered, is stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Dict, Iterable, Set
+from inspect import Parameter, signature
+from typing import Callable, Dict, Iterable, Mapping, Set
 
 import pytest
 
@@ -27,6 +34,7 @@ from repro.core.reps import RepsConfig
 from repro.harness.model_tasks import MODEL_RUNNERS
 from repro.harness.sweep import (
     FAILURE_KINDS,
+    MIXED_BACKGROUND_LB,
     PROBES,
     WORKLOAD_KINDS,
     FailureSpec,
@@ -54,6 +62,12 @@ KEEP: Dict[str, str] = {
     "switch_mode:source": "reps_source's switch mode; goes with it",
     "switch_mode:wcmp": "wcmp's switch mode; goes with it",
     "failure:fail_cables": "the CLI's --fail-uplink schedules it",
+    "failure:fail_cables.indices": "the CLI's --fail-uplink sets it",
+    "failure:fail_cables.at_us": "the CLI's --fail-at sets it",
+    "failure:fail_cables.duration_us": "the CLI's --fail-for sets it",
+    "workload:synthetic.fan_in": "the CLI's --fan-in sets it",
+    "workload:synthetic.workload_seed": "run and compare draw the "
+                                        "permutation from --seed",
     "NetworkConfig.rto_us": "the policy-conformance suite runs at "
                             "1 000 us",
     "NetworkConfig.routing_update_delay_us": "the ledger's "
@@ -70,6 +84,23 @@ KEEP: Dict[str, str] = {
 _ALWAYS_SET = ("topo", "lb", "seed")
 
 
+def kinds() -> Dict[str, Callable]:
+    """``failure:`` / ``workload:`` / ``model:`` kind name -> its
+    function.  The ``model`` workload kind is left out: its parameters
+    name a model runner and hand it its own."""
+    return {**{f"failure:{kind}": fn for kind, fn in FAILURE_KINDS.items()},
+            **{f"workload:{kind}": fn
+               for kind, (fn, _label) in WORKLOAD_KINDS.items()
+               if kind != "model"},
+            **{f"model:{name}": fn for name, fn in MODEL_RUNNERS.items()}}
+
+
+def kind_parameters(fn: Callable) -> Mapping[str, Parameter]:
+    """What a task may set of a kind: all but its first parameter (the
+    network, or a model's seed)."""
+    return dict(list(signature(fn).parameters.items())[1:])
+
+
 def registered() -> Set[str]:
     """Every name a task can reach."""
     return ({f"lb:{name}" for name in available()}
@@ -78,17 +109,19 @@ def registered() -> Set[str]:
             | {f"probe:{name}" for name in PROBES}
             | {f"workload:{kind}" for kind in WORKLOAD_KINDS}
             | {f"model:{name}" for name in MODEL_RUNNERS}
+            | {f"{kind}.{param}" for kind, fn in kinds().items()
+               for param in kind_parameters(fn)}
             | {f"NetworkConfig.{f.name}" for f in fields(NetworkConfig)}
             | {f"TopologyParams.{f.name}" for f in fields(TopologyParams)}
             | {f"RepsConfig.{f.name}" for f in fields(RepsConfig)})
 
 
-def _failure_kinds(spec: FailureSpec) -> Iterable[str]:
+def _failures(spec: FailureSpec) -> Iterable[FailureSpec]:
     if spec.kind == "compose":
         for sub in dict(spec.params)["specs"]:
-            yield from _failure_kinds(sub)
+            yield from _failures(sub)
     else:
-        yield spec.kind
+        yield spec
 
 
 def reached(tasks: Iterable[SweepTask]) -> Set[str]:
@@ -96,25 +129,33 @@ def reached(tasks: Iterable[SweepTask]) -> Set[str]:
     net_defaults = NetworkConfig()
     topo_defaults = TopologyParams()
     reps_defaults = RepsConfig()
+    params = {kind: kind_parameters(fn) for kind, fn in kinds().items()}
     out: Set[str] = set()
     for task in tasks:
-        workload = dict(task.workload.params)
-        out.add(f"workload:{task.workload.kind}")
+        kind = f"workload:{task.workload.kind}"
+        out.add(kind)
         if task.workload.kind == "model":
-            out.add(f"model:{workload['pattern']}")
+            workload = dict(task.workload.params)
+            model = f"model:{workload['pattern']}"
+            out.add(model)
+            out.update(f"{model}.{name}" for name, _ in workload["params"])
             continue
+        out.update(f"{kind}.{name}" for name, value in task.workload.params
+                   if value != params[kind][name].default)
         out.update(f"NetworkConfig.{name}" for name in _ALWAYS_SET)
         out.add(f"lb:{task.lb}")
-        if "background_lb" in workload:
-            out.add(f"lb:{workload['background_lb']}")
+        if task.workload.kind == "mixed":
+            out.add(f"lb:{MIXED_BACKGROUND_LB}")
         # the mode ``Network`` builds the fabric in
         out.add(f"switch_mode:{policy(task.lb).switch_mode or 'ecmp'}")
         out.update(f"TopologyParams.{name}" for name, value in task.topo
                    if value != getattr(topo_defaults, name))
         out.update(f"probe:{name}" for name in task.probes)
         if task.failure is not None:
-            out.update(f"failure:{kind}"
-                       for kind in _failure_kinds(task.failure))
+            for spec in _failures(task.failure):
+                out.add(f"failure:{spec.kind}")
+                out.update(f"failure:{spec.kind}.{name}"
+                           for name, _ in spec.params)
         for key, value in task.scenario:
             if key == "reps":
                 out.add("NetworkConfig.reps")
@@ -191,9 +232,35 @@ class TestReached:
         assert "failure:compose" not in hit
 
     def test_a_mixed_workload_reaches_its_background_policy(self):
-        workload = WorkloadSpec.make("mixed", background_lb="mptcp")
-        assert {"lb:reps", "lb:mptcp", "workload:mixed"} \
+        workload = WorkloadSpec.make("mixed")
+        assert {"lb:reps", "lb:ecmp", "workload:mixed"} \
             <= reached([self.task(workload=workload)])
+
+    def test_a_failure_parameter_given_is_reached(self):
+        spec = FailureSpec.compose(
+            FailureSpec.make("fail_fraction", fraction=0.1, at_us=10.0),
+            FailureSpec.make("ber", ber=0.01))
+        hit = reached([self.task(failure=spec)])
+        assert {"failure:fail_fraction.fraction",
+                "failure:fail_fraction.at_us", "failure:ber.ber"} <= hit
+        # left to its default, a parameter is not given
+        assert "failure:ber.what" not in hit
+
+    def test_a_workload_parameter_at_its_default_is_not_reached(self):
+        held = WorkloadSpec.make("synthetic", pattern="permutation",
+                                 msg_bytes=1 << 17, fan_in=8)
+        hit = reached([self.task(workload=held)])
+        assert "workload:synthetic.msg_bytes" in hit
+        assert "workload:synthetic.fan_in" not in hit
+        assert "workload:synthetic.pattern" not in hit
+        moved = WorkloadSpec.make("synthetic", pattern="incast", fan_in=4)
+        assert {"workload:synthetic.pattern", "workload:synthetic.fan_in"} \
+            <= reached([self.task(workload=moved)])
+
+    def test_a_model_parameter_given_is_reached(self):
+        hit = reached([make_model_task("footprint", seed=1, buffer_size=8)])
+        assert hit == {"workload:model", "model:footprint",
+                       "model:footprint.buffer_size"}
 
     def test_the_policy_picks_the_switch_mode(self):
         assert "switch_mode:adaptive" in reached(

@@ -8,6 +8,7 @@ from repro.sim.cc import available, make_cc
 from repro.sim.cc.dctcp import DctcpCc
 from repro.sim.cc.eqds import EqdsCc
 from repro.sim.cc.internal import InternalCc
+from repro.sim.network import Network, NetworkConfig
 
 MTU = 4096
 BDP = 100 * MTU
@@ -26,6 +27,11 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             mk("bbr")
+
+    def test_a_network_checks_its_cc_when_built(self):
+        """Once, when it is built, not per flow added."""
+        with pytest.raises(KeyError, match="'bbr'"):
+            Network(NetworkConfig(cc="bbr"))
 
     def test_factory_builds_right_types(self):
         assert isinstance(mk("dctcp"), DctcpCc)

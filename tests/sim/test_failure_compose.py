@@ -10,7 +10,9 @@ two specs do not target the same instant, ``compose(a, b)`` and
 The property is exercised with randomly drawn schedule pairs: the
 kinds, targets, times and durations all come from a seeded RNG, with
 the two specs drawn on disjoint time grids (a-times end in .3, b-times
-in .7) so the property holds by construction, not by luck.
+in .7) so the property holds by construction, not by luck.  A
+degradation holds from time zero, so each grid degrades its own
+cables instead.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ def _grid_time(rng: random.Random, ending: float) -> float:
     return rng.randrange(1, 50) + ending
 
 
+#: the uplink cables a spec drawn on each grid may degrade
+_DEGRADE_CABLES = {0.1: (0, 1), 0.3: (2, 3), 0.7: (4, 5)}
+
+
 def _random_spec(rng: random.Random, ending: float) -> FailureSpec:
     kind = rng.choice(["cable_schedule", "tor_uplinks", "degrade"])
     if kind == "cable_schedule":
@@ -56,9 +62,9 @@ def _random_spec(rng: random.Random, ending: float) -> FailureSpec:
             stagger_us=float(rng.randrange(1, 4) * 10))
     return FailureSpec.make(
         "degrade_cables",
-        indices=tuple(rng.sample(range(4), rng.randint(1, 2))),
-        gbps=float(rng.choice([100, 200])),
-        at_us=_grid_time(rng, ending))
+        indices=tuple(rng.sample(_DEGRADE_CABLES[ending],
+                                 rng.randint(1, 2))),
+        gbps=float(rng.choice([100, 200])))
 
 
 def _payload(failure: FailureSpec, seed: int) -> str:

@@ -89,6 +89,13 @@ class TestTwoTier:
         cables = tree.cables_of_switch(t1)
         assert len(cables) == 2  # one per T0
 
+    def test_cables_of_switch_among_16_t1s(self):
+        """``t1_1``'s name is a prefix of ``t1_10`` .. ``t1_15``'s."""
+        tree = build(n_hosts=32, hosts_per_t0=16)
+        assert len(tree.t1s) == 16
+        cables = tree.cables_of_switch(tree.t1s[1])
+        assert [c.name for c in cables] == ["t0_0<->t1_1", "t0_1<->t1_1"]
+
     def test_t0_of_host(self):
         tree = build(n_hosts=16, hosts_per_t0=8)
         assert tree.t0_of_host(3) is tree.t0s[0]

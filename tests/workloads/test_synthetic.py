@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +21,9 @@ class TestIncast:
         assert len(set(srcs)) == 8
         assert 3 not in srcs
 
-    def test_random_selection_with_seed(self):
-        a = incast(32, 8, seed=1)
-        b = incast(32, 8, seed=1)
-        assert a == b
+    def test_senders_are_the_farthest_hosts(self):
+        assert incast(16, 4, receiver=0) == [(12, 0), (13, 0), (14, 0),
+                                             (15, 0)]
 
     def test_invalid_fan_in(self):
         with pytest.raises(ValueError):
